@@ -18,22 +18,22 @@ fn cache_access(c: &mut Criterion) {
     group.throughput(Throughput::Elements(N));
     group.bench_function("l1_hits", |b| {
         let mut cache = Cache::new(&cfg.l1);
-        for i in 0..512u64 {
-            cache.insert(i * 64, 0, 0, false);
+        for line in 0..512u64 {
+            cache.insert(line, 0, 0, false);
         }
         b.iter(|| {
             for i in 0..N {
-                black_box(cache.access((i % 512) * 64, i, false));
+                black_box(cache.access(i % 512, i, false));
             }
         });
     });
     group.bench_function("l2_insert_evict", |b| {
         let mut cache = Cache::new(&cfg.l2);
-        let mut addr = 0u64;
+        let mut line = 0u64;
         b.iter(|| {
             for i in 0..N {
-                addr = addr.wrapping_add(0x1_0040);
-                black_box(cache.insert(addr, i, i, i % 3 == 0));
+                line = line.wrapping_add(0x401);
+                black_box(cache.insert(line, i, i, i % 3 == 0));
             }
         });
     });

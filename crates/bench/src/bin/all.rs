@@ -30,24 +30,30 @@
 //! ```
 
 use std::time::Instant;
-use swpf_bench::harness::{cli_options_from, finish_profiling, init_profiling, run_and_report};
+use swpf_bench::harness::{
+    cli_options_or_exit, exit_with_usage_error, finish_profiling, init_profiling, run_and_report,
+    CLI_USAGE,
+};
 use swpf_bench::json::Json;
 use swpf_bench::{experiments, scale_from_env};
 
 /// A name list from `--only`/`--skip` values, validated against the
 /// experiment catalogue.
-fn push_names(out: &mut Vec<String>, flag: &str, value: Option<String>) {
-    let value = value.unwrap_or_else(|| panic!("{flag} needs an experiment name"));
+fn push_names(out: &mut Vec<String>, flag: &str, value: Option<String>) -> Result<(), String> {
+    let value = value.ok_or_else(|| format!("{flag} needs an experiment name"))?;
     for name in value.split(',').map(str::trim).filter(|n| !n.is_empty()) {
-        assert!(
-            experiments::EXPERIMENTS.contains(&name),
-            "{flag}: unknown experiment `{name}` (see --list for the catalogue)"
-        );
+        if !experiments::EXPERIMENTS.contains(&name) {
+            return Err(format!(
+                "{flag}: unknown experiment `{name}` (see --list for the catalogue)"
+            ));
+        }
         out.push(name.to_string());
     }
+    Ok(())
 }
 
 fn main() -> std::process::ExitCode {
+    let usage = format!("[--only NAMES] [--skip NAMES] [--list] {CLI_USAGE}");
     // Strip the driver-specific arguments; everything else goes to the
     // shared harness CLI parser.
     let mut only: Vec<String> = Vec::new();
@@ -57,12 +63,16 @@ fn main() -> std::process::ExitCode {
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--only" => push_names(&mut only, "--only", args.next()),
-            "--skip" => push_names(&mut skip, "--skip", args.next()),
+            "--only" => push_names(&mut only, "--only", args.next())
+                .unwrap_or_else(|e| exit_with_usage_error(&e, &usage)),
+            "--skip" => push_names(&mut skip, "--skip", args.next())
+                .unwrap_or_else(|e| exit_with_usage_error(&e, &usage)),
             "--list" => list = true,
             _ => rest.push(arg),
         }
     }
+    // Parsed before `--list` acts, so `--help` and a bad flag win over it.
+    let opts = cli_options_or_exit(rest.into_iter(), &usage);
     if list {
         experiments::print_catalog();
         return std::process::ExitCode::SUCCESS;
@@ -85,10 +95,11 @@ fn main() -> std::process::ExitCode {
             .filter(|n| !skip.iter().any(|s| s == n))
             .collect()
     };
-    assert!(!selected.is_empty(), "the filters selected no experiments");
+    if selected.is_empty() {
+        exit_with_usage_error("the filters selected no experiments", &usage);
+    }
 
     let scale = scale_from_env();
-    let opts = cli_options_from(rest.into_iter());
     let profile = init_profiling(&opts);
     let t0 = Instant::now();
     let mut summaries = Vec::new();

@@ -21,6 +21,10 @@
 //! * **bytecode** (`BENCH_interp.json`): the fixed-width bytecode tier
 //!   over the exec-image engine — what the threaded-code lowering and
 //!   the superinstruction catalogue bought;
+//! * **timing model** (`BENCH_interp.json`): the haswell (out-of-order)
+//!   timing model attached to the interpreter over the interpreter
+//!   alone — the cost of the core/MemSys hot path in units of the layer
+//!   beneath it, so a regression there cannot hide behind a fast host;
 //! * **profiling** (no reference file): the bytecode-tier cell with
 //!   `swpf-obs` instrumentation compiled in but disabled against the
 //!   plain `bytecode/IS` record from the same process — the
@@ -270,6 +274,53 @@ fn gate_perf(records: &str, records_path: &str) -> bool {
     }
 }
 
+/// Gate the timing model's cost over the interpreter that drives it:
+/// `interp_with_timing/haswell` (the out-of-order core model and the
+/// full memory hierarchy on every event) over `interp_only/IS` (the
+/// same cell with no observer), against the ratio recorded when the
+/// hot path was last reworked.
+fn gate_timing_over_interp(
+    records: &str,
+    records_path: &str,
+    reference: &Json,
+    reference_path: &str,
+) -> bool {
+    let (Some(timing_ns), Some(interp_ns)) = (
+        ns_from_records(records, "interp_with_timing", "haswell"),
+        ns_from_records(records, "interp_only", "IS"),
+    ) else {
+        eprintln!(
+            "bench_gate: missing `interp_with_timing/haswell` or `interp_only/IS` \
+             record in {records_path}"
+        );
+        return false;
+    };
+    let Some(ref_ratio) = reference_f64(
+        reference,
+        reference_path,
+        "timing_model",
+        "timing_over_interp_haswell",
+    ) else {
+        return false;
+    };
+    let measured = timing_ns / interp_ns;
+    let ceiling = ref_ratio * MAX_REGRESSION;
+    println!(
+        "bench_gate: timing model over interpreter (interp_with_timing/haswell over \
+         interp_only/IS) — measured {measured:.3}x ({timing_ns:.0} / {interp_ns:.0} ns), \
+         reference {ref_ratio:.3}x, ceiling {ceiling:.3}x (allowance {MAX_REGRESSION}x)"
+    );
+    if measured <= ceiling {
+        true
+    } else {
+        eprintln!(
+            "bench_gate: the timing model's cost over the interpreter regressed more \
+             than {MAX_REGRESSION}x vs the {reference_path} reference"
+        );
+        false
+    }
+}
+
 /// Gate the full pipeline's compile-phase cost: compile every point of
 /// the default search space through the full global pipeline
 /// (`swpf,gvn,sccp,licm,cse,dce`) and through the PR 5 local-only
@@ -379,6 +430,7 @@ fn main() -> std::process::ExitCode {
         "bytecode_ns_per_iter",
         "engine_ns_per_iter",
     );
+    ok &= gate_timing_over_interp(&records, &records_path, &interp_ref, &interp_ref_path);
     ok &= gate_profiling(&records, &records_path);
     ok &= gate_perf(&records, &records_path);
     if let Some(path) = trace_ref_path {

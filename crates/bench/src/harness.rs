@@ -1571,35 +1571,78 @@ pub struct CliOptions {
     pub profile: Option<PathBuf>,
 }
 
-/// Parse process arguments and environment.
-///
-/// # Panics
-/// On malformed arguments (this is a bench CLI; fail loudly).
+/// One-line usage of the options every experiment binary shares.
+pub const CLI_USAGE: &str = "[--threads N] [--out DIR] [--trace-dir DIR | --no-trace] \
+     [--stream-replay] [--trace-cap BYTES] [--profile PATH] [--perf] [--help]";
+
+/// Parse process arguments and environment; see [`cli_options_or_exit`].
 #[must_use]
 pub fn cli_options() -> CliOptions {
-    cli_options_from(std::env::args().skip(1))
+    cli_options_or_exit(std::env::args().skip(1), CLI_USAGE)
 }
 
-/// [`cli_options`] over an explicit argument stream — for drivers (the
-/// `all` binary) that strip their own arguments (`--only`, `--skip`,
-/// `--list`) before delegating the shared ones here.
-///
-/// # Panics
-/// On malformed arguments (this is a bench CLI; fail loudly).
+/// [`cli_options_from`] for a binary's `main`: `--help` prints
+/// `usage` and exits 0; a malformed argument or environment value
+/// prints one `error:` line and the usage to stderr and exits 2.
 #[must_use]
-pub fn cli_options_from(args: impl Iterator<Item = String>) -> CliOptions {
-    let mut threads: usize = std::env::var("SWPF_THREADS")
-        .ok()
-        .map(|v| v.parse().expect("SWPF_THREADS must be an integer"))
-        .unwrap_or(0);
+pub fn cli_options_or_exit(args: impl Iterator<Item = String>, usage: &str) -> CliOptions {
+    let args: Vec<String> = args.collect();
+    if args.iter().any(|a| a == "--help") {
+        println!("{}", usage_line(usage));
+        std::process::exit(0);
+    }
+    cli_options_from(args.into_iter()).unwrap_or_else(|e| exit_with_usage_error(&e, usage))
+}
+
+/// Report a command-line error on stderr — one `error:` line, then the
+/// one-line usage — and exit with status 2.
+pub fn exit_with_usage_error(error: &str, usage: &str) -> ! {
+    eprintln!("error: {error}\n{}", usage_line(usage));
+    std::process::exit(2);
+}
+
+fn usage_line(usage: &str) -> String {
+    let exe = std::env::args().next().unwrap_or_default();
+    let name = Path::new(&exe)
+        .file_name()
+        .map_or_else(|| exe.clone(), |n| n.to_string_lossy().into_owned());
+    format!("usage: {name} {usage}")
+}
+
+/// The shared options from an explicit argument stream and the
+/// `SWPF_*` environment — for drivers (the `all` binary) that strip
+/// their own arguments (`--only`, `--skip`, `--list`) before delegating
+/// the shared ones here.
+///
+/// # Errors
+/// On an unknown flag, a flag without its value, or a value (argument
+/// or environment) that does not parse.
+pub fn cli_options_from(args: impl Iterator<Item = String>) -> Result<CliOptions, String> {
+    fn value(args: &mut impl Iterator<Item = String>, flag: &str) -> Result<String, String> {
+        args.next().ok_or_else(|| format!("{flag} needs a value"))
+    }
+    fn integer(v: &str, what: &str) -> Result<usize, String> {
+        v.parse()
+            .map_err(|_| format!("{what} must be an integer, got `{v}`"))
+    }
+    fn size(v: &str, what: &str) -> Result<u64, String> {
+        parse_size(v)
+            .ok_or_else(|| format!("{what} must be a size like 4096, 64K, 512M, got `{v}`"))
+    }
+
+    let mut threads = match std::env::var("SWPF_THREADS") {
+        Ok(v) => integer(&v, "SWPF_THREADS")?,
+        Err(_) => 0,
+    };
     let mut trace = match std::env::var_os("SWPF_TRACE_DIR") {
         Some(dir) => TracePolicy::Dir(PathBuf::from(dir)),
         None => TracePolicy::default(),
     };
     let mut stream = std::env::var_os("SWPF_TRACE_STREAM").is_some();
-    let mut trace_cap = std::env::var("SWPF_TRACE_CAP")
-        .ok()
-        .map(|v| parse_size(&v).expect("SWPF_TRACE_CAP must be a size like 512M"));
+    let mut trace_cap = match std::env::var("SWPF_TRACE_CAP") {
+        Ok(v) => Some(size(&v, "SWPF_TRACE_CAP")?),
+        Err(_) => None,
+    };
     let mut out_dir = PathBuf::from("RESULTS");
     let mut profile = std::env::var_os("SWPF_PROFILE").map(PathBuf::from);
     // `SWPF_PERF=0` explicitly off, any other value on — same contract
@@ -1608,39 +1651,22 @@ pub fn cli_options_from(args: impl Iterator<Item = String>) -> CliOptions {
     let mut args = args;
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--threads" => {
-                let v = args.next().expect("--threads needs a value");
-                threads = v.parse().expect("--threads must be an integer");
-            }
-            "--out" => {
-                out_dir = PathBuf::from(args.next().expect("--out needs a directory"));
-            }
+            "--threads" => threads = integer(&value(&mut args, "--threads")?, "--threads")?,
+            "--out" => out_dir = PathBuf::from(value(&mut args, "--out")?),
             "--trace-dir" => {
-                trace = TracePolicy::Dir(PathBuf::from(
-                    args.next().expect("--trace-dir needs a directory"),
-                ));
+                trace = TracePolicy::Dir(PathBuf::from(value(&mut args, "--trace-dir")?));
             }
             "--no-trace" => trace = TracePolicy::Off,
             "--stream-replay" => stream = true,
             "--trace-cap" => {
-                let v = args.next().expect("--trace-cap needs a size (e.g. 512M)");
-                trace_cap =
-                    Some(parse_size(&v).expect("--trace-cap must be a size like 4096, 64K, 512M"));
+                trace_cap = Some(size(&value(&mut args, "--trace-cap")?, "--trace-cap")?);
             }
-            "--profile" => {
-                profile = Some(PathBuf::from(
-                    args.next().expect("--profile needs an output path"),
-                ));
-            }
+            "--profile" => profile = Some(PathBuf::from(value(&mut args, "--profile")?)),
             "--perf" => perf = true,
-            other => panic!(
-                "unknown argument `{other}` \
-                 (expected --threads N | --out DIR | --trace-dir DIR | --no-trace \
-                 | --stream-replay | --trace-cap BYTES | --profile PATH | --perf)"
-            ),
+            other => return Err(format!("unknown argument `{other}`")),
         }
     }
-    CliOptions {
+    Ok(CliOptions {
         run: RunOptions {
             threads,
             trace,
@@ -1650,7 +1676,7 @@ pub fn cli_options_from(args: impl Iterator<Item = String>) -> CliOptions {
         },
         out_dir,
         profile,
-    }
+    })
 }
 
 /// Enable `swpf-obs` profiling when the run asked for it (`--profile`

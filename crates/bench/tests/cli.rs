@@ -1,0 +1,56 @@
+//! The experiment binaries' command line: a malformed invocation is one
+//! `error:` line plus the usage and exit status 2, never a panic.
+
+use std::process::{Command, Output};
+
+fn all(args: &[&str], env: &[(&str, &str)]) -> Output {
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_all"));
+    // Run away from the repository so a parse that wrongly succeeds
+    // cannot drop a RESULTS directory into it.
+    cmd.args(args).current_dir(std::env::temp_dir());
+    for var in ["SWPF_THREADS", "SWPF_TRACE_CAP"] {
+        cmd.env_remove(var);
+    }
+    cmd.envs(env.iter().copied())
+        .env("SWPF_SCALE", "test")
+        .output()
+        .expect("the `all` binary runs")
+}
+
+fn assert_usage_error(out: &Output, what: &str) {
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{what}: {stderr}");
+    assert_eq!(
+        stderr.lines().filter(|l| l.starts_with("error:")).count(),
+        1,
+        "{what}: {stderr}"
+    );
+    assert!(stderr.contains("usage: all "), "{what}: {stderr}");
+    assert!(!stderr.contains("panicked at"), "{what}: {stderr}");
+    assert!(out.stdout.is_empty(), "{what}: nothing ran");
+}
+
+#[test]
+fn unknown_flag_is_one_error_line_and_exit_2() {
+    assert_usage_error(&all(&["--bogus"], &[]), "--bogus");
+}
+
+#[test]
+fn malformed_values_are_usage_errors() {
+    assert_usage_error(&all(&["--threads"], &[]), "missing value");
+    assert_usage_error(&all(&["--threads", "many"], &[]), "non-numeric --threads");
+    assert_usage_error(&all(&["--only"], &[]), "missing experiment name");
+    assert_usage_error(&all(&["--only", "fig99"], &[]), "unknown experiment");
+    assert_usage_error(&all(&[], &[("SWPF_THREADS", "many")]), "SWPF_THREADS");
+    assert_usage_error(&all(&[], &[("SWPF_TRACE_CAP", "big")]), "SWPF_TRACE_CAP");
+}
+
+#[test]
+fn help_prints_usage_and_exits_0() {
+    let out = all(&["--only", "fig7", "--help"], &[]);
+    assert_eq!(out.status.code(), Some(0));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.starts_with("usage: all "), "{stdout}");
+    assert_eq!(stdout.lines().count(), 1, "help runs nothing: {stdout}");
+    assert!(out.stderr.is_empty());
+}

@@ -10,17 +10,6 @@
 use crate::presets::CacheConfig;
 use crate::LINE_BYTES;
 
-#[derive(Debug, Clone, Copy, Default)]
-struct Line {
-    tag: u64,
-    valid: bool,
-    dirty: bool,
-    /// Tick when the fill completes (0 for long-resident lines).
-    ready: u64,
-    /// Tick of last access, for LRU.
-    last_use: u64,
-}
-
 /// Result of a cache lookup.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Lookup {
@@ -34,14 +23,37 @@ pub enum Lookup {
     Miss,
 }
 
+/// How a line number picks its set: a mask when the set count is a
+/// power of two (true of every preset), a remainder otherwise.
+#[derive(Debug, Clone, Copy)]
+enum SetIndex {
+    Mask(u64),
+    Modulo(u64),
+}
+
 /// A single cache level.
+///
+/// Every method takes a *line number* (`addr / LINE_BYTES`), which the
+/// memory system computes once per access and hands to each level.
+///
+/// The tag store is one array per field, indexed `set * ways + way`, and
+/// all-zero means empty: a way holds `line + 1` in `tags`, so `0` is
+/// "invalid". That lets construction take zeroed pages straight from the
+/// allocator — a multi-megabyte LLC costs nothing to build and sets a
+/// run never touches are never faulted in.
 #[derive(Debug, Clone)]
 pub struct Cache {
-    sets: usize,
+    index: SetIndex,
     ways: usize,
     /// Hit latency in ticks.
     pub latency_ticks: u64,
-    lines: Vec<Line>,
+    /// `line + 1` of the resident line; `0` for an invalid way.
+    tags: Vec<u64>,
+    /// Tick when the way's fill completes.
+    ready: Vec<u64>,
+    /// Tick of the way's last access, for LRU.
+    last_use: Vec<u64>,
+    dirty: Vec<bool>,
     hits: u64,
     misses: u64,
 }
@@ -53,112 +65,111 @@ impl Cache {
         let lines_total = (cfg.capacity / LINE_BYTES).max(1) as usize;
         let ways = cfg.ways.max(1) as usize;
         let sets = (lines_total / ways).max(1);
+        let index = if sets.is_power_of_two() {
+            SetIndex::Mask(sets as u64 - 1)
+        } else {
+            SetIndex::Modulo(sets as u64)
+        };
         Cache {
-            sets,
+            index,
             ways,
             latency_ticks: cfg.latency * crate::TICKS_PER_CYCLE,
-            lines: vec![Line::default(); sets * ways],
+            tags: vec![0; sets * ways],
+            ready: vec![0; sets * ways],
+            last_use: vec![0; sets * ways],
+            dirty: vec![false; sets * ways],
             hits: 0,
             misses: 0,
         }
     }
 
-    fn set_of(&self, addr: u64) -> usize {
-        ((addr / LINE_BYTES) as usize) % self.sets
+    /// Index range of the ways of `line`'s set.
+    #[inline]
+    fn set_of(&self, line: u64) -> std::ops::Range<usize> {
+        let set = match self.index {
+            SetIndex::Mask(mask) => line & mask,
+            SetIndex::Modulo(sets) => line % sets,
+        } as usize;
+        set * self.ways..(set + 1) * self.ways
     }
 
-    fn tag_of(addr: u64) -> u64 {
-        addr / LINE_BYTES
+    /// Index of the way holding `line`, if resident.
+    #[inline]
+    fn find(&self, line: u64) -> Option<usize> {
+        let set = self.set_of(line);
+        let base = set.start;
+        self.tags[set]
+            .iter()
+            .position(|&tag| tag == line + 1)
+            .map(|way| base + way)
     }
 
-    /// Look up `addr` at time `now`, updating LRU and the dirty bit on a
+    /// Look up `line` at time `now`, updating LRU and the dirty bit on a
     /// hit. Does not allocate on miss — call [`Cache::insert`] once the
     /// fill time is known.
-    pub fn access(&mut self, addr: u64, now: u64, is_write: bool) -> Lookup {
-        let set = self.set_of(addr);
-        let tag = Self::tag_of(addr);
-        let base = set * self.ways;
-        for way in 0..self.ways {
-            let line = &mut self.lines[base + way];
-            if line.valid && line.tag == tag {
-                line.last_use = now;
-                line.dirty |= is_write;
-                self.hits += 1;
-                return Lookup::Hit {
-                    ready_at: line.ready,
-                };
-            }
+    #[inline]
+    pub fn access(&mut self, line: u64, now: u64, is_write: bool) -> Lookup {
+        let Some(i) = self.find(line) else {
+            self.misses += 1;
+            return Lookup::Miss;
+        };
+        self.last_use[i] = now;
+        self.dirty[i] |= is_write;
+        self.hits += 1;
+        Lookup::Hit {
+            ready_at: self.ready[i],
         }
-        self.misses += 1;
-        Lookup::Miss
     }
 
     /// Non-updating presence probe (used by prefetch paths so probes do
     /// not perturb LRU or hit statistics).
     #[must_use]
-    pub fn probe(&self, addr: u64) -> Lookup {
-        let set = self.set_of(addr);
-        let tag = Self::tag_of(addr);
-        let base = set * self.ways;
-        for way in 0..self.ways {
-            let line = &self.lines[base + way];
-            if line.valid && line.tag == tag {
-                return Lookup::Hit {
-                    ready_at: line.ready,
-                };
-            }
+    pub fn probe(&self, line: u64) -> Lookup {
+        match self.find(line) {
+            Some(i) => Lookup::Hit {
+                ready_at: self.ready[i],
+            },
+            None => Lookup::Miss,
         }
-        Lookup::Miss
     }
 
-    /// Install the line holding `addr`, becoming usable at `ready`.
-    /// Returns the address of the evicted line when the victim was dirty
-    /// (the caller must write it back to the next level down).
-    pub fn insert(&mut self, addr: u64, now: u64, ready: u64, is_write: bool) -> Option<u64> {
-        let set = self.set_of(addr);
-        let tag = Self::tag_of(addr);
-        let base = set * self.ways;
-        // Reuse an invalid way or evict the LRU one.
-        let mut victim = 0usize;
+    /// Install `line`, becoming usable at `ready`. Returns the evicted
+    /// line when the victim was dirty (the caller must write it back to
+    /// the next level down).
+    pub fn insert(&mut self, line: u64, now: u64, ready: u64, is_write: bool) -> Option<u64> {
+        // Reuse the first invalid way, else evict the LRU one (the first
+        // of equally old ways).
+        let set = self.set_of(line);
+        let mut victim = set.start;
         let mut oldest = u64::MAX;
-        for way in 0..self.ways {
-            let line = &self.lines[base + way];
-            if !line.valid {
-                victim = way;
+        for i in set {
+            if self.tags[i] == 0 {
+                victim = i;
                 break;
             }
-            if line.last_use < oldest {
-                oldest = line.last_use;
-                victim = way;
+            if self.last_use[i] < oldest {
+                oldest = self.last_use[i];
+                victim = i;
             }
         }
-        let line = &mut self.lines[base + victim];
-        let writeback = (line.valid && line.dirty).then_some(line.tag * LINE_BYTES);
-        *line = Line {
-            tag,
-            valid: true,
-            dirty: is_write,
-            ready,
-            last_use: now,
-        };
+        let writeback =
+            (self.tags[victim] != 0 && self.dirty[victim]).then(|| self.tags[victim] - 1);
+        self.tags[victim] = line + 1;
+        self.dirty[victim] = is_write;
+        self.ready[victim] = ready;
+        self.last_use[victim] = now;
         writeback
     }
 
-    /// Mark the line holding `addr` dirty if present (a write-back from
-    /// the level above landing in this cache). Returns `false` when the
-    /// line is absent and the write-back must continue downwards.
-    pub fn mark_dirty(&mut self, addr: u64) -> bool {
-        let set = self.set_of(addr);
-        let tag = Self::tag_of(addr);
-        let base = set * self.ways;
-        for way in 0..self.ways {
-            let line = &mut self.lines[base + way];
-            if line.valid && line.tag == tag {
-                line.dirty = true;
-                return true;
-            }
-        }
-        false
+    /// Mark `line` dirty if present (a write-back from the level above
+    /// landing in this cache). Returns `false` when the line is absent
+    /// and the write-back must continue downwards.
+    pub fn mark_dirty(&mut self, line: u64) -> bool {
+        let Some(i) = self.find(line) else {
+            return false;
+        };
+        self.dirty[i] = true;
+        true
     }
 
     /// Lifetime hit count.
@@ -177,6 +188,13 @@ impl Cache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The line number the memory system would pass for `addr`.
+    fn line(addr: u64) -> u64 {
+        addr / LINE_BYTES
+    }
 
     fn small() -> Cache {
         // 4 sets x 2 ways x 64B = 512B.
@@ -190,9 +208,12 @@ mod tests {
     #[test]
     fn miss_then_hit() {
         let mut c = small();
-        assert_eq!(c.access(0x1000, 10, false), Lookup::Miss);
-        c.insert(0x1000, 10, 50, false);
-        assert_eq!(c.access(0x1000, 60, false), Lookup::Hit { ready_at: 50 });
+        assert_eq!(c.access(line(0x1000), 10, false), Lookup::Miss);
+        c.insert(line(0x1000), 10, 50, false);
+        assert_eq!(
+            c.access(line(0x1000), 60, false),
+            Lookup::Hit { ready_at: 50 }
+        );
         assert_eq!(c.hits(), 1);
         assert_eq!(c.misses(), 1);
     }
@@ -200,9 +221,12 @@ mod tests {
     #[test]
     fn same_line_different_offset_hits() {
         let mut c = small();
-        c.insert(0x1000, 0, 0, false);
-        assert!(matches!(c.access(0x103F, 1, false), Lookup::Hit { .. }));
-        assert!(matches!(c.access(0x1040, 1, false), Lookup::Miss));
+        c.insert(line(0x1000), 0, 0, false);
+        assert!(matches!(
+            c.access(line(0x103F), 1, false),
+            Lookup::Hit { .. }
+        ));
+        assert!(matches!(c.access(line(0x1040), 1, false), Lookup::Miss));
     }
 
     #[test]
@@ -210,44 +234,202 @@ mod tests {
         let mut c = small();
         // Three lines mapping to the same set (set count 4 → stride 256B).
         let (a, b, d) = (0x0, 0x100, 0x200);
-        c.insert(a, 1, 1, false);
-        c.insert(b, 2, 2, false);
-        c.access(a, 3, false); // refresh a
-        c.insert(d, 4, 4, false); // must evict b
-        assert!(matches!(c.access(a, 5, false), Lookup::Hit { .. }));
-        assert!(matches!(c.access(b, 5, false), Lookup::Miss));
-        assert!(matches!(c.access(d, 5, false), Lookup::Hit { .. }));
+        c.insert(line(a), 1, 1, false);
+        c.insert(line(b), 2, 2, false);
+        c.access(line(a), 3, false); // refresh a
+        c.insert(line(d), 4, 4, false); // must evict b
+        assert!(matches!(c.access(line(a), 5, false), Lookup::Hit { .. }));
+        assert!(matches!(c.access(line(b), 5, false), Lookup::Miss));
+        assert!(matches!(c.access(line(d), 5, false), Lookup::Hit { .. }));
     }
 
     #[test]
     fn dirty_eviction_reports_writeback() {
         let mut c = small();
         let (a, b, d) = (0x0, 0x100, 0x200);
-        c.insert(a, 1, 1, true); // dirty
-        c.insert(b, 2, 2, false);
-        let wb = c.insert(d, 3, 3, false); // evicts dirty a
-        assert_eq!(wb, Some(a), "evicting the dirty line reports its address");
-        let wb2 = c.insert(a, 4, 4, false); // evicts clean b
+        c.insert(line(a), 1, 1, true); // dirty
+        c.insert(line(b), 2, 2, false);
+        let wb = c.insert(line(d), 3, 3, false); // evicts dirty a
+        assert_eq!(wb, Some(line(a)), "evicting the dirty line reports it");
+        let wb2 = c.insert(line(a), 4, 4, false); // evicts clean b
         assert_eq!(wb2, None);
     }
 
     #[test]
     fn write_hit_marks_dirty() {
         let mut c = small();
-        c.insert(0x0, 1, 1, false);
-        c.access(0x0, 2, true); // write hit: dirtied
-        c.insert(0x100, 3, 3, false);
-        let wb = c.insert(0x200, 4, 4, false); // evicts 0x0
-        assert_eq!(wb, Some(0x0));
+        c.insert(line(0x0), 1, 1, false);
+        c.access(line(0x0), 2, true); // write hit: dirtied
+        c.insert(line(0x100), 3, 3, false);
+        let wb = c.insert(line(0x200), 4, 4, false); // evicts 0x0
+        assert_eq!(wb, Some(line(0x0)));
     }
 
     #[test]
     fn probe_does_not_touch_lru_or_stats() {
         let mut c = small();
-        c.insert(0x0, 1, 1, false);
+        c.insert(line(0x0), 1, 1, false);
         let h0 = c.hits();
-        assert!(matches!(c.probe(0x0), Lookup::Hit { .. }));
-        assert!(matches!(c.probe(0x40), Lookup::Miss));
+        assert!(matches!(c.probe(line(0x0)), Lookup::Hit { .. }));
+        assert!(matches!(c.probe(line(0x40)), Lookup::Miss));
         assert_eq!(c.hits(), h0);
+    }
+
+    #[derive(Clone, Copy, Default)]
+    struct ModelLine {
+        line: u64,
+        valid: bool,
+        dirty: bool,
+        ready: u64,
+        last_use: u64,
+    }
+
+    /// The cache this module used before the zero-is-invalid tag store:
+    /// one struct per way with an explicit valid bit, set = `line % sets`.
+    struct ModelCache {
+        sets: usize,
+        ways: usize,
+        lines: Vec<ModelLine>,
+        hits: u64,
+        misses: u64,
+    }
+
+    impl ModelCache {
+        fn new(sets: usize, ways: usize) -> Self {
+            ModelCache {
+                sets,
+                ways,
+                lines: vec![ModelLine::default(); sets * ways],
+                hits: 0,
+                misses: 0,
+            }
+        }
+
+        fn set(&mut self, line: u64) -> &mut [ModelLine] {
+            let base = (line as usize % self.sets) * self.ways;
+            &mut self.lines[base..base + self.ways]
+        }
+
+        fn find(&mut self, line: u64) -> Option<&mut ModelLine> {
+            self.set(line)
+                .iter_mut()
+                .find(|l| l.valid && l.line == line)
+        }
+
+        fn probe(&mut self, line: u64) -> Lookup {
+            match self.find(line) {
+                Some(l) => Lookup::Hit { ready_at: l.ready },
+                None => Lookup::Miss,
+            }
+        }
+
+        fn access(&mut self, line: u64, now: u64, is_write: bool) -> Lookup {
+            let found = self.find(line).map(|l| {
+                l.last_use = now;
+                l.dirty |= is_write;
+                l.ready
+            });
+            match found {
+                Some(ready_at) => {
+                    self.hits += 1;
+                    Lookup::Hit { ready_at }
+                }
+                None => {
+                    self.misses += 1;
+                    Lookup::Miss
+                }
+            }
+        }
+
+        fn insert(&mut self, line: u64, now: u64, ready: u64, is_write: bool) -> Option<u64> {
+            let set = self.set(line);
+            let mut victim = 0;
+            let mut oldest = u64::MAX;
+            for (way, l) in set.iter().enumerate() {
+                if !l.valid {
+                    victim = way;
+                    break;
+                }
+                if l.last_use < oldest {
+                    oldest = l.last_use;
+                    victim = way;
+                }
+            }
+            let l = &mut set[victim];
+            let writeback = (l.valid && l.dirty).then_some(l.line);
+            *l = ModelLine {
+                line,
+                valid: true,
+                dirty: is_write,
+                ready,
+                last_use: now,
+            };
+            writeback
+        }
+
+        fn mark_dirty(&mut self, line: u64) -> bool {
+            self.find(line).map(|l| l.dirty = true).is_some()
+        }
+    }
+
+    fn cache_and_model(sets: usize, ways: usize) -> (Cache, ModelCache) {
+        let cache = Cache::new(&CacheConfig {
+            capacity: (sets * ways) as u64 * LINE_BYTES,
+            ways: ways as u32,
+            latency: 4,
+        });
+        (cache, ModelCache::new(sets, ways))
+    }
+
+    #[test]
+    fn set_mapping_is_line_modulo_sets_for_any_set_count() {
+        // 24 sets is not a power of two (remainder); 4 and 1 are (mask).
+        for (sets, ways) in [(24, 4), (4, 2), (1, 3)] {
+            let (mut c, mut m) = cache_and_model(sets, ways);
+            let mut rng = StdRng::seed_from_u64(sets as u64);
+            for now in 0..20_000u64 {
+                // Lines that collide in few sets, some with high
+                // (address-space) bits set; line 0 included.
+                let line = rng.random_range(0..40u64) * sets as u64 / 2
+                    + (rng.random_range(0..3u64) << 38);
+                match rng.random_range(0..8u32) {
+                    0 => assert_eq!(c.mark_dirty(line), m.mark_dirty(line)),
+                    1 => assert_eq!(c.probe(line), m.probe(line)),
+                    op => {
+                        let is_write = op == 2;
+                        let found = c.access(line, now, is_write);
+                        assert_eq!(found, m.access(line, now, is_write), "line {line}");
+                        if found == Lookup::Miss {
+                            assert_eq!(
+                                c.insert(line, now, now + 100, is_write),
+                                m.insert(line, now, now + 100, is_write),
+                                "victim of line {line} in {sets} sets"
+                            );
+                        }
+                    }
+                }
+            }
+            assert_eq!((c.hits(), c.misses()), (m.hits, m.misses));
+        }
+    }
+
+    #[test]
+    fn zeroed_tag_store_matches_model_on_write_stream_larger_than_cache() {
+        let (mut c, mut m) = cache_and_model(24, 4);
+        let mut dirty_victims = 0;
+        // Three passes over four times the capacity, all writes, starting
+        // at line 0 (whose stored tag must not read as "invalid").
+        for now in 0..3 * 4 * 96u64 {
+            let line = now % (4 * 96);
+            let found = c.access(line, now, true);
+            assert_eq!(found, m.access(line, now, true));
+            assert_eq!(found, Lookup::Miss, "a stream this long never re-hits");
+            let victim = c.insert(line, now, now, true);
+            assert_eq!(victim, m.insert(line, now, now, true));
+            dirty_victims += u64::from(victim.is_some());
+        }
+        assert_eq!((c.hits(), c.misses()), (m.hits, m.misses));
+        // Every insert after the cache first filled evicted a dirty line.
+        assert_eq!(dirty_victims, 3 * 4 * 96 - 96);
     }
 }

@@ -2,8 +2,8 @@
 
 use crate::memsys::{AccessKind, MemSys, SharedMem};
 use crate::presets::{CoreKind, MachineConfig};
+use crate::scoreboard::Scoreboard;
 use crate::TICKS_PER_CYCLE;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
 use swpf_ir::interp::EventKind;
 
 /// Instruction-class counters.
@@ -157,38 +157,60 @@ impl InOrder {
 #[derive(Debug)]
 pub struct OutOfOrder {
     issue_inc: u64,
-    rob: usize,
     mshrs: usize,
     alu_ticks: u64,
     miss_threshold: u64,
-    /// Per-frame value readiness, grown on demand.
-    ready: HashMap<u64, Vec<u64>>,
-    /// Program-order retirement times of in-flight instructions.
-    rob_q: VecDeque<u64>,
+    /// Per-frame value readiness.
+    ready: Scoreboard,
+    /// Program-order retirement times of the last `rob` instructions, as
+    /// a ring: `rob_q[rob_head]` is the oldest. Slots start at 0, which
+    /// never delays dispatch, so the window needs no fill count.
+    rob_q: Box<[u64]>,
+    rob_head: usize,
     last_retire: u64,
     last_issue: u64,
-    /// Completion times of outstanding demand misses (min-heap).
-    misses: BinaryHeap<std::cmp::Reverse<u64>>,
+    /// Completion times of outstanding demand misses, unordered; never
+    /// more than `mshrs` of them.
+    misses: Vec<u64>,
     clock: u64,
     counts: InstCounts,
 }
 
 impl OutOfOrder {
     fn new(cfg: &MachineConfig) -> Self {
+        let mshrs = cfg.mshrs.max(1);
         OutOfOrder {
             issue_inc: cfg.issue_interval_ticks(),
-            rob: cfg.rob.max(8),
-            mshrs: cfg.mshrs.max(1),
+            mshrs,
             alu_ticks: TICKS_PER_CYCLE,
             miss_threshold: cfg.l1.latency * TICKS_PER_CYCLE,
-            ready: HashMap::new(),
-            rob_q: VecDeque::new(),
+            ready: Scoreboard::default(),
+            rob_q: vec![0; cfg.rob.max(8)].into_boxed_slice(),
+            rob_head: 0,
             last_retire: 0,
             last_issue: 0,
-            misses: BinaryHeap::new(),
+            misses: Vec::with_capacity(mshrs),
             clock: 0,
             counts: InstCounts::default(),
         }
+    }
+
+    /// Acquire an MSHR for a load ready to issue at `t`: retire the
+    /// misses that have completed by then and, if every MSHR is still
+    /// busy, wait for the earliest one. Returns the issue tick.
+    fn acquire_mshr(&mut self, t: u64) -> u64 {
+        self.misses.retain(|&done| done > t);
+        if self.misses.len() < self.mshrs {
+            return t;
+        }
+        let (i, &earliest) = self
+            .misses
+            .iter()
+            .enumerate()
+            .min_by_key(|&(_, &done)| done)
+            .expect("at least one MSHR");
+        self.misses.swap_remove(i);
+        earliest
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -208,40 +230,18 @@ impl OutOfOrder {
         // ahead of the oldest unretired one). Operand readiness does NOT
         // delay dispatch — stalled instructions wait in reservation
         // stations while younger independent work proceeds.
-        let mut dispatch = self.last_issue + self.issue_inc;
-        if self.rob_q.len() >= self.rob {
-            if let Some(oldest) = self.rob_q.pop_front() {
-                dispatch = dispatch.max(oldest);
-            }
-        }
+        let dispatch = (self.last_issue + self.issue_inc).max(self.rob_q[self.rob_head]);
         // Execution waits for operands.
+        self.ready.select(frame);
         let mut t = dispatch;
-        {
-            let regs = self.ready.entry(frame).or_default();
-            for op in operands {
-                if let Some(&r) = regs.get(op.index()) {
-                    t = t.max(r);
-                }
-            }
+        for op in operands {
+            t = t.max(self.ready.ready_at(op.index()));
         }
 
         let done = match kind {
             EventKind::Load { addr, .. } => {
                 self.counts.loads += 1;
-                // Acquire an MSHR: drain completed misses, then wait for
-                // the earliest one if all are still busy.
-                while let Some(&std::cmp::Reverse(earliest)) = self.misses.peek() {
-                    if earliest <= t {
-                        self.misses.pop();
-                    } else {
-                        break;
-                    }
-                }
-                if self.misses.len() >= self.mshrs {
-                    if let Some(std::cmp::Reverse(earliest)) = self.misses.pop() {
-                        t = t.max(earliest);
-                    }
-                }
+                let t = self.acquire_mshr(t);
                 let lat = mem.access(shared, addr, t, AccessKind::Read, pc);
                 let done = t + lat;
                 if lat > self.miss_threshold {
@@ -249,7 +249,7 @@ impl OutOfOrder {
                     // pipelined threshold; the dataflow model may hide
                     // part of it under younger independent work.
                     mem.record_stall(pc, lat - self.miss_threshold);
-                    self.misses.push(std::cmp::Reverse(done));
+                    self.misses.push(done);
                 }
                 done
             }
@@ -269,26 +269,22 @@ impl OutOfOrder {
                 self.counts.branches += 1;
                 t + self.alu_ticks
             }
-            EventKind::Ret => {
-                // Frame is dead: free its readiness vector.
-                self.ready.remove(&frame);
-                t + self.alu_ticks
-            }
             _ => t + self.alu_ticks,
         };
 
-        if !matches!(kind, EventKind::Ret) {
-            let regs = self.ready.entry(frame).or_default();
-            let idx = result as usize;
-            if regs.len() <= idx {
-                regs.resize(idx + 1, 0);
-            }
-            regs[idx] = done;
+        if matches!(kind, EventKind::Ret) {
+            self.ready.free_frame();
+        } else {
+            self.ready.set_ready(result as usize, done);
         }
 
-        // In-order retirement.
+        // In-order retirement: this instruction takes the oldest slot.
         self.last_retire = self.last_retire.max(done);
-        self.rob_q.push_back(self.last_retire);
+        self.rob_q[self.rob_head] = self.last_retire;
+        self.rob_head += 1;
+        if self.rob_head == self.rob_q.len() {
+            self.rob_head = 0;
+        }
         self.last_issue = dispatch;
         self.clock = self.clock.max(self.last_retire);
     }

@@ -48,6 +48,7 @@ pub mod memsys;
 pub mod multicore;
 pub mod perf;
 pub mod presets;
+mod scoreboard;
 pub mod stats;
 pub mod stride;
 pub mod tlb;

@@ -125,40 +125,57 @@ impl MemSys {
     ) -> u64 {
         let is_write = kind == AccessKind::Write;
         let addr = addr | self.address_space;
+        // The line number every cache level (and the profiler) keys on,
+        // computed once here.
+        let line = addr / LINE_BYTES;
         // Address translation first; a miss costs a (possibly queued)
         // page-table walk.
         let t = self.tlb.translate(addr, now);
 
         // L1.
-        if let Lookup::Hit { ready_at } = self.l1.access(addr, t, is_write) {
+        if let Lookup::Hit { ready_at } = self.l1.access(line, t, is_write) {
             if ready_at > t {
                 self.stats.late_fill_hits += 1;
             }
             if let Some(p) = &mut self.perf {
-                p.on_demand_hit(addr / LINE_BYTES, now, ready_at > t);
+                p.on_demand_hit(line, now, ready_at > t);
             }
             let data = ready_at.max(t) + self.l1.latency_ticks;
             return data - now;
         }
+        self.access_below_l1(shared, addr, line, now, t, is_write, pc)
+    }
 
+    /// The rest of a demand access once L1 has missed.
+    #[allow(clippy::too_many_arguments)]
+    fn access_below_l1(
+        &mut self,
+        shared: &mut SharedMem,
+        addr: u64,
+        line: u64,
+        now: u64,
+        t: u64,
+        is_write: bool,
+        pc: u64,
+    ) -> u64 {
         // Train the stride prefetcher on L1 misses; its fills go to L2.
         if let Some(sp) = &mut self.stride {
             if let Some(fill) = sp.observe(pc, addr) {
                 self.stats.hw_prefetch_fills += 1;
-                hw_fill_l2(&mut self.l2, shared, fill.addr, now);
+                hw_fill_l2(&mut self.l2, shared, fill.addr / LINE_BYTES, now);
             }
         }
 
         // L2.
-        if let Lookup::Hit { ready_at } = self.l2.access(addr, t, false) {
+        if let Lookup::Hit { ready_at } = self.l2.access(line, t, false) {
             if ready_at > t {
                 self.stats.late_fill_hits += 1;
             }
             if let Some(p) = &mut self.perf {
-                p.on_demand_hit(addr / LINE_BYTES, now, ready_at > t);
+                p.on_demand_hit(line, now, ready_at > t);
             }
             let data = ready_at.max(t) + self.l2.latency_ticks;
-            let v1 = self.l1.insert(addr, t, data, is_write);
+            let v1 = self.l1.insert(line, t, data, is_write);
             self.spill_from_l1(shared, v1, t);
             return data - now;
         }
@@ -167,7 +184,7 @@ impl MemSys {
         let l3_hit = shared
             .l3
             .as_mut()
-            .and_then(|l3| match l3.access(addr, t, false) {
+            .and_then(|l3| match l3.access(line, t, false) {
                 Lookup::Hit { ready_at } => {
                     Some((ready_at.max(t) + l3.latency_ticks, ready_at > t))
                 }
@@ -175,11 +192,11 @@ impl MemSys {
             });
         if let Some((data, in_flight)) = l3_hit {
             if let Some(p) = &mut self.perf {
-                p.on_demand_hit(addr / LINE_BYTES, now, in_flight);
+                p.on_demand_hit(line, now, in_flight);
             }
-            let v2 = self.l2.insert(addr, t, data, false);
-            self.spill_from_l2(shared, v2, t);
-            let v1 = self.l1.insert(addr, t, data, is_write);
+            let v2 = self.l2.insert(line, t, data, false);
+            spill_l2_victim(v2, shared, t);
+            let v1 = self.l1.insert(line, t, data, is_write);
             self.spill_from_l1(shared, v1, t);
             return data - now;
         }
@@ -187,10 +204,10 @@ impl MemSys {
         // DRAM: a tracked prefetched line missing every level must have
         // been evicted before use.
         if let Some(p) = &mut self.perf {
-            p.on_demand_miss(addr / LINE_BYTES, now);
+            p.on_demand_miss(line, now);
         }
         let data = shared.dram.fill(t);
-        self.install_all_levels(shared, addr, t, data, is_write);
+        self.install_all_levels(shared, line, t, data, is_write);
         data - now
     }
 
@@ -199,45 +216,30 @@ impl MemSys {
     fn install_all_levels(
         &mut self,
         shared: &mut SharedMem,
-        addr: u64,
+        line: u64,
         t: u64,
         data: u64,
         is_write: bool,
     ) {
         if let Some(l3) = &mut shared.l3 {
-            if l3.insert(addr, t, data, false).is_some() {
+            if l3.insert(line, t, data, false).is_some() {
                 shared.dram.writeback(t);
             }
         }
-        let v2 = self.l2.insert(addr, t, data, false);
-        self.spill_from_l2(shared, v2, t);
-        let v1 = self.l1.insert(addr, t, data, is_write);
+        let v2 = self.l2.insert(line, t, data, false);
+        spill_l2_victim(v2, shared, t);
+        let v1 = self.l1.insert(line, t, data, is_write);
         self.spill_from_l1(shared, v1, t);
     }
 
     /// A dirty line evicted from L1 lands in L2 when present, else keeps
     /// falling down the hierarchy.
     fn spill_from_l1(&mut self, shared: &mut SharedMem, victim: Option<u64>, t: u64) {
-        let Some(addr) = victim else { return };
-        if self.l2.mark_dirty(addr) {
+        let Some(line) = victim else { return };
+        if self.l2.mark_dirty(line) {
             return;
         }
-        Self::spill_into_shared(shared, addr, t);
-    }
-
-    /// A dirty line evicted from L2 lands in L3 when present, else DRAM.
-    fn spill_from_l2(&mut self, shared: &mut SharedMem, victim: Option<u64>, t: u64) {
-        let Some(addr) = victim else { return };
-        Self::spill_into_shared(shared, addr, t);
-    }
-
-    fn spill_into_shared(shared: &mut SharedMem, addr: u64, t: u64) {
-        if let Some(l3) = &mut shared.l3 {
-            if l3.mark_dirty(addr) {
-                return;
-            }
-        }
-        shared.dram.writeback(t);
+        spill_l2_victim(Some(line), shared, t);
     }
 
     /// Issue a software prefetch at tick `now` on behalf of the static
@@ -245,6 +247,7 @@ impl MemSys {
     /// (and the levels below) when the line is absent.
     pub fn prefetch(&mut self, shared: &mut SharedMem, addr: u64, now: u64, pc: u64) {
         let addr = addr | self.address_space;
+        let line = addr / LINE_BYTES;
         self.stats.sw_prefetches += 1;
         self.pf_outstanding.retain(|&done| done > now);
         if self.pf_outstanding.len() >= self.pf_capacity {
@@ -257,35 +260,21 @@ impl MemSys {
         // Prefetches translate too — installing TLB entries early is one
         // of the side benefits the paper measures (Fig. 10).
         let t = self.tlb.translate(addr, now);
-        if let Lookup::Hit { ready_at } = self.l1.probe(addr) {
-            if ready_at > now {
-                self.stats.sw_prefetches_redundant_inflight += 1;
-            } else {
-                self.stats.sw_prefetches_redundant_resident += 1;
-            }
-            if let Some(p) = &mut self.perf {
-                p.on_redundant(pc, ready_at <= now);
-            }
+        if let Lookup::Hit { ready_at } = self.l1.probe(line) {
+            self.count_redundant(pc, ready_at <= now);
             return;
         }
-        if let Lookup::Hit { ready_at } = self.l2.access(addr, t, false) {
+        if let Lookup::Hit { ready_at } = self.l2.access(line, t, false) {
             let data = ready_at.max(t) + self.l2.latency_ticks;
-            let v1 = self.l1.insert(addr, t, data, false);
+            let v1 = self.l1.insert(line, t, data, false);
             self.spill_from_l1(shared, v1, t);
-            if ready_at > now {
-                self.stats.sw_prefetches_redundant_inflight += 1;
-            } else {
-                self.stats.sw_prefetches_redundant_resident += 1;
-            }
-            if let Some(p) = &mut self.perf {
-                p.on_redundant(pc, ready_at <= now);
-            }
+            self.count_redundant(pc, ready_at <= now);
             return;
         }
         let l3_hit = shared
             .l3
             .as_mut()
-            .and_then(|l3| match l3.access(addr, t, false) {
+            .and_then(|l3| match l3.access(line, t, false) {
                 Lookup::Hit { ready_at } => Some(ready_at.max(t) + l3.latency_ticks),
                 Lookup::Miss => None,
             });
@@ -293,20 +282,33 @@ impl MemSys {
             // Pulled closer from the LLC: a useful prefetch, judged at
             // demand time like a DRAM fetch (not redundant).
             if let Some(p) = &mut self.perf {
-                p.on_issue(pc, addr / LINE_BYTES, now);
+                p.on_issue(pc, line, now);
             }
-            let v2 = self.l2.insert(addr, t, data, false);
-            self.spill_from_l2(shared, v2, t);
-            let v1 = self.l1.insert(addr, t, data, false);
+            let v2 = self.l2.insert(line, t, data, false);
+            spill_l2_victim(v2, shared, t);
+            let v1 = self.l1.insert(line, t, data, false);
             self.spill_from_l1(shared, v1, t);
             return;
         }
         if let Some(p) = &mut self.perf {
-            p.on_issue(pc, addr / LINE_BYTES, now);
+            p.on_issue(pc, line, now);
         }
         let data = shared.dram.fill(t);
         self.pf_outstanding.push(data);
-        self.install_all_levels(shared, addr, t, data, false);
+        self.install_all_levels(shared, line, t, data, false);
+    }
+
+    /// A software prefetch found its line already in this core's private
+    /// caches: `resident` when the fill had completed, in flight otherwise.
+    fn count_redundant(&mut self, pc: u64, resident: bool) {
+        if resident {
+            self.stats.sw_prefetches_redundant_resident += 1;
+        } else {
+            self.stats.sw_prefetches_redundant_inflight += 1;
+        }
+        if let Some(p) = &mut self.perf {
+            p.on_redundant(pc, resident);
+        }
     }
 
     /// Attribute `ticks` of demand-load stall (beyond the pipelined
@@ -356,32 +358,33 @@ impl MemSys {
     }
 }
 
-/// Fill `addr` into L2 on behalf of the hardware stride prefetcher.
-fn hw_fill_l2(l2: &mut Cache, shared: &mut SharedMem, addr: u64, now: u64) {
-    if matches!(l2.probe(addr), Lookup::Hit { .. }) {
+/// Fill `line` into L2 on behalf of the hardware stride prefetcher.
+fn hw_fill_l2(l2: &mut Cache, shared: &mut SharedMem, line: u64, now: u64) {
+    if matches!(l2.probe(line), Lookup::Hit { .. }) {
         return;
     }
     if let Some(l3) = &mut shared.l3 {
-        if let Lookup::Hit { ready_at } = l3.probe(addr) {
+        if let Lookup::Hit { ready_at } = l3.probe(line) {
             let data = ready_at.max(now) + l3.latency_ticks;
-            spill_l2_victim(l2.insert(addr, now, data, false), shared, now);
+            spill_l2_victim(l2.insert(line, now, data, false), shared, now);
             return;
         }
     }
     let data = shared.dram.fill(now);
     if let Some(l3) = &mut shared.l3 {
-        if l3.insert(addr, now, data, false).is_some() {
+        if l3.insert(line, now, data, false).is_some() {
             shared.dram.writeback(now);
         }
     }
-    spill_l2_victim(l2.insert(addr, now, data, false), shared, now);
+    spill_l2_victim(l2.insert(line, now, data, false), shared, now);
 }
 
-/// Route a dirty L2 victim into L3 (or DRAM when absent).
+/// Route a dirty line leaving L2 into L3 when it is present there, else
+/// to DRAM.
 fn spill_l2_victim(victim: Option<u64>, shared: &mut SharedMem, now: u64) {
-    let Some(addr) = victim else { return };
+    let Some(line) = victim else { return };
     if let Some(l3) = &mut shared.l3 {
-        if l3.mark_dirty(addr) {
+        if l3.mark_dirty(line) {
             return;
         }
     }

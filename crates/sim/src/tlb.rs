@@ -9,6 +9,38 @@
 
 use crate::presets::TlbConfig;
 use crate::TICKS_PER_CYCLE;
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// Multiplicative hash for page numbers: the index below is probed once
+/// per memory access, where SipHash would cost more than the lookup.
+#[derive(Debug, Clone, Copy, Default)]
+struct PageHasher(u64);
+
+impl Hasher for PageHasher {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("page numbers hash through write_u64");
+    }
+
+    fn write_u64(&mut self, page: u64) {
+        // Fibonacci hashing; the table reads the top bits for its
+        // control bytes and the low bits for the bucket, so fold.
+        let h = page.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        self.0 = h ^ (h >> 32);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    page: u64,
+    /// Tick at which the translation's walk completes.
+    ready: u64,
+    last_use: u64,
+}
 
 /// A fully-associative TLB with LRU replacement and `walkers` page-table
 /// walk ports.
@@ -17,9 +49,14 @@ pub struct Tlb {
     page_bits: u32,
     entries: usize,
     walk_latency_ticks: u64,
-    /// `(page, ready_tick, last_use)` tuples; linear scan (entry counts
-    /// are tens, not thousands).
-    slots: Vec<(u64, u64, u64)>,
+    /// Resident translations. A slot keeps its position for life (a
+    /// victim is overwritten in place), because LRU ties — several
+    /// translations at the same tick — go to the first slot.
+    slots: Vec<Slot>,
+    /// Slot of every resident page.
+    index: HashMap<u64, usize, BuildHasherDefault<PageHasher>>,
+    /// Slot of the most recent translation, checked before the index.
+    mru: usize,
     /// Tick at which each walker becomes free.
     walker_free: Vec<u64>,
     hits: u64,
@@ -35,6 +72,8 @@ impl Tlb {
             entries: cfg.entries.max(1) as usize,
             walk_latency_ticks: cfg.walk_latency * TICKS_PER_CYCLE,
             slots: Vec::new(),
+            index: HashMap::default(),
+            mru: 0,
             walker_free: vec![0; cfg.walkers.max(1) as usize],
             hits: 0,
             misses: 0,
@@ -48,14 +87,25 @@ impl Tlb {
     /// Translate `addr` at tick `now`; returns the tick at which the
     /// translation is available (equal to `now` on a hit, later when a
     /// walk — possibly queued behind other walks — is needed).
+    #[inline]
     pub fn translate(&mut self, addr: u64, now: u64) -> u64 {
         let page = self.page_of(addr);
-        if let Some(slot) = self.slots.iter_mut().find(|s| s.0 == page) {
-            slot.2 = now;
-            let ready = slot.1;
+        let resident = match self.slots.get(self.mru) {
+            Some(slot) if slot.page == page => Some(self.mru),
+            _ => self.index.get(&page).copied(),
+        };
+        if let Some(i) = resident {
+            self.mru = i;
+            let slot = &mut self.slots[i];
+            slot.last_use = now;
             self.hits += 1;
-            return ready.max(now);
+            return slot.ready.max(now);
         }
+        self.walk(page, now)
+    }
+
+    /// TLB miss: walk the page table and install the translation.
+    fn walk(&mut self, page: u64, now: u64) -> u64 {
         self.misses += 1;
         // Grab the earliest-free walker.
         let w = self
@@ -66,12 +116,28 @@ impl Tlb {
         let start = (*w).max(now);
         let done = start + self.walk_latency_ticks;
         *w = done;
-        // Install with LRU replacement.
+        // Install with LRU replacement: the first of the least recently
+        // used slots is the victim.
+        let installed = Slot {
+            page,
+            ready: done,
+            last_use: now,
+        };
         if self.slots.len() < self.entries {
-            self.slots.push((page, done, now));
-        } else if let Some(victim) = self.slots.iter_mut().min_by_key(|s| s.2) {
-            *victim = (page, done, now);
+            self.mru = self.slots.len();
+            self.slots.push(installed);
+        } else {
+            let (victim, slot) = self
+                .slots
+                .iter_mut()
+                .enumerate()
+                .min_by_key(|(_, s)| s.last_use)
+                .expect("at least one entry");
+            self.index.remove(&slot.page);
+            *slot = installed;
+            self.mru = victim;
         }
+        self.index.insert(page, self.mru);
         done
     }
 
@@ -91,6 +157,8 @@ impl Tlb {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn tlb(walkers: u32) -> Tlb {
         Tlb::new(&TlbConfig {
@@ -160,5 +228,97 @@ mod tests {
         let later = 100 * TICKS_PER_CYCLE;
         assert_eq!(t.translate(1 << 20, later), later, "same 2 MiB page");
         assert_eq!(t.misses(), 1);
+    }
+
+    /// The linear-scan TLB this module used before the MRU check and the
+    /// page index: `(page, ready, last_use)` tuples, found by `find`.
+    struct ScanTlb {
+        page_bits: u32,
+        entries: usize,
+        walk_latency_ticks: u64,
+        slots: Vec<(u64, u64, u64)>,
+        walker_free: Vec<u64>,
+        hits: u64,
+        misses: u64,
+    }
+
+    impl ScanTlb {
+        fn new(cfg: &TlbConfig) -> Self {
+            ScanTlb {
+                page_bits: cfg.page_bits,
+                entries: cfg.entries.max(1) as usize,
+                walk_latency_ticks: cfg.walk_latency * TICKS_PER_CYCLE,
+                slots: Vec::new(),
+                walker_free: vec![0; cfg.walkers.max(1) as usize],
+                hits: 0,
+                misses: 0,
+            }
+        }
+
+        fn translate(&mut self, addr: u64, now: u64) -> u64 {
+            let page = addr >> self.page_bits;
+            if let Some(slot) = self.slots.iter_mut().find(|s| s.0 == page) {
+                slot.2 = now;
+                self.hits += 1;
+                return slot.1.max(now);
+            }
+            self.misses += 1;
+            let w = self.walker_free.iter_mut().min_by_key(|t| **t).unwrap();
+            let done = (*w).max(now) + self.walk_latency_ticks;
+            *w = done;
+            if self.slots.len() < self.entries {
+                self.slots.push((page, done, now));
+            } else if let Some(victim) = self.slots.iter_mut().min_by_key(|s| s.2) {
+                *victim = (page, done, now);
+            }
+            done
+        }
+    }
+
+    #[test]
+    fn matches_linear_scan_model_on_random_page_streams() {
+        for walkers in [1, 2] {
+            for seed in 0..16 {
+                let cfg = TlbConfig {
+                    entries: 16,
+                    page_bits: 12,
+                    walkers,
+                    walk_latency: 30,
+                };
+                let mut tlb = Tlb::new(&cfg);
+                let mut model = ScanTlb::new(&cfg);
+                let mut rng = StdRng::seed_from_u64(seed);
+                let mut now = 0u64;
+                for _ in 0..5000 {
+                    // Three times as many pages as entries, so the TLB
+                    // overflows; a skew keeps some pages hot.
+                    let page = if rng.random::<bool>() {
+                        rng.random_range(0..8u64)
+                    } else {
+                        rng.random_range(0..48u64)
+                    };
+                    let addr = (page << 12) | rng.random_range(0..4096u64);
+                    // Often several translations at the same tick, so
+                    // LRU victims are picked among equal `last_use`s.
+                    if rng.random_range(0..4u32) == 0 {
+                        now += rng.random_range(1..2000u64);
+                    }
+                    // The out-of-order core's issue ticks are not
+                    // monotonic: sometimes step back.
+                    let at = if rng.random_range(0..8u32) == 0 {
+                        now.saturating_sub(rng.random_range(0..300u64))
+                    } else {
+                        now
+                    };
+                    assert_eq!(
+                        tlb.translate(addr, at),
+                        model.translate(addr, at),
+                        "walkers {walkers} seed {seed} page {page} at {at}"
+                    );
+                }
+                assert_eq!((tlb.hits(), tlb.misses()), (model.hits, model.misses));
+                assert!(model.misses > 200, "the stream overflowed the TLB");
+            }
+        }
     }
 }
