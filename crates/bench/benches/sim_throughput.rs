@@ -14,20 +14,26 @@
 //! harness's record/replay cache banks for every repeated machine cell;
 //! the ratio is recorded in `BENCH_trace.json` and gated by
 //! `--bin bench_gate`.
+//!
+//! The `fanout` and `multicore` groups time the two event-delivery
+//! shapes the single-machine groups never take: one interpretation
+//! fanned out to all four presets (a fused grid row), and the four-core
+//! interleaver's batched stepping. `bench_gate` holds their per-event
+//! cost to a recorded multiple of `interp_with_timing`'s.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
 use swpf_ir::bytecode::{BcEngine, BcImage};
 use swpf_ir::classic::ClassicInterp;
 use swpf_ir::exec::ExecImage;
-use swpf_ir::interp::{Interp, NullObserver, Tier};
+use swpf_ir::interp::{CountingObserver, Interp, NullObserver, Tier};
 use swpf_sim::{
-    replay_on_machine, run_on_machine, run_on_machine_image, run_on_machine_traced,
-    streaming_replay_on_machine, MachineConfig,
+    replay_on_machine, run_multicore, run_on_machine, run_on_machine_image, run_on_machine_traced,
+    run_on_machines_image, streaming_replay_on_machine, MachineConfig,
 };
 use swpf_trace::{StreamingReplay, TraceRecorder};
 use swpf_workloads::is::IntegerSort;
-use swpf_workloads::{Scale, Workload};
+use swpf_workloads::{Scale, Workload, WorkloadId};
 
 fn engines(c: &mut Criterion) {
     let is = IntegerSort::new(Scale::Test);
@@ -187,7 +193,7 @@ fn interp_with_timing(c: &mut Criterion) {
     let insts = 12 * u64::from(is.num_keys as u32);
     let mut group = c.benchmark_group("interp_with_timing");
     group.throughput(Throughput::Elements(insts));
-    for cfg in [MachineConfig::haswell(), MachineConfig::a53()] {
+    for cfg in MachineConfig::all_systems() {
         group.bench_function(cfg.name, |b| {
             b.iter(|| {
                 let stats = run_on_machine(&cfg, &m, "kernel", |interp| is.setup(interp));
@@ -195,6 +201,57 @@ fn interp_with_timing(c: &mut Criterion) {
             });
         });
     }
+    group.finish();
+}
+
+/// A fused grid row: HJ-8 interpreted once, its events fanned out to the
+/// timing models of all four presets. Image and input memory are built
+/// outside the loop, so the group times interpretation plus delivery
+/// alone. Throughput is in machine-events — four per retired
+/// instruction.
+fn fanout(c: &mut Criterion) {
+    let hj = WorkloadId::Hj8.instantiate(Scale::Test);
+    let m = hj.build_baseline();
+    let f = m.find_function("kernel").unwrap();
+    let image = std::sync::Arc::new(ExecImage::build(&m));
+    let mut proto = Interp::new();
+    let args = hj.setup(&mut proto);
+    let proto_mem = proto.mem_ref().clone();
+    let mut counts = CountingObserver::default();
+    proto
+        .run_with_image(std::sync::Arc::clone(&image), f, &args, &mut counts)
+        .unwrap();
+    let setup = |interp: &mut Interp| {
+        *interp.mem() = proto_mem.clone();
+        args.clone()
+    };
+    let cfgs = MachineConfig::all_systems();
+    let refs: Vec<&MachineConfig> = cfgs.iter().collect();
+    let mut group = c.benchmark_group("fanout");
+    group.throughput(Throughput::Elements(refs.len() as u64 * counts.total));
+    group.bench_function("HJ8_x4", |b| {
+        b.iter(|| black_box(run_on_machines_image(&refs, &image, f, setup, None)));
+    });
+    group.finish();
+}
+
+/// The multicore interleaver: four copies of IS on four haswell cores
+/// sharing an LLC and DRAM, stepped in scheduler batches. Throughput is
+/// in events across all cores.
+fn multicore(c: &mut Criterion) {
+    let is = IntegerSort::new(Scale::Test);
+    let m = is.build_baseline();
+    let f = m.find_function("kernel").unwrap();
+    let cfg = MachineConfig::haswell();
+    let mut counts = CountingObserver::default();
+    let mut interp = Interp::new();
+    let args = is.setup(&mut interp);
+    interp.run(&m, f, &args, &mut counts).unwrap();
+    let mut group = c.benchmark_group("multicore");
+    group.throughput(Throughput::Elements(4 * counts.total));
+    group.bench_function("IS_x4", |b| {
+        b.iter(|| black_box(run_multicore(&cfg, 4, &m, f, |_, i| is.setup(i))));
+    });
     group.finish();
 }
 
@@ -309,6 +366,8 @@ criterion_group!(
     perf_overhead,
     interp_only,
     interp_with_timing,
+    fanout,
+    multicore,
     trace_replay
 );
 criterion_main!(benches);

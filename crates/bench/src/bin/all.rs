@@ -30,12 +30,12 @@
 //! ```
 
 use std::time::Instant;
+use swpf_bench::experiments;
 use swpf_bench::harness::{
     cli_options_or_exit, exit_with_usage_error, finish_profiling, init_profiling, run_and_report,
     CLI_USAGE,
 };
 use swpf_bench::json::Json;
-use swpf_bench::{experiments, scale_from_env};
 
 /// A name list from `--only`/`--skip` values, validated against the
 /// experiment catalogue.
@@ -99,7 +99,7 @@ fn main() -> std::process::ExitCode {
         exit_with_usage_error("the filters selected no experiments", &usage);
     }
 
-    let scale = scale_from_env();
+    let scale = opts.scale;
     let profile = init_profiling(&opts);
     let t0 = Instant::now();
     let mut summaries = Vec::new();

@@ -25,6 +25,11 @@
 //!   timing model attached to the interpreter over the interpreter
 //!   alone — the cost of the core/MemSys hot path in units of the layer
 //!   beneath it, so a regression there cannot hide behind a fast host;
+//! * **event path** (`BENCH_interp.json`): per-event cost of the two
+//!   delivery shapes the single-machine benches never take — the 4-way
+//!   fan-out of a fused grid row (per machine-event, over the mean of
+//!   the same four presets' `interp_with_timing` cost) and the 4-core
+//!   multicore interleaver (over `interp_with_timing/haswell`);
 //! * **profiling** (no reference file): the bytecode-tier cell with
 //!   `swpf-obs` instrumentation compiled in but disabled against the
 //!   plain `bytecode/IS` record from the same process — the
@@ -66,6 +71,16 @@ const MAX_PROFILING_OVERHEAD: f64 = 1.10;
 const MAX_PIPELINE_REGRESSION: f64 = 1.25;
 
 fn ns_from_records(text: &str, group: &str, bench: &str) -> Option<f64> {
+    field_from_records(text, group, bench, "ns_per_iter")
+}
+
+/// Nanoseconds per throughput element (per retired event, for the
+/// simulation benches) of a record that carries a rate.
+fn ns_per_element(text: &str, group: &str, bench: &str) -> Option<f64> {
+    field_from_records(text, group, bench, "rate_per_s").map(|rate| 1e9 / rate)
+}
+
+fn field_from_records(text: &str, group: &str, bench: &str, field: &str) -> Option<f64> {
     // Last record wins: CRITERION_JSON is append-only across runs.
     let mut best = None;
     for line in text.lines().filter(|l| !l.trim().is_empty()) {
@@ -79,7 +94,7 @@ fn ns_from_records(text: &str, group: &str, bench: &str) -> Option<f64> {
         if rec.get("group").and_then(Json::as_str) == Some(group)
             && rec.get("bench").and_then(Json::as_str) == Some(bench)
         {
-            best = rec.get("ns_per_iter").and_then(Json::as_f64);
+            best = rec.get(field).and_then(Json::as_f64);
         }
     }
     best
@@ -321,6 +336,54 @@ fn gate_timing_over_interp(
     }
 }
 
+/// Gate one event-delivery shape's per-event cost (`group/bench`) over
+/// the mean per-event cost of `interp_with_timing` on `presets` — the
+/// monomorphic single-machine path, where delivery inlines away —
+/// against the ratio recorded under `event_path.<ref_key>`.
+fn gate_event_path(
+    records: &str,
+    records_path: &str,
+    reference: &Json,
+    reference_path: &str,
+    (group, bench): (&str, &str),
+    presets: &[&str],
+    ref_key: &str,
+) -> bool {
+    let timing: Option<Vec<f64>> = presets
+        .iter()
+        .map(|p| ns_per_element(records, "interp_with_timing", p))
+        .collect();
+    let (Some(shape_ns), Some(timing)) = (ns_per_element(records, group, bench), timing) else {
+        eprintln!(
+            "bench_gate: missing `{group}/{bench}` or an `interp_with_timing/{{{}}}` \
+             record in {records_path}",
+            presets.join(",")
+        );
+        return false;
+    };
+    let Some(ref_ratio) = reference_f64(reference, reference_path, "event_path", ref_key) else {
+        return false;
+    };
+    let timing_ns = timing.iter().sum::<f64>() / timing.len() as f64;
+    let measured = shape_ns / timing_ns;
+    let ceiling = ref_ratio * MAX_REGRESSION;
+    println!(
+        "bench_gate: event path ({group}/{bench} over interp_with_timing/{{{}}}, per event) — \
+         measured {measured:.3}x ({shape_ns:.2} / {timing_ns:.2} ns), reference \
+         {ref_ratio:.3}x, ceiling {ceiling:.3}x (allowance {MAX_REGRESSION}x)",
+        presets.join(",")
+    );
+    if measured <= ceiling {
+        true
+    } else {
+        eprintln!(
+            "bench_gate: `{group}/{bench}`'s per-event cost over the single-machine path \
+             regressed more than {MAX_REGRESSION}x vs the {reference_path} reference"
+        );
+        false
+    }
+}
+
 /// Gate the full pipeline's compile-phase cost: compile every point of
 /// the default search space through the full global pipeline
 /// (`swpf,gvn,sccp,licm,cse,dce`) and through the PR 5 local-only
@@ -431,6 +494,24 @@ fn main() -> std::process::ExitCode {
         "engine_ns_per_iter",
     );
     ok &= gate_timing_over_interp(&records, &records_path, &interp_ref, &interp_ref_path);
+    ok &= gate_event_path(
+        &records,
+        &records_path,
+        &interp_ref,
+        &interp_ref_path,
+        ("fanout", "HJ8_x4"),
+        &["haswell", "xeon_phi", "a57", "a53"],
+        "fanout_over_timing",
+    );
+    ok &= gate_event_path(
+        &records,
+        &records_path,
+        &interp_ref,
+        &interp_ref_path,
+        ("multicore", "IS_x4"),
+        &["haswell"],
+        "multicore_over_timing",
+    );
     ok &= gate_profiling(&records, &records_path);
     ok &= gate_perf(&records, &records_path);
     if let Some(path) = trace_ref_path {

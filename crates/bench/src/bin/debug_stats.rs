@@ -15,7 +15,7 @@
 //! (no argument: every workload in the suite)
 
 use std::sync::Arc;
-use swpf_bench::{auto_module, scale_from_env};
+use swpf_bench::{auto_module, scale_from_env_or_exit};
 use swpf_core::PassConfig;
 use swpf_ir::exec::ExecImage;
 use swpf_ir::Module;
@@ -137,7 +137,7 @@ fn run_workload(w: &dyn Workload, config: &PassConfig) {
 fn main() {
     swpf_sim::perf::set_enabled(true);
     let which = std::env::args().nth(1);
-    let scale = scale_from_env();
+    let scale = scale_from_env_or_exit();
     let config = PassConfig::default();
     let suite = swpf_workloads::suite(scale);
     match which {

@@ -27,7 +27,7 @@
 use std::path::PathBuf;
 use std::sync::Arc;
 use swpf_bench::harness::{kernel_fingerprint, trace_cache_path};
-use swpf_bench::{auto_module, scale_from_env};
+use swpf_bench::{auto_module, scale_from_env_or_exit};
 use swpf_ir::exec::ExecImage;
 use swpf_ir::interp::Interp;
 use swpf_trace::{
@@ -74,7 +74,7 @@ fn main() {
         }
     }
 
-    let scale = scale_from_env();
+    let scale = scale_from_env_or_exit();
     let mut total: PairCounter<&'static str> = PairCounter::new();
     println!("mining retired-pair frequencies at scale={}", scale.label());
     for w in suite(scale) {

@@ -19,7 +19,7 @@
 
 use std::collections::HashMap;
 use std::sync::Arc;
-use swpf_bench::{auto_module, scale_from_env};
+use swpf_bench::{auto_module, scale_from_env_or_exit};
 use swpf_core::PassConfig;
 use swpf_ir::exec::ExecImage;
 use swpf_ir::printer::print_function_lines;
@@ -56,7 +56,7 @@ fn main() {
     let vname = args.get(1).map_or("auto", String::as_str);
     let mname = args.get(2).map_or("haswell", String::as_str);
 
-    let scale = scale_from_env();
+    let scale = scale_from_env_or_exit();
     let suite = swpf_workloads::suite(scale);
     let w = suite
         .iter()

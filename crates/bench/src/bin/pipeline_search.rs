@@ -19,11 +19,11 @@
 //! ```
 
 use swpf_bench::harness::{cli_options, finish_profiling, init_profiling};
-use swpf_bench::{experiments, pipeline_search, scale_from_env};
+use swpf_bench::{experiments, pipeline_search};
 
 fn main() -> std::process::ExitCode {
-    let scale = scale_from_env();
     let opts = cli_options();
+    let scale = opts.scale;
     let profile = init_profiling(&opts);
     let exp = experiments::pipeline_search(scale);
     let (_, checks) = pipeline_search::run_and_report(&exp, &opts.out_dir);

@@ -1,7 +1,7 @@
 //! Developer tool: full stats for one workload / machine / look-ahead.
 //! Usage: `probe <bench> <machine> <c>`
 
-use swpf_bench::{scale_from_env, simulate};
+use swpf_bench::{scale_from_env_or_exit, simulate};
 use swpf_sim::MachineConfig;
 
 fn main() {
@@ -13,7 +13,7 @@ fn main() {
         .into_iter()
         .find(|m| m.name == machine_name)
         .expect("unknown machine");
-    let suite = swpf_workloads::suite(scale_from_env());
+    let suite = swpf_workloads::suite(scale_from_env_or_exit());
     let w = suite
         .iter()
         .find(|w| w.name() == bench)

@@ -19,8 +19,8 @@
 //! workflow-artifact upload.
 
 use std::path::Path;
+use swpf_bench::experiments;
 use swpf_bench::harness::{cli_options, run_experiment, ExperimentResult, RunOptions, TracePolicy};
-use swpf_bench::{experiments, scale_from_env};
 use swpf_trace::StreamingReplay;
 
 /// Compressed-corpus density ceiling in bytes per recorded event. The
@@ -144,8 +144,8 @@ fn audit_corpus(dir: &Path) -> bool {
 }
 
 fn main() -> std::process::ExitCode {
-    let scale = scale_from_env();
     let opts = cli_options();
+    let scale = opts.scale;
     let on_disk = matches!(opts.run.trace, TracePolicy::Dir(_));
     let mut total_diverged = 0usize;
     let mut total_replayed = 0usize;

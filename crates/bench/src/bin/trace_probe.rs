@@ -14,7 +14,7 @@
 //! SWPF_SCALE=test cargo run --release -p swpf-bench --bin trace_probe -- IS baseline a53
 //! ```
 
-use swpf_bench::{auto_module, scale_from_env};
+use swpf_bench::{auto_module, scale_from_env_or_exit};
 use swpf_ir::exec::ExecImage;
 use swpf_ir::interp::{Interp, NullObserver, Step};
 use swpf_sim::{replay_on_machine, run_on_machine_image, run_on_machine_traced, MachineConfig};
@@ -59,7 +59,7 @@ fn main() {
     };
     swpf_obs::enable();
     swpf_obs::name_thread("main");
-    let scale = scale_from_env();
+    let scale = scale_from_env_or_exit();
     let id = WorkloadId::ALL
         .into_iter()
         .find(|w| w.name() == *workload)

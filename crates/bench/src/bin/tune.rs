@@ -19,11 +19,11 @@
 //! ```
 
 use swpf_bench::harness::{cli_options, finish_profiling, init_profiling};
-use swpf_bench::{experiments, scale_from_env, tune};
+use swpf_bench::{experiments, tune};
 
 fn main() -> std::process::ExitCode {
-    let scale = scale_from_env();
     let opts = cli_options();
+    let scale = opts.scale;
     let profile = init_profiling(&opts);
     let exp = experiments::tune(scale);
     let (_, checks) = tune::run_and_report(&exp, &opts.out_dir);

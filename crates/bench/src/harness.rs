@@ -52,7 +52,7 @@ use swpf_ir::interp::Tier;
 use swpf_ir::FuncId;
 use swpf_sim::{
     replay_multicore_perf, replay_on_machine_perf, replay_on_machines_perf,
-    run_multicore_image_perf, run_multicore_image_traced_perf, run_on_machine_image_perf,
+    run_multicore_image_perf, run_multicore_image_traced_perf, run_on_machine_image_tier_perf,
     run_on_machines_image_perf, streaming_replay_multicore_perf, streaming_replay_on_machines_perf,
     MachineConfig, PcProfile, SimRun, SimStats,
 };
@@ -450,12 +450,18 @@ pub struct RunOptions {
     /// (`--perf` / `SWPF_PERF`), regardless of the spec's own `perf`
     /// flag. The default path runs profiling-free.
     pub perf: bool,
+    /// Execution tier every cell's interpreters are built on
+    /// (`SWPF_TIER`, resolved once by [`cli_options_from`]; default:
+    /// bytecode).
+    pub tier: Tier,
 }
 
 impl RunOptions {
     fn effective_threads(&self, units: usize) -> usize {
-        let hw = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
-        let t = if self.threads == 0 { hw } else { self.threads };
+        let t = match self.threads {
+            0 => std::thread::available_parallelism().map_or(1, std::num::NonZero::get),
+            t => t,
+        };
         t.clamp(1, units.max(1))
     }
 }
@@ -643,25 +649,28 @@ pub fn run_experiment(exp: &Experiment, opts: &RunOptions) -> ExperimentResult {
     let slots: Mutex<Vec<Option<CellResult>>> = Mutex::new(vec![None; jobs.len()]);
     let (workloads_ref, modules_ref, jobs_ref) = (&workloads, &modules, &jobs);
     let (groups_ref, next_ref, slots_ref) = (&groups, &next, &slots);
+    let work = move || loop {
+        let gi = next_ref.fetch_add(1, Ordering::Relaxed);
+        let Some(group) = groups_ref.get(gi) else {
+            break;
+        };
+        let cells = run_group(spec, workloads_ref, modules_ref, jobs_ref, group, opts);
+        let mut slots = slots_ref.lock().expect("no panics hold the lock");
+        for (ji, cell) in cells {
+            slots[ji] = Some(cell);
+        }
+    };
+    // The calling thread is worker 0; only the helpers are spawned.
     std::thread::scope(|scope| {
-        for wi in 0..threads {
+        for wi in 1..threads {
             scope.spawn(move || {
                 if swpf_obs::enabled() {
                     swpf_obs::name_thread(&format!("worker-{wi}"));
                 }
-                loop {
-                    let gi = next_ref.fetch_add(1, Ordering::Relaxed);
-                    let Some(group) = groups_ref.get(gi) else {
-                        break;
-                    };
-                    let cells = run_group(spec, workloads_ref, modules_ref, jobs_ref, group, opts);
-                    let mut slots = slots_ref.lock().expect("no panics hold the lock");
-                    for (ji, cell) in cells {
-                        slots[ji] = Some(cell);
-                    }
-                }
+                work();
             });
         }
+        work();
     });
 
     let cells = slots
@@ -718,7 +727,10 @@ fn run_group(
     let mut out = Vec::with_capacity(group.len());
     if *policy == TracePolicy::Off {
         for &ji in group {
-            out.push((ji, run_job_direct(spec, workloads, modules, jobs[ji])));
+            out.push((
+                ji,
+                run_job_direct(spec, workloads, modules, jobs[ji], opts.tier),
+            ));
         }
         return out;
     }
@@ -778,7 +790,7 @@ fn run_group(
             for &ji in group {
                 out.push((
                     ji,
-                    run_job_replay_streaming(spec, workloads, jobs[ji], replay),
+                    run_job_replay_streaming(spec, workloads, jobs[ji], replay, opts.tier),
                 ));
             }
             return out;
@@ -789,12 +801,16 @@ fn run_group(
             None if group.len() == 1 && cache_path.is_none() => {
                 // Nothing would ever replay the recording: skip it.
                 let &ji = remaining.next().expect("groups are non-empty");
-                out.push((ji, run_job_direct(spec, workloads, modules, jobs[ji])));
+                out.push((
+                    ji,
+                    run_job_direct(spec, workloads, modules, jobs[ji], opts.tier),
+                ));
                 return out;
             }
             None => {
                 let &ji = remaining.next().expect("groups are non-empty");
-                let (cell, trace) = run_job_traced(spec, workloads, modules, jobs[ji], fingerprint);
+                let (cell, trace) =
+                    run_job_traced(spec, workloads, modules, jobs[ji], fingerprint, opts.tier);
                 out.push((ji, cell));
                 if let Some(path) = &cache_path {
                     store_trace(path, &trace, opts.trace_cap);
@@ -803,7 +819,10 @@ fn run_group(
             }
         };
         for &ji in remaining {
-            out.push((ji, run_job_replay(spec, workloads, jobs[ji], &trace)));
+            out.push((
+                ji,
+                run_job_replay(spec, workloads, jobs[ji], &trace, opts.tier),
+            ));
         }
         return out;
     }
@@ -847,6 +866,7 @@ fn run_group(
                 &configs,
                 &prepared.image,
                 prepared.func,
+                opts.tier,
                 |interp| w.setup(interp),
                 recorder.as_mut().map(|r| r.stream(0)),
             );
@@ -873,7 +893,7 @@ fn run_group(
                 wall_ms: wall_each,
                 replayed: from_trace || k > 0,
                 params: spec.variants[job.variant].pass_params(),
-                tier: Tier::from_env().label(),
+                tier: opts.tier.label(),
                 perf,
             },
         ));
@@ -1003,6 +1023,7 @@ fn make_cell(
     w: &dyn Workload,
     variant: &Variant,
     replayed: bool,
+    tier: Tier,
     body: impl FnOnce() -> Vec<SimRun>,
 ) -> CellResult {
     let t0 = Instant::now();
@@ -1015,7 +1036,7 @@ fn make_cell(
         wall_ms: t0.elapsed().as_secs_f64() * 1e3,
         replayed,
         params: variant.pass_params(),
-        tier: Tier::from_env().label(),
+        tier: tier.label(),
         perf,
     }
 }
@@ -1025,24 +1046,27 @@ fn run_job_direct(
     workloads: &[Box<dyn Workload>],
     modules: &HashMap<(usize, String), PreparedModule>,
     job: SimJob,
+    tier: Tier,
 ) -> CellResult {
     let variant = &spec.variants[job.variant];
     let machine = &spec.machines[job.machine];
     let w = workloads[job.workload].as_ref();
     let prepared = &modules[&(job.workload, variant.module_key())];
     let _span = swpf_obs::span("interpret");
-    make_cell(machine, w, variant, false, || match variant {
+    make_cell(machine, w, variant, false, tier, || match variant {
         Variant::Multicore { cores, .. } => run_multicore_image_perf(
             machine,
             *cores,
             &prepared.image,
             prepared.func,
+            tier,
             |_, interp| w.setup(interp),
         ),
-        _ => vec![run_on_machine_image_perf(
+        _ => vec![run_on_machine_image_tier_perf(
             machine,
             &prepared.image,
             prepared.func,
+            tier,
             |interp| w.setup(interp),
         )],
     })
@@ -1058,6 +1082,7 @@ fn run_job_traced(
     modules: &HashMap<(usize, String), PreparedModule>,
     job: SimJob,
     fingerprint: u64,
+    tier: Tier,
 ) -> (CellResult, Trace) {
     let variant = &spec.variants[job.variant];
     let Variant::Multicore { cores, .. } = variant else {
@@ -1068,12 +1093,13 @@ fn run_job_traced(
     let prepared = &modules[&(job.workload, variant.module_key())];
     let _span = swpf_obs::span("interpret");
     let mut recorder = TraceRecorder::new(*cores, fingerprint);
-    let cell = make_cell(machine, w, variant, false, || {
+    let cell = make_cell(machine, w, variant, false, tier, || {
         run_multicore_image_traced_perf(
             machine,
             *cores,
             &prepared.image,
             prepared.func,
+            tier,
             |_, interp| w.setup(interp),
             &mut recorder,
         )
@@ -1088,12 +1114,13 @@ fn run_job_replay_streaming(
     workloads: &[Box<dyn Workload>],
     job: SimJob,
     replay: &StreamingReplay,
+    tier: Tier,
 ) -> CellResult {
     let variant = &spec.variants[job.variant];
     let machine = &spec.machines[job.machine];
     let w = workloads[job.workload].as_ref();
     let _span = swpf_obs::span("stream_replay");
-    make_cell(machine, w, variant, true, || match variant {
+    make_cell(machine, w, variant, true, tier, || match variant {
         Variant::Multicore { .. } => streaming_replay_multicore_perf(machine, replay)
             .unwrap_or_else(|e| panic!("multicore streaming replay failed: {e}")),
         _ => streaming_replay_on_machines_perf(&[machine], replay)
@@ -1108,12 +1135,13 @@ fn run_job_replay(
     workloads: &[Box<dyn Workload>],
     job: SimJob,
     trace: &Trace,
+    tier: Tier,
 ) -> CellResult {
     let variant = &spec.variants[job.variant];
     let machine = &spec.machines[job.machine];
     let w = workloads[job.workload].as_ref();
     let _span = swpf_obs::span("replay");
-    make_cell(machine, w, variant, true, || match variant {
+    make_cell(machine, w, variant, true, tier, || match variant {
         Variant::Multicore { .. } => replay_multicore_perf(machine, trace)
             .unwrap_or_else(|e| panic!("multicore trace replay failed: {e}")),
         _ => vec![replay_on_machine_perf(machine, trace)],
@@ -1564,6 +1592,8 @@ pub struct CliOptions {
     /// and trace policy (`--trace-dir DIR`, `SWPF_TRACE_DIR`,
     /// `--no-trace`; default: in-memory record/replay).
     pub run: RunOptions,
+    /// Workload scale (`SWPF_SCALE`; see [`crate::scale_from_env`]).
+    pub scale: Scale,
     /// Artifact directory (`--out DIR`, default `RESULTS`).
     pub out_dir: PathBuf,
     /// Chrome-trace profile output (`--profile PATH`, `SWPF_PROFILE`);
@@ -1616,7 +1646,8 @@ fn usage_line(usage: &str) -> String {
 ///
 /// # Errors
 /// On an unknown flag, a flag without its value, or a value (argument
-/// or environment) that does not parse.
+/// or environment, `SWPF_SCALE` and `SWPF_TIER` included) that does not
+/// parse.
 pub fn cli_options_from(args: impl Iterator<Item = String>) -> Result<CliOptions, String> {
     fn value(args: &mut impl Iterator<Item = String>, flag: &str) -> Result<String, String> {
         args.next().ok_or_else(|| format!("{flag} needs a value"))
@@ -1630,6 +1661,8 @@ pub fn cli_options_from(args: impl Iterator<Item = String>) -> Result<CliOptions
             .ok_or_else(|| format!("{what} must be a size like 4096, 64K, 512M, got `{v}`"))
     }
 
+    let scale = crate::scale_from_env()?;
+    let tier = Tier::try_from_env()?;
     let mut threads = match std::env::var("SWPF_THREADS") {
         Ok(v) => integer(&v, "SWPF_THREADS")?,
         Err(_) => 0,
@@ -1673,7 +1706,9 @@ pub fn cli_options_from(args: impl Iterator<Item = String>) -> Result<CliOptions
             stream,
             trace_cap,
             perf,
+            tier,
         },
+        scale,
         out_dir,
         profile,
     })
@@ -1730,10 +1765,9 @@ fn parse_size(s: &str) -> Option<u64> {
 /// If `name` is not a known experiment.
 #[must_use]
 pub fn cli_main(name: &str) -> std::process::ExitCode {
-    let scale = crate::scale_from_env();
     let opts = cli_options();
     let profile = init_profiling(&opts);
-    let exp = crate::experiments::by_name(name, scale)
+    let exp = crate::experiments::by_name(name, opts.scale)
         .unwrap_or_else(|| panic!("unknown experiment `{name}`"));
     let (_, checks) = run_and_report(&exp, &opts.run, &opts.out_dir);
     if let Some(path) = profile {

@@ -46,18 +46,25 @@ use swpf_workloads::{Scale, Workload};
 /// Scale selected by the `SWPF_SCALE` environment variable: `test` →
 /// tiny inputs, `paper` (or unset) → paper-scaled inputs.
 ///
-/// # Panics
+/// # Errors
 /// On any other value — a typo must not silently select the slow
 /// paper-scale configuration.
-#[must_use]
-pub fn scale_from_env() -> Scale {
+pub fn scale_from_env() -> Result<Scale, String> {
     match std::env::var("SWPF_SCALE") {
-        Ok(v) => v
-            .parse()
-            .unwrap_or_else(|e| panic!("invalid SWPF_SCALE: {e}")),
-        Err(std::env::VarError::NotPresent) => Scale::Paper,
-        Err(e) => panic!("SWPF_SCALE is not valid unicode: {e}"),
+        Ok(v) => v.parse().map_err(|e| format!("invalid SWPF_SCALE: {e}")),
+        Err(std::env::VarError::NotPresent) => Ok(Scale::Paper),
+        Err(e) => Err(format!("SWPF_SCALE is not valid unicode: {e}")),
     }
+}
+
+/// [`scale_from_env`] for the binaries that take no shared harness
+/// options: a bad value prints one `error:` line and exits 2.
+#[must_use]
+pub fn scale_from_env_or_exit() -> Scale {
+    scale_from_env().unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2)
+    })
 }
 
 /// Simulate `module`'s `kernel` on `cfg` with `w`'s data.

@@ -8,11 +8,11 @@ fn all(args: &[&str], env: &[(&str, &str)]) -> Output {
     // Run away from the repository so a parse that wrongly succeeds
     // cannot drop a RESULTS directory into it.
     cmd.args(args).current_dir(std::env::temp_dir());
-    for var in ["SWPF_THREADS", "SWPF_TRACE_CAP"] {
+    for var in ["SWPF_THREADS", "SWPF_TRACE_CAP", "SWPF_TIER"] {
         cmd.env_remove(var);
     }
-    cmd.envs(env.iter().copied())
-        .env("SWPF_SCALE", "test")
+    cmd.env("SWPF_SCALE", "test")
+        .envs(env.iter().copied())
         .output()
         .expect("the `all` binary runs")
 }
@@ -43,6 +43,10 @@ fn malformed_values_are_usage_errors() {
     assert_usage_error(&all(&["--only", "fig99"], &[]), "unknown experiment");
     assert_usage_error(&all(&[], &[("SWPF_THREADS", "many")]), "SWPF_THREADS");
     assert_usage_error(&all(&[], &[("SWPF_TRACE_CAP", "big")]), "SWPF_TRACE_CAP");
+    // Resolved once, before anything runs — not a panic in the middle
+    // of a grid.
+    assert_usage_error(&all(&[], &[("SWPF_TIER", "bytcode")]), "SWPF_TIER");
+    assert_usage_error(&all(&[], &[("SWPF_SCALE", "tiny")]), "SWPF_SCALE");
 }
 
 #[test]

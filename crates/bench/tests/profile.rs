@@ -131,13 +131,15 @@ proptest! {
     }
 }
 
-/// A profiled threaded run: every worker thread that did work has a
-/// named, balanced track containing execution-phase spans.
+/// A profiled threaded run: every worker that did work — the calling
+/// thread is worker 0, the helpers are `worker-1..` — has a named,
+/// balanced track containing execution-phase spans.
 #[test]
 fn worker_pool_tracks_are_named_and_balanced() {
     let _g = lock();
     swpf_obs::reset();
     swpf_obs::enable();
+    swpf_obs::name_thread("worker-0");
     let exp = experiments::by_name("fig2", Scale::Test).unwrap();
     let result = run_experiment(
         &exp,

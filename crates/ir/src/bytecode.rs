@@ -43,7 +43,7 @@
 //! handler executes both halves — two architectural effects, two retire
 //! events, one dispatch. Because the second word is untouched, a branch
 //! into the middle of a pair executes it standalone, and the
-//! single-stepping entry point ([`BcEngine::step`]) simply demotes a
+//! single-stepping entry point ([`BcEngine::run_steps`]) simply demotes a
 //! fused opcode to its first component ([`unfuse`]) — so stepped
 //! execution (multicore interleaving, trace step boundaries) retires
 //! exactly one instruction per call and one fused image serves both
@@ -263,7 +263,7 @@ pub const FUSE_TABLE: &[(u8, u8, u8)] = &[
 ];
 
 /// Demote an opcode to its first component: identity for base opcodes,
-/// the first half for fused opcodes. [`BcEngine::step`] dispatches on
+/// the first half for fused opcodes. [`BcEngine::run_steps`] dispatches on
 /// the demoted opcode so stepped execution stays single-instruction
 /// granular (the second half has kept its own opcode and runs on the
 /// next step).
@@ -951,25 +951,30 @@ impl BcEngine {
         self.image = Some(image);
     }
 
-    /// Execute and retire exactly one instruction (plus the phi copies
-    /// of a taken branch, which retire with it). Fused heads are
-    /// demoted to their first component, so stepping never retires two
-    /// instructions at once — multicore interleavings and trace step
-    /// boundaries match the exec engine exactly.
+    /// Execute up to `n` steps — one instruction each, plus the phi
+    /// copies of a taken branch, which retire with it — inside one frame
+    /// loop, reporting each completed step through
+    /// [`ExecObserver::end_step`]; stops early when the top-level
+    /// function returns ([`Step::Done`]) or a step traps. Fused heads
+    /// are demoted to their first component, so a
+    /// step never retires two instructions at once — multicore
+    /// interleavings and trace step boundaries match the exec engine
+    /// exactly.
     ///
     /// # Errors
-    /// Any [`Trap`] raised by the instruction.
+    /// Any [`Trap`] raised by an instruction.
     ///
     /// # Panics
     /// If called without an active cursor (no `start`, or after `Done`).
     #[inline]
-    pub fn step(
+    pub fn run_steps(
         &mut self,
+        n: u64,
         mem: &mut Memory,
         obs: &mut (impl ExecObserver + ?Sized),
     ) -> Result<Step, Trap> {
         let image = self.image.as_deref().expect("step() without an image");
-        self.st.step(image, mem, obs)
+        self.st.run_steps(n, image, mem, obs)
     }
 
     /// Run the current cursor to completion through the fused fast
@@ -1370,45 +1375,62 @@ fn exec_one<const STEPPING: bool>(
 }
 
 impl BcState {
-    /// One observable step (see [`BcEngine::step`]).
-    #[inline]
-    fn step(
+    /// The stepping loop (see [`BcEngine::run_steps`]): the frame loop
+    /// of [`BcState::run_to_done`] around the demoting `exec_one`, with
+    /// a step budget — frame state is re-acquired only on calls and
+    /// returns, not once per step.
+    fn run_steps(
         &mut self,
+        n: u64,
         image: &BcImage,
         mem: &mut Memory,
         obs: &mut (impl ExecObserver + ?Sized),
     ) -> Result<Step, Trap> {
-        if self.retired >= self.fuel {
-            return Err(Trap::OutOfFuel);
-        }
-        let depth = self.frames.len();
-        assert!(depth > 0, "step() without an active cursor");
-        let frame = self.frames.last_mut().expect("non-empty");
-        let bf = &image.funcs[frame.func as usize];
-        let frame_id = frame.frame_id;
-        let BcFrame { ip, regs, .. } = &mut *frame;
-        let flow = exec_one::<true>(
-            image,
-            bf,
-            regs.as_mut_slice(),
-            ip,
-            frame_id,
-            depth,
-            self.max_depth,
-            &mut self.retired,
-            self.fuel,
-            &mut self.move_buf,
-            mem,
-            obs,
-        )?;
-        match flow {
-            Flow::Next => Ok(Step::Continue),
-            Flow::Call { callee, dst, regs } => {
-                self.push_frame(image, callee, dst, regs);
-                Ok(Step::Continue)
+        let mut left = n;
+        'frames: while left > 0 {
+            let depth = self.frames.len();
+            let frame = self
+                .frames
+                .last_mut()
+                .expect("step() without an active cursor");
+            let bf = &image.funcs[frame.func as usize];
+            let frame_id = frame.frame_id;
+            let BcFrame { ip, regs, .. } = &mut *frame;
+            let regs = regs.as_mut_slice();
+            while left > 0 {
+                if self.retired >= self.fuel {
+                    return Err(Trap::OutOfFuel);
+                }
+                left -= 1;
+                let flow = exec_one::<true>(
+                    image,
+                    bf,
+                    regs,
+                    ip,
+                    frame_id,
+                    depth,
+                    self.max_depth,
+                    &mut self.retired,
+                    self.fuel,
+                    &mut self.move_buf,
+                    mem,
+                    obs,
+                )?;
+                obs.end_step();
+                match flow {
+                    Flow::Next => {}
+                    Flow::Call { callee, dst, regs } => {
+                        self.push_frame(image, callee, dst, regs);
+                        continue 'frames;
+                    }
+                    Flow::Ret { val } => match self.pop_frame(val) {
+                        Step::Done(v) => return Ok(Step::Done(v)),
+                        Step::Continue => continue 'frames,
+                    },
+                }
             }
-            Flow::Ret { val } => Ok(self.pop_frame(val)),
         }
+        Ok(Step::Continue)
     }
 
     /// The fused fast loop: frame state (code, register file, ip) is
@@ -1492,7 +1514,7 @@ impl BcState {
                 .expect("run_to_done() without an active cursor");
             let w = image.funcs[frame.func as usize].code[frame.ip as usize];
             tally[(w as u8) as usize] += 1;
-            match self.step(image, mem, obs) {
+            match self.run_steps(1, image, mem, obs) {
                 Ok(Step::Continue) => {}
                 Ok(Step::Done(v)) => break Ok(v),
                 Err(t) => break Err(t),
@@ -1852,7 +1874,7 @@ mod tests {
         let mut slow = BcEngine::new();
         slow.start(bc, FuncId(0), &args);
         let slow_r = loop {
-            match slow.step(&mut mem_b, &mut NullObserver).unwrap() {
+            match slow.run_steps(1, &mut mem_b, &mut NullObserver).unwrap() {
                 Step::Continue => {}
                 Step::Done(v) => break v,
             }

@@ -822,7 +822,7 @@ struct State {
 /// The execute layer: a resumable cursor over an [`ExecImage`].
 ///
 /// The engine holds no simulated memory; callers pass a [`Memory`] to
-/// every [`Engine::step`], which is what lets the
+/// every [`Engine::run_steps`], which is what lets the
 /// [`crate::interp::Interp`] facade own memory across engine restarts
 /// and lets tests run several engines against cloned memories.
 #[derive(Debug)]
@@ -893,22 +893,33 @@ impl Engine {
         self.image = Some(image);
     }
 
-    /// Execute and retire exactly one instruction (plus the phi copies of
-    /// a taken branch, which retire with it, as in the classic engine).
+    /// Execute up to `n` steps — one instruction each, plus the phi
+    /// copies of a taken branch, which retire with it, as in the classic
+    /// engine — reporting each completed step through
+    /// [`ExecObserver::end_step`]; stops early when the top-level
+    /// function returns ([`Step::Done`]) or a step traps.
     ///
     /// # Errors
-    /// Any [`Trap`] raised by the instruction.
+    /// Any [`Trap`] raised by an instruction.
     ///
     /// # Panics
     /// If called without an active cursor (no `start`, or after `Done`).
     #[inline]
-    pub fn step(
+    pub fn run_steps(
         &mut self,
+        n: u64,
         mem: &mut Memory,
         obs: &mut (impl ExecObserver + ?Sized),
     ) -> Result<Step, Trap> {
         let image = self.image.as_deref().expect("step() without an image");
-        self.st.step(image, mem, obs)
+        for _ in 0..n {
+            let step = self.st.step(image, mem, obs)?;
+            obs.end_step();
+            if let Step::Done(_) = step {
+                return Ok(step);
+            }
+        }
+        Ok(Step::Continue)
     }
 
     /// Run the current cursor to completion.

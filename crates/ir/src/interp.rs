@@ -161,6 +161,17 @@ pub struct Event<'a> {
 pub trait ExecObserver {
     /// Called after the instruction's architectural effects are applied.
     fn on_event(&mut self, ev: &Event<'_>);
+
+    /// Called by the stepping entry points ([`Interp::step`],
+    /// [`Interp::step_cursor`], [`Interp::run_steps`]) after every
+    /// completed interpreter step: the events reported since the
+    /// previous call — one instruction, plus the phi copies of a taken
+    /// branch — form one step. A step that traps is not reported, and
+    /// the run-to-completion entry points never call this. Only trace
+    /// recording cares (multicore replay schedules by steps); the
+    /// default does nothing.
+    #[inline]
+    fn end_step(&mut self) {}
 }
 
 /// An observer that ignores everything (pure functional execution).
@@ -291,7 +302,7 @@ pub enum Step {
 /// are bit-identical in architectural results and retire-event streams;
 /// they differ only in throughput. `Classic` and `Engine` survive as
 /// differential oracles for the bytecode tier.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Tier {
     /// The original tree-walking interpreter (`crate::classic`).
     Classic,
@@ -299,6 +310,7 @@ pub enum Tier {
     Engine,
     /// The fixed-width bytecode engine with fused superinstructions
     /// (`crate::bytecode`); the default.
+    #[default]
     Bytecode,
 }
 
@@ -306,21 +318,31 @@ impl Tier {
     /// Read the tier from `SWPF_TIER` (`classic` | `engine` |
     /// `bytecode`); unset or empty defaults to [`Tier::Bytecode`].
     ///
-    /// # Panics
+    /// # Errors
     /// On an unrecognised value — a misspelled tier silently running a
     /// different engine would invalidate comparisons.
+    pub fn try_from_env() -> Result<Tier, String> {
+        match std::env::var("SWPF_TIER") {
+            Ok(v) => match v.as_str() {
+                "" | "bytecode" => Ok(Tier::Bytecode),
+                "classic" => Ok(Tier::Classic),
+                "engine" => Ok(Tier::Engine),
+                other => Err(format!(
+                    "SWPF_TIER must be classic|engine|bytecode, got {other:?}"
+                )),
+            },
+            Err(_) => Ok(Tier::Bytecode),
+        }
+    }
+
+    /// [`Tier::try_from_env`] for callers with no error path of their
+    /// own (the library default behind [`Interp::new`]).
+    ///
+    /// # Panics
+    /// On an unrecognised `SWPF_TIER` value.
     #[must_use]
     pub fn from_env() -> Tier {
-        match std::env::var("SWPF_TIER") {
-            Ok(v) if v.is_empty() => Tier::Bytecode,
-            Ok(v) => match v.as_str() {
-                "classic" => Tier::Classic,
-                "engine" => Tier::Engine,
-                "bytecode" => Tier::Bytecode,
-                other => panic!("SWPF_TIER must be classic|engine|bytecode, got {other:?}"),
-            },
-            Err(_) => Tier::Bytecode,
-        }
+        Tier::try_from_env().unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Stable lowercase name (artifact metadata, logs).
@@ -342,6 +364,11 @@ impl<O: ExecObserver + ?Sized> ExecObserver for DynObs<'_, O> {
     #[inline]
     fn on_event(&mut self, ev: &Event<'_>) {
         self.0.on_event(ev);
+    }
+
+    #[inline]
+    fn end_step(&mut self) {
+        self.0.end_step();
     }
 }
 
@@ -640,30 +667,59 @@ impl Interp {
         obs: &mut (impl ExecObserver + ?Sized),
     ) -> Result<Step, Trap> {
         match &mut self.cursor {
-            Cursor::Classic(c) => c.step(module, &mut DynObs(obs)),
-            _ => self.step_cursor(obs),
+            Cursor::Classic(c) => {
+                let step = c.step(module, &mut DynObs(&mut *obs))?;
+                obs.end_step();
+                Ok(step)
+            }
+            _ => self.run_steps(1, obs),
         }
     }
 
     /// Execute and retire exactly one instruction of the active cursor,
-    /// without needing the source module — the natural shape for callers
-    /// that started from a pre-decoded image ([`Interp::start_with_image`])
-    /// and never held the `Module` at all.
+    /// without needing the source module — [`Interp::run_steps`] with a
+    /// budget of one.
     ///
     /// # Errors
     /// Any [`Trap`] raised by the instruction.
+    ///
+    /// # Panics
+    /// As [`Interp::run_steps`].
+    #[inline]
+    pub fn step_cursor(&mut self, obs: &mut (impl ExecObserver + ?Sized)) -> Result<Step, Trap> {
+        self.run_steps(1, obs)
+    }
+
+    /// Execute up to `n` steps of the active cursor — one instruction
+    /// each (plus the phi copies of a taken branch), every completed
+    /// step followed by [`ExecObserver::end_step`] — stopping early when
+    /// the top-level function returns or a step traps. Needs no source
+    /// module: the natural shape for callers that started from a
+    /// pre-decoded image ([`Interp::start_with_image`]). On the bytecode
+    /// tier the steps run inside one frame loop, so a batch costs what
+    /// the run-to-completion loop does, not `n` re-entries; events, fuel
+    /// accounting and the parked cursor are those of `n` single steps.
+    ///
+    /// Returns [`Step::Continue`] when the budget ran out first.
+    ///
+    /// # Errors
+    /// Any [`Trap`] raised by an instruction.
     ///
     /// # Panics
     /// If called without an active cursor (no `start`, or after `Done`),
     /// or on a classic-tier cursor (the classic engine cannot step
     /// without its module — use [`Interp::step`]).
     #[inline]
-    pub fn step_cursor(&mut self, obs: &mut (impl ExecObserver + ?Sized)) -> Result<Step, Trap> {
+    pub fn run_steps(
+        &mut self,
+        n: u64,
+        obs: &mut (impl ExecObserver + ?Sized),
+    ) -> Result<Step, Trap> {
         match &mut self.cursor {
-            Cursor::Engine(e) => e.step(&mut self.mem, obs),
-            Cursor::Bytecode(b) => b.step(&mut self.mem, obs),
+            Cursor::Engine(e) => e.run_steps(n, &mut self.mem, obs),
+            Cursor::Bytecode(b) => b.run_steps(n, &mut self.mem, obs),
             Cursor::Classic(_) => panic!(
-                "step_cursor() on the classic tier: the classic engine re-reads the module \
+                "run_steps() on the classic tier: the classic engine re-reads the module \
                  every step; use Interp::step(module, obs) or another SWPF_TIER"
             ),
         }

@@ -4,7 +4,7 @@ use crate::memsys::{AccessKind, MemSys, SharedMem};
 use crate::presets::{CoreKind, MachineConfig};
 use crate::scoreboard::Scoreboard;
 use crate::TICKS_PER_CYCLE;
-use swpf_ir::interp::EventKind;
+use swpf_ir::interp::{Event, EventKind};
 
 /// Instruction-class counters.
 #[derive(Debug, Clone, Copy, Default)]
@@ -41,20 +41,17 @@ impl Core {
     }
 
     /// Account one retired instruction; advances the model's clock.
-    #[allow(clippy::too_many_arguments)]
-    pub fn retire(
-        &mut self,
-        mem: &mut MemSys,
-        shared: &mut SharedMem,
-        kind: EventKind,
-        frame: u64,
-        result: u32,
-        operands: &[swpf_ir::ValueId],
-        pc: u64,
-    ) {
+    ///
+    /// The event is taken by reference all the way into the leaf model
+    /// and `ev.kind` is matched in place: the interpreter has just
+    /// written the event field by field, and moving the 16-byte
+    /// `EventKind` across a call reloads it with one wide load that
+    /// cannot be forwarded from those narrower stores.
+    #[inline]
+    pub fn retire(&mut self, mem: &mut MemSys, shared: &mut SharedMem, ev: &Event<'_>) {
         match self {
-            Core::InOrder(c) => c.retire(mem, shared, kind, pc),
-            Core::OutOfOrder(c) => c.retire(mem, shared, kind, frame, result, operands, pc),
+            Core::InOrder(c) => c.retire(mem, shared, ev),
+            Core::OutOfOrder(c) => c.retire(mem, shared, ev),
         }
     }
 
@@ -108,10 +105,11 @@ impl InOrder {
         }
     }
 
-    fn retire(&mut self, mem: &mut MemSys, shared: &mut SharedMem, kind: EventKind, pc: u64) {
+    fn retire(&mut self, mem: &mut MemSys, shared: &mut SharedMem, ev: &Event<'_>) {
         self.counts.total += 1;
         let t = self.next_issue;
-        match kind {
+        let pc = ev.pc;
+        match ev.kind {
             EventKind::Load { addr, .. } => {
                 self.counts.loads += 1;
                 let lat = mem.access(shared, addr, t, AccessKind::Read, pc);
@@ -213,18 +211,9 @@ impl OutOfOrder {
         earliest
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn retire(
-        &mut self,
-        mem: &mut MemSys,
-        shared: &mut SharedMem,
-        kind: EventKind,
-        frame: u64,
-        result: u32,
-        operands: &[swpf_ir::ValueId],
-        pc: u64,
-    ) {
+    fn retire(&mut self, mem: &mut MemSys, shared: &mut SharedMem, ev: &Event<'_>) {
         self.counts.total += 1;
+        let pc = ev.pc;
         // Dispatch in program order: bounded by front-end bandwidth and
         // by ROB occupancy (cannot dispatch more than `rob` instructions
         // ahead of the oldest unretired one). Operand readiness does NOT
@@ -232,13 +221,13 @@ impl OutOfOrder {
         // stations while younger independent work proceeds.
         let dispatch = (self.last_issue + self.issue_inc).max(self.rob_q[self.rob_head]);
         // Execution waits for operands.
-        self.ready.select(frame);
+        self.ready.select(ev.frame);
         let mut t = dispatch;
-        for op in operands {
+        for op in ev.operands {
             t = t.max(self.ready.ready_at(op.index()));
         }
 
-        let done = match kind {
+        let done = match ev.kind {
             EventKind::Load { addr, .. } => {
                 self.counts.loads += 1;
                 let t = self.acquire_mshr(t);
@@ -272,10 +261,10 @@ impl OutOfOrder {
             _ => t + self.alu_ticks,
         };
 
-        if matches!(kind, EventKind::Ret) {
+        if matches!(ev.kind, EventKind::Ret) {
             self.ready.free_frame();
         } else {
-            self.ready.set_ready(result as usize, done);
+            self.ready.set_ready(ev.result.index(), done);
         }
 
         // In-order retirement: this instruction takes the oldest slot.
@@ -300,19 +289,37 @@ mod tests {
         (Core::new(cfg), MemSys::new(cfg), SharedMem::new(cfg))
     }
 
+    /// Retire one frame-0 event whose pc is its result id.
+    fn retire(
+        core: &mut Core,
+        mem: &mut MemSys,
+        sh: &mut SharedMem,
+        kind: EventKind,
+        result: u32,
+        operands: &[ValueId],
+    ) {
+        let ev = Event {
+            pc: u64::from(result),
+            frame: 0,
+            result: ValueId(result),
+            kind,
+            operands,
+        };
+        core.retire(mem, sh, &ev);
+    }
+
     fn alu(core: &mut Core, mem: &mut MemSys, sh: &mut SharedMem, result: u32) {
-        core.retire(mem, sh, EventKind::Alu, 0, result, &[], result as u64);
+        retire(core, mem, sh, EventKind::Alu, result, &[]);
     }
 
     fn load(core: &mut Core, mem: &mut MemSys, sh: &mut SharedMem, addr: u64, result: u32) {
-        core.retire(
+        retire(
+            core,
             mem,
             sh,
             EventKind::Load { addr, size: 8 },
-            0,
             result,
             &[],
-            result as u64,
         );
     }
 
@@ -335,18 +342,11 @@ mod tests {
         let cfg = MachineConfig::a53();
         let (mut core, mut mem, mut sh) = setup(&cfg);
         // Prefetch, then enough ALU work to cover the fill, then load.
-        core.retire(
-            &mut mem,
-            &mut sh,
-            EventKind::Prefetch {
-                addr: 0x10_0000,
-                valid: true,
-            },
-            0,
-            1,
-            &[],
-            1,
-        );
+        let pf = EventKind::Prefetch {
+            addr: 0x10_0000,
+            valid: true,
+        };
+        retire(&mut core, &mut mem, &mut sh, pf, 1, &[]);
         for i in 0..800 {
             alu(&mut core, &mut mem, &mut sh, 10 + i);
         }
@@ -388,42 +388,13 @@ mod tests {
         let cfg = MachineConfig::haswell();
         let (mut core, mut mem, mut sh) = setup(&cfg);
         // Load 1 -> feeds load 2 -> feeds load 3 (by operand ids).
-        core.retire(
-            &mut mem,
-            &mut sh,
-            EventKind::Load {
-                addr: 0x100_0000,
+        for (result, deps) in [(1, &[][..]), (2, &[ValueId(1)]), (3, &[ValueId(2)])] {
+            let kind = EventKind::Load {
+                addr: u64::from(result) * 0x100_0000,
                 size: 8,
-            },
-            0,
-            1,
-            &[],
-            1,
-        );
-        core.retire(
-            &mut mem,
-            &mut sh,
-            EventKind::Load {
-                addr: 0x200_0000,
-                size: 8,
-            },
-            0,
-            2,
-            &[ValueId(1)],
-            2,
-        );
-        core.retire(
-            &mut mem,
-            &mut sh,
-            EventKind::Load {
-                addr: 0x300_0000,
-                size: 8,
-            },
-            0,
-            3,
-            &[ValueId(2)],
-            3,
-        );
+            };
+            retire(&mut core, &mut mem, &mut sh, kind, result, deps);
+        }
         let cycles = core.cycles();
         assert!(
             cycles >= 3 * cfg.dram.latency,
@@ -502,15 +473,8 @@ mod tests {
         let (mut core, mut mem, mut sh) = setup(&cfg);
         load(&mut core, &mut mem, &mut sh, 0x1000, 1);
         alu(&mut core, &mut mem, &mut sh, 2);
-        core.retire(
-            &mut mem,
-            &mut sh,
-            EventKind::Branch { taken: true },
-            0,
-            3,
-            &[],
-            3,
-        );
+        let br = EventKind::Branch { taken: true };
+        retire(&mut core, &mut mem, &mut sh, br, 3, &[]);
         let c = core.counts();
         assert_eq!(c.total, 3);
         assert_eq!(c.loads, 1);

@@ -22,7 +22,7 @@ use std::sync::Arc;
 use swpf_ir::exec::ExecImage;
 use swpf_ir::interp::{Event, ExecObserver, Interp, RtVal, Tier, Trap};
 use swpf_ir::{FuncId, Module};
-use swpf_trace::{EventSource, FanOut, StreamEncoder, StreamingReplay, Tee, Trace, TraceError};
+use swpf_trace::{EventSource, StreamEncoder, StreamingReplay, Tee, Trace, TraceError};
 
 /// A single simulated core with its full memory hierarchy.
 #[derive(Debug)]
@@ -44,16 +44,35 @@ pub(crate) struct TimingObserver<'a> {
 }
 
 impl ExecObserver for TimingObserver<'_> {
+    #[inline]
     fn on_event(&mut self, ev: &Event<'_>) {
-        self.core.retire(
-            self.mem,
-            self.shared,
-            ev.kind,
-            ev.frame,
-            ev.result.0,
-            ev.operands,
-            ev.pc,
-        );
+        self.core.retire(self.mem, self.shared, ev);
+    }
+}
+
+/// One event stream into every machine of a grid row and, when
+/// persisting, a trace encoder — direct calls on concrete observers, so
+/// a fused row pays no virtual dispatch per machine per event. Events
+/// are handed on as they arrive, never buffered: copying them out of the
+/// interpreter's hands costs more than the calls it would batch.
+///
+/// `on_event` stays out of line: the interpreter has some sixty retire
+/// sites, and one shared copy of the machine loop (with the core models
+/// inlined into it) beats sixty copies of it.
+struct RowObserver<'a> {
+    enc: Option<&'a mut StreamEncoder>,
+    timing: Vec<TimingObserver<'a>>,
+}
+
+impl ExecObserver for RowObserver<'_> {
+    #[inline(never)]
+    fn on_event(&mut self, ev: &Event<'_>) {
+        if let Some(enc) = &mut self.enc {
+            enc.push(ev);
+        }
+        for obs in &mut self.timing {
+            obs.on_event(ev);
+        }
     }
 }
 
@@ -126,7 +145,7 @@ impl Machine {
     /// Single-core replay never consults step boundaries (they exist to
     /// reproduce the multicore interleaver's schedule), so this rides
     /// the engine's fast `run_to_done` loop with a [`Tee`] rather than
-    /// the step-driven [`record_cursor`] the multicore recorder needs.
+    /// the stepping loop the multicore recorder needs.
     ///
     /// # Errors
     /// Any [`Trap`] the program raises.
@@ -426,15 +445,16 @@ pub fn run_on_machines_image(
     setup: impl FnOnce(&mut Interp) -> Vec<RtVal>,
     enc: Option<&mut StreamEncoder>,
 ) -> Vec<SimStats> {
-    run_on_machines_image_perf(configs, image, func, setup, enc)
+    run_on_machines_image_perf(configs, image, func, Tier::from_env(), setup, enc)
         .into_iter()
         .map(|r| r.stats)
         .collect()
 }
 
-/// Like [`run_on_machines_image`], returning each machine's per-PC
-/// profile alongside its stats (see [`crate::perf`]; the profile is
-/// `None` unless profiling is enabled).
+/// Like [`run_on_machines_image`], on an explicit execution [`Tier`]
+/// (the harness resolves `SWPF_TIER` once per process), returning each
+/// machine's per-PC profile alongside its stats (see [`crate::perf`];
+/// the profile is `None` unless profiling is enabled).
 ///
 /// # Panics
 /// If the program traps — harness code treats that as a fatal
@@ -443,25 +463,20 @@ pub fn run_on_machines_image_perf(
     configs: &[&MachineConfig],
     image: &Arc<ExecImage>,
     func: FuncId,
+    tier: Tier,
     setup: impl FnOnce(&mut Interp) -> Vec<RtVal>,
     enc: Option<&mut StreamEncoder>,
 ) -> Vec<SimRun> {
-    let mut interp = Interp::new();
+    let mut interp = Interp::with_tier(tier);
     let args = setup(&mut interp);
     let mut machines: Vec<Machine> = configs.iter().map(|c| Machine::new((*c).clone())).collect();
-    {
-        let mut timing: Vec<TimingObserver<'_>> =
-            machines.iter_mut().map(Machine::observer).collect();
-        let mut receivers: Vec<&mut dyn ExecObserver> = Vec::with_capacity(timing.len() + 1);
-        if let Some(enc) = enc {
-            receivers.push(enc);
-        }
-        receivers.extend(timing.iter_mut().map(|o| o as &mut dyn ExecObserver));
-        let mut fan = FanOut(receivers);
-        interp
-            .run_with_image(Arc::clone(image), func, &args, &mut fan)
-            .unwrap_or_else(|t| panic!("simulation trapped: {t}"));
-    }
+    let mut row = RowObserver {
+        enc,
+        timing: machines.iter_mut().map(Machine::observer).collect(),
+    };
+    interp
+        .run_with_image(Arc::clone(image), func, &args, &mut row)
+        .unwrap_or_else(|t| panic!("simulation trapped: {t}"));
     machines.iter_mut().map(Machine::finish).collect()
 }
 
@@ -711,8 +726,9 @@ mod tests {
     }
 
     /// Batched execution and batched replay: one interpretation (or one
-    /// decode pass) driving several machines produces exactly the stats
-    /// of dedicated per-machine runs.
+    /// decode pass) driving all four presets — both core kinds —
+    /// produces exactly the stats of dedicated per-machine runs, with
+    /// and without the encoder in the row.
     #[test]
     fn fanout_runs_match_dedicated_runs() {
         let m = stream_kernel();
@@ -728,6 +744,7 @@ mod tests {
         };
         let cfgs = [
             MachineConfig::haswell(),
+            MachineConfig::a57(),
             MachineConfig::a53(),
             MachineConfig::xeon_phi(),
         ];
@@ -737,18 +754,23 @@ mod tests {
             .map(|c| run_on_machine_image(c, &image, f, setup))
             .collect();
 
+        let plain = run_on_machines_image(&refs, &image, f, setup, None);
         let mut rec = swpf_trace::TraceRecorder::new(1, 0);
-        let fanned = run_on_machines_image(&refs, &image, f, setup, Some(rec.stream(0)));
+        let recorded = run_on_machines_image(&refs, &image, f, setup, Some(rec.stream(0)));
         let trace = rec.finish();
+        assert_eq!(trace.events(0), dedicated[0].insts.total);
         let batched = replay_on_machines(&refs, &trace).unwrap();
         let streamed = with_temp_trace("fanout", &trace.to_bytes(), |path| {
             let replay = StreamingReplay::open(path).expect("streaming open");
             streaming_replay_on_machines(&refs, &replay).expect("streaming replay")
         });
-        for (((d, fo), b), s) in dedicated.iter().zip(&fanned).zip(&batched).zip(&streamed) {
-            assert_eq!(d.counters(), fo.counters(), "fan-out must match dedicated");
-            assert_eq!(d.counters(), b.counters(), "batched replay must match");
-            assert_eq!(d.counters(), s.counters(), "streaming replay must match");
+        for (i, d) in dedicated.iter().enumerate() {
+            let name = cfgs[i].name;
+            let d = d.counters();
+            assert_eq!(d, plain[i].counters(), "fan-out must match on {name}");
+            assert_eq!(d, recorded[i].counters(), "recording fan-out on {name}");
+            assert_eq!(d, batched[i].counters(), "batched replay on {name}");
+            assert_eq!(d, streamed[i].counters(), "streaming replay on {name}");
         }
     }
 

@@ -39,41 +39,37 @@ struct CoreSlot {
     done: bool,
 }
 
-/// Steps one interleaved core batch: 64 interpreter steps (or until the
-/// program finishes), reporting events through the shared
-/// [`TimingObserver`] path, optionally tee'd into a per-core trace
-/// stream.
+/// Interpreter steps per scheduling decision. The scheduler reads the
+/// cores' clocks only between batches; replay uses the same constant
+/// against the step marks the trace carries.
+const BATCH_STEPS: u64 = 64;
+
+/// Steps one interleaved core batch: [`BATCH_STEPS`] interpreter steps
+/// (or until the program finishes) in one [`Interp::run_steps`] call,
+/// reporting events through the shared [`TimingObserver`] path,
+/// optionally tee'd into a per-core trace stream (which takes the step
+/// marks through `ExecObserver::end_step`).
 fn step_batch(
     i: usize,
     slot: &mut CoreSlot,
     shared: &mut SharedMem,
     recorder: &mut Option<&mut TraceRecorder>,
 ) {
-    for _ in 0..64 {
-        let mut obs = TimingObserver {
-            core: &mut slot.core,
-            mem: &mut slot.mem,
-            shared,
-        };
-        let step = match recorder {
-            Some(rec) => {
-                let step = {
-                    let mut tee = Tee(rec.stream(i), &mut obs);
-                    slot.interp.step_cursor(&mut tee)
-                };
-                rec.stream(i).end_step();
-                step
-            }
-            None => slot.interp.step_cursor(&mut obs),
-        };
-        match step {
-            Ok(Step::Continue) => {}
-            Ok(Step::Done(_)) => {
-                slot.done = true;
-                break;
-            }
-            Err(t) => panic!("core {i} trapped: {t}"),
-        }
+    let mut obs = TimingObserver {
+        core: &mut slot.core,
+        mem: &mut slot.mem,
+        shared,
+    };
+    let step = match recorder {
+        Some(rec) => slot
+            .interp
+            .run_steps(BATCH_STEPS, &mut Tee(rec.stream(i), &mut obs)),
+        None => slot.interp.run_steps(BATCH_STEPS, &mut obs),
+    };
+    match step {
+        Ok(Step::Continue) => {}
+        Ok(Step::Done(_)) => slot.done = true,
+        Err(t) => panic!("core {i} trapped: {t}"),
     }
 }
 
@@ -116,15 +112,12 @@ pub fn run_multicore_image(
     func: FuncId,
     setup: impl FnMut(usize, &mut Interp) -> Vec<RtVal>,
 ) -> Vec<SimStats> {
-    run_multicore_inner(config, n_cores, image, func, setup, None, None)
-        .into_iter()
-        .map(|r| r.stats)
-        .collect()
+    run_multicore_image_tier(config, n_cores, image, func, Tier::from_env(), setup)
 }
 
-/// Like [`run_multicore_image`], returning each core's per-PC profile
-/// alongside its stats (see [`crate::perf`]; profiles are `None` unless
-/// profiling is enabled).
+/// Like [`run_multicore_image_tier`], returning each core's per-PC
+/// profile alongside its stats (see [`crate::perf`]; profiles are `None`
+/// unless profiling is enabled).
 ///
 /// # Panics
 /// If any core's program traps.
@@ -133,9 +126,10 @@ pub fn run_multicore_image_perf(
     n_cores: usize,
     image: &Arc<ExecImage>,
     func: FuncId,
+    tier: Tier,
     setup: impl FnMut(usize, &mut Interp) -> Vec<RtVal>,
 ) -> Vec<SimRun> {
-    run_multicore_inner(config, n_cores, image, func, setup, None, None)
+    run_multicore_inner(config, n_cores, image, func, setup, tier, None)
 }
 
 /// Like [`run_multicore_image`], but on an explicit execution [`Tier`]
@@ -153,7 +147,7 @@ pub fn run_multicore_image_tier(
     tier: Tier,
     setup: impl FnMut(usize, &mut Interp) -> Vec<RtVal>,
 ) -> Vec<SimStats> {
-    run_multicore_inner(config, n_cores, image, func, setup, Some(tier), None)
+    run_multicore_inner(config, n_cores, image, func, setup, tier, None)
         .into_iter()
         .map(|r| r.stats)
         .collect()
@@ -174,14 +168,22 @@ pub fn run_multicore_image_traced(
     setup: impl FnMut(usize, &mut Interp) -> Vec<RtVal>,
     recorder: &mut TraceRecorder,
 ) -> Vec<SimStats> {
-    run_multicore_image_traced_perf(config, n_cores, image, func, setup, recorder)
-        .into_iter()
-        .map(|r| r.stats)
-        .collect()
+    run_multicore_image_traced_perf(
+        config,
+        n_cores,
+        image,
+        func,
+        Tier::from_env(),
+        setup,
+        recorder,
+    )
+    .into_iter()
+    .map(|r| r.stats)
+    .collect()
 }
 
-/// Like [`run_multicore_image_traced`], returning each core's per-PC
-/// profile alongside its stats.
+/// Like [`run_multicore_image_traced`], on an explicit execution
+/// [`Tier`], returning each core's per-PC profile alongside its stats.
 ///
 /// # Panics
 /// If any core's program traps, or the recorder has too few streams.
@@ -190,10 +192,11 @@ pub fn run_multicore_image_traced_perf(
     n_cores: usize,
     image: &Arc<ExecImage>,
     func: FuncId,
+    tier: Tier,
     setup: impl FnMut(usize, &mut Interp) -> Vec<RtVal>,
     recorder: &mut TraceRecorder,
 ) -> Vec<SimRun> {
-    run_multicore_inner(config, n_cores, image, func, setup, None, Some(recorder))
+    run_multicore_inner(config, n_cores, image, func, setup, tier, Some(recorder))
 }
 
 fn run_multicore_inner(
@@ -202,13 +205,13 @@ fn run_multicore_inner(
     image: &Arc<ExecImage>,
     func: FuncId,
     mut setup: impl FnMut(usize, &mut Interp) -> Vec<RtVal>,
-    tier: Option<Tier>,
+    tier: Tier,
     mut recorder: Option<&mut TraceRecorder>,
 ) -> Vec<SimRun> {
     let mut shared = SharedMem::new(config);
     let mut slots: Vec<CoreSlot> = (0..n_cores)
         .map(|i| {
-            let mut interp = tier.map_or_else(Interp::new, Interp::with_tier);
+            let mut interp = Interp::with_tier(tier);
             let args = setup(i, &mut interp);
             let mut mem = MemSys::new(config);
             mem.set_address_space(i as u64);
@@ -364,7 +367,7 @@ fn replay_multicore_from<S: EventSource>(
             .map(|(i, _)| i);
         let Some(i) = next else { break };
         let slot = &mut slots[i];
-        'batch: for _ in 0..64 {
+        'batch: for _ in 0..BATCH_STEPS {
             // One interpreter step = events up to an end-of-step mark.
             loop {
                 let Some((ev, end_of_step)) = slot.cursor.next_event()? else {
@@ -485,49 +488,68 @@ mod tests {
 
     /// Replay equivalence under contention: recording a multicore run
     /// does not perturb it, and replaying the (envelope round-tripped)
-    /// trace reproduces every core's counters bit-for-bit — the
-    /// step-boundary scheduling contract.
+    /// trace — in memory and streamed from its file — reproduces every
+    /// core's counters bit-for-bit, on 1/2/4 cores of both core kinds.
+    /// The replays schedule by the step marks the recording took through
+    /// `ExecObserver::end_step`, so a lost or misplaced mark shows up as
+    /// a diverging counter as soon as two cores contend.
     #[test]
     fn multicore_replay_is_bit_identical() {
         let m = pointer_chase_module();
         let f = m.find_function("chase").unwrap();
-        let cfg = MachineConfig::haswell();
         let image = Arc::new(ExecImage::build(&m));
         let setup = |_: usize, interp: &mut Interp| {
             let a = setup_ring(interp, 1 << 12);
             vec![RtVal::Int(a as i64), RtVal::Int(500)]
         };
-        let direct = run_multicore_image(&cfg, 3, &image, f, setup);
-        let mut rec = TraceRecorder::new(3, 0);
-        let traced = run_multicore_image_traced(&cfg, 3, &image, f, setup, &mut rec);
-        let bytes = rec.finish().to_bytes();
-        let trace = Trace::from_bytes(&bytes).unwrap();
-        let replayed = replay_multicore(&cfg, &trace).unwrap();
-        // The streaming path interleaves the same per-core streams
-        // block-at-a-time straight from the file.
-        let path = std::env::temp_dir().join(format!("swpf_mc_{}.trace", std::process::id()));
-        std::fs::write(&path, &bytes).expect("trace written");
-        let streamed = {
-            let replay = StreamingReplay::open(&path).expect("streaming open");
-            streaming_replay_multicore(&cfg, &replay).expect("streaming replay")
-        };
-        std::fs::remove_file(&path).ok();
-        assert_eq!(replayed.len(), 3);
-        assert_eq!(streamed.len(), 3);
-        for (i, (((d, t), r), s)) in direct
-            .iter()
-            .zip(&traced)
-            .zip(&replayed)
-            .zip(&streamed)
-            .enumerate()
-        {
-            assert_eq!(d.counters(), t.counters(), "recording perturbed core {i}");
-            assert_eq!(d.counters(), r.counters(), "replay diverged on core {i}");
-            assert_eq!(
-                d.counters(),
-                s.counters(),
-                "streaming replay diverged on core {i}"
-            );
+        for cfg in [MachineConfig::haswell(), MachineConfig::a53()] {
+            for n in [1usize, 2, 4] {
+                let direct = run_multicore_image(&cfg, n, &image, f, setup);
+                let mut rec = TraceRecorder::new(n, 0);
+                let traced = run_multicore_image_traced(&cfg, n, &image, f, setup, &mut rec);
+                let bytes = rec.finish().to_bytes();
+                let trace = Trace::from_bytes(&bytes).unwrap();
+
+                // One mark per interpreter step: phi copies retire with
+                // their branch, so there are fewer steps than events.
+                let mut cursor = trace.cursor(0).unwrap();
+                let mut marks = 0u64;
+                while let Some((_, end_of_step)) = cursor.next_event().unwrap() {
+                    marks += u64::from(end_of_step);
+                }
+                assert!(marks > 0 && marks < trace.events(0), "{marks} step marks");
+
+                let replayed = replay_multicore(&cfg, &trace).unwrap();
+                let path = std::env::temp_dir().join(format!(
+                    "swpf_mc_{}_{}_{n}.trace",
+                    std::process::id(),
+                    cfg.name
+                ));
+                std::fs::write(&path, &bytes).expect("trace written");
+                let streamed = {
+                    let replay = StreamingReplay::open(&path).expect("streaming open");
+                    streaming_replay_multicore(&cfg, &replay).expect("streaming replay")
+                };
+                std::fs::remove_file(&path).ok();
+                assert_eq!(replayed.len(), n);
+                assert_eq!(streamed.len(), n);
+                for (i, (((d, t), r), s)) in direct
+                    .iter()
+                    .zip(&traced)
+                    .zip(&replayed)
+                    .zip(&streamed)
+                    .enumerate()
+                {
+                    let at = format!("core {i} of {n} on {}", cfg.name);
+                    assert_eq!(d.counters(), t.counters(), "recording perturbed {at}");
+                    assert_eq!(d.counters(), r.counters(), "replay diverged on {at}");
+                    assert_eq!(
+                        d.counters(),
+                        s.counters(),
+                        "streaming replay diverged on {at}"
+                    );
+                }
+            }
         }
     }
 }

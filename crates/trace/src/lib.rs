@@ -6,8 +6,9 @@
 //! no matter which timing model is attached (the differential and
 //! thread-invariance suites prove it). This crate decouples the two
 //! halves: **record** the event stream once per kernel, then **replay**
-//! it straight into each machine's timing model (`Core::retire` in
-//! `swpf-sim`) with no interpreter in the loop.
+//! it straight into each machine's timing model (`swpf-sim`'s timing
+//! observer hands every `&Event` to `Core::retire`) with no interpreter
+//! in the loop.
 //!
 //! The format is a compact owned binary (see `stream` for the event
 //! grammar, `block` for the v2 block compression, and DESIGN.md §6 for
@@ -418,38 +419,28 @@ impl TraceRecorder {
     }
 }
 
-/// Fans each event out to two observers, in order — the composition that
-/// lets a recording stack on a timing model (record while measuring)
-/// or on any other observer.
-pub struct Tee<'a>(
+/// Fans each event (and each step boundary) out to two observers, in
+/// order — the composition that lets a recording stack on a timing model
+/// (record while measuring) or on any other observer. Generic over both
+/// receivers, so a tee of concrete observers dispatches statically.
+pub struct Tee<'a, A: ?Sized, B: ?Sized>(
     /// First receiver.
-    pub &'a mut dyn ExecObserver,
+    pub &'a mut A,
     /// Second receiver.
-    pub &'a mut dyn ExecObserver,
+    pub &'a mut B,
 );
 
-impl ExecObserver for Tee<'_> {
+impl<A: ExecObserver + ?Sized, B: ExecObserver + ?Sized> ExecObserver for Tee<'_, A, B> {
+    #[inline]
     fn on_event(&mut self, ev: &Event<'_>) {
         self.0.on_event(ev);
         self.1.on_event(ev);
     }
-}
 
-/// Fans each event out to any number of observers, in order — the
-/// N-receiver generalisation of [`Tee`]. This is how one functional
-/// execution (or one trace decode pass) drives every machine of a grid
-/// row at once: the event stream is observer-independent, so each
-/// receiver sees exactly what a dedicated run would have shown it.
-pub struct FanOut<'a>(
-    /// Receivers, notified in order.
-    pub Vec<&'a mut dyn ExecObserver>,
-);
-
-impl ExecObserver for FanOut<'_> {
-    fn on_event(&mut self, ev: &Event<'_>) {
-        for obs in &mut self.0 {
-            obs.on_event(ev);
-        }
+    #[inline]
+    fn end_step(&mut self) {
+        self.0.end_step();
+        self.1.end_step();
     }
 }
 
@@ -464,17 +455,12 @@ impl ExecObserver for FanOut<'_> {
 pub fn record_cursor(
     interp: &mut Interp,
     enc: &mut StreamEncoder,
-    extra: &mut dyn ExecObserver,
+    extra: &mut (impl ExecObserver + ?Sized),
 ) -> Result<Option<RtVal>, Trap> {
+    let mut tee = Tee(enc, extra);
     loop {
-        let step = {
-            let mut tee = Tee(enc, extra);
-            interp.step_cursor(&mut tee)?
-        };
-        enc.end_step();
-        match step {
-            Step::Continue => {}
-            Step::Done(v) => return Ok(v),
+        if let Step::Done(v) = interp.run_steps(u64::MAX, &mut tee)? {
+            return Ok(v);
         }
     }
 }

@@ -163,9 +163,11 @@ fn buf_delta(tmp: &mut [u8; 64], n: &mut usize, d: i64) {
 /// so it can sit directly on the engine or stack on a timing observer
 /// through [`crate::Tee`].
 ///
-/// Call [`StreamEncoder::end_step`] after every interpreter step so the
-/// stream records step boundaries — multicore replay interleaves cores
-/// at step granularity, exactly like direct multicore simulation.
+/// [`StreamEncoder::end_step`] after every interpreter step records the
+/// step boundaries — multicore replay interleaves cores at step
+/// granularity, exactly like direct multicore simulation. The stepping
+/// entry points of `Interp` deliver it through
+/// [`ExecObserver::end_step`]; only hand-pushed events need the call.
 #[derive(Debug)]
 pub struct StreamEncoder {
     payload: Vec<u8>,
@@ -348,8 +350,14 @@ impl StreamEncoder {
 }
 
 impl ExecObserver for StreamEncoder {
+    #[inline]
     fn on_event(&mut self, ev: &Event<'_>) {
         self.push(ev);
+    }
+
+    #[inline]
+    fn end_step(&mut self) {
+        StreamEncoder::end_step(self);
     }
 }
 

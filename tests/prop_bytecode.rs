@@ -1,19 +1,23 @@
 //! Property tests for the bytecode tier.
 //!
-//! Three families:
+//! Four families:
 //! 1. randomly generated kernels (op mix, constants, trip counts drawn
 //!    by proptest) must execute observably identically on the bytecode,
 //!    engine, and classic tiers — results, retired counts, and the full
 //!    retire-event stream;
-//! 2. the fixed-width encoding round-trips: `decode(encode(w)) == w`
+//! 2. batched stepping (`Interp::run_steps(k)`) is `k` single steps:
+//!    same events, step marks, outcomes, retired counts and parked
+//!    cursor, through calls and with the fuel running out mid-batch;
+//! 3. the fixed-width encoding round-trips: `decode(encode(w)) == w`
 //!    for every word of every lowered workload function, and fusion
 //!    rewrites only head opcode bytes;
-//! 3. encodings that do not fit the 14-bit operand fields are rejected
+//! 4. encodings that do not fit the 14-bit operand fields are rejected
 //!    at lowering time (`LowerError`), never reaching dispatch.
 
 use proptest::prelude::*;
+use std::sync::Arc;
 use swpf_ir::bytecode::{decode_word, op, unfuse, BcImage, LowerError};
-use swpf_ir::interp::{Event, ExecObserver, Interp, RtVal, Tier};
+use swpf_ir::interp::{Event, EventKind, ExecObserver, Interp, RtVal, Step, Tier};
 use swpf_ir::prelude::*;
 use swpf_workloads::{suite, Scale};
 
@@ -103,6 +107,146 @@ fn run_tier(tier: Tier, m: &Module) -> (Result<Option<RtVal>, Trap>, u64, Stream
 }
 
 use swpf_ir::interp::Trap;
+
+/// What a stepping observer sees: events, and the step marks between
+/// them.
+#[derive(Debug, PartialEq)]
+enum Seen {
+    Event(u64, u64, u32, EventKind, Vec<u32>),
+    EndStep,
+}
+
+#[derive(Default)]
+struct StepLog(Vec<Seen>);
+
+impl ExecObserver for StepLog {
+    fn on_event(&mut self, ev: &Event<'_>) {
+        self.0.push(Seen::Event(
+            ev.pc,
+            ev.frame,
+            ev.result.0,
+            ev.kind,
+            ev.operands.iter().map(|v| v.0).collect(),
+        ));
+    }
+
+    fn end_step(&mut self) {
+        self.0.push(Seen::EndStep);
+    }
+}
+
+/// One `run_steps` call: its outcome, and `retired()` and the log length
+/// right after it.
+type Call = (Result<Step, Trap>, u64, usize);
+
+/// A random kernel plus a `driver` that calls it twice, so stepping
+/// crosses call and return frames (fresh frame ids each time).
+fn random_kernel_with_calls(ops: &[usize], consts: &[i64], trips: i64) -> Module {
+    let mut m = random_kernel(ops, consts, trips);
+    let kernel = m.find_function("kernel").unwrap();
+    let fid = m.declare_function("driver", &[Type::Ptr, Type::I64], Type::I64);
+    let mut b = FunctionBuilder::new(m.function_mut(fid));
+    let (buf, n) = (b.arg(0), b.arg(1));
+    let first = b.call(kernel, &[buf, n], Some(Type::I64));
+    let second = b.call(kernel, &[buf, n], Some(Type::I64));
+    let sum = b.add(first, second);
+    b.ret(Some(sum));
+    m
+}
+
+/// Drive `driver` to completion in `run_steps(k)` batches (`step_cursor`
+/// for `k == 1`) under a fuel budget; when the budget runs out the run
+/// is refuelled and resumed, so the rest of the log shows where the
+/// cursor was parked.
+fn run_in_batches(tier: Tier, m: &Module, fuel: u64, k: u64) -> (Vec<Call>, Vec<Seen>) {
+    let mut interp = Interp::with_tier(tier);
+    let buf = interp.alloc_array(8, 8).expect("small alloc");
+    let f = m.find_function("driver").unwrap();
+    interp.set_fuel(fuel);
+    interp.start_with_image(
+        Arc::new(ExecImage::build(m)),
+        f,
+        &[RtVal::Int(buf as i64), RtVal::Int(8)],
+    );
+    let mut log = StepLog::default();
+    let mut calls = Vec::new();
+    loop {
+        let outcome = if k == 1 {
+            interp.step_cursor(&mut log)
+        } else {
+            interp.run_steps(k, &mut log)
+        };
+        calls.push((outcome.clone(), interp.retired(), log.0.len()));
+        match outcome {
+            Ok(Step::Continue) => {}
+            Ok(Step::Done(_)) => return (calls, log.0),
+            Err(Trap::OutOfFuel) => interp.set_fuel(u64::MAX),
+            Err(t) => panic!("generated kernels never trap: {t}"),
+        }
+    }
+}
+
+proptest! {
+    // `run_steps(k)` is `k` calls of `step_cursor`: the same events and
+    // step marks, and after every batch the same outcome, retired count
+    // and log position as after the corresponding single step — through
+    // calls and returns, and when the fuel runs out mid-batch (raised at
+    // the same instruction, cursor parked identically). The engine
+    // tier's independent single-step loop must agree with all of it.
+    #[test]
+    fn run_steps_is_k_single_steps(
+        ops in prop::collection::vec(0usize..9, 1..8),
+        consts in prop::collection::vec(-1000i64..1000, 1..4),
+        trips in 0i64..12,
+        fuel in 1u64..600,
+    ) {
+        let m = random_kernel_with_calls(&ops, &consts, trips);
+        swpf_ir::verifier::verify_module(&m).expect("generated kernel verifies");
+        let (engine_steps, engine_log) = run_in_batches(Tier::Engine, &m, fuel, 1);
+        for tier in [Tier::Bytecode, Tier::Engine] {
+            let (steps, log) = run_in_batches(tier, &m, fuel, 1);
+            prop_assert_eq!(&log, &engine_log, "{:?} single steps vs engine", tier);
+            prop_assert_eq!(&steps, &engine_steps, "{:?} single-step outcomes", tier);
+            for k in [7u64, 64, 1000] {
+                let (batches, batched_log) = run_in_batches(tier, &m, fuel, k);
+                prop_assert_eq!(&batched_log, &log, "{:?} k={} log", tier, k);
+                // Walk the single-step record in strides of k; a batch
+                // that stopped early stops where the next non-Continue
+                // single step did.
+                let mut at = 0usize;
+                for batch in &batches {
+                    let stride = steps[at..]
+                        .iter()
+                        .take(k as usize)
+                        .position(|(o, ..)| *o != Ok(Step::Continue))
+                        .map_or(k as usize, |p| p + 1);
+                    at += stride;
+                    prop_assert_eq!(batch, &steps[at - 1], "{:?} k={} after step {}", tier, k, at);
+                }
+                prop_assert_eq!(at, steps.len(), "{:?} k={} covers every step", tier, k);
+            }
+        }
+    }
+}
+
+/// The classic tier re-reads its module on every step, so the
+/// module-free stepping entry points keep refusing it.
+#[test]
+fn run_steps_refuses_the_classic_tier() {
+    let m = random_kernel(&[0], &[1], 2);
+    let f = m.find_function("kernel").unwrap();
+    let mut interp = Interp::with_tier(Tier::Classic);
+    let buf = interp.alloc_array(8, 8).expect("small alloc");
+    interp.start(&m, f, &[RtVal::Int(buf as i64), RtVal::Int(8)]);
+    let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        interp.run_steps(4, &mut swpf_ir::interp::NullObserver)
+    }));
+    assert!(refused.is_err(), "run_steps must panic on a classic cursor");
+    // `step` with the module still works, and reports its step mark.
+    let mut log = StepLog::default();
+    assert_eq!(interp.step(&m, &mut log), Ok(Step::Continue));
+    assert_eq!(log.0.last(), Some(&Seen::EndStep));
+}
 
 proptest! {
     #[test]
