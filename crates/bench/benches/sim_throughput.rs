@@ -29,7 +29,7 @@ use swpf_ir::exec::ExecImage;
 use swpf_ir::interp::{CountingObserver, Interp, NullObserver, Tier};
 use swpf_sim::{
     replay_on_machine, run_multicore, run_on_machine, run_on_machine_image, run_on_machine_traced,
-    run_on_machines_image, streaming_replay_on_machine, MachineConfig,
+    streaming_replay_on_machine, MachineConfig, Sim, Source,
 };
 use swpf_trace::{StreamingReplay, TraceRecorder};
 use swpf_workloads::is::IntegerSort;
@@ -221,16 +221,20 @@ fn fanout(c: &mut Criterion) {
     proto
         .run_with_image(std::sync::Arc::clone(&image), f, &args, &mut counts)
         .unwrap();
-    let setup = |interp: &mut Interp| {
+    let mut setup = |_: usize, interp: &mut Interp| {
         *interp.mem() = proto_mem.clone();
         args.clone()
     };
     let cfgs = MachineConfig::all_systems();
-    let refs: Vec<&MachineConfig> = cfgs.iter().collect();
+    let row = Sim {
+        machines: &cfgs.iter().collect::<Vec<_>>(),
+        cores: 1,
+        tier: Tier::from_env(),
+    };
     let mut group = c.benchmark_group("fanout");
-    group.throughput(Throughput::Elements(refs.len() as u64 * counts.total));
+    group.throughput(Throughput::Elements(cfgs.len() as u64 * counts.total));
     group.bench_function("HJ8_x4", |b| {
-        b.iter(|| black_box(run_on_machines_image(&refs, &image, f, setup, None)));
+        b.iter(|| black_box(row.run(Source::image(&image, f, &mut setup))));
     });
     group.finish();
 }
@@ -334,6 +338,13 @@ fn perf_overhead(c: &mut Criterion) {
         *interp.mem() = proto_mem.clone();
         args.clone()
     };
+    let mut per_core = |_: usize, interp: &mut Interp| setup(interp);
+    // Through the request itself: the wrappers drop the profile.
+    let haswell = Sim {
+        machines: &[&cfg],
+        cores: 1,
+        tier: Tier::from_env(),
+    };
     let mut group = c.benchmark_group("perf");
     group.throughput(Throughput::Elements(insts));
     swpf_sim::perf::set_enabled(false);
@@ -342,17 +353,10 @@ fn perf_overhead(c: &mut Criterion) {
     });
     swpf_sim::perf::set_enabled(true);
     group.bench_function("enabled/IS", |b| {
-        b.iter(|| black_box(swpf_sim::run_on_machine_image_perf(&cfg, &image, f, setup)));
+        b.iter(|| black_box(haswell.run(Source::image(&image, f, &mut per_core))));
     });
     group.bench_function("enabled_manual/IS", |b| {
-        b.iter(|| {
-            black_box(swpf_sim::run_on_machine_image_perf(
-                &cfg,
-                &manual_image,
-                manual_f,
-                setup,
-            ))
-        });
+        b.iter(|| black_box(haswell.run(Source::image(&manual_image, manual_f, &mut per_core))));
     });
     swpf_sim::perf::set_enabled(false);
     group.finish();

@@ -8,10 +8,9 @@
 //!
 //! `--only <name>` / `--skip <name>` filter the catalogue (repeatable,
 //! or comma-separated), so smoke jobs can run one experiment instead of
-//! re-running everything: CI's `ablation-smoke` job is
-//! `--only ablation`. The searched experiments — `tune` and
-//! `pipeline_search` — are not in the default set (each has its own
-//! binary), but `--only tune` / `--only pipeline_search` run them here.
+//! re-running everything: CI's `searched-smoke` job is
+//! `--only tune,pipeline_search`. Those two searched experiments are
+//! not in the default set; `--only` is how they run.
 //! `--list` prints the experiment catalogue, the filter syntax, the
 //! machine models, and the workloads, without running anything.
 //!

@@ -18,12 +18,11 @@
 #![allow(clippy::cast_precision_loss)]
 
 use std::collections::HashMap;
-use std::sync::Arc;
 use swpf_bench::{auto_module, scale_from_env_or_exit};
 use swpf_core::PassConfig;
-use swpf_ir::exec::ExecImage;
+use swpf_ir::interp::Tier;
 use swpf_ir::printer::print_function_lines;
-use swpf_sim::{MachineConfig, SiteProfile, StallStat};
+use swpf_sim::{MachineConfig, Sim, SiteProfile, Source, StallStat};
 
 /// Percentage of `part` in `total` (0 when `total` is 0).
 fn pct(part: u64, total: u64) -> f64 {
@@ -92,11 +91,15 @@ fn main() {
     };
 
     swpf_sim::perf::set_enabled(true);
-    let func = module
-        .find_function("kernel")
-        .expect("workload kernels are named `kernel`");
-    let image = Arc::new(ExecImage::build(&module));
-    let run = swpf_sim::run_on_machine_image_perf(&machine, &image, func, |i| w.setup(i));
+    let sim = Sim {
+        machines: &[&machine],
+        cores: 1,
+        tier: Tier::from_env(),
+    };
+    let run = Source::module(&module, "kernel", &mut |_, i| w.setup(i))
+        .and_then(|source| sim.run(source))
+        .unwrap_or_else(|e| panic!("{wname}/{vname} on {mname}: {e}"))
+        .remove(0);
     let profile = run.perf.as_ref().expect("profiling was just enabled");
     let stats = &run.stats;
 

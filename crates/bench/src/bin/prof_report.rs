@@ -10,7 +10,7 @@
 //! table here and the timeline there always describe the same capture.
 //!
 //! ```sh
-//! SWPF_PROFILE=prof.json cargo run --release -p swpf-bench --bin fig4
+//! SWPF_PROFILE=prof.json cargo run --release -p swpf-bench --bin all -- --only fig4
 //! cargo run --release -p swpf-bench --bin prof_report -- prof.json
 //! ```
 

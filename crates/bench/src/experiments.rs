@@ -1,10 +1,14 @@
-//! The nine figure/table experiments as declarative specs.
+//! The paper's nine figure/table experiments — and the studies built
+//! on the same harness — as declarative specs.
 //!
 //! Each experiment is an [`Experiment`]: the machine × workload ×
 //! variant grid the harness executes, a derivation turning raw cells
 //! into the figure's table(s), and shape checks asserting the paper's
-//! qualitative claims. The per-figure binaries (`--bin fig4` etc.) are
-//! one-line wrappers over [`by_name`]; `--bin all` runs the whole list.
+//! qualitative claims. There is one driver: `--bin all` runs the
+//! default list, `--bin all -- --only fig4` (or `fig4,fig9`) runs the
+//! named ones through [`by_name`], and `--list` prints the catalogue.
+//! What each figure shows, with the paper's own numbers, is documented
+//! on its spec function below.
 //!
 //! Shape checks come in two strengths: claims that hold even on the
 //! tiny `Scale::Test` inputs run at every scale (CI runs them on every
@@ -40,12 +44,11 @@ pub const ALL_NAMES: [&str; 12] = [
 ];
 
 /// The complete experiment catalogue: the grid experiments plus the
-/// searched experiments — `tune` (run by `--bin tune` through
-/// [`crate::tune::run_tune`], or by `--bin all -- --only tune`) and
-/// `pipeline_search` (run by `--bin pipeline_search` through
-/// [`crate::pipeline_search::run_search`], or by
-/// `--only pipeline_search`). This is what `--bin all -- --list`
-/// enumerates.
+/// searched experiments — `tune` (`--bin all -- --only tune`, through
+/// [`crate::tune::run_tune`]) and `pipeline_search`
+/// (`--only pipeline_search`, through
+/// [`crate::pipeline_search::run_search`]). This is what
+/// `--bin all -- --list` enumerates.
 pub const EXPERIMENTS: [&str; 14] = [
     "table1",
     "fig2",
@@ -162,6 +165,7 @@ fn in_order_names(res: &ExperimentResult) -> Vec<&'static str> {
 
 // ---- Table 1 ------------------------------------------------------------
 
+/// Table 1 — the four evaluated system configurations (scaled models).
 fn table1(scale: Scale) -> Experiment {
     Experiment {
         spec: ExperimentSpec {
@@ -233,6 +237,18 @@ fn table1(scale: Scale) -> Experiment {
 
 // ---- Fig. 2 -------------------------------------------------------------
 
+/// Fig. 2 — software-prefetch scheme quality on Integer Sort.
+///
+/// Reproduces the paper's motivating measurement: the *intuitive* single
+/// indirect prefetch leaves performance on the table, offsets that are
+/// too small fetch too late, offsets that are too large pollute the
+/// cache, and only the staggered pair at a good distance reaches full
+/// speedup (paper, Haswell: 1.08× intuitive vs. 1.30× optimal).
+///
+/// The paper shows Haswell only; we print every machine because on our
+/// scaled model the cost of the unprefetched look-ahead load (the thing
+/// the intuitive scheme forgets) shows most clearly on the in-order
+/// cores, which stall on its L2 hits.
 fn fig2(scale: Scale) -> Experiment {
     Experiment {
         spec: ExperimentSpec {
@@ -325,6 +341,9 @@ fn fig4_filter(m: &MachineConfig, _w: WorkloadId, v: &Variant) -> bool {
     !matches!(v, Variant::Icc) || m.name == "xeon_phi"
 }
 
+/// Fig. 4 — speedup of autogenerated and best-manual software prefetches
+/// over the no-prefetch baseline, on all four systems; the Xeon Phi
+/// additionally shows the ICC-like stride-indirect baseline pass.
 fn fig4(scale: Scale) -> Experiment {
     Experiment {
         spec: ExperimentSpec {
@@ -413,6 +432,12 @@ fn fig4(scale: Scale) -> Experiment {
 
 // ---- Fig. 5 -------------------------------------------------------------
 
+/// Fig. 5 — the value of the staggered stride companion prefetch.
+///
+/// Even with a hardware stride prefetcher, prefetching only the indirect
+/// access leaves a real look-ahead load (`b[i+off]`) on the critical
+/// path; adding the staggered stride prefetch for the look-ahead array
+/// itself wins across the board (paper §6.1, Haswell).
 fn fig5(scale: Scale) -> Experiment {
     Experiment {
         spec: ExperimentSpec {
@@ -462,6 +487,12 @@ fn fig5(scale: Scale) -> Experiment {
 
 // ---- Fig. 6 -------------------------------------------------------------
 
+/// Fig. 6 — speedup vs. look-ahead distance `c` for IS, CG, RA and HJ-2
+/// on all four systems (manual insertion, as in the paper §6.2).
+///
+/// The paper's finding: the best look-ahead is surprisingly consistent —
+/// `c = 64` is near-optimal everywhere, being too late costs more than
+/// being too early, so `c` can be set generously.
 fn fig6(scale: Scale) -> Experiment {
     let mut variants = vec![Variant::baseline()];
     variants.extend(
@@ -543,6 +574,13 @@ fn fig6(scale: Scale) -> Experiment {
 
 // ---- Fig. 7 -------------------------------------------------------------
 
+/// Fig. 7 — HJ-8 prefetch stagger depth: how many of the four dependent
+/// irregular accesses (bucket + three chain nodes) to prefetch.
+///
+/// Prefetching deeper costs O(n²) address-generation code: each deeper
+/// prefetch must re-walk the chain with real loads. The paper finds
+/// depth 3 optimal on every system — the last node's prefetch costs more
+/// than it saves.
 fn fig7(scale: Scale) -> Experiment {
     let mut variants = vec![Variant::baseline()];
     variants.extend((1..=4).map(|depth| {
@@ -610,6 +648,11 @@ fn fig7(scale: Scale) -> Experiment {
 
 // ---- Fig. 8 -------------------------------------------------------------
 
+/// Fig. 8 — percentage increase in dynamic instruction count from adding
+/// software prefetches (Haswell, best scheme per benchmark).
+///
+/// The paper reports 40–80% more instructions for most benchmarks —
+/// the cost side of the trade the rest of the evaluation quantifies.
 fn fig8(scale: Scale) -> Experiment {
     Experiment {
         spec: ExperimentSpec {
@@ -670,6 +713,12 @@ fn fig8(scale: Scale) -> Experiment {
 
 // ---- Fig. 9 -------------------------------------------------------------
 
+/// Fig. 9 — IS throughput on Haswell with 1, 2 and 4 cores, with and
+/// without prefetching, each core running its own copy of the benchmark.
+///
+/// Normalised throughput is (copies completed per unit time) relative to
+/// one copy on one core without prefetching. The paper's point: the
+/// shared memory system saturates — yet software prefetching still wins.
 fn fig9(scale: Scale) -> Experiment {
     let mut variants = Vec::new();
     for &cores in &FIG9_CORES {
@@ -758,6 +807,14 @@ fn fig9(scale: Scale) -> Experiment {
 
 // ---- Fig. 10 ------------------------------------------------------------
 
+/// Fig. 10 — prefetch speedup with 4 KiB vs. 2 MiB (transparent huge)
+/// pages on Haswell, for the TLB-sensitive benchmarks IS, RA and HJ-2.
+///
+/// Each bar is normalised to *no prefetching under the same page
+/// policy*. With small pages, software prefetching also warms the TLB
+/// (a side benefit); with huge pages that benefit disappears for IS/RA
+/// but page-table-bound HJ-2 keeps more headroom for the prefetch
+/// itself (paper §6.2).
 fn fig10(scale: Scale) -> Experiment {
     Experiment {
         spec: ExperimentSpec {
@@ -1745,7 +1802,11 @@ fn prefetch_profile(scale: Scale) -> Experiment {
 /// the exhaustive oracle. Tuning targets the in-order systems — the
 /// machines that cannot hide indirect misses themselves, where the
 /// distance actually decides the outcome — over the Fig. 6 sweep
-/// workloads.
+/// workloads. Three strategies run per cell: the exhaustive oracle,
+/// golden-section bracketing over the unimodal distance curve, and
+/// budgeted hill-climbing. Each candidate is compiled once and
+/// interpreted once, its event stream fanned out to every machine, so
+/// search cost scales with candidates, not candidates × machines.
 #[must_use]
 pub fn tune(scale: Scale) -> crate::tune::TuneExperiment {
     crate::tune::TuneExperiment {
@@ -1765,7 +1826,9 @@ pub fn tune(scale: Scale) -> crate::tune::TuneExperiment {
 /// pipeline (bare `swpf`) and the full heuristic pipeline
 /// (`swpf,gvn,sccp,licm,cse,dce`). All machine models participate: the
 /// pipeline decides static code quality, which every core model pays
-/// for differently.
+/// for differently. Two strategies run per cell: the exhaustive oracle
+/// over the curated candidate set and a budgeted hill-climb along the
+/// probe order.
 #[must_use]
 pub fn pipeline_search(scale: Scale) -> crate::pipeline_search::PipelineSearchExperiment {
     crate::pipeline_search::PipelineSearchExperiment {
@@ -1797,8 +1860,7 @@ pub fn print_catalog() {
          comma-separated (e.g. `--only ablation` or `--only fig4,fig9,tune`)\n  \
          --skip <name>   run the default set without the named experiment(s)\n  \
          (default set: every experiment above except the searched `tune` and\n  \
-         `pipeline_search`, which have their own binaries; `--only tune` or\n  \
-         `--only pipeline_search` includes them here)"
+         `pipeline_search`; `--only tune` or `--only pipeline_search` runs them)"
     );
     println!(
         "\nprofiling:\n  \

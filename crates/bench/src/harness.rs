@@ -21,13 +21,15 @@
 //! and fanned out the same way with no interpreter in the loop at all.
 //! Either way each cell's statistics are bit-identical to a dedicated
 //! direct simulation (see [`TracePolicy`]; `--no-trace` opts out).
-//! Multicore cells record and replay per machine instead — their
-//! interleaving schedule is timing-dependent, so they cannot share one
-//! fused pass.
+//! Multicore cells record on the group's first machine and replay on
+//! the rest instead — their interleaving schedule is timing-dependent,
+//! so they cannot share one fused pass. Every arm is the same call: one
+//! row of cells through one [`swpf_sim::Sim`] request, differing only
+//! in the [`swpf_sim::Source`] the events come from.
 //!
 //! Each run emits:
-//! * the human-readable table (what the original per-figure binaries
-//!   printed), rendered from derived [`TableSection`]s, and
+//! * the human-readable table of the paper's figure, rendered from
+//!   derived [`TableSection`]s, and
 //! * a machine-readable JSON artifact `RESULTS/<name>.json` — spec,
 //!   per-cell [`SimStats`] counters, trace hits/misses, derived tables,
 //!   shape-check verdicts, and wall-clock metadata — so CI can diff the
@@ -48,14 +50,9 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 use swpf_core::{ParamValue, PassConfig};
 use swpf_ir::exec::ExecImage;
-use swpf_ir::interp::Tier;
+use swpf_ir::interp::{Interp, Tier};
 use swpf_ir::FuncId;
-use swpf_sim::{
-    replay_multicore_perf, replay_on_machine_perf, replay_on_machines_perf,
-    run_multicore_image_perf, run_multicore_image_traced_perf, run_on_machine_image_tier_perf,
-    run_on_machines_image_perf, streaming_replay_multicore_perf, streaming_replay_on_machines_perf,
-    MachineConfig, PcProfile, SimRun, SimStats,
-};
+use swpf_sim::{MachineConfig, PcProfile, Sim, SimStats, Source};
 use swpf_trace::{fnv64, StreamingReplay, Trace, TraceRecorder};
 use swpf_workloads::{KernelVariant, Scale, Workload, WorkloadId};
 
@@ -723,29 +720,29 @@ fn run_group(
     group: &[usize],
     opts: &RunOptions,
 ) -> Vec<(usize, CellResult)> {
-    let policy = &opts.trace;
-    let mut out = Vec::with_capacity(group.len());
-    if *policy == TracePolicy::Off {
-        for &ji in group {
-            out.push((
-                ji,
-                run_job_direct(spec, workloads, modules, jobs[ji], opts.tier),
-            ));
-        }
-        return out;
-    }
-
     let first = jobs[group[0]];
     let variant = &spec.variants[first.variant];
     let w = workloads[first.workload].as_ref();
     let prepared = &modules[&(first.workload, variant.module_key())];
-    let fingerprint = kernel_fingerprint(
-        w.name(),
-        spec.scale,
-        variant.core_count(),
-        prepared.text_hash,
-    );
-    let cache_path = match policy {
+    let cores = variant.core_count();
+    let run = |row: &[usize], source: Source<'_>| {
+        run_row(spec, jobs, w.name(), cores, opts.tier, row, source)
+    };
+    let mut setup = |_: usize, interp: &mut Interp| w.setup(interp);
+
+    if opts.trace == TracePolicy::Off {
+        // No fusion either: every cell pays its own interpretation.
+        return group
+            .iter()
+            .flat_map(|&ji| {
+                let source = Source::image(&prepared.image, prepared.func, &mut setup);
+                run(&[ji], source)
+            })
+            .collect();
+    }
+
+    let fingerprint = kernel_fingerprint(w.name(), spec.scale, cores, prepared.text_hash);
+    let cache_path = match &opts.trace {
         TracePolicy::Dir(dir) => Some(trace_cache_path(
             dir,
             spec.scale,
@@ -780,125 +777,105 @@ fn run_group(
             swpf_obs::count("trace.disk_miss", 1);
         }
     }
-
-    // Multicore cells interleave their per-core streams on a schedule
-    // that depends on the machine's timing, so they cannot share one
-    // fused pass; the group's first cell records (with step boundaries)
-    // and the rest replay the trace.
-    if matches!(variant, Variant::Multicore { .. }) {
-        if let Some(replay) = &streamed {
-            for &ji in group {
-                out.push((
-                    ji,
-                    run_job_replay_streaming(spec, workloads, jobs[ji], replay, opts.tier),
-                ));
-            }
-            return out;
-        }
-        let mut remaining = group.iter();
-        let trace = match cached {
-            Some(trace) => trace,
-            None if group.len() == 1 && cache_path.is_none() => {
-                // Nothing would ever replay the recording: skip it.
-                let &ji = remaining.next().expect("groups are non-empty");
-                out.push((
-                    ji,
-                    run_job_direct(spec, workloads, modules, jobs[ji], opts.tier),
-                ));
-                return out;
-            }
-            None => {
-                let &ji = remaining.next().expect("groups are non-empty");
-                let (cell, trace) =
-                    run_job_traced(spec, workloads, modules, jobs[ji], fingerprint, opts.tier);
-                out.push((ji, cell));
-                if let Some(path) = &cache_path {
-                    store_trace(path, &trace, opts.trace_cap);
-                }
-                trace
-            }
-        };
-        for &ji in remaining {
-            out.push((
-                ji,
-                run_job_replay(spec, workloads, jobs[ji], &trace, opts.tier),
-            ));
-        }
-        return out;
+    if let Some(replay) = &streamed {
+        return run(group, Source::Stream(replay));
+    }
+    if let Some(trace) = &cached {
+        return run(group, Source::Trace(trace));
     }
 
-    // Single-core cells: one event stream serves the whole group at
-    // once. Cold, the interpreter runs a single time with its events
-    // fanned out to every machine's timing model (plus the encoder when
-    // persisting); warm, the cached trace is decoded once and fanned
-    // out the same way. Either way each kernel is interpreted at most
-    // once per run, and the event stream crosses the host caches once
-    // per group, not once per cell.
-    let configs: Vec<&MachineConfig> = group
+    // Cold. One event stream serves a whole single-core group at once:
+    // the interpreter runs a single time with its events fanned out to
+    // every machine's timing model, so the stream crosses the host
+    // caches once per group, not once per cell. Multicore cells
+    // interleave their per-core streams on a schedule that depends on
+    // the machine's timing, so they cannot share one fused pass: the
+    // group's first cell interprets, recording step boundaries, and the
+    // rest replay its trace. Either way each kernel is interpreted once
+    // per run — and recorded only if something will read the recording.
+    let (head, tail) = group.split_at(if cores == 1 { group.len() } else { 1 });
+    let mut recorder =
+        (cache_path.is_some() || !tail.is_empty()).then(|| TraceRecorder::new(cores, fingerprint));
+    let mut out = run(
+        head,
+        Source::Image {
+            image: Arc::clone(&prepared.image),
+            func: prepared.func,
+            setup: &mut setup,
+            record: recorder.as_mut().map(TraceRecorder::streams),
+        },
+    );
+    if let Some(recorder) = recorder {
+        let trace = recorder.finish();
+        if let Some(path) = &cache_path {
+            store_trace(path, &trace, opts.trace_cap);
+        }
+        if !tail.is_empty() {
+            out.extend(run(tail, Source::Trace(&trace)));
+        }
+    }
+    out
+}
+
+/// Run one row of a trace group — cells that differ only in their
+/// machine — through one simulation request, and label the results.
+/// The span is named after where the events come from, and a cell
+/// counts as `replayed` unless it is the one that paid for an
+/// interpretation. `wall_ms` covers the simulation only (persisting a
+/// recording is cache upkeep, not cell cost), shared evenly by the row.
+fn run_row(
+    spec: &ExperimentSpec,
+    jobs: &[SimJob],
+    workload: &'static str,
+    cores: usize,
+    tier: Tier,
+    row: &[usize],
+    source: Source<'_>,
+) -> Vec<(usize, CellResult)> {
+    let (span, from_trace) = match source {
+        Source::Image { .. } => ("interpret", false),
+        Source::Trace(_) => ("replay", true),
+        Source::Stream(_) => ("stream_replay", true),
+    };
+    let machines: Vec<&MachineConfig> = row
         .iter()
         .map(|&ji| &spec.machines[jobs[ji].machine])
         .collect();
-    let mut recorded: Option<TraceRecorder> = None;
-    let t0 = Instant::now();
-    let (runs, from_trace) = match (&streamed, cached) {
-        (Some(replay), _) => {
-            let _span = swpf_obs::span("stream_replay");
-            (
-                streaming_replay_on_machines_perf(&configs, replay)
-                    .unwrap_or_else(|e| panic!("batched streaming replay failed: {e}")),
-                true,
-            )
-        }
-        (None, Some(trace)) => {
-            let _span = swpf_obs::span("replay");
-            (
-                replay_on_machines_perf(&configs, &trace)
-                    .unwrap_or_else(|e| panic!("batched trace replay failed: {e}")),
-                true,
-            )
-        }
-        (None, None) => {
-            let _span = swpf_obs::span("interpret");
-            let mut recorder = cache_path
-                .as_ref()
-                .map(|_| TraceRecorder::new(1, fingerprint));
-            let runs = run_on_machines_image_perf(
-                &configs,
-                &prepared.image,
-                prepared.func,
-                opts.tier,
-                |interp| w.setup(interp),
-                recorder.as_mut().map(|r| r.stream(0)),
-            );
-            recorded = recorder;
-            (runs, false)
-        }
+    let sim = Sim {
+        machines: &machines,
+        cores,
+        tier,
     };
-    // wall_ms covers the simulation only; persisting the trace (below)
-    // is cache upkeep, not cell cost.
-    let wall_each = t0.elapsed().as_secs_f64() * 1e3 / group.len() as f64;
-    if let (Some(path), Some(recorder)) = (&cache_path, recorded) {
-        store_trace(path, &recorder.finish(), opts.trace_cap);
-    }
-    for (k, (&ji, run)) in group.iter().zip(runs).enumerate() {
-        let job = jobs[ji];
-        let (cores, perf) = split_runs(vec![run]);
-        out.push((
-            ji,
-            CellResult {
-                machine: spec.machines[job.machine].name,
-                workload: w.name(),
-                variant: spec.variants[job.variant].label(),
+    let t0 = Instant::now();
+    let runs = {
+        let _span = swpf_obs::span(span);
+        sim.run(source)
+            .unwrap_or_else(|e| panic!("{workload}: {e}"))
+    };
+    let wall_ms = t0.elapsed().as_secs_f64() * 1e3 / row.len() as f64;
+    let mut runs = runs.into_iter();
+    row.iter()
+        .enumerate()
+        .map(|(k, &ji)| {
+            let variant = &spec.variants[jobs[ji].variant];
+            // Profiles are present for all cores or none (enablement is
+            // per run, not per core).
+            let (cores, perf): (Vec<SimStats>, Vec<Option<PcProfile>>) =
+                runs.by_ref().take(cores).map(|r| (r.stats, r.perf)).unzip();
+            let cell = CellResult {
+                machine: machines[k].name,
+                workload,
+                variant: variant.label(),
                 cores,
-                wall_ms: wall_each,
+                wall_ms,
                 replayed: from_trace || k > 0,
-                params: spec.variants[job.variant].pass_params(),
-                tier: opts.tier.label(),
-                perf,
-            },
-        ));
-    }
-    out
+                params: variant.pass_params(),
+                tier: tier.label(),
+                perf: perf.into_iter().flatten().collect(),
+            };
+            (ji, cell)
+        })
+        .collect()
 }
 
 /// Mark a cache file recently used, so size-capped eviction (see
@@ -1004,150 +981,6 @@ fn evict_lru(dir: &Path, cap: u64, keep: &Path) {
     }
 }
 
-/// Split per-core simulation results into the stats vector and the
-/// profile vector [`CellResult`] stores — profiles are present for all
-/// cores or none (enablement is per run, not per core).
-fn split_runs(runs: Vec<SimRun>) -> (Vec<SimStats>, Vec<PcProfile>) {
-    let mut cores = Vec::with_capacity(runs.len());
-    let mut perf = Vec::new();
-    for r in runs {
-        cores.push(r.stats);
-        perf.extend(r.perf);
-    }
-    (cores, perf)
-}
-
-/// Shared cell bookkeeping: label the result and time the simulation.
-fn make_cell(
-    machine: &MachineConfig,
-    w: &dyn Workload,
-    variant: &Variant,
-    replayed: bool,
-    tier: Tier,
-    body: impl FnOnce() -> Vec<SimRun>,
-) -> CellResult {
-    let t0 = Instant::now();
-    let (cores, perf) = split_runs(body());
-    CellResult {
-        machine: machine.name,
-        workload: w.name(),
-        variant: variant.label(),
-        cores,
-        wall_ms: t0.elapsed().as_secs_f64() * 1e3,
-        replayed,
-        params: variant.pass_params(),
-        tier: tier.label(),
-        perf,
-    }
-}
-
-fn run_job_direct(
-    spec: &ExperimentSpec,
-    workloads: &[Box<dyn Workload>],
-    modules: &HashMap<(usize, String), PreparedModule>,
-    job: SimJob,
-    tier: Tier,
-) -> CellResult {
-    let variant = &spec.variants[job.variant];
-    let machine = &spec.machines[job.machine];
-    let w = workloads[job.workload].as_ref();
-    let prepared = &modules[&(job.workload, variant.module_key())];
-    let _span = swpf_obs::span("interpret");
-    make_cell(machine, w, variant, false, tier, || match variant {
-        Variant::Multicore { cores, .. } => run_multicore_image_perf(
-            machine,
-            *cores,
-            &prepared.image,
-            prepared.func,
-            tier,
-            |_, interp| w.setup(interp),
-        ),
-        _ => vec![run_on_machine_image_tier_perf(
-            machine,
-            &prepared.image,
-            prepared.func,
-            tier,
-            |interp| w.setup(interp),
-        )],
-    })
-}
-
-/// Direct multicore simulation that records every core's stream (with
-/// step boundaries) as it runs; the measured stats are identical to an
-/// untraced run. Single-core cells record through the fused group pass
-/// ([`run_on_machines_image`]) instead.
-fn run_job_traced(
-    spec: &ExperimentSpec,
-    workloads: &[Box<dyn Workload>],
-    modules: &HashMap<(usize, String), PreparedModule>,
-    job: SimJob,
-    fingerprint: u64,
-    tier: Tier,
-) -> (CellResult, Trace) {
-    let variant = &spec.variants[job.variant];
-    let Variant::Multicore { cores, .. } = variant else {
-        unreachable!("single-core cells record via the fused group pass")
-    };
-    let machine = &spec.machines[job.machine];
-    let w = workloads[job.workload].as_ref();
-    let prepared = &modules[&(job.workload, variant.module_key())];
-    let _span = swpf_obs::span("interpret");
-    let mut recorder = TraceRecorder::new(*cores, fingerprint);
-    let cell = make_cell(machine, w, variant, false, tier, || {
-        run_multicore_image_traced_perf(
-            machine,
-            *cores,
-            &prepared.image,
-            prepared.func,
-            tier,
-            |_, interp| w.setup(interp),
-            &mut recorder,
-        )
-    });
-    (cell, recorder.finish())
-}
-
-/// Replay a persisted trace file on this cell's machine block-at-a-time
-/// — no interpreter, no materialised payload.
-fn run_job_replay_streaming(
-    spec: &ExperimentSpec,
-    workloads: &[Box<dyn Workload>],
-    job: SimJob,
-    replay: &StreamingReplay,
-    tier: Tier,
-) -> CellResult {
-    let variant = &spec.variants[job.variant];
-    let machine = &spec.machines[job.machine];
-    let w = workloads[job.workload].as_ref();
-    let _span = swpf_obs::span("stream_replay");
-    make_cell(machine, w, variant, true, tier, || match variant {
-        Variant::Multicore { .. } => streaming_replay_multicore_perf(machine, replay)
-            .unwrap_or_else(|e| panic!("multicore streaming replay failed: {e}")),
-        _ => streaming_replay_on_machines_perf(&[machine], replay)
-            .unwrap_or_else(|e| panic!("streaming replay failed: {e}")),
-    })
-}
-
-/// Replay a recorded trace on this cell's machine — no interpreter in
-/// the loop.
-fn run_job_replay(
-    spec: &ExperimentSpec,
-    workloads: &[Box<dyn Workload>],
-    job: SimJob,
-    trace: &Trace,
-    tier: Tier,
-) -> CellResult {
-    let variant = &spec.variants[job.variant];
-    let machine = &spec.machines[job.machine];
-    let w = workloads[job.workload].as_ref();
-    let _span = swpf_obs::span("replay");
-    make_cell(machine, w, variant, true, tier, || match variant {
-        Variant::Multicore { .. } => replay_multicore_perf(machine, trace)
-            .unwrap_or_else(|e| panic!("multicore trace replay failed: {e}")),
-        _ => vec![replay_on_machine_perf(machine, trace)],
-    })
-}
-
 /// Structural shape checks every experiment gets for free: the grid is
 /// complete, every simulated cell retired work, and no derived value is
 /// non-finite or negative.
@@ -1200,8 +1033,8 @@ pub fn column_geomean(section: &TableSection, column: &str) -> f64 {
     geomean(&vals)
 }
 
-/// Render sections the way the original per-figure binaries printed
-/// their tables: the name column grows to the longest row name, and
+/// Render sections as the paper lays its tables out: the name column
+/// grows to the longest row name, and
 /// whole-number values (Table 1's capacities and widths) print without
 /// a fractional part.
 pub fn print_sections(sections: &[TableSection]) {
@@ -1756,28 +1589,6 @@ fn parse_size(s: &str) -> Option<u64> {
         _ => (s, 0),
     };
     digits.parse::<u64>().ok()?.checked_shl(shift)
-}
-
-/// Entry point for the per-figure binaries: run the named experiment at
-/// the `SWPF_SCALE` scale and exit non-zero on shape-check failure.
-///
-/// # Panics
-/// If `name` is not a known experiment.
-#[must_use]
-pub fn cli_main(name: &str) -> std::process::ExitCode {
-    let opts = cli_options();
-    let profile = init_profiling(&opts);
-    let exp = crate::experiments::by_name(name, opts.scale)
-        .unwrap_or_else(|| panic!("unknown experiment `{name}`"));
-    let (_, checks) = run_and_report(&exp, &opts.run, &opts.out_dir);
-    if let Some(path) = profile {
-        finish_profiling(&path);
-    }
-    if checks.iter().all(|c| c.passed) {
-        std::process::ExitCode::SUCCESS
-    } else {
-        std::process::ExitCode::FAILURE
-    }
 }
 
 #[cfg(test)]

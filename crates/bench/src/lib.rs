@@ -1,8 +1,9 @@
 //! # swpf-bench — reproduction harnesses for every table and figure
 //!
-//! One binary per experiment (see DESIGN.md §5 for the index):
+//! One driver, `--bin all`, runs every experiment (see DESIGN.md §5 for
+//! the index); `--only NAME[,NAME]` picks from the catalogue:
 //!
-//! | target | paper artefact |
+//! | `--only` | paper artefact |
 //! |--------|----------------|
 //! | `table1` | Table 1 — system setup |
 //! | `fig2`  | Fig. 2 — naive vs. mis-scheduled vs. optimal IS prefetches |
@@ -13,18 +14,22 @@
 //! | `fig8`  | Fig. 8 — dynamic instruction overhead |
 //! | `fig9`  | Fig. 9 — IS multicore throughput |
 //! | `fig10` | Fig. 10 — small vs. huge pages |
-//! | `ablation` | pass-pipeline ablation — static cleanup × speedup (via `--bin all -- --only ablation`) |
+//! | `ablation` | pass-pipeline ablation — static cleanup × speedup |
+//! | `tune`, `pipeline_search` | the searched experiments (not in the default set) |
 //!
-//! Every binary is a thin wrapper over the shared [`harness`]: the grid
-//! is declared in [`experiments`], executed on a pool of host threads,
-//! printed as a table, and serialised to `RESULTS/<name>.json`.
-//! `--bin all` runs the full suite and fails on shape-check violations;
+//! The grids are declared in [`experiments`] and executed by the shared
+//! [`harness`] on a pool of host threads — every cell one
+//! [`swpf_sim::Sim`] request — printed as tables, and serialised to
+//! `RESULTS/<name>.json`; the run fails on shape-check violations.
 //! `--bin trace_eq` is the replay-equivalence gate (every experiment,
-//! direct vs. record/replay, counters must match bit-for-bit).
+//! direct vs. record/replay, counters must match bit-for-bit). The
+//! other binaries are provenance and reporting tools: `bench_gate`
+//! (BENCH_*.json gates), `pass_probe` (BENCH_pass.json), `mine_pairs`
+//! (the bytecode tier's fusion table), `perf_annotate`, `prof_report`.
 //!
-//! Run with `cargo run --release -p swpf-bench --bin figN`. Set
-//! `SWPF_SCALE=test` for a fast smoke run with tiny inputs (shapes are
-//! noisier but the harness logic is identical); `--threads N` /
+//! Run with `cargo run --release -p swpf-bench --bin all -- --only figN`.
+//! Set `SWPF_SCALE=test` for a fast smoke run with tiny inputs (shapes
+//! are noisier but the harness logic is identical); `--threads N` /
 //! `SWPF_THREADS` bound the worker pool, `--out DIR` moves the
 //! artifact directory. Trace record/replay is on by default (each
 //! distinct kernel is interpreted once per grid and replayed for every
@@ -40,7 +45,6 @@ pub mod tune;
 
 use swpf_core::PassConfig;
 use swpf_ir::Module;
-use swpf_sim::{run_on_machine, MachineConfig, SimStats};
 use swpf_workloads::{Scale, Workload};
 
 /// Scale selected by the `SWPF_SCALE` environment variable: `test` →
@@ -65,12 +69,6 @@ pub fn scale_from_env_or_exit() -> Scale {
         eprintln!("error: {e}");
         std::process::exit(2)
     })
-}
-
-/// Simulate `module`'s `kernel` on `cfg` with `w`'s data.
-#[must_use]
-pub fn simulate(cfg: &MachineConfig, w: &dyn Workload, module: &Module) -> SimStats {
-    run_on_machine(cfg, module, "kernel", |interp| w.setup(interp))
 }
 
 /// The workload's baseline module with the automatic pass applied.
@@ -102,15 +100,6 @@ pub fn geomean(xs: &[f64]) -> f64 {
     }
     let log_sum: f64 = xs.iter().map(|x| x.max(1e-12).ln()).sum();
     (log_sum / xs.len() as f64).exp()
-}
-
-/// Print a markdown-ish table row.
-pub fn print_row(name: &str, values: &[f64]) {
-    print!("{name:<10}");
-    for v in values {
-        print!(" {v:>8.2}");
-    }
-    println!();
 }
 
 #[cfg(test)]

@@ -1,5 +1,6 @@
-//! The experiment binaries' command line: a malformed invocation is one
-//! `error:` line plus the usage and exit status 2, never a panic.
+//! The `all` driver's command line: a malformed invocation is one
+//! `error:` line plus the usage and exit status 2, never a panic, and
+//! the trace policy flags never change a counter.
 
 use std::process::{Command, Output};
 
@@ -57,4 +58,46 @@ fn help_prints_usage_and_exits_0() {
     assert!(stdout.starts_with("usage: all "), "{stdout}");
     assert_eq!(stdout.lines().count(), 1, "help runs nothing: {stdout}");
     assert!(out.stderr.is_empty());
+}
+
+/// Every cell's per-core counters of a `fig9` run under `flags`, in
+/// artifact order, as `(machine, variant, cores)` JSON text.
+fn fig9_counters(flags: &[&str]) -> Vec<String> {
+    let out_dir = std::env::temp_dir().join(format!(
+        "swpf_cli_{}_fig9{}",
+        std::process::id(),
+        flags.concat()
+    ));
+    let mut args = vec!["--only", "fig9", "--threads", "1", "--out"];
+    args.push(out_dir.to_str().expect("temp paths are unicode"));
+    args.extend(flags);
+    let out = all(&args, &[]);
+    assert!(out.status.success(), "{flags:?}: {out:?}");
+    let text = std::fs::read_to_string(out_dir.join("fig9.json")).expect("artifact written");
+    std::fs::remove_dir_all(&out_dir).ok();
+    let doc = swpf_bench::json::Json::parse(&text).expect("artifact is valid JSON");
+    let cells = doc.get("cells").and_then(|c| c.as_array());
+    cells
+        .expect("artifact has cells")
+        .iter()
+        .map(|c| {
+            let member = |k| c.get(k).expect("schema v1 cell").to_pretty_string();
+            format!(
+                "{} {} {}",
+                member("machine"),
+                member("variant"),
+                member("cores")
+            )
+        })
+        .collect()
+}
+
+/// The multicore grid through the spawned driver: interpreting every
+/// cell (`--no-trace`) and the default record-then-replay policy give
+/// the same counters on every core of every cell.
+#[test]
+fn no_trace_and_default_policy_produce_identical_counters() {
+    let direct = fig9_counters(&["--no-trace"]);
+    assert_eq!(direct.len(), 6, "fig9 is six multicore cells");
+    assert_eq!(direct, fig9_counters(&[]));
 }

@@ -78,8 +78,8 @@ fn golden_matches_oracle_at_half_cost_and_tuned_never_loses() {
 }
 
 /// The full experiment runner: every shape check passes at test scale
-/// (the CI `tune-smoke` job runs exactly this via `--bin tune`), and
-/// the run is deterministic.
+/// (the CI `searched-smoke` job runs exactly this via
+/// `--bin all -- --only tune`), and the run is deterministic.
 #[test]
 fn tune_experiment_checks_pass_and_runs_are_deterministic() {
     let exp = experiments::tune(Scale::Test);

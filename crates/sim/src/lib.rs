@@ -28,12 +28,13 @@
 //!   accesses benefit from the pass, as in the paper's machines.
 //!
 //! Because the timing models consume nothing but the retire-event
-//! stream, every machine supports three equivalent execution paths:
-//! **direct** (interpreter drives the observer), **traced** (direct
-//! plus a `swpf-trace` recording tee'd in), and **replay** (a recorded
-//! trace drives the observer with no interpreter at all) — the replayed
-//! statistics are bit-identical to direct simulation, single- and
-//! multi-core ([`machine`], [`multicore`]).
+//! stream, there is one way to run a simulation — a [`Sim`] request
+//! (machine row, core count, execution tier) over a [`Source`] of
+//! events: an interpretation of a decoded image, optionally recorded
+//! into a `swpf-trace` encoder as it runs, or a recorded trace replayed
+//! from memory or streamed from its file with no interpreter at all.
+//! Every source yields bit-identical [`SimRun`]s, single- and
+//! multi-core, and failures are a typed [`SimError`] ([`request`]).
 //!
 //! Absolute cycle counts are not the point — the paper's authors had
 //! silicon; we have a model. The claims this simulator supports are the
@@ -48,27 +49,20 @@ pub mod memsys;
 pub mod multicore;
 pub mod perf;
 pub mod presets;
+pub mod request;
 mod scoreboard;
 pub mod stats;
 pub mod stride;
 pub mod tlb;
 
-pub use machine::{
-    replay_on_machine, replay_on_machine_perf, replay_on_machines, replay_on_machines_perf,
-    run_module_on_machines, run_on_machine, run_on_machine_image, run_on_machine_image_perf,
-    run_on_machine_image_tier, run_on_machine_image_tier_perf, run_on_machine_traced,
-    run_on_machine_traced_perf, run_on_machines_image, run_on_machines_image_perf,
-    streaming_replay_on_machine, streaming_replay_on_machine_perf, streaming_replay_on_machines,
-    streaming_replay_on_machines_perf, Machine,
-};
+pub use machine::Machine;
 pub use memsys::{AccessKind, MemSys, SharedMem};
-pub use multicore::{
-    replay_multicore, replay_multicore_perf, run_multicore, run_multicore_image,
-    run_multicore_image_perf, run_multicore_image_tier, run_multicore_image_traced,
-    run_multicore_image_traced_perf, streaming_replay_multicore, streaming_replay_multicore_perf,
-};
 pub use perf::{PcProfile, SiteProfile, StallStat};
 pub use presets::{CoreKind, MachineConfig};
+pub use request::{
+    replay_on_machine, run_multicore, run_on_machine, run_on_machine_image, run_on_machine_traced,
+    streaming_replay_on_machine, Setup, Sim, SimError, Source,
+};
 pub use stats::{SimRun, SimStats};
 pub use swpf_ir::interp::Tier;
 

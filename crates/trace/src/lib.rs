@@ -402,6 +402,12 @@ impl TraceRecorder {
         &mut self.streams[core]
     }
 
+    /// Every core's encoder, in core order — the record sink of a
+    /// simulation request.
+    pub fn streams(&mut self) -> &mut [StreamEncoder] {
+        &mut self.streams
+    }
+
     /// Finish every stream and build the trace.
     #[must_use]
     pub fn finish(self) -> Trace {

@@ -446,7 +446,7 @@ impl DecodeState {
     /// # Errors
     /// [`TraceError::Truncated`] or [`TraceError::Corrupt`] on a
     /// malformed payload.
-    #[inline]
+    #[inline(always)]
     pub(crate) fn decode_one(
         &mut self,
         buf: &[u8],
@@ -584,12 +584,16 @@ impl<'t> EventCursor<'t> {
     ///
     /// This sits on replay's per-event hot path (it competes with the
     /// pre-decoded engine's per-instruction cost); the grammar itself
-    /// is decoded by [`DecodeState::decode_one`].
+    /// is decoded by [`DecodeState::decode_one`]. Both are
+    /// `inline(always)`: fused into the consumer's loop the event never
+    /// round-trips through memory, and left to the inliner's discretion
+    /// in-memory replay ran 1.3–1.5x slower whenever it declined
+    /// (`sim_throughput` `trace/replay/IS`, CHANGES.md PR 18).
     ///
     /// # Errors
     /// [`TraceError::Truncated`] or [`TraceError::Corrupt`] on a
     /// malformed payload.
-    #[inline]
+    #[inline(always)]
     pub fn next_event(&mut self) -> Result<Option<(Event<'_>, bool)>, TraceError> {
         if self.remaining == 0 {
             if self.pos != self.buf.len() {
@@ -628,7 +632,7 @@ pub trait EventSource {
 }
 
 impl EventSource for EventCursor<'_> {
-    #[inline]
+    #[inline(always)]
     fn next_event(&mut self) -> Result<Option<(Event<'_>, bool)>, TraceError> {
         EventCursor::next_event(self)
     }

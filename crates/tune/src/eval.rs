@@ -8,9 +8,9 @@
 //! requesting the same point pay for it once. Evaluating a point
 //! compiles the candidate kernel through `swpf-core`'s pass pipeline,
 //! verifies it, interprets it **once**, and fans the retire-event
-//! stream out to all machines' timing models via the `swpf-sim` replay
-//! paths ([`swpf_sim::run_module_on_machines`]) — so cost scales with
-//! candidates, not candidates × machines.
+//! stream out to all machines' timing models — one [`swpf_sim::Sim`]
+//! request over the whole machine row — so cost scales with candidates,
+//! not candidates × machines.
 //!
 //! **Compile cost is shared too.** The evaluator builds the workload's
 //! baseline module once and clones it per candidate (IDs are
@@ -32,9 +32,10 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 use swpf_core::{PassConfig, PassReport};
+use swpf_ir::interp::{Interp, Tier};
 use swpf_ir::Module;
 use swpf_pass::AnalysisManager;
-use swpf_sim::{run_module_on_machines, MachineConfig, SimStats};
+use swpf_sim::{MachineConfig, Sim, SimStats, Source};
 use swpf_workloads::Workload;
 
 /// One evaluated point of the parameter space: the configuration, what
@@ -163,10 +164,18 @@ impl<'a> Evaluator<'a> {
         swpf_obs::count("tune.point_cache.miss", 1);
         let _span = swpf_obs::span("tune:eval");
         let (module, report) = self.compile_candidate(config);
-        let configs: Vec<&MachineConfig> = self.machines.iter().collect();
-        let stats = run_module_on_machines(&configs, &module, "kernel", |interp| {
-            self.workload.setup(interp)
-        });
+        let row = Sim {
+            machines: &self.machines.iter().collect::<Vec<_>>(),
+            cores: 1,
+            tier: Tier::from_env(),
+        };
+        let mut setup = |_: usize, interp: &mut Interp| self.workload.setup(interp);
+        let stats = Source::module(&module, "kernel", &mut setup)
+            .and_then(|source| row.run(source))
+            .unwrap_or_else(|e| panic!("{}: {e}", self.workload.name()))
+            .iter()
+            .map(|r| r.stats)
+            .collect();
         self.interpretations += 1;
         let point = Arc::new(EvaluatedPoint {
             config: config.clone(),

@@ -18,7 +18,7 @@ use std::sync::Arc;
 use swpf::workloads::{suite, KernelVariant, Scale, Workload};
 use swpf_ir::interp::{Event, EventKind, ExecObserver, Interp, RtVal, Tier, Trap, HEAP_BASE};
 use swpf_ir::prelude::*;
-use swpf_sim::{run_multicore_image_tier, run_on_machine_image_tier, MachineConfig};
+use swpf_sim::{MachineConfig, Sim, Source};
 
 /// An owned copy of one observer event.
 #[derive(Debug, Clone, PartialEq)]
@@ -401,10 +401,13 @@ fn sim_stats_identical_across_tiers() {
         let stats: Vec<String> = [Tier::Bytecode, Tier::Engine]
             .iter()
             .map(|&tier| {
-                format!(
-                    "{:?}",
-                    run_on_machine_image_tier(&cfg, &image, f, tier, |i| w.setup(i))
-                )
+                let sim = Sim {
+                    machines: &[&cfg],
+                    cores: 1,
+                    tier,
+                };
+                let runs = sim.run(Source::image(&image, f, &mut |_, i| w.setup(i)));
+                format!("{:?}", runs.expect("no trap")[0].stats)
             })
             .collect();
         assert_eq!(stats[0], stats[1], "{}: single-core SimStats", w.name());
@@ -426,9 +429,13 @@ fn multicore_contention_schedule_identical_across_tiers() {
         let per_tier: Vec<String> = [Tier::Bytecode, Tier::Engine]
             .iter()
             .map(|&tier| {
-                let stats =
-                    run_multicore_image_tier(&cfg, n_cores, &image, f, tier, |_, i| w.setup(i));
-                format!("{stats:?}")
+                let sim = Sim {
+                    machines: &[&cfg],
+                    cores: n_cores,
+                    tier,
+                };
+                let runs = sim.run(Source::image(&image, f, &mut |_, i| w.setup(i)));
+                format!("{:?}", runs.expect("no trap"))
             })
             .collect();
         assert_eq!(

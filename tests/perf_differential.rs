@@ -16,10 +16,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use swpf::workloads::{suite, Scale};
 use swpf_ir::exec::ExecImage;
 use swpf_ir::interp::{Interp, Tier, Trap};
-use swpf_sim::{
-    replay_on_machine_perf, run_on_machine_image_tier, run_on_machine_image_tier_perf,
-    run_on_machine_traced_perf, Machine, MachineConfig, PcProfile, SimStats,
-};
+use swpf_sim::{Machine, MachineConfig, PcProfile, Sim, SimRun, SimStats, Source};
 use swpf_trace::TraceRecorder;
 
 /// `swpf_sim::perf::set_enabled` is process-global; tests that flip it
@@ -34,6 +31,16 @@ fn lock() -> std::sync::MutexGuard<'static, ()> {
 
 fn fmt_stats(s: &SimStats) -> String {
     format!("{s:?}")
+}
+
+/// One copy of the kernel on `machine`, through the request.
+fn run_one(machine: &MachineConfig, tier: Tier, source: Source<'_>) -> SimRun {
+    let sim = Sim {
+        machines: &[machine],
+        cores: 1,
+        tier,
+    };
+    sim.run(source).expect("no trap").remove(0)
 }
 
 /// Assert one profile is a conserved partition that agrees with the
@@ -67,18 +74,17 @@ fn profiling_is_observationally_pure_on_every_tier() {
         let mut tier_profiles = Vec::new();
         for tier in [Tier::Classic, Tier::Engine, Tier::Bytecode] {
             let ctx = format!("{}/{tier:?}", machine.name);
+            let mut setup = |_: usize, i: &mut Interp| w.setup(i);
             swpf_sim::perf::set_enabled(false);
-            let plain = run_on_machine_image_tier(&machine, &image, f, tier, |i| w.setup(i));
-            let off = run_on_machine_image_tier_perf(&machine, &image, f, tier, |i| w.setup(i));
+            let off = run_one(&machine, tier, Source::image(&image, f, &mut setup));
             swpf_sim::perf::set_enabled(true);
-            let on = run_on_machine_image_tier_perf(&machine, &image, f, tier, |i| w.setup(i));
+            let on = run_one(&machine, tier, Source::image(&image, f, &mut setup));
             swpf_sim::perf::set_enabled(false);
             assert!(off.perf.is_none(), "{ctx}: disabled run carries a profile");
             let profile = on.perf.expect("enabled run carries a profile");
-            // Bit-identical statistics with profiling off, on, and
-            // absent entirely: the profiler never perturbs timing.
-            assert_eq!(fmt_stats(&plain), fmt_stats(&off.stats), "{ctx}");
-            assert_eq!(fmt_stats(&plain), fmt_stats(&on.stats), "{ctx}");
+            // Bit-identical statistics with profiling off and on: the
+            // profiler never perturbs timing.
+            assert_eq!(fmt_stats(&off.stats), fmt_stats(&on.stats), "{ctx}");
             assert!(
                 on.stats.mem.sw_prefetches > 0,
                 "{ctx}: kernel must issue prefetches for the comparison to bite"
@@ -107,10 +113,18 @@ fn replayed_profile_matches_direct_simulation() {
     let machine = MachineConfig::a53();
     swpf_sim::perf::set_enabled(true);
     let mut recorder = TraceRecorder::new(1, 42);
-    let direct =
-        run_on_machine_traced_perf(&machine, &image, f, |i| w.setup(i), recorder.stream(0));
+    let direct = run_one(
+        &machine,
+        Tier::Bytecode,
+        Source::Image {
+            image: Arc::clone(&image),
+            func: f,
+            setup: &mut |_, i| w.setup(i),
+            record: Some(recorder.streams()),
+        },
+    );
     let trace = recorder.finish();
-    let replayed = replay_on_machine_perf(&machine, &trace);
+    let replayed = run_one(&machine, Tier::Bytecode, Source::Trace(&trace));
     swpf_sim::perf::set_enabled(false);
     assert_eq!(fmt_stats(&direct.stats), fmt_stats(&replayed.stats));
     assert_eq!(
