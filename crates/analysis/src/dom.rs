@@ -1,5 +1,6 @@
 //! Dominator tree with O(depth) dominance queries.
 
+use crate::Scratch;
 use swpf_ir::{BlockId, Function};
 
 /// A dominator tree over a function's CFG.
@@ -16,7 +17,14 @@ impl DomTree {
     /// Compute the dominator tree of `f`.
     #[must_use]
     pub fn compute(f: &Function) -> Self {
-        let idom = swpf_ir::verifier::compute_idom(f);
+        DomTree::compute_in(f, &mut Scratch::default())
+    }
+
+    /// [`DomTree::compute`], working in `scratch`.
+    #[must_use]
+    pub fn compute_in(f: &Function, scratch: &mut Scratch) -> Self {
+        let mut idom = Vec::new();
+        scratch.cfg.idom_into(f, &mut idom);
         let n = idom.len();
         let mut depth = vec![0u32; n];
         // Entry has depth 0; children one more than their parent. Iterate

@@ -55,52 +55,77 @@ pub fn object_root(f: &Function, addr: ValueId) -> ObjectRoot {
 /// and [`roots_may_alias`] treats it as aliasing everything.
 #[must_use]
 pub fn object_roots(f: &Function, addr: ValueId) -> Vec<ObjectRoot> {
-    let mut out = Vec::new();
-    let mut visited = std::collections::BTreeSet::new();
-    object_roots_rec(f, addr, &mut out, &mut visited, 0);
-    if out.is_empty() {
-        out.push(ObjectRoot::Unknown);
-    }
-    out.sort_unstable_by_key(|r| match r {
-        ObjectRoot::Alloc(v) => (0u8, v.0),
-        ObjectRoot::Arg(i) => (1, *i),
-        ObjectRoot::Unknown => (2, 0),
-    });
-    out.dedup();
-    out
+    let mut scratch = RootsScratch::default();
+    scratch.walk(f, addr);
+    scratch.out
 }
 
-fn object_roots_rec(
-    f: &Function,
-    v: ValueId,
-    out: &mut Vec<ObjectRoot>,
-    visited: &mut std::collections::BTreeSet<ValueId>,
-    depth: u32,
-) {
-    if depth > 64 || !visited.insert(v) {
-        return;
+/// The canonical order of a root list: allocations, arguments, unknown.
+fn root_order(r: &ObjectRoot) -> (u8, u32) {
+    match r {
+        ObjectRoot::Alloc(v) => (0, v.0),
+        ObjectRoot::Arg(i) => (1, *i),
+        ObjectRoot::Unknown => (2, 0),
     }
-    match &f.value(v).kind {
-        ValueKind::Arg { index } => out.push(ObjectRoot::Arg(*index)),
-        ValueKind::Const(_) => out.push(ObjectRoot::Unknown),
-        ValueKind::Inst(inst) => match &inst.kind {
-            InstKind::Alloc { .. } => out.push(ObjectRoot::Alloc(v)),
-            InstKind::Gep { base, .. } => object_roots_rec(f, *base, out, visited, depth + 1),
-            InstKind::Cast { val, .. } => object_roots_rec(f, *val, out, visited, depth + 1),
-            InstKind::Select {
-                then_val, else_val, ..
-            } => {
-                object_roots_rec(f, *then_val, out, visited, depth + 1);
-                object_roots_rec(f, *else_val, out, visited, depth + 1);
-            }
-            InstKind::Phi { incomings } => {
-                for (_, iv) in incomings {
-                    object_roots_rec(f, *iv, out, visited, depth + 1);
+}
+
+/// Working storage of the multi-root walk: per-value visit stamps
+/// (`seen[v] == stamp` means visited in the current walk, so starting a
+/// walk is a counter bump, not a clear) and the roots found.
+#[derive(Debug, Default)]
+pub struct RootsScratch {
+    seen: Vec<u32>,
+    stamp: u32,
+    out: Vec<ObjectRoot>,
+}
+
+impl RootsScratch {
+    /// Leave the sorted, deduplicated roots of `addr` in `self.out`.
+    fn walk(&mut self, f: &Function, addr: ValueId) {
+        if self.seen.len() < f.num_values() {
+            self.seen.resize(f.num_values(), 0);
+        }
+        if self.stamp == u32::MAX {
+            self.seen.fill(0);
+            self.stamp = 0;
+        }
+        self.stamp += 1;
+        self.out.clear();
+        self.rec(f, addr, 0);
+        if self.out.is_empty() {
+            self.out.push(ObjectRoot::Unknown);
+        }
+        self.out.sort_unstable_by_key(root_order);
+        self.out.dedup();
+    }
+
+    fn rec(&mut self, f: &Function, v: ValueId, depth: u32) {
+        if depth > 64 || self.seen[v.index()] == self.stamp {
+            return;
+        }
+        self.seen[v.index()] = self.stamp;
+        match &f.value(v).kind {
+            ValueKind::Arg { index } => self.out.push(ObjectRoot::Arg(*index)),
+            ValueKind::Const(_) => self.out.push(ObjectRoot::Unknown),
+            ValueKind::Inst(inst) => match &inst.kind {
+                InstKind::Alloc { .. } => self.out.push(ObjectRoot::Alloc(v)),
+                InstKind::Gep { base, .. } => self.rec(f, *base, depth + 1),
+                InstKind::Cast { val, .. } => self.rec(f, *val, depth + 1),
+                InstKind::Select {
+                    then_val, else_val, ..
+                } => {
+                    self.rec(f, *then_val, depth + 1);
+                    self.rec(f, *else_val, depth + 1);
                 }
-            }
-            InstKind::Binary { lhs, .. } => object_roots_rec(f, *lhs, out, visited, depth + 1),
-            _ => out.push(ObjectRoot::Unknown),
-        },
+                InstKind::Phi { incomings } => {
+                    for (_, iv) in incomings {
+                        self.rec(f, *iv, depth + 1);
+                    }
+                }
+                InstKind::Binary { lhs, .. } => self.rec(f, *lhs, depth + 1),
+                _ => self.out.push(ObjectRoot::Unknown),
+            },
+        }
     }
 }
 
@@ -152,11 +177,7 @@ pub fn store_roots_in(f: &Function, blocks: &[swpf_ir::BlockId]) -> Vec<ObjectRo
             }
         }
     }
-    roots.sort_unstable_by_key(|r| match r {
-        ObjectRoot::Alloc(v) => (0u8, v.0),
-        ObjectRoot::Arg(i) => (1, *i),
-        ObjectRoot::Unknown => (2, 0),
-    });
+    roots.sort_unstable_by_key(root_order);
     roots.dedup();
     roots
 }
@@ -173,22 +194,34 @@ pub fn store_roots_in(f: &Function, blocks: &[swpf_ir::BlockId]) -> Vec<ObjectRo
 #[derive(Debug)]
 pub struct RootsAnalysis {
     single: Vec<ObjectRoot>,
-    multi: Vec<Vec<ObjectRoot>>,
+    /// `multi[multi_start[v]..multi_start[v + 1]]` are the roots of `v`.
+    multi_start: Vec<u32>,
+    multi: Vec<ObjectRoot>,
 }
 
 impl RootsAnalysis {
-    /// Walk every value of `f` once.
+    /// Walk every value of `f` once, working in `scratch`.
     #[must_use]
-    pub fn compute(f: &Function) -> Self {
+    pub fn compute(f: &Function, scratch: &mut crate::Scratch) -> Self {
+        let walker = &mut scratch.roots;
         let n = f.num_values();
         let mut single = Vec::with_capacity(n);
-        let mut multi = Vec::with_capacity(n);
+        let mut multi_start = Vec::with_capacity(n + 1);
+        // Nearly every value has exactly one root.
+        let mut multi = Vec::with_capacity(n + n / 8);
+        multi_start.push(0);
         for i in 0..n {
             let v = ValueId(i as u32);
             single.push(object_root(f, v));
-            multi.push(object_roots(f, v));
+            walker.walk(f, v);
+            multi.extend_from_slice(&walker.out);
+            multi_start.push(multi.len() as u32);
         }
-        RootsAnalysis { single, multi }
+        RootsAnalysis {
+            single,
+            multi_start,
+            multi,
+        }
     }
 
     /// The single collapsed root of `v` (≡ [`object_root`]).
@@ -200,7 +233,7 @@ impl RootsAnalysis {
     /// All possible roots of `v` (≡ [`object_roots`]).
     #[must_use]
     pub fn roots_of(&self, v: ValueId) -> &[ObjectRoot] {
-        &self.multi[v.index()]
+        &self.multi[self.multi_start[v.index()] as usize..self.multi_start[v.index() + 1] as usize]
     }
 
     /// The roots of every store address within `blocks`
@@ -215,11 +248,7 @@ impl RootsAnalysis {
                 }
             }
         }
-        roots.sort_unstable_by_key(|r| match r {
-            ObjectRoot::Alloc(v) => (0u8, v.0),
-            ObjectRoot::Arg(i) => (1, *i),
-            ObjectRoot::Unknown => (2, 0),
-        });
+        roots.sort_unstable_by_key(root_order);
         roots.dedup();
         roots
     }
@@ -311,7 +340,7 @@ mod tests {
             b.ret(None);
         }
         let f = m.function(fid);
-        let memo = RootsAnalysis::compute(f);
+        let memo = RootsAnalysis::compute(f, &mut crate::Scratch::default());
         for i in 0..f.num_values() {
             let v = ValueId(i as u32);
             assert_eq!(memo.root_of(v), object_root(f, v), "single root of {v}");

@@ -34,7 +34,20 @@ pub use invariance::{object_root, object_roots, roots_may_alias, ObjectRoot, Roo
 pub use loops::{Loop, LoopForest, LoopId};
 
 use std::sync::Arc;
-use swpf_ir::Function;
+use swpf_ir::{BlockId, CfgScratch, Function};
+
+/// Working storage for the analyses, reusable across functions: the
+/// CFG traversal vectors and predecessor table, the loop-body flood
+/// fill, and the object-root walk's visit stamps. Whoever computes
+/// analyses for many functions (the pass manager's cache) owns one, so
+/// each computation allocates its result and nothing else.
+#[derive(Debug, Default)]
+pub struct Scratch {
+    pub(crate) cfg: CfgScratch,
+    pub(crate) in_loop: Vec<bool>,
+    pub(crate) stack: Vec<BlockId>,
+    pub(crate) roots: invariance::RootsScratch,
+}
 
 /// All per-function analyses bundled together, individually shareable.
 #[derive(Debug, Clone)]
@@ -53,10 +66,11 @@ impl FuncAnalysis {
     /// Run every analysis on `f`.
     #[must_use]
     pub fn compute(f: &Function) -> Self {
-        let dom = Arc::new(DomTree::compute(f));
-        let loops = Arc::new(LoopForest::compute(f, &dom));
+        let scratch = &mut Scratch::default();
+        let dom = Arc::new(DomTree::compute_in(f, scratch));
+        let loops = Arc::new(LoopForest::compute_in(f, &dom, scratch));
         let ivs = Arc::new(IvAnalysis::compute(f, &loops));
-        let roots = Arc::new(RootsAnalysis::compute(f));
+        let roots = Arc::new(RootsAnalysis::compute(f, scratch));
         FuncAnalysis {
             dom,
             loops,

@@ -1,6 +1,7 @@
 //! Natural-loop detection and nesting.
 
 use crate::dom::DomTree;
+use crate::Scratch;
 use swpf_ir::{BlockId, Function};
 
 /// Index of a loop within a [`LoopForest`].
@@ -61,7 +62,20 @@ impl LoopForest {
     /// conservative stance.
     #[must_use]
     pub fn compute(f: &Function, dom: &DomTree) -> Self {
-        let preds = f.predecessors();
+        LoopForest::compute_in(f, dom, &mut Scratch::default())
+    }
+
+    /// [`LoopForest::compute`], working in `scratch`.
+    #[must_use]
+    pub fn compute_in(f: &Function, dom: &DomTree, scratch: &mut Scratch) -> Self {
+        let Scratch {
+            cfg,
+            in_loop,
+            stack,
+            ..
+        } = scratch;
+        cfg.preds.refill(f);
+        let preds = &cfg.preds;
         // Find back edges (latch → header).
         let mut headers: Vec<(BlockId, Vec<BlockId>)> = Vec::new();
         for b in f.block_ids() {
@@ -79,28 +93,28 @@ impl LoopForest {
         }
         // Natural loop body: backwards reachability from latches, stopping
         // at the header.
-        let mut loops = Vec::new();
+        let mut loops = Vec::with_capacity(headers.len());
         for (header, latches) in headers {
-            let mut in_loop = vec![false; f.num_blocks()];
+            in_loop.clear();
+            in_loop.resize(f.num_blocks(), false);
             in_loop[header.index()] = true;
-            let mut stack: Vec<BlockId> = latches.clone();
+            stack.clear();
+            stack.extend_from_slice(&latches);
             while let Some(b) = stack.pop() {
                 if in_loop[b.index()] {
                     continue;
                 }
                 in_loop[b.index()] = true;
-                for &p in &preds[b.index()] {
-                    stack.push(p);
-                }
+                stack.extend_from_slice(preds.get(b));
             }
             let blocks: Vec<BlockId> = f.block_ids().filter(|b| in_loop[b.index()]).collect();
-            let outside_preds: Vec<BlockId> = preds[header.index()]
+            let mut outside_preds = preds
+                .get(header)
                 .iter()
                 .copied()
-                .filter(|p| !in_loop[p.index()])
-                .collect();
-            let preheader = match outside_preds.as_slice() {
-                [single] => Some(*single),
+                .filter(|p| !in_loop[p.index()]);
+            let preheader = match (outside_preds.next(), outside_preds.next()) {
+                (Some(single), None) => Some(single),
                 _ => None,
             };
             let exiting: Vec<BlockId> = blocks

@@ -17,11 +17,10 @@
 //!   of its loop (no loads conditional on loop-variant values).
 
 use crate::codegen;
-use crate::dfs::{find_iv_paths, DfsResult};
+use crate::dfs::{find_iv_paths, DfsResult, DfsScratch, ValueSet};
 use crate::hoist;
 use crate::report::{FunctionReport, SkipRecord};
 use crate::PassConfig;
-use std::collections::BTreeSet;
 use swpf_analysis::{invariance, FuncAnalysis, InductionVar, ObjectRoot};
 use swpf_ir::{BlockId, FuncId, Function, InstKind, Module, Pred, ValueId, ValueKind};
 
@@ -106,7 +105,7 @@ pub struct PlannedPrefetch {
     /// The induction variable used for look-ahead.
     pub iv: InductionVar,
     /// All instructions to duplicate.
-    pub set: BTreeSet<ValueId>,
+    pub set: ValueSet,
     /// The loads of the set in dependence order (target last).
     pub chain: Vec<ChainLoad>,
     /// Total chain length `t` (max level + 1).
@@ -141,8 +140,9 @@ pub fn discover(
 
     let mut raw: Vec<(ValueId, DfsResult)> = Vec::new();
     let mut skipped: Vec<SkipRecord> = Vec::new();
+    let mut scratch = DfsScratch::default();
     for load in loads {
-        match find_iv_paths(f, analysis, load) {
+        match find_iv_paths(f, analysis, load, &mut scratch) {
             Some(r) => raw.push((load, r)),
             None => skipped.push(SkipRecord {
                 load,
@@ -169,13 +169,13 @@ pub fn filter(
 
     // Longest chains first so shorter chains they cover are subsumed.
     raw.sort_by_key(|(_, r)| std::cmp::Reverse(r.set.len()));
-    let mut covered: BTreeSet<ValueId> = BTreeSet::new();
+    let mut covered = vec![false; f.num_values()];
     // (base, index, elem_size) of accepted targets' address geps, for
     // line-granularity deduplication: prefetching `bucket.k0` already
     // fetches `bucket.k1`'s line.
     let mut line_keys: Vec<(ValueId, ValueId, u64, u64)> = Vec::new();
     for (load, r) in raw {
-        if covered.contains(&load) {
+        if covered[load.index()] {
             skipped.push(SkipRecord {
                 load,
                 reason: SkipReason::Subsumed,
@@ -196,7 +196,9 @@ pub fn filter(
         }
         match validate(f, analysis, load, &r, config) {
             Ok(plan) => {
-                covered.extend(plan.chain.iter().map(|c| c.load));
+                for c in &plan.chain {
+                    covered[c.load.index()] = true;
+                }
                 if let Some(key) = target_gep_key(f, load) {
                     line_keys.push(key);
                 }
@@ -284,7 +286,7 @@ fn validate(
         .expect("dfs returns induction variables only");
 
     // Function calls (paper line 35).
-    for &v in &r.set {
+    for &v in r.set.iter() {
         if let Some(InstKind::Call { callee: _, .. }) = f.inst(v).map(|i| &i.kind) {
             if !config.allow_pure_calls {
                 return Err(SkipReason::ContainsCall);
@@ -298,7 +300,7 @@ fn validate(
     }
 
     // Non-induction phi nodes (paper line 40).
-    for &v in &r.set {
+    for &v in r.set.iter() {
         if matches!(f.inst(v).map(|i| &i.kind), Some(InstKind::Phi { .. }))
             && analysis.ivs.as_iv(v).is_none()
         {
@@ -351,7 +353,7 @@ fn validate(
         [l] => *l,
         _ => return Err(SkipReason::Conditional),
     };
-    for &v in &r.set {
+    for &v in r.set.iter() {
         let b = f.inst(v).expect("set holds instructions").block;
         if !analysis.dom.dominates(b, latch) {
             return Err(SkipReason::Conditional);
@@ -404,47 +406,50 @@ fn invariance_ok(f: &Function, analysis: &FuncAnalysis, iv: InductionVar, base: 
 /// needs `k` earlier loads on its longest dependence path (the paper's
 /// position `l` in a sequence of `t` loads).
 #[must_use]
-pub fn chain_of(f: &Function, set: &BTreeSet<ValueId>, target: ValueId) -> Vec<ChainLoad> {
-    let mut levels: std::collections::HashMap<ValueId, usize> = std::collections::HashMap::new();
+pub fn chain_of(f: &Function, set: &ValueSet, target: ValueId) -> Vec<ChainLoad> {
+    fn is_load(f: &Function, v: ValueId) -> bool {
+        matches!(f.inst(v).map(|i| &i.kind), Some(InstKind::Load { .. }))
+    }
+    /// The level of the member of rank `at`; `levels` is indexed by rank.
     fn level_of(
         f: &Function,
-        set: &BTreeSet<ValueId>,
-        v: ValueId,
-        levels: &mut std::collections::HashMap<ValueId, usize>,
+        set: &ValueSet,
+        at: usize,
+        levels: &mut [Option<usize>],
+        ops: &mut Vec<ValueId>,
     ) -> usize {
-        if let Some(&l) = levels.get(&v) {
+        if let Some(l) = levels[at] {
             return l;
         }
-        levels.insert(v, 0); // cycle guard
-        let is_load = matches!(f.inst(v).map(|i| &i.kind), Some(InstKind::Load { .. }));
+        levels[at] = Some(0); // cycle guard
+        let v = set[at];
         let mut deepest_below = 0usize;
         if let Some(inst) = f.inst(v) {
-            for o in inst.operands() {
-                if set.contains(&o) {
-                    let lo = level_of(f, set, o, levels);
-                    let contrib =
-                        if matches!(f.inst(o).map(|i| &i.kind), Some(InstKind::Load { .. })) {
-                            lo + 1
-                        } else {
-                            lo
-                        };
-                    deepest_below = deepest_below.max(contrib);
+            let first = ops.len();
+            inst.operands_into(ops);
+            for i in first..ops.len() {
+                let o = ops[i];
+                if let Some(below) = set.position(o) {
+                    let lo = level_of(f, set, below, levels, ops);
+                    deepest_below = deepest_below.max(if is_load(f, o) { lo + 1 } else { lo });
                 }
             }
+            ops.truncate(first);
         }
-        let l = deepest_below;
-        let _ = is_load;
-        levels.insert(v, l);
-        l
+        levels[at] = Some(deepest_below);
+        deepest_below
     }
-    let mut chain: Vec<ChainLoad> = set
-        .iter()
-        .filter(|&&v| matches!(f.inst(v).map(|i| &i.kind), Some(InstKind::Load { .. })))
-        .map(|&v| ChainLoad {
-            load: v,
-            level: level_of(f, set, v, &mut levels),
-        })
-        .collect();
+    let mut levels = vec![None; set.len()];
+    let mut ops = Vec::new();
+    let mut chain: Vec<ChainLoad> = Vec::new();
+    for (at, &v) in set.iter().enumerate() {
+        if is_load(f, v) {
+            chain.push(ChainLoad {
+                load: v,
+                level: level_of(f, set, at, &mut levels, &mut ops),
+            });
+        }
+    }
     chain.sort_by_key(|c| (c.level, c.load));
     // The target load must be last; it is by construction the deepest.
     debug_assert!(chain.last().is_some_and(|c| c.load == target) || chain.is_empty());

@@ -21,10 +21,10 @@
 //! experiment).
 
 use crate::candidates::{ChainLoad, ClampSource, Placement, PlannedPrefetch};
+use crate::dfs::ValueSet;
 use crate::report::PrefetchRecord;
 use crate::schedule;
 use crate::PassConfig;
-use std::collections::{BTreeSet, HashMap};
 use swpf_ir::{Constant, Function, InstKind, Pred, Type, ValueId};
 
 /// Generate the prefetch code for one plan. Returns what was emitted.
@@ -116,8 +116,13 @@ fn emit_one(
     let needed = needed_subset(f, &plan.set, chain_load.load);
     let order = topo_order(f, &needed);
 
-    let mut map: HashMap<ValueId, ValueId> = HashMap::new();
-    map.insert(plan.iv.phi, lookahead_iv);
+    // Original → clone, for the handful of values of one chain position
+    // (a clone is never itself a key, so one lookup per operand rewrites).
+    let mut map: Vec<(ValueId, ValueId)> = Vec::with_capacity(order.len() + 1);
+    map.push((plan.iv.phi, lookahead_iv));
+    let cloned = |map: &[(ValueId, ValueId)], v: ValueId| {
+        map.iter().find(|(old, _)| *old == v).map(|&(_, new)| new)
+    };
     for v in order {
         let inst = f.inst(v).expect("set member is an instruction");
         if v == chain_load.load {
@@ -125,21 +130,24 @@ fn emit_one(
             let InstKind::Load { addr, .. } = inst.kind else {
                 unreachable!("chain entries are loads");
             };
-            let new_addr = map.get(&addr).copied().unwrap_or(addr);
+            let new_addr = cloned(&map, addr).unwrap_or(addr);
             let pf = f.create_inst(InstKind::Prefetch { addr: new_addr }, None, block);
             place(f, pf, &mut inserted);
             break;
         }
-        let mut kind = inst.kind.clone();
         let ty = f.value(v).ty;
-        let mut tmp = swpf_ir::Inst { kind, block };
-        for (&old, &new) in &map {
-            tmp.replace_uses(old, new);
-        }
-        kind = tmp.kind;
-        let clone = f.create_inst(kind, ty, block);
+        let mut tmp = swpf_ir::Inst {
+            kind: inst.kind.clone(),
+            block,
+        };
+        tmp.for_each_operand_mut(|op| {
+            if let Some(new) = cloned(&map, *op) {
+                *op = new;
+            }
+        });
+        let clone = f.create_inst(tmp.kind, ty, block);
         place(f, clone, &mut inserted);
-        map.insert(v, clone);
+        map.push((v, clone));
     }
     inserted
 }
@@ -269,17 +277,20 @@ fn clamp_apply(
 
 /// The subset of `set` that `load`'s value transitively depends on,
 /// including `load` itself.
-fn needed_subset(f: &Function, set: &BTreeSet<ValueId>, load: ValueId) -> BTreeSet<ValueId> {
-    let mut needed = BTreeSet::new();
+fn needed_subset(f: &Function, set: &ValueSet, load: ValueId) -> ValueSet {
+    let mut needed = ValueSet::default();
     let mut stack = vec![load];
+    let mut ops = Vec::new();
     while let Some(v) = stack.pop() {
         if !needed.insert(v) {
             continue;
         }
         if let Some(inst) = f.inst(v) {
-            for o in inst.operands() {
-                if set.contains(&o) && !needed.contains(&o) {
-                    stack.push(o);
+            ops.clear();
+            inst.operands_into(&mut ops);
+            for o in &ops {
+                if set.contains(o) && !needed.contains(o) {
+                    stack.push(*o);
                 }
             }
         }
@@ -287,29 +298,28 @@ fn needed_subset(f: &Function, set: &BTreeSet<ValueId>, load: ValueId) -> BTreeS
     needed
 }
 
-/// Dependence-respecting order of `subset` (defs before uses).
-fn topo_order(f: &Function, subset: &BTreeSet<ValueId>) -> Vec<ValueId> {
+/// Topologically order `subset` by operand dependence (stable: ties go
+/// in id order, sweep by sweep).
+fn topo_order(f: &Function, subset: &ValueSet) -> Vec<ValueId> {
     let mut order = Vec::with_capacity(subset.len());
-    let mut emitted: BTreeSet<ValueId> = BTreeSet::new();
+    // Indexed by rank in `subset`.
+    let mut emitted = vec![false; subset.len()];
     let mut remaining: Vec<ValueId> = subset.iter().copied().collect();
+    let mut ops = Vec::new();
     while !remaining.is_empty() {
         let before = remaining.len();
         remaining.retain(|&v| {
-            let ready = f
-                .inst(v)
-                .map(|inst| {
-                    inst.operands()
-                        .iter()
-                        .all(|o| !subset.contains(o) || emitted.contains(o))
-                })
-                .unwrap_or(true);
+            let ready = f.inst(v).is_none_or(|inst| {
+                ops.clear();
+                inst.operands_into(&mut ops);
+                ops.iter()
+                    .all(|o| subset.position(*o).is_none_or(|at| emitted[at]))
+            });
             if ready {
                 order.push(v);
-                emitted.insert(v);
-                false
-            } else {
-                true
+                emitted[subset.position(v).expect("remaining ⊆ subset")] = true;
             }
+            !ready
         });
         assert!(
             remaining.len() < before,

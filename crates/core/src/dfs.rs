@@ -7,12 +7,78 @@
 //! innermost (deepest) loop wins — the paper's `closest_loop_indvar` —
 //! and the sets of all paths reaching that variable are merged.
 
-use std::collections::{BTreeSet, HashMap};
-
-/// Memoised DFS results: per value, the candidates found beneath it.
-type Memo = HashMap<ValueId, Option<Vec<(ValueId, BTreeSet<ValueId>)>>>;
 use swpf_analysis::FuncAnalysis;
 use swpf_ir::{Function, InstKind, ValueId, ValueKind};
+
+/// An ordered set of values as a sorted vector (read through its slice
+/// view): the sets here hold a handful of instructions, are copied
+/// along every dependence path and iterated in id order by code
+/// generation.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct ValueSet(Vec<ValueId>);
+
+impl ValueSet {
+    /// Add `v`; `false` if it was already present.
+    pub fn insert(&mut self, v: ValueId) -> bool {
+        match self.0.binary_search(&v) {
+            Ok(_) => false,
+            Err(at) => {
+                self.0.insert(at, v);
+                true
+            }
+        }
+    }
+
+    /// This set plus `v`.
+    #[must_use]
+    fn with(&self, v: ValueId) -> ValueSet {
+        let mut members = Vec::with_capacity(self.0.len() + 1);
+        let at = self.0.partition_point(|&m| m < v);
+        members.extend_from_slice(&self.0[..at]);
+        members.push(v);
+        members.extend(self.0[at..].iter().filter(|&&m| m != v));
+        ValueSet(members)
+    }
+
+    /// The rank of `v` in id order, if present.
+    #[must_use]
+    pub fn position(&self, v: ValueId) -> Option<usize> {
+        self.0.binary_search(&v).ok()
+    }
+}
+
+impl std::ops::Deref for ValueSet {
+    type Target = [ValueId];
+
+    fn deref(&self) -> &[ValueId] {
+        &self.0
+    }
+}
+
+impl FromIterator<ValueId> for ValueSet {
+    fn from_iter<I: IntoIterator<Item = ValueId>>(iter: I) -> Self {
+        let mut members: Vec<ValueId> = iter.into_iter().collect();
+        members.sort_unstable();
+        members.dedup();
+        ValueSet(members)
+    }
+}
+
+/// The candidates found beneath a value: `(induction variable, path
+/// set)` pairs, or `None` when no path finds an induction variable.
+type Paths = Option<Vec<(ValueId, ValueSet)>>;
+
+/// The search's side tables over one function's values, reusable from
+/// load to load: the memo (`None`: not computed yet), which of its
+/// slots the current search filled, the on-path marks that cut cycles,
+/// and the operand stack of the recursion.
+#[derive(Debug, Default)]
+pub struct DfsScratch {
+    memo: Vec<Option<Paths>>,
+    touched: Vec<ValueId>,
+    visiting: Vec<bool>,
+    ops: Vec<ValueId>,
+}
 
 /// The result of a successful search: the chosen induction variable's phi
 /// and every instruction on a dependence path from it to the load
@@ -22,20 +88,38 @@ pub struct DfsResult {
     /// The induction variable (a loop-header phi).
     pub iv: ValueId,
     /// Instructions to duplicate for address generation, as a set.
-    pub set: BTreeSet<ValueId>,
+    pub set: ValueSet,
 }
 
-/// Walk backwards from `load` looking for induction variables.
+/// Walk backwards from `load` looking for induction variables, working
+/// in `scratch` (each search starts from an empty memo: a result found
+/// under one on-path set is not reused under another load's).
 ///
 /// Returns `None` when no path from the load's address computation
 /// reaches an induction variable, mirroring Algorithm 1 returning null.
 #[must_use]
-pub fn find_iv_paths(f: &Function, analysis: &FuncAnalysis, load: ValueId) -> Option<DfsResult> {
-    let mut memo: Memo = HashMap::new();
-    let mut visiting: BTreeSet<ValueId> = BTreeSet::new();
-    let candidates = dfs(f, analysis, load, &mut memo, &mut visiting)?;
+pub fn find_iv_paths(
+    f: &Function,
+    analysis: &FuncAnalysis,
+    load: ValueId,
+    scratch: &mut DfsScratch,
+) -> Option<DfsResult> {
+    scratch.memo.resize(f.num_values(), None);
+    scratch.visiting.resize(f.num_values(), false);
+    dfs(f, analysis, load, scratch);
+    let found = scratch.memo[load.index()]
+        .as_ref()
+        .and_then(|paths| paths.as_deref())
+        .and_then(|candidates| best_paths(analysis, candidates));
+    for v in scratch.touched.drain(..) {
+        scratch.memo[v.index()] = None;
+    }
+    found
+}
 
-    // Pick the induction variable in the deepest loop (paper line 21).
+/// Pick the induction variable in the deepest loop (paper line 21) and
+/// merge the paths that reach it (paper line 24).
+fn best_paths(analysis: &FuncAnalysis, candidates: &[(ValueId, ValueSet)]) -> Option<DfsResult> {
     let depth_of = |iv: ValueId| -> u32 {
         analysis
             .ivs
@@ -46,94 +130,63 @@ pub fn find_iv_paths(f: &Function, analysis: &FuncAnalysis, load: ValueId) -> Op
         .iter()
         .map(|(iv, _)| *iv)
         .max_by_key(|&iv| (depth_of(iv), std::cmp::Reverse(iv)))?;
-
-    // Merge the paths that reach the chosen variable (paper line 24).
-    let mut set = BTreeSet::new();
-    for (iv, s) in &candidates {
-        if *iv == best_iv {
-            set.extend(s.iter().copied());
-        }
-    }
+    let set = candidates
+        .iter()
+        .filter(|(iv, _)| *iv == best_iv)
+        .flat_map(|(_, s)| s.iter().copied())
+        .collect();
     Some(DfsResult { iv: best_iv, set })
 }
 
-/// Recursive DFS. Returns the list of `(iv, path set)` candidates found
-/// beneath `v`, or `None` when no path finds an induction variable.
-fn dfs(
-    f: &Function,
-    analysis: &FuncAnalysis,
-    v: ValueId,
-    memo: &mut Memo,
-    visiting: &mut BTreeSet<ValueId>,
-) -> Option<Vec<(ValueId, BTreeSet<ValueId>)>> {
-    if let Some(cached) = memo.get(&v) {
-        return cached.clone();
+/// Recursive DFS: memoise the list of `(iv, path set)` candidates found
+/// beneath `v` (`None` when no path finds an induction variable).
+/// Returns `false`, memoising nothing, when `v` is already on the
+/// current path — a cycle through non-IV phis, which cuts the path.
+fn dfs(f: &Function, analysis: &FuncAnalysis, v: ValueId, scratch: &mut DfsScratch) -> bool {
+    if scratch.memo[v.index()].is_some() {
+        return true;
     }
-    // Cycle through non-IV phis: cut the path.
-    if !visiting.insert(v) {
-        return None;
+    if std::mem::replace(&mut scratch.visiting[v.index()], true) {
+        return false;
     }
 
-    let mut candidates: Vec<(ValueId, BTreeSet<ValueId>)> = Vec::new();
-    let inst = match &f.value(v).kind {
-        ValueKind::Inst(i) => i.clone(),
-        // Arguments and constants terminate paths without a find.
-        _ => {
-            visiting.remove(&v);
-            memo.insert(v, None);
-            return None;
+    let mut candidates: Vec<(ValueId, ValueSet)> = Vec::new();
+    // Arguments and constants terminate paths without a find.
+    if let ValueKind::Inst(inst) = &f.value(v).kind {
+        // The operands the walk follows. For phis these are all incoming
+        // values (non-IV phis are later rejected by the candidate filter,
+        // but the walk still explores them so the rejection is precise).
+        // For loads, only the address matters.
+        let first = scratch.ops.len();
+        match &inst.kind {
+            InstKind::Load { addr, .. } => scratch.ops.push(*addr),
+            _ => inst.operands_into(&mut scratch.ops),
         }
-    };
-
-    for o in operand_deps(&inst.kind) {
-        // Found an induction variable: finish this path (paper line 5).
-        if analysis.ivs.as_iv(o).is_some() {
-            let mut s = BTreeSet::new();
-            s.insert(v);
-            candidates.push((o, s));
-            continue;
-        }
-        // Recurse into values defined inside a loop (paper line 8).
-        let defined_in_loop = match &f.value(o).kind {
-            ValueKind::Inst(oi) => analysis.loops.innermost(oi.block).is_some(),
-            _ => false,
-        };
-        if defined_in_loop {
-            if let Some(subs) = dfs(f, analysis, o, memo, visiting) {
-                for (iv, mut s) in subs {
-                    s.insert(v);
-                    candidates.push((iv, s));
+        for at in first..scratch.ops.len() {
+            let o = scratch.ops[at];
+            // Found an induction variable: finish this path (paper line 5).
+            if analysis.ivs.as_iv(o).is_some() {
+                candidates.push((o, ValueSet(vec![v])));
+                continue;
+            }
+            // Recurse into values defined inside a loop (paper line 8).
+            let defined_in_loop = match &f.value(o).kind {
+                ValueKind::Inst(oi) => analysis.loops.innermost(oi.block).is_some(),
+                _ => false,
+            };
+            if defined_in_loop && dfs(f, analysis, o, scratch) {
+                if let Some(Some(subs)) = &scratch.memo[o.index()] {
+                    candidates.extend(subs.iter().map(|(iv, s)| (*iv, s.with(v))));
                 }
             }
         }
+        scratch.ops.truncate(first);
     }
 
-    visiting.remove(&v);
-    let result = if candidates.is_empty() {
-        None
-    } else {
-        Some(candidates)
-    };
-    memo.insert(v, result.clone());
-    result
-}
-
-/// The operands the DFS follows. For phis these are all incoming values
-/// (non-IV phis are later rejected by the candidate filter, but the walk
-/// still explores them so the rejection is precise). For loads, only the
-/// address matters.
-fn operand_deps(kind: &InstKind) -> Vec<ValueId> {
-    match kind {
-        InstKind::Load { addr, .. } => vec![*addr],
-        InstKind::Phi { incomings } => incomings.iter().map(|(_, v)| *v).collect(),
-        other => {
-            let inst = swpf_ir::Inst {
-                kind: other.clone(),
-                block: swpf_ir::BlockId(0),
-            };
-            inst.operands()
-        }
-    }
+    scratch.visiting[v.index()] = false;
+    scratch.memo[v.index()] = Some((!candidates.is_empty()).then_some(candidates));
+    scratch.touched.push(v);
+    true
 }
 
 #[cfg(test)]
@@ -176,7 +229,7 @@ mod tests {
         swpf_ir::verifier::verify_module(&m).unwrap();
         let f = m.function(fid);
         let analysis = FuncAnalysis::compute(f);
-        let r = find_iv_paths(f, &analysis, target).expect("found");
+        let r = find_iv_paths(f, &analysis, target, &mut DfsScratch::default()).expect("found");
         assert!(analysis.ivs.as_iv(r.iv).is_some());
         for v in [target, gep_a, inner_load, gep_b] {
             assert!(r.set.contains(&v), "set must contain {v}");
@@ -214,7 +267,7 @@ mod tests {
         }
         let f = m.function(fid);
         let analysis = FuncAnalysis::compute(f);
-        assert!(find_iv_paths(f, &analysis, target).is_none());
+        assert!(find_iv_paths(f, &analysis, target, &mut DfsScratch::default()).is_none());
     }
 
     /// When a load depends on both an outer and an inner induction
@@ -266,7 +319,7 @@ mod tests {
         swpf_ir::verifier::verify_module(&m).unwrap();
         let f = m.function(fid);
         let analysis = FuncAnalysis::compute(f);
-        let r = find_iv_paths(f, &analysis, target).expect("found");
+        let r = find_iv_paths(f, &analysis, target, &mut DfsScratch::default()).expect("found");
         let iv = analysis.ivs.as_iv(r.iv).expect("is an iv");
         assert_eq!(
             analysis.loops.get(iv.in_loop).header,
@@ -311,7 +364,8 @@ mod tests {
         swpf_ir::verifier::verify_module(&m).unwrap();
         let f = m.function(fid);
         let analysis = FuncAnalysis::compute(f);
-        let r = find_iv_paths(f, &analysis, target).expect("the IV path exists");
+        let r = find_iv_paths(f, &analysis, target, &mut DfsScratch::default())
+            .expect("the IV path exists");
         assert!(r.set.contains(&target));
     }
 }

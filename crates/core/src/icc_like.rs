@@ -19,9 +19,9 @@
 //! local allocation or the loop bound.
 
 use crate::candidates::{ChainLoad, ClampSource, Placement, PlannedPrefetch};
+use crate::dfs::ValueSet;
 use crate::report::{FunctionReport, PassReport};
 use crate::{codegen, PassConfig};
-use std::collections::BTreeSet;
 use swpf_analysis::{invariance, FuncAnalysis, ObjectRoot};
 use swpf_ir::{FuncId, InstKind, Module, ValueId, ValueKind};
 
@@ -138,9 +138,10 @@ fn match_simple_indirect(
         }
     }
 
-    let mut set: BTreeSet<ValueId> = BTreeSet::new();
-    set.extend([target, *addr, inner_load, *inner_addr]);
-    set.extend(set_extra.drain(..));
+    let set: ValueSet = [target, *addr, inner_load, *inner_addr]
+        .into_iter()
+        .chain(set_extra.drain(..))
+        .collect();
     let chain = vec![
         ChainLoad {
             load: inner_load,

@@ -1,7 +1,7 @@
 //! Functions: value arenas plus a CFG of basic blocks.
 
 use crate::block::{Block, BlockId};
-use crate::inst::{Inst, InstKind};
+use crate::inst::{Inst, InstKind, Successors};
 use crate::types::Type;
 use crate::value::{Constant, ValueData, ValueId, ValueKind};
 use std::fmt;
@@ -108,7 +108,7 @@ impl Function {
     }
 
     /// Iterate over all block ids in creation order (entry first).
-    pub fn block_ids(&self) -> impl Iterator<Item = BlockId> + '_ {
+    pub fn block_ids(&self) -> impl Iterator<Item = BlockId> {
         (0..self.blocks.len() as u32).map(BlockId)
     }
 
@@ -254,29 +254,13 @@ impl Function {
         self.blocks[b.index()].insts.insert(pos, inst);
     }
 
-    /// Compute predecessor lists for every block.
-    #[must_use]
-    pub fn predecessors(&self) -> Vec<Vec<BlockId>> {
-        let mut preds = vec![Vec::new(); self.blocks.len()];
-        for b in self.block_ids() {
-            if let Some(term) = self.block(b).last() {
-                if let Some(inst) = self.inst(term) {
-                    for s in inst.successors() {
-                        preds[s.index()].push(b);
-                    }
-                }
-            }
-        }
-        preds
-    }
-
     /// Successor blocks of `b` (empty if the block lacks a terminator).
     #[must_use]
-    pub fn successors(&self, b: BlockId) -> Vec<BlockId> {
+    pub fn successors(&self, b: BlockId) -> Successors {
         self.block(b)
             .last()
-            .and_then(|t| self.inst(t).map(|i| i.successors()))
-            .unwrap_or_default()
+            .and_then(|t| self.inst(t))
+            .map_or(Successors::NONE, Inst::successors)
     }
 
     /// Iterate over the instruction ids of every block, in block order.
@@ -310,6 +294,91 @@ impl Function {
     /// Give `v` a debug name, shown by the printer.
     pub fn set_name(&mut self, v: ValueId, name: impl Into<String>) {
         self.values[v.index()].name = Some(name.into());
+    }
+}
+
+/// `n` lists of `T` in one flat table (offsets + items), refillable in
+/// place: the dense-id form of a `Vec<Vec<T>>` or a map to vectors, for
+/// a driver that rebuilds it per function and wants to allocate it once.
+#[derive(Debug, Clone)]
+pub struct FlatLists<T> {
+    /// `items[start[i]..start[i + 1]]` is list `i`.
+    start: Vec<u32>,
+    items: Vec<T>,
+}
+
+impl<T> Default for FlatLists<T> {
+    fn default() -> Self {
+        FlatLists {
+            start: Vec::new(),
+            items: Vec::new(),
+        }
+    }
+}
+
+impl<T: Copy> FlatLists<T> {
+    /// Rebuild as `n` lists from `pairs`, which is run twice (count,
+    /// then place) and must emit the same `(list, item)` sequence both
+    /// times. Each list keeps its items in emission order. `blank` only
+    /// pads the table between the two runs.
+    pub fn refill(&mut self, n: usize, blank: T, mut pairs: impl FnMut(&mut dyn FnMut(usize, T))) {
+        self.start.clear();
+        self.start.resize(n + 1, 0);
+        pairs(&mut |list, _| self.start[list + 1] += 1);
+        for i in 0..n {
+            self.start[i + 1] += self.start[i];
+        }
+        self.items.clear();
+        self.items.resize(self.start[n] as usize, blank);
+        // Place through a cursor per list (its start offset, advanced as
+        // items land), then shift the cursors back one slot.
+        pairs(&mut |list, item| {
+            self.items[self.start[list] as usize] = item;
+            self.start[list] += 1;
+        });
+        self.start.copy_within(0..n, 1);
+        self.start[0] = 0;
+    }
+
+    /// List `i`.
+    #[must_use]
+    pub fn get(&self, i: usize) -> &[T] {
+        &self.items[self.start[i] as usize..self.start[i + 1] as usize]
+    }
+}
+
+/// Predecessor lists of every block, refillable in place.
+///
+/// Block `b`'s predecessors are listed in block order of the
+/// predecessor; a conditional branch with both arms on `b` lists its
+/// block twice.
+#[derive(Debug, Clone, Default)]
+pub struct Preds(FlatLists<BlockId>);
+
+impl Preds {
+    /// The predecessor table of `f`.
+    #[must_use]
+    pub fn of(f: &Function) -> Self {
+        let mut preds = Preds::default();
+        preds.refill(f);
+        preds
+    }
+
+    /// Recompute for `f`, reusing the table's storage.
+    pub fn refill(&mut self, f: &Function) {
+        self.0.refill(f.num_blocks(), BlockId(0), |edge| {
+            for b in f.block_ids() {
+                for s in f.successors(b) {
+                    edge(s.index(), b);
+                }
+            }
+        });
+    }
+
+    /// The predecessors of `b`.
+    #[must_use]
+    pub fn get(&self, b: BlockId) -> &[BlockId] {
+        self.0.get(b.index())
     }
 }
 
@@ -407,8 +476,10 @@ mod tests {
             b2,
         );
         f.push_inst(ret);
-        assert_eq!(f.predecessors()[b2.index()], vec![entry]);
-        assert_eq!(f.successors(entry), vec![b2]);
+        let preds = Preds::of(&f);
+        assert_eq!(preds.get(b2), [entry]);
+        assert!(preds.get(entry).is_empty());
+        assert_eq!(*f.successors(entry), [b2]);
         assert_eq!(f.users_of(f.arg(0)), vec![ret]);
     }
 }

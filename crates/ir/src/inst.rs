@@ -364,6 +364,39 @@ pub struct Inst {
     pub block: BlockId,
 }
 
+/// The (at most two) successor blocks of a terminator, held inline so
+/// CFG walks never touch the allocator. Dereferences to a slice.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Successors {
+    len: u8,
+    blocks: [BlockId; 2],
+}
+
+impl Successors {
+    /// No successors: a `ret`, a non-terminator, an unterminated block.
+    pub const NONE: Successors = Successors {
+        len: 0,
+        blocks: [BlockId(0); 2],
+    };
+}
+
+impl std::ops::Deref for Successors {
+    type Target = [BlockId];
+
+    fn deref(&self) -> &[BlockId] {
+        &self.blocks[..usize::from(self.len)]
+    }
+}
+
+impl IntoIterator for Successors {
+    type Item = BlockId;
+    type IntoIter = std::iter::Take<std::array::IntoIter<BlockId, 2>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.blocks.into_iter().take(usize::from(self.len))
+    }
+}
+
 impl Inst {
     /// Whether this instruction ends a basic block.
     #[must_use]
@@ -423,79 +456,83 @@ impl Inst {
         }
     }
 
-    /// Collect all value operands into a fresh vector.
-    #[must_use]
-    pub fn operands(&self) -> Vec<ValueId> {
-        let mut v = Vec::with_capacity(3);
-        self.operands_into(&mut v);
-        v
-    }
-
-    /// Replace every operand equal to `from` with `to`. Returns the number
-    /// of replacements performed.
-    pub fn replace_uses(&mut self, from: ValueId, to: ValueId) -> usize {
-        let mut n = 0;
-        let mut rep = |v: &mut ValueId| {
-            if *v == from {
-                *v = to;
-                n += 1;
-            }
-        };
+    /// Visit every value operand in place, in [`Inst::operands_into`]
+    /// order — the one place that knows where each instruction kind
+    /// keeps its operands, for rewrites through a side table.
+    pub fn for_each_operand_mut(&mut self, mut visit: impl FnMut(&mut ValueId)) {
         match &mut self.kind {
             InstKind::Binary { lhs, rhs, .. } | InstKind::ICmp { lhs, rhs, .. } => {
-                rep(lhs);
-                rep(rhs);
+                visit(lhs);
+                visit(rhs);
             }
             InstKind::Select {
                 cond,
                 then_val,
                 else_val,
             } => {
-                rep(cond);
-                rep(then_val);
-                rep(else_val);
+                visit(cond);
+                visit(then_val);
+                visit(else_val);
             }
-            InstKind::Cast { val, .. } => rep(val),
-            InstKind::Alloc { count, .. } => rep(count),
+            InstKind::Cast { val, .. } => visit(val),
+            InstKind::Alloc { count, .. } => visit(count),
             InstKind::Gep { base, index, .. } => {
-                rep(base);
-                rep(index);
+                visit(base);
+                visit(index);
             }
-            InstKind::Load { addr, .. } | InstKind::Prefetch { addr } => rep(addr),
+            InstKind::Load { addr, .. } | InstKind::Prefetch { addr } => visit(addr),
             InstKind::Store { addr, value } => {
-                rep(addr);
-                rep(value);
+                visit(addr);
+                visit(value);
             }
             InstKind::Phi { incomings } => {
                 for (_, v) in incomings.iter_mut() {
-                    rep(v);
+                    visit(v);
                 }
             }
             InstKind::Call { args, .. } => {
                 for a in args.iter_mut() {
-                    rep(a);
+                    visit(a);
                 }
             }
             InstKind::Br { .. } => {}
-            InstKind::CondBr { cond, .. } => rep(cond),
+            InstKind::CondBr { cond, .. } => visit(cond),
             InstKind::Ret { value } => {
                 if let Some(v) = value {
-                    rep(v);
+                    visit(v);
                 }
             }
         }
+    }
+
+    /// Replace every operand equal to `from` with `to`. Returns the number
+    /// of replacements performed.
+    pub fn replace_uses(&mut self, from: ValueId, to: ValueId) -> usize {
+        let mut n = 0;
+        self.for_each_operand_mut(|v| {
+            if *v == from {
+                *v = to;
+                n += 1;
+            }
+        });
         n
     }
 
     /// The block successors of a terminator (empty for non-terminators).
     #[must_use]
-    pub fn successors(&self) -> Vec<BlockId> {
+    pub fn successors(&self) -> Successors {
         match &self.kind {
-            InstKind::Br { target } => vec![*target],
+            InstKind::Br { target } => Successors {
+                len: 1,
+                blocks: [*target, BlockId(0)],
+            },
             InstKind::CondBr {
                 then_bb, else_bb, ..
-            } => vec![*then_bb, *else_bb],
-            _ => Vec::new(),
+            } => Successors {
+                len: 2,
+                blocks: [*then_bb, *else_bb],
+            },
+            _ => Successors::NONE,
         }
     }
 }
@@ -574,15 +611,21 @@ mod tests {
         }
     }
 
+    fn operands(i: &Inst) -> Vec<ValueId> {
+        let mut ops = Vec::new();
+        i.operands_into(&mut ops);
+        ops
+    }
+
     #[test]
     fn operand_collection() {
         let i = inst(InstKind::Store {
             addr: ValueId(1),
             value: ValueId(2),
         });
-        assert_eq!(i.operands(), vec![ValueId(1), ValueId(2)]);
+        assert_eq!(operands(&i), vec![ValueId(1), ValueId(2)]);
         let b = inst(InstKind::Br { target: BlockId(3) });
-        assert!(b.operands().is_empty());
+        assert!(operands(&b).is_empty());
         assert!(b.is_terminator());
     }
 
@@ -594,7 +637,7 @@ mod tests {
             rhs: ValueId(5),
         });
         assert_eq!(i.replace_uses(ValueId(5), ValueId(9)), 2);
-        assert_eq!(i.operands(), vec![ValueId(9), ValueId(9)]);
+        assert_eq!(operands(&i), vec![ValueId(9), ValueId(9)]);
         assert_eq!(i.replace_uses(ValueId(5), ValueId(1)), 0);
     }
 
@@ -605,7 +648,7 @@ mod tests {
             then_bb: BlockId(1),
             else_bb: BlockId(2),
         });
-        assert_eq!(c.successors(), vec![BlockId(1), BlockId(2)]);
+        assert_eq!(*c.successors(), [BlockId(1), BlockId(2)]);
         let r = inst(InstKind::Ret { value: None });
         assert!(r.successors().is_empty());
     }

@@ -74,6 +74,7 @@ pub mod bytecode;
 pub mod classic;
 pub mod exec;
 pub mod function;
+pub mod hash;
 pub mod inst;
 pub mod interp;
 pub mod module;
@@ -87,12 +88,13 @@ pub use block::{Block, BlockId};
 pub use builder::FunctionBuilder;
 pub use bytecode::{BcEngine, BcImage, LowerError};
 pub use exec::ExecImage;
-pub use function::{FuncId, Function};
-pub use inst::{BinOp, CastOp, Inst, InstKind, Pred};
+pub use function::{FlatLists, FuncId, Function, Preds};
+pub use inst::{BinOp, CastOp, Inst, InstKind, Pred, Successors};
 pub use interp::Tier;
 pub use module::Module;
 pub use types::Type;
 pub use value::{Constant, ValueData, ValueId, ValueKind};
+pub use verifier::CfgScratch;
 
 /// Convenient glob-import surface for downstream crates and examples.
 pub mod prelude {

@@ -53,7 +53,7 @@ impl Module {
     }
 
     /// Iterate over function ids.
-    pub fn func_ids(&self) -> impl Iterator<Item = FuncId> + '_ {
+    pub fn func_ids(&self) -> impl Iterator<Item = FuncId> {
         (0..self.functions.len() as u32).map(FuncId)
     }
 

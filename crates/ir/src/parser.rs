@@ -31,84 +31,103 @@ impl std::error::Error for ParseError {}
 
 type PResult<T> = Result<T, ParseError>;
 
+fn err(line: usize, message: impl Into<String>) -> ParseError {
+    ParseError {
+        line,
+        message: message.into(),
+    }
+}
+
+/// A line without its `;` comment and surrounding whitespace.
+fn content(line: &str) -> &str {
+    line.find(';').map_or(line, |p| &line[..p]).trim()
+}
+
+/// The cursor over the input: yields `(1-based line number, content)`
+/// for every line that is non-empty once its comment and surrounding
+/// whitespace are stripped. Borrows from the text; cloning it forks the
+/// position.
+#[derive(Clone)]
+struct Lines<'a> {
+    inner: std::iter::Enumerate<std::str::Lines<'a>>,
+}
+
+impl<'a> Iterator for Lines<'a> {
+    type Item = (usize, &'a str);
+
+    fn next(&mut self) -> Option<(usize, &'a str)> {
+        for (i, l) in self.inner.by_ref() {
+            let l = content(l);
+            if !l.is_empty() {
+                return Some((i + 1, l));
+            }
+        }
+        None
+    }
+}
+
 /// Parse a module from its textual form.
 ///
 /// # Errors
 /// Returns a [`ParseError`] describing the first malformed line.
 pub fn parse_module(text: &str) -> PResult<Module> {
-    let lines: Vec<(usize, String)> = text
-        .lines()
-        .enumerate()
-        .map(|(i, l)| {
-            let no_comment = match l.find(';') {
-                Some(p) => &l[..p],
-                None => l,
-            };
-            (i + 1, no_comment.trim().to_string())
-        })
-        .filter(|(_, l)| !l.is_empty())
-        .collect();
-
-    let mut idx = 0;
-    let err = |line: usize, msg: &str| ParseError {
-        line,
-        message: msg.to_string(),
+    let mut lines = Lines {
+        inner: text.lines().enumerate(),
     };
-
-    let (first_line, first) = lines.first().ok_or_else(|| err(1, "empty input"))?.clone();
+    let (first_line, first) = lines.next().ok_or_else(|| err(1, "empty input"))?;
     let name = first
         .strip_prefix("module ")
         .ok_or_else(|| err(first_line, "expected `module <name>`"))?
-        .trim()
-        .to_string();
+        .trim();
     let mut m = Module::new(name);
-    idx += 1;
 
-    // First pass: collect function headers so calls can resolve by name.
-    let mut headers = Vec::new();
-    for (ln, l) in lines.iter().skip(1) {
-        if l.starts_with("func @") {
-            headers.push(parse_header(*ln, l)?);
+    // First pass: declare every function header so calls can resolve by
+    // name. A comment cannot hide a `func @` prefix, so only header
+    // lines pay for comment stripping here.
+    let mut params = Vec::new();
+    for (i, raw) in lines.clone().inner {
+        if !raw.trim_start().starts_with("func @") {
+            continue;
         }
-    }
-    for h in &headers {
-        let fid = m.declare_function(h.name.clone(), &h.params, h.ret);
+        let h = parse_header(i + 1, content(raw), &mut params)?;
+        let fid = m.declare_function(h.name, &params, h.ret);
         m.function_mut(fid).purity = h.purity;
     }
 
     // Second pass: bodies.
-    let mut fcount = 0usize;
-    while idx < lines.len() {
-        let (ln, l) = &lines[idx];
+    let mut scratch = BodyScratch::default();
+    let mut fcount = 0u32;
+    while let Some((ln, l)) = lines.next() {
         if !l.starts_with("func @") {
-            return Err(err(*ln, "expected `func`"));
+            return Err(err(ln, "expected `func`"));
         }
-        let fid = FuncId(fcount as u32);
+        parse_body(&mut m, FuncId(fcount), &mut lines, &mut scratch)?;
         fcount += 1;
-        idx = parse_body(&mut m, fid, &lines, idx + 1)?;
     }
     Ok(m)
 }
 
-struct Header {
-    name: String,
-    params: Vec<Type>,
+struct Header<'a> {
+    name: &'a str,
     ret: Option<Type>,
     purity: Purity,
 }
 
-fn parse_header(line: usize, l: &str) -> PResult<Header> {
-    let perr = |msg: &str| ParseError {
-        line,
-        message: msg.to_string(),
-    };
+/// Parse `func @name(%0: ty, ...) -> ret [pure|readonly] {`, leaving the
+/// parameter types in `params`.
+fn parse_header<'a>(line: usize, l: &'a str, params: &mut Vec<Type>) -> PResult<Header<'a>> {
+    let perr = |msg: &str| err(line, msg);
     let rest = l.strip_prefix("func @").ok_or_else(|| perr("not a func"))?;
     let open = rest.find('(').ok_or_else(|| perr("missing `(`"))?;
-    let name = rest[..open].to_string();
     let close = rest.find(')').ok_or_else(|| perr("missing `)`"))?;
-    let params_text = &rest[open + 1..close];
-    let mut params = Vec::new();
-    for p in params_text.split(',').filter(|s| !s.trim().is_empty()) {
+    if close < open {
+        return Err(perr("`)` before `(`"));
+    }
+    params.clear();
+    for p in rest[open + 1..close]
+        .split(',')
+        .filter(|s| !s.trim().is_empty())
+    {
         let (_n, t) = p
             .split_once(':')
             .ok_or_else(|| perr("param missing type"))?;
@@ -136,190 +155,217 @@ fn parse_header(line: usize, l: &str) -> PResult<Header> {
         Some(Type::from_name(ret_txt).ok_or_else(|| perr("bad return type"))?)
     };
     Ok(Header {
-        name,
-        params,
+        name: &rest[..open],
         ret,
         purity,
     })
 }
 
-/// Collected instruction line, pre-resolution.
-struct PendingInst {
-    line: usize,
-    block: BlockId,
-    result: Option<(String, Type)>,
-    text: String,
+/// The value names of the function being parsed, as borrowed keys.
+///
+/// The `%<decimal>` names the printer emits index `dense` directly: in
+/// printed text a value's number never exceeds its arena slot, so a
+/// number below the arena size at definition time goes there and the
+/// table stays bounded by the input. Every other name — symbolic, or a
+/// number ahead of the arena — lives in `other`, which keeps the
+/// standard hasher because its keys come from outside the program.
+#[derive(Default)]
+struct Names<'a> {
+    dense: Vec<Option<ValueId>>,
+    other: HashMap<&'a str, ValueId>,
 }
 
-fn parse_body(
-    m: &mut Module,
-    fid: FuncId,
-    lines: &[(usize, String)],
-    mut idx: usize,
-) -> PResult<usize> {
-    let mut names: HashMap<String, ValueId> = HashMap::new();
-    let nparams = m.function(fid).params.len();
-    for i in 0..nparams {
-        names.insert(format!("%{i}"), ValueId(i as u32));
+/// `n` of a canonical `%n` (no sign, no leading zeros, fits `u32`).
+fn decimal_name(name: &str) -> Option<usize> {
+    let digits = name.strip_prefix('%')?.as_bytes();
+    let canonical = match digits {
+        [] => false,
+        [b'0'] => true,
+        [first, ..] => *first != b'0' && digits.len() <= 10,
+    };
+    if !canonical || !digits.iter().all(u8::is_ascii_digit) {
+        return None;
+    }
+    let n = digits
+        .iter()
+        .fold(0u64, |n, d| n * 10 + u64::from(d - b'0'));
+    u32::try_from(n).ok().map(|n| n as usize)
+}
+
+impl<'a> Names<'a> {
+    fn clear(&mut self) {
+        self.dense.clear();
+        self.other.clear();
     }
 
-    let mut pending: Vec<PendingInst> = Vec::new();
+    /// Bind `name` to `id`; a later binding of the same name wins.
+    /// `num_values` is the arena size, the bound on dense slots.
+    fn define(&mut self, name: &'a str, id: ValueId, num_values: usize) {
+        match decimal_name(name) {
+            Some(n) if n < num_values => {
+                if self.dense.len() <= n {
+                    self.dense.resize(n + 1, None);
+                }
+                self.dense[n] = Some(id);
+            }
+            _ => {
+                self.other.insert(name, id);
+            }
+        }
+    }
+
+    fn resolve(&self, name: &str, line: usize) -> PResult<ValueId> {
+        let name = name.trim();
+        decimal_name(name)
+            .and_then(|n| self.dense.get(n).copied().flatten())
+            .or_else(|| self.other.get(name).copied())
+            .ok_or_else(|| err(line, format!("unknown value `{name}`")))
+    }
+}
+
+/// An instruction line whose value slot exists but whose operands are
+/// not resolved yet (forward references: phis).
+struct Pending<'a> {
+    line: usize,
+    id: ValueId,
+    text: &'a str,
+}
+
+/// Per-function parsing state, reused across the functions of a module.
+#[derive(Default)]
+struct BodyScratch<'a> {
+    names: Names<'a>,
+    pending: Vec<Pending<'a>>,
+}
+
+/// Parse one function body, from the line after its header through the
+/// closing `}`.
+fn parse_body<'a>(
+    m: &mut Module,
+    fid: FuncId,
+    lines: &mut Lines<'a>,
+    scratch: &mut BodyScratch<'a>,
+) -> PResult<()> {
+    let BodyScratch { names, pending } = scratch;
+    names.clear();
+    pending.clear();
+    let f = m.function_mut(fid);
+    for i in 0..f.params.len() {
+        names.dense.push(Some(ValueId(i as u32)));
+    }
+
     let mut blocks_seen = 0usize;
     let mut cur_block: Option<BlockId> = None;
 
-    // Collect lines until `}`.
+    // Create a value slot per line until `}`, so that forward
+    // references resolve.
     loop {
-        let Some((ln, l)) = lines.get(idx) else {
-            return Err(ParseError {
-                line: 0,
-                message: "unterminated function".into(),
-            });
+        let Some((ln, l)) = lines.next() else {
+            return Err(err(0, "unterminated function"));
         };
-        let ln = *ln;
-        idx += 1;
         if l == "}" {
             break;
         }
         if let Some(label) = l.strip_suffix(':') {
             if !label.starts_with("bb") {
-                return Err(ParseError {
-                    line: ln,
-                    message: format!("bad block label `{label}`"),
-                });
+                return Err(err(ln, format!("bad block label `{label}`")));
             }
-            let b = if blocks_seen == 0 {
-                m.function(fid).entry()
+            cur_block = Some(if blocks_seen == 0 {
+                f.entry()
             } else {
-                m.function_mut(fid).add_block(label)
-            };
+                f.add_block(label)
+            });
             blocks_seen += 1;
-            cur_block = Some(b);
             continue;
         }
+        let assignment = l.split_once('=');
         // `%n = const 42: i64` lines.
-        if let Some((lhs, rhs)) = l.split_once('=') {
-            let rhs = rhs.trim();
-            if let Some(cexpr) = rhs.strip_prefix("const ") {
-                let (v, t) = cexpr.split_once(':').ok_or_else(|| ParseError {
-                    line: ln,
-                    message: "const missing type".into(),
-                })?;
-                let ty = Type::from_name(t.trim()).ok_or_else(|| ParseError {
-                    line: ln,
-                    message: "bad const type".into(),
-                })?;
+        if let Some((lhs, rhs)) = assignment {
+            if let Some(cexpr) = rhs.trim().strip_prefix("const ") {
+                let (v, t) = cexpr
+                    .split_once(':')
+                    .ok_or_else(|| err(ln, "const missing type"))?;
+                let ty = Type::from_name(t.trim()).ok_or_else(|| err(ln, "bad const type"))?;
                 let c = if ty == Type::F64 {
-                    Constant::Float(v.trim().parse().map_err(|_| ParseError {
-                        line: ln,
-                        message: "bad float constant".into(),
-                    })?)
+                    Constant::Float(
+                        v.trim()
+                            .parse()
+                            .map_err(|_| err(ln, "bad float constant"))?,
+                    )
                 } else {
                     Constant::Int(
-                        v.trim().parse().map_err(|_| ParseError {
-                            line: ln,
-                            message: "bad int constant".into(),
-                        })?,
+                        v.trim().parse().map_err(|_| err(ln, "bad int constant"))?,
                         ty,
                     )
                 };
-                let id = m.function_mut(fid).add_const(c);
-                names.insert(lhs.trim().split(':').next().unwrap().trim().to_string(), id);
+                let id = f.add_const(c);
+                let name = lhs.split_once(':').map_or(lhs, |(name, _)| name).trim();
+                names.define(name, id, f.num_values());
                 continue;
             }
         }
-        let block = cur_block.ok_or_else(|| ParseError {
-            line: ln,
-            message: "instruction before first block label".into(),
-        })?;
+        let block = cur_block.ok_or_else(|| err(ln, "instruction before first block label"))?;
         // `%n: ty = <inst>` or bare `<inst>`.
-        let (result, text) = match l.split_once('=') {
+        let (result, text) = match assignment {
             Some((lhs, rhs)) if lhs.trim_start().starts_with('%') => {
-                let (nm, ty) = lhs.split_once(':').ok_or_else(|| ParseError {
-                    line: ln,
-                    message: "result missing type annotation".into(),
-                })?;
-                let ty = Type::from_name(ty.trim()).ok_or_else(|| ParseError {
-                    line: ln,
-                    message: "bad result type".into(),
-                })?;
-                (Some((nm.trim().to_string(), ty)), rhs.trim().to_string())
+                let (nm, ty) = lhs
+                    .split_once(':')
+                    .ok_or_else(|| err(ln, "result missing type annotation"))?;
+                let ty = Type::from_name(ty.trim()).ok_or_else(|| err(ln, "bad result type"))?;
+                (Some((nm.trim(), ty)), rhs.trim())
             }
-            _ => (None, l.clone()),
+            _ => (None, l),
         };
-        // Pre-create the value slot so forward references (phis) resolve.
-        let id = m.function_mut(fid).create_inst(
-            InstKind::Ret { value: None }, // placeholder, patched below
-            result.as_ref().map(|(_, t)| *t),
-            block,
-        );
-        m.function_mut(fid).push_inst(id);
-        if let Some((nm, _)) = &result {
-            names.insert(nm.clone(), id);
+        // The kind is a placeholder, patched once every name is known.
+        let id = f.create_inst(InstKind::Ret { value: None }, result.map(|(_, t)| t), block);
+        f.push_inst(id);
+        if let Some((nm, _)) = result {
+            names.define(nm, id, f.num_values());
         }
-        pending.push(PendingInst {
-            line: ln,
-            block,
-            result,
-            text,
-        });
+        pending.push(Pending { line: ln, id, text });
     }
 
     // Resolve operands and patch instruction kinds.
-    let mut pi = 0usize;
-    let block_ids: Vec<BlockId> = m.function(fid).block_ids().collect();
-    let lookup_block = |s: &str, line: usize| -> PResult<BlockId> {
-        let n: u32 = s
-            .strip_prefix("bb")
-            .and_then(|t| t.parse().ok())
-            .ok_or_else(|| ParseError {
-                line,
-                message: format!("bad block ref `{s}`"),
-            })?;
-        block_ids
-            .get(n as usize)
-            .copied()
-            .ok_or_else(|| ParseError {
-                line,
-                message: format!("unknown block `{s}`"),
-            })
-    };
-    // Identify the value ids assigned to pending instructions, in order.
-    let inst_ids: Vec<ValueId> = {
-        let f = m.function(fid);
-        f.all_insts().collect()
-    };
-    let body_blocks: Vec<BlockId> = m.function(fid).block_ids().collect();
-    for b in body_blocks {
-        let insts = m.function(fid).block(b).insts.clone();
-        for v in insts {
-            let p = &pending[pi];
-            debug_assert_eq!(p.block, b);
-            let kind = parse_inst_text(m, &p.text, p.line, &names, &lookup_block)?;
-            let _ = &p.result;
-            m.function_mut(fid).inst_mut(v).expect("inst").kind = kind;
-            pi += 1;
-        }
+    let nblocks = f.num_blocks();
+    for p in pending.iter() {
+        let kind = parse_inst_text(m, p.text, p.line, names, nblocks)?;
+        m.function_mut(fid)
+            .inst_mut(p.id)
+            .expect("pending ids are the instruction slots created above")
+            .kind = kind;
     }
-    debug_assert_eq!(pi, pending.len());
-    let _ = inst_ids;
-    Ok(idx)
+    Ok(())
 }
 
-fn resolve(names: &HashMap<String, ValueId>, s: &str, line: usize) -> PResult<ValueId> {
-    names.get(s.trim()).copied().ok_or_else(|| ParseError {
-        line,
-        message: format!("unknown value `{}`", s.trim()),
-    })
+/// Resolve a `bb<n>` reference against a function of `nblocks` blocks.
+fn lookup_block(s: &str, line: usize, nblocks: usize) -> PResult<BlockId> {
+    let n: u32 = s
+        .strip_prefix("bb")
+        .and_then(|t| t.parse().ok())
+        .ok_or_else(|| err(line, format!("bad block ref `{s}`")))?;
+    if (n as usize) < nblocks {
+        Ok(BlockId(n))
+    } else {
+        Err(err(line, format!("unknown block `{s}`")))
+    }
+}
+
+/// Exactly three comma-separated parts, or `None`.
+fn three_parts(s: &str) -> Option<[&str; 3]> {
+    let mut parts = s.split(',');
+    let three = [parts.next()?, parts.next()?, parts.next()?];
+    parts.next().is_none().then_some(three)
 }
 
 fn parse_inst_text(
     m: &Module,
     text: &str,
     line: usize,
-    names: &HashMap<String, ValueId>,
-    lookup_block: &dyn Fn(&str, usize) -> PResult<BlockId>,
+    names: &Names<'_>,
+    nblocks: usize,
 ) -> PResult<InstKind> {
-    let perr = |msg: String| ParseError { line, message: msg };
+    let perr = |msg: String| err(line, msg);
+    let resolve = |s: &str| names.resolve(s, line);
     let (op, rest) = match text.split_once(' ') {
         Some((a, b)) => (a, b.trim()),
         None => (text, ""),
@@ -328,7 +374,7 @@ fn parse_inst_text(
         let (a, b) = rest
             .split_once(',')
             .ok_or_else(|| perr(format!("expected two operands in `{text}`")))?;
-        Ok((resolve(names, a, line)?, resolve(names, b, line)?))
+        Ok((resolve(a)?, resolve(b)?))
     };
 
     if let Some(binop) = BinOp::from_mnemonic(op) {
@@ -345,7 +391,7 @@ fn parse_inst_text(
             .ok_or_else(|| perr("cast missing `to`".into()))?;
         return Ok(InstKind::Cast {
             op: castop,
-            val: resolve(names, v, line)?,
+            val: resolve(v)?,
             to: Type::from_name(t.trim()).ok_or_else(|| perr("bad cast type".into()))?,
         });
     }
@@ -363,14 +409,12 @@ fn parse_inst_text(
             })
         }
         "select" => {
-            let parts: Vec<&str> = rest.split(',').collect();
-            if parts.len() != 3 {
-                return Err(perr("select needs three operands".into()));
-            }
+            let [c, t, e] =
+                three_parts(rest).ok_or_else(|| perr("select needs three operands".into()))?;
             Ok(InstKind::Select {
-                cond: resolve(names, parts[0], line)?,
-                then_val: resolve(names, parts[1], line)?,
-                else_val: resolve(names, parts[2], line)?,
+                cond: resolve(c)?,
+                then_val: resolve(t)?,
+                else_val: resolve(e)?,
             })
         }
         "alloc" => {
@@ -378,7 +422,7 @@ fn parse_inst_text(
                 .split_once(" x ")
                 .ok_or_else(|| perr("alloc missing `x`".into()))?;
             Ok(InstKind::Alloc {
-                count: resolve(names, c, line)?,
+                count: resolve(c)?,
                 elem_size: sz
                     .trim()
                     .parse()
@@ -402,8 +446,8 @@ fn parse_inst_text(
                 .split_once(" x ")
                 .ok_or_else(|| perr("gep missing `x`".into()))?;
             Ok(InstKind::Gep {
-                base: resolve(names, base, line)?,
-                index: resolve(names, i, line)?,
+                base: resolve(base)?,
+                index: resolve(i)?,
                 elem_size: sz
                     .trim()
                     .parse()
@@ -417,7 +461,7 @@ fn parse_inst_text(
                 .ok_or_else(|| perr("load missing address".into()))?;
             Ok(InstKind::Load {
                 ty: Type::from_name(t.trim()).ok_or_else(|| perr("bad load type".into()))?,
-                addr: resolve(names, a, line)?,
+                addr: resolve(a)?,
             })
         }
         "store" => {
@@ -425,16 +469,16 @@ fn parse_inst_text(
             Ok(InstKind::Store { addr: a, value: v })
         }
         "prefetch" => Ok(InstKind::Prefetch {
-            addr: resolve(names, rest, line)?,
+            addr: resolve(rest)?,
         }),
         "phi" => {
-            let mut incomings = Vec::new();
+            let mut incomings = Vec::with_capacity(rest.matches("],").count() + 1);
             for part in rest.split("],") {
                 let part = part.trim().trim_start_matches('[').trim_end_matches(']');
                 let (b, v) = part
                     .split_once(':')
                     .ok_or_else(|| perr("phi incoming missing `:`".into()))?;
-                incomings.push((lookup_block(b.trim(), line)?, resolve(names, v, line)?));
+                incomings.push((lookup_block(b.trim(), line, nblocks)?, resolve(v)?));
             }
             Ok(InstKind::Phi { incomings })
         }
@@ -442,11 +486,10 @@ fn parse_inst_text(
             let rest = rest
                 .strip_prefix('@')
                 .ok_or_else(|| perr("call missing `@`".into()))?;
-            let open = rest
-                .find('(')
+            let (fname, args_text) = rest
+                .split_once('(')
                 .ok_or_else(|| perr("call missing `(`".into()))?;
-            let fname = &rest[..open];
-            let args_text = rest[open + 1..]
+            let args_text = args_text
                 .strip_suffix(')')
                 .ok_or_else(|| perr("call missing `)`".into()))?;
             let callee = m
@@ -454,24 +497,22 @@ fn parse_inst_text(
                 .ok_or_else(|| perr(format!("unknown function `{fname}`")))?;
             let mut args = Vec::new();
             for a in args_text.split(',').filter(|s| !s.trim().is_empty()) {
-                args.push(resolve(names, a, line)?);
+                args.push(resolve(a)?);
             }
             Ok(InstKind::Call { callee, args })
         }
         "br" => {
             if rest.contains(',') {
-                let parts: Vec<&str> = rest.split(',').collect();
-                if parts.len() != 3 {
-                    return Err(perr("conditional br needs cond and two targets".into()));
-                }
+                let [c, t, e] = three_parts(rest)
+                    .ok_or_else(|| perr("conditional br needs cond and two targets".into()))?;
                 Ok(InstKind::CondBr {
-                    cond: resolve(names, parts[0], line)?,
-                    then_bb: lookup_block(parts[1].trim(), line)?,
-                    else_bb: lookup_block(parts[2].trim(), line)?,
+                    cond: resolve(c)?,
+                    then_bb: lookup_block(t.trim(), line, nblocks)?,
+                    else_bb: lookup_block(e.trim(), line, nblocks)?,
                 })
             } else {
                 Ok(InstKind::Br {
-                    target: lookup_block(rest.trim(), line)?,
+                    target: lookup_block(rest.trim(), line, nblocks)?,
                 })
             }
         }
@@ -480,7 +521,7 @@ fn parse_inst_text(
                 Ok(InstKind::Ret { value: None })
             } else {
                 Ok(InstKind::Ret {
-                    value: Some(resolve(names, rest, line)?),
+                    value: Some(resolve(rest)?),
                 })
             }
         }
@@ -551,6 +592,52 @@ bb3:
         let bad = "module t\n\nfunc @f() -> void {\nbb0:\n  frobnicate %0\n}\n";
         let err = parse_module(bad).unwrap_err();
         assert!(err.message.contains("unknown instruction"), "{err}");
+    }
+
+    #[test]
+    fn hostile_headers_are_errors_not_panics() {
+        for (header, want) in [
+            ("func @f)( -> void {", "`)` before `("),
+            ("func @f( -> void {", "missing `)`"),
+            ("func @f) -> void {", "missing `("),
+            ("func @f() void {", "missing return type"),
+            ("func @f() -> void", "missing `{`"),
+            ("func @f(%0) -> void {", "param missing type"),
+            ("func @f(%0: i7) -> void {", "bad param type"),
+            ("func @f() -> i7 {", "bad return type"),
+        ] {
+            let err = parse_module(&format!("module t\n{header}\nbb0:\n  ret\n}}\n")).unwrap_err();
+            assert_eq!(err.line, 2, "{header}");
+            assert!(err.message.contains(want), "{header}: {err}");
+        }
+    }
+
+    #[test]
+    fn decimal_names_are_canonical_or_symbolic() {
+        assert_eq!(decimal_name("%0"), Some(0));
+        assert_eq!(decimal_name("%42"), Some(42));
+        assert_eq!(decimal_name("%4294967295"), Some(u32::MAX as usize));
+        for symbolic in [
+            "%",
+            "%05",
+            "%00",
+            "%+5",
+            "%4294967296",
+            "%99999999999",
+            "%5a",
+            "5",
+            "%s",
+        ] {
+            assert_eq!(decimal_name(symbolic), None, "{symbolic}");
+        }
+    }
+
+    #[test]
+    fn a_number_ahead_of_the_arena_cannot_size_the_name_table() {
+        let src = "module t\n\nfunc @f() -> i64 {\n  %4000000000 = const 7: i64\nbb0:\n  ret %4000000000\n}\n";
+        let m = parse_module(src).expect("parses");
+        verify_module(&m).expect("verifies");
+        assert!(print_module(&m).contains("%0 = const 7: i64"));
     }
 
     #[test]

@@ -5,20 +5,93 @@
 //! is the identity on printed text. Detached values (created but never
 //! placed in a block) are not printed.
 
+use crate::block::BlockId;
 use crate::function::{Function, Purity};
 use crate::inst::InstKind;
 use crate::module::Module;
 use crate::value::{Constant, ValueId};
 use std::fmt::Write as _;
 
+/// The output buffer and the current function's display numbering,
+/// with chainable appenders — everything is written straight into the
+/// one buffer, integers without `fmt`'s padding and dispatch machinery.
+struct Text<'a> {
+    out: &'a mut String,
+    /// Canonical display number of every value (`u32::MAX`: not shown).
+    display: &'a [u32],
+}
+
+impl Text<'_> {
+    fn s(&mut self, s: &str) -> &mut Self {
+        self.out.push_str(s);
+        self
+    }
+
+    /// `v` in decimal.
+    fn n(&mut self, mut v: u64) -> &mut Self {
+        let mut buf = [0u8; 20];
+        let mut at = buf.len();
+        loop {
+            at -= 1;
+            buf[at] = b'0' + (v % 10) as u8;
+            v /= 10;
+            if v == 0 {
+                break;
+            }
+        }
+        self.s(std::str::from_utf8(&buf[at..]).expect("ASCII digits"))
+    }
+
+    /// The signed `v` in decimal.
+    fn i(&mut self, v: i64) -> &mut Self {
+        self.s(if v < 0 { "-" } else { "" }).n(v.unsigned_abs())
+    }
+
+    fn v(&mut self, v: ValueId) -> &mut Self {
+        let number = self.display[v.index()];
+        self.s("%").n(u64::from(number))
+    }
+
+    /// `vs`, comma-separated.
+    fn vs(&mut self, vs: &[ValueId]) -> &mut Self {
+        for (i, v) in vs.iter().enumerate() {
+            self.s(if i > 0 { ", " } else { "" }).v(*v);
+        }
+        self
+    }
+
+    fn bb(&mut self, b: BlockId) -> &mut Self {
+        self.s("bb").n(u64::from(b.0))
+    }
+}
+
+/// Per-function numbering scratch, reused across the functions of a
+/// module.
+#[derive(Default)]
+struct Numbering {
+    display: Vec<u32>,
+    const_ids: Vec<ValueId>,
+}
+
+/// Room for `f`'s text: about 22 bytes a line in practice, a line per
+/// value, block and function frame. Over-reserving is free, regrowing
+/// copies.
+fn size_hint(f: &Function) -> usize {
+    32 * (f.num_values() + f.num_blocks() + 4)
+}
+
 /// Print a whole module.
 #[must_use]
 pub fn print_module(m: &Module) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "module {}", m.name);
+    let functions: usize = m.func_ids().map(|f| size_hint(m.function(f))).sum();
+    let mut out = String::with_capacity(functions + m.name.len() + 16);
+    out.push_str("module ");
+    out.push_str(&m.name);
+    out.push('\n');
+    let mut numbering = Numbering::default();
     for f in m.func_ids() {
         out.push('\n');
-        out.push_str(&print_function(m, m.function(f)));
+        print_function_into(&mut out, m, m.function(f), &mut numbering, None);
     }
     out
 }
@@ -26,7 +99,9 @@ pub fn print_module(m: &Module) -> String {
 /// Print a single function in canonical form.
 #[must_use]
 pub fn print_function(m: &Module, f: &Function) -> String {
-    print_function_impl(m, f, None)
+    let mut out = String::with_capacity(size_hint(f));
+    print_function_into(&mut out, m, f, &mut Numbering::default(), None);
+    out
 }
 
 /// Like [`print_function`], additionally reporting which placed
@@ -40,35 +115,39 @@ pub fn print_function(m: &Module, f: &Function) -> String {
 #[must_use]
 pub fn print_function_lines(m: &Module, f: &Function) -> (String, Vec<Option<ValueId>>) {
     let mut lines = Vec::new();
-    let text = print_function_impl(m, f, Some(&mut lines));
+    let mut text = String::with_capacity(size_hint(f));
+    print_function_into(&mut text, m, f, &mut Numbering::default(), Some(&mut lines));
     (text, lines)
 }
 
-fn print_function_impl(
+fn print_function_into(
+    out: &mut String,
     m: &Module,
     f: &Function,
+    numbering: &mut Numbering,
     mut lines: Option<&mut Vec<Option<ValueId>>>,
-) -> String {
+) {
     let mut mark = |v: Option<ValueId>| {
         if let Some(lines) = lines.as_deref_mut() {
             lines.push(v);
         }
     };
-    let mut out = String::new();
     // Canonical numbering: args, then referenced constants, then placed insts.
-    let mut display = vec![u32::MAX; f.num_values()];
+    let Numbering { display, const_ids } = numbering;
+    display.clear();
+    display.resize(f.num_values(), u32::MAX);
     let mut next = 0u32;
     for slot in display.iter_mut().take(f.params.len()) {
         *slot = next;
         next += 1;
     }
-    let mut const_ids = Vec::new();
+    const_ids.clear();
     for idx in 0..f.num_values() {
         if f.value(ValueId(idx as u32)).is_const() {
             const_ids.push(ValueId(idx as u32));
         }
     }
-    for &c in &const_ids {
+    for &c in const_ids.iter() {
         display[c.index()] = next;
         next += 1;
     }
@@ -76,39 +155,29 @@ fn print_function_impl(
         display[v.index()] = next;
         next += 1;
     }
-    let dv = |v: ValueId| format!("%{}", display[v.index()]);
+    let mut t = Text { out, display };
 
-    let _ = write!(out, "func @{}(", f.name);
+    t.s("func @").s(&f.name).s("(");
     for (i, p) in f.params.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        let _ = write!(out, "%{i}: {p}");
+        t.s(if i > 0 { ", %" } else { "%" }).n(i as u64);
+        t.s(": ").s(p.name());
     }
-    let _ = write!(out, ")");
-    match f.ret {
-        Some(t) => {
-            let _ = write!(out, " -> {t}");
-        }
-        None => {
-            let _ = write!(out, " -> void");
-        }
-    }
-    match f.purity {
-        Purity::Pure => out.push_str(" pure"),
-        Purity::ReadOnly => out.push_str(" readonly"),
-        Purity::Impure => {}
-    }
-    out.push_str(" {\n");
+    t.s(") -> ").s(f.ret.map_or("void", |ty| ty.name()));
+    t.s(match f.purity {
+        Purity::Pure => " pure {\n",
+        Purity::ReadOnly => " readonly {\n",
+        Purity::Impure => " {\n",
+    });
     mark(None);
 
-    for c in &const_ids {
-        match f.constant(*c) {
-            Some(Constant::Int(v, t)) => {
-                let _ = writeln!(out, "  {} = const {v}: {t}", dv(*c));
+    for &c in const_ids.iter() {
+        t.s("  ").v(c).s(" = const ");
+        match f.constant(c) {
+            Some(Constant::Int(v, ty)) => {
+                t.i(v).s(": ").s(ty.name()).s("\n");
             }
             Some(Constant::Float(v)) => {
-                let _ = writeln!(out, "  {} = const {v:?}: f64", dv(*c));
+                let _ = writeln!(t.out, "{v:?}: f64");
             }
             None => unreachable!("const_ids holds constants only"),
         }
@@ -116,91 +185,79 @@ fn print_function_impl(
     }
 
     for b in f.block_ids() {
-        let _ = writeln!(out, "{b}:");
+        t.bb(b).s(":\n");
         mark(None);
         for &v in &f.block(b).insts {
             let inst = f.inst(v).expect("placed value is an instruction");
-            out.push_str("  ");
+            t.s("  ");
             if let Some(ty) = f.value(v).ty {
-                let _ = write!(out, "{}: {ty} = ", dv(v));
+                t.v(v).s(": ").s(ty.name()).s(" = ");
             }
-            // Render the instruction with display numbering.
-            let text = render_kind(m, &inst.kind, &dv);
-            out.push_str(&text);
+            render_kind(&mut t, m, &inst.kind);
             if let Some(name) = &f.value(v).name {
-                let _ = write!(out, " ; {name}");
+                t.s(" ; ").s(name);
             }
-            out.push('\n');
+            t.s("\n");
             mark(Some(v));
         }
     }
-    out.push_str("}\n");
+    t.s("}\n");
     mark(None);
-    out
 }
 
-fn render_kind(m: &Module, kind: &InstKind, dv: &dyn Fn(ValueId) -> String) -> String {
+/// Render one instruction with display numbering.
+fn render_kind(t: &mut Text<'_>, m: &Module, kind: &InstKind) {
     match kind {
-        InstKind::Binary { op, lhs, rhs } => {
-            format!("{} {}, {}", op.mnemonic(), dv(*lhs), dv(*rhs))
-        }
+        InstKind::Binary { op, lhs, rhs } => t.s(op.mnemonic()).s(" ").vs(&[*lhs, *rhs]),
         InstKind::ICmp { pred, lhs, rhs } => {
-            format!("icmp {} {}, {}", pred.mnemonic(), dv(*lhs), dv(*rhs))
+            t.s("icmp ").s(pred.mnemonic()).s(" ").vs(&[*lhs, *rhs])
         }
         InstKind::Select {
             cond,
             then_val,
             else_val,
-        } => format!("select {}, {}, {}", dv(*cond), dv(*then_val), dv(*else_val)),
-        InstKind::Cast { op, val, to } => format!("{} {} to {to}", op.mnemonic(), dv(*val)),
-        InstKind::Alloc { count, elem_size } => format!("alloc {} x {elem_size}", dv(*count)),
+        } => t.s("select ").vs(&[*cond, *then_val, *else_val]),
+        InstKind::Cast { op, val, to } => t.s(op.mnemonic()).s(" ").v(*val).s(" to ").s(to.name()),
+        InstKind::Alloc { count, elem_size } => t.s("alloc ").v(*count).s(" x ").n(*elem_size),
         InstKind::Gep {
             base,
             index,
             elem_size,
             offset,
         } => {
-            if *offset == 0 {
-                format!("gep {}, {} x {elem_size}", dv(*base), dv(*index))
-            } else {
-                format!("gep {}, {} x {elem_size} + {offset}", dv(*base), dv(*index))
+            t.s("gep ").vs(&[*base, *index]).s(" x ").n(*elem_size);
+            match offset {
+                0 => t,
+                _ => t.s(" + ").n(*offset),
             }
         }
-        InstKind::Load { addr, ty } => format!("load {ty}, {}", dv(*addr)),
-        InstKind::Store { addr, value } => format!("store {}, {}", dv(*value), dv(*addr)),
-        InstKind::Prefetch { addr } => format!("prefetch {}", dv(*addr)),
+        InstKind::Load { addr, ty } => t.s("load ").s(ty.name()).s(", ").v(*addr),
+        InstKind::Store { addr, value } => t.s("store ").vs(&[*value, *addr]),
+        InstKind::Prefetch { addr } => t.s("prefetch ").v(*addr),
         InstKind::Phi { incomings } => {
-            let mut s = String::from("phi ");
+            t.s("phi ");
             for (i, (b, v)) in incomings.iter().enumerate() {
-                if i > 0 {
-                    s.push_str(", ");
-                }
-                let _ = write!(s, "[{b}: {}]", dv(*v));
+                t.s(if i > 0 { ", [" } else { "[" }).bb(*b);
+                t.s(": ").v(*v).s("]");
             }
-            s
+            t
         }
         InstKind::Call { callee, args } => {
-            let mut s = format!("call @{}(", m.function(*callee).name);
-            for (i, a) in args.iter().enumerate() {
-                if i > 0 {
-                    s.push_str(", ");
-                }
-                s.push_str(&dv(*a));
-            }
-            s.push(')');
-            s
+            let name = &m.function(*callee).name;
+            t.s("call @").s(name).s("(").vs(args).s(")")
         }
-        InstKind::Br { target } => format!("br {target}"),
+        InstKind::Br { target } => t.s("br ").bb(*target),
         InstKind::CondBr {
             cond,
             then_bb,
             else_bb,
-        } => format!("br {}, {then_bb}, {else_bb}", dv(*cond)),
-        InstKind::Ret { value } => match value {
-            Some(v) => format!("ret {}", dv(*v)),
-            None => "ret".to_string(),
-        },
-    }
+        } => {
+            t.s("br ").v(*cond).s(", ").bb(*then_bb);
+            t.s(", ").bb(*else_bb)
+        }
+        InstKind::Ret { value: Some(v) } => t.s("ret ").v(*v),
+        InstKind::Ret { value: None } => t.s("ret"),
+    };
 }
 
 #[cfg(test)]
@@ -245,6 +302,22 @@ mod tests {
         assert!(text.contains("phi [bb0:"), "{text}");
         assert!(text.contains("load i32"), "{text}");
         assert!(text.contains("icmp slt"), "{text}");
+    }
+
+    #[test]
+    fn integers_print_as_display_does() {
+        let mut out = String::new();
+        let mut t = Text {
+            out: &mut out,
+            display: &[],
+        };
+        let values = [0, 1, 9, 10, 12345, i64::MAX, -1, -10, i64::MIN];
+        for v in values {
+            t.i(v).s(" ");
+        }
+        t.n(u64::MAX);
+        let want: Vec<String> = values.iter().map(i64::to_string).collect();
+        assert_eq!(out, format!("{} {}", want.join(" "), u64::MAX));
     }
 
     #[test]

@@ -64,6 +64,20 @@ impl Type {
         }
     }
 
+    /// The type's name in the textual format.
+    #[must_use]
+    pub fn name(self) -> &'static str {
+        match self {
+            Type::I1 => "i1",
+            Type::I8 => "i8",
+            Type::I16 => "i16",
+            Type::I32 => "i32",
+            Type::I64 => "i64",
+            Type::F64 => "f64",
+            Type::Ptr => "ptr",
+        }
+    }
+
     /// Parse a type name as produced by [`fmt::Display`].
     #[must_use]
     pub fn from_name(s: &str) -> Option<Type> {
@@ -82,16 +96,7 @@ impl Type {
 
 impl fmt::Display for Type {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            Type::I1 => "i1",
-            Type::I8 => "i8",
-            Type::I16 => "i16",
-            Type::I32 => "i32",
-            Type::I64 => "i64",
-            Type::F64 => "f64",
-            Type::Ptr => "ptr",
-        };
-        f.write_str(s)
+        f.write_str(self.name())
     }
 }
 

@@ -11,7 +11,7 @@
 //! * declared function purity is consistent with the body.
 
 use crate::block::BlockId;
-use crate::function::{FuncId, Function, Purity};
+use crate::function::{FuncId, Function, Preds, Purity};
 use crate::inst::InstKind;
 use crate::module::Module;
 use crate::types::Type;
@@ -35,14 +35,48 @@ impl fmt::Display for VerifyError {
 
 impl std::error::Error for VerifyError {}
 
+/// Reusable CFG working storage: the predecessor table plus the
+/// traversal vectors of [`CfgScratch::idom_into`]. A driver that walks many
+/// functions (the verifier, the analysis manager) owns one and hands it
+/// to each computation, so the per-function cost is the walk, not the
+/// allocator.
+#[derive(Debug, Default)]
+pub struct CfgScratch {
+    /// Predecessors of the function last passed to
+    /// [`CfgScratch::idom_into`].
+    pub preds: Preds,
+    visited: Vec<bool>,
+    stack: Vec<(BlockId, u8)>,
+    rpo: Vec<BlockId>,
+    rpo_num: Vec<u32>,
+}
+
+/// The verifier's per-function side tables, owned by the module-level
+/// entry points and refilled for each function.
+#[derive(Default)]
+struct Scratch {
+    cfg: CfgScratch,
+    idom: Vec<Option<BlockId>>,
+    /// Position of every placed instruction within its block.
+    pos: Vec<u32>,
+    ops: Vec<ValueId>,
+    incoming: Vec<BlockId>,
+    actual: Vec<BlockId>,
+}
+
 /// Verify every function in the module.
 ///
 /// # Errors
 /// Returns the first violation found ([`verify_module_all`] collects
 /// them all).
 pub fn verify_module(m: &Module) -> Result<(), VerifyError> {
+    let mut scratch = Scratch::default();
+    let mut errs = Vec::new();
     for f in m.func_ids() {
-        verify_function(m, f)?;
+        verify_function_into(m, f, &mut scratch, &mut errs);
+        if !errs.is_empty() {
+            return Err(errs.swap_remove(0));
+        }
     }
     Ok(())
 }
@@ -53,9 +87,10 @@ pub fn verify_module(m: &Module) -> Result<(), VerifyError> {
 /// once. Empty means the module is valid.
 #[must_use]
 pub fn verify_module_all(m: &Module) -> Vec<VerifyError> {
+    let mut scratch = Scratch::default();
     let mut errs = Vec::new();
     for f in m.func_ids() {
-        errs.extend(verify_function_all(m, f));
+        verify_function_into(m, f, &mut scratch, &mut errs);
     }
     errs
 }
@@ -85,8 +120,20 @@ pub fn verify_function(m: &Module, fid: FuncId) -> Result<(), VerifyError> {
 /// at instruction granularity).
 #[must_use]
 pub fn verify_function_all(m: &Module, fid: FuncId) -> Vec<VerifyError> {
+    let mut errs = Vec::new();
+    verify_function_into(m, fid, &mut Scratch::default(), &mut errs);
+    errs
+}
+
+/// [`verify_function_all`], appending to `errs` and working in `scratch`.
+fn verify_function_into(
+    m: &Module,
+    fid: FuncId,
+    scratch: &mut Scratch,
+    errs: &mut Vec<VerifyError>,
+) {
     let f = m.function(fid);
-    let mut errs: Vec<VerifyError> = Vec::new();
+    let errs_before = errs.len();
     macro_rules! fail {
         ($($t:tt)*) => {
             errs.push(VerifyError {
@@ -95,8 +142,18 @@ pub fn verify_function_all(m: &Module, fid: FuncId) -> Vec<VerifyError> {
             })
         };
     }
+    let Scratch {
+        cfg,
+        idom,
+        pos,
+        ops,
+        incoming,
+        actual,
+    } = scratch;
 
     // --- structural checks -------------------------------------------------
+    pos.clear();
+    pos.resize(f.num_values(), u32::MAX);
     for b in f.block_ids() {
         let insts = &f.block(b).insts;
         if insts.is_empty() {
@@ -104,7 +161,7 @@ pub fn verify_function_all(m: &Module, fid: FuncId) -> Vec<VerifyError> {
             continue;
         }
         let mut seen_non_phi = false;
-        for (pos, &v) in insts.iter().enumerate() {
+        for (at, &v) in insts.iter().enumerate() {
             let Some(inst) = f.inst(v) else {
                 fail!("{b} lists non-instruction value {v}");
                 continue;
@@ -112,10 +169,13 @@ pub fn verify_function_all(m: &Module, fid: FuncId) -> Vec<VerifyError> {
             if inst.block != b {
                 fail!("{v} placed in {b} but records {}", inst.block);
             }
-            let is_last = pos + 1 == insts.len();
+            if pos[v.index()] == u32::MAX {
+                pos[v.index()] = at as u32;
+            }
+            let is_last = at + 1 == insts.len();
             if inst.is_terminator() != is_last {
                 fail!(
-                    "{v} in {b}: terminator placement (pos {pos} of {})",
+                    "{v} in {b}: terminator placement (pos {at} of {})",
                     insts.len()
                 );
             }
@@ -128,7 +188,9 @@ pub fn verify_function_all(m: &Module, fid: FuncId) -> Vec<VerifyError> {
                 _ => seen_non_phi = true,
             }
             // Operand and successor indices must be in range.
-            for op in inst.operands() {
+            ops.clear();
+            inst.operands_into(ops);
+            for op in ops.iter() {
                 if op.index() >= f.num_values() {
                     fail!("{v}: operand {op} out of range");
                 }
@@ -140,28 +202,35 @@ pub fn verify_function_all(m: &Module, fid: FuncId) -> Vec<VerifyError> {
             }
         }
     }
-    if !errs.is_empty() {
+    if errs.len() > errs_before {
         // The remaining phases index values/blocks the structural pass
         // just proved unsound; report the structural damage alone.
-        return errs;
+        return;
     }
 
     // --- phi incoming edges match predecessors -----------------------------
-    let preds = f.predecessors();
+    cfg.idom_into(f, idom);
+    let preds = &cfg.preds;
     for b in f.block_ids() {
+        let mut have_actual = false;
         for &v in &f.block(b).insts {
             if let Some(InstKind::Phi { incomings }) = f.inst(v).map(|i| &i.kind) {
-                let mut incoming_blocks: Vec<BlockId> = incomings.iter().map(|(p, _)| *p).collect();
-                incoming_blocks.sort();
-                incoming_blocks.dedup();
-                if incoming_blocks.len() != incomings.len() {
+                incoming.clear();
+                incoming.extend(incomings.iter().map(|(p, _)| *p));
+                incoming.sort();
+                incoming.dedup();
+                if incoming.len() != incomings.len() {
                     fail!("{v}: duplicate phi incoming blocks");
                 }
-                let mut actual = preds[b.index()].clone();
-                actual.sort();
-                actual.dedup();
-                if incoming_blocks != actual {
-                    fail!("{v}: phi incomings {incoming_blocks:?} != predecessors {actual:?}");
+                if !have_actual {
+                    actual.clear();
+                    actual.extend_from_slice(preds.get(b));
+                    actual.sort();
+                    actual.dedup();
+                    have_actual = true;
+                }
+                if incoming != actual {
+                    fail!("{v}: phi incomings {incoming:?} != predecessors {actual:?}");
                 }
             }
         }
@@ -175,7 +244,6 @@ pub fn verify_function_all(m: &Module, fid: FuncId) -> Vec<VerifyError> {
     }
 
     // --- SSA dominance -------------------------------------------------------
-    let idom = compute_idom(f);
     let dominates = |a: BlockId, mut b: BlockId| -> bool {
         loop {
             if a == b {
@@ -192,7 +260,7 @@ pub fn verify_function_all(m: &Module, fid: FuncId) -> Vec<VerifyError> {
             continue; // unreachable block: skip dominance checks
         }
         let insts = &f.block(b).insts;
-        for (pos, &v) in insts.iter().enumerate() {
+        for (at, &v) in insts.iter().enumerate() {
             let inst = f.inst(v).expect("checked");
             if let InstKind::Phi { incomings } = &inst.kind {
                 // Each incoming value must dominate the end of its edge block.
@@ -205,15 +273,14 @@ pub fn verify_function_all(m: &Module, fid: FuncId) -> Vec<VerifyError> {
                 }
                 continue;
             }
-            for op in inst.operands() {
+            ops.clear();
+            inst.operands_into(ops);
+            for &op in ops.iter() {
                 if let ValueKind::Inst(def) = &f.value(op).kind {
                     if def.block == b {
-                        let def_pos = f.block(b).position_of(op);
-                        match def_pos {
-                            Some(dp) if dp < pos => {}
-                            _ => {
-                                fail!("{v}: use of {op} before definition in {b}");
-                            }
+                        // `pos` is `u32::MAX` for a detached definition.
+                        if pos[op.index()] as usize >= at {
+                            fail!("{v}: use of {op} before definition in {b}");
                         }
                     } else if !dominates(def.block, b) {
                         fail!("{v}: use of {op} not dominated by its definition");
@@ -248,8 +315,6 @@ pub fn verify_function_all(m: &Module, fid: FuncId) -> Vec<VerifyError> {
             }
         }
     }
-
-    errs
 }
 
 /// Type-check one instruction, reporting its first violation (the
@@ -391,73 +456,79 @@ fn check_inst_types(m: &Module, f: &Function, v: ValueId) -> Result<(), String> 
     Ok(())
 }
 
-/// Immediate dominators via the Cooper–Harvey–Kennedy iterative algorithm.
-///
-/// Entry's idom is itself; unreachable blocks get `None`. (The analysis
-/// crate re-exposes dominators with a richer API; this copy keeps the
-/// verifier dependency-free.)
-#[must_use]
-pub fn compute_idom(f: &Function) -> Vec<Option<BlockId>> {
-    let n = f.num_blocks();
-    // Reverse postorder.
-    let mut visited = vec![false; n];
-    let mut post = Vec::with_capacity(n);
-    let mut stack = vec![(f.entry(), 0usize)];
-    visited[f.entry().index()] = true;
-    while let Some(&mut (b, ref mut i)) = stack.last_mut() {
-        let succs = f.successors(b);
-        if *i < succs.len() {
-            let s = succs[*i];
-            *i += 1;
-            if !visited[s.index()] {
-                visited[s.index()] = true;
-                stack.push((s, 0));
+impl CfgScratch {
+    /// Immediate dominators of `f` into `idom`, via the
+    /// Cooper–Harvey–Kennedy iterative algorithm: entry's idom is itself,
+    /// unreachable blocks get `None`. Leaves `f`'s predecessor table in
+    /// `self.preds`. (The analysis crate wraps this with a richer API;
+    /// living here keeps the verifier dependency-free.)
+    pub fn idom_into(&mut self, f: &Function, idom: &mut Vec<Option<BlockId>>) {
+        let n = f.num_blocks();
+        // Reverse postorder.
+        self.visited.clear();
+        self.visited.resize(n, false);
+        self.rpo.clear();
+        self.stack.clear();
+        self.stack.push((f.entry(), 0));
+        self.visited[f.entry().index()] = true;
+        while let Some(&mut (b, ref mut i)) = self.stack.last_mut() {
+            let succs = f.successors(b);
+            if let Some(&s) = succs.get(usize::from(*i)) {
+                *i += 1;
+                if !self.visited[s.index()] {
+                    self.visited[s.index()] = true;
+                    self.stack.push((s, 0));
+                }
+            } else {
+                self.rpo.push(b);
+                self.stack.pop();
             }
-        } else {
-            post.push(b);
-            stack.pop();
         }
-    }
-    let rpo: Vec<BlockId> = post.into_iter().rev().collect();
-    let mut rpo_num = vec![usize::MAX; n];
-    for (i, b) in rpo.iter().enumerate() {
-        rpo_num[b.index()] = i;
-    }
+        self.rpo.reverse();
+        let rpo = &self.rpo;
+        self.rpo_num.clear();
+        self.rpo_num.resize(n, u32::MAX);
+        for (i, b) in rpo.iter().enumerate() {
+            self.rpo_num[b.index()] = i as u32;
+        }
+        let rpo_num = &self.rpo_num;
 
-    let preds = f.predecessors();
-    let mut idom: Vec<Option<BlockId>> = vec![None; n];
-    idom[f.entry().index()] = Some(f.entry());
-    let intersect = |idom: &[Option<BlockId>], mut a: BlockId, mut b: BlockId| -> BlockId {
-        while a != b {
-            while rpo_num[a.index()] > rpo_num[b.index()] {
-                a = idom[a.index()].expect("processed");
-            }
-            while rpo_num[b.index()] > rpo_num[a.index()] {
-                b = idom[b.index()].expect("processed");
-            }
-        }
-        a
-    };
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for &b in rpo.iter().skip(1) {
-            let mut new_idom: Option<BlockId> = None;
-            for &p in &preds[b.index()] {
-                if idom[p.index()].is_some() {
-                    new_idom = Some(match new_idom {
-                        None => p,
-                        Some(cur) => intersect(&idom, cur, p),
-                    });
+        self.preds.refill(f);
+        let preds = &self.preds;
+        idom.clear();
+        idom.resize(n, None);
+        idom[f.entry().index()] = Some(f.entry());
+        let intersect = |idom: &[Option<BlockId>], mut a: BlockId, mut b: BlockId| -> BlockId {
+            while a != b {
+                while rpo_num[a.index()] > rpo_num[b.index()] {
+                    a = idom[a.index()].expect("processed");
+                }
+                while rpo_num[b.index()] > rpo_num[a.index()] {
+                    b = idom[b.index()].expect("processed");
                 }
             }
-            if new_idom.is_some() && idom[b.index()] != new_idom {
-                idom[b.index()] = new_idom;
-                changed = true;
+            a
+        };
+        let mut changed = true;
+        while changed {
+            changed = false;
+            for &b in rpo.iter().skip(1) {
+                let mut new_idom: Option<BlockId> = None;
+                for &p in preds.get(b) {
+                    if idom[p.index()].is_some() {
+                        new_idom = Some(match new_idom {
+                            None => p,
+                            Some(cur) => intersect(idom, cur, p),
+                        });
+                    }
+                }
+                if new_idom.is_some() && idom[b.index()] != new_idom {
+                    idom[b.index()] = new_idom;
+                    changed = true;
+                }
             }
         }
     }
-    idom
 }
 
 #[cfg(test)]
@@ -660,7 +731,8 @@ mod tests {
         }
         verify_module(&m).unwrap();
         let f = m.function(FuncId(0));
-        let idom = compute_idom(f);
+        let mut idom = Vec::new();
+        CfgScratch::default().idom_into(f, &mut idom);
         assert_eq!(idom[3], Some(BlockId(0)), "join dominated by entry");
         assert_eq!(idom[1], Some(BlockId(0)));
         assert_eq!(idom[2], Some(BlockId(0)));

@@ -38,6 +38,8 @@
 //! crate in the workspace (including `swpf-ir` at the bottom of the
 //! stack) can use it.
 
+pub mod alloc;
+
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;

@@ -12,8 +12,8 @@
 //! and every emitted prefetch survive — only redundant arithmetic goes.
 
 use crate::manager::{AnalysisManager, FunctionPass, ModulePass, PassEffect};
-use std::collections::{HashMap, HashSet};
-use swpf_ir::{BinOp, CastOp, FuncId, InstKind, Module, Pred, Type, ValueId};
+use swpf_ir::hash::FastMap;
+use swpf_ir::{BinOp, CastOp, FuncId, Function, InstKind, Module, Pred, Type, ValueId};
 
 /// The CSE value-numbering key: a pure instruction's operation with its
 /// (canonicalised) operands. Shared with the dominator-scoped GVN pass.
@@ -26,15 +26,72 @@ pub(crate) enum Key {
     Gep(ValueId, ValueId, u64, u64),
 }
 
+/// A value → replacement side table over one function's arena (a value
+/// without a replacement maps to itself), plus the rewrite it drives:
+/// every use goes to its replacement and the replaced instructions are
+/// detached. A replacement must itself be unreplaced, so one lookup per
+/// operand is the whole rewrite.
+#[derive(Debug, Default)]
+pub(crate) struct Rewrites {
+    to: Vec<ValueId>,
+    replaced: usize,
+}
+
+impl Rewrites {
+    /// Start over for a function of `num_values` values.
+    pub(crate) fn reset(&mut self, num_values: usize) {
+        self.to.clear();
+        self.to.extend((0..num_values as u32).map(ValueId));
+        self.replaced = 0;
+    }
+
+    /// The replacement of `v`; `v` itself when it has none (or was
+    /// created after [`Rewrites::reset`]).
+    pub(crate) fn get(&self, v: ValueId) -> ValueId {
+        self.to.get(v.index()).copied().unwrap_or(v)
+    }
+
+    pub(crate) fn set(&mut self, from: ValueId, to: ValueId) {
+        self.to[from.index()] = to;
+        self.replaced += 1;
+    }
+
+    pub(crate) fn is_empty(&self) -> bool {
+        self.replaced == 0
+    }
+
+    /// Rewrite every use in `f`, then detach the replaced instructions
+    /// from their blocks (arena slots stay; the printer ignores
+    /// detached values). Returns how many were detached.
+    pub(crate) fn apply(&self, f: &mut Function) -> usize {
+        let mut removed = 0usize;
+        for b in f.block_ids() {
+            for at in 0..f.block(b).insts.len() {
+                let v = f.block(b).insts[at];
+                if let Some(inst) = f.inst_mut(v) {
+                    inst.for_each_operand_mut(|op| *op = self.get(*op));
+                }
+            }
+        }
+        for b in f.block_ids() {
+            let insts = &mut f.block_mut(b).insts;
+            let before = insts.len();
+            insts.retain(|&v| self.get(v) == v);
+            removed += before - insts.len();
+        }
+        removed
+    }
+}
+
 /// The value-numbering key of `v`, with operands rewritten through the
-/// current duplicate map — or `None` for instructions CSE must not
+/// current duplicate table — or `None` for instructions CSE must not
 /// touch (memory operations, phis, calls, allocs, terminators).
 ///
 /// Integer division/remainder *are* keyed: merging two identical
 /// divisions preserves trap behaviour exactly (same operands, same
 /// trap, and the kept occurrence is the earlier one).
-pub(crate) fn key_of(kind: &InstKind, canon: &HashMap<ValueId, ValueId>) -> Option<Key> {
-    let c = |v: ValueId| canon.get(&v).copied().unwrap_or(v);
+pub(crate) fn key_of(kind: &InstKind, canon: &Rewrites) -> Option<Key> {
+    let c = |v: ValueId| canon.get(v);
     match kind {
         InstKind::Binary { op, lhs, rhs } => Some(Key::Bin(*op, c(*lhs), c(*rhs))),
         InstKind::ICmp { pred, lhs, rhs } => Some(Key::Cmp(*pred, c(*lhs), c(*rhs))),
@@ -64,6 +121,8 @@ pub(crate) fn key_of(kind: &InstKind, canon: &HashMap<ValueId, ValueId>) -> Opti
 pub struct LocalCse {
     /// Instructions removed across every `run` call.
     pub removed: usize,
+    canon: Rewrites,
+    seen: FastMap<Key, ValueId>,
 }
 
 impl FunctionPass for LocalCse {
@@ -74,21 +133,20 @@ impl FunctionPass for LocalCse {
     fn run(&mut self, m: &mut Module, fid: FuncId, _am: &mut AnalysisManager) -> PassEffect {
         let f = m.function_mut(fid);
         // Duplicate → first-occurrence, accumulated across blocks. Keys
-        // canonicalise operands through this map, so a chain of
+        // canonicalise operands through this table, so a chain of
         // duplicates (dup-of-dup) resolves to the first occurrence in
         // one scan.
-        let mut canon: HashMap<ValueId, ValueId> = HashMap::new();
-        for b in f.block_ids().collect::<Vec<_>>() {
-            let mut seen: HashMap<Key, ValueId> = HashMap::new();
-            for &v in &f.block(b).insts.clone() {
+        let LocalCse { canon, seen, .. } = self;
+        canon.reset(f.num_values());
+        for b in f.block_ids() {
+            seen.clear();
+            for &v in &f.block(b).insts {
                 let Some(inst) = f.inst(v) else { continue };
-                let Some(key) = key_of(&inst.kind, &canon) else {
+                let Some(key) = key_of(&inst.kind, canon) else {
                     continue;
                 };
                 match seen.get(&key) {
-                    Some(&orig) => {
-                        canon.insert(v, orig);
-                    }
+                    Some(&orig) => canon.set(v, orig),
                     None => {
                         seen.insert(key, v);
                     }
@@ -98,23 +156,7 @@ impl FunctionPass for LocalCse {
         if canon.is_empty() {
             return PassEffect::unchanged();
         }
-        // Rewrite every use, then detach the duplicates from their
-        // blocks (arena slots stay; the printer ignores detached
-        // values).
-        for v in f.all_insts().collect::<Vec<_>>() {
-            if let Some(inst) = f.inst_mut(v) {
-                for (&from, &to) in &canon {
-                    inst.replace_uses(from, to);
-                }
-            }
-        }
-        let mut removed = 0usize;
-        for b in f.block_ids().collect::<Vec<_>>() {
-            let insts = &mut f.block_mut(b).insts;
-            let before = insts.len();
-            insts.retain(|v| !canon.contains_key(v));
-            removed += before - insts.len();
-        }
+        let removed = canon.apply(f);
         self.removed += removed;
         swpf_obs::count("pass.cse.removed", removed as u64);
         PassEffect::removed(removed).preserving_cfg()
@@ -149,6 +191,9 @@ pub(crate) fn dce_removable(kind: &InstKind) -> bool {
 pub struct Dce {
     /// Instructions removed across every `run` call.
     pub removed: usize,
+    used: Vec<bool>,
+    dead: Vec<bool>,
+    ops: Vec<ValueId>,
 }
 
 impl FunctionPass for Dce {
@@ -158,31 +203,38 @@ impl FunctionPass for Dce {
 
     fn run(&mut self, m: &mut Module, fid: FuncId, _am: &mut AnalysisManager) -> PassEffect {
         let f = m.function_mut(fid);
+        let Dce {
+            used, dead, ops, ..
+        } = self;
         let mut removed = 0usize;
         loop {
-            let mut used: HashSet<ValueId> = HashSet::new();
-            let mut ops = Vec::new();
+            used.clear();
+            used.resize(f.num_values(), false);
             for v in f.all_insts() {
                 if let Some(inst) = f.inst(v) {
                     ops.clear();
-                    inst.operands_into(&mut ops);
-                    used.extend(ops.iter().copied());
+                    inst.operands_into(ops);
+                    for op in ops.iter() {
+                        used[op.index()] = true;
+                    }
                 }
             }
-            let dead: Vec<ValueId> = f
-                .all_insts()
-                .filter(|&v| {
-                    !used.contains(&v) && f.inst(v).is_some_and(|inst| dce_removable(&inst.kind))
-                })
-                .collect();
-            if dead.is_empty() {
+            dead.clear();
+            dead.resize(f.num_values(), false);
+            let mut newly_dead = 0usize;
+            for v in f.all_insts() {
+                if !used[v.index()] && f.inst(v).is_some_and(|inst| dce_removable(&inst.kind)) {
+                    dead[v.index()] = true;
+                    newly_dead += 1;
+                }
+            }
+            if newly_dead == 0 {
                 break;
             }
-            let dead: HashSet<ValueId> = dead.into_iter().collect();
-            for b in f.block_ids().collect::<Vec<_>>() {
-                f.block_mut(b).insts.retain(|v| !dead.contains(v));
+            for b in f.block_ids() {
+                f.block_mut(b).insts.retain(|v| !dead[v.index()]);
             }
-            removed += dead.len();
+            removed += newly_dead;
         }
         self.removed += removed;
         swpf_obs::count("pass.dce.removed", removed as u64);

@@ -28,11 +28,12 @@
 //! operations — loads, stores, and every emitted prefetch — are never
 //! folded, merged, or moved.
 
-use crate::cleanup::{dce_removable, key_of, Key};
+use crate::cleanup::{dce_removable, key_of, Key, Rewrites};
 use crate::manager::{AnalysisManager, FunctionPass, PassEffect};
-use std::collections::HashMap;
+use swpf_ir::hash::FastMap;
 use swpf_ir::{
-    BinOp, BlockId, CastOp, Constant, FuncId, InstKind, Module, Pred, Type, ValueId, ValueKind,
+    BinOp, BlockId, CastOp, Constant, FlatLists, FuncId, InstKind, Module, Pred, Type, ValueId,
+    ValueKind,
 };
 
 /// Canonicalise a value-numbering key: sort the operands of commutative
@@ -75,6 +76,21 @@ fn canonical(key: Key) -> Key {
 pub struct Gvn {
     /// Instructions removed across every `run` call.
     pub removed: usize,
+    canon: Rewrites,
+    table: FastMap<Key, ValueId>,
+    undo: Vec<Key>,
+    stack: Vec<GvnStep>,
+    /// Dominator-tree children as sibling lists in block order: the
+    /// first child of each block and each block's next sibling.
+    first_child: Vec<Option<BlockId>>,
+    next_sibling: Vec<Option<BlockId>>,
+}
+
+#[derive(Debug)]
+enum GvnStep {
+    Enter(BlockId),
+    /// Unbind every key bound since `undo` had this length.
+    Exit(usize),
 }
 
 impl FunctionPass for Gvn {
@@ -85,13 +101,26 @@ impl FunctionPass for Gvn {
     fn run(&mut self, m: &mut Module, fid: FuncId, am: &mut AnalysisManager) -> PassEffect {
         let dom = am.dom(m.function(fid), fid);
         let f = m.function_mut(fid);
+        let Gvn {
+            canon,
+            table,
+            undo,
+            stack,
+            first_child,
+            next_sibling,
+            ..
+        } = self;
 
         // Dominator-tree children lists (reachable blocks only).
-        let mut children: Vec<Vec<BlockId>> = vec![Vec::new(); f.num_blocks()];
-        for b in f.block_ids() {
+        let n = f.num_blocks();
+        first_child.clear();
+        first_child.resize(n, None);
+        next_sibling.clear();
+        next_sibling.resize(n, None);
+        for b in (0..n as u32).rev().map(BlockId) {
             if b != f.entry() {
                 if let Some(p) = dom.idom(b) {
-                    children[p.index()].push(b);
+                    next_sibling[b.index()] = first_child[p.index()].replace(b);
                 }
             }
         }
@@ -99,39 +128,36 @@ impl FunctionPass for Gvn {
         // DFS with an undo log: keys bound while visiting a subtree are
         // unbound on the way back up, so availability is exactly
         // "bound in a dominator".
-        let mut canon: HashMap<ValueId, ValueId> = HashMap::new();
-        let mut table: HashMap<Key, ValueId> = HashMap::new();
-        enum Step {
-            Enter(BlockId),
-            Exit(usize),
-        }
-        let mut undo: Vec<Key> = Vec::new();
-        let mut stack = vec![Step::Enter(f.entry())];
+        canon.reset(f.num_values());
+        table.clear();
+        undo.clear();
+        stack.clear();
+        stack.push(GvnStep::Enter(f.entry()));
         while let Some(step) = stack.pop() {
             match step {
-                Step::Enter(b) => {
+                GvnStep::Enter(b) => {
                     let mark = undo.len();
-                    for &v in &f.block(b).insts.clone() {
+                    for &v in &f.block(b).insts {
                         let Some(inst) = f.inst(v) else { continue };
-                        let Some(key) = key_of(&inst.kind, &canon).map(canonical) else {
+                        let Some(key) = key_of(&inst.kind, canon).map(canonical) else {
                             continue;
                         };
                         match table.get(&key) {
-                            Some(&leader) => {
-                                canon.insert(v, leader);
-                            }
+                            Some(&leader) => canon.set(v, leader),
                             None => {
                                 table.insert(key, v);
                                 undo.push(key);
                             }
                         }
                     }
-                    stack.push(Step::Exit(mark));
-                    for &c in &children[b.index()] {
-                        stack.push(Step::Enter(c));
+                    stack.push(GvnStep::Exit(mark));
+                    let mut next = first_child[b.index()];
+                    while let Some(c) = next {
+                        stack.push(GvnStep::Enter(c));
+                        next = next_sibling[c.index()];
                     }
                 }
-                Step::Exit(mark) => {
+                GvnStep::Exit(mark) => {
                     for key in undo.drain(mark..) {
                         table.remove(&key);
                     }
@@ -142,20 +168,7 @@ impl FunctionPass for Gvn {
             return PassEffect::unchanged();
         }
 
-        for v in f.all_insts().collect::<Vec<_>>() {
-            if let Some(inst) = f.inst_mut(v) {
-                for (&from, &to) in &canon {
-                    inst.replace_uses(from, to);
-                }
-            }
-        }
-        let mut removed = 0usize;
-        for b in f.block_ids().collect::<Vec<_>>() {
-            let insts = &mut f.block_mut(b).insts;
-            let before = insts.len();
-            insts.retain(|v| !canon.contains_key(v));
-            removed += before - insts.len();
-        }
+        let removed = canon.apply(f);
         self.removed += removed;
         swpf_obs::count("pass.gvn.removed", removed as u64);
         PassEffect::removed(removed).preserving_cfg()
@@ -308,6 +321,21 @@ pub struct Sccp {
     pub folded: usize,
     /// Conditional branches rewritten to unconditional ones.
     pub folded_branches: usize,
+    work: SccpWork,
+}
+
+/// [`Sccp`]'s per-function side tables, kept across functions.
+#[derive(Debug, Default)]
+struct SccpWork {
+    lat: Vec<Lat>,
+    /// Users of every value, in block order, for sparse propagation.
+    users: FlatLists<ValueId>,
+    ops: Vec<ValueId>,
+    exec_block: Vec<bool>,
+    exec_edges: Vec<(BlockId, BlockId)>,
+    pending: Vec<ValueId>,
+    folds: Vec<(ValueId, Constant)>,
+    replace: Rewrites,
 }
 
 impl Sccp {
@@ -417,10 +445,21 @@ impl FunctionPass for Sccp {
         let f = m.function_mut(fid);
         let nv = f.num_values();
         let nb = f.num_blocks();
+        let SccpWork {
+            lat,
+            users,
+            ops,
+            exec_block,
+            exec_edges,
+            pending,
+            folds,
+            replace,
+        } = &mut self.work;
 
         // Initial lattice: arguments are runtime-variable, IR constants
         // are themselves, instruction results start optimistic.
-        let mut lat = vec![Lat::Top; nv];
+        lat.clear();
+        lat.resize(nv, Lat::Top);
         for (i, slot) in lat.iter_mut().enumerate() {
             match &f.value(ValueId(i as u32)).kind {
                 ValueKind::Arg { .. } => *slot = Lat::Bottom,
@@ -429,22 +468,22 @@ impl FunctionPass for Sccp {
             }
         }
 
-        // Users of every value, for sparse propagation.
-        let mut users: HashMap<ValueId, Vec<ValueId>> = HashMap::new();
-        let mut ops = Vec::new();
-        for v in f.all_insts() {
-            if let Some(inst) = f.inst(v) {
-                ops.clear();
-                inst.operands_into(&mut ops);
-                for &op in &ops {
-                    users.entry(op).or_default().push(v);
+        users.refill(nv, ValueId(0), |user| {
+            for v in f.all_insts() {
+                if let Some(inst) = f.inst(v) {
+                    ops.clear();
+                    inst.operands_into(ops);
+                    for op in ops.iter() {
+                        user(op.index(), v);
+                    }
                 }
             }
-        }
+        });
 
-        let mut exec_block = vec![false; nb];
-        let mut exec_edges: Vec<(BlockId, BlockId)> = Vec::new();
-        let mut pending: Vec<ValueId> = Vec::new();
+        exec_block.clear();
+        exec_block.resize(nb, false);
+        exec_edges.clear();
+        pending.clear();
         exec_block[f.entry().index()] = true;
         pending.extend(f.block(f.entry()).insts.iter().copied());
 
@@ -458,14 +497,7 @@ impl FunctionPass for Sccp {
             // value lattice.
             match &inst.kind {
                 InstKind::Br { target } => {
-                    mark_edge(
-                        f,
-                        &mut exec_edges,
-                        &mut exec_block,
-                        &mut pending,
-                        b,
-                        *target,
-                    );
+                    mark_edge(f, exec_edges, exec_block, pending, b, *target);
                     continue;
                 }
                 InstKind::CondBr {
@@ -480,25 +512,11 @@ impl FunctionPass for Sccp {
                         Lat::Top => {}
                         Lat::Const(Constant::Int(c, _)) => {
                             let t = if c != 0 { *then_bb } else { *else_bb };
-                            mark_edge(f, &mut exec_edges, &mut exec_block, &mut pending, b, t);
+                            mark_edge(f, exec_edges, exec_block, pending, b, t);
                         }
                         _ => {
-                            mark_edge(
-                                f,
-                                &mut exec_edges,
-                                &mut exec_block,
-                                &mut pending,
-                                b,
-                                *then_bb,
-                            );
-                            mark_edge(
-                                f,
-                                &mut exec_edges,
-                                &mut exec_block,
-                                &mut pending,
-                                b,
-                                *else_bb,
-                            );
+                            mark_edge(f, exec_edges, exec_block, pending, b, *then_bb);
+                            mark_edge(f, exec_edges, exec_block, pending, b, *else_bb);
                         }
                     }
                     continue;
@@ -507,7 +525,7 @@ impl FunctionPass for Sccp {
             }
             let exec_edge =
                 |p: BlockId, s: BlockId| exec_edges.iter().any(|&(a, c)| a == p && c == s);
-            let new = Self::eval(f, &lat, &exec_edge, v);
+            let new = Self::eval(f, lat, &exec_edge, v);
             let lowered = match (lat[v.index()], new) {
                 (Lat::Top, Lat::Top) => false,
                 (Lat::Top, _) => true,
@@ -517,9 +535,7 @@ impl FunctionPass for Sccp {
             };
             if lowered {
                 lat[v.index()] = meet(lat[v.index()], new);
-                if let Some(us) = users.get(&v) {
-                    pending.extend(us.iter().copied());
-                }
+                pending.extend_from_slice(users.get(v.index()));
             }
         }
 
@@ -527,8 +543,8 @@ impl FunctionPass for Sccp {
         // Fold instructions proven constant (pure kinds only; a folded
         // division is guaranteed non-trapping because a zero divisor
         // lowers to Bottom above).
-        let mut folds: Vec<(ValueId, Constant)> = Vec::new();
-        for v in f.all_insts().collect::<Vec<_>>() {
+        folds.clear();
+        for v in f.all_insts() {
             let Some(inst) = f.inst(v) else { continue };
             if !exec_block[inst.block.index()] {
                 continue;
@@ -548,28 +564,19 @@ impl FunctionPass for Sccp {
                 folds.push((v, c));
             }
         }
-        let mut replace: HashMap<ValueId, ValueId> = HashMap::new();
-        for &(v, c) in &folds {
-            let cv = f.add_const(c);
-            replace.insert(v, cv);
-        }
-        if !replace.is_empty() {
-            for v in f.all_insts().collect::<Vec<_>>() {
-                if let Some(inst) = f.inst_mut(v) {
-                    for (&from, &to) in &replace {
-                        inst.replace_uses(from, to);
-                    }
-                }
+        if !folds.is_empty() {
+            replace.reset(nv);
+            for &(v, c) in folds.iter() {
+                let cv = f.add_const(c);
+                replace.set(v, cv);
             }
-            for b in f.block_ids().collect::<Vec<_>>() {
-                f.block_mut(b).insts.retain(|v| !replace.contains_key(v));
-            }
+            replace.apply(f);
         }
         let folded = folds.len();
 
         // Fold conditional branches with a proven-constant condition.
         let mut folded_branches = 0usize;
-        for b in f.block_ids().collect::<Vec<_>>() {
+        for b in f.block_ids() {
             if !exec_block[b.index()] {
                 continue;
             }
@@ -605,7 +612,8 @@ impl FunctionPass for Sccp {
             }
             if dead != taken {
                 // The edge b → dead is gone; its phi incomings go too.
-                for &pv in &f.block(dead).insts.clone() {
+                for at in 0..f.block(dead).insts.len() {
+                    let pv = f.block(dead).insts[at];
                     if let Some(inst) = f.inst_mut(pv) {
                         if let InstKind::Phi { incomings } = &mut inst.kind {
                             incomings.retain(|&(pb, _)| pb != b);
@@ -678,6 +686,10 @@ fn mark_edge(
 pub struct Licm {
     /// Instructions hoisted across every `run` call.
     pub hoisted: usize,
+    order: Vec<swpf_analysis::LoopId>,
+    /// The block being swept, as it stood when the sweep reached it.
+    snapshot: Vec<ValueId>,
+    ops: Vec<ValueId>,
 }
 
 impl FunctionPass for Licm {
@@ -692,11 +704,18 @@ impl FunctionPass for Licm {
         // Innermost first: an instruction hoisted to an inner preheader
         // that is still inside an outer loop gets a second chance when
         // the outer loop is processed.
-        let mut order: Vec<_> = loops.ids().collect();
+        let Licm {
+            order,
+            snapshot,
+            ops,
+            ..
+        } = self;
+        order.clear();
+        order.extend(loops.ids());
         order.sort_by_key(|&l| std::cmp::Reverse(loops.get(l).depth));
 
         let mut hoisted = 0usize;
-        for lid in order {
+        for &lid in order.iter() {
             let lp = loops.get(lid);
             let Some(ph) = lp.preheader else { continue };
             let Some(ph_term) = f.block(ph).last() else {
@@ -705,12 +724,16 @@ impl FunctionPass for Licm {
             loop {
                 let mut moved_this_sweep = false;
                 for &b in &lp.blocks {
-                    for &v in &f.block(b).insts.clone() {
+                    snapshot.clear();
+                    snapshot.extend_from_slice(&f.block(b).insts);
+                    for &v in snapshot.iter() {
                         let Some(inst) = f.inst(v) else { continue };
                         if !dce_removable(&inst.kind) {
                             continue;
                         }
-                        let invariant = inst.operands().iter().all(|&op| match &f.value(op).kind {
+                        ops.clear();
+                        inst.operands_into(ops);
+                        let invariant = ops.iter().all(|&op| match &f.value(op).kind {
                             ValueKind::Arg { .. } | ValueKind::Const(_) => true,
                             ValueKind::Inst(def) => !lp.contains(def.block),
                         });

@@ -1,8 +1,7 @@
 //! The driver: pass traits, the analysis cache, and the pipeline runner.
 
-use std::collections::HashMap;
 use std::sync::Arc;
-use swpf_analysis::{DomTree, FuncAnalysis, IvAnalysis, LoopForest, RootsAnalysis};
+use swpf_analysis::{DomTree, FuncAnalysis, IvAnalysis, LoopForest, RootsAnalysis, Scratch};
 use swpf_ir::{FuncId, Function, Module};
 
 /// What one pass execution did, as declared by the pass itself.
@@ -120,7 +119,11 @@ struct FuncEntry {
 /// invalidations leaking back.
 #[derive(Debug, Default)]
 pub struct AnalysisManager {
-    entries: HashMap<FuncId, FuncEntry>,
+    /// Indexed by `FuncId`; `None` until a function's analyses are
+    /// first requested, and again after [`AnalysisManager::invalidate`].
+    entries: Vec<Option<FuncEntry>>,
+    /// Working storage every computation runs in.
+    scratch: Scratch,
     computed: usize,
     hits: usize,
     preserved: usize,
@@ -139,6 +142,7 @@ impl AnalysisManager {
     pub fn fork(&self) -> Self {
         AnalysisManager {
             entries: self.entries.clone(),
+            scratch: Scratch::default(),
             computed: 0,
             hits: 0,
             preserved: 0,
@@ -166,7 +170,12 @@ impl AnalysisManager {
 
     /// Drop every cached analysis of `fid`.
     pub fn invalidate(&mut self, fid: FuncId) {
-        if self.entries.remove(&fid).is_some() {
+        if self
+            .entries
+            .get_mut(fid.index())
+            .and_then(Option::take)
+            .is_some()
+        {
             swpf_obs::count("analysis.invalidated", 1);
         }
     }
@@ -176,7 +185,7 @@ impl AnalysisManager {
     /// stay cached; the value-level analyses (induction variables,
     /// object roots) reference instruction placement and are dropped.
     pub fn invalidate_preserving_cfg(&mut self, fid: FuncId) {
-        if let Some(entry) = self.entries.get_mut(&fid) {
+        if let Some(Some(entry)) = self.entries.get_mut(fid.index()) {
             entry.ivs = None;
             entry.roots = None;
             let kept = usize::from(entry.dom.is_some()) + usize::from(entry.loops.is_some());
@@ -190,8 +199,9 @@ impl AnalysisManager {
 
     /// Drop the whole cache (after a module-level mutation).
     pub fn invalidate_all(&mut self) {
-        if !self.entries.is_empty() {
-            swpf_obs::count("analysis.invalidated", self.entries.len() as u64);
+        let cached = self.entries.iter().flatten().count();
+        if cached > 0 {
+            swpf_obs::count("analysis.invalidated", cached as u64);
         }
         self.entries.clear();
     }
@@ -199,9 +209,17 @@ impl AnalysisManager {
     /// [`AnalysisManager::invalidate_preserving_cfg`] over every cached
     /// function (after a CFG-preserving module-level mutation).
     pub fn invalidate_all_preserving_cfg(&mut self) {
-        for fid in self.entries.keys().copied().collect::<Vec<_>>() {
-            self.invalidate_preserving_cfg(fid);
+        for fid in 0..self.entries.len() {
+            self.invalidate_preserving_cfg(FuncId(fid as u32));
         }
+    }
+
+    /// The (created-on-demand) cache entry of `fid`.
+    fn entry(&mut self, fid: FuncId) -> &mut FuncEntry {
+        if self.entries.len() <= fid.index() {
+            self.entries.resize(fid.index() + 1, None);
+        }
+        self.entries[fid.index()].get_or_insert_with(FuncEntry::default)
     }
 
     /// One cache hit: bump the local statistic and the process-wide
@@ -219,51 +237,51 @@ impl AnalysisManager {
 
     /// The dominator tree of `f` (`fid` must identify `f` in its module).
     pub fn dom(&mut self, f: &Function, fid: FuncId) -> Arc<DomTree> {
-        if let Some(dom) = self.entries.entry(fid).or_default().dom.clone() {
+        if let Some(dom) = self.entry(fid).dom.clone() {
             self.note_hit();
             return dom;
         }
-        let dom = Arc::new(DomTree::compute(f));
+        let dom = Arc::new(DomTree::compute_in(f, &mut self.scratch));
         self.note_computed();
-        self.entries.entry(fid).or_default().dom = Some(Arc::clone(&dom));
+        self.entry(fid).dom = Some(Arc::clone(&dom));
         dom
     }
 
     /// The natural-loop forest of `f`.
     pub fn loops(&mut self, f: &Function, fid: FuncId) -> Arc<LoopForest> {
-        if let Some(loops) = self.entries.entry(fid).or_default().loops.clone() {
+        if let Some(loops) = self.entry(fid).loops.clone() {
             self.note_hit();
             return loops;
         }
         let dom = self.dom(f, fid);
-        let loops = Arc::new(LoopForest::compute(f, &dom));
+        let loops = Arc::new(LoopForest::compute_in(f, &dom, &mut self.scratch));
         self.note_computed();
-        self.entries.entry(fid).or_default().loops = Some(Arc::clone(&loops));
+        self.entry(fid).loops = Some(Arc::clone(&loops));
         loops
     }
 
     /// The induction-variable analysis of `f`.
     pub fn ivs(&mut self, f: &Function, fid: FuncId) -> Arc<IvAnalysis> {
-        if let Some(ivs) = self.entries.entry(fid).or_default().ivs.clone() {
+        if let Some(ivs) = self.entry(fid).ivs.clone() {
             self.note_hit();
             return ivs;
         }
         let loops = self.loops(f, fid);
         let ivs = Arc::new(IvAnalysis::compute(f, &loops));
         self.note_computed();
-        self.entries.entry(fid).or_default().ivs = Some(Arc::clone(&ivs));
+        self.entry(fid).ivs = Some(Arc::clone(&ivs));
         ivs
     }
 
     /// The memoised object roots of `f`.
     pub fn roots(&mut self, f: &Function, fid: FuncId) -> Arc<RootsAnalysis> {
-        if let Some(roots) = self.entries.entry(fid).or_default().roots.clone() {
+        if let Some(roots) = self.entry(fid).roots.clone() {
             self.note_hit();
             return roots;
         }
-        let roots = Arc::new(RootsAnalysis::compute(f));
+        let roots = Arc::new(RootsAnalysis::compute(f, &mut self.scratch));
         self.note_computed();
-        self.entries.entry(fid).or_default().roots = Some(Arc::clone(&roots));
+        self.entry(fid).roots = Some(Arc::clone(&roots));
         roots
     }
 
@@ -395,7 +413,7 @@ impl<'p> PassManager<'p> {
                 Stage::Function(pass) => {
                     let mut changed = false;
                     let mut removed = 0usize;
-                    for fid in m.func_ids().collect::<Vec<_>>() {
+                    for fid in m.func_ids() {
                         let effect = pass.run(m, fid, am);
                         if effect.changed {
                             if effect.preserves_cfg {

@@ -3,39 +3,17 @@
 //! block window — independent of trace length — while the full reader
 //! (`Trace::from_bytes`) necessarily materialises the whole payload.
 //!
-//! Enforced with a counting global allocator; this lives in its own
-//! integration-test binary so the allocator hook cannot interfere with
-//! any other test.
+//! Enforced with the shared counting global allocator
+//! (`swpf_obs::alloc`); this lives in its own integration-test binary
+//! so the allocator hook cannot interfere with any other test.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use swpf_ir::interp::{Event, EventKind};
 use swpf_ir::ValueId;
+use swpf_obs::alloc::CountingAlloc;
 use swpf_trace::{StreamingReplay, Trace, TraceRecorder, BLOCK_TARGET};
 
-struct CountingAlloc;
-
-static LIVE: AtomicUsize = AtomicUsize::new(0);
-static PEAK: AtomicUsize = AtomicUsize::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let p = System.alloc(layout);
-        if !p.is_null() {
-            let live = LIVE.fetch_add(layout.size(), Ordering::Relaxed) + layout.size();
-            PEAK.fetch_max(live, Ordering::Relaxed);
-        }
-        p
-    }
-
-    unsafe fn dealloc(&self, p: *mut u8, layout: Layout) {
-        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
-        System.dealloc(p, layout);
-    }
-}
-
 #[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc;
+static ALLOC: CountingAlloc = CountingAlloc::new();
 
 /// A loop-shaped stream: one hot pc issuing strided loads, with a
 /// branch closing each iteration — periodic like real kernels, so the
@@ -81,8 +59,8 @@ fn measure(n_events: u64) -> (usize, usize) {
     };
     // Everything from the recording phase is dropped; the baseline is
     // whatever the harness itself keeps alive.
-    let base = LIVE.load(Ordering::Relaxed);
-    PEAK.store(base, Ordering::Relaxed);
+    let base = ALLOC.live_bytes();
+    ALLOC.reset_peak();
     let mut seen = 0u64;
     {
         let replay = StreamingReplay::open(&path).expect("streaming open");
@@ -93,7 +71,7 @@ fn measure(n_events: u64) -> (usize, usize) {
             seen += u64::from(!matches!(ev.kind, EventKind::Alloc));
         }
     }
-    let peak = PEAK.load(Ordering::Relaxed).saturating_sub(base);
+    let peak = ALLOC.peak_bytes().saturating_sub(base);
     std::fs::remove_file(&path).ok();
     assert_eq!(seen, n_events);
     (payload, peak)

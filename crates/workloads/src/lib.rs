@@ -234,6 +234,37 @@ pub fn suite(scale: Scale) -> Vec<Box<dyn Workload>> {
         .collect()
 }
 
+/// One module, as text, holding `copies` renamed copies of every
+/// textually distinct baseline kernel of [`suite`] (HJ-2/HJ-8 and the
+/// two Graph500 sizes print identical IR): a compiler-sized input for
+/// benches and budgets of the text → IR → text path, the shape of the
+/// repo benchmark's `big.swir`.
+///
+/// # Panics
+/// If a baseline module is not exactly one `@kernel` function.
+#[must_use]
+pub fn replicated_suite(scale: Scale, copies: usize) -> String {
+    let mut kernels: Vec<String> = Vec::new();
+    for w in suite(scale) {
+        let text = swpf_ir::printer::print_module(&w.build_baseline());
+        if !kernels.contains(&text) {
+            kernels.push(text);
+        }
+    }
+    let mut out = String::from("module big\n");
+    for (k, text) in kernels.iter().enumerate() {
+        let body = text
+            .split_once("func @kernel(")
+            .map(|(_, body)| body)
+            .filter(|body| !body.contains("func @"))
+            .expect("a baseline module is one @kernel function");
+        for copy in 0..copies {
+            out.push_str(&format!("\nfunc @kernel_{k}_{copy}({body}"));
+        }
+    }
+    out
+}
+
 /// The four benchmarks used in the look-ahead sweep of Fig. 6
 /// (IS, CG, RA, HJ-2 — the paper shows "only the simpler benchmarks").
 #[must_use]
@@ -247,6 +278,15 @@ pub fn fig6_suite(scale: Scale) -> Vec<Box<dyn Workload>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn replicated_suite_is_valid_canonical_text() {
+        let text = replicated_suite(Scale::Test, 3);
+        let m = swpf_ir::parser::parse_module(&text).expect("parses");
+        swpf_ir::verifier::verify_module(&m).expect("verifies");
+        assert_eq!(m.num_functions(), 3 * 5, "five distinct kernels");
+        assert_eq!(swpf_ir::printer::print_module(&m), text);
+    }
 
     #[test]
     fn workload_ids_match_instance_names() {

@@ -2,7 +2,9 @@
 //!
 //! Reads a module in the textual IR format (see `swpf_ir::printer`), runs
 //! the automatic software-prefetching pass, and prints the transformed
-//! module. The pass report goes to stderr.
+//! module. The pass report goes to stderr. Each stream is rendered into
+//! one buffer and written in one piece; a reader that closes its end
+//! early (`swpf-opt … | head -1`) is not an error.
 //!
 //! ```text
 //! swpf-opt [options] [input.swir]        (stdin when no file given)
@@ -16,7 +18,8 @@
 //!   --report-only  print only the report, not the module
 //! ```
 
-use std::io::Read as _;
+use std::fmt::Write as _;
+use std::io::{Read as _, Write as _};
 use swpf::pass::{icc_like, run_on_module, PassConfig, PassName, PASS_NAMES};
 
 /// One-line description of each pipeline pass for `--list`.
@@ -110,18 +113,35 @@ fn main() {
     swpf::ir::verifier::verify_module(&module)
         .unwrap_or_else(|e| die(&format!("internal error: output does not verify: {e}")));
 
-    eprint!("{report}");
-    eprintln!(
-        "{} prefetch instruction(s) inserted, {} load(s) skipped",
+    let mut summary = String::new();
+    let _ = writeln!(
+        summary,
+        "{report}{} prefetch instruction(s) inserted, {} load(s) skipped",
         report.total_prefetches(),
         report.total_skipped()
     );
+    write_whole(std::io::stderr().lock(), &summary, "report");
     if !report_only {
-        print!("{}", swpf::ir::printer::print_module(&module));
+        let text = swpf::ir::printer::print_module(&module);
+        write_whole(std::io::stdout().lock(), &text, "output");
+    }
+}
+
+/// Write `text` to `stream` in one piece. A closed pipe ends the run
+/// quietly (the reader has what it wanted); any other failure is fatal.
+fn write_whole(mut stream: impl std::io::Write, text: &str, what: &str) {
+    match stream
+        .write_all(text.as_bytes())
+        .and_then(|()| stream.flush())
+    {
+        Ok(()) => {}
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => std::process::exit(0),
+        Err(e) => die(&format!("cannot write {what}: {e}")),
     }
 }
 
 fn die(msg: &str) -> ! {
-    eprintln!("swpf-opt: {msg}");
+    // Best effort: stderr may be the stream that just failed.
+    let _ = writeln!(std::io::stderr(), "swpf-opt: {msg}");
     std::process::exit(1);
 }

@@ -1,0 +1,145 @@
+//! Mutation fuzz of `.swir` text — the text half of the trust boundary.
+//!
+//! Seeded byte-, token- and line-level mutations (delete, duplicate,
+//! swap; truncate anywhere) of the five baseline kernels and the
+//! hand-written programs of `swir_sources`. For every mutant,
+//! `parse_module` must return `Ok` or a `ParseError` whose line lies
+//! within the input — never panic — and an `Ok` module that also
+//! verifies must survive `print → parse → print` unchanged.
+//! Deterministic: the same few thousand cases on every run.
+
+mod swir_sources;
+
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use swpf::ir::parser::parse_module;
+use swpf::ir::printer::print_module;
+use swpf::ir::verifier::verify_module;
+use swpf::workloads::{Scale, WorkloadId};
+
+const CASES_PER_SEED_TEXT: usize = 400;
+
+/// Delete, duplicate, or swap-with-successor the piece at a random
+/// position. (With fewer than two pieces a swap degrades to a no-op.)
+fn mutate_pieces(pieces: &mut Vec<&str>, rng: &mut StdRng) {
+    if pieces.is_empty() {
+        return;
+    }
+    let at = rng.random_range(0..pieces.len());
+    match rng.random_range(0..3) {
+        0 => {
+            pieces.remove(at);
+        }
+        1 => pieces.insert(at, pieces[at]),
+        _ => {
+            if at + 1 < pieces.len() {
+                pieces.swap(at, at + 1);
+            }
+        }
+    }
+}
+
+/// One mutation of `text` (ASCII in, ASCII out): a byte, a token (a
+/// word with the whitespace character that ends it) or a line is
+/// deleted, duplicated or swapped with its successor, or the text is
+/// truncated anywhere.
+fn mutate(text: &str, rng: &mut StdRng) -> String {
+    let mut pieces: Vec<&str> = match rng.random_range(0..4) {
+        0 => (0..text.len()).map(|i| &text[i..=i]).collect(),
+        1 => text.split_inclusive(char::is_whitespace).collect(),
+        2 => text.split_inclusive('\n').collect(),
+        _ => return text[..rng.random_range(0..=text.len())].to_string(),
+    };
+    mutate_pieces(&mut pieces, rng);
+    pieces.concat()
+}
+
+/// What became of a mutant that broke no property.
+#[derive(Debug, PartialEq)]
+enum Outcome {
+    Rejected,
+    Parsed,
+    RoundTripped,
+}
+
+/// Check one mutant; `Err` describes the violated property.
+fn check(text: &str) -> Result<Outcome, String> {
+    let nlines = text.lines().count();
+    let module = match parse_module(text) {
+        Ok(module) => module,
+        // Line 0 is the parser's "ran off the end" position.
+        Err(e) if e.line == 0 && e.message == "unterminated function" => {
+            return Ok(Outcome::Rejected)
+        }
+        Err(e) if (1..=nlines.max(1)).contains(&e.line) => return Ok(Outcome::Rejected),
+        Err(e) => {
+            return Err(format!(
+                "error line outside the input ({nlines} lines): {e}"
+            ))
+        }
+    };
+    if verify_module(&module).is_err() {
+        return Ok(Outcome::Parsed);
+    }
+    let printed = print_module(&module);
+    let reparsed =
+        parse_module(&printed).map_err(|e| format!("printed text does not parse: {e}"))?;
+    if print_module(&reparsed) == printed {
+        Ok(Outcome::RoundTripped)
+    } else {
+        Err("print → parse → print is not the identity".to_string())
+    }
+}
+
+#[test]
+fn mutated_swir_never_panics_and_round_trips() {
+    let kernels = [
+        WorkloadId::Is,
+        WorkloadId::Cg,
+        WorkloadId::Ra,
+        WorkloadId::Hj2,
+        WorkloadId::G500Small,
+    ];
+    let mut seeds: Vec<String> = kernels
+        .iter()
+        .map(|id| print_module(&id.instantiate(Scale::Test).build_baseline()))
+        .collect();
+    seeds.extend(swir_sources::ALL.iter().map(|s| (*s).to_string()));
+
+    let (mut rejected, mut round_tripped) = (0usize, 0usize);
+    for (n, seed_text) in seeds.iter().enumerate() {
+        assert!(seed_text.is_ascii(), "mutations slice by byte");
+        assert!(
+            check(seed_text) == Ok(Outcome::RoundTripped),
+            "seed text {n} is valid"
+        );
+        let mut rng = StdRng::seed_from_u64(0x5eed_0000 + n as u64);
+        for case in 0..CASES_PER_SEED_TEXT {
+            // One to three stacked mutations.
+            let mut text = mutate(seed_text, &mut rng);
+            for _ in 0..rng.random_range(0..3) {
+                text = mutate(&text, &mut rng);
+            }
+            let outcome = catch_unwind(AssertUnwindSafe(|| check(&text)));
+            match outcome.unwrap_or_else(|_| Err("panicked".to_string())) {
+                Ok(Outcome::Rejected) => rejected += 1,
+                Ok(Outcome::Parsed) => {}
+                Ok(Outcome::RoundTripped) => round_tripped += 1,
+                Err(failure) => {
+                    panic!("seed text {n}, case {case}: {failure}\n--- input ---\n{text}")
+                }
+            }
+        }
+    }
+    // The mutations must reach both ends, not only the error paths.
+    let total = seeds.len() * CASES_PER_SEED_TEXT;
+    assert!(
+        rejected > total / 20,
+        "only {rejected} of {total} mutants rejected"
+    );
+    assert!(
+        round_tripped > total / 100,
+        "only {round_tripped} of {total} mutants verify and round-trip"
+    );
+}

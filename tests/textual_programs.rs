@@ -3,6 +3,11 @@
 //! covering corner shapes (down-counting loops, unsigned bounds,
 //! alloc-derived clamps, pure calls) end to end.
 
+mod swir_sources;
+
+use swir_sources::{
+    DOWNCOUNTING, DOWNCOUNTING_LOCAL_ALLOC, PURE_CALL, UNSIGNED_BOUND, UPCOUNTING_SIGNED,
+};
 use swpf::pass::{run_on_module, PassConfig};
 use swpf_ir::interp::{Interp, NullObserver, RtVal};
 use swpf_ir::parser::parse_module;
@@ -64,64 +69,12 @@ fn check_program(src: &str, expect_prefetches: bool) {
 
 #[test]
 fn upcounting_signed_loop_gets_prefetches() {
-    check_program(
-        r"module t
-
-func @kernel(%0: ptr, %1: ptr, %2: i64) -> i64 {
-  %3 = const 0: i64
-  %4 = const 1: i64
-bb0:
-  br bb1
-bb1:
-  %5: i64 = phi [bb0: %3], [bb2: %12]
-  %6: i64 = phi [bb0: %3], [bb2: %11]
-  %7: i1 = icmp slt %5, %2
-  br %7, bb2, bb3
-bb2:
-  %8: ptr = gep %1, %5 x 8
-  %9: i64 = load i64, %8
-  %10: ptr = gep %0, %9 x 8
-  %s: i64 = load i64, %10
-  %11: i64 = add %6, %s
-  %12: i64 = add %5, %4
-  br bb1
-bb3:
-  ret %6
-}
-",
-        true,
-    );
+    check_program(UPCOUNTING_SIGNED, true);
 }
 
 #[test]
 fn unsigned_bound_loop_gets_prefetches() {
-    check_program(
-        r"module t
-
-func @kernel(%0: ptr, %1: ptr, %2: i64) -> i64 {
-  %3 = const 0: i64
-  %4 = const 1: i64
-bb0:
-  br bb1
-bb1:
-  %5: i64 = phi [bb0: %3], [bb2: %12]
-  %6: i64 = phi [bb0: %3], [bb2: %11]
-  %7: i1 = icmp ult %5, %2
-  br %7, bb2, bb3
-bb2:
-  %8: ptr = gep %1, %5 x 8
-  %9: i64 = load i64, %8
-  %10: ptr = gep %0, %9 x 8
-  %s: i64 = load i64, %10
-  %11: i64 = add %6, %s
-  %12: i64 = add %5, %4
-  br bb1
-bb3:
-  ret %6
-}
-",
-        true,
-    );
+    check_program(UNSIGNED_BOUND, true);
 }
 
 #[test]
@@ -129,34 +82,7 @@ fn downcounting_loop_is_rejected_without_alloc_info() {
     // for (i = n-1; i >= 0; i--): step -1 is not the canonical form the
     // loop-bound clamp supports, and the arrays are arguments — the pass
     // must refuse rather than risk a fault (§4.2 prototype restriction).
-    check_program(
-        r"module t
-
-func @kernel(%0: ptr, %1: ptr, %2: i64) -> i64 {
-  %3 = const 0: i64
-  %4 = const 1: i64
-bb0:
-  %5: i64 = sub %2, %4
-  br bb1
-bb1:
-  %6: i64 = phi [bb0: %5], [bb2: %13]
-  %7: i64 = phi [bb0: %3], [bb2: %12]
-  %8: i1 = icmp sge %6, %3
-  br %8, bb2, bb3
-bb2:
-  %9: ptr = gep %1, %6 x 8
-  %10: i64 = load i64, %9
-  %11: ptr = gep %0, %10 x 8
-  %s: i64 = load i64, %11
-  %12: i64 = add %7, %s
-  %13: i64 = sub %6, %4
-  br bb1
-bb3:
-  ret %7
-}
-",
-        false,
-    );
+    check_program(DOWNCOUNTING, false);
 }
 
 #[test]
@@ -164,32 +90,7 @@ fn downcounting_loop_with_local_alloc_is_clamped_by_extent() {
     // Same down-counting shape, but the look-ahead array is a local
     // allocation: the alloc-extent clamp supports step −1 (bounded on
     // both sides), so prefetches are generated.
-    let src = r"module t
-
-func @kernel(%0: ptr, %1: ptr, %2: i64) -> i64 {
-  %3 = const 0: i64
-  %4 = const 1: i64
-bb0:
-  %a: ptr = alloc %2 x 8
-  %5: i64 = sub %2, %4
-  br bb1
-bb1:
-  %6: i64 = phi [bb0: %5], [bb2: %13]
-  %7: i64 = phi [bb0: %3], [bb2: %12]
-  %8: i1 = icmp sge %6, %3
-  br %8, bb2, bb3
-bb2:
-  %9: ptr = gep %a, %6 x 8
-  %10: i64 = load i64, %9
-  %11: ptr = gep %0, %10 x 8
-  %s: i64 = load i64, %11
-  %12: i64 = add %7, %s
-  %13: i64 = sub %6, %4
-  br bb1
-bb3:
-  ret %7
-}
-";
+    let src = DOWNCOUNTING_LOCAL_ALLOC;
     let mut m = parse_module(src).expect("parses");
     verify_module(&m).expect("verifies");
     let want = run_kernel(&m, 64);
@@ -204,39 +105,7 @@ bb3:
 
 #[test]
 fn pure_call_program_respects_extension_flag() {
-    let src = r"module t
-
-func @mix(%0: i64) -> i64 pure {
-bb0:
-  %1: i64 = mul %0, %0
-  %2 = const 127: i64
-  %3: i64 = and %1, %2
-  ret %3
-}
-
-func @kernel(%0: ptr, %1: ptr, %2: i64) -> i64 {
-  %3 = const 0: i64
-  %4 = const 1: i64
-bb0:
-  br bb1
-bb1:
-  %5: i64 = phi [bb0: %3], [bb2: %12]
-  %6: i64 = phi [bb0: %3], [bb2: %11]
-  %7: i1 = icmp slt %5, %2
-  br %7, bb2, bb3
-bb2:
-  %8: ptr = gep %1, %5 x 8
-  %9: i64 = load i64, %8
-  %h: i64 = call @mix(%9)
-  %10: ptr = gep %0, %h x 8
-  %s: i64 = load i64, %10
-  %11: i64 = add %6, %s
-  %12: i64 = add %5, %4
-  br bb1
-bb3:
-  ret %6
-}
-";
+    let src = PURE_CALL;
     // Default config: rejected because of the call.
     let mut strict = parse_module(src).unwrap();
     let report = run_on_module(&mut strict, &PassConfig::default());
