@@ -31,7 +31,7 @@ use swpf_sim::{
     replay_on_machine, run_multicore, run_on_machine, run_on_machine_image, run_on_machine_traced,
     streaming_replay_on_machine, MachineConfig, Sim, Source,
 };
-use swpf_trace::{StreamingReplay, TraceRecorder};
+use swpf_trace::{StreamingReplay, Trace, TraceRecorder};
 use swpf_workloads::is::IntegerSort;
 use swpf_workloads::{Scale, Workload, WorkloadId};
 
@@ -307,6 +307,16 @@ fn trace_replay(c: &mut Criterion) {
             let stats = run_on_machine_traced(&cfg, &image, f, setup, rec.stream(0));
             black_box((stats, rec.finish()))
         });
+    });
+    // The block codec alone, on the same recording: envelope encode
+    // (checksum + match search + entropy coding) and full decode
+    // (entropy decode + match copy + checksum).
+    let encoded = trace.to_bytes();
+    group.bench_function("codec/encode/IS", |b| {
+        b.iter(|| black_box(trace.to_bytes()));
+    });
+    group.bench_function("codec/decode/IS", |b| {
+        b.iter(|| black_box(Trace::from_bytes(&encoded).expect("own output decodes")));
     });
     group.finish();
     std::fs::remove_file(&path).ok();

@@ -926,17 +926,31 @@ pub(crate) fn open_streaming(path: &Path, fingerprint: u64) -> Option<StreamingR
 }
 
 /// Persist a recorded trace; cache-write failures degrade to a warning
-/// (the run itself does not depend on the cache). With a byte cap, the
-/// directory is LRU-pruned afterwards — oldest-read `.trace` files go
-/// first, the file just written never does.
+/// (the run itself does not depend on the cache). The bytes go to a
+/// sibling temp file first and are renamed into place, so a reader —
+/// another worker, another process on the same directory, the next run
+/// after this one was killed — sees the old file or the new one, never
+/// a torn one. With a byte cap, the directory is LRU-pruned afterwards
+/// — oldest-read `.trace` files go first, the file just written never
+/// does.
 pub(crate) fn store_trace(path: &Path, trace: &Trace, cap: Option<u64>) {
+    static SEQ: AtomicUsize = AtomicUsize::new(0);
+    // Unique per writer, and not a `.trace`: eviction and cache lookups
+    // never see it.
+    let tmp = path.with_extension(format!(
+        "tmp-{}-{}",
+        std::process::id(),
+        SEQ.fetch_add(1, Ordering::Relaxed)
+    ));
     let write = || -> std::io::Result<()> {
         if let Some(parent) = path.parent() {
             std::fs::create_dir_all(parent)?;
         }
-        std::fs::write(path, trace.to_bytes())
+        std::fs::write(&tmp, trace.to_bytes())?;
+        std::fs::rename(&tmp, path)
     };
     if let Err(e) = write() {
+        std::fs::remove_file(&tmp).ok();
         eprintln!("warning: cannot cache trace {}: {e}", path.display());
         return;
     }

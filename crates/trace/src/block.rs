@@ -10,11 +10,14 @@
 //! state between blocks, so a reader can decode one block at a time in
 //! bounded memory.
 //!
-//! Matching is a hash-chain search (4-byte hash heads, `prev` links,
-//! [`MAX_PROBES`] candidates, most recent first) with one-step-lazy
-//! parsing: a position defers its match while the next position finds a
-//! strictly longer one. The token sequence the matcher produces can be
-//! serialised two ways, and the writer keeps whichever is smaller:
+//! Matching is a bounded hash-chain search: 4-byte hash heads, `prev`
+//! links, at most [`MAX_PROBES`] candidates per position (most recent
+//! first) and none after a [`NICE_LEN`] match, with one-step-lazy
+//! parsing for short matches only — a match under [`LAZY_BELOW`] bytes
+//! defers while the next position finds a strictly longer one — and
+//! only the edges of a match entered into the chains ([`SEED_EDGE`]).
+//! The token sequence the matcher produces can be serialised two ways;
+//! the writer prices both from the tokens and serialises the smaller:
 //!
 //! ## `METHOD_LZ` — byte-aligned token grammar
 //!
@@ -62,6 +65,12 @@ use crate::TraceError;
 pub const BLOCK_TARGET: usize = 64 << 10;
 
 /// Block stored raw (compression did not shrink it).
+pub(crate) const METHOD_STORED: u8 = 0;
+/// Block compressed with the byte-aligned LZ token grammar.
+pub(crate) const METHOD_LZ: u8 = 1;
+/// Block compressed with Huffman-coded LZ tokens.
+pub(crate) const METHOD_LZH: u8 = 2;
+
 /// Observability counter name for an encoded block's method.
 pub(crate) fn method_counter(method: u8) -> &'static str {
     match method {
@@ -80,36 +89,48 @@ pub(crate) fn method_counter_decode(method: u8) -> &'static str {
     }
 }
 
-pub(crate) const METHOD_STORED: u8 = 0;
-/// Block compressed with the byte-aligned LZ token grammar.
-pub(crate) const METHOD_LZ: u8 = 1;
-/// Block compressed with Huffman-coded LZ tokens.
-pub(crate) const METHOD_LZH: u8 = 2;
-
 /// Shortest match worth encoding: lit_len + match_len + offset cost at
 /// least 3 bytes in the byte-aligned grammar, so 4-byte matches are the
 /// break-even point.
 const MIN_MATCH: usize = 4;
 
 /// log2 of the hash head table (one u32 slot per bucket).
-const HASH_BITS: u32 = 16;
+const HASH_BITS: u32 = 14;
 
-/// Hash-chain candidates examined per position. Periodic streams put
-/// the best match near the chain head, so a modest budget captures
-/// almost all of the gain of an exhaustive search.
-const MAX_PROBES: usize = 48;
+/// Hash-chain candidates examined per search. Periodic streams put the
+/// best match near the chain head; on the fig7 corpus 8 probes give up
+/// ~11% of the compressed size against 48 for less than half the time.
+const MAX_PROBES: usize = 8;
 
-/// Sanity ceiling on block lengths read from untrusted headers, far
-/// above anything the writer produces, so corrupt headers cannot force
-/// multi-GiB allocations before the checksum is consulted.
-pub(crate) const MAX_BLOCK: usize = 1 << 30;
+/// A match this long ends its chain walk: what a longer one would save
+/// is a fraction of a token, what finding it costs is the rest of the
+/// probe budget at every loop iteration of the traced kernel.
+const NICE_LEN: usize = 24;
+
+/// Matches at least this long are taken as found; shorter ones defer
+/// to a strictly longer match one byte on (the lazy step).
+const LAZY_BELOW: usize = 8;
+
+/// Positions at each edge of a match that enter the hash chains. The
+/// next iteration of a traced loop breaks its matches where this one
+/// did — at the fields that vary — so the interior of a match is
+/// almost never where a later match starts, and chains without it are
+/// both cheaper to build and shorter to walk.
+const SEED_EDGE: usize = 2;
+
+/// Ceiling on block lengths, enforced by the writer and on every
+/// length read from an untrusted header: 64 × [`BLOCK_TARGET`], so a
+/// corrupt or hostile header can make a reader allocate at most this
+/// much before the block's checksum is consulted.
+pub(crate) const MAX_BLOCK: usize = 4 << 20;
 
 // ---- METHOD_LZH symbol spaces ----------------------------------------
 //
 // Match lengths are sent as (length - MIN_MATCH): 0..8 direct, then two
 // buckets per power of two with floor(log2)-1 extra bits. Offsets are
 // sent as (offset - 1): 0..4 direct, then the same geometric shape.
-// Both cover the full MAX_BLOCK range, so no length cap splits matches.
+// Both alphabets reach 2^30 — far past MAX_BLOCK, but their sizes are
+// part of the format — so no length cap splits matches.
 
 /// Length symbols: 8 direct + 2 per octave for exponents 3..=29.
 const LEN_SYMS: usize = 8 + 2 * 27;
@@ -120,22 +141,21 @@ const OFF_SYMS: usize = 4 + 2 * 28;
 /// Nibble-packed size of both code-length tables.
 const TABLE_BYTES: usize = (LITLEN_SYMS + OFF_SYMS).div_ceil(2);
 
-/// Split `v` into (symbol index, extra-bit count, extra-bit value)
-/// with `direct` un-bucketed low values, two buckets per octave after.
+/// Un-bucketed low values of the length and offset alphabets.
+const LEN_DIRECT: u32 = 8;
+const OFF_DIRECT: u32 = 4;
+
+/// Symbol index of `v` in an alphabet with `direct` un-bucketed low
+/// values and two buckets per octave after. The bucket's extra bits
+/// are `v`'s low [`geo_base`]`.1` bits.
 #[inline]
-fn geo_sym(v: u32, direct: u32) -> (u32, u32, u32) {
+fn geo_sym(v: u32, direct: u32) -> u32 {
     if v < direct {
-        (v, 0, 0)
+        v
     } else {
         let k = 31 - v.leading_zeros();
-        let eb = k - 1;
-        let low = v - (1 << k);
         let first_k = direct.trailing_zeros(); // direct is a power of two
-        (
-            direct + 2 * (k - first_k) + (low >> eb),
-            eb,
-            low & ((1 << eb) - 1),
-        )
+        direct + 2 * (k - first_k) + ((v >> (k - 1)) & 1)
     }
 }
 
@@ -157,29 +177,48 @@ fn geo_base(sym: u32, direct: u32) -> (u32, u32) {
 /// One parsed token: `lit_len` literal bytes (starting where the
 /// previous token ended), then a match of `match_len` bytes at `dist`
 /// — except the final token of a block, which may carry `match_len ==
-/// 0` for a trailing literal run.
+/// 0` for a trailing literal run. The match's two `METHOD_LZH` symbols
+/// ride along so the bucket arithmetic runs once per token.
 #[derive(Clone, Copy)]
 struct Token {
     lit_len: u32,
     match_len: u32,
     dist: u32,
+    len_sym: u16,
+    off_sym: u16,
 }
 
 /// Reusable compressor scratch: hash heads, chain links, the token
-/// list, and both serialisations. One instance per writer, reset per
-/// block, so a multi-block encode allocates O(1) times.
+/// list, and the winning serialisation. One instance per writer, reset
+/// per block, so a multi-block encode allocates O(1) times.
 #[derive(Default)]
 pub(crate) struct MatchScratch {
     head: Vec<u32>,
     prev: Vec<u32>,
     tokens: Vec<Token>,
-    lz: Vec<u8>,
-    lzh: Vec<u8>,
+    out: Vec<u8>,
+}
+
+/// What one parse leaves behind besides the tokens: both `METHOD_LZH`
+/// symbol histograms and the exact `METHOD_LZ` size — enough to price
+/// every method before serialising any.
+struct Parse {
+    ll_freq: [u32; LITLEN_SYMS],
+    off_freq: [u32; OFF_SYMS],
+    lz_bytes: usize,
+}
+
+/// Match-search effort of one block, for the `trace.encode.*` work
+/// counters (deterministic, unlike the time it stands for).
+#[derive(Default)]
+struct Work {
+    candidates: u64,
+    compared: u64,
 }
 
 #[inline(always)]
 fn load4(raw: &[u8], at: usize) -> u32 {
-    u32::from_le_bytes([raw[at], raw[at + 1], raw[at + 2], raw[at + 3]])
+    u32::from_le_bytes(raw[at..at + 4].try_into().expect("4 bytes"))
 }
 
 #[inline(always)]
@@ -200,8 +239,8 @@ fn insert(s: &mut MatchScratch, raw: &[u8], i: usize) {
 fn common_len(raw: &[u8], a: usize, i: usize, max: usize) -> usize {
     let mut l = 0usize;
     while l + 8 <= max {
-        let x = u64::from_le_bytes(raw[a + l..a + l + 8].try_into().unwrap());
-        let y = u64::from_le_bytes(raw[i + l..i + l + 8].try_into().unwrap());
+        let x = u64::from_le_bytes(raw[a + l..a + l + 8].try_into().expect("8 bytes"));
+        let y = u64::from_le_bytes(raw[i + l..i + l + 8].try_into().expect("8 bytes"));
         let d = x ^ y;
         if d != 0 {
             return l + (d.trailing_zeros() / 8) as usize;
@@ -214,10 +253,24 @@ fn common_len(raw: &[u8], a: usize, i: usize, max: usize) -> usize {
     l
 }
 
-/// Best match for position `i` among the chain candidates: longest
-/// wins, most-recent (smallest offset) breaks ties. Only matches of at
+/// Bytes a varint of `v` occupies.
+#[inline]
+fn varint_len(v: u32) -> usize {
+    (38 - (v | 1).leading_zeros() as usize) / 7
+}
+
+/// Best match for position `i` among the first [`MAX_PROBES`] chain
+/// candidates: longest wins, most-recent (smallest offset) breaks
+/// ties, and a [`NICE_LEN`] match ends the walk. Only matches of at
 /// least `min_len` qualify.
-fn best_match(s: &MatchScratch, raw: &[u8], i: usize, min_len: usize) -> Option<(usize, usize)> {
+#[inline]
+fn best_match(
+    s: &MatchScratch,
+    raw: &[u8],
+    i: usize,
+    min_len: usize,
+    work: &mut Work,
+) -> Option<(usize, usize)> {
     let max = raw.len() - i;
     if max < min_len {
         return None;
@@ -232,42 +285,81 @@ fn best_match(s: &MatchScratch, raw: &[u8], i: usize, min_len: usize) -> Option<
         let c = cand as usize;
         // Cheap rejection: to beat `best_len` the candidate must agree
         // at that offset (and still start with the same 4 bytes).
-        if raw.get(c + best_len) == raw.get(i + best_len) && load4(raw, c) == here {
+        if raw[c + best_len] == raw[i + best_len] && load4(raw, c) == here {
             let l = common_len(raw, c, i, max);
+            work.compared += l as u64;
             if l > best_len {
                 best_len = l;
                 best_at = c;
-                if l == max {
+                if l >= NICE_LEN.min(max) {
                     break;
                 }
             }
         }
         cand = s.prev[c];
     }
+    work.candidates += (MAX_PROBES - probes) as u64;
     (best_at != usize::MAX).then(|| (best_len, i - best_at))
 }
 
-/// Parse `raw` into `s.tokens` with lazy hash-chain matching.
-fn tokenize(raw: &[u8], s: &mut MatchScratch) {
+/// Parse `raw` into `s.tokens` with bounded hash-chain matching.
+fn tokenize(raw: &[u8], s: &mut MatchScratch) -> Parse {
+    let mut parse = Parse {
+        ll_freq: [0; LITLEN_SYMS],
+        off_freq: [0; OFF_SYMS],
+        lz_bytes: 0,
+    };
+    let mut emit = |tokens: &mut Vec<Token>, lit: &[u8], match_len: usize, dist: usize| {
+        let (mut len_sym, mut off_sym) = (0, 0);
+        for &b in lit {
+            parse.ll_freq[b as usize] += 1;
+        }
+        parse.lz_bytes += varint_len(lit.len() as u32) + lit.len();
+        if match_len > 0 {
+            len_sym = geo_sym((match_len - MIN_MATCH) as u32, LEN_DIRECT);
+            off_sym = geo_sym(dist as u32 - 1, OFF_DIRECT);
+            parse.ll_freq[256 + len_sym as usize] += 1;
+            parse.off_freq[off_sym as usize] += 1;
+            parse.lz_bytes += varint_len(match_len as u32) + varint_len(dist as u32);
+        }
+        tokens.push(Token {
+            lit_len: lit.len() as u32,
+            match_len: match_len as u32,
+            dist: dist as u32,
+            len_sym: len_sym as u16,
+            off_sym: off_sym as u16,
+        });
+    };
+
     s.tokens.clear();
+    // Worst case up front (a match every MIN_MATCH bytes), so no block
+    // of this size or smaller ever grows the list again.
+    s.tokens.reserve(raw.len() / MIN_MATCH + 1);
     s.head.clear();
     s.head.resize(1 << HASH_BITS, u32::MAX);
-    s.prev.clear();
-    s.prev.resize(raw.len(), u32::MAX);
+    // Chain links are written on insert before any walk reads them:
+    // stale ones from the previous block are never reached.
+    if s.prev.len() < raw.len() {
+        s.prev.resize(raw.len(), u32::MAX);
+    }
+    let mut work = Work::default();
     let mut i = 0usize;
     let mut lit_start = 0usize;
     while i + MIN_MATCH <= raw.len() {
-        let found = best_match(s, raw, i, MIN_MATCH);
+        let found = best_match(s, raw, i, MIN_MATCH, &mut work);
         insert(s, raw, i);
         let Some((mut len, mut dist)) = found else {
             i += 1;
             continue;
         };
-        // Lazy step: while the next position matches strictly longer,
-        // emit this byte as a literal and carry the better match.
-        while i + 1 + MIN_MATCH <= raw.len() {
-            let better = best_match(s, raw, i + 1, len + 1);
+        // Lazy step: while a short match is beaten by a strictly
+        // longer one at the next position, emit this byte as a literal
+        // and carry the better match.
+        let mut seeded = i + 1; // first position not yet in the chains
+        while len < LAZY_BELOW && i + 1 + MIN_MATCH <= raw.len() {
+            let better = best_match(s, raw, i + 1, len + 1, &mut work);
             insert(s, raw, i + 1);
+            seeded = i + 2;
             match better {
                 Some((l2, d2)) => {
                     i += 1;
@@ -277,29 +369,26 @@ fn tokenize(raw: &[u8], s: &mut MatchScratch) {
                 None => break,
             }
         }
-        s.tokens.push(Token {
-            lit_len: (i - lit_start) as u32,
-            match_len: len as u32,
-            dist: dist as u32,
-        });
-        // Seed the chains across the matched bytes so the next
+        emit(&mut s.tokens, &raw[lit_start..i], len, dist);
+        // Seed the chains at both edges of the match so the next
         // iteration of a periodic stream finds this occurrence.
         let end = i + len;
-        let mut j = i + 2;
-        while j < end && j + MIN_MATCH <= raw.len() {
+        let last = end.min(raw.len() - MIN_MATCH + 1);
+        let head_end = (i + SEED_EDGE).clamp(seeded, last);
+        for j in (seeded..head_end).chain((end - SEED_EDGE).max(head_end)..last) {
             insert(s, raw, j);
-            j += 1;
         }
         i = end;
         lit_start = end;
     }
     if lit_start < raw.len() {
-        s.tokens.push(Token {
-            lit_len: (raw.len() - lit_start) as u32,
-            match_len: 0,
-            dist: 0,
-        });
+        emit(&mut s.tokens, &raw[lit_start..], 0, 0);
     }
+    if swpf_obs::enabled() {
+        swpf_obs::count("trace.encode.candidates", work.candidates);
+        swpf_obs::count("trace.encode.compared_bytes", work.compared);
+    }
+    parse
 }
 
 // ---- serialisers ------------------------------------------------------
@@ -319,70 +408,108 @@ fn encode_lz(raw: &[u8], tokens: &[Token], out: &mut Vec<u8>) {
     }
 }
 
+/// Fill one alphabet's per-symbol write entries — `code | len << 16 |
+/// extra_bits << 24`, so one lookup yields everything a token's symbol
+/// puts on the wire — and return the payload bits its symbols will
+/// take: code plus extra bits, weighted by frequency. Geometric buckets
+/// start at symbol `first_bucket`.
+fn pack_codes(
+    freq: &[u32],
+    lens: &[u8],
+    first_bucket: usize,
+    direct: u32,
+    packed: &mut [u32],
+) -> u64 {
+    let mut codes = [0u16; LITLEN_SYMS];
+    build_codes(lens, &mut codes[..lens.len()]);
+    let mut bits = 0u64;
+    for (sym, entry) in packed.iter_mut().enumerate() {
+        let extra = sym
+            .checked_sub(first_bucket)
+            .map_or(0, |bucket| geo_base(bucket as u32, direct).1);
+        *entry = u32::from(codes[sym]) | u32::from(lens[sym]) << 16 | extra << 24;
+        bits += u64::from(freq[sym]) * u64::from(u32::from(lens[sym]) + extra);
+    }
+    bits
+}
+
+/// Append the symbol behind `entry` and the low extra bits of `v`.
+#[inline(always)]
+fn put_bucketed(w: &mut BitWriter, entry: u32, v: u32) {
+    let extra = entry >> 24;
+    let code = u64::from(entry & 0xffff) << extra | u64::from(v & ((1 << extra) - 1));
+    w.put(code, (entry >> 16 & 0xff) + extra);
+}
+
+/// What `METHOD_LZH` would write for one parse: both alphabets' code
+/// lengths (literal/length, then offset), their write entries, and the
+/// byte length of the bitstream.
+struct LzhPlan {
+    lens: [u8; LITLEN_SYMS + OFF_SYMS],
+    ll: [u32; LITLEN_SYMS],
+    off: [u32; OFF_SYMS],
+    stream_bytes: usize,
+}
+
+fn plan_lzh(parse: &Parse) -> LzhPlan {
+    let mut plan = LzhPlan {
+        lens: [0; LITLEN_SYMS + OFF_SYMS],
+        ll: [0; LITLEN_SYMS],
+        off: [0; OFF_SYMS],
+        stream_bytes: 0,
+    };
+    let (ll_lens, off_lens) = plan.lens.split_at_mut(LITLEN_SYMS);
+    code_lengths(&parse.ll_freq, ll_lens);
+    code_lengths(&parse.off_freq, off_lens);
+    let bits = pack_codes(&parse.ll_freq, ll_lens, 256, LEN_DIRECT, &mut plan.ll)
+        + pack_codes(&parse.off_freq, off_lens, 0, OFF_DIRECT, &mut plan.off);
+    plan.stream_bytes = bits.div_ceil(8) as usize;
+    plan
+}
+
 /// Serialise the token list under `METHOD_LZH`: nibble-packed code
 /// lengths for both alphabets, then the Huffman bitstream.
-fn encode_lzh(raw: &[u8], tokens: &[Token], out: &mut Vec<u8>) {
-    let mut ll_freq = vec![0u32; LITLEN_SYMS];
-    let mut off_freq = vec![0u32; OFF_SYMS];
+fn encode_lzh(raw: &[u8], tokens: &[Token], plan: &LzhPlan, out: &mut Vec<u8>) {
+    let nibbles = plan.lens.chunks(2);
+    out.extend(nibbles.map(|n| n[0] | n.get(1).map_or(0, |&hi| hi << 4)));
+    let (ll, off) = (&plan.ll, &plan.off);
+    let mut w = BitWriter::with_capacity(out, plan.stream_bytes);
     let mut pos = 0usize;
     for t in tokens {
         for &b in &raw[pos..pos + t.lit_len as usize] {
-            ll_freq[b as usize] += 1;
+            w.put(u64::from(ll[b as usize] & 0xffff), ll[b as usize] >> 16);
         }
         pos += t.lit_len as usize;
         if t.match_len > 0 {
-            let (s, _, _) = geo_sym(t.match_len - MIN_MATCH as u32, 8);
-            ll_freq[256 + s as usize] += 1;
-            let (s, _, _) = geo_sym(t.dist - 1, 4);
-            off_freq[s as usize] += 1;
-            pos += t.match_len as usize;
-        }
-    }
-
-    let ll_lens = code_lengths(&ll_freq);
-    let off_lens = code_lengths(&off_freq);
-    let mut nibbles = ll_lens.iter().chain(off_lens.iter());
-    for _ in 0..TABLE_BYTES {
-        let lo = *nibbles.next().unwrap_or(&0);
-        let hi = *nibbles.next().unwrap_or(&0);
-        out.push(lo | (hi << 4));
-    }
-
-    let ll_codes = build_codes(&ll_lens);
-    let off_codes = build_codes(&off_lens);
-    let mut w = BitWriter::new(out);
-    let mut pos = 0usize;
-    for t in tokens {
-        for &b in &raw[pos..pos + t.lit_len as usize] {
-            w.put(ll_codes[b as usize], u32::from(ll_lens[b as usize]));
-        }
-        pos += t.lit_len as usize;
-        if t.match_len > 0 {
-            let (s, eb, ev) = geo_sym(t.match_len - MIN_MATCH as u32, 8);
-            let s = 256 + s as usize;
-            w.put(ll_codes[s], u32::from(ll_lens[s]));
-            w.put(ev, eb);
-            let (s, eb, ev) = geo_sym(t.dist - 1, 4);
-            w.put(off_codes[s as usize], u32::from(off_lens[s as usize]));
-            w.put(ev, eb);
+            let len_entry = ll[256 + t.len_sym as usize];
+            put_bucketed(&mut w, len_entry, t.match_len - MIN_MATCH as u32);
+            put_bucketed(&mut w, off[t.off_sym as usize], t.dist - 1);
             pos += t.match_len as usize;
         }
     }
     w.finish();
 }
 
-/// Compress `raw`, returning the best of the stored/LZ/LZH encodings —
-/// `(method, bytes)`, where [`METHOD_STORED`] hands `raw` itself back.
+/// Compress `raw`, returning the smallest of the stored/LZ/LZH
+/// encodings — `(method, bytes)`, where [`METHOD_STORED`] hands `raw`
+/// itself back. Each method's size follows from the token list and the
+/// code lengths alone, so only the winner is serialised.
 pub(crate) fn compress_best<'a>(raw: &'a [u8], s: &'a mut MatchScratch) -> (u8, &'a [u8]) {
-    tokenize(raw, s);
-    s.lz.clear();
-    encode_lz(raw, &s.tokens, &mut s.lz);
-    s.lzh.clear();
-    encode_lzh(raw, &s.tokens, &mut s.lzh);
-    if s.lzh.len() < s.lz.len() && s.lzh.len() < raw.len() {
-        (METHOD_LZH, &s.lzh)
-    } else if s.lz.len() < raw.len() {
-        (METHOD_LZ, &s.lz)
+    let parse = tokenize(raw, s);
+    let plan = plan_lzh(&parse);
+    let lzh_bytes = TABLE_BYTES + plan.stream_bytes;
+    s.out.clear();
+    // Either serialisation only wins below `raw.len()` (plus the bit
+    // writer's word of slack): sized once, for every block this long.
+    s.out.reserve(raw.len() + 8);
+    if lzh_bytes < parse.lz_bytes && lzh_bytes < raw.len() {
+        encode_lzh(raw, &s.tokens, &plan, &mut s.out);
+        debug_assert_eq!(s.out.len(), lzh_bytes);
+        (METHOD_LZH, &s.out)
+    } else if parse.lz_bytes < raw.len() {
+        encode_lz(raw, &s.tokens, &mut s.out);
+        debug_assert_eq!(s.out.len(), parse.lz_bytes);
+        (METHOD_LZ, &s.out)
     } else {
         (METHOD_STORED, raw)
     }
@@ -390,63 +517,64 @@ pub(crate) fn compress_best<'a>(raw: &'a [u8], s: &'a mut MatchScratch) -> (u8, 
 
 // ---- decoders ---------------------------------------------------------
 
-/// Copy a resolved match onto the end of `out`. Bounds are already
-/// validated: `1 <= off <= out.len() - base`.
+/// Copy `mlen` bytes from `dist` back to `dst[p..]`. Bounds are already
+/// validated: `1 <= dist <= p` and `p + mlen <= dst.len()`.
 #[inline]
-fn copy_match(out: &mut Vec<u8>, off: usize, mlen: usize) {
-    if off >= mlen {
-        let from = out.len() - off;
-        out.extend_from_within(from..from + mlen);
+fn copy_match(dst: &mut [u8], p: usize, dist: usize, mlen: usize) {
+    let from = p - dist;
+    if dist >= 16 && p + mlen.next_multiple_of(16) <= dst.len() {
+        // The common case, short and far enough back: whole 16-byte
+        // moves, the slop landing on bytes still to be written.
+        for at in (0..mlen).step_by(16) {
+            let chunk: [u8; 16] = dst[from + at..from + at + 16].try_into().expect("16 bytes");
+            dst[p + at..p + at + 16].copy_from_slice(&chunk);
+        }
     } else {
-        // Overlapping match (run-length shape): copy byte-wise.
-        for _ in 0..mlen {
-            let b = out[out.len() - off];
-            out.push(b);
+        // Near the block's end, or overlapping (run-length shape): the
+        // bytes from `from` on repeat with period `dist`, so each pass
+        // can copy all of what the previous ones laid down — one pass
+        // when the match does not overlap itself, doubling otherwise.
+        let mut done = 0usize;
+        while done < mlen {
+            let n = (dist + done).min(mlen - done);
+            dst.copy_within(from..from + n, p + done);
+            done += n;
         }
     }
 }
 
-/// Decompress one `METHOD_LZ` block, appending exactly `raw_len` bytes
-/// to `out`. Match offsets are resolved within the block (never before
-/// `out`'s length at entry), so blocks decode independently.
-///
-/// # Errors
-/// [`TraceError::Truncated`] if `comp` ends mid-token, or
-/// [`TraceError::Corrupt`] on any structural violation.
-pub(crate) fn decompress_into(
-    comp: &[u8],
-    raw_len: usize,
-    out: &mut Vec<u8>,
-) -> Result<(), TraceError> {
-    let base = out.len();
-    out.reserve(raw_len);
+/// Decode a `METHOD_LZ` block into exactly `dst`.
+fn decode_lz(comp: &[u8], dst: &mut [u8]) -> Result<(), TraceError> {
     let mut pos = 0usize;
-    while out.len() - base < raw_len {
+    let mut p = 0usize;
+    while p < dst.len() {
         let lit = get_varint(comp, &mut pos)?;
         let lit = usize::try_from(lit)
             .ok()
-            .filter(|&l| l <= raw_len - (out.len() - base))
+            .filter(|&l| l <= dst.len() - p)
             .ok_or(TraceError::Corrupt("literal run overflows block"))?;
         let end = pos
             .checked_add(lit)
             .filter(|&e| e <= comp.len())
             .ok_or(TraceError::Truncated)?;
-        out.extend_from_slice(&comp[pos..end]);
+        dst[p..p + lit].copy_from_slice(&comp[pos..end]);
         pos = end;
-        if out.len() - base == raw_len {
+        p += lit;
+        if p == dst.len() {
             break;
         }
         let mlen = get_varint(comp, &mut pos)?;
         let mlen = usize::try_from(mlen)
             .ok()
-            .filter(|&m| m >= MIN_MATCH && m <= raw_len - (out.len() - base))
+            .filter(|&m| m >= MIN_MATCH && m <= dst.len() - p)
             .ok_or(TraceError::Corrupt("match length invalid for block"))?;
         let off = get_varint(comp, &mut pos)?;
         let off = usize::try_from(off)
             .ok()
-            .filter(|&o| o >= 1 && o <= out.len() - base)
+            .filter(|&o| o >= 1 && o <= p)
             .ok_or(TraceError::Corrupt("match offset outside block"))?;
-        copy_match(out, off, mlen);
+        copy_match(dst, p, off, mlen);
+        p += mlen;
     }
     if pos != comp.len() {
         return Err(TraceError::Corrupt("trailing bytes in compressed block"));
@@ -454,75 +582,118 @@ pub(crate) fn decompress_into(
     Ok(())
 }
 
-/// Decompress one `METHOD_LZH` block, appending exactly `raw_len`
-/// bytes to `out`. Same independence and strictness guarantees as
-/// [`decompress_into`], plus the bitstream must consume its final byte
+/// Decode a `METHOD_LZH` block into exactly `dst`; on top of
+/// [`decode_lz`]'s rules the bitstream must consume its final byte
 /// with zero padding.
+fn decode_lzh(comp: &[u8], dst: &mut [u8]) -> Result<(), TraceError> {
+    let tables = comp.get(..TABLE_BYTES).ok_or(TraceError::Truncated)?;
+    let mut lens = [0u8; LITLEN_SYMS + OFF_SYMS];
+    for (pair, &b) in lens.chunks_mut(2).zip(tables) {
+        pair[0] = b & 0xf;
+        if let Some(hi) = pair.get_mut(1) {
+            *hi = b >> 4;
+        }
+    }
+    let ll = Decoder::new(&lens[..LITLEN_SYMS])?;
+    let off = Decoder::new(&lens[LITLEN_SYMS..])?;
+    let mut r = BitReader::new(&comp[TABLE_BYTES..]);
+    let mut p = 0usize;
+    while p < dst.len() {
+        let sym = u32::from(ll.read_symbol(&mut r)?);
+        if sym < 256 {
+            dst[p] = sym as u8;
+            p += 1;
+            continue;
+        }
+        let (b, eb) = geo_base(sym - 256, LEN_DIRECT);
+        let mlen = MIN_MATCH + (b + r.get(eb)?) as usize;
+        if mlen > dst.len() - p {
+            return Err(TraceError::Corrupt("match length invalid for block"));
+        }
+        let (b, eb) = geo_base(u32::from(off.read_symbol(&mut r)?), OFF_DIRECT);
+        let dist = 1 + (b + r.get(eb)?) as usize;
+        if dist > p {
+            return Err(TraceError::Corrupt("match offset outside block"));
+        }
+        copy_match(dst, p, dist, mlen);
+        p += mlen;
+    }
+    r.finish()
+}
+
+/// Decompress one block of `method`, appending exactly `raw_len` bytes
+/// to `out` (nothing on error). Match offsets are resolved within the
+/// block — never before `out`'s length at entry — so blocks decode
+/// independently. The caller has bounded `raw_len` by [`MAX_BLOCK`].
 ///
 /// # Errors
-/// [`TraceError::Truncated`] or [`TraceError::Corrupt`] as above.
-pub(crate) fn decompress_lzh_into(
+/// [`TraceError::Truncated`] if `comp` ends mid-token, or
+/// [`TraceError::Corrupt`] on any structural violation.
+pub(crate) fn decompress_into(
+    method: u8,
     comp: &[u8],
     raw_len: usize,
     out: &mut Vec<u8>,
 ) -> Result<(), TraceError> {
     let base = out.len();
-    out.reserve(raw_len);
-    let tables = comp.get(..TABLE_BYTES).ok_or(TraceError::Truncated)?;
-    let mut lens = [0u8; LITLEN_SYMS + OFF_SYMS];
-    for (i, l) in lens.iter_mut().enumerate() {
-        let b = tables[i / 2];
-        *l = if i % 2 == 0 { b & 0xf } else { b >> 4 };
+    out.resize(base + raw_len, 0);
+    let dst = &mut out[base..];
+    let decoded = match method {
+        METHOD_STORED if comp.len() == raw_len => {
+            dst.copy_from_slice(comp);
+            Ok(())
+        }
+        METHOD_STORED => Err(TraceError::Corrupt("stored block length mismatch")),
+        METHOD_LZ => decode_lz(comp, dst),
+        METHOD_LZH => decode_lzh(comp, dst),
+        _ => Err(TraceError::Corrupt("unknown block method")),
+    };
+    if decoded.is_err() {
+        out.truncate(base);
     }
-    let ll = Decoder::new(&lens[..LITLEN_SYMS])?;
-    let off = Decoder::new(&lens[LITLEN_SYMS..])?;
-    let mut r = BitReader::new(&comp[TABLE_BYTES..]);
-    while out.len() - base < raw_len {
-        let sym = u32::from(ll.read_symbol(&mut r)?);
-        if sym < 256 {
-            out.push(sym as u8);
-            continue;
-        }
-        let (b, eb) = geo_base(sym - 256, 8);
-        let mlen = MIN_MATCH + usize::try_from(b + r.get(eb)?).unwrap_or(usize::MAX);
-        if mlen > raw_len - (out.len() - base) {
-            return Err(TraceError::Corrupt("match length invalid for block"));
-        }
-        let (b, eb) = geo_base(u32::from(off.read_symbol(&mut r)?), 4);
-        let dist = 1usize + usize::try_from(b + r.get(eb)?).unwrap_or(usize::MAX);
-        if dist > out.len() - base {
-            return Err(TraceError::Corrupt("match offset outside block"));
-        }
-        copy_match(out, dist, mlen);
-    }
-    r.finish()
+    decoded
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// Round-trip through `compress_best`, decoding with whichever
-    /// method it picked, and also force-check the `METHOD_LZ`
-    /// serialisation of the same tokens.
+    /// Both serialisations of `raw`'s token list, whichever would win:
+    /// `(METHOD_LZ bytes, METHOD_LZH bytes)`, each checked against the
+    /// size `compress_best` prices it at.
+    fn both_serialisations(raw: &[u8]) -> (Vec<u8>, Vec<u8>) {
+        let mut s = MatchScratch::default();
+        let parse = tokenize(raw, &mut s);
+        let mut lz = Vec::new();
+        encode_lz(raw, &s.tokens, &mut lz);
+        assert_eq!(lz.len(), parse.lz_bytes, "METHOD_LZ size is mispriced");
+        let plan = plan_lzh(&parse);
+        let stream_bytes = plan.stream_bytes;
+        let mut lzh = Vec::new();
+        encode_lzh(raw, &s.tokens, &plan, &mut lzh);
+        assert_eq!(
+            lzh.len(),
+            TABLE_BYTES + stream_bytes,
+            "METHOD_LZH size is mispriced"
+        );
+        (lz, lzh)
+    }
+
+    /// Round-trip through `compress_best`, decoding with the method it
+    /// picked — which must be the smallest — and also through both
+    /// serialisations of the same tokens.
     fn round_trip(raw: &[u8]) -> Vec<u8> {
+        let (lz, lzh) = both_serialisations(raw);
+        for (method, comp) in [(METHOD_LZ, &lz), (METHOD_LZH, &lzh)] {
+            let mut out = Vec::new();
+            decompress_into(method, comp, raw.len(), &mut out).expect("serialisation decodes");
+            assert_eq!(out, raw, "method {method} disagrees with the tokens");
+        }
         let mut s = MatchScratch::default();
         let (method, comp) = compress_best(raw, &mut s);
+        assert_eq!(comp.len(), raw.len().min(lz.len()).min(lzh.len()));
         let mut out = Vec::new();
-        match method {
-            METHOD_STORED => out.extend_from_slice(comp),
-            METHOD_LZ => decompress_into(comp, raw.len(), &mut out).expect("lz block decodes"),
-            METHOD_LZH => {
-                decompress_lzh_into(comp, raw.len(), &mut out).expect("lzh block decodes")
-            }
-            _ => unreachable!(),
-        }
-        let lz = s.lz.clone();
-        if lz.len() < raw.len() {
-            let mut via_lz = Vec::new();
-            decompress_into(&lz, raw.len(), &mut via_lz).expect("lz serialisation decodes");
-            assert_eq!(via_lz, raw, "METHOD_LZ disagrees with the tokens");
-        }
+        decompress_into(method, comp, raw.len(), &mut out).expect("chosen method decodes");
         out
     }
 
@@ -545,12 +716,9 @@ mod tests {
             raw.len(),
             comp.len()
         );
+        assert_ne!(method, METHOD_STORED, "periodic data must compress");
         let mut out = Vec::new();
-        match method {
-            METHOD_LZ => decompress_into(comp, raw.len(), &mut out).unwrap(),
-            METHOD_LZH => decompress_lzh_into(comp, raw.len(), &mut out).unwrap(),
-            _ => panic!("periodic data must compress"),
-        }
+        decompress_into(method, comp, raw.len(), &mut out).unwrap();
         assert_eq!(out, raw);
     }
 
@@ -569,7 +737,7 @@ mod tests {
         let (method, comp) = compress_best(&raw, &mut s);
         assert_eq!(method, METHOD_LZH);
         let mut out = Vec::new();
-        decompress_lzh_into(comp, raw.len(), &mut out).unwrap();
+        decompress_into(method, comp, raw.len(), &mut out).unwrap();
         assert_eq!(out, raw);
     }
 
@@ -581,6 +749,87 @@ mod tests {
         // Period-2 and period-3 runs after a literal prefix.
         let mut raw = b"xy".repeat(300);
         raw.extend(b"abc".repeat(200));
+        assert_eq!(round_trip(&raw), raw);
+    }
+
+    /// `n` bytes in which no 4-byte window repeats: big-endian u16
+    /// counters starting at `from`.
+    fn unique_bytes(from: u16, n: usize) -> Vec<u8> {
+        (from..).flat_map(u16::to_be_bytes).take(n).collect()
+    }
+
+    #[test]
+    fn all_literal_block_is_one_token() {
+        let raw = unique_bytes(0, 4096);
+        let mut s = MatchScratch::default();
+        tokenize(&raw, &mut s);
+        assert_eq!(s.tokens.len(), 1);
+        assert_eq!((s.tokens[0].lit_len, s.tokens[0].match_len), (4096, 0));
+        assert_eq!(round_trip(&raw), raw);
+    }
+
+    #[test]
+    fn one_long_run_is_one_match() {
+        for len in [BLOCK_TARGET, BLOCK_TARGET + 1] {
+            let raw = vec![0x5au8; len];
+            let mut s = MatchScratch::default();
+            tokenize(&raw, &mut s);
+            assert_eq!(s.tokens.len(), 1);
+            let t = s.tokens[0];
+            assert_eq!((t.lit_len, t.match_len as usize, t.dist), (1, len - 1, 1));
+            let (_, comp) = compress_best(&raw, &mut s);
+            assert!(
+                comp.len() < 16,
+                "a run must cost a few bytes, got {}",
+                comp.len()
+            );
+            assert_eq!(round_trip(&raw), raw);
+        }
+    }
+
+    #[test]
+    fn matches_at_the_search_cutoffs_round_trip() {
+        // A repeat of exactly `len` bytes, fenced by bytes seen nowhere
+        // else: the lengths either side of every threshold the search
+        // branches on (lazy step, chain-walk cut-off, edge seeding).
+        let source = unique_bytes(0, 512);
+        for len in [
+            MIN_MATCH,
+            2 * SEED_EDGE,
+            2 * SEED_EDGE + 1,
+            LAZY_BELOW - 1,
+            LAZY_BELOW,
+            NICE_LEN - 1,
+            NICE_LEN,
+            NICE_LEN + 1,
+        ] {
+            for start in [100, 101] {
+                let mut raw = source.clone();
+                raw.extend(unique_bytes(0x4000, 6));
+                raw.extend_from_slice(&source[start..start + len]);
+                raw.extend(unique_bytes(0x5000, 6));
+                let mut s = MatchScratch::default();
+                tokenize(&raw, &mut s);
+                let dist = source.len() + 6 - start;
+                assert!(
+                    s.tokens
+                        .iter()
+                        .any(|t| (t.match_len as usize, t.dist as usize) == (len, dist)),
+                    "the {len}-byte repeat of {start} must be found whole"
+                );
+                assert_eq!(round_trip(&raw), raw, "len {len} start {start}");
+            }
+        }
+    }
+
+    #[test]
+    fn periodic_block_one_byte_over_the_target_round_trips() {
+        let raw: Vec<u8> = b"\x11\x02\x00\x42\x07\x01\x80\x33\x05"
+            .iter()
+            .cycle()
+            .take(BLOCK_TARGET + 1)
+            .copied()
+            .collect();
         assert_eq!(round_trip(&raw), raw);
     }
 
@@ -607,12 +856,9 @@ mod tests {
         let (method, comp) = compress_best(&raw, &mut s);
         // Appending after unrelated bytes must not let matches reach
         // back into them.
+        assert_ne!(method, METHOD_STORED, "repetitive data must compress");
         let mut out = vec![0xff; 17];
-        match method {
-            METHOD_LZ => decompress_into(comp, raw.len(), &mut out).unwrap(),
-            METHOD_LZH => decompress_lzh_into(comp, raw.len(), &mut out).unwrap(),
-            _ => panic!("repetitive data must compress"),
-        }
+        decompress_into(method, comp, raw.len(), &mut out).unwrap();
         assert_eq!(&out[17..], &raw[..]);
     }
 
@@ -620,11 +866,17 @@ mod tests {
     fn geo_buckets_are_exact_inverses() {
         for direct in [4u32, 8] {
             for v in (0..5000).chain([1 << 20, (1 << 29) - 1, 1 << 29, (1 << 30) - 4]) {
-                let (sym, eb, ev) = geo_sym(v, direct);
-                let (base, eb2) = geo_base(sym, direct);
-                assert_eq!(eb, eb2, "extra-bit width mismatch at v={v}");
-                assert_eq!(base + ev, v, "bucket round-trip failed at v={v}");
-                assert!(ev < (1 << eb) || eb == 0);
+                let (base, eb) = geo_base(geo_sym(v, direct), direct);
+                assert_eq!(
+                    base & ((1 << eb) - 1),
+                    0,
+                    "extra bits overlap the base at v={v}"
+                );
+                assert_eq!(
+                    base + (v & ((1 << eb) - 1)),
+                    v,
+                    "bucket round-trip failed at v={v}"
+                );
             }
         }
     }
@@ -638,12 +890,9 @@ mod tests {
     /// the *identical* bytes (no corruption in effect). What can never
     /// happen is wrong bytes sneaking past the checksum.
     fn corruption_is_caught(raw: &[u8], comp: &[u8], decode_lzh: bool) {
+        let method = if decode_lzh { METHOD_LZH } else { METHOD_LZ };
         let decode = |comp: &[u8], raw_len: usize, out: &mut Vec<u8>| {
-            if decode_lzh {
-                decompress_lzh_into(comp, raw_len, out)
-            } else {
-                decompress_into(comp, raw_len, out)
-            }
+            decompress_into(method, comp, raw_len, out)
         };
         // Truncation anywhere.
         for cut in 0..comp.len() {
@@ -691,9 +940,7 @@ mod tests {
     #[test]
     fn corrupt_lz_blocks_are_rejected_not_panicked() {
         let raw = b"abcdabcdabcdabcd____abcdabcdabcd".to_vec();
-        let mut s = MatchScratch::default();
-        compress_best(&raw, &mut s);
-        let comp = s.lz.clone();
+        let (comp, _) = both_serialisations(&raw);
         assert!(comp.len() < raw.len());
         corruption_is_caught(&raw, &comp, false);
     }
@@ -706,9 +953,7 @@ mod tests {
             .take(256)
             .copied()
             .collect();
-        let mut s = MatchScratch::default();
-        compress_best(&raw, &mut s);
-        let comp = s.lzh.clone();
+        let (_, comp) = both_serialisations(&raw);
         assert!(comp.len() > TABLE_BYTES);
         corruption_is_caught(&raw, &comp, true);
     }

@@ -183,11 +183,14 @@ impl Trace {
     /// use [`Trace::to_bytes`].
     ///
     /// # Panics
-    /// If `block_size` is zero or exceeds `u32` range.
+    /// If `block_size` is zero or above the 4 MiB readers accept.
     #[must_use]
     pub fn to_bytes_with_block_size(&self, block_size: usize) -> Vec<u8> {
         assert!(block_size > 0, "block size must be positive");
-        assert!(u32::try_from(block_size).is_ok(), "block size fits u32");
+        assert!(
+            block_size <= block::MAX_BLOCK,
+            "block size exceeds what readers accept"
+        );
         let _span = swpf_obs::span("trace:encode");
         let mut out = Vec::with_capacity(self.payload_bytes() / 2 + 64);
         out.extend_from_slice(MAGIC);
@@ -324,23 +327,7 @@ impl Trace {
                         let data = bytes.get(pos..end).ok_or(TraceError::Truncated)?;
                         pos = end;
                         let start = payload.len();
-                        match method {
-                            block::METHOD_STORED => {
-                                if comp_len != raw_len {
-                                    return Err(TraceError::Corrupt(
-                                        "stored block length mismatch",
-                                    ));
-                                }
-                                payload.extend_from_slice(data);
-                            }
-                            block::METHOD_LZ => {
-                                block::decompress_into(data, raw_len, &mut payload)?
-                            }
-                            block::METHOD_LZH => {
-                                block::decompress_lzh_into(data, raw_len, &mut payload)?;
-                            }
-                            _ => return Err(TraceError::Corrupt("unknown block method")),
-                        }
+                        block::decompress_into(method, data, raw_len, &mut payload)?;
                         let computed = checksum64(&payload[start..]);
                         if computed != block_sum {
                             return Err(TraceError::ChecksumMismatch {

@@ -25,9 +25,7 @@
 //! stream. Cache layers treat that exactly like a stale fingerprint —
 //! re-record and overwrite.
 
-use crate::block::{
-    decompress_into, decompress_lzh_into, MAX_BLOCK, METHOD_LZ, METHOD_LZH, METHOD_STORED,
-};
+use crate::block::{decompress_into, MAX_BLOCK};
 use crate::stream::{DecodeState, EventSource};
 use crate::wire::checksum64;
 use crate::{TraceError, END_MAGIC, MAGIC};
@@ -226,17 +224,7 @@ impl StreamingCursor {
         self.comp.resize(comp_len, 0);
         read_exact(&mut self.file, &mut self.comp)?;
         let start = self.buf.len();
-        match method {
-            METHOD_STORED => {
-                if comp_len != raw_len {
-                    return Err(TraceError::Corrupt("stored block length mismatch"));
-                }
-                self.buf.extend_from_slice(&self.comp);
-            }
-            METHOD_LZ => decompress_into(&self.comp, raw_len, &mut self.buf)?,
-            METHOD_LZH => decompress_lzh_into(&self.comp, raw_len, &mut self.buf)?,
-            _ => return Err(TraceError::Corrupt("unknown block method")),
-        }
+        decompress_into(method, &self.comp, raw_len, &mut self.buf)?;
         let computed = checksum64(&self.buf[start..]);
         if computed != stored_sum {
             return Err(TraceError::ChecksumMismatch {

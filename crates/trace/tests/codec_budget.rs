@@ -1,0 +1,120 @@
+//! The block encoder's work budget — the deterministic twin of the
+//! `trace_record` wall-clock claim. Match-search effort is counted by
+//! the encoder itself (`trace.encode.candidates`, flushed once per
+//! block to swpf-obs), heap traffic by the shared counting allocator,
+//! and the output by its length, so a regression in any of the three
+//! fails by the same amount on any host.
+//!
+//! One test in a binary of its own: the allocator hook is process-wide
+//! and nothing else may allocate while it counts.
+
+use swpf_ir::interp::{Event, EventKind};
+use swpf_ir::ValueId;
+use swpf_obs::alloc::CountingAlloc;
+use swpf_trace::{Trace, TraceRecorder, BLOCK_TARGET};
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc::new();
+
+/// An indirect-access loop, the shape the traced kernels have: a
+/// strided index load, a data-dependent target load and its prefetch
+/// (pseudo-random addresses: the literals of the stream), an ALU op, a
+/// strided store and the back-edge.
+fn record(iterations: u64) -> Trace {
+    let mut rec = TraceRecorder::new(1, 0xb0d9e7);
+    let ops = [ValueId(3), ValueId(9), ValueId(11)];
+    let mut x = 1u64;
+    for i in 0..iterations {
+        x = x
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        let target = 0x40_0000 + ((x >> 40) % 4096) * 8;
+        let body = [
+            EventKind::Load {
+                addr: 0x10_0000 + i * 4,
+                size: 4,
+            },
+            EventKind::Load {
+                addr: target,
+                size: 8,
+            },
+            EventKind::Prefetch {
+                addr: target + 512,
+                valid: true,
+            },
+            EventKind::Alu,
+            EventKind::Store {
+                addr: 0x80_0000 + (i % 256) * 8,
+                size: 8,
+            },
+            EventKind::Branch { taken: true },
+        ];
+        for (slot, kind) in body.into_iter().enumerate() {
+            let pc = 100 + slot as u64;
+            rec.stream(0).push(&Event {
+                pc,
+                frame: 0,
+                result: ValueId(pc as u32),
+                kind,
+                operands: &ops[..slot % 3],
+            });
+        }
+        rec.stream(0).end_step();
+    }
+    rec.finish()
+}
+
+#[test]
+fn block_encoder_stays_within_its_work_budget() {
+    let one_block = record(2_000);
+    let many_blocks = record(25_000);
+    let raw = many_blocks.payload_bytes();
+    let blocks = raw.div_ceil(BLOCK_TARGET);
+    assert!(one_block.payload_bytes() <= BLOCK_TARGET && blocks >= 10);
+
+    // Heap: scratch and output are sized by the first block (five
+    // allocations in all); every later block must find them big enough.
+    // The encoder this one replaced made ~27 allocator calls a block.
+    let before = ALLOC.calls();
+    let _ = one_block.to_bytes();
+    let first = ALLOC.calls() - before;
+    let before = ALLOC.calls();
+    let bytes = many_blocks.to_bytes();
+    let all = ALLOC.calls() - before;
+    assert_eq!(
+        all, first,
+        "{blocks} blocks made {all} allocator calls against {first} for one block"
+    );
+
+    // Size: 25 000 iterations are 789 015 raw bytes, of which the
+    // bounded search writes 233 969 (the 48-probe always-lazy search it
+    // replaced wrote 228 428). The band is ±3%.
+    assert!(
+        (227_000..=241_000).contains(&bytes.len()),
+        "compressed size {} left its band",
+        bytes.len()
+    );
+    assert_eq!(
+        Trace::from_bytes(&bytes).expect("own output decodes"),
+        many_blocks
+    );
+
+    // Search effort, counted where it is spent.
+    swpf_obs::reset();
+    swpf_obs::enable();
+    let _ = many_blocks.to_bytes();
+    swpf_obs::disable();
+    let counters = swpf_obs::snapshot().counters;
+    assert_eq!(counters["trace.encode.raw_bytes"], raw as u64);
+    let per_byte = |name: &str| counters[name] as f64 / raw as f64;
+    let candidates = per_byte("trace.encode.candidates");
+    let compared = per_byte("trace.encode.compared_bytes");
+    assert!(
+        candidates <= 0.92,
+        "{candidates:.3} chain candidates examined per raw byte (0.877 + 5%)"
+    );
+    assert!(
+        compared <= 1.20,
+        "{compared:.3} bytes compared per raw byte (1.139 + 5%)"
+    );
+}

@@ -16,7 +16,7 @@
 use std::path::PathBuf;
 use swpf_ir::interp::{Event, EventKind};
 use swpf_ir::ValueId;
-use swpf_trace::{StreamingReplay, Trace, TraceRecorder, FORMAT_VERSION};
+use swpf_trace::{EventSource, StreamingReplay, Trace, TraceRecorder, FORMAT_VERSION};
 
 const FINGERPRINT: u64 = 0x5177_ab1e_f02d_a7e5;
 const BLOCK_SIZE: usize = 4 << 10;
@@ -76,7 +76,12 @@ fn record() -> Trace {
                 },
                 &ops[2..],
             ),
-            (EventKind::Branch { taken: i % 64 != 63 }, &ops[..1]),
+            (
+                EventKind::Branch {
+                    taken: i % 64 != 63,
+                },
+                &ops[..1],
+            ),
         ];
         for (slot, (kind, operands)) in body.into_iter().enumerate() {
             let pc = 100 + slot as u64;
@@ -145,32 +150,28 @@ fn record() -> Trace {
     rec.finish()
 }
 
-/// Drain one source of `(event, end_of_step)` pairs into owned rows.
+/// One decoded event, owned: pc, frame, result, kind, operands, and the
+/// end-of-step flag.
 type Row = (u64, u64, ValueId, EventKind, Vec<ValueId>, bool);
+
+/// Drain one core's cursor — in-memory or streaming — into owned rows.
+fn rows(mut cursor: impl EventSource) -> Vec<Row> {
+    let mut rows = Vec::new();
+    while let Some((e, end)) = cursor.next_event().expect("stream decodes") {
+        rows.push((e.pc, e.frame, e.result, e.kind, e.operands.to_vec(), end));
+    }
+    rows
+}
 
 fn rows_of_trace(t: &Trace) -> Vec<Vec<Row>> {
     (0..t.num_cores())
-        .map(|core| {
-            let mut cursor = t.cursor(core).expect("core exists");
-            let mut rows = Vec::new();
-            while let Some((e, end)) = cursor.next_event().expect("payload decodes") {
-                rows.push((e.pc, e.frame, e.result, e.kind, e.operands.to_vec(), end));
-            }
-            rows
-        })
+        .map(|core| rows(t.cursor(core).expect("core exists")))
         .collect()
 }
 
 fn rows_of_stream(r: &StreamingReplay) -> Vec<Vec<Row>> {
     (0..r.num_cores())
-        .map(|core| {
-            let mut cursor = r.cursor(core).expect("core exists");
-            let mut rows = Vec::new();
-            while let Some((e, end)) = cursor.next_event().expect("block decodes") {
-                rows.push((e.pc, e.frame, e.result, e.kind, e.operands.to_vec(), end));
-            }
-            rows
-        })
+        .map(|core| rows(r.cursor(core).expect("core exists")))
         .collect()
 }
 
@@ -185,7 +186,10 @@ fn parent_written_fixture_decodes_identically_through_both_readers() {
 
     let bytes = std::fs::read(fixture_path()).expect("golden fixture is committed");
     assert_eq!(&bytes[8..12], &FORMAT_VERSION.to_le_bytes());
-    assert_eq!(FORMAT_VERSION, 2, "the codec rewrite must not bump the format");
+    assert_eq!(
+        FORMAT_VERSION, 2,
+        "the codec rewrite must not bump the format"
+    );
 
     let full = Trace::from_bytes(&bytes).expect("in-memory reader decodes the parent's file");
     assert_eq!(full.fingerprint, FINGERPRINT);
@@ -199,7 +203,10 @@ fn parent_written_fixture_decodes_identically_through_both_readers() {
     // Re-encoding with the current writer and decoding again closes the
     // loop, at the fixture's block size and at the default one.
     for re in [full.to_bytes_with_block_size(BLOCK_SIZE), full.to_bytes()] {
-        assert_eq!(Trace::from_bytes(&re).expect("re-encoded file decodes"), want);
+        assert_eq!(
+            Trace::from_bytes(&re).expect("re-encoded file decodes"),
+            want
+        );
     }
 }
 
