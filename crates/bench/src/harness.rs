@@ -52,7 +52,7 @@ use swpf_core::{ParamValue, PassConfig};
 use swpf_ir::exec::ExecImage;
 use swpf_ir::interp::{Interp, Tier};
 use swpf_ir::FuncId;
-use swpf_sim::{MachineConfig, PcProfile, Sim, SimStats, Source};
+use swpf_sim::{MachineConfig, PcProfile, Sim, SimError, SimStats, Source};
 use swpf_trace::{fnv64, StreamingReplay, Trace, TraceRecorder};
 use swpf_workloads::{KernelVariant, Scale, Workload, WorkloadId};
 
@@ -725,8 +725,11 @@ fn run_group(
     let w = workloads[first.workload].as_ref();
     let prepared = &modules[&(first.workload, variant.module_key())];
     let cores = variant.core_count();
-    let run = |row: &[usize], source: Source<'_>| {
+    let try_run = |row: &[usize], source: Source<'_>| {
         run_row(spec, jobs, w.name(), cores, opts.tier, row, source)
+    };
+    let run = |row: &[usize], source: Source<'_>| {
+        try_run(row, source).unwrap_or_else(|e| panic!("{}: {e}", w.name()))
     };
     let mut setup = |_: usize, interp: &mut Interp| w.setup(interp);
 
@@ -770,18 +773,29 @@ fn run_group(
             .as_deref()
             .and_then(|p| load_trace(p, fingerprint))
     };
-    if cache_path.is_some() && swpf_obs::enabled() {
-        if streamed.is_some() || cached.is_some() {
-            swpf_obs::count("trace.disk_hit", 1);
-        } else {
-            swpf_obs::count("trace.disk_miss", 1);
+    // A file can pass the envelope checks and still be damaged inside a
+    // block — the streaming reader verifies each block only as it gets
+    // there. That, too, is a miss: drop the partial row and re-record.
+    let warm = (streamed.as_ref().map(Source::Stream))
+        .or(cached.as_ref().map(Source::Trace))
+        .map(|source| try_run(group, source));
+    let warm = match (warm, &cache_path) {
+        (Some(Err(SimError::Trace(e))), Some(path)) => {
+            eprintln!("warning: ignoring trace {}: {e}", path.display());
+            None
         }
+        (warm, _) => warm,
+    };
+    if cache_path.is_some() {
+        let counter = if warm.is_some() {
+            "trace.disk_hit"
+        } else {
+            "trace.disk_miss"
+        };
+        swpf_obs::count(counter, 1);
     }
-    if let Some(replay) = &streamed {
-        return run(group, Source::Stream(replay));
-    }
-    if let Some(trace) = &cached {
-        return run(group, Source::Trace(trace));
+    if let Some(cells) = warm {
+        return cells.unwrap_or_else(|e| panic!("{}: {e}", w.name()));
     }
 
     // Cold. One event stream serves a whole single-core group at once:
@@ -831,7 +845,7 @@ fn run_row(
     tier: Tier,
     row: &[usize],
     source: Source<'_>,
-) -> Vec<(usize, CellResult)> {
+) -> Result<Vec<(usize, CellResult)>, SimError> {
     let (span, from_trace) = match source {
         Source::Image { .. } => ("interpret", false),
         Source::Trace(_) => ("replay", true),
@@ -849,12 +863,12 @@ fn run_row(
     let t0 = Instant::now();
     let runs = {
         let _span = swpf_obs::span(span);
-        sim.run(source)
-            .unwrap_or_else(|e| panic!("{workload}: {e}"))
+        sim.run(source)?
     };
     let wall_ms = t0.elapsed().as_secs_f64() * 1e3 / row.len() as f64;
     let mut runs = runs.into_iter();
-    row.iter()
+    Ok(row
+        .iter()
         .enumerate()
         .map(|(k, &ji)| {
             let variant = &spec.variants[jobs[ji].variant];
@@ -875,7 +889,7 @@ fn run_row(
             };
             (ji, cell)
         })
-        .collect()
+        .collect())
 }
 
 /// Mark a cache file recently used, so size-capped eviction (see

@@ -1,5 +1,6 @@
-//! The on-disk trace cache under damage: a torn cache file is a miss,
-//! never a failed run, and stores leave no temp file behind.
+//! The on-disk trace cache under damage: a torn or bit-flipped cache
+//! file is a miss, never a failed run, and stores leave no temp file
+//! behind.
 //!
 //! A test binary of its own: `run_experiment` saves and restores the
 //! process-wide `swpf_sim::perf` switch, so the two dozen short runs
@@ -9,13 +10,21 @@ use swpf_bench::experiments;
 use swpf_bench::harness::{run_experiment, RunOptions, TracePolicy};
 use swpf_workloads::Scale;
 
-/// A cache file cut short — a run killed mid-write before stores were
-/// atomic, a full disk, a bad copy — is a miss, not a failure: the next
-/// run re-records it with identical counters and leaves a whole file
-/// behind. And stores go through a temp file that never outlives them.
-#[test]
-fn truncated_cache_files_re_record_and_no_temp_file_survives() {
-    let dir = std::env::temp_dir().join(format!("swpf_torn_{}", std::process::id()));
+/// The two tests share the process-wide switch the header describes.
+static ONE_AT_A_TIME: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+/// Prime a fig10 cache, then for each eighth damage the first cache file
+/// with `damage(whole file, eighth)` and rerun, streaming or not as
+/// `stream(eighth)` says: exactly that file must re-record, with the
+/// cold run's counters, leaving the original bytes and no temp file
+/// behind, and the run after must hit.
+fn damage_heals(
+    tag: &str,
+    damage: impl Fn(&[u8], usize) -> Vec<u8>,
+    stream: impl Fn(usize) -> bool,
+) {
+    let _guard = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    let dir = std::env::temp_dir().join(format!("swpf_{tag}_{}", std::process::id()));
     let exp = experiments::by_name("fig10", Scale::Test).unwrap();
     let run = |stream: bool| {
         run_experiment(
@@ -47,13 +56,13 @@ fn truncated_cache_files_re_record_and_no_temp_file_survives() {
     let victim = &cached[0];
     let whole = std::fs::read(victim).expect("cache file reads");
     for eighth in 0..8 {
-        let stream = eighth % 2 == 1;
-        std::fs::write(victim, &whole[..whole.len() * eighth / 8]).expect("truncate");
+        let stream = stream(eighth);
+        std::fs::write(victim, damage(&whole, eighth)).expect("damage");
         let again = run(stream);
         assert_eq!(
             again.trace_misses(),
             1,
-            "cut at {eighth}/8: only the torn file re-records"
+            "{tag} at {eighth}/8: only the damaged file re-records"
         );
         for (a, b) in cold.cells.iter().zip(&again.cells) {
             assert_eq!(
@@ -66,7 +75,7 @@ fn truncated_cache_files_re_record_and_no_temp_file_survives() {
             assert_eq!(
                 counters(a),
                 counters(b),
-                "cut at {eighth}/8: {}/{}",
+                "{tag} at {eighth}/8: {}/{}",
                 a.workload,
                 a.variant
             );
@@ -74,14 +83,44 @@ fn truncated_cache_files_re_record_and_no_temp_file_survives() {
         assert_eq!(
             std::fs::read(victim).expect("cache file reads"),
             whole,
-            "cut at {eighth}/8: the re-recorded file is the original"
+            "{tag} at {eighth}/8: the re-recorded file is the original"
         );
         assert_eq!(
             files(),
             cached,
-            "cut at {eighth}/8: no temp file left behind"
+            "{tag} at {eighth}/8: no temp file left behind"
         );
-        assert_eq!(run(stream).trace_misses(), 0, "cut at {eighth}/8: healed");
+        assert_eq!(run(stream).trace_misses(), 0, "{tag} at {eighth}/8: healed");
     }
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A cache file cut short — a run killed mid-write before stores were
+/// atomic, a full disk, a bad copy — is a miss, not a failure: the next
+/// run re-records it with identical counters and leaves a whole file
+/// behind. And stores go through a temp file that never outlives them.
+#[test]
+fn truncated_cache_files_re_record_and_no_temp_file_survives() {
+    damage_heals(
+        "torn",
+        |whole, eighth| whole[..whole.len() * eighth / 8].to_vec(),
+        |eighth| eighth % 2 == 1,
+    );
+}
+
+/// One flipped byte — anywhere from the magic to the last block — under
+/// the streaming reader, which opens on the envelope alone and meets a
+/// damaged block only when the replay gets there: still a miss, never a
+/// failed run or a half-replayed row.
+#[test]
+fn a_flipped_byte_under_streaming_replay_re_records() {
+    damage_heals(
+        "flip",
+        |whole, eighth| {
+            let mut bytes = whole.to_vec();
+            bytes[whole.len() * eighth / 8] ^= 0x40;
+            bytes
+        },
+        |_| true,
+    );
 }

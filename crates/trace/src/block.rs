@@ -56,7 +56,7 @@
 //! pathological inputs cost at most the 21-byte block header.
 
 use crate::huff::{build_codes, code_lengths, BitReader, BitWriter, Decoder};
-use crate::wire::{get_varint, put_varint};
+use crate::wire::{checksum64, get_u32, get_u64, get_varint, put_varint};
 use crate::TraceError;
 
 /// Uncompressed block size the default writer targets. Small enough to
@@ -652,6 +652,64 @@ pub(crate) fn decompress_into(
         out.truncate(base);
     }
     decoded
+}
+
+/// Bytes of a block header on disk.
+pub(crate) const BLOCK_HEADER_LEN: usize = 17;
+
+/// A block's header as both readers meet it: lengths already bounded,
+/// so whatever they size is safe to allocate.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct BlockHeader {
+    /// Uncompressed byte count.
+    pub raw_len: usize,
+    /// Stored byte count: what follows the header.
+    pub comp_len: usize,
+    pub method: u8,
+    /// Checksum of the uncompressed bytes.
+    pub sum: u64,
+}
+
+impl BlockHeader {
+    /// Read a header at `*pos`, refusing lengths over [`MAX_BLOCK`]
+    /// before anything is allocated on their say-so.
+    ///
+    /// # Errors
+    /// [`TraceError::Truncated`] or [`TraceError::Corrupt`].
+    pub(crate) fn parse(bytes: &[u8], pos: &mut usize) -> Result<BlockHeader, TraceError> {
+        let raw_len = get_u32(bytes, pos)? as usize;
+        let comp_len = get_u32(bytes, pos)? as usize;
+        if raw_len > MAX_BLOCK || comp_len > MAX_BLOCK {
+            return Err(TraceError::Corrupt("implausible block size"));
+        }
+        let &method = bytes.get(*pos).ok_or(TraceError::Truncated)?;
+        *pos += 1;
+        let sum = get_u64(bytes, pos)?;
+        Ok(BlockHeader {
+            raw_len,
+            comp_len,
+            method,
+            sum,
+        })
+    }
+
+    /// Decompress the block's `comp_len` stored bytes onto the end of
+    /// `out` and verify the checksum over what they expanded to.
+    ///
+    /// # Errors
+    /// As [`decompress_into`], or [`TraceError::ChecksumMismatch`].
+    pub(crate) fn expand_into(&self, data: &[u8], out: &mut Vec<u8>) -> Result<(), TraceError> {
+        let start = out.len();
+        decompress_into(self.method, data, self.raw_len, out)?;
+        let computed = checksum64(&out[start..]);
+        if computed != self.sum {
+            return Err(TraceError::ChecksumMismatch {
+                stored: self.sum,
+                computed,
+            });
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]

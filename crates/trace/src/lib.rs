@@ -49,7 +49,7 @@ pub use analytics::{
     REUSE_BUCKETS,
 };
 pub use block::BLOCK_TARGET;
-pub use stream::{EventCursor, EventSource, StreamEncoder};
+pub use stream::{EventCursor, EventSource, StreamEncoder, WindowCursor};
 pub use streaming::{StreamingCursor, StreamingReplay};
 pub use wire::{fnv64, Fnv64};
 
@@ -167,7 +167,7 @@ impl Trace {
     /// [`TraceError::MissingCore`] if the trace has no such stream.
     pub fn cursor(&self, core: usize) -> Result<EventCursor<'_>, TraceError> {
         let ct = self.cores.get(core).ok_or(TraceError::MissingCore(core))?;
-        Ok(EventCursor::new(&ct.payload, ct.events))
+        Ok(EventCursor::new(ct.payload.as_slice(), ct.events))
     }
 
     /// Serialise to the current (v2, block-compressed) on-disk
@@ -314,28 +314,15 @@ impl Trace {
                     for _ in 0..n_blocks {
                         let _block_span =
                             swpf_obs::enabled().then(|| swpf_obs::span("trace:decode_block"));
-                        let raw_len = get_u32(bytes, &mut pos)? as usize;
-                        let comp_len = get_u32(bytes, &mut pos)? as usize;
-                        if raw_len > block::MAX_BLOCK || comp_len > block::MAX_BLOCK {
-                            return Err(TraceError::Corrupt("implausible block size"));
-                        }
-                        let &method = bytes.get(pos).ok_or(TraceError::Truncated)?;
-                        pos += 1;
-                        swpf_obs::count(block::method_counter_decode(method), 1);
-                        let block_sum = get_u64(bytes, &mut pos)?;
-                        let end = pos.checked_add(comp_len).ok_or(TraceError::Truncated)?;
+                        let block = block::BlockHeader::parse(bytes, &mut pos)?;
+                        swpf_obs::count(block::method_counter_decode(block.method), 1);
+                        let end = pos
+                            .checked_add(block.comp_len)
+                            .ok_or(TraceError::Truncated)?;
                         let data = bytes.get(pos..end).ok_or(TraceError::Truncated)?;
                         pos = end;
-                        let start = payload.len();
-                        block::decompress_into(method, data, raw_len, &mut payload)?;
-                        let computed = checksum64(&payload[start..]);
-                        if computed != block_sum {
-                            return Err(TraceError::ChecksumMismatch {
-                                stored: block_sum,
-                                computed,
-                            });
-                        }
-                        sum = checksum_combine(sum, block_sum);
+                        block.expand_into(data, &mut payload)?;
+                        sum = checksum_combine(sum, block.sum);
                     }
                     if pos != section_end {
                         return Err(TraceError::Corrupt("block section length mismatch"));

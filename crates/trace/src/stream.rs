@@ -1,5 +1,7 @@
-//! Per-core event streams: the encoder behind the recording observer and
-//! the streaming decode cursor replay feeds from.
+//! Per-core event streams: the encoder behind the recording observer
+//! and the decode cursor replay feeds from — one [`WindowCursor`] over
+//! whatever [`Window`] holds the bytes, a whole in-memory payload or
+//! the block-at-a-time window over a trace file.
 //!
 //! ## Event grammar
 //!
@@ -107,6 +109,11 @@ const KIND_CALL: u8 = 5;
 const KIND_RET: u8 = 6;
 const KIND_ALLOC: u8 = 7;
 
+/// The memory kinds' codes as indices into [`DeltaState`]'s arrays.
+const LOAD: usize = KIND_LOAD as usize;
+const STORE: usize = KIND_STORE as usize;
+const PREFETCH: usize = KIND_PREFETCH as usize;
+
 const TAG_KIND: u8 = 0b0000_0111;
 const TAG_FLAG: u8 = 0b0000_1000;
 const TAG_MORE: u8 = 0b0001_0000;
@@ -116,17 +123,16 @@ const TAG_RESULT: u8 = 0b1000_0000;
 
 /// Mirrored per-stream delta state (the encoder and the cursor advance
 /// identical copies of this).
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default, Clone, PartialEq)]
 struct DeltaState {
     last_pc: u64,
     last_frame: u64,
-    last_load_addr: u64,
-    last_store_addr: u64,
-    last_pf_addr: u64,
-    /// Last access sizes; 0 (no real access has it) forces the first
-    /// load/store of a stream to carry its size explicitly.
-    last_load_size: u32,
-    last_store_size: u32,
+    /// Last address and access size per memory kind, indexed by kind
+    /// code (entry 0 unused; prefetches carry no size). Size 0 (no real
+    /// access has it) forces a stream's first load/store to carry its
+    /// size explicitly.
+    last_addr: [u64; 4],
+    last_size: [u32; 4],
     /// Last operand-dictionary slot used; `u32::MAX` so the bias
     /// `last + 1` starts at slot 0.
     last_slot: u32,
@@ -230,8 +236,8 @@ impl StreamEncoder {
 
         let (code, flag) = match ev.kind {
             EventKind::Alu => (KIND_ALU, false),
-            EventKind::Load { size, .. } => (KIND_LOAD, size != self.st.last_load_size),
-            EventKind::Store { size, .. } => (KIND_STORE, size != self.st.last_store_size),
+            EventKind::Load { size, .. } => (KIND_LOAD, size != self.st.last_size[LOAD]),
+            EventKind::Store { size, .. } => (KIND_STORE, size != self.st.last_size[STORE]),
             EventKind::Prefetch { valid, .. } => (KIND_PREFETCH, valid),
             EventKind::Branch { taken } => (KIND_BRANCH, taken),
             EventKind::Call => (KIND_CALL, false),
@@ -279,33 +285,33 @@ impl StreamEncoder {
                 buf_delta(
                     &mut tmp,
                     &mut n,
-                    addr.wrapping_sub(self.st.last_load_addr) as i64,
+                    addr.wrapping_sub(self.st.last_addr[LOAD]) as i64,
                 );
-                self.st.last_load_addr = addr;
+                self.st.last_addr[LOAD] = addr;
                 if flag {
                     buf_varint(&mut tmp, &mut n, u64::from(size));
-                    self.st.last_load_size = size;
+                    self.st.last_size[LOAD] = size;
                 }
             }
             EventKind::Store { addr, size } => {
                 buf_delta(
                     &mut tmp,
                     &mut n,
-                    addr.wrapping_sub(self.st.last_store_addr) as i64,
+                    addr.wrapping_sub(self.st.last_addr[STORE]) as i64,
                 );
-                self.st.last_store_addr = addr;
+                self.st.last_addr[STORE] = addr;
                 if flag {
                     buf_varint(&mut tmp, &mut n, u64::from(size));
-                    self.st.last_store_size = size;
+                    self.st.last_size[STORE] = size;
                 }
             }
             EventKind::Prefetch { addr, .. } => {
                 buf_delta(
                     &mut tmp,
                     &mut n,
-                    addr.wrapping_sub(self.st.last_pf_addr) as i64,
+                    addr.wrapping_sub(self.st.last_addr[PREFETCH]) as i64,
                 );
-                self.st.last_pf_addr = addr;
+                self.st.last_addr[PREFETCH] = addr;
             }
             _ => {}
         }
@@ -363,25 +369,12 @@ impl ExecObserver for StreamEncoder {
 
 /// Everything a decoder carries between events: the mirrored delta
 /// state plus the operand dictionary grown in lockstep with the
-/// encoder. Shared by the in-memory [`EventCursor`] and the block-wise
-/// [`crate::StreamingCursor`] — both drive [`DecodeState::decode_one`],
-/// which is the single implementation of the event grammar's read side.
+/// encoder. [`DecodeState::decode_one`] is the grammar's read side.
 #[derive(Debug)]
 pub(crate) struct DecodeState {
     st: DeltaState,
     lists: Vec<(u32, u32)>,
     pool: Vec<ValueId>,
-}
-
-/// A rollback point for [`DecodeState`]: the delta state is cloned, the
-/// dictionary (append-only) is captured by length. Lets a streaming
-/// decoder retry an event that ran off the end of its current window
-/// after fetching the next block.
-#[derive(Debug)]
-pub(crate) struct DecodeMark {
-    st: DeltaState,
-    lists_len: usize,
-    pool_len: usize,
 }
 
 /// One decoded event, with operands referenced by dictionary slot (the
@@ -406,20 +399,6 @@ impl DecodeState {
         }
     }
 
-    pub(crate) fn mark(&self) -> DecodeMark {
-        DecodeMark {
-            st: self.st.clone(),
-            lists_len: self.lists.len(),
-            pool_len: self.pool.len(),
-        }
-    }
-
-    pub(crate) fn restore(&mut self, mark: DecodeMark) {
-        self.st = mark.st;
-        self.lists.truncate(mark.lists_len);
-        self.pool.truncate(mark.pool_len);
-    }
-
     /// The operand list of a slot returned by [`DecodeState::decode_one`].
     #[inline(always)]
     pub(crate) fn operands(&self, slot: u32) -> &[ValueId] {
@@ -434,14 +413,80 @@ impl DecodeState {
         unsafe { self.pool.get_unchecked(at as usize..(at + len) as usize) }
     }
 
-    /// Decode one event from `buf` at `*pos`, advancing `pos` past it.
+    /// Read an inline operand list and define the next dictionary slot
+    /// with it; a list that runs out leaves `pool` at its entry length.
+    fn define_operands(&mut self, buf: &[u8], pos: &mut usize) -> Result<u32, TraceError> {
+        let count = get_varint(buf, pos)?;
+        let count = usize::try_from(count)
+            .ok()
+            .filter(|&c| c <= (1 << 24))
+            .ok_or(TraceError::Corrupt("implausible operand count"))?;
+        let at = self.pool.len();
+        for _ in 0..count {
+            let id = get_varint(buf, pos).and_then(|id| {
+                u32::try_from(id).map_err(|_| TraceError::Corrupt("operand id overflows u32"))
+            });
+            match id {
+                Ok(id) => self.pool.push(ValueId(id)),
+                Err(e) => {
+                    self.pool.truncate(at);
+                    return Err(e);
+                }
+            }
+        }
+        let slot = self.lists.len() as u32;
+        self.lists.push((at as u32, count as u32));
+        Ok(slot)
+    }
+
+    /// Read an event's operand field — always its last: an inline list
+    /// defining the next slot, or a back-reference to an existing one.
+    #[inline(always)]
+    fn operand_slot(&mut self, tag: u8, buf: &[u8], pos: &mut usize) -> Result<u32, TraceError> {
+        if tag & TAG_OPS != 0 {
+            return self.define_operands(buf, pos);
+        }
+        let expected = i64::from(self.st.last_slot.wrapping_add(1));
+        let slot = expected + get_delta(buf, pos)?;
+        u32::try_from(slot)
+            .ok()
+            .filter(|&s| (s as usize) < self.lists.len())
+            .ok_or(TraceError::Corrupt("operand slot out of range"))
+    }
+
+    /// The rest of a memory event of kind `k` — address delta, size if
+    /// `sized`, operand slot — committing `k`'s state once all are
+    /// read. Returns `(addr, size, slot)`.
+    #[inline(always)]
+    fn access(
+        &mut self,
+        k: usize,
+        sized: bool,
+        tag: u8,
+        buf: &[u8],
+        pos: &mut usize,
+    ) -> Result<(u64, u32, u32), TraceError> {
+        let addr = self.st.last_addr[k].wrapping_add(get_delta(buf, pos)? as u64);
+        let mut size = self.st.last_size[k];
+        if sized {
+            size = u32::try_from(get_varint(buf, pos)?)
+                .map_err(|_| TraceError::Corrupt("access size overflows u32"))?;
+        }
+        let slot = self.operand_slot(tag, buf, pos)?;
+        self.st.last_addr[k] = addr;
+        self.st.last_size[k] = size;
+        Ok((addr, size, slot))
+    }
+
+    /// Decode one event from `buf` at `*at`, advancing `at` past it.
     ///
-    /// On error the state may have advanced partially; callers that
-    /// retry (streaming refill) must bracket the call with
-    /// [`DecodeState::mark`] / [`DecodeState::restore`]. A partial
-    /// event always fails with [`TraceError::Truncated`]: varints are
-    /// self-delimiting and the tag fixes the field list, so a prefix of
-    /// a valid encoding can never decode as a different complete event.
+    /// Commit on success: nothing is stored before the event's last
+    /// varint has been read, so an error leaves the state — and `at` —
+    /// exactly as they were, and a cursor whose window ended mid-event
+    /// decodes the same event again from a longer window. A partial
+    /// event always fails with [`TraceError::Truncated`]: varints
+    /// self-delimit and the tag fixes the field list, so a prefix of a
+    /// valid encoding never decodes as a different complete event.
     ///
     /// # Errors
     /// [`TraceError::Truncated`] or [`TraceError::Corrupt`] on a
@@ -462,14 +507,10 @@ impl DecodeState {
             .st
             .last_pc
             .wrapping_add(get_delta(buf, &mut pos)? as u64);
-        self.st.last_pc = pc;
-
+        let mut frame = self.st.last_frame;
         if tag & TAG_FRAME != 0 {
-            let d = get_delta(buf, &mut pos)?;
-            self.st.last_frame = self.st.last_frame.wrapping_add(d as u64);
+            frame = frame.wrapping_add(get_delta(buf, &mut pos)? as u64);
         }
-        let frame = self.st.last_frame;
-
         let result = if tag & TAG_RESULT != 0 {
             let r = get_varint(buf, &mut pos)?;
             ValueId(u32::try_from(r).map_err(|_| TraceError::Corrupt("result id overflows u32"))?)
@@ -477,73 +518,34 @@ impl DecodeState {
             ValueId((pc & 0xffff_ffff) as u32)
         };
 
-        let kind = match tag & TAG_KIND {
-            KIND_ALU => EventKind::Alu,
+        // Each arm reads the last field, the operand slot, itself, so
+        // a memory arm commits its own state without a second dispatch.
+        let (kind, slot) = match tag & TAG_KIND {
             KIND_LOAD => {
-                let d = get_delta(buf, &mut pos)?;
-                let addr = self.st.last_load_addr.wrapping_add(d as u64);
-                self.st.last_load_addr = addr;
-                if flag {
-                    let size = get_varint(buf, &mut pos)?;
-                    self.st.last_load_size = u32::try_from(size)
-                        .map_err(|_| TraceError::Corrupt("access size overflows u32"))?;
-                }
-                EventKind::Load {
-                    addr,
-                    size: self.st.last_load_size,
-                }
+                let (addr, size, slot) = self.access(LOAD, flag, tag, buf, &mut pos)?;
+                (EventKind::Load { addr, size }, slot)
             }
             KIND_STORE => {
-                let d = get_delta(buf, &mut pos)?;
-                let addr = self.st.last_store_addr.wrapping_add(d as u64);
-                self.st.last_store_addr = addr;
-                if flag {
-                    let size = get_varint(buf, &mut pos)?;
-                    self.st.last_store_size = u32::try_from(size)
-                        .map_err(|_| TraceError::Corrupt("access size overflows u32"))?;
-                }
-                EventKind::Store {
-                    addr,
-                    size: self.st.last_store_size,
-                }
+                let (addr, size, slot) = self.access(STORE, flag, tag, buf, &mut pos)?;
+                (EventKind::Store { addr, size }, slot)
             }
             KIND_PREFETCH => {
-                let d = get_delta(buf, &mut pos)?;
-                let addr = self.st.last_pf_addr.wrapping_add(d as u64);
-                self.st.last_pf_addr = addr;
-                EventKind::Prefetch { addr, valid: flag }
+                let (addr, _, slot) = self.access(PREFETCH, false, tag, buf, &mut pos)?;
+                (EventKind::Prefetch { addr, valid: flag }, slot)
             }
-            KIND_BRANCH => EventKind::Branch { taken: flag },
-            KIND_CALL => EventKind::Call,
-            KIND_RET => EventKind::Ret,
-            KIND_ALLOC => EventKind::Alloc,
-            _ => unreachable!("3-bit kind code"),
-        };
-
-        let slot = if tag & TAG_OPS != 0 {
-            let count = get_varint(buf, &mut pos)?;
-            let count = usize::try_from(count)
-                .ok()
-                .filter(|&c| c <= (1 << 24))
-                .ok_or(TraceError::Corrupt("implausible operand count"))?;
-            let at = self.pool.len() as u32;
-            for _ in 0..count {
-                let id = get_varint(buf, &mut pos)?;
-                let id = u32::try_from(id)
-                    .map_err(|_| TraceError::Corrupt("operand id overflows u32"))?;
-                self.pool.push(ValueId(id));
+            code => {
+                let kind = match code {
+                    KIND_ALU => EventKind::Alu,
+                    KIND_BRANCH => EventKind::Branch { taken: flag },
+                    KIND_CALL => EventKind::Call,
+                    KIND_RET => EventKind::Ret,
+                    _ => EventKind::Alloc,
+                };
+                (kind, self.operand_slot(tag, buf, &mut pos)?)
             }
-            let slot = self.lists.len() as u32;
-            self.lists.push((at, count as u32));
-            slot
-        } else {
-            let expected = i64::from(self.st.last_slot.wrapping_add(1));
-            let slot = expected + get_delta(buf, &mut pos)?;
-            u32::try_from(slot)
-                .ok()
-                .filter(|&s| (s as usize) < self.lists.len())
-                .ok_or(TraceError::Corrupt("operand slot out of range"))?
         };
+        self.st.last_pc = pc;
+        self.st.last_frame = frame;
         self.st.last_slot = slot;
         *at = pos;
         Ok(RawEvent {
@@ -557,21 +559,52 @@ impl DecodeState {
     }
 }
 
-/// Streaming decoder over one core's payload. Produced by
-/// [`crate::Trace::cursor`]; yields [`Event`]s in retire order without
-/// materialising the stream.
+/// The bytes a [`WindowCursor`] decodes from: a whole in-memory payload
+/// (`&[u8]`, which never refills) or `crate::streaming`'s `BlockWindow`.
+pub trait Window {
+    /// The decoded-but-unconsumed bytes.
+    fn bytes(&self) -> &[u8];
+
+    /// Drop the first `consumed` bytes and append the stream's next
+    /// block, so that decoding resumes at offset 0; `Ok(false)`, with
+    /// the window untouched, when the stream has no further block.
+    ///
+    /// # Errors
+    /// Any [`TraceError`] fetching or validating the block.
+    fn refill(&mut self, consumed: usize) -> Result<bool, TraceError>;
+}
+
+impl Window for &[u8] {
+    #[inline(always)]
+    fn bytes(&self) -> &[u8] {
+        self
+    }
+
+    fn refill(&mut self, _consumed: usize) -> Result<bool, TraceError> {
+        Ok(false)
+    }
+}
+
+/// Decoder over one core's events, in retire order, without
+/// materialising them: the one replay loop behind [`EventCursor`] and
+/// [`crate::StreamingCursor`]. Decode state persists across refills,
+/// exactly as if the payload were contiguous.
 #[derive(Debug)]
-pub struct EventCursor<'t> {
-    buf: &'t [u8],
+pub struct WindowCursor<W> {
+    win: W,
     pos: usize,
     remaining: u64,
     state: DecodeState,
 }
 
-impl<'t> EventCursor<'t> {
-    pub(crate) fn new(payload: &'t [u8], events: u64) -> Self {
-        EventCursor {
-            buf: payload,
+/// The cursor over an in-memory payload, produced by
+/// [`crate::Trace::cursor`].
+pub type EventCursor<'t> = WindowCursor<&'t [u8]>;
+
+impl<W: Window> WindowCursor<W> {
+    pub(crate) fn new(win: W, events: u64) -> Self {
+        WindowCursor {
+            win,
             pos: 0,
             remaining: events,
             state: DecodeState::new(),
@@ -582,46 +615,63 @@ impl<'t> EventCursor<'t> {
     /// (`true` when the event is the last of its interpreter step), or
     /// `None` when the stream is exhausted.
     ///
-    /// This sits on replay's per-event hot path (it competes with the
-    /// pre-decoded engine's per-instruction cost); the grammar itself
-    /// is decoded by [`DecodeState::decode_one`]. Both are
-    /// `inline(always)`: fused into the consumer's loop the event never
-    /// round-trips through memory, and left to the inliner's discretion
-    /// in-memory replay ran 1.3–1.5x slower whenever it declined
-    /// (`sim_throughput` `trace/replay/IS`, CHANGES.md PR 18).
+    /// This sits on replay's per-event hot path. It and `decode_one`
+    /// are `inline(always)`: fused into the consumer's loop the event
+    /// never round-trips through memory, and left to the inliner replay
+    /// ran 1.3–1.5x slower whenever it declined (CHANGES.md PR 18).
+    /// What happens once per block or per stream is out of line and is
+    /// lent the window alone, never the cursor, whose decode state can
+    /// then stay in registers (DESIGN.md §6).
     ///
     /// # Errors
-    /// [`TraceError::Truncated`] or [`TraceError::Corrupt`] on a
-    /// malformed payload.
+    /// Any [`TraceError`] in the stream: a malformed payload and,
+    /// streaming, I/O failures and [`TraceError::ChecksumMismatch`] for
+    /// a damaged block, caught before any of its events is surfaced.
     #[inline(always)]
     pub fn next_event(&mut self) -> Result<Option<(Event<'_>, bool)>, TraceError> {
         if self.remaining == 0 {
-            if self.pos != self.buf.len() {
-                return Err(TraceError::Corrupt("trailing bytes after final event"));
-            }
-            return Ok(None);
+            return Self::finish(&mut self.win, self.pos).map(|()| None);
         }
-        self.remaining -= 1;
-        let raw = self.state.decode_one(self.buf, &mut self.pos)?;
-        let operands = self.state.operands(raw.slot);
-        Ok(Some((
-            Event {
-                pc: raw.pc,
-                frame: raw.frame,
-                result: raw.result,
-                kind: raw.kind,
-                operands,
-            },
-            raw.end_of_step,
-        )))
+        loop {
+            match self.state.decode_one(self.win.bytes(), &mut self.pos) {
+                Ok(raw) => {
+                    self.remaining -= 1;
+                    return Ok(Some((
+                        Event {
+                            pc: raw.pc,
+                            frame: raw.frame,
+                            result: raw.result,
+                            kind: raw.kind,
+                            operands: self.state.operands(raw.slot),
+                        },
+                        raw.end_of_step,
+                    )));
+                }
+                // The event ran off the window's end, leaving the state
+                // untouched: append the next block and decode it again.
+                // Only a partial event fails as `Truncated`, so the
+                // retry never masks corruption.
+                Err(TraceError::Truncated) if self.win.refill(self.pos)? => self.pos = 0,
+                Err(e) => return Err(e),
+            }
+        }
+    }
+
+    /// All events are out: the stream must end here too. Returns no
+    /// event type — an out-of-line call writing `next_event`'s result
+    /// pins that result in memory on the hot path as well.
+    #[cold]
+    fn finish(win: &mut W, pos: usize) -> Result<(), TraceError> {
+        if pos != win.bytes().len() || win.refill(pos)? {
+            return Err(TraceError::Corrupt("trailing bytes after final event"));
+        }
+        Ok(())
     }
 }
 
-/// Anything that yields a retire-event stream with step boundaries —
-/// the in-memory [`EventCursor`] and the block-at-a-time
-/// [`crate::StreamingCursor`]. Replay loops in `swpf-sim` are generic
-/// over this, so the direct-replay and bounded-memory streaming paths
-/// share one implementation.
+/// A retire-event stream with step boundaries — every [`WindowCursor`].
+/// Replay loops in `swpf-sim` are generic over this, so the in-memory
+/// and bounded-memory streaming paths share one implementation.
 pub trait EventSource {
     /// Next event plus its `end_of_step` flag, or `None` at the end of
     /// the stream.
@@ -631,10 +681,10 @@ pub trait EventSource {
     fn next_event(&mut self) -> Result<Option<(Event<'_>, bool)>, TraceError>;
 }
 
-impl EventSource for EventCursor<'_> {
+impl<W: Window> EventSource for WindowCursor<W> {
     #[inline(always)]
     fn next_event(&mut self) -> Result<Option<(Event<'_>, bool)>, TraceError> {
-        EventCursor::next_event(self)
+        WindowCursor::next_event(self)
     }
 }
 
@@ -746,6 +796,154 @@ mod tests {
         let (got, _) = cur.next_event().unwrap().unwrap();
         assert_eq!(got.result, ValueId(7));
         assert_eq!(got.kind, EventKind::Alloc);
+    }
+
+    /// The transactional contract `decode_one` gives a cursor: on a
+    /// payload cut anywhere inside an event it fails `Truncated` and
+    /// leaves the decode state as it found it, so the same call on the
+    /// full payload decodes that event as if the cut had never been
+    /// tried. The stream carries every tag shape: FRAME, RESULT, an
+    /// explicit size, an inline operand list, a back-reference, multi-
+    /// byte varints, and each event kind.
+    #[test]
+    fn a_cut_event_fails_truncated_and_leaves_the_state_untouched() {
+        let ops = [ValueId(1), ValueId(200), ValueId(70_000)];
+        let result = |pc: u64| ValueId((pc & 0xffff_ffff) as u32);
+        let events = [
+            (5, 0, result(5), EventKind::Alu, &ops[..2]),
+            (
+                6,
+                0,
+                result(6),
+                EventKind::Load {
+                    addr: 0x1_0000,
+                    size: 8,
+                },
+                &ops[..1],
+            ),
+            (
+                7,
+                0,
+                result(7),
+                EventKind::Store {
+                    addr: 0x9_0000,
+                    size: 4,
+                },
+                &ops[..3],
+            ),
+            (
+                6,
+                0,
+                result(6),
+                EventKind::Load {
+                    addr: 0x1_0008,
+                    size: 8,
+                },
+                &ops[..1],
+            ),
+            (
+                6,
+                0,
+                result(6),
+                EventKind::Load {
+                    addr: 0x77_1230,
+                    size: 2,
+                },
+                &ops[..1],
+            ),
+            (
+                8,
+                0,
+                result(8),
+                EventKind::Prefetch {
+                    addr: 0x1_0200,
+                    valid: true,
+                },
+                &ops[..0],
+            ),
+            (
+                8,
+                0,
+                result(8),
+                EventKind::Prefetch {
+                    addr: 0,
+                    valid: false,
+                },
+                &ops[..0],
+            ),
+            (9, 0, result(9), EventKind::Call, &ops[..2]),
+            (1 << 32 | 3, 300, ValueId(9), EventKind::Alloc, &ops[..0]),
+            (
+                1 << 32 | 4,
+                300,
+                result(4),
+                EventKind::Branch { taken: true },
+                &ops[..1],
+            ),
+            (1 << 32 | 5, 300, result(5), EventKind::Ret, &ops[..1]),
+            (
+                10,
+                0,
+                result(10),
+                EventKind::Branch { taken: false },
+                &ops[..0],
+            ),
+            (5, 0, result(5), EventKind::Alu, &ops[..2]),
+        ];
+        let mut enc = StreamEncoder::new();
+        for &(pc, frame, result, kind, operands) in &events {
+            enc.push(&Event {
+                pc,
+                frame,
+                result,
+                kind,
+                operands,
+            });
+            enc.end_step();
+        }
+        let (_, payload) = enc.finish();
+
+        let mut state = DecodeState::new();
+        let mut pos = 0;
+        for &(pc, frame, result, kind, operands) in &events {
+            let before = (state.st.clone(), state.lists.len(), state.pool.len());
+            // Find the event's end with a throwaway decoder state.
+            let end = {
+                let mut probe = DecodeState {
+                    st: state.st.clone(),
+                    lists: state.lists.clone(),
+                    pool: state.pool.clone(),
+                };
+                let mut end = pos;
+                probe.decode_one(&payload, &mut end).expect("full event");
+                end
+            };
+            for cut in pos..end {
+                let mut at = pos;
+                assert_eq!(
+                    state.decode_one(&payload[..cut], &mut at).unwrap_err(),
+                    TraceError::Truncated,
+                    "pc {pc:#x} cut at byte {} of {}",
+                    cut - pos,
+                    end - pos
+                );
+                assert_eq!(at, pos, "a failed decode must not advance");
+                assert_eq!(
+                    (&state.st, state.lists.len(), state.pool.len()),
+                    (&before.0, before.1, before.2),
+                    "pc {pc:#x} cut at byte {}: state moved",
+                    cut - pos
+                );
+            }
+            let raw = state.decode_one(&payload, &mut pos).expect("full event");
+            assert_eq!(pos, end);
+            assert_eq!(
+                (raw.pc, raw.frame, raw.result, raw.kind, raw.end_of_step),
+                (pc, frame, result, kind, true)
+            );
+            assert_eq!(state.operands(raw.slot), operands);
+        }
+        assert_eq!(pos, payload.len());
     }
 
     #[test]

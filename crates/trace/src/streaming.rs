@@ -4,7 +4,8 @@
 //! payload, which is fine for test-scale corpora but defeats the point
 //! of a compressed store at paper scale. [`StreamingReplay`] instead
 //! reads the envelope header once, then hands out per-core
-//! [`StreamingCursor`]s that decode **one block at a time**: the
+//! [`StreamingCursor`]s that decode **one block at a time** — the
+//! [`WindowCursor`] of in-memory replay over a [`BlockWindow`]: the
 //! resident window per cursor is the current uncompressed block, the
 //! compressed scratch buffer, and the (kernel-static, small) operand
 //! dictionary — independent of trace length. The memory contract is
@@ -16,23 +17,34 @@
 //! FNV checksum is verified over the *uncompressed* bytes before a
 //! single event from it is surfaced. (The whole-file footer checksum is
 //! redundant with the per-block sums and is only re-verified by the
-//! full reader, `Trace::from_bytes`.) Each cursor opens its own file
-//! handle, so multicore replay can interleave per-core streams at
-//! arbitrary file offsets.
+//! full reader, `Trace::from_bytes`.) The file is opened once: cursors
+//! share the handle `open` validated and read at their own offsets, so
+//! what is streamed is the file that was validated even if the path is
+//! renamed over meanwhile.
 //!
 //! Version-1 files are rejected with
 //! [`TraceError::UnsupportedVersion`]: they carry no block structure to
 //! stream. Cache layers treat that exactly like a stale fingerprint —
 //! re-record and overwrite.
 
-use crate::block::{decompress_into, MAX_BLOCK};
-use crate::stream::{DecodeState, EventSource};
-use crate::wire::checksum64;
+use crate::block::{BlockHeader, BLOCK_HEADER_LEN};
+use crate::stream::{Window, WindowCursor};
+use crate::wire::{get_u32, get_u64};
 use crate::{TraceError, END_MAGIC, MAGIC};
 use std::fs::File;
-use std::io::{Read, Seek, SeekFrom};
-use std::path::{Path, PathBuf};
-use swpf_ir::interp::Event;
+use std::os::unix::fs::FileExt;
+use std::path::Path;
+use std::sync::Arc;
+
+/// Bytes of the envelope header: magic, version, fingerprint, cores.
+const HEADER_LEN: u64 = 24;
+/// Bytes of a core section's prologue: events, blocks, section length.
+const PROLOGUE_LEN: u64 = 20;
+
+/// Fill `buf` from `offset` with one positional read.
+fn read_at(file: &File, buf: &mut [u8], offset: u64) -> Result<(), TraceError> {
+    file.read_exact_at(buf, offset).map_err(|e| io_err(&e))
+}
 
 /// Map an I/O failure into the (Copy) trace error space; a clean EOF
 /// mid-structure is a truncation like any other.
@@ -44,37 +56,23 @@ fn io_err(e: &std::io::Error) -> TraceError {
     }
 }
 
-fn read_exact(f: &mut File, buf: &mut [u8]) -> Result<(), TraceError> {
-    f.read_exact(buf).map_err(|e| io_err(&e))
-}
-
-fn read_u32(f: &mut File) -> Result<u32, TraceError> {
-    let mut b = [0u8; 4];
-    read_exact(f, &mut b)?;
-    Ok(u32::from_le_bytes(b))
-}
-
-fn read_u64(f: &mut File) -> Result<u64, TraceError> {
-    let mut b = [0u8; 8];
-    read_exact(f, &mut b)?;
-    Ok(u64::from_le_bytes(b))
-}
-
 /// Location and size of one core's block section within the file.
 #[derive(Debug, Clone, Copy)]
 struct CoreMeta {
     events: u64,
     n_blocks: u32,
-    /// Absolute file offset of the first block header.
+    /// Absolute file offsets of the first block header and of the
+    /// section's end.
     offset: u64,
+    end: u64,
 }
 
-/// A v2 trace file opened for block-at-a-time replay. Holds only the
-/// header metadata; event data stays on disk until a
+/// A v2 trace file opened for block-at-a-time replay. Holds the file
+/// handle and the header metadata; event data stays on disk until a
 /// [`StreamingCursor`] walks it.
 #[derive(Debug)]
 pub struct StreamingReplay {
-    path: PathBuf,
+    file: Arc<File>,
     fingerprint: u64,
     cores: Vec<CoreMeta>,
 }
@@ -88,50 +86,55 @@ impl StreamingReplay {
     /// [`TraceError::Io`] for filesystem failures and
     /// [`TraceError::UnsupportedVersion`] for v1 files.
     pub fn open(path: &Path) -> Result<StreamingReplay, TraceError> {
-        let mut f = File::open(path).map_err(|e| io_err(&e))?;
-        let file_len = f.metadata().map_err(|e| io_err(&e))?.len();
-        let mut magic = [0u8; 8];
-        read_exact(&mut f, &mut magic)?;
-        if magic != *MAGIC {
+        let file = File::open(path).map_err(|e| io_err(&e))?;
+        swpf_obs::count("trace.stream.opens", 1);
+        let file_len = file.metadata().map_err(|e| io_err(&e))?.len();
+        let mut header = [0u8; HEADER_LEN as usize];
+        read_at(&file, &mut header, 0)?;
+        if header[..8] != *MAGIC {
             return Err(TraceError::BadMagic);
         }
-        let version = read_u32(&mut f)?;
+        let mut at = 8;
+        let version = get_u32(&header, &mut at)?;
         if version != crate::FORMAT_VERSION {
             return Err(TraceError::UnsupportedVersion(version));
         }
-        let fingerprint = read_u64(&mut f)?;
-        let n_cores = read_u32(&mut f)? as usize;
+        let fingerprint = get_u64(&header, &mut at)?;
+        let n_cores = get_u32(&header, &mut at)? as usize;
         let mut cores = Vec::with_capacity(n_cores.min(1 << 10));
-        let mut pos = 24u64;
+        let mut pos = HEADER_LEN;
         for _ in 0..n_cores {
-            let events = read_u64(&mut f)?;
-            let n_blocks = read_u32(&mut f)?;
-            let comp_total = read_u64(&mut f)?;
-            pos += 20;
+            let mut prologue = [0u8; PROLOGUE_LEN as usize];
+            read_at(&file, &mut prologue, pos)?;
+            let mut at = 0;
+            let events = get_u64(&prologue, &mut at)?;
+            let n_blocks = get_u32(&prologue, &mut at)?;
+            let comp_total = get_u64(&prologue, &mut at)?;
+            let offset = pos + PROLOGUE_LEN;
+            let end = offset
+                .checked_add(comp_total)
+                .filter(|&end| end <= file_len)
+                .ok_or(TraceError::Truncated)?;
             cores.push(CoreMeta {
                 events,
                 n_blocks,
-                offset: pos,
+                offset,
+                end,
             });
-            pos = pos.checked_add(comp_total).ok_or(TraceError::Truncated)?;
-            if pos > file_len {
-                return Err(TraceError::Truncated);
-            }
-            f.seek(SeekFrom::Start(pos)).map_err(|e| io_err(&e))?;
+            pos = end;
         }
         // Footer: combined checksum (verified per-block during
         // streaming) and the end magic, which must close the file.
-        let _footer_sum = read_u64(&mut f)?;
-        let mut end = [0u8; 8];
-        read_exact(&mut f, &mut end)?;
-        if end != *END_MAGIC {
+        let mut footer = [0u8; 16];
+        read_at(&file, &mut footer, pos)?;
+        if footer[8..] != *END_MAGIC {
             return Err(TraceError::BadMagic);
         }
         if pos + 16 != file_len {
             return Err(TraceError::Corrupt("trailing bytes after end magic"));
         }
         Ok(StreamingReplay {
-            path: path.to_path_buf(),
+            file: Arc::new(file),
             fingerprint,
             cores,
         })
@@ -158,135 +161,82 @@ impl StreamingReplay {
         self.cores[core].events
     }
 
-    /// A block-at-a-time decode cursor over one core's events. Each
-    /// cursor opens its own file handle (multicore replay reads several
-    /// sections concurrently).
+    /// A block-at-a-time decode cursor over one core's events, reading
+    /// at its own offsets through the handle `open` validated.
     ///
     /// # Errors
-    /// [`TraceError::MissingCore`] or [`TraceError::Io`].
+    /// [`TraceError::MissingCore`].
     pub fn cursor(&self, core: usize) -> Result<StreamingCursor, TraceError> {
-        let meta = *self.cores.get(core).ok_or(TraceError::MissingCore(core))?;
-        let mut file = File::open(&self.path).map_err(|e| io_err(&e))?;
-        file.seek(SeekFrom::Start(meta.offset))
-            .map_err(|e| io_err(&e))?;
-        Ok(StreamingCursor {
-            file,
+        let meta = self.cores.get(core).ok_or(TraceError::MissingCore(core))?;
+        let window = BlockWindow {
+            file: Arc::clone(&self.file),
+            offset: meta.offset,
+            end: meta.end,
             blocks_left: meta.n_blocks,
-            remaining: meta.events,
             buf: Vec::new(),
-            pos: 0,
             comp: Vec::new(),
-            state: DecodeState::new(),
-        })
+        };
+        Ok(WindowCursor::new(window, meta.events))
     }
 }
 
-/// Decodes one core's events block by block. The uncompressed window
-/// holds at most one block plus any event straddling its start; decode
-/// state (delta mirrors, operand dictionary) persists across blocks,
-/// exactly as if the payload were contiguous.
+/// Decodes one core's events block by block; see [`WindowCursor`].
+pub type StreamingCursor = WindowCursor<BlockWindow>;
+
+/// The resident part of one core's block section: at most one
+/// uncompressed block plus the partial event that straddled its start.
 #[derive(Debug)]
-pub struct StreamingCursor {
-    file: File,
+pub struct BlockWindow {
+    file: Arc<File>,
+    /// Where the next block header is, and where the section ends.
+    offset: u64,
+    end: u64,
     blocks_left: u32,
-    remaining: u64,
-    /// Decoded-but-unconsumed window.
     buf: Vec<u8>,
-    pos: usize,
     /// Compressed-bytes scratch, reused across blocks.
     comp: Vec<u8>,
-    state: DecodeState,
 }
 
-impl StreamingCursor {
-    /// Pull the next block into the window. Returns `false` when the
-    /// section has no more blocks.
-    fn refill(&mut self) -> Result<bool, TraceError> {
+impl Window for BlockWindow {
+    #[inline(always)]
+    fn bytes(&self) -> &[u8] {
+        &self.buf
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn refill(&mut self, consumed: usize) -> Result<bool, TraceError> {
+        const MISMATCH: TraceError = TraceError::Corrupt("block section length mismatch");
         if self.blocks_left == 0 {
-            return Ok(false);
+            return if self.offset == self.end {
+                Ok(false)
+            } else {
+                Err(MISMATCH)
+            };
         }
         self.blocks_left -= 1;
-        // Drop the consumed prefix first: this is what bounds the
-        // window at one block plus a partial event.
-        if self.pos > 0 {
-            self.buf.drain(..self.pos);
-            self.pos = 0;
+        let room = (self.end - self.offset)
+            .checked_sub(BLOCK_HEADER_LEN as u64)
+            .ok_or(MISMATCH)?;
+        let mut hdr = [0u8; BLOCK_HEADER_LEN];
+        read_at(&self.file, &mut hdr, self.offset)?;
+        let block = BlockHeader::parse(&hdr, &mut 0)?;
+        // `parse` bounded both lengths by the format's ceiling; the
+        // stored one is also bounded by what is left of the section.
+        if block.comp_len as u64 > room {
+            return Err(MISMATCH);
         }
-        let mut hdr = [0u8; 17];
-        read_exact(&mut self.file, &mut hdr)?;
-        let raw_len = u32::from_le_bytes(hdr[0..4].try_into().unwrap()) as usize;
-        let comp_len = u32::from_le_bytes(hdr[4..8].try_into().unwrap()) as usize;
-        let method = hdr[8];
-        let stored_sum = u64::from_le_bytes(hdr[9..17].try_into().unwrap());
-        if raw_len > MAX_BLOCK || comp_len > MAX_BLOCK {
-            return Err(TraceError::Corrupt("implausible block size"));
-        }
-        self.comp.resize(comp_len, 0);
-        read_exact(&mut self.file, &mut self.comp)?;
-        let start = self.buf.len();
-        decompress_into(method, &self.comp, raw_len, &mut self.buf)?;
-        let computed = checksum64(&self.buf[start..]);
-        if computed != stored_sum {
-            return Err(TraceError::ChecksumMismatch {
-                stored: stored_sum,
-                computed,
-            });
-        }
+        self.comp.resize(block.comp_len, 0);
+        read_at(
+            &self.file,
+            &mut self.comp,
+            self.offset + BLOCK_HEADER_LEN as u64,
+        )?;
+        self.offset += (BLOCK_HEADER_LEN + block.comp_len) as u64;
+        // Dropping the consumed prefix is what bounds the window at one
+        // block plus a partial event.
+        self.buf.drain(..consumed);
+        block.expand_into(&self.comp, &mut self.buf)?;
         Ok(true)
-    }
-
-    /// Decode the next event, refilling the window from disk as blocks
-    /// are exhausted. Semantics match [`crate::EventCursor::next_event`].
-    ///
-    /// # Errors
-    /// Any [`TraceError`] in the stream, including
-    /// [`TraceError::ChecksumMismatch`] for a corrupted block (detected
-    /// before any of its events are surfaced) and [`TraceError::Io`].
-    pub fn next_event(&mut self) -> Result<Option<(Event<'_>, bool)>, TraceError> {
-        if self.remaining == 0 {
-            if self.pos != self.buf.len() || self.blocks_left != 0 {
-                return Err(TraceError::Corrupt("trailing bytes after final event"));
-            }
-            return Ok(None);
-        }
-        loop {
-            let mark = self.state.mark();
-            let mut pos = self.pos;
-            match self.state.decode_one(&self.buf, &mut pos) {
-                Ok(raw) => {
-                    self.pos = pos;
-                    self.remaining -= 1;
-                    let operands = self.state.operands(raw.slot);
-                    return Ok(Some((
-                        Event {
-                            pc: raw.pc,
-                            frame: raw.frame,
-                            result: raw.result,
-                            kind: raw.kind,
-                            operands,
-                        },
-                        raw.end_of_step,
-                    )));
-                }
-                // The event straddles the window's end: roll the state
-                // back, append the next block, retry. A partial event
-                // can only fail as Truncated (varints self-delimit), so
-                // this never masks real corruption.
-                Err(TraceError::Truncated) => {
-                    self.state.restore(mark);
-                    if !self.refill()? {
-                        return Err(TraceError::Truncated);
-                    }
-                }
-                Err(e) => return Err(e),
-            }
-        }
-    }
-}
-
-impl EventSource for StreamingCursor {
-    #[inline]
-    fn next_event(&mut self) -> Result<Option<(Event<'_>, bool)>, TraceError> {
-        StreamingCursor::next_event(self)
     }
 }

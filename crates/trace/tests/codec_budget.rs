@@ -1,9 +1,10 @@
-//! The block encoder's work budget — the deterministic twin of the
-//! `trace_record` wall-clock claim. Match-search effort is counted by
-//! the encoder itself (`trace.encode.candidates`, flushed once per
-//! block to swpf-obs), heap traffic by the shared counting allocator,
-//! and the output by its length, so a regression in any of the three
-//! fails by the same amount on any host.
+//! The block codec's work budget — the deterministic twin of the
+//! `trace_record` and `trace_stream` wall-clock claims. Match-search
+//! effort is counted by the encoder itself (`trace.encode.candidates`,
+//! flushed once per block to swpf-obs), heap traffic on both the write
+//! and the streaming read side by the shared counting allocator, file
+//! opens by `trace.stream.opens`, and the output by its length, so a
+//! regression in any of them fails by the same amount on any host.
 //!
 //! One test in a binary of its own: the allocator hook is process-wide
 //! and nothing else may allocate while it counts.
@@ -11,7 +12,7 @@
 use swpf_ir::interp::{Event, EventKind};
 use swpf_ir::ValueId;
 use swpf_obs::alloc::CountingAlloc;
-use swpf_trace::{Trace, TraceRecorder, BLOCK_TARGET};
+use swpf_trace::{StreamingReplay, Trace, TraceRecorder, BLOCK_TARGET};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc::new();
@@ -64,6 +65,39 @@ fn record(iterations: u64) -> Trace {
     rec.finish()
 }
 
+/// Write `trace` to a scratch file, open it once and drain core 0
+/// through three cursors; returns the allocator calls of one drain
+/// (the same for each) and the `trace.stream.opens` count.
+fn stream_three_times(trace: &Trace) -> (usize, u64) {
+    let path = std::env::temp_dir().join(format!("swpf_budget_{}.trace", std::process::id()));
+    std::fs::write(&path, trace.to_bytes()).expect("scratch file written");
+    swpf_obs::reset();
+    swpf_obs::enable();
+    let replay = StreamingReplay::open(&path).expect("own file opens");
+    let mut calls = Vec::new();
+    for _ in 0..3 {
+        let before = ALLOC.calls();
+        let mut cursor = replay.cursor(0).expect("core 0");
+        let mut events = 0u64;
+        while cursor.next_event().expect("own file decodes").is_some() {
+            events += 1;
+        }
+        drop(cursor);
+        calls.push(ALLOC.calls() - before);
+        assert_eq!(events, trace.events(0));
+    }
+    swpf_obs::disable();
+    std::fs::remove_file(&path).ok();
+    assert!(
+        calls.iter().all(|&c| c == calls[0]),
+        "drains differ: {calls:?}"
+    );
+    (
+        calls[0],
+        swpf_obs::snapshot().counters["trace.stream.opens"],
+    )
+}
+
 #[test]
 fn block_encoder_stays_within_its_work_budget() {
     let one_block = record(2_000);
@@ -97,6 +131,28 @@ fn block_encoder_stays_within_its_work_budget() {
     assert_eq!(
         Trace::from_bytes(&bytes).expect("own output decodes"),
         many_blocks
+    );
+
+    // The read side, block at a time: one file handle however many
+    // cursors, and no allocation per block — the window and the
+    // compressed-bytes scratch are reused. A one-block drain makes six
+    // calls (window, scratch, two doublings each of the dictionary's
+    // two vectors); longer streams add two one-off regrowths (the
+    // window gains room for the tail of an event that straddles a
+    // block boundary, the scratch doubles at the first block that
+    // compresses worse than the first did) and then nothing, however
+    // many blocks follow.
+    let (one, opens) = stream_three_times(&one_block);
+    assert_eq!(opens, 1, "three cursors must share the handle `open` took");
+    let (many, _) = stream_three_times(&many_blocks);
+    let (twice_as_many, _) = stream_three_times(&record(50_000));
+    assert_eq!(
+        twice_as_many, many,
+        "allocator calls grew with the block count past {blocks} blocks"
+    );
+    assert!(
+        many <= one + 2,
+        "{blocks} blocks drained with {many} allocator calls against {one} for one block"
     );
 
     // Search effort, counted where it is spent.
