@@ -101,7 +101,7 @@ pub fn parse_module(text: &str) -> PResult<Module> {
         if !l.starts_with("func @") {
             return Err(err(ln, "expected `func`"));
         }
-        parse_body(&mut m, FuncId(fcount), &mut lines, &mut scratch)?;
+        parse_body(&mut m, FuncId(fcount), ln, &mut lines, &mut scratch)?;
         fcount += 1;
     }
     Ok(m)
@@ -238,11 +238,12 @@ struct BodyScratch<'a> {
     pending: Vec<Pending<'a>>,
 }
 
-/// Parse one function body, from the line after its header through the
-/// closing `}`.
+/// Parse one function body, from the line after its header (on line
+/// `header_line`) through the closing `}`.
 fn parse_body<'a>(
     m: &mut Module,
     fid: FuncId,
+    header_line: usize,
     lines: &mut Lines<'a>,
     scratch: &mut BodyScratch<'a>,
 ) -> PResult<()> {
@@ -261,7 +262,7 @@ fn parse_body<'a>(
     // references resolve.
     loop {
         let Some((ln, l)) = lines.next() else {
-            return Err(err(0, "unterminated function"));
+            return Err(err(header_line, "unterminated function"));
         };
         if l == "}" {
             break;
@@ -610,6 +611,16 @@ bb3:
             assert_eq!(err.line, 2, "{header}");
             assert!(err.message.contains(want), "{header}: {err}");
         }
+    }
+
+    #[test]
+    fn an_unterminated_function_is_reported_at_its_header() {
+        let cut = "module t\n\nfunc @f() -> void {\nbb0:\n  ret\n";
+        let err = parse_module(cut).unwrap_err();
+        assert_eq!(
+            (err.line, err.message.as_str()),
+            (3, "unterminated function")
+        );
     }
 
     #[test]

@@ -7,15 +7,24 @@
 //! within the input — never panic — and an `Ok` module that also
 //! verifies must survive `print → parse → print` unchanged.
 //! Deterministic: the same few thousand cases on every run.
+//!
+//! The same mutants pin the parser's verdicts: one row each in
+//! `tests/golden/swir_fuzz_verdicts.txt`, `ok <fnv64 of the printed
+//! module>` or `err <line>`, recorded from the two-pass string-splitting
+//! parser so that a rewrite can be held against what it replaced. After
+//! a *deliberate* grammar or diagnostics change, regenerate with
+//! `cargo test --test fuzz_swir -- --ignored bless_swir_fuzz_verdicts`.
 
 mod swir_sources;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::path::PathBuf;
 use swpf::ir::parser::parse_module;
 use swpf::ir::printer::print_module;
 use swpf::ir::verifier::verify_module;
+use swpf::trace::fnv64;
 use swpf::workloads::{Scale, WorkloadId};
 
 const CASES_PER_SEED_TEXT: usize = 400;
@@ -68,10 +77,6 @@ fn check(text: &str) -> Result<Outcome, String> {
     let nlines = text.lines().count();
     let module = match parse_module(text) {
         Ok(module) => module,
-        // Line 0 is the parser's "ran off the end" position.
-        Err(e) if e.line == 0 && e.message == "unterminated function" => {
-            return Ok(Outcome::Rejected)
-        }
         Err(e) if (1..=nlines.max(1)).contains(&e.line) => return Ok(Outcome::Rejected),
         Err(e) => {
             return Err(format!(
@@ -92,8 +97,9 @@ fn check(text: &str) -> Result<Outcome, String> {
     }
 }
 
-#[test]
-fn mutated_swir_never_panics_and_round_trips() {
+/// The texts mutated: the five baseline kernels as printed, then the
+/// hand-written programs of `swir_sources`.
+fn seed_texts() -> Vec<String> {
     let kernels = [
         WorkloadId::Is,
         WorkloadId::Cg,
@@ -106,22 +112,36 @@ fn mutated_swir_never_panics_and_round_trips() {
         .map(|id| print_module(&id.instantiate(Scale::Test).build_baseline()))
         .collect();
     seeds.extend(swir_sources::ALL.iter().map(|s| (*s).to_string()));
+    seeds
+}
 
-    let (mut rejected, mut round_tripped) = (0usize, 0usize);
-    for (n, seed_text) in seeds.iter().enumerate() {
-        assert!(seed_text.is_ascii(), "mutations slice by byte");
-        assert!(
-            check(seed_text) == Ok(Outcome::RoundTripped),
-            "seed text {n} is valid"
-        );
-        let mut rng = StdRng::seed_from_u64(0x5eed_0000 + n as u64);
-        for case in 0..CASES_PER_SEED_TEXT {
-            // One to three stacked mutations.
+/// The `CASES_PER_SEED_TEXT` mutants of seed text `n`, one to three
+/// stacked mutations each.
+fn mutants(n: usize, seed_text: &str) -> Vec<String> {
+    assert!(seed_text.is_ascii(), "mutations slice by byte");
+    let mut rng = StdRng::seed_from_u64(0x5eed_0000 + n as u64);
+    (0..CASES_PER_SEED_TEXT)
+        .map(|_| {
             let mut text = mutate(seed_text, &mut rng);
             for _ in 0..rng.random_range(0..3) {
                 text = mutate(&text, &mut rng);
             }
-            let outcome = catch_unwind(AssertUnwindSafe(|| check(&text)));
+            text
+        })
+        .collect()
+}
+
+#[test]
+fn mutated_swir_never_panics_and_round_trips() {
+    let seeds = seed_texts();
+    let (mut rejected, mut round_tripped) = (0usize, 0usize);
+    for (n, seed_text) in seeds.iter().enumerate() {
+        assert!(
+            check(seed_text) == Ok(Outcome::RoundTripped),
+            "seed text {n} is valid"
+        );
+        for (case, text) in mutants(n, seed_text).iter().enumerate() {
+            let outcome = catch_unwind(AssertUnwindSafe(|| check(text)));
             match outcome.unwrap_or_else(|_| Err("panicked".to_string())) {
                 Ok(Outcome::Rejected) => rejected += 1,
                 Ok(Outcome::Parsed) => {}
@@ -142,4 +162,49 @@ fn mutated_swir_never_panics_and_round_trips() {
         round_tripped > total / 100,
         "only {round_tripped} of {total} mutants verify and round-trip"
     );
+}
+
+fn golden_path() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/swir_fuzz_verdicts.txt")
+}
+
+/// One row per mutant: `<seed text> <case> ok <fnv64 of the printed
+/// module>` or `<seed text> <case> err <line>`.
+fn verdict_rows() -> Vec<String> {
+    let mut rows = Vec::new();
+    for (n, seed_text) in seed_texts().iter().enumerate() {
+        for (case, text) in mutants(n, seed_text).iter().enumerate() {
+            rows.push(match parse_module(text) {
+                Ok(module) => {
+                    format!(
+                        "{n} {case} ok {:016x}",
+                        fnv64(print_module(&module).as_bytes())
+                    )
+                }
+                Err(e) => format!("{n} {case} err {}", e.line),
+            });
+        }
+    }
+    rows
+}
+
+#[test]
+fn mutant_verdicts_match_golden() {
+    let path = golden_path();
+    let golden = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()));
+    let golden: Vec<&str> = golden.lines().collect();
+    let actual = verdict_rows();
+    for (want, got) in golden.iter().zip(&actual) {
+        assert_eq!(want, got, "parser verdict diverged from golden");
+    }
+    assert_eq!(golden.len(), actual.len(), "the mutant set changed");
+}
+
+#[test]
+#[ignore = "rewrites tests/golden/swir_fuzz_verdicts.txt; run after a deliberate grammar change"]
+fn bless_swir_fuzz_verdicts() {
+    let mut text = verdict_rows().join("\n");
+    text.push('\n');
+    std::fs::write(golden_path(), text).expect("golden written");
 }
