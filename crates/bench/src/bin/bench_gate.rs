@@ -49,7 +49,11 @@
 //!   full `swpf,gvn,sccp,licm,cse,dce` pipeline's compile-phase cost on
 //!   the tune evaluator over the local-only `swpf,cse,dce` reference
 //!   pipeline — both sides measured in-process, A/B-interleaved within
-//!   each repetition, gated at a tighter 1.25x allowance.
+//!   each repetition, gated at a tighter 1.25x allowance;
+//! * **IR text** (`BENCH_pass.json`): `parse_module` over
+//!   `print_module` on the 500-function module the repo benchmark's
+//!   `compile_batch` reads — reading a module in units of writing it,
+//!   measured in-process and interleaved like the pipeline leg.
 //!
 //! The 30% allowance keeps shared-runner noise from flaking the job;
 //! the gate exists to catch cliffs, not single-digit drift.
@@ -454,6 +458,59 @@ fn gate_pipeline(reference: &Json, reference_path: &str) -> bool {
     }
 }
 
+/// The text front end's cost: `parse_module` over `print_module` on
+/// `replicated_suite(Scale::Test, 100)`, each the fastest of `reps`
+/// interleaved repetitions, held to `ir_text_gate.parse_over_print` of
+/// the reference times [`MAX_REGRESSION`].
+fn gate_ir_text(reference: &Json, reference_path: &str) -> bool {
+    use std::hint::black_box;
+    use std::time::Instant;
+    use swpf_ir::parser::parse_module;
+    use swpf_ir::printer::print_module;
+    use swpf_workloads::{replicated_suite, Scale};
+
+    let text = replicated_suite(Scale::Test, 100);
+    let module = parse_module(&text).expect("the replicated suite parses");
+    let reps = 20;
+    let (mut parse_s, mut print_s) = (f64::MAX, f64::MAX);
+    for _ in 0..reps {
+        let t = Instant::now();
+        black_box(parse_module(black_box(&text)).expect("parses"));
+        parse_s = parse_s.min(t.elapsed().as_secs_f64());
+        let t = Instant::now();
+        black_box(print_module(black_box(&module)));
+        print_s = print_s.min(t.elapsed().as_secs_f64());
+    }
+
+    let Some(ref_ratio) = reference_f64(
+        reference,
+        reference_path,
+        "ir_text_gate",
+        "parse_over_print",
+    ) else {
+        return false;
+    };
+    let measured = parse_s / print_s;
+    let ceiling = ref_ratio * MAX_REGRESSION;
+    println!(
+        "bench_gate: IR text (`parse_module` over `print_module`, {} lines, fastest of {reps} \
+         interleaved reps) — measured {measured:.3}x ({:.2} / {:.2} ms), reference \
+         {ref_ratio:.3}x, ceiling {ceiling:.3}x (allowance {MAX_REGRESSION}x)",
+        text.lines().count(),
+        parse_s * 1e3,
+        print_s * 1e3,
+    );
+    if measured <= ceiling {
+        true
+    } else {
+        eprintln!(
+            "bench_gate: parsing a module costs more than {MAX_REGRESSION}x the \
+             {reference_path} reference, in units of printing it"
+        );
+        false
+    }
+}
+
 fn main() -> std::process::ExitCode {
     let mut args = std::env::args().skip(1);
     let (Some(records_path), Some(interp_ref_path)) = (args.next(), args.next()) else {
@@ -546,6 +603,7 @@ fn main() -> std::process::ExitCode {
     if let Some(path) = pass_ref_path {
         let pass_ref = load_json(&path);
         ok &= gate_pipeline(&pass_ref, &path);
+        ok &= gate_ir_text(&pass_ref, &path);
     }
     if ok {
         std::process::ExitCode::SUCCESS

@@ -67,7 +67,7 @@ impl Function {
             ret: ret.into(),
             purity: Purity::Impure,
             values: Vec::new(),
-            blocks: vec![Block::with_name("entry")],
+            blocks: vec![Block::default()],
         };
         for (i, &ty) in params.iter().enumerate() {
             f.values.push(ValueData {
@@ -125,8 +125,15 @@ impl Function {
 
     /// Append a new empty block and return its id.
     pub fn add_block(&mut self, name: impl Into<String>) -> BlockId {
+        let id = self.add_unnamed_block();
+        self.blocks[id.index()].name = Some(name.into());
+        id
+    }
+
+    /// Append a new empty block that has no label.
+    pub(crate) fn add_unnamed_block(&mut self) -> BlockId {
         let id = BlockId(self.blocks.len() as u32);
-        self.blocks.push(Block::with_name(name));
+        self.blocks.push(Block::default());
         id
     }
 
@@ -184,6 +191,13 @@ impl Function {
                 }
             }
         }
+        self.push_const(c)
+    }
+
+    /// Append `c` without looking for an equal constant: for a caller
+    /// that interns through a table of its own (the parser, whose
+    /// functions may hold any number of constants).
+    pub(crate) fn push_const(&mut self, c: Constant) -> ValueId {
         let id = ValueId(self.values.len() as u32);
         self.values.push(ValueData {
             ty: Some(c.ty()),
@@ -191,6 +205,12 @@ impl Function {
             name: None,
         });
         id
+    }
+
+    /// Make room for `additional` more values. Only a hint: it gives up
+    /// quietly where the allocator refuses.
+    pub(crate) fn reserve_values(&mut self, additional: usize) {
+        let _ = self.values.try_reserve_exact(additional);
     }
 
     /// Shorthand for interning an `i64` constant.

@@ -76,27 +76,27 @@ impl BinOp {
         }
     }
 
-    /// Inverse of [`BinOp::mnemonic`].
+    /// Inverse of [`BinOp::mnemonic`], from text or bytes.
     #[must_use]
-    pub fn from_mnemonic(s: &str) -> Option<BinOp> {
-        Some(match s {
-            "add" => BinOp::Add,
-            "sub" => BinOp::Sub,
-            "mul" => BinOp::Mul,
-            "sdiv" => BinOp::Sdiv,
-            "udiv" => BinOp::Udiv,
-            "srem" => BinOp::Srem,
-            "urem" => BinOp::Urem,
-            "and" => BinOp::And,
-            "or" => BinOp::Or,
-            "xor" => BinOp::Xor,
-            "shl" => BinOp::Shl,
-            "lshr" => BinOp::Lshr,
-            "ashr" => BinOp::Ashr,
-            "fadd" => BinOp::Fadd,
-            "fsub" => BinOp::Fsub,
-            "fmul" => BinOp::Fmul,
-            "fdiv" => BinOp::Fdiv,
+    pub fn from_mnemonic(s: impl AsRef<[u8]>) -> Option<BinOp> {
+        Some(match s.as_ref() {
+            b"add" => BinOp::Add,
+            b"sub" => BinOp::Sub,
+            b"mul" => BinOp::Mul,
+            b"sdiv" => BinOp::Sdiv,
+            b"udiv" => BinOp::Udiv,
+            b"srem" => BinOp::Srem,
+            b"urem" => BinOp::Urem,
+            b"and" => BinOp::And,
+            b"or" => BinOp::Or,
+            b"xor" => BinOp::Xor,
+            b"shl" => BinOp::Shl,
+            b"lshr" => BinOp::Lshr,
+            b"ashr" => BinOp::Ashr,
+            b"fadd" => BinOp::Fadd,
+            b"fsub" => BinOp::Fsub,
+            b"fmul" => BinOp::Fmul,
+            b"fdiv" => BinOp::Fdiv,
             _ => return None,
         })
     }
@@ -145,20 +145,20 @@ impl Pred {
         }
     }
 
-    /// Inverse of [`Pred::mnemonic`].
+    /// Inverse of [`Pred::mnemonic`], from text or bytes.
     #[must_use]
-    pub fn from_mnemonic(s: &str) -> Option<Pred> {
-        Some(match s {
-            "eq" => Pred::Eq,
-            "ne" => Pred::Ne,
-            "slt" => Pred::Slt,
-            "sle" => Pred::Sle,
-            "sgt" => Pred::Sgt,
-            "sge" => Pred::Sge,
-            "ult" => Pred::Ult,
-            "ule" => Pred::Ule,
-            "ugt" => Pred::Ugt,
-            "uge" => Pred::Uge,
+    pub fn from_mnemonic(s: impl AsRef<[u8]>) -> Option<Pred> {
+        Some(match s.as_ref() {
+            b"eq" => Pred::Eq,
+            b"ne" => Pred::Ne,
+            b"slt" => Pred::Slt,
+            b"sle" => Pred::Sle,
+            b"sgt" => Pred::Sgt,
+            b"sge" => Pred::Sge,
+            b"ult" => Pred::Ult,
+            b"ule" => Pred::Ule,
+            b"ugt" => Pred::Ugt,
+            b"uge" => Pred::Uge,
             _ => return None,
         })
     }
@@ -226,15 +226,15 @@ impl CastOp {
         }
     }
 
-    /// Inverse of [`CastOp::mnemonic`].
+    /// Inverse of [`CastOp::mnemonic`], from text or bytes.
     #[must_use]
-    pub fn from_mnemonic(s: &str) -> Option<CastOp> {
-        Some(match s {
-            "trunc" => CastOp::Trunc,
-            "zext" => CastOp::Zext,
-            "sext" => CastOp::Sext,
-            "inttoptr" => CastOp::IntToPtr,
-            "ptrtoint" => CastOp::PtrToInt,
+    pub fn from_mnemonic(s: impl AsRef<[u8]>) -> Option<CastOp> {
+        Some(match s.as_ref() {
+            b"trunc" => CastOp::Trunc,
+            b"zext" => CastOp::Zext,
+            b"sext" => CastOp::Sext,
+            b"inttoptr" => CastOp::IntToPtr,
+            b"ptrtoint" => CastOp::PtrToInt,
             _ => return None,
         })
     }

@@ -1,10 +1,65 @@
 //! Parser for the textual form produced by [`crate::printer`].
 //!
-//! The grammar is exactly what the printer emits; see the printer docs.
-//! Comments start with `;` and run to end of line.
+//! # Grammar
+//!
+//! A line ends at `\n`. A `;` starts a comment that runs to the end of
+//! its line. Blanks (space, tab, `\r`) separate tokens and mean nothing
+//! else; lines without content are skipped. Outside comments the text
+//! is ASCII. A *word* runs up to a blank or one of `, : = ( ) [ ] { +`.
+//!
+//! ```text
+//! module      := "module" <rest of the line, the module's name>
+//!                function*
+//! function    := "func @" fname "(" [param ("," param)*] ")" "->" (type | "void")
+//!                ["pure" | "readonly"] "{"
+//!                (label | constant | instruction)*
+//!                "}"
+//! param       := word ":" type
+//! label       := "bb" <anything> ":"
+//! constant    := name [":" type] "=" "const" number ":" type
+//! instruction := [value ":" type "="] operation
+//! operation   := binop value "," value          | castop value "to" type
+//!              | "icmp" pred value "," value    | "select" value "," value "," value
+//!              | "alloc" value "x" uint         | "gep" value "," value "x" uint ["+" uint]
+//!              | "load" type "," value          | "store" value "," value
+//!              | "prefetch" value               | "phi" incoming ("," incoming)*
+//!              | "call @" fname "(" [value ("," value)*] ")"
+//!              | "br" block | "br" value "," block "," block | "ret" [value]
+//! incoming    := "[" block ":" value "]"
+//! block       := "bb" uint
+//! value       := name that starts with "%"      name := word
+//! ```
+//!
+//! `fname` is every byte between `@` and `(`. Parameters are `%0`, `%1`,
+//! … in order and labels number the blocks in order, whatever the text
+//! calls them; the printer's own text agrees with both. `number` is
+//! what `i64` (or, before `: f64`, `f64`) parses from a string. A
+//! constant's name may be bare (`one = const 1: i64`) and any operand
+//! may name it; equal constants of a function share one value.
+//!
+//! # Names, in one pass
+//!
+//! Each line is read once, left to right, and an operand is looked up as
+//! it is read: `%<decimal>` in a table indexed by the number, anything
+//! else in a map. A line that names a value no line above it defines —
+//! a loop phi's back edge, a block printed ahead of its dominator —
+//! keeps its slot and is read again when the function's `}` has been
+//! seen and every name is known. Block references are checked against
+//! the block count then, too. A name may be bound twice; the **last
+//! binding wins for every use**, those above it included, so a function
+//! that rebinds a name has all of its lines read again.
+//!
+//! # Diagnostics
+//!
+//! Every error carries the 1-based line it is about. A malformed line
+//! is reported in text order: the first one wins, a header like any
+//! other line. An unknown value or block name is reported at the line
+//! that uses it, once the body is complete and all of its lines are
+//! well formed; a function the input ends inside of is reported at its
+//! header.
 
 use crate::block::BlockId;
-use crate::function::{FuncId, Purity};
+use crate::function::{FuncId, Function, Purity};
 use crate::inst::{BinOp, CastOp, InstKind, Pred};
 use crate::module::Module;
 use crate::types::Type;
@@ -31,135 +86,316 @@ impl std::error::Error for ParseError {}
 
 type PResult<T> = Result<T, ParseError>;
 
+#[cold]
 fn err(line: usize, message: impl Into<String>) -> ParseError {
-    ParseError {
-        line,
-        message: message.into(),
+    let message = message.into();
+    ParseError { line, message }
+}
+
+const LO: u64 = 0x0101_0101_0101_0101;
+const HI: u64 = 0x8080_8080_8080_8080;
+
+/// The bytes of `w` equal to `b`, marked by their high bits. The lowest
+/// mark is exact; a higher one may be a borrow out of the match below it.
+#[inline]
+fn marks(w: u64, b: u8) -> u64 {
+    let x = w ^ (LO * u64::from(b));
+    x.wrapping_sub(LO) & !x & HI
+}
+
+/// Where the line that holds `t[i]` ends — at its `\n`, at the end of
+/// `t`, or with `comments` at a `;` before those — and the line's bytes
+/// from `i` up to there ORed together, eight at a time.
+fn scan(t: &[u8], mut i: usize, comments: bool) -> (usize, u64) {
+    let mut seen = 0;
+    while let Some(w) = t.get(i..i + 8) {
+        let w = u64::from_le_bytes(w.try_into().expect("8 bytes"));
+        let m = marks(w, b'\n') | if comments { marks(w, b';') } else { 0 };
+        if m != 0 {
+            let k = m.trailing_zeros() / 8;
+            return (i + k as usize, seen | w & !(u64::MAX << (8 * k)));
+        }
+        (i, seen) = (i + 8, seen | w);
+    }
+    while i < t.len() && t[i] != b'\n' && !(comments && t[i] == b';') {
+        (i, seen) = (i + 1, seen | u64::from(t[i]));
+    }
+    (i, seen)
+}
+
+fn is_blank(b: u8) -> bool {
+    matches!(b, b' ' | b'\t' | b'\r')
+}
+
+/// The bytes that end a word: blanks and punctuation.
+static ENDS_WORD: [bool; 256] = {
+    let mut table = [false; 256];
+    let ends = b" \t\r,:=()[]{+";
+    let mut i = 0;
+    while i < ends.len() {
+        table[ends[i] as usize] = true;
+        i += 1;
+    }
+    table
+};
+
+/// The number a run of decimal digits spells, unless it overflows.
+fn decimal(digits: &[u8]) -> Option<u64> {
+    if digits.is_empty() {
+        return None;
+    }
+    digits.iter().try_fold(0u64, |n, d| {
+        let d = d.is_ascii_digit().then(|| u64::from(d - b'0'))?;
+        n.checked_mul(10)?.checked_add(d)
+    })
+}
+
+/// `word` as text. Content is checked to be ASCII as it is scanned, so
+/// the fallback is never taken.
+fn ascii(word: &[u8]) -> &str {
+    std::str::from_utf8(word).unwrap_or("")
+}
+
+/// The scan over the input's lines.
+struct Lines<'a> {
+    text: &'a [u8],
+    /// Start of the next line.
+    pos: usize,
+    /// Number of the line before `pos`.
+    no: usize,
+}
+
+impl<'a> Lines<'a> {
+    /// A cursor at the start of the next line that has content: what is
+    /// left of a line without its comment and surrounding blanks.
+    fn next(&mut self) -> PResult<Option<Cur<'a>>> {
+        let t = self.text;
+        while self.pos < t.len() {
+            self.no += 1;
+            let (end, seen) = scan(t, self.pos, true);
+            let s = &t[self.pos..end];
+            self.pos = 1 + if t.get(end) == Some(&b';') {
+                scan(t, end, false).0
+            } else {
+                end
+            };
+            let indent = s.iter().take_while(|&&b| is_blank(b)).count();
+            let s = &s[indent..];
+            let trail = s.iter().rev().take_while(|&&b| is_blank(b)).count();
+            let s = &s[..s.len() - trail];
+            if s.is_empty() {
+                continue;
+            }
+            if seen & HI != 0 {
+                return Err(err(self.no, "non-ASCII byte outside a comment"));
+            }
+            let (pos, line) = (0, self.no);
+            return Ok(Some(Cur { s, pos, line }));
+        }
+        Ok(None)
     }
 }
 
-/// A line without its `;` comment and surrounding whitespace.
-fn content(line: &str) -> &str {
-    line.find(';').map_or(line, |p| &line[..p]).trim()
+/// The cursor over one line's content. Past the end it reads 0, which
+/// no token contains.
+#[derive(Clone, Copy)]
+struct Cur<'a> {
+    s: &'a [u8],
+    pos: usize,
+    line: usize,
 }
 
-/// The cursor over the input: yields `(1-based line number, content)`
-/// for every line that is non-empty once its comment and surrounding
-/// whitespace are stripped. Borrows from the text; cloning it forks the
-/// position.
-#[derive(Clone)]
-struct Lines<'a> {
-    inner: std::iter::Enumerate<std::str::Lines<'a>>,
-}
+impl<'a> Cur<'a> {
+    #[inline]
+    fn peek(&self) -> u8 {
+        self.s.get(self.pos).copied().unwrap_or(0)
+    }
 
-impl<'a> Iterator for Lines<'a> {
-    type Item = (usize, &'a str);
-
-    fn next(&mut self) -> Option<(usize, &'a str)> {
-        for (i, l) in self.inner.by_ref() {
-            let l = content(l);
-            if !l.is_empty() {
-                return Some((i + 1, l));
-            }
+    /// Skip blanks; the byte after them.
+    #[inline]
+    fn blanks(&mut self) -> u8 {
+        while is_blank(self.peek()) {
+            self.pos += 1;
         }
-        None
+        self.peek()
+    }
+
+    /// Skip blanks, then `b` if it is next.
+    #[inline]
+    fn eat(&mut self, b: u8) -> bool {
+        if self.blanks() == b {
+            self.pos += 1;
+            true
+        } else {
+            false
+        }
+    }
+
+    #[cold]
+    fn err(&self, message: impl Into<String>) -> ParseError {
+        err(self.line, message)
+    }
+
+    fn expect(&mut self, b: u8) -> PResult<()> {
+        if self.eat(b) {
+            return Ok(());
+        }
+        Err(self.err(format!("expected `{}`", char::from(b))))
+    }
+
+    /// The word `w`, as in `%1 x 8` and `%1 to i64`.
+    fn keyword(&mut self, w: &str) -> PResult<()> {
+        if self.word() == w.as_bytes() {
+            return Ok(());
+        }
+        Err(self.err(format!("expected `{w}`")))
+    }
+
+    /// The next word: the bytes up to one of [`ENDS_WORD`]. May be
+    /// empty.
+    #[inline]
+    fn word(&mut self) -> &'a [u8] {
+        self.blanks();
+        let rest = &self.s[self.pos..];
+        let ends = rest.iter().position(|&b| ENDS_WORD[usize::from(b)]);
+        let word = &rest[..ends.unwrap_or(rest.len())];
+        self.pos += word.len();
+        word
+    }
+
+    /// The bytes up to `stop` (or the end of the line), as they are.
+    fn until(&mut self, stop: u8) -> &'a [u8] {
+        let rest = &self.s[self.pos..];
+        let len = rest.iter().position(|&b| b == stop).unwrap_or(rest.len());
+        self.pos += len;
+        &rest[..len]
+    }
+
+    /// A type name; `what` says whose, for the error.
+    fn ty(&mut self, what: &str) -> PResult<Type> {
+        Type::from_name(self.word()).ok_or_else(|| self.err(format!("bad {what} type")))
+    }
+
+    /// An unsigned decimal; `what` names it for the error.
+    fn uint(&mut self, what: &str) -> PResult<u64> {
+        decimal(self.word()).ok_or_else(|| self.err(format!("bad {what}")))
+    }
+
+    /// Skip blanks; whether that was the rest of the line.
+    fn at_end(&mut self) -> bool {
+        self.blanks();
+        self.pos == self.s.len()
+    }
+
+    /// Nothing but blanks may be left.
+    fn end(&mut self) -> PResult<()> {
+        if self.at_end() {
+            return Ok(());
+        }
+        Err(self.err(format!("unexpected `{}`", ascii(&self.s[self.pos..]))))
     }
 }
 
 /// Parse a module from its textual form.
 ///
 /// # Errors
-/// Returns a [`ParseError`] describing the first malformed line.
+/// Returns a [`ParseError`] for the first malformed line, or for the
+/// first use of an unknown name in a function whose lines are all well
+/// formed (see the module docs).
 pub fn parse_module(text: &str) -> PResult<Module> {
-    let mut lines = Lines {
-        inner: text.lines().enumerate(),
-    };
-    let (first_line, first) = lines.next().ok_or_else(|| err(1, "empty input"))?;
+    let (text, pos, no) = (text.as_bytes(), 0, 0);
+    let mut lines = Lines { text, pos, no };
+    let first = lines.next()?.ok_or_else(|| err(1, "empty input"))?;
     let name = first
-        .strip_prefix("module ")
-        .ok_or_else(|| err(first_line, "expected `module <name>`"))?
-        .trim();
-    let mut m = Module::new(name);
+        .s
+        .strip_prefix(b"module")
+        .filter(|rest| rest.first().is_some_and(|&b| is_blank(b)))
+        .ok_or_else(|| first.err("expected `module <name>`"))?;
+    let mut m = Module::new(ascii(name.trim_ascii_start()));
 
-    // First pass: declare every function header so calls can resolve by
-    // name. A comment cannot hide a `func @` prefix, so only header
-    // lines pay for comment stripping here.
-    let mut params = Vec::new();
-    for (i, raw) in lines.clone().inner {
-        if !raw.trim_start().starts_with("func @") {
-            continue;
+    let mut p = Parser::default();
+    let mut bad_header = p.declare_functions(&mut m, &lines);
+    let mut parsed = 0;
+    while let Some(line) = lines.next()? {
+        if !line.s.starts_with(b"func @") {
+            return Err(line.err("expected `func`"));
         }
-        let h = parse_header(i + 1, content(raw), &mut params)?;
-        let fid = m.declare_function(h.name, &params, h.ret);
-        m.function_mut(fid).purity = h.purity;
-    }
-
-    // Second pass: bodies.
-    let mut scratch = BodyScratch::default();
-    let mut fcount = 0u32;
-    while let Some((ln, l)) = lines.next() {
-        if !l.starts_with("func @") {
-            return Err(err(ln, "expected `func`"));
+        // The pre-scan declared every header up to the first malformed
+        // one; past those, this is it.
+        if parsed == m.num_functions() {
+            return Err(bad_header.take().unwrap_or_else(|| line.err("bad header")));
         }
-        parse_body(&mut m, FuncId(fcount), ln, &mut lines, &mut scratch)?;
-        fcount += 1;
+        p.parse_body(m.function_mut(FuncId(parsed as u32)), &mut lines, line.line)?;
+        parsed += 1;
     }
     Ok(m)
 }
 
 struct Header<'a> {
-    name: &'a str,
+    name: &'a [u8],
     ret: Option<Type>,
     purity: Purity,
 }
 
-/// Parse `func @name(%0: ty, ...) -> ret [pure|readonly] {`, leaving the
-/// parameter types in `params`.
-fn parse_header<'a>(line: usize, l: &'a str, params: &mut Vec<Type>) -> PResult<Header<'a>> {
-    let perr = |msg: &str| err(line, msg);
-    let rest = l.strip_prefix("func @").ok_or_else(|| perr("not a func"))?;
-    let open = rest.find('(').ok_or_else(|| perr("missing `(`"))?;
-    let close = rest.find(')').ok_or_else(|| perr("missing `)`"))?;
+/// Parse `func @name(%0: ty, ...) -> ret [pure|readonly] {` from `cur`,
+/// a line that starts with `func @`, leaving the parameter types in
+/// `params`.
+fn parse_header<'a>(mut cur: Cur<'a>, params: &mut Vec<Type>) -> PResult<Header<'a>> {
+    let rest = &cur.s[b"func @".len()..];
+    let find = |b: u8, missing: &str| {
+        let at = rest.iter().position(|&c| c == b);
+        at.ok_or_else(|| cur.err(format!("missing `{missing}`")))
+    };
+    let (open, close) = (find(b'(', "(")?, find(b')', ")")?);
     if close < open {
-        return Err(perr("`)` before `(`"));
+        return Err(cur.err("`)` before `(`"));
     }
     params.clear();
-    for p in rest[open + 1..close]
-        .split(',')
-        .filter(|s| !s.trim().is_empty())
-    {
-        let (_n, t) = p
-            .split_once(':')
-            .ok_or_else(|| perr("param missing type"))?;
-        params.push(Type::from_name(t.trim()).ok_or_else(|| perr("bad param type"))?);
+    (cur.s, cur.pos) = (&rest[..close], open + 1);
+    while !cur.at_end() {
+        if !params.is_empty() {
+            cur.expect(b',')?;
+        }
+        cur.word();
+        if !cur.eat(b':') {
+            return Err(cur.err("param missing type"));
+        }
+        params.push(cur.ty("param")?);
     }
-    let tail = rest[close + 1..].trim();
-    let tail = tail
-        .strip_prefix("->")
-        .ok_or_else(|| perr("missing return type"))?
-        .trim();
-    let tail = tail
-        .strip_suffix('{')
-        .ok_or_else(|| perr("missing `{`"))?
-        .trim();
-    let (ret_txt, purity) = if let Some(t) = tail.strip_suffix("pure") {
-        (t.trim(), Purity::Pure)
-    } else if let Some(t) = tail.strip_suffix("readonly") {
-        (t.trim(), Purity::ReadOnly)
-    } else {
-        (tail, Purity::Impure)
+    (cur.s, cur.pos) = (rest, close + 1);
+    if !(cur.eat(b'-') && cur.peek() == b'>') {
+        return Err(cur.err("missing return type"));
+    }
+    cur.pos += 1;
+    let ret = match cur.word() {
+        b"void" => None,
+        ty => Some(Type::from_name(ty).ok_or_else(|| cur.err("bad return type"))?),
     };
-    let ret = if ret_txt == "void" {
-        None
-    } else {
-        Some(Type::from_name(ret_txt).ok_or_else(|| perr("bad return type"))?)
+    let purity = match cur.word() {
+        b"" => Purity::Impure,
+        b"pure" => Purity::Pure,
+        b"readonly" => Purity::ReadOnly,
+        _ => return Err(cur.err("bad purity")),
     };
-    Ok(Header {
-        name: &rest[..open],
-        ret,
-        purity,
-    })
+    if !cur.eat(b'{') {
+        return Err(cur.err("missing `{`"));
+    }
+    cur.end()?;
+    let name = &rest[..open];
+    Ok(Header { name, ret, purity })
 }
+
+/// `n` of a canonical `%n` (no sign, no leading zeros, fits `u32`).
+fn decimal_name(name: &[u8]) -> Option<usize> {
+    let digits = name.strip_prefix(b"%")?;
+    if digits.len() > 1 && digits[0] == b'0' {
+        return None;
+    }
+    u32::try_from(decimal(digits)?).ok().map(|n| n as usize)
+}
+
+/// A `dense` slot no definition has reached.
+const UNBOUND: u32 = u32::MAX;
 
 /// The value names of the function being parsed, as borrowed keys.
 ///
@@ -171,363 +407,416 @@ fn parse_header<'a>(line: usize, l: &'a str, params: &mut Vec<Type>) -> PResult<
 /// standard hasher because its keys come from outside the program.
 #[derive(Default)]
 struct Names<'a> {
-    dense: Vec<Option<ValueId>>,
-    other: HashMap<&'a str, ValueId>,
-}
-
-/// `n` of a canonical `%n` (no sign, no leading zeros, fits `u32`).
-fn decimal_name(name: &str) -> Option<usize> {
-    let digits = name.strip_prefix('%')?.as_bytes();
-    let canonical = match digits {
-        [] => false,
-        [b'0'] => true,
-        [first, ..] => *first != b'0' && digits.len() <= 10,
-    };
-    if !canonical || !digits.iter().all(u8::is_ascii_digit) {
-        return None;
-    }
-    let n = digits
-        .iter()
-        .fold(0u64, |n, d| n * 10 + u64::from(d - b'0'));
-    u32::try_from(n).ok().map(|n| n as usize)
+    dense: Vec<u32>,
+    other: HashMap<&'a [u8], ValueId>,
+    /// Whether some name was bound twice, so that a use read before the
+    /// second binding may hold the first.
+    rebound: bool,
 }
 
 impl<'a> Names<'a> {
-    fn clear(&mut self) {
+    /// Forget everything but the parameters `%0..%params`.
+    fn reset(&mut self, params: usize) {
         self.dense.clear();
+        self.dense.extend(0..params as u32);
         self.other.clear();
+        self.rebound = false;
     }
 
     /// Bind `name` to `id`; a later binding of the same name wins.
     /// `num_values` is the arena size, the bound on dense slots.
-    fn define(&mut self, name: &'a str, id: ValueId, num_values: usize) {
-        match decimal_name(name) {
+    fn define(&mut self, name: &'a [u8], id: ValueId, num_values: usize) {
+        self.rebound |= match decimal_name(name) {
             Some(n) if n < num_values => {
                 if self.dense.len() <= n {
-                    self.dense.resize(n + 1, None);
+                    self.dense.resize(n + 1, UNBOUND);
                 }
-                self.dense[n] = Some(id);
+                std::mem::replace(&mut self.dense[n], id.0) != UNBOUND
+                    || self.other.contains_key(name)
             }
-            _ => {
-                self.other.insert(name, id);
-            }
-        }
-    }
-
-    fn resolve(&self, name: &str, line: usize) -> PResult<ValueId> {
-        let name = name.trim();
-        decimal_name(name)
-            .and_then(|n| self.dense.get(n).copied().flatten())
-            .or_else(|| self.other.get(name).copied())
-            .ok_or_else(|| err(line, format!("unknown value `{name}`")))
-    }
-}
-
-/// An instruction line whose value slot exists but whose operands are
-/// not resolved yet (forward references: phis).
-struct Pending<'a> {
-    line: usize,
-    id: ValueId,
-    text: &'a str,
-}
-
-/// Per-function parsing state, reused across the functions of a module.
-#[derive(Default)]
-struct BodyScratch<'a> {
-    names: Names<'a>,
-    pending: Vec<Pending<'a>>,
-}
-
-/// Parse one function body, from the line after its header (on line
-/// `header_line`) through the closing `}`.
-fn parse_body<'a>(
-    m: &mut Module,
-    fid: FuncId,
-    header_line: usize,
-    lines: &mut Lines<'a>,
-    scratch: &mut BodyScratch<'a>,
-) -> PResult<()> {
-    let BodyScratch { names, pending } = scratch;
-    names.clear();
-    pending.clear();
-    let f = m.function_mut(fid);
-    for i in 0..f.params.len() {
-        names.dense.push(Some(ValueId(i as u32)));
-    }
-
-    let mut blocks_seen = 0usize;
-    let mut cur_block: Option<BlockId> = None;
-
-    // Create a value slot per line until `}`, so that forward
-    // references resolve.
-    loop {
-        let Some((ln, l)) = lines.next() else {
-            return Err(err(header_line, "unterminated function"));
+            _ => self.other.insert(name, id).is_some(),
         };
-        if l == "}" {
-            break;
+    }
+
+    fn lookup(&self, name: &[u8]) -> Option<ValueId> {
+        let dense = decimal_name(name).and_then(|n| self.dense.get(n));
+        match dense {
+            Some(&id) if id != UNBOUND => Some(ValueId(id)),
+            _ => self.other.get(name).copied(),
         }
-        if let Some(label) = l.strip_suffix(':') {
-            if !label.starts_with("bb") {
-                return Err(err(ln, format!("bad block label `{label}`")));
+    }
+}
+
+/// Parsing state: the module's function names, and per-function tables
+/// that are reused across the functions of a module.
+#[derive(Default)]
+struct Parser<'a> {
+    /// Every function by name, the first of a name winning, as
+    /// [`Module::find_function`] would find it.
+    funcs: HashMap<&'a [u8], FuncId>,
+    names: Names<'a>,
+    /// The function's constants by bit pattern and type.
+    consts: HashMap<(u64, Type), ValueId>,
+    /// The function's instruction lines so far: a cursor at the
+    /// operation, the slot the line filled, and whether it named a value
+    /// no line above it defines.
+    insts: Vec<(Cur<'a>, ValueId, bool)>,
+    /// The instructions of the block being read.
+    block: Vec<ValueId>,
+    /// The function's block count once its body is complete. Until
+    /// then an unknown value name sets `deferred` instead of failing,
+    /// and block numbers are only gathered into `blocks_used`.
+    nblocks: Option<usize>,
+    deferred: bool,
+    /// One more than the largest block number referred to.
+    blocks_used: usize,
+}
+
+impl<'a> Parser<'a> {
+    /// Declare every function from the lines after `from`, so that calls
+    /// resolve by name; lines that are not headers are only skipped
+    /// over (a comment cannot hide a `func @`). Stops at a malformed
+    /// header and returns its error.
+    fn declare_functions(&mut self, m: &mut Module, from: &Lines<'a>) -> Option<ParseError> {
+        let Lines {
+            text,
+            mut pos,
+            mut no,
+        } = *from;
+        let mut params = Vec::new();
+        // The last header and its line. A value takes a line, so the
+        // lines up to the next header bound a function's arena; a fifth
+        // on top leaves the prefetch pass room to insert into a freshly
+        // parsed function without moving it first.
+        let mut last: Option<(FuncId, usize)> = None;
+        let reserve = |m: &mut Module, last: Option<(FuncId, usize)>, no: usize| {
+            if let Some((fid, header)) = last {
+                m.function_mut(fid).reserve_values((no - header) * 6 / 5);
             }
-            cur_block = Some(if blocks_seen == 0 {
-                f.entry()
-            } else {
-                f.add_block(label)
-            });
-            blocks_seen += 1;
-            continue;
-        }
-        let assignment = l.split_once('=');
-        // `%n = const 42: i64` lines.
-        if let Some((lhs, rhs)) = assignment {
-            if let Some(cexpr) = rhs.trim().strip_prefix("const ") {
-                let (v, t) = cexpr
-                    .split_once(':')
-                    .ok_or_else(|| err(ln, "const missing type"))?;
-                let ty = Type::from_name(t.trim()).ok_or_else(|| err(ln, "bad const type"))?;
-                let c = if ty == Type::F64 {
-                    Constant::Float(
-                        v.trim()
-                            .parse()
-                            .map_err(|_| err(ln, "bad float constant"))?,
-                    )
-                } else {
-                    Constant::Int(
-                        v.trim().parse().map_err(|_| err(ln, "bad int constant"))?,
-                        ty,
-                    )
+        };
+        while pos < text.len() {
+            let newline = scan(text, pos, false).0;
+            let line = &text[pos..newline];
+            let indent = line.iter().take_while(|&&b| is_blank(b)).count();
+            if line[indent..].starts_with(b"func @") {
+                let header = Lines { text, pos, no }.next().and_then(|cur| {
+                    let cur = cur.ok_or_else(|| err(no + 1, "expected `func`"))?;
+                    parse_header(cur, &mut params)
+                });
+                let h = match header {
+                    Ok(h) => h,
+                    Err(e) => return Some(e),
                 };
-                let id = f.add_const(c);
-                let name = lhs.split_once(':').map_or(lhs, |(name, _)| name).trim();
-                names.define(name, id, f.num_values());
+                reserve(m, last, no);
+                let fid = m.declare_function(ascii(h.name), &params, h.ret);
+                m.function_mut(fid).purity = h.purity;
+                self.funcs.entry(h.name).or_insert(fid);
+                last = Some((fid, no + 1));
+            }
+            (pos, no) = (newline + 1, no + 1);
+        }
+        reserve(m, last, no);
+        None
+    }
+
+    /// Parse one function body into `f`, from the line after its header
+    /// (on line `header_line`) through the closing `}`.
+    fn parse_body(
+        &mut self,
+        f: &mut Function,
+        lines: &mut Lines<'a>,
+        header_line: usize,
+    ) -> PResult<()> {
+        self.names.reset(f.params.len());
+        self.consts.clear();
+        self.insts.clear();
+        self.block.clear();
+        (self.nblocks, self.blocks_used) = (None, 0);
+        let mut cur_block: Option<BlockId> = None;
+        loop {
+            let Some(mut cur) = lines.next()? else {
+                return Err(err(header_line, "unterminated function"));
+            };
+            let s = cur.s;
+            if s == b"}" {
+                break;
+            }
+            if let Some(label) = s.strip_suffix(b":") {
+                if !label.starts_with(b"bb") {
+                    return Err(cur.err(format!("bad block label `{}`", ascii(label))));
+                }
+                // Labels number the blocks in order, whatever they say.
+                cur_block = Some(match cur_block {
+                    None => f.entry(),
+                    Some(b) => {
+                        f.block_mut(b).insts = self.block.to_vec();
+                        self.block.clear();
+                        f.add_unnamed_block()
+                    }
+                });
                 continue;
             }
-        }
-        let block = cur_block.ok_or_else(|| err(ln, "instruction before first block label"))?;
-        // `%n: ty = <inst>` or bare `<inst>`.
-        let (result, text) = match assignment {
-            Some((lhs, rhs)) if lhs.trim_start().starts_with('%') => {
-                let (nm, ty) = lhs
-                    .split_once(':')
-                    .ok_or_else(|| err(ln, "result missing type annotation"))?;
-                let ty = Type::from_name(ty.trim()).ok_or_else(|| err(ln, "bad result type"))?;
-                (Some((nm.trim(), ty)), rhs.trim())
+            // `name[: ty] =` first, when the line defines a value.
+            let (mut op, mut result) = (cur.word(), None);
+            let mut from_op = Cur { pos: 0, ..cur };
+            if matches!(cur.blanks(), b':' | b'=') {
+                if op.is_empty() {
+                    return Err(cur.err("expected a name"));
+                }
+                let ty = if cur.eat(b':') {
+                    Some(cur.ty("result")?)
+                } else {
+                    None
+                };
+                cur.expect(b'=')?;
+                result = Some((op, ty));
+                from_op = cur;
+                op = cur.word();
             }
-            _ => (None, l),
-        };
-        // The kind is a placeholder, patched once every name is known.
-        let id = f.create_inst(InstKind::Ret { value: None }, result.map(|(_, t)| t), block);
-        f.push_inst(id);
-        if let Some((nm, _)) = result {
-            names.define(nm, id, f.num_values());
-        }
-        pending.push(Pending { line: ln, id, text });
-    }
-
-    // Resolve operands and patch instruction kinds.
-    let nblocks = f.num_blocks();
-    for p in pending.iter() {
-        let kind = parse_inst_text(m, p.text, p.line, names, nblocks)?;
-        m.function_mut(fid)
-            .inst_mut(p.id)
-            .expect("pending ids are the instruction slots created above")
-            .kind = kind;
-    }
-    Ok(())
-}
-
-/// Resolve a `bb<n>` reference against a function of `nblocks` blocks.
-fn lookup_block(s: &str, line: usize, nblocks: usize) -> PResult<BlockId> {
-    let n: u32 = s
-        .strip_prefix("bb")
-        .and_then(|t| t.parse().ok())
-        .ok_or_else(|| err(line, format!("bad block ref `{s}`")))?;
-    if (n as usize) < nblocks {
-        Ok(BlockId(n))
-    } else {
-        Err(err(line, format!("unknown block `{s}`")))
-    }
-}
-
-/// Exactly three comma-separated parts, or `None`.
-fn three_parts(s: &str) -> Option<[&str; 3]> {
-    let mut parts = s.split(',');
-    let three = [parts.next()?, parts.next()?, parts.next()?];
-    parts.next().is_none().then_some(three)
-}
-
-fn parse_inst_text(
-    m: &Module,
-    text: &str,
-    line: usize,
-    names: &Names<'_>,
-    nblocks: usize,
-) -> PResult<InstKind> {
-    let perr = |msg: String| err(line, msg);
-    let resolve = |s: &str| names.resolve(s, line);
-    let (op, rest) = match text.split_once(' ') {
-        Some((a, b)) => (a, b.trim()),
-        None => (text, ""),
-    };
-    let two_ops = |rest: &str| -> PResult<(ValueId, ValueId)> {
-        let (a, b) = rest
-            .split_once(',')
-            .ok_or_else(|| perr(format!("expected two operands in `{text}`")))?;
-        Ok((resolve(a)?, resolve(b)?))
-    };
-
-    if let Some(binop) = BinOp::from_mnemonic(op) {
-        let (a, b) = two_ops(rest)?;
-        return Ok(InstKind::Binary {
-            op: binop,
-            lhs: a,
-            rhs: b,
-        });
-    }
-    if let Some(castop) = CastOp::from_mnemonic(op) {
-        let (v, t) = rest
-            .split_once(" to ")
-            .ok_or_else(|| perr("cast missing `to`".into()))?;
-        return Ok(InstKind::Cast {
-            op: castop,
-            val: resolve(v)?,
-            to: Type::from_name(t.trim()).ok_or_else(|| perr("bad cast type".into()))?,
-        });
-    }
-    match op {
-        "icmp" => {
-            let (pred, ops) = rest
-                .split_once(' ')
-                .ok_or_else(|| perr("icmp missing predicate".into()))?;
-            let pred = Pred::from_mnemonic(pred).ok_or_else(|| perr("bad predicate".into()))?;
-            let (a, b) = two_ops(ops)?;
-            Ok(InstKind::ICmp {
-                pred,
-                lhs: a,
-                rhs: b,
-            })
-        }
-        "select" => {
-            let [c, t, e] =
-                three_parts(rest).ok_or_else(|| perr("select needs three operands".into()))?;
-            Ok(InstKind::Select {
-                cond: resolve(c)?,
-                then_val: resolve(t)?,
-                else_val: resolve(e)?,
-            })
-        }
-        "alloc" => {
-            let (c, sz) = rest
-                .split_once(" x ")
-                .ok_or_else(|| perr("alloc missing `x`".into()))?;
-            Ok(InstKind::Alloc {
-                count: resolve(c)?,
-                elem_size: sz
-                    .trim()
-                    .parse()
-                    .map_err(|_| perr("bad elem size".into()))?,
-            })
-        }
-        "gep" => {
-            let (base, rest2) = rest
-                .split_once(',')
-                .ok_or_else(|| perr("gep missing index".into()))?;
-            let (idx_part, off) = match rest2.split_once('+') {
-                Some((a, o)) => (
-                    a,
-                    o.trim()
-                        .parse::<u64>()
-                        .map_err(|_| perr("bad gep offset".into()))?,
-                ),
-                None => (rest2, 0),
+            if let (b"const", Some((name, _))) = (op, result) {
+                cur.blanks();
+                let value = ascii(cur.until(b':').trim_ascii_end());
+                if !cur.eat(b':') {
+                    return Err(cur.err("const missing type"));
+                }
+                let ty = cur.ty("const")?;
+                cur.end()?;
+                let (c, bits) = if ty == Type::F64 {
+                    let v: f64 = value.parse().map_err(|_| cur.err("bad float constant"))?;
+                    (Constant::Float(v), v.to_bits())
+                } else {
+                    let v: i64 = value.parse().map_err(|_| cur.err("bad int constant"))?;
+                    (Constant::Int(v, ty), v as u64)
+                };
+                let id = *self
+                    .consts
+                    .entry((bits, ty))
+                    .or_insert_with(|| f.push_const(c));
+                self.names.define(name, id, f.num_values());
+                continue;
+            }
+            let b = cur_block.ok_or_else(|| cur.err("instruction before first block label"))?;
+            let ty = match result {
+                Some((name, _)) if name[0] != b'%' => {
+                    return Err(cur.err(format!("unknown instruction `{}`", ascii(name))))
+                }
+                Some((_, None)) => return Err(cur.err("result missing type annotation")),
+                Some((_, ty)) => ty,
+                None => None,
             };
-            let (i, sz) = idx_part
-                .split_once(" x ")
-                .ok_or_else(|| perr("gep missing `x`".into()))?;
-            Ok(InstKind::Gep {
-                base: resolve(base)?,
-                index: resolve(i)?,
-                elem_size: sz
-                    .trim()
-                    .parse()
-                    .map_err(|_| perr("bad elem size".into()))?,
-                offset: off,
-            })
-        }
-        "load" => {
-            let (t, a) = rest
-                .split_once(',')
-                .ok_or_else(|| perr("load missing address".into()))?;
-            Ok(InstKind::Load {
-                ty: Type::from_name(t.trim()).ok_or_else(|| perr("bad load type".into()))?,
-                addr: resolve(a)?,
-            })
-        }
-        "store" => {
-            let (v, a) = two_ops(rest)?;
-            Ok(InstKind::Store { addr: a, value: v })
-        }
-        "prefetch" => Ok(InstKind::Prefetch {
-            addr: resolve(rest)?,
-        }),
-        "phi" => {
-            let mut incomings = Vec::with_capacity(rest.matches("],").count() + 1);
-            for part in rest.split("],") {
-                let part = part.trim().trim_start_matches('[').trim_end_matches(']');
-                let (b, v) = part
-                    .split_once(':')
-                    .ok_or_else(|| perr("phi incoming missing `:`".into()))?;
-                incomings.push((lookup_block(b.trim(), line, nblocks)?, resolve(v)?));
-            }
-            Ok(InstKind::Phi { incomings })
-        }
-        "call" => {
-            let rest = rest
-                .strip_prefix('@')
-                .ok_or_else(|| perr("call missing `@`".into()))?;
-            let (fname, args_text) = rest
-                .split_once('(')
-                .ok_or_else(|| perr("call missing `(`".into()))?;
-            let args_text = args_text
-                .strip_suffix(')')
-                .ok_or_else(|| perr("call missing `)`".into()))?;
-            let callee = m
-                .find_function(fname)
-                .ok_or_else(|| perr(format!("unknown function `{fname}`")))?;
-            let mut args = Vec::new();
-            for a in args_text.split(',').filter(|s| !s.trim().is_empty()) {
-                args.push(resolve(a)?);
-            }
-            Ok(InstKind::Call { callee, args })
-        }
-        "br" => {
-            if rest.contains(',') {
-                let [c, t, e] = three_parts(rest)
-                    .ok_or_else(|| perr("conditional br needs cond and two targets".into()))?;
-                Ok(InstKind::CondBr {
-                    cond: resolve(c)?,
-                    then_bb: lookup_block(t.trim(), line, nblocks)?,
-                    else_bb: lookup_block(e.trim(), line, nblocks)?,
-                })
-            } else {
-                Ok(InstKind::Br {
-                    target: lookup_block(rest.trim(), line, nblocks)?,
-                })
+            let id = f.create_inst(InstKind::Ret { value: None }, ty, b);
+            self.deferred = false;
+            self.inst(op, &mut cur, slot(f, id))?;
+            self.block.push(id);
+            self.insts.push((from_op, id, self.deferred));
+            if let Some((name, _)) = result {
+                self.names.define(name, id, f.num_values());
             }
         }
-        "ret" => {
-            if rest.is_empty() {
-                Ok(InstKind::Ret { value: None })
-            } else {
-                Ok(InstKind::Ret {
-                    value: Some(resolve(rest)?),
-                })
+        if let Some(b) = cur_block {
+            f.block_mut(b).insts = self.block.to_vec();
+        }
+
+        // The body is complete: read again, against every name and the
+        // block count, the lines that were ahead of a definition — every
+        // line if a name was bound twice or a block is missing, so that
+        // the first line in text order reports it.
+        let nblocks = f.num_blocks();
+        self.nblocks = Some(nblocks);
+        let all = self.names.rebound || self.blocks_used > nblocks;
+        for i in 0..self.insts.len() {
+            let (mut cur, id, deferred) = self.insts[i];
+            if deferred || all {
+                let op = cur.word();
+                self.inst(op, &mut cur, slot(f, id))?;
             }
         }
-        other => Err(perr(format!("unknown instruction `{other}`"))),
+        Ok(())
     }
+
+    fn value(&mut self, cur: &mut Cur<'_>) -> PResult<ValueId> {
+        let name = cur.word();
+        match self.names.lookup(name) {
+            Some(v) => Ok(v),
+            None if name.is_empty() => Err(cur.err("expected a value")),
+            None if self.nblocks.is_none() => {
+                self.deferred = true;
+                Ok(ValueId(0))
+            }
+            None => Err(cur.err(format!("unknown value `{}`", ascii(name)))),
+        }
+    }
+
+    /// `a, b`.
+    fn pair(&mut self, cur: &mut Cur<'_>) -> PResult<(ValueId, ValueId)> {
+        let a = self.value(cur)?;
+        cur.expect(b',')?;
+        Ok((a, self.value(cur)?))
+    }
+
+    fn block(&mut self, cur: &mut Cur<'_>) -> PResult<BlockId> {
+        let word = cur.word();
+        let n = word.strip_prefix(b"bb").and_then(decimal);
+        let n = n
+            .and_then(|n| u32::try_from(n).ok())
+            .ok_or_else(|| cur.err(format!("bad block ref `{}`", ascii(word))))?;
+        match self.nblocks {
+            Some(nblocks) if n as usize >= nblocks => {
+                return Err(cur.err(format!("unknown block `bb{n}`")))
+            }
+            Some(_) => {}
+            None => self.blocks_used = self.blocks_used.max(n as usize + 1),
+        }
+        Ok(BlockId(n))
+    }
+
+    /// Read the instruction whose mnemonic `op` was just read, through
+    /// the end of its line, into its slot `out` — built there, because a
+    /// kind returned by value is copied twice on its way into the arena,
+    /// and so that a phi read again refills its list.
+    fn inst(&mut self, op: &[u8], cur: &mut Cur<'_>, out: &mut InstKind) -> PResult<()> {
+        *out = match op {
+            b"gep" => {
+                let (base, index) = self.pair(cur)?;
+                cur.keyword("x")?;
+                let elem_size = cur.uint("elem size")?;
+                let offset = if cur.eat(b'+') {
+                    cur.uint("gep offset")?
+                } else {
+                    0
+                };
+                InstKind::Gep {
+                    base,
+                    index,
+                    elem_size,
+                    offset,
+                }
+            }
+            b"load" => {
+                let ty = cur.ty("load")?;
+                cur.expect(b',')?;
+                let addr = self.value(cur)?;
+                InstKind::Load { ty, addr }
+            }
+            b"store" => {
+                let (value, addr) = self.pair(cur)?;
+                InstKind::Store { addr, value }
+            }
+            b"prefetch" => {
+                let addr = self.value(cur)?;
+                InstKind::Prefetch { addr }
+            }
+            b"icmp" => {
+                let pred = Pred::from_mnemonic(cur.word());
+                let pred = pred.ok_or_else(|| cur.err("bad predicate"))?;
+                let (lhs, rhs) = self.pair(cur)?;
+                InstKind::ICmp { pred, lhs, rhs }
+            }
+            b"select" => {
+                let (cond, then_val) = self.pair(cur)?;
+                cur.expect(b',')?;
+                let else_val = self.value(cur)?;
+                InstKind::Select {
+                    cond,
+                    then_val,
+                    else_val,
+                }
+            }
+            b"alloc" => {
+                let count = self.value(cur)?;
+                cur.keyword("x")?;
+                let elem_size = cur.uint("elem size")?;
+                InstKind::Alloc { count, elem_size }
+            }
+            b"phi" => {
+                // A line read again refills the list it made the first time.
+                let mut incomings = match std::mem::replace(out, InstKind::Ret { value: None }) {
+                    InstKind::Phi { mut incomings } => {
+                        incomings.clear();
+                        incomings
+                    }
+                    _ => {
+                        let rest = &cur.s[cur.pos..];
+                        Vec::with_capacity(rest.iter().filter(|&&b| b == b'[').count())
+                    }
+                };
+                loop {
+                    cur.expect(b'[')?;
+                    let b = self.block(cur)?;
+                    cur.expect(b':')?;
+                    incomings.push((b, self.value(cur)?));
+                    cur.expect(b']')?;
+                    if !cur.eat(b',') {
+                        break;
+                    }
+                }
+                InstKind::Phi { incomings }
+            }
+            b"call" => {
+                cur.expect(b'@')?;
+                let name = cur.until(b'(');
+                let callee = self.funcs.get(name).copied();
+                let callee =
+                    callee.ok_or_else(|| cur.err(format!("unknown function `{}`", ascii(name))))?;
+                cur.expect(b'(')?;
+                let mut args = Vec::new();
+                while !cur.eat(b')') {
+                    if !args.is_empty() {
+                        cur.expect(b',')?;
+                    }
+                    args.push(self.value(cur)?);
+                }
+                InstKind::Call { callee, args }
+            }
+            b"br" => {
+                // `br %c, bb1, bb2` or `br bb1`: a comma tells.
+                let mut ahead = *cur;
+                ahead.word();
+                if ahead.blanks() == b',' {
+                    let cond = self.value(cur)?;
+                    cur.expect(b',')?;
+                    let then_bb = self.block(cur)?;
+                    cur.expect(b',')?;
+                    let else_bb = self.block(cur)?;
+                    InstKind::CondBr {
+                        cond,
+                        then_bb,
+                        else_bb,
+                    }
+                } else {
+                    let target = self.block(cur)?;
+                    InstKind::Br { target }
+                }
+            }
+            b"ret" => {
+                let value = if cur.at_end() {
+                    None
+                } else {
+                    Some(self.value(cur)?)
+                };
+                InstKind::Ret { value }
+            }
+            _ => {
+                if let Some(op) = BinOp::from_mnemonic(op) {
+                    let (lhs, rhs) = self.pair(cur)?;
+                    InstKind::Binary { op, lhs, rhs }
+                } else if let Some(op) = CastOp::from_mnemonic(op) {
+                    let val = self.value(cur)?;
+                    cur.keyword("to")?;
+                    let to = cur.ty("cast")?;
+                    InstKind::Cast { op, val, to }
+                } else {
+                    return Err(cur.err(format!("unknown instruction `{}`", ascii(op))));
+                }
+            }
+        };
+        cur.end()
+    }
+}
+
+/// The kind of the instruction `id`, which a line of this body made.
+fn slot(f: &mut Function, id: ValueId) -> &mut InstKind {
+    &mut f.inst_mut(id).expect("an instruction's slot").kind
 }
 
 #[cfg(test)]
@@ -535,6 +824,9 @@ mod tests {
     use super::*;
     use crate::printer::print_module;
     use crate::verifier::verify_module;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use std::time::Instant;
 
     const LOOP: &str = r"module t
 
@@ -625,9 +917,9 @@ bb3:
 
     #[test]
     fn decimal_names_are_canonical_or_symbolic() {
-        assert_eq!(decimal_name("%0"), Some(0));
-        assert_eq!(decimal_name("%42"), Some(42));
-        assert_eq!(decimal_name("%4294967295"), Some(u32::MAX as usize));
+        assert_eq!(decimal_name(b"%0"), Some(0));
+        assert_eq!(decimal_name(b"%42"), Some(42));
+        assert_eq!(decimal_name(b"%4294967295"), Some(u32::MAX as usize));
         for symbolic in [
             "%",
             "%05",
@@ -639,7 +931,7 @@ bb3:
             "5",
             "%s",
         ] {
-            assert_eq!(decimal_name(symbolic), None, "{symbolic}");
+            assert_eq!(decimal_name(symbolic.as_bytes()), None, "{symbolic}");
         }
     }
 
@@ -667,5 +959,157 @@ bb3:
         let p1 = print_module(&m);
         let m2 = parse_module(&p1).unwrap();
         assert_eq!(p1, print_module(&m2));
+    }
+
+    #[test]
+    fn text_cut_at_any_byte_is_ok_or_an_error_within_it() {
+        let text = print_module(&parse_module(LOOP).expect("parse"));
+        for cut in 0..=text.len() {
+            let lines = text[..cut].lines().count().max(1);
+            if let Err(e) = parse_module(&text[..cut]) {
+                assert!((1..=lines).contains(&e.line), "cut {cut}: {e}");
+            }
+        }
+    }
+
+    #[test]
+    fn blanks_line_ends_and_comments_do_not_change_the_module() {
+        let canonical = print_module(&parse_module(LOOP).expect("parse"));
+        let commented = canonical
+            .replace(
+                "module t\n",
+                "; leading comment\nmodule t ; the name ends here\n",
+            )
+            .replace(
+                "  br bb1\n",
+                "  br bb1 ; after an instruction\n; in column 0\n",
+            )
+            .replace("}\n", "} ; after the brace\n");
+        let variants = [
+            canonical.replace('\n', "\r\n"),
+            canonical.replace("  ", "\t"),
+            canonical.replace("  ", " \t ").replace(", ", " ,\t"),
+            commented.clone(),
+            commented.replace("in column 0", "in column 0: caf\u{e9} \u{2192} \u{1f980}"),
+        ];
+        for text in &variants {
+            let m = parse_module(text).unwrap_or_else(|e| panic!("{e}\n{text}"));
+            assert_eq!(print_module(&m), canonical, "{text}");
+        }
+        // Outside a comment a non-ASCII byte is an error on its line.
+        for (needle, line) in [("module t", 1), ("%6: i64", 9), ("ret", 22)] {
+            let text = canonical.replacen(needle, &format!("{needle}\u{e9}"), 1);
+            let e = parse_module(&text).unwrap_err();
+            assert_eq!(
+                (e.line, e.message.as_str()),
+                (line, "non-ASCII byte outside a comment")
+            );
+        }
+    }
+
+    #[test]
+    fn forward_references_resolve_once_the_body_is_complete() {
+        // A block branched to before its label, a value used in a block
+        // printed ahead of the one that defines it, a phi of itself.
+        let src = "module t\n\nfunc @f(%0: i64) -> i64 {\nbb0:\n  br bb2\nbb1:\n  \
+                   %s: i64 = add %m, %0\n  %p: i64 = phi [bb2: %s], [bb1: %p]\n  \
+                   %c: i1 = icmp slt %p, %0\n  br %c, bb1, bb3\nbb2:\n  \
+                   %m: i64 = mul %0, %0\n  br bb1\nbb3:\n  ret %m\n}\n";
+        let m = parse_module(src).expect("parses");
+        let text = print_module(&m);
+        assert!(text.contains("%2: i64 = add %6, %0"), "{text}");
+        assert!(
+            text.contains("%3: i64 = phi [bb2: %2], [bb1: %3]"),
+            "{text}"
+        );
+        assert_eq!(print_module(&parse_module(&text).expect("reparses")), text);
+
+        // An unknown name is reported where it is used, and a malformed
+        // line below it is reported first.
+        let unknown = src.replace("[bb2: %s]", "[bb2: %nope]");
+        let e = parse_module(&unknown).unwrap_err();
+        assert_eq!((e.line, e.message.as_str()), (8, "unknown value `%nope`"));
+        let e = parse_module(&unknown.replace("ret %m", "ret %m, %m")).unwrap_err();
+        assert_eq!(e.line, 15, "{e}");
+        let e = parse_module(&src.replace("br %c, bb1, bb3", "br %c, bb1, bb4")).unwrap_err();
+        assert_eq!((e.line, e.message.as_str()), (10, "unknown block `bb4`"));
+        let e = parse_module(&src.replace("[bb1: %p]", "[bb9: %p]")).unwrap_err();
+        assert_eq!((e.line, e.message.as_str()), (8, "unknown block `bb9`"));
+    }
+
+    #[test]
+    fn the_last_binding_of_a_name_wins_for_every_use() {
+        let mut rng = StdRng::seed_from_u64(0x5eed_b14d);
+        for _ in 0..50 {
+            // Lines `first` and `second` bind %x; every other line uses it.
+            let n = rng.random_range(2..12usize);
+            let first = rng.random_range(0..n - 1);
+            let second = rng.random_range(first + 1..n);
+            let mut src = String::from("module t\n\nfunc @f(%0: i64) -> i64 {\nbb0:\n");
+            for k in 0..n {
+                if k == first || k == second {
+                    src.push_str("  %x: i64 = add %0, %0\n");
+                } else {
+                    src.push_str(&format!("  %t{k}: i64 = mul %x, %0\n"));
+                }
+            }
+            src.push_str("  ret %x\n}\n");
+            let m = parse_module(&src).unwrap_or_else(|e| panic!("{e}\n{src}"));
+            let f = m.function(FuncId(0));
+            // One parameter, then a value per line.
+            let winner = ValueId(1 + second as u32);
+            for k in (0..n).filter(|&k| k != first && k != second) {
+                let inst = f.inst(ValueId(1 + k as u32)).expect("an instruction");
+                assert!(
+                    matches!(inst.kind, InstKind::Binary { lhs, .. } if lhs == winner),
+                    "line {k} of\n{src}"
+                );
+            }
+        }
+    }
+
+    /// Best-of-three seconds to parse `text`.
+    fn parse_seconds(text: &str) -> f64 {
+        (0..3)
+            .map(|_| {
+                let start = Instant::now();
+                parse_module(text).expect("parses");
+                start.elapsed().as_secs_f64()
+            })
+            .fold(f64::MAX, f64::min)
+    }
+
+    #[test]
+    fn many_constants_and_many_callers_parse_in_linear_time() {
+        // Sizes at which an arena scan per constant, or a scan of the
+        // function list per call, takes seconds in a debug build; four
+        // times the input may cost four times as much, not sixteen.
+        let constants = |n: usize| {
+            let mut s = String::from("module t\n\nfunc @f() -> void {\n");
+            for k in 0..n {
+                s.push_str(&format!("  %{k} = const {k}: i64\n"));
+            }
+            s + "bb0:\n  ret\n}\n"
+        };
+        let callers = |n: usize| {
+            let mut s = String::from("module t\n");
+            for k in 0..n {
+                s.push_str(&format!(
+                    "\nfunc @f{k}() -> void {{\nbb0:\n  call @f{}()\n  ret\n}}\n",
+                    n - 1
+                ));
+            }
+            s
+        };
+        for (shape, small, large) in [
+            ("constants", constants(15_000), constants(60_000)),
+            ("callers", callers(5_000), callers(20_000)),
+        ] {
+            let (t1, t4) = (parse_seconds(&small), parse_seconds(&large));
+            assert!(
+                t4 < 8.0 * t1,
+                "{shape}: {t1:.4} s, then {t4:.4} s for 4x the input"
+            );
+        }
     }
 }

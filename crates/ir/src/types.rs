@@ -78,17 +78,17 @@ impl Type {
         }
     }
 
-    /// Parse a type name as produced by [`fmt::Display`].
+    /// Parse a type name as produced by [`fmt::Display`], from text or bytes.
     #[must_use]
-    pub fn from_name(s: &str) -> Option<Type> {
-        Some(match s {
-            "i1" => Type::I1,
-            "i8" => Type::I8,
-            "i16" => Type::I16,
-            "i32" => Type::I32,
-            "i64" => Type::I64,
-            "f64" => Type::F64,
-            "ptr" => Type::Ptr,
+    pub fn from_name(s: impl AsRef<[u8]>) -> Option<Type> {
+        Some(match s.as_ref() {
+            b"i1" => Type::I1,
+            b"i8" => Type::I8,
+            b"i16" => Type::I16,
+            b"i32" => Type::I32,
+            b"i64" => Type::I64,
+            b"f64" => Type::F64,
+            b"ptr" => Type::Ptr,
             _ => return None,
         })
     }
@@ -125,7 +125,7 @@ mod tests {
             Type::F64,
             Type::Ptr,
         ] {
-            assert_eq!(Type::from_name(&t.to_string()), Some(t));
+            assert_eq!(Type::from_name(t.to_string()), Some(t));
         }
         assert_eq!(Type::from_name("i128"), None);
     }

@@ -132,6 +132,7 @@ fn verify_function_into(
     scratch: &mut Scratch,
     errs: &mut Vec<VerifyError>,
 ) {
+    swpf_obs::count("ir.verify.functions", 1);
     let f = m.function(fid);
     let errs_before = errs.len();
     macro_rules! fail {

@@ -244,7 +244,9 @@ impl FunctionPass for Dce {
 
 /// A module pass that checks IR invariants and changes nothing — the
 /// explicit form of the verify-between-passes mode, placeable anywhere
-/// in a pipeline spec (`"swpf,verify,cse"`).
+/// in a pipeline spec (`"swpf,verify,cse"`). It asks
+/// [`AnalysisManager::verify`], so a module that verified and that no
+/// pass has changed since is not walked again.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct VerifyPass;
 
@@ -253,16 +255,14 @@ impl ModulePass for VerifyPass {
         "verify"
     }
 
-    fn run(&mut self, m: &mut Module, _am: &mut AnalysisManager) -> Result<PassEffect, String> {
-        let errs = swpf_ir::verifier::verify_module_all(m);
-        if errs.is_empty() {
-            Ok(PassEffect::unchanged())
-        } else {
-            Err(errs
+    fn run(&mut self, m: &mut Module, am: &mut AnalysisManager) -> Result<PassEffect, String> {
+        match am.verify(m) {
+            Ok(()) => Ok(PassEffect::unchanged()),
+            Err(errs) => Err(errs
                 .iter()
                 .map(std::string::ToString::to_string)
                 .collect::<Vec<_>>()
-                .join("; "))
+                .join("; ")),
         }
     }
 }
@@ -385,10 +385,11 @@ mod tests {
         .unwrap();
         let mut am = AnalysisManager::new();
         assert!(VerifyPass.run(&mut m, &mut am).is_ok());
-        // Break it: drop the terminator.
+        // Break it: drop the terminator, as a pass that says so would.
         let fid = m.find_function("f").unwrap();
         let entry = m.function(fid).entry();
         m.function_mut(fid).block_mut(entry).insts.pop();
+        am.invalidate(fid);
         assert!(VerifyPass.run(&mut m, &mut am).is_err());
     }
 }

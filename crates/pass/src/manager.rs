@@ -2,6 +2,7 @@
 
 use std::sync::Arc;
 use swpf_analysis::{DomTree, FuncAnalysis, IvAnalysis, LoopForest, RootsAnalysis, Scratch};
+use swpf_ir::verifier::{verify_module_all, VerifyError};
 use swpf_ir::{FuncId, Function, Module};
 
 /// What one pass execution did, as declared by the pass itself.
@@ -117,6 +118,10 @@ struct FuncEntry {
 /// cache cheaply (`Arc` clones) so pipelines over clones of one pristine
 /// module can share its pre-mutation analyses without any of their
 /// invalidations leaking back.
+///
+/// "The module verifies" is cached the same way
+/// ([`AnalysisManager::verify`]): one fact for the whole module, which
+/// every invalidation clears.
 #[derive(Debug, Default)]
 pub struct AnalysisManager {
     /// Indexed by `FuncId`; `None` until a function's analyses are
@@ -124,6 +129,8 @@ pub struct AnalysisManager {
     entries: Vec<Option<FuncEntry>>,
     /// Working storage every computation runs in.
     scratch: Scratch,
+    /// Whether the module has verified and nothing was invalidated since.
+    verified: bool,
     computed: usize,
     hits: usize,
     preserved: usize,
@@ -143,6 +150,7 @@ impl AnalysisManager {
         AnalysisManager {
             entries: self.entries.clone(),
             scratch: Scratch::default(),
+            verified: false,
             computed: 0,
             hits: 0,
             preserved: 0,
@@ -168,8 +176,29 @@ impl AnalysisManager {
         self.preserved
     }
 
+    /// Check `m`'s invariants, unless they were checked and nothing has
+    /// been invalidated since: a pass that changed nothing, or the
+    /// driver's check of an output no pass touched, costs nothing.
+    ///
+    /// The fact rests on passes declaring their mutations truthfully;
+    /// [`PassManager::verify_between`] does not consult it.
+    ///
+    /// # Errors
+    /// Every violation found.
+    pub fn verify(&mut self, m: &Module) -> Result<(), Vec<VerifyError>> {
+        if !self.verified {
+            let errs = verify_module_all(m);
+            if !errs.is_empty() {
+                return Err(errs);
+            }
+            self.verified = true;
+        }
+        Ok(())
+    }
+
     /// Drop every cached analysis of `fid`.
     pub fn invalidate(&mut self, fid: FuncId) {
+        self.verified = false;
         if self
             .entries
             .get_mut(fid.index())
@@ -185,6 +214,7 @@ impl AnalysisManager {
     /// stay cached; the value-level analyses (induction variables,
     /// object roots) reference instruction placement and are dropped.
     pub fn invalidate_preserving_cfg(&mut self, fid: FuncId) {
+        self.verified = false;
         if let Some(Some(entry)) = self.entries.get_mut(fid.index()) {
             entry.ivs = None;
             entry.roots = None;
@@ -199,6 +229,7 @@ impl AnalysisManager {
 
     /// Drop the whole cache (after a module-level mutation).
     pub fn invalidate_all(&mut self) {
+        self.verified = false;
         let cached = self.entries.iter().flatten().count();
         if cached > 0 {
             swpf_obs::count("analysis.invalidated", cached as u64);
@@ -209,6 +240,7 @@ impl AnalysisManager {
     /// [`AnalysisManager::invalidate_preserving_cfg`] over every cached
     /// function (after a CFG-preserving module-level mutation).
     pub fn invalidate_all_preserving_cfg(&mut self) {
+        self.verified = false;
         for fid in 0..self.entries.len() {
             self.invalidate_preserving_cfg(FuncId(fid as u32));
         }
@@ -451,7 +483,10 @@ impl<'p> PassManager<'p> {
                 }
             };
             if self.verify_between {
-                let errs = swpf_ir::verifier::verify_module_all(m);
+                // Unconditionally: this mode exists to catch a pass that
+                // mutates and declares `unchanged`, which the cached fact
+                // of `AnalysisManager::verify` would believe.
+                let errs = verify_module_all(m);
                 if !errs.is_empty() {
                     use std::fmt::Write as _;
                     let mut message = format!(

@@ -20,7 +20,9 @@
 
 use std::fmt::Write as _;
 use std::io::{Read as _, Write as _};
-use swpf::pass::{icc_like, run_on_module, PassConfig, PassName, PASS_NAMES};
+use swpf::ir::Module;
+use swpf::pass::{icc_like, run_pipeline, PassConfig, PassName, PASS_NAMES};
+use swpf::pass_manager::AnalysisManager;
 
 /// One-line description of each pipeline pass for `--list`.
 fn pass_blurb(p: PassName) -> &'static str {
@@ -102,16 +104,20 @@ fn main() {
 
     let mut module =
         swpf::ir::parser::parse_module(&text).unwrap_or_else(|e| die(&format!("parse error: {e}")));
-    swpf::ir::verifier::verify_module(&module)
-        .unwrap_or_else(|e| die(&format!("input does not verify: {e}")));
+    // One manager for the whole run: the input check, a `verify` stage
+    // and the output check share its "this module verifies" fact, so a
+    // module no pass changed is walked once.
+    let mut am = AnalysisManager::new();
+    check(&mut am, &module, "input does not verify");
 
     let report = if use_icc {
-        icc_like::run_on_module(&mut module, &config)
+        let report = icc_like::run_on_module(&mut module, &config);
+        am.invalidate_all();
+        report
     } else {
-        run_on_module(&mut module, &config)
+        run_pipeline(&mut module, &config, &mut am)
     };
-    swpf::ir::verifier::verify_module(&module)
-        .unwrap_or_else(|e| die(&format!("internal error: output does not verify: {e}")));
+    check(&mut am, &module, "internal error: output does not verify");
 
     let mut summary = String::new();
     let _ = writeln!(
@@ -124,6 +130,13 @@ fn main() {
     if !report_only {
         let text = swpf::ir::printer::print_module(&module);
         write_whole(std::io::stdout().lock(), &text, "output");
+    }
+}
+
+/// Exit with `what` and the first violation unless `module` verifies.
+fn check(am: &mut AnalysisManager, module: &Module, what: &str) {
+    if let Err(errs) = am.verify(module) {
+        die(&format!("{what}: {}", errs[0]));
     }
 }
 

@@ -25,9 +25,12 @@ fn compile_path_stays_within_its_allocation_budget() {
     // Text → IR → text. At the commit before this budget existed the
     // same round trip made 11.2 allocator calls per input line (owned
     // line copies, a `String` per operand, per-instruction operand and
-    // successor vectors); what is left, ≈ 0.7 a line, is the IR itself —
-    // a function's arena, a block's name and instruction list, a phi's
-    // incomings.
+    // successor vectors), and 0.71 until the parser stopped growing
+    // arenas and instruction lists by doubling and naming blocks. What
+    // is left, 0.43 a line, is the IR itself — a function's name,
+    // signature, arena and block list, a block's instruction list, a
+    // phi's incomings — at its final size; the budget is that figure
+    // plus 25% headroom.
     let before = ALLOC.calls();
     let module = parse_module(&text).expect("replicated module parses");
     verify_module(&module).expect("replicated module verifies");
@@ -35,9 +38,9 @@ fn compile_path_stays_within_its_allocation_budget() {
     let round_trip = ALLOC.calls() - before;
     assert_eq!(printed, text, "the input is the printer's own text");
     assert!(
-        round_trip <= 2 * lines,
+        round_trip * 100 <= 54 * lines,
         "parse + verify + print: {round_trip} allocator calls for {lines} lines \
-         ({:.2} per line, budget 2)",
+         ({:.2} per line, budget 0.54)",
         round_trip as f64 / lines as f64
     );
 

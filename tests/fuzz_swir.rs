@@ -10,10 +10,13 @@
 //!
 //! The same mutants pin the parser's verdicts: one row each in
 //! `tests/golden/swir_fuzz_verdicts.txt`, `ok <fnv64 of the printed
-//! module>` or `err <line>`, recorded from the two-pass string-splitting
-//! parser so that a rewrite can be held against what it replaced. After
-//! a *deliberate* grammar or diagnostics change, regenerate with
-//! `cargo test --test fuzz_swir -- --ignored bless_swir_fuzz_verdicts`.
+//! module>` or `err <line>`. The file was first recorded from the
+//! two-pass string-splitting parser (commit 1288674), so `git log -p`
+//! on it shows every verdict a later parser moved; no row has ever gone
+//! from one `ok` hash to another. After a *deliberate* grammar or
+//! diagnostics change, regenerate with
+//! `cargo test --test fuzz_swir -- --ignored bless_swir_fuzz_verdicts`
+//! and account for every changed row.
 
 mod swir_sources;
 
