@@ -3,10 +3,10 @@
 //! model attached). This bounds how large a paper-scale experiment can
 //! be and is the number to watch when extending the machine models.
 //!
-//! The `engines` group compares the pre-decoded `ExecImage` engine (the
-//! one every simulation path now uses) against the original tree-walking
-//! interpreter (`ClassicInterp`, kept as the differential oracle); the
-//! ratio is recorded in `BENCH_interp.json` at the repository root.
+//! The `bytecode` group compares the default bytecode tier against the
+//! original tree-walking interpreter (`ClassicInterp`, kept as the
+//! differential oracle); `bench_gate` holds the ratio to the numbers
+//! recorded in `BENCH_interp.json` at the repository root.
 //!
 //! The `trace` group compares a full timed simulation driven by the
 //! interpreter (`direct`) against the same machine driven by a recorded
@@ -35,59 +35,22 @@ use swpf_trace::{StreamingReplay, Trace, TraceRecorder};
 use swpf_workloads::is::IntegerSort;
 use swpf_workloads::{Scale, Workload, WorkloadId};
 
-fn engines(c: &mut Criterion) {
+/// The bytecode tier against the classic tree-walker: the A/B the
+/// `bytecode` tier must win (`bench_gate` enforces the ratio recorded
+/// in `BENCH_interp.json`). The sides run back to back in one group
+/// from the same cloned input memory; the bytecode side decodes once
+/// outside the timed loop (the amortised shape of every real simulation
+/// path — decode is per-module, not per-run). `unfused` runs the same
+/// flat words with superinstruction fusion disabled, sizing the
+/// catalogue's own contribution.
+fn bytecode_tier(c: &mut Criterion) {
     let is = IntegerSort::new(Scale::Test);
     let m = is.build_baseline();
     let f = m.find_function("kernel").unwrap();
     // ~12 instructions per iteration, 1024 iterations at test scale.
     let insts = 12 * u64::from(is.num_keys as u32);
-    // Identical pre-built input state for both engines: setup once, clone
-    // the simulated memory into each run, so the group compares engine
-    // throughput alone (IS mutates its bucket array, hence the clone).
-    // The image is decoded once outside the loop — the amortised shape of
-    // every real simulation path (decode is per-module, not per-run).
-    let mut proto = Interp::new();
-    let args = is.setup(&mut proto);
-    let proto_mem = proto.mem_ref().clone();
-    let image = std::sync::Arc::new(swpf_ir::exec::ExecImage::build(&m));
-    let mut group = c.benchmark_group("engines");
-    group.throughput(Throughput::Elements(insts));
-    group.bench_function("exec_image/IS", |b| {
-        b.iter(|| {
-            // Pin the engine tier: `Interp::new` defaults to bytecode
-            // (measured separately in the `bytecode` group).
-            let mut interp = Interp::with_tier(Tier::Engine);
-            *interp.mem() = proto_mem.clone();
-            let r = interp
-                .run_with_image(std::sync::Arc::clone(&image), f, &args, &mut NullObserver)
-                .unwrap();
-            black_box(r);
-        });
-    });
-    group.bench_function("classic/IS", |b| {
-        b.iter(|| {
-            let mut interp = ClassicInterp::new();
-            *interp.mem() = proto_mem.clone();
-            let r = interp.run(&m, f, &args, &mut NullObserver).unwrap();
-            black_box(r);
-        });
-    });
-    group.finish();
-}
-
-/// The bytecode tier against the exec-image engine: the A/B the
-/// `bytecode` tier must win (`bench_gate` enforces the ratio recorded
-/// in `BENCH_interp.json`). The two sides run back to back in one group
-/// under identical conditions — same pre-built image, same cloned input
-/// memory, same facade entry point — so the comparison isolates
-/// dispatch-loop cost alone. `unfused` runs the same flat words with
-/// superinstruction fusion disabled, sizing the catalogue's own
-/// contribution.
-fn bytecode_tier(c: &mut Criterion) {
-    let is = IntegerSort::new(Scale::Test);
-    let m = is.build_baseline();
-    let f = m.find_function("kernel").unwrap();
-    let insts = 12 * u64::from(is.num_keys as u32);
+    // Identical pre-built input state for every side: setup once, clone
+    // the simulated memory into each run (IS mutates its bucket array).
     let mut proto = Interp::new();
     let args = is.setup(&mut proto);
     let proto_mem = proto.mem_ref().clone();
@@ -105,13 +68,11 @@ fn bytecode_tier(c: &mut Criterion) {
             black_box(r);
         });
     });
-    group.bench_function("engine/IS", |b| {
+    group.bench_function("classic/IS", |b| {
         b.iter(|| {
-            let mut interp = Interp::with_tier(Tier::Engine);
+            let mut interp = ClassicInterp::new();
             *interp.mem() = proto_mem.clone();
-            let r = interp
-                .run_with_image(std::sync::Arc::clone(&image), f, &args, &mut NullObserver)
-                .unwrap();
+            let r = interp.run(&m, f, &args, &mut NullObserver).unwrap();
             black_box(r);
         });
     });
@@ -374,7 +335,6 @@ fn perf_overhead(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    engines,
     bytecode_tier,
     profiling_overhead,
     perf_overhead,

@@ -16,11 +16,10 @@
 //! references all differ), so the gate watches *relative* speedups —
 //! both sides measured in the same process seconds apart:
 //!
-//! * **engines** (`BENCH_interp.json`): the pre-decoded engine over the
-//!   classic tree-walker — what the engine refactor bought;
 //! * **bytecode** (`BENCH_interp.json`): the fixed-width bytecode tier
-//!   over the exec-image engine — what the threaded-code lowering and
-//!   the superinstruction catalogue bought;
+//!   over the classic tree-walker — what the decode layer, the
+//!   threaded-code lowering and the superinstruction catalogue bought
+//!   together;
 //! * **timing model** (`BENCH_interp.json`): the haswell (out-of-order)
 //!   timing model attached to the interpreter over the interpreter
 //!   alone — the cost of the core/MemSys hot path in units of the layer
@@ -121,21 +120,18 @@ fn load_json(path: &str) -> Json {
     Json::parse(&text).unwrap_or_else(|e| panic!("cannot parse {path}: {e}"))
 }
 
-/// Gate one relative speedup: `slow_bench / fast_bench`, measured vs.
-/// reference. Returns false on missing records or a regression beyond
-/// the allowance.
-#[allow(clippy::too_many_arguments)]
+/// Gate one relative speedup: `slow_bench / fast_bench` of `group`,
+/// measured vs. the reference `slow_ref / fast_ref`, each a
+/// `(group key, key)` of the reference file. Returns false on missing
+/// records or a regression beyond the allowance.
 fn gate_ratio(
     records: &str,
     group: &str,
-    fast_bench: &str,
-    slow_bench: &str,
+    (fast_bench, slow_bench): (&str, &str),
     records_path: &str,
     reference: &Json,
     reference_path: &str,
-    group_key: &str,
-    fast_key: &str,
-    slow_key: &str,
+    (fast_ref, slow_ref): ((&str, &str), (&str, &str)),
 ) -> bool {
     let (Some(fast_ns), Some(slow_ns)) = (
         ns_from_records(records, group, fast_bench),
@@ -148,8 +144,8 @@ fn gate_ratio(
         return false;
     };
     let (Some(ref_fast), Some(ref_slow)) = (
-        reference_f64(reference, reference_path, group_key, fast_key),
-        reference_f64(reference, reference_path, group_key, slow_key),
+        reference_f64(reference, reference_path, fast_ref.0, fast_ref.1),
+        reference_f64(reference, reference_path, slow_ref.0, slow_ref.1),
     ) else {
         return false;
     };
@@ -158,7 +154,7 @@ fn gate_ratio(
     let reference_speedup = ref_slow / ref_fast;
     let floor = reference_speedup / MAX_REGRESSION;
     println!(
-        "bench_gate: {group_key} speedup ({slow_bench} over {fast_bench}) — measured \
+        "bench_gate: {group} speedup ({slow_bench} over {fast_bench}) — measured \
          {measured_speedup:.3}x ({slow_ns:.0} / {fast_ns:.0} ns), reference \
          {reference_speedup:.3}x, floor {floor:.3}x (allowance {MAX_REGRESSION}x)"
     );
@@ -529,27 +525,15 @@ fn main() -> std::process::ExitCode {
     let interp_ref = load_json(&interp_ref_path);
     let mut ok = gate_ratio(
         &records,
-        "engines",
-        "exec_image/IS",
-        "classic/IS",
-        &records_path,
-        &interp_ref,
-        &interp_ref_path,
-        "engines_group",
-        "after_exec_image_ns_per_iter",
-        "before_classic_ns_per_iter",
-    );
-    ok &= gate_ratio(
-        &records,
         "bytecode",
-        "bytecode/IS",
-        "engine/IS",
+        ("bytecode/IS", "classic/IS"),
         &records_path,
         &interp_ref,
         &interp_ref_path,
-        "bytecode_group",
-        "bytecode_ns_per_iter",
-        "engine_ns_per_iter",
+        (
+            ("bytecode_group", "bytecode_ns_per_iter"),
+            ("engines_group", "before_classic_ns_per_iter"),
+        ),
     );
     ok &= gate_timing_over_interp(&records, &records_path, &interp_ref, &interp_ref_path);
     ok &= gate_event_path(
@@ -577,26 +561,26 @@ fn main() -> std::process::ExitCode {
         ok &= gate_ratio(
             &records,
             "trace",
-            "replay/IS",
-            "direct/IS",
+            ("replay/IS", "direct/IS"),
             &records_path,
             &trace_ref,
             &path,
-            "trace_group",
-            "replay_ns_per_iter",
-            "direct_ns_per_iter",
+            (
+                ("trace_group", "replay_ns_per_iter"),
+                ("trace_group", "direct_ns_per_iter"),
+            ),
         );
         ok &= gate_ratio(
             &records,
             "trace",
-            "stream_replay/IS",
-            "replay/IS",
+            ("stream_replay/IS", "replay/IS"),
             &records_path,
             &trace_ref,
             &path,
-            "trace_group",
-            "stream_replay_ns_per_iter",
-            "replay_ns_per_iter",
+            (
+                ("trace_group", "stream_replay_ns_per_iter"),
+                ("trace_group", "replay_ns_per_iter"),
+            ),
         );
         ok &= gate_compression(&trace_ref, &path);
     }

@@ -440,9 +440,9 @@ mod tests {
 
     #[test]
     fn parses_criterion_shim_records() {
-        let line = r#"{"group":"engines","bench":"exec_image/IS","ns_per_iter":105490.0,"mean_ns_per_iter":106000.2,"rate_per_s":null}"#;
+        let line = r#"{"group":"bytecode","bench":"classic/IS","ns_per_iter":105490.0,"mean_ns_per_iter":106000.2,"rate_per_s":null}"#;
         let v = Json::parse(line).unwrap();
-        assert_eq!(v.get("group").unwrap().as_str(), Some("engines"));
+        assert_eq!(v.get("group").unwrap().as_str(), Some("bytecode"));
         assert_eq!(v.get("ns_per_iter").unwrap().as_f64(), Some(105490.0));
         assert_eq!(v.get("rate_per_s"), Some(&Json::Null));
     }

@@ -47,6 +47,12 @@ fn malformed_values_are_usage_errors() {
     // Resolved once, before anything runs — not a panic in the middle
     // of a grid.
     assert_usage_error(&all(&[], &[("SWPF_TIER", "bytcode")]), "SWPF_TIER");
+    // The retired exec-image tier is a usage error too, naming the two
+    // tiers that remain.
+    let engine = all(&[], &[("SWPF_TIER", "engine")]);
+    assert_usage_error(&engine, "SWPF_TIER=engine");
+    let stderr = String::from_utf8_lossy(&engine.stderr);
+    assert!(stderr.contains("classic|bytecode"), "{stderr}");
     assert_usage_error(&all(&[], &[("SWPF_SCALE", "tiny")]), "SWPF_SCALE");
 }
 

@@ -1,12 +1,13 @@
 //! Bytecode execution tier: fixed-width threaded code with fused
 //! superinstructions.
 //!
-//! The [`crate::exec`] engine already decodes a module once, but its
-//! execute loop still matches on enum-shaped [`Op`](crate::exec::Op)
-//! values (24-byte variants behind a discriminant) and re-acquires the
-//! active frame, function image and slice bounds on every step. This
-//! module lowers an [`ExecImage`] one level further, into a flat array
-//! of fixed-width 8-byte instruction words:
+//! The [`crate::exec`] decode layer turns a module into enum-shaped
+//! [`Op`](crate::exec::Op) values (24-byte variants behind a
+//! discriminant); matching on those and re-acquiring the active frame,
+//! function image and slice bounds on every step is what a dense
+//! executor would still pay. This module lowers an [`ExecImage`] one
+//! level further, into a flat array of fixed-width 8-byte instruction
+//! words:
 //!
 //! ```text
 //!  bit 63      50 49      36 35      22 21       8 7        0
@@ -29,8 +30,8 @@
 //! All slot / edge / immediate indices are validated once at lowering
 //! time ([`BcImage::lower`] returns [`LowerError`] when a function
 //! exceeds a 14-bit capacity, and asserts internal consistency), which
-//! is what lets the dispatch loop use unchecked accesses — the same
-//! decode-time-validation contract as `exec::validate_image`.
+//! is what lets the dispatch loop use unchecked accesses ([`rd`] /
+//! [`wr`]).
 //!
 //! # Superinstructions
 //!
@@ -50,10 +51,11 @@
 //! paths with bit-identical event streams.
 //!
 //! The tier is reached through the [`crate::interp::Interp`] facade
-//! (`SWPF_TIER=bytecode`, the default); the classic tree-walker and the
-//! exec engine remain as differential oracles.
+//! (`SWPF_TIER=bytecode`, the default). The classic tree-walker is its
+//! differential oracle, and the facade's fallback for images that do not
+//! lower.
 
-use crate::exec::{self, rd, wr, ExecImage, Op};
+use crate::exec::{self, ExecImage, Op};
 use crate::function::FuncId;
 use crate::inst::{BinOp, Pred};
 use crate::interp::{
@@ -301,7 +303,7 @@ fn pred_code(p: Pred) -> u32 {
 
 /// A lowering failure: the function exceeds a capacity of the 14-bit
 /// packed-field encoding. The [`crate::interp::Interp`] facade falls
-/// back to the engine tier when lowering fails; nothing is ever
+/// back to the classic tier when lowering fails; nothing is ever
 /// rejected (or trusted) at dispatch time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LowerError {
@@ -372,7 +374,7 @@ struct BcMeta {
     ops_len: u32,
 }
 
-/// A pre-compiled CFG edge (same shape as the exec engine's).
+/// A pre-compiled CFG edge (same shape as the decoded image's).
 #[derive(Debug, Clone, Copy)]
 struct BcEdge {
     target: u32,
@@ -855,8 +857,7 @@ struct BcFrame {
 }
 
 /// Mutable execution state, split from the image handle so stepping
-/// borrows the image and the state disjointly (same split as the exec
-/// engine).
+/// borrows the image and the state disjointly.
 #[derive(Debug)]
 struct BcState {
     frames: Vec<BcFrame>,
@@ -881,8 +882,7 @@ enum Flow {
     Ret { val: Option<RtVal> },
 }
 
-/// The bytecode execute layer: a resumable cursor over a [`BcImage`],
-/// API-compatible with [`exec::Engine`].
+/// The bytecode execute layer: a resumable cursor over a [`BcImage`].
 #[derive(Debug)]
 pub struct BcEngine {
     image: Option<Arc<BcImage>>,
@@ -958,7 +958,7 @@ impl BcEngine {
     /// function returns ([`Step::Done`]) or a step traps. Fused heads
     /// are demoted to their first component, so a
     /// step never retires two instructions at once — multicore
-    /// interleavings and trace step boundaries match the exec engine
+    /// interleavings and trace step boundaries match the classic tier
     /// exactly.
     ///
     /// # Errors
@@ -995,12 +995,35 @@ impl BcEngine {
     }
 }
 
+/// Read a frame slot.
+///
+/// Bounds are guaranteed by [`validate_bc`]: `regs` was sized by
+/// [`BcFunc::new_regs`] to `num_slots` and every encoded slot index was
+/// checked against `num_slots`.
+#[inline(always)]
+fn rd(regs: &[RtVal], slot: u32) -> RtVal {
+    debug_assert!((slot as usize) < regs.len(), "slot out of range");
+    // SAFETY: every slot index reaching dispatch passed `validate_bc`'s
+    // `slot < num_slots`, and every register file has `num_slots` entries.
+    unsafe { *regs.get_unchecked(slot as usize) }
+}
+
+/// Write a frame slot; bounds guaranteed as for [`rd`].
+#[inline(always)]
+fn wr(regs: &mut [RtVal], slot: u32, v: RtVal) {
+    debug_assert!((slot as usize) < regs.len(), "slot out of range");
+    // SAFETY: as for `rd`.
+    unsafe {
+        *regs.get_unchecked_mut(slot as usize) = v;
+    }
+}
+
 /// Execute the instruction at the current ip. With `STEPPING`, fused
 /// opcodes are demoted to their first component so exactly one
 /// instruction retires; without, fused handlers execute both halves
 /// back to back (checking fuel in between, so an exhausted budget
-/// leaves the cursor parked on the second half exactly like the exec
-/// engine would).
+/// leaves the cursor parked on the second half exactly like the classic
+/// tier would).
 ///
 /// Slot/edge/imm/meta accesses are unchecked: `validate_bc` established
 /// their bounds at lowering time.
@@ -1958,7 +1981,7 @@ mod tests {
             BcImage::lower(&image),
             Err(LowerError::TooManySlots { .. })
         ));
-        // The facade path degrades to the engine tier instead of
+        // The facade path degrades to the classic tier instead of
         // trusting the encoding at dispatch.
         assert!(image.bytecode().is_none());
     }

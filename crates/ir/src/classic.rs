@@ -1,22 +1,26 @@
-//! The original tree-walking interpreter, kept as a reference oracle.
+//! The original tree-walking interpreter: the classic tier.
 //!
 //! [`ClassicInterp`] executes IR by re-reading the [`Module`] on every
 //! dynamic instruction: block instruction lists are indexed, `InstKind`
 //! payloads are matched, operand types are looked up, and phi incomings
 //! are searched at each block entry. It is the engine the repository
 //! originally shipped and is retained verbatim (modulo the rename) for
-//! two reasons:
+//! three reasons:
 //!
-//! 1. **Differential testing.** The pre-decoded engine in [`crate::exec`]
+//! 1. **Differential testing.** The bytecode tier ([`crate::bytecode`])
 //!    must produce exactly the same architectural results *and* the same
-//!    observer event stream. The suite runs every workload through both
-//!    engines and compares (see `tests/exec_differential.rs` in the
-//!    facade crate).
-//! 2. **Semantics documentation.** When the decode layer is in doubt,
+//!    observer event stream. The suites run every workload through both
+//!    tiers and compare (see `tests/exec_differential.rs` and
+//!    `tests/bytecode_differential.rs` in the facade crate).
+//! 2. **Fallback.** An image too large for the bytecode encoding runs
+//!    here, walking the module the [`crate::exec::ExecImage`] carries.
+//! 3. **Semantics documentation.** When the decode layer is in doubt,
 //!    this file is the specification: it maps one-to-one onto the IR.
 //!
-//! New code should use [`crate::interp::Interp`], which runs on the
-//! pre-decoded engine and is substantially faster.
+//! It is reached through [`crate::interp::Interp`] under
+//! `SWPF_TIER=classic` (or [`crate::interp::Tier::Classic`]) on every
+//! entry point, image starts included; new code should use that facade,
+//! whose default bytecode tier is substantially faster.
 
 use crate::block::BlockId;
 use crate::function::FuncId;

@@ -1,49 +1,45 @@
-//! Pre-decoded execution engine: decode once, execute a dense image.
+//! The decode layer: lower a module once into a dense image.
 //!
 //! The timing simulator in `swpf-sim` is execution-driven — every cycle
 //! it charges is attached to an instruction the interpreter retires — so
 //! interpreter throughput bounds every experiment in the reproduction.
-//! The original engine (preserved as [`crate::classic::ClassicInterp`])
-//! pays per *dynamic* instruction for work that only depends on *static*
-//! program structure: indexing block instruction lists, matching heap-
-//! carried [`InstKind`](crate::inst::InstKind) payloads, looking up
-//! operand types for casts and stores, recomputing the event `pc`,
-//! copying operand ids into a scratch vector, and searching phi incoming
-//! lists on every block entry.
+//! The tree-walking [`crate::classic::ClassicInterp`] pays per *dynamic*
+//! instruction for work that only depends on *static* program structure:
+//! indexing block instruction lists, matching heap-carried
+//! [`InstKind`](crate::inst::InstKind) payloads, looking up operand
+//! types for casts and stores, recomputing the event `pc`, copying
+//! operand ids into a scratch vector, and searching phi incoming lists
+//! on every block entry.
 //!
-//! This module splits the interpreter into two layers:
+//! [`ExecImage::build`] is a one-time pass that lowers every function of
+//! a [`Module`] into a [`FuncImage`] — a flat instruction array in block
+//! order whose operands are dense frame-slot indices, with branch
+//! targets resolved to instruction indices, phi parallel copies
+//! precompiled into per-CFG-edge move lists, constants pooled for
+//! one-`memcpy` frame initialisation, cast masks/shifts and memory
+//! access widths baked into the opcode, and the observer-facing static
+//! metadata (`pc`, result id, operand id list) precomputed into pools so
+//! event emission is allocation- and copy-free.
 //!
-//! * **Decode** ([`ExecImage::build`]): a one-time pass that lowers every
-//!   function of a [`Module`] into a [`FuncImage`] — a flat instruction
-//!   array in block order whose operands are dense frame-slot indices,
-//!   with branch targets resolved to instruction indices, phi parallel
-//!   copies precompiled into per-CFG-edge move lists, constants pooled
-//!   for one-`memcpy` frame initialisation, cast masks/shifts and memory
-//!   access widths baked into the opcode, and the observer-facing static
-//!   metadata (`pc`, result id, operand id list) precomputed into pools
-//!   so event emission is allocation- and copy-free.
-//! * **Execute** ([`Engine`]): a resumable (`start`/`step`) loop over the
-//!   image, implementing exactly the observer contract of
-//!   [`crate::interp`] — same [`Event`] fields, same event order
-//!   (phi copies report before their branch), same trap behaviour, same
-//!   fuel accounting — verified against the classic engine by the
-//!   differential test suite.
+//! Nothing executes the image directly. The bytecode tier
+//! ([`crate::bytecode`]) lowers it one level further into fixed-width
+//! words ([`ExecImage::bytecode`]), and the image keeps the module it
+//! was decoded from, so the classic tier can start from an image too —
+//! it runs image starts under `SWPF_TIER=classic` and images that exceed
+//! the bytecode encoding.
 //!
 //! Frame slots coincide with [`ValueId`] indices (the per-function value
-//! arena is already dense), so observer-visible operand ids and engine
+//! arena is already dense), so observer-visible operand ids and frame
 //! slot numbers agree without a translation table.
 //!
 //! Callers normally use the [`crate::interp::Interp`] facade, which owns
-//! the simulated [`Memory`] and builds images on demand. Multi-core
-//! simulations decode once and share the image across engines via
-//! [`std::sync::Arc`] (see `swpf_sim::multicore`).
+//! the simulated [`Memory`](crate::interp::Memory) and builds images on
+//! demand. Multi-core simulations decode once and share the image
+//! across interpreters via [`std::sync::Arc`] (see `swpf_sim::multicore`).
 
 use crate::function::FuncId;
 use crate::inst::{BinOp, CastOp, InstKind, Pred};
-use crate::interp::{
-    decode_scalar, encode_scalar, eval_binary, eval_icmp, Event, EventKind, ExecObserver, Memory,
-    RtVal, Step, Trap,
-};
+use crate::interp::RtVal;
 use crate::module::Module;
 use crate::types::Type;
 use crate::value::{Constant, ValueId, ValueKind};
@@ -203,37 +199,25 @@ pub struct FuncImage {
     pub(crate) entry_ip: u32,
 }
 
-impl FuncImage {
-    /// A fresh frame register file: zeroed, constants materialised, the
-    /// leading slots filled from `args`.
-    fn new_regs(&self, args: &[RtVal]) -> Vec<RtVal> {
-        let mut regs = vec![RtVal::Int(0); self.num_slots as usize];
-        for (i, a) in args.iter().enumerate() {
-            regs[i] = *a;
-        }
-        for &(slot, v) in &self.consts {
-            regs[slot as usize] = v;
-        }
-        regs
-    }
-}
-
-/// A module lowered for execution: one [`FuncImage`] per function.
+/// A module lowered for execution: one [`FuncImage`] per function, plus
+/// the module itself.
 ///
 /// Build once with [`ExecImage::build`], then run any number of
-/// [`Engine`]s (or [`crate::interp::Interp`] facades) against it —
-/// typically wrapped in an [`Arc`] so multi-core simulations share one
-/// decode.
+/// [`crate::interp::Interp`] facades against it — typically wrapped in
+/// an [`Arc`] so multi-core simulations share one decode.
 #[derive(Debug)]
 pub struct ExecImage {
     pub(crate) funcs: Vec<FuncImage>,
+    /// The decoded module, which the classic tier walks.
+    pub(crate) module: Arc<Module>,
     /// Lazily-lowered bytecode form (`None` once lowering has failed, so
     /// the failure is not retried); see [`ExecImage::bytecode`].
     bc: std::sync::OnceLock<Option<Arc<crate::bytecode::BcImage>>>,
 }
 
 impl ExecImage {
-    /// Decode every function of `module`.
+    /// Decode every function of `module`, keeping a copy of the module
+    /// for the classic tier.
     ///
     /// The module should satisfy the [`crate::verifier`] invariants the
     /// classic engine also relies on (phis leading their blocks, one
@@ -250,17 +234,18 @@ impl ExecImage {
                 .func_ids()
                 .map(|f| decode_function(module, f))
                 .collect(),
+            module: Arc::new(module.clone()),
             bc: std::sync::OnceLock::new(),
         }
     }
 
     /// The bytecode-tier lowering of this image (see [`crate::bytecode`]),
-    /// built on first use and cached, so every engine sharing this image
+    /// built on first use and cached, so every interpreter sharing this image
     /// (e.g. the cores of a multicore simulation) pays for lowering once.
     ///
     /// Returns `None` when the image exceeds the bytecode encoding's
     /// 14-bit field capacities ([`crate::bytecode::LowerError`]); callers
-    /// are expected to fall back to the [`Engine`] tier.
+    /// are expected to fall back to the classic tier.
     #[must_use]
     pub fn bytecode(&self) -> Option<Arc<crate::bytecode::BcImage>> {
         self.bc
@@ -269,7 +254,7 @@ impl ExecImage {
                 Err(e) => {
                     eprintln!(
                         "swpf-ir: bytecode lowering unavailable ({e}); \
-                         falling back to the engine tier"
+                         falling back to the classic tier"
                     );
                     None
                 }
@@ -674,547 +659,13 @@ fn decode_function(module: &Module, func: FuncId) -> FuncImage {
         );
     }
 
-    validate_image(&img);
     img
-}
-
-/// Decode-time validation establishing the execute loop's safety
-/// invariant: every slot index is within the frame register file, every
-/// pool range is within its pool, and every edge jumps to a valid
-/// instruction index. [`State::step`] relies on this to elide per-access
-/// bounds checks on the register file (see [`rd`] / [`wr`]).
-fn validate_image(img: &FuncImage) {
-    let ns = img.num_slots;
-    let slot = |s: u32| assert!(s < ns, "slot {s} out of range ({ns} slots)");
-    for d in &img.code {
-        assert!(
-            d.ops_at as usize + d.ops_len as usize <= img.operands.len(),
-            "operand range out of pool"
-        );
-        match d.op {
-            Op::Bin { lhs, rhs, dst, .. } | Op::ICmp { lhs, rhs, dst, .. } => {
-                slot(lhs);
-                slot(rhs);
-                slot(dst);
-            }
-            Op::Select {
-                cond,
-                then_val,
-                else_val,
-                dst,
-            } => {
-                slot(cond);
-                slot(then_val);
-                slot(else_val);
-                slot(dst);
-            }
-            Op::Mask { src, dst, .. } | Op::SignExtend { src, dst, .. } | Op::Copy { src, dst } => {
-                slot(src);
-                slot(dst);
-            }
-            Op::Alloc { count, dst, .. } => {
-                slot(count);
-                slot(dst);
-            }
-            Op::Gep {
-                base, index, dst, ..
-            } => {
-                slot(base);
-                slot(index);
-                slot(dst);
-            }
-            Op::Load { addr, dst, .. } => {
-                slot(addr);
-                slot(dst);
-            }
-            Op::Store { addr, val, .. } => {
-                slot(addr);
-                slot(val);
-            }
-            Op::Prefetch { addr } => slot(addr),
-            Op::Call { dst, .. } => slot(dst),
-            Op::Br { edge } => assert!((edge as usize) < img.edges.len(), "edge out of range"),
-            Op::CondBr {
-                cond,
-                then_edge,
-                else_edge,
-            } => {
-                slot(cond);
-                assert!((then_edge as usize) < img.edges.len(), "edge out of range");
-                assert!((else_edge as usize) < img.edges.len(), "edge out of range");
-            }
-            Op::Ret { val } => assert!(val == NO_SLOT || val < ns, "ret slot out of range"),
-            Op::FallOff => {}
-        }
-    }
-    // Event operand ids double as caller-frame slots for call arguments.
-    for v in &img.operands {
-        slot(v.0);
-    }
-    for e in &img.edges {
-        assert!((e.target as usize) < img.code.len(), "edge target OOB");
-        assert!(
-            e.moves_at as usize + e.moves_len as usize <= img.moves.len(),
-            "move range out of pool"
-        );
-    }
-    for mv in &img.moves {
-        slot(mv.dst);
-        slot(mv.src);
-    }
-    assert!(
-        (img.entry_ip as usize) < img.code.len(),
-        "entry ip out of range"
-    );
-    assert!(img.num_params <= ns, "more parameters than frame slots");
-}
-
-/// Read a frame slot.
-///
-/// Bounds are guaranteed by [`validate_image`]: `regs` was sized by
-/// [`FuncImage::new_regs`] to `num_slots` and every decoded slot index
-/// was checked against `num_slots`.
-#[inline(always)]
-pub(crate) fn rd(regs: &[RtVal], slot: u32) -> RtVal {
-    debug_assert!((slot as usize) < regs.len(), "slot out of range");
-    unsafe { *regs.get_unchecked(slot as usize) }
-}
-
-/// Write a frame slot; bounds guaranteed as for [`rd`].
-#[inline(always)]
-pub(crate) fn wr(regs: &mut [RtVal], slot: u32, v: RtVal) {
-    debug_assert!((slot as usize) < regs.len(), "slot out of range");
-    unsafe {
-        *regs.get_unchecked_mut(slot as usize) = v;
-    }
-}
-
-/// One activation record of the engine.
-#[derive(Debug)]
-struct Frame {
-    /// Function index into [`ExecImage::funcs`].
-    func: u32,
-    /// Monotonic frame id reported in events.
-    frame_id: u64,
-    /// Next instruction index.
-    ip: u32,
-    /// Slot in the *caller's* frame receiving our return value
-    /// ([`NO_SLOT`] for the top-level frame).
-    ret_slot: u32,
-    /// Dense register file; slot k holds the value with id k.
-    regs: Vec<RtVal>,
-}
-
-/// Mutable execution state, split from the image handle so the borrow
-/// checker can see that stepping borrows the image and the state
-/// disjointly.
-#[derive(Debug)]
-struct State {
-    frames: Vec<Frame>,
-    next_frame_id: u64,
-    fuel: u64,
-    retired: u64,
-    max_depth: usize,
-    /// Reusable gather buffer for phi parallel copies.
-    move_buf: Vec<RtVal>,
-}
-
-/// The execute layer: a resumable cursor over an [`ExecImage`].
-///
-/// The engine holds no simulated memory; callers pass a [`Memory`] to
-/// every [`Engine::run_steps`], which is what lets the
-/// [`crate::interp::Interp`] facade own memory across engine restarts
-/// and lets tests run several engines against cloned memories.
-#[derive(Debug)]
-pub struct Engine {
-    image: Option<Arc<ExecImage>>,
-    st: State,
-}
-
-impl Default for Engine {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Engine {
-    /// An idle engine with no image and no cursor.
-    #[must_use]
-    pub fn new() -> Self {
-        Engine {
-            image: None,
-            st: State {
-                frames: Vec::new(),
-                next_frame_id: 0,
-                fuel: u64::MAX,
-                retired: 0,
-                max_depth: 1 << 10,
-                move_buf: Vec::new(),
-            },
-        }
-    }
-
-    /// Total instructions retired since construction.
-    #[must_use]
-    pub fn retired(&self) -> u64 {
-        self.st.retired
-    }
-
-    /// Limit the number of instructions that may retire before
-    /// [`Trap::OutOfFuel`]; defaults to unlimited.
-    pub fn set_fuel(&mut self, fuel: u64) {
-        self.st.fuel = fuel;
-    }
-
-    /// Begin executing `func` with `args`. Any previous cursor state is
-    /// discarded; the retired count and frame-id sequence continue.
-    ///
-    /// # Panics
-    /// If the argument count does not match the function's arity.
-    pub fn start(&mut self, image: Arc<ExecImage>, func: FuncId, args: &[RtVal]) {
-        let fi = &image.funcs[func.index()];
-        assert_eq!(
-            args.len(),
-            fi.num_params as usize,
-            "argument count mismatch"
-        );
-        let regs = fi.new_regs(args);
-        let entry_ip = fi.entry_ip;
-        self.st.frames.clear();
-        let id = self.st.next_frame_id;
-        self.st.next_frame_id += 1;
-        self.st.frames.push(Frame {
-            func: func.0,
-            frame_id: id,
-            ip: entry_ip,
-            ret_slot: NO_SLOT,
-            regs,
-        });
-        self.image = Some(image);
-    }
-
-    /// Execute up to `n` steps — one instruction each, plus the phi
-    /// copies of a taken branch, which retire with it, as in the classic
-    /// engine — reporting each completed step through
-    /// [`ExecObserver::end_step`]; stops early when the top-level
-    /// function returns ([`Step::Done`]) or a step traps.
-    ///
-    /// # Errors
-    /// Any [`Trap`] raised by an instruction.
-    ///
-    /// # Panics
-    /// If called without an active cursor (no `start`, or after `Done`).
-    #[inline]
-    pub fn run_steps(
-        &mut self,
-        n: u64,
-        mem: &mut Memory,
-        obs: &mut (impl ExecObserver + ?Sized),
-    ) -> Result<Step, Trap> {
-        let image = self.image.as_deref().expect("step() without an image");
-        for _ in 0..n {
-            let step = self.st.step(image, mem, obs)?;
-            obs.end_step();
-            if let Step::Done(_) = step {
-                return Ok(step);
-            }
-        }
-        Ok(Step::Continue)
-    }
-
-    /// Run the current cursor to completion.
-    ///
-    /// # Errors
-    /// Any [`Trap`] raised during execution.
-    pub fn run_to_done(
-        &mut self,
-        mem: &mut Memory,
-        obs: &mut (impl ExecObserver + ?Sized),
-    ) -> Result<Option<RtVal>, Trap> {
-        let image = self.image.as_deref().expect("run without an image");
-        loop {
-            match self.st.step(image, mem, obs)? {
-                Step::Continue => {}
-                Step::Done(v) => return Ok(v),
-            }
-        }
-    }
-}
-
-impl State {
-    #[allow(clippy::too_many_lines)]
-    #[inline]
-    fn step(
-        &mut self,
-        image: &ExecImage,
-        mem: &mut Memory,
-        obs: &mut (impl ExecObserver + ?Sized),
-    ) -> Result<Step, Trap> {
-        if self.retired >= self.fuel {
-            return Err(Trap::OutOfFuel);
-        }
-        let depth = self.frames.len();
-        assert!(depth > 0, "step() without an active cursor");
-        let frame = self.frames.last_mut().expect("non-empty");
-        let fi = &image.funcs[frame.func as usize];
-        let ip = frame.ip as usize;
-        let d = &fi.code[ip];
-        let frame_id = frame.frame_id;
-        let ops = &fi.operands[d.ops_at as usize..(d.ops_at + d.ops_len) as usize];
-        let regs = frame.regs.as_mut_slice();
-
-        /// Retire the current instruction with the given event kind.
-        macro_rules! emit {
-            ($kind:expr) => {{
-                self.retired += 1;
-                obs.on_event(&Event {
-                    pc: d.pc,
-                    frame: frame_id,
-                    result: d.result,
-                    kind: $kind,
-                    operands: ops,
-                });
-            }};
-        }
-
-        match d.op {
-            Op::Bin { op, lhs, rhs, dst } => {
-                let r = eval_binary(op, rd(regs, lhs), rd(regs, rhs))?;
-                wr(regs, dst, r);
-                frame.ip += 1;
-                emit!(EventKind::Alu);
-            }
-            Op::ICmp {
-                pred,
-                lhs,
-                rhs,
-                dst,
-            } => {
-                let r = eval_icmp(pred, rd(regs, lhs).as_int(), rd(regs, rhs).as_int());
-                wr(regs, dst, RtVal::Int(i64::from(r)));
-                frame.ip += 1;
-                emit!(EventKind::Alu);
-            }
-            Op::Select {
-                cond,
-                then_val,
-                else_val,
-                dst,
-            } => {
-                let c = rd(regs, cond).as_int() != 0;
-                let v = if c {
-                    rd(regs, then_val)
-                } else {
-                    rd(regs, else_val)
-                };
-                wr(regs, dst, v);
-                frame.ip += 1;
-                emit!(EventKind::Alu);
-            }
-            Op::Mask { src, mask, dst } => {
-                let x = rd(regs, src).as_int();
-                wr(regs, dst, RtVal::Int(x & mask));
-                frame.ip += 1;
-                emit!(EventKind::Alu);
-            }
-            Op::SignExtend { src, shift, dst } => {
-                let x = rd(regs, src).as_int();
-                wr(regs, dst, RtVal::Int((x << shift) >> shift));
-                frame.ip += 1;
-                emit!(EventKind::Alu);
-            }
-            Op::Copy { src, dst } => {
-                let x = rd(regs, src).as_int();
-                wr(regs, dst, RtVal::Int(x));
-                frame.ip += 1;
-                emit!(EventKind::Alu);
-            }
-            Op::Alloc {
-                count,
-                elem_size,
-                dst,
-            } => {
-                let n = rd(regs, count).as_int();
-                let size = u64::try_from(n.max(0)).expect("non-negative") * elem_size;
-                let addr = mem.alloc(size)?;
-                wr(regs, dst, RtVal::Int(addr as i64));
-                frame.ip += 1;
-                emit!(EventKind::Alloc);
-            }
-            Op::Gep {
-                base,
-                index,
-                elem_size,
-                offset,
-                dst,
-            } => {
-                let b = rd(regs, base).as_int() as u64;
-                let i = rd(regs, index).as_int();
-                let addr = b
-                    .wrapping_add((i as u64).wrapping_mul(elem_size))
-                    .wrapping_add(offset);
-                wr(regs, dst, RtVal::Int(addr as i64));
-                frame.ip += 1;
-                emit!(EventKind::Alu);
-            }
-            Op::Load {
-                addr,
-                ty,
-                size,
-                dst,
-            } => {
-                let a = rd(regs, addr).as_int() as u64;
-                let raw = mem.read(a, size)?;
-                wr(regs, dst, decode_scalar(raw, ty));
-                frame.ip += 1;
-                emit!(EventKind::Load { addr: a, size });
-            }
-            Op::Store { addr, val, size } => {
-                let a = rd(regs, addr).as_int() as u64;
-                let v = rd(regs, val);
-                mem.write(a, size, encode_scalar(v))?;
-                frame.ip += 1;
-                emit!(EventKind::Store { addr: a, size });
-            }
-            Op::Prefetch { addr } => {
-                let a = rd(regs, addr).as_int() as u64;
-                // Prefetches never fault: an unmapped hint is dropped.
-                let valid = mem.is_valid(a, 1);
-                frame.ip += 1;
-                emit!(EventKind::Prefetch { addr: a, valid });
-            }
-            Op::Call { callee, dst } => {
-                if depth >= self.max_depth {
-                    return Err(Trap::StackOverflow);
-                }
-                let callee_img = &image.funcs[callee as usize];
-                let mut new_regs = vec![RtVal::Int(0); callee_img.num_slots as usize];
-                for (k, &arg) in ops.iter().enumerate() {
-                    new_regs[k] = rd(regs, arg.0);
-                }
-                for &(slot, v) in &callee_img.consts {
-                    new_regs[slot as usize] = v;
-                }
-                frame.ip += 1; // resume after the call on return
-                let entry_ip = callee_img.entry_ip;
-                emit!(EventKind::Call);
-                let id = self.next_frame_id;
-                self.next_frame_id += 1;
-                self.frames.push(Frame {
-                    func: callee,
-                    frame_id: id,
-                    ip: entry_ip,
-                    ret_slot: dst,
-                    regs: new_regs,
-                });
-            }
-            Op::Br { edge } => {
-                self.take_edge(fi, edge, frame_id, obs)?;
-                self.retired += 1;
-                obs.on_event(&Event {
-                    pc: d.pc,
-                    frame: frame_id,
-                    result: d.result,
-                    kind: EventKind::Branch { taken: true },
-                    operands: ops,
-                });
-            }
-            Op::CondBr {
-                cond,
-                then_edge,
-                else_edge,
-            } => {
-                let c = rd(regs, cond).as_int() != 0;
-                let edge = if c { then_edge } else { else_edge };
-                self.take_edge(fi, edge, frame_id, obs)?;
-                self.retired += 1;
-                obs.on_event(&Event {
-                    pc: d.pc,
-                    frame: frame_id,
-                    result: d.result,
-                    kind: EventKind::Branch { taken: c },
-                    operands: ops,
-                });
-            }
-            Op::Ret { val } => {
-                let rv = if val == NO_SLOT {
-                    None
-                } else {
-                    Some(rd(regs, val))
-                };
-                let finished = self.frames.pop().expect("non-empty");
-                self.retired += 1;
-                obs.on_event(&Event {
-                    pc: d.pc,
-                    frame: finished.frame_id,
-                    result: d.result,
-                    kind: EventKind::Ret,
-                    operands: ops,
-                });
-                if let Some(parent) = self.frames.last_mut() {
-                    if let (true, Some(v)) = (finished.ret_slot != NO_SLOT, rv) {
-                        parent.regs[finished.ret_slot as usize] = v;
-                    }
-                    return Ok(Step::Continue);
-                }
-                return Ok(Step::Done(rv));
-            }
-            Op::FallOff => panic!("fell off block end"),
-        }
-        Ok(Step::Continue)
-    }
-
-    /// Apply one CFG edge in the current frame: the phi parallel copy,
-    /// the jump, and the phi retire events (reported after the copy so
-    /// dependence times are consistent — each phi depends only on its
-    /// chosen incoming — and *before* the branch's own event, matching
-    /// the classic engine's order).
-    #[inline]
-    fn take_edge(
-        &mut self,
-        fi: &FuncImage,
-        edge: u32,
-        frame_id: u64,
-        obs: &mut (impl ExecObserver + ?Sized),
-    ) -> Result<(), Trap> {
-        let e = fi.edges[edge as usize];
-        let moves = &fi.moves[e.moves_at as usize..(e.moves_at + e.moves_len) as usize];
-        let frame = self.frames.last_mut().expect("non-empty");
-        if !moves.is_empty() {
-            // Gather every source before writing any destination: phi
-            // copies are simultaneous (the swap test relies on this).
-            let regs = frame.regs.as_mut_slice();
-            self.move_buf.clear();
-            self.move_buf
-                .extend(moves.iter().map(|mv| rd(regs, mv.src)));
-            for (mv, &v) in moves.iter().zip(&self.move_buf) {
-                wr(regs, mv.dst, v);
-            }
-        }
-        frame.ip = e.target;
-        for mv in moves {
-            self.retired += 1;
-            if self.retired > self.fuel {
-                return Err(Trap::OutOfFuel);
-            }
-            let ops = [mv.incoming];
-            obs.on_event(&Event {
-                pc: mv.pc,
-                frame: frame_id,
-                result: mv.result,
-                kind: EventKind::Alu,
-                operands: &ops,
-            });
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::builder::FunctionBuilder;
-    use crate::interp::NullObserver;
 
     #[test]
     fn decode_flattens_blocks_and_pools_constants() {
@@ -1234,24 +685,6 @@ mod tests {
         let fi = &image.funcs[0];
         assert!(fi.consts.iter().any(|&(_, v)| v == RtVal::Int(7)));
         assert_eq!(fi.num_params, 1);
-    }
-
-    #[test]
-    fn engine_runs_a_simple_function() {
-        let mut m = Module::new("t");
-        let fid = m.declare_function("f", &[Type::I64, Type::I64], Type::I64);
-        {
-            let mut b = FunctionBuilder::new(m.function_mut(fid));
-            let r = b.add(b.arg(0), b.arg(1));
-            b.ret(Some(r));
-        }
-        let image = Arc::new(ExecImage::build(&m));
-        let mut eng = Engine::new();
-        let mut mem = Memory::with_limit(1 << 20);
-        eng.start(image, fid, &[RtVal::Int(30), RtVal::Int(12)]);
-        let r = eng.run_to_done(&mut mem, &mut NullObserver).unwrap();
-        assert_eq!(r, Some(RtVal::Int(42)));
-        assert_eq!(eng.retired(), 2);
     }
 
     #[test]

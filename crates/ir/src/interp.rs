@@ -8,18 +8,20 @@
 //! stride-prefetcher PC tables), memory addresses, and operand value-ids
 //! (for dataflow dependence tracking in the out-of-order core model).
 //!
-//! Execution itself is layered (see [`crate::exec`]): a one-time decode
-//! pass lowers a module into a dense [`ExecImage`], and a slim resumable
-//! engine runs the image. [`Interp`] is the compatibility facade over
-//! that engine: it owns the simulated memory, builds images on demand in
-//! [`Interp::start`], and preserves the original interpreter's API —
-//! `start`/`step` for multicore interleaving, `run` for one-shot
-//! execution. The original tree-walking engine survives as
-//! [`crate::classic::ClassicInterp`], the differential-testing oracle.
+//! Execution has two tiers. A one-time decode pass ([`crate::exec`])
+//! lowers a module into a dense [`ExecImage`], which the default
+//! bytecode tier ([`crate::bytecode`]) lowers once more into fixed-width
+//! words. The original tree-walking interpreter,
+//! [`crate::classic::ClassicInterp`], is the other tier: the
+//! differential-testing oracle, and the fallback for images the bytecode
+//! encoding cannot hold. [`Interp`] is the facade over both: it owns the
+//! simulated memory, builds images on demand in [`Interp::start`], and
+//! preserves the original interpreter's API — `start`/`step` for
+//! multicore interleaving, `run` for one-shot execution.
 
 use crate::bytecode::BcEngine;
 use crate::classic::ClassicInterp;
-use crate::exec::{Engine, ExecImage};
+use crate::exec::ExecImage;
 use crate::function::FuncId;
 use crate::inst::{BinOp, Pred};
 use crate::module::Module;
@@ -298,16 +300,14 @@ pub enum Step {
     Done(Option<RtVal>),
 }
 
-/// Which execution tier the [`Interp`] facade drives. All three tiers
-/// are bit-identical in architectural results and retire-event streams;
-/// they differ only in throughput. `Classic` and `Engine` survive as
-/// differential oracles for the bytecode tier.
+/// Which execution tier the [`Interp`] facade drives. Both tiers are
+/// bit-identical in architectural results and retire-event streams;
+/// they differ only in throughput. `Classic` is the bytecode tier's
+/// differential oracle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Tier {
     /// The original tree-walking interpreter (`crate::classic`).
     Classic,
-    /// The decoded [`ExecImage`] engine (`crate::exec`).
-    Engine,
     /// The fixed-width bytecode engine with fused superinstructions
     /// (`crate::bytecode`); the default.
     #[default]
@@ -315,8 +315,8 @@ pub enum Tier {
 }
 
 impl Tier {
-    /// Read the tier from `SWPF_TIER` (`classic` | `engine` |
-    /// `bytecode`); unset or empty defaults to [`Tier::Bytecode`].
+    /// Read the tier from `SWPF_TIER` (`classic` | `bytecode`); unset or
+    /// empty defaults to [`Tier::Bytecode`].
     ///
     /// # Errors
     /// On an unrecognised value — a misspelled tier silently running a
@@ -326,10 +326,7 @@ impl Tier {
             Ok(v) => match v.as_str() {
                 "" | "bytecode" => Ok(Tier::Bytecode),
                 "classic" => Ok(Tier::Classic),
-                "engine" => Ok(Tier::Engine),
-                other => Err(format!(
-                    "SWPF_TIER must be classic|engine|bytecode, got {other:?}"
-                )),
+                other => Err(format!("SWPF_TIER must be classic|bytecode, got {other:?}")),
             },
             Err(_) => Ok(Tier::Bytecode),
         }
@@ -350,7 +347,6 @@ impl Tier {
     pub fn label(self) -> &'static str {
         match self {
             Tier::Classic => "classic",
-            Tier::Engine => "engine",
             Tier::Bytecode => "bytecode",
         }
     }
@@ -373,28 +369,27 @@ impl<O: ExecObserver + ?Sized> ExecObserver for DynObs<'_, O> {
 }
 
 /// The active execution cursor. `Classic` carries its own memory (the
-/// tree-walker predates the split); the other tiers use the facade's.
+/// tree-walker predates the split) and the module it walks, once
+/// started; the bytecode tier uses the facade's memory.
 enum Cursor {
-    Engine(Engine),
     Bytecode(BcEngine),
-    Classic(Box<ClassicInterp>),
+    Classic(Box<ClassicInterp>, Option<Arc<Module>>),
 }
 
 /// The interpreter facade: simulated memory plus a resumable execution
-/// cursor on one of three [`Tier`]s (default: the bytecode tier, or
+/// cursor on one of two [`Tier`]s (default: the bytecode tier, or
 /// `SWPF_TIER` if set).
 ///
 /// [`Interp::start`] decodes the module into an [`ExecImage`]; callers
 /// that run the same module on many interpreters (e.g. multicore
 /// simulations) should decode once and use [`Interp::start_with_image`].
 ///
-/// Tier-selection caveats: the classic tier needs the source `Module`
-/// on every step, so image-only entry points ([`Interp::start_with_image`],
-/// [`Interp::run_with_image`]) transparently drop to the engine tier
-/// under `SWPF_TIER=classic` (the retired count and fuel budget carry
-/// over). The bytecode tier drops to the engine tier for images that
-/// exceed its 14-bit encoding capacities (`bytecode::LowerError`) —
-/// lowering failures are never an execution error.
+/// Every entry point runs on the selected tier: an image carries the
+/// module it was decoded from, so the classic tier starts from an image
+/// as readily as from a module. The bytecode tier runs an image that
+/// exceeds its 14-bit encoding capacities (`bytecode::LowerError`) on
+/// the classic tier instead (the retired count and fuel budget carry
+/// over) — lowering failures are never an execution error.
 pub struct Interp {
     mem: Memory,
     tier: Tier,
@@ -436,8 +431,7 @@ impl Interp {
     #[must_use]
     pub fn with_heap_limit_and_tier(limit: u64, tier: Tier) -> Self {
         let cursor = match tier {
-            Tier::Classic => Cursor::Classic(Box::new(ClassicInterp::with_heap_limit(limit))),
-            Tier::Engine => Cursor::Engine(Engine::new()),
+            Tier::Classic => Cursor::Classic(Box::new(ClassicInterp::with_heap_limit(limit)), None),
             Tier::Bytecode => Cursor::Bytecode(BcEngine::new()),
         };
         Interp {
@@ -458,8 +452,8 @@ impl Interp {
     /// Access the simulated memory (e.g. to initialise workload arrays).
     pub fn mem(&mut self) -> &mut Memory {
         match &mut self.cursor {
-            Cursor::Classic(c) => c.mem(),
-            _ => &mut self.mem,
+            Cursor::Classic(c, _) => c.mem(),
+            Cursor::Bytecode(_) => &mut self.mem,
         }
     }
 
@@ -467,8 +461,8 @@ impl Interp {
     #[must_use]
     pub fn mem_ref(&self) -> &Memory {
         match &self.cursor {
-            Cursor::Classic(c) => c.mem_ref(),
-            _ => &self.mem,
+            Cursor::Classic(c, _) => c.mem_ref(),
+            Cursor::Bytecode(_) => &self.mem,
         }
     }
 
@@ -477,9 +471,8 @@ impl Interp {
     pub fn retired(&self) -> u64 {
         self.retired_base
             + match &self.cursor {
-                Cursor::Engine(e) => e.retired(),
                 Cursor::Bytecode(b) => b.retired(),
-                Cursor::Classic(c) => c.retired(),
+                Cursor::Classic(c, _) => c.retired(),
             }
     }
 
@@ -489,9 +482,8 @@ impl Interp {
         self.fuel = fuel;
         let local = fuel.saturating_sub(self.retired_base);
         match &mut self.cursor {
-            Cursor::Engine(e) => e.set_fuel(local),
             Cursor::Bytecode(b) => b.set_fuel(local),
-            Cursor::Classic(c) => c.set_fuel(local),
+            Cursor::Classic(c, _) => c.set_fuel(local),
         }
     }
 
@@ -511,31 +503,19 @@ impl Interp {
     fn switch_cursor(&mut self, make: impl FnOnce() -> Cursor) {
         self.retired_base = self.retired();
         let mut next = make();
-        if let Cursor::Classic(old) = &mut self.cursor {
+        if let Cursor::Classic(old, _) = &mut self.cursor {
             // Leaving classic: adopt its heap as the facade's.
             self.mem = std::mem::replace(old.mem(), Memory::with_limit(0));
         }
-        if let Cursor::Classic(new) = &mut next {
+        if let Cursor::Classic(new, _) = &mut next {
             // Entering classic: hand the facade's heap over.
             *new.mem() = std::mem::replace(&mut self.mem, Memory::with_limit(0));
         }
         self.cursor = next;
         let local = self.fuel.saturating_sub(self.retired_base);
         match &mut self.cursor {
-            Cursor::Engine(e) => e.set_fuel(local),
             Cursor::Bytecode(b) => b.set_fuel(local),
-            Cursor::Classic(c) => c.set_fuel(local),
-        }
-    }
-
-    /// The engine cursor, switching to it if another tier is active.
-    fn ensure_engine(&mut self) -> &mut Engine {
-        if !matches!(self.cursor, Cursor::Engine(_)) {
-            self.switch_cursor(|| Cursor::Engine(Engine::new()));
-        }
-        match &mut self.cursor {
-            Cursor::Engine(e) => e,
-            _ => unreachable!(),
+            Cursor::Classic(c, _) => c.set_fuel(local),
         }
     }
 
@@ -550,15 +530,19 @@ impl Interp {
         }
     }
 
-    /// The classic cursor, switching to it if another tier is active.
-    fn ensure_classic(&mut self) -> &mut ClassicInterp {
-        if !matches!(self.cursor, Cursor::Classic(_)) {
-            self.switch_cursor(|| Cursor::Classic(Box::new(ClassicInterp::with_heap_limit(0))));
+    /// Start the classic cursor on `module`, switching to it if another
+    /// tier is active.
+    fn start_classic(&mut self, module: Arc<Module>, func: FuncId, args: &[RtVal]) {
+        if !matches!(self.cursor, Cursor::Classic(..)) {
+            self.switch_cursor(|| {
+                Cursor::Classic(Box::new(ClassicInterp::with_heap_limit(0)), None)
+            });
         }
-        match &mut self.cursor {
-            Cursor::Classic(c) => c,
-            _ => unreachable!(),
-        }
+        let Cursor::Classic(c, walked) = &mut self.cursor else {
+            unreachable!("switched to classic above")
+        };
+        c.start(&module, func, args);
+        *walked = Some(module);
     }
 
     /// Route an image start to the tier-appropriate cursor (the shared
@@ -569,15 +553,14 @@ impl Interp {
                 self.ensure_bytecode().start(bc, func, args);
                 return;
             }
-            // Lowering failed (capacity overflow): degrade to the
-            // engine tier for this image. `ExecImage::bytecode` warns
-            // once per image.
+            // Lowering failed (capacity overflow): run this image on the
+            // classic tier. `ExecImage::bytecode` warns once per image.
         }
-        self.ensure_engine().start(image, func, args);
+        self.start_classic(Arc::clone(&image.module), func, args);
     }
 
     /// Begin executing `func` with `args`, decoding `module` into a
-    /// fresh [`ExecImage`] (or walking it directly on the classic
+    /// fresh [`ExecImage`] (or walking a copy of it on the classic
     /// tier). Any previous cursor state is discarded; allocated memory
     /// is retained.
     ///
@@ -585,17 +568,14 @@ impl Interp {
     /// If the argument count does not match the signature.
     pub fn start(&mut self, module: &Module, func: FuncId, args: &[RtVal]) {
         if self.tier == Tier::Classic {
-            self.ensure_classic().start(module, func, args);
+            self.start_classic(Arc::new(module.clone()), func, args);
             return;
         }
         self.start_image(Arc::new(ExecImage::build(module)), func, args);
     }
 
     /// Begin executing `func` from an already-decoded image, skipping
-    /// the decode pass. The image must have been built from the module
-    /// later passed to [`Interp::step`]. Image-only, so the classic
-    /// tier (which re-reads the module each step) drops to the engine
-    /// tier here.
+    /// the decode pass, on the selected tier.
     ///
     /// # Panics
     /// If the argument count does not match the signature.
@@ -614,23 +594,13 @@ impl Interp {
         args: &[RtVal],
         obs: &mut (impl ExecObserver + ?Sized),
     ) -> Result<Option<RtVal>, Trap> {
-        if self.tier == Tier::Classic {
-            let c = self.ensure_classic();
-            return c.run(module, func, args, &mut DynObs(obs));
-        }
         self.start(module, func, args);
-        match &mut self.cursor {
-            Cursor::Engine(e) => e.run_to_done(&mut self.mem, obs),
-            Cursor::Bytecode(b) => b.run_to_done(&mut self.mem, obs),
-            Cursor::Classic(_) => unreachable!("non-classic start"),
-        }
+        self.run_to_done(obs)
     }
 
     /// Run to completion from an already-decoded image, skipping the
     /// decode pass (the amortised shape every repeated-simulation caller
     /// wants; the throughput bench and multicore runner use it).
-    /// Image-only: see [`Interp::start_with_image`] for the classic-tier
-    /// caveat.
     ///
     /// # Errors
     /// Any [`Trap`] raised during execution.
@@ -642,18 +612,34 @@ impl Interp {
         obs: &mut (impl ExecObserver + ?Sized),
     ) -> Result<Option<RtVal>, Trap> {
         self.start_image(image, func, args);
+        self.run_to_done(obs)
+    }
+
+    /// Run the active cursor to completion.
+    fn run_to_done(
+        &mut self,
+        obs: &mut (impl ExecObserver + ?Sized),
+    ) -> Result<Option<RtVal>, Trap> {
         match &mut self.cursor {
-            Cursor::Engine(e) => e.run_to_done(&mut self.mem, obs),
             Cursor::Bytecode(b) => b.run_to_done(&mut self.mem, obs),
-            Cursor::Classic(_) => unreachable!("image starts never select classic"),
+            Cursor::Classic(c, walked) => {
+                let module = walked.as_deref().expect("run without a started cursor");
+                let mut obs = DynObs(obs);
+                loop {
+                    if let Step::Done(v) = c.step(module, &mut obs)? {
+                        return Ok(v);
+                    }
+                }
+            }
         }
     }
 
-    /// Execute and retire exactly one instruction.
+    /// Execute and retire exactly one instruction — [`Interp::run_steps`]
+    /// with a budget of one.
     ///
-    /// `module` must be the module whose image the cursor was started
-    /// with; the classic tier re-reads it every step, the other tiers
-    /// accept (and ignore) it for API compatibility.
+    /// `module` must be the module the cursor was started with. Every
+    /// cursor holds what it runs, so the argument is kept only for API
+    /// compatibility.
     ///
     /// # Errors
     /// Any [`Trap`] raised by the instruction.
@@ -663,17 +649,10 @@ impl Interp {
     #[inline]
     pub fn step(
         &mut self,
-        module: &Module,
+        _module: &Module,
         obs: &mut (impl ExecObserver + ?Sized),
     ) -> Result<Step, Trap> {
-        match &mut self.cursor {
-            Cursor::Classic(c) => {
-                let step = c.step(module, &mut DynObs(&mut *obs))?;
-                obs.end_step();
-                Ok(step)
-            }
-            _ => self.run_steps(1, obs),
-        }
+        self.run_steps(1, obs)
     }
 
     /// Execute and retire exactly one instruction of the active cursor,
@@ -706,9 +685,7 @@ impl Interp {
     /// Any [`Trap`] raised by an instruction.
     ///
     /// # Panics
-    /// If called without an active cursor (no `start`, or after `Done`),
-    /// or on a classic-tier cursor (the classic engine cannot step
-    /// without its module — use [`Interp::step`]).
+    /// If called without an active cursor (no `start`, or after `Done`).
     #[inline]
     pub fn run_steps(
         &mut self,
@@ -716,12 +693,19 @@ impl Interp {
         obs: &mut (impl ExecObserver + ?Sized),
     ) -> Result<Step, Trap> {
         match &mut self.cursor {
-            Cursor::Engine(e) => e.run_steps(n, &mut self.mem, obs),
             Cursor::Bytecode(b) => b.run_steps(n, &mut self.mem, obs),
-            Cursor::Classic(_) => panic!(
-                "run_steps() on the classic tier: the classic engine re-reads the module \
-                 every step; use Interp::step(module, obs) or another SWPF_TIER"
-            ),
+            Cursor::Classic(c, walked) => {
+                let module = walked.as_deref().expect("step() without a started cursor");
+                let mut obs = DynObs(obs);
+                for _ in 0..n {
+                    let step = c.step(module, &mut obs)?;
+                    obs.end_step();
+                    if let Step::Done(_) = step {
+                        return Ok(step);
+                    }
+                }
+                Ok(Step::Continue)
+            }
         }
     }
 }
@@ -1106,5 +1090,32 @@ mod tests {
             };
             assert_eq!(r, Some(RtVal::Int(2 * i)));
         }
+    }
+
+    #[test]
+    fn image_starts_run_on_the_classic_tier() {
+        let mut m = Module::new("t");
+        let fid = m.declare_function("f", &[Type::I64, Type::I64], Type::I64);
+        {
+            let mut b = FunctionBuilder::new(m.function_mut(fid));
+            let r = b.add(b.arg(0), b.arg(1));
+            b.ret(Some(r));
+        }
+        let image = Arc::new(ExecImage::build(&m));
+        let args = [RtVal::Int(30), RtVal::Int(12)];
+        let mut interp = Interp::with_tier(Tier::Classic);
+        let r = interp
+            .run_with_image(Arc::clone(&image), fid, &args, &mut NullObserver)
+            .unwrap();
+        assert_eq!(r, Some(RtVal::Int(42)));
+        assert_eq!(interp.retired(), 2);
+        // Module-free stepping walks the module the image carries.
+        interp.start_with_image(image, fid, &args);
+        assert_eq!(interp.run_steps(1, &mut NullObserver), Ok(Step::Continue));
+        assert_eq!(
+            interp.run_steps(8, &mut NullObserver),
+            Ok(Step::Done(Some(RtVal::Int(42))))
+        );
+        assert_eq!(interp.retired(), 4);
     }
 }

@@ -55,7 +55,7 @@ fn every_source_topology_and_tier_agrees() {
             let mut per_machine = Vec::new();
             for cfg in [&haswell, &a53] {
                 let mut per_tier = Vec::new();
-                for tier in [Tier::Bytecode, Tier::Engine] {
+                for tier in [Tier::Bytecode, Tier::Classic] {
                     let at = format!("{} x{cores} on {} ({tier:?})", w.name(), cfg.name);
                     let sim = Sim {
                         machines: &[cfg],

@@ -2,7 +2,7 @@
 //!
 //! Every figure of the paper is a machine × workload × variant grid, and
 //! functional execution is machine-independent: the retire-event stream
-//! the pre-decoded engine reports through [`ExecObserver`] is identical
+//! the interpreter reports through [`ExecObserver`] is identical
 //! no matter which timing model is attached (the differential and
 //! thread-invariance suites prove it). This crate decouples the two
 //! halves: **record** the event stream once per kernel, then **replay**

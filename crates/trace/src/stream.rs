@@ -52,7 +52,7 @@ const DENSE_FUNCS: usize = 256;
 /// Values per function covered by the dense pc map.
 const DENSE_VALUES: usize = 1 << 16;
 
-/// pc → operand-dictionary slot. Engine pcs are `(func << 32) | value`
+/// pc → operand-dictionary slot. Interpreter pcs are `(func << 32) | value`
 /// with small indices, so lookups — one per encoded event — are dense
 /// two-level array reads in the common case; arbitrary pcs (the codec
 /// stays general for hand-built events) fall back to a hash map.
@@ -406,7 +406,7 @@ impl DecodeState {
         // `decode_one` (the inline arm pushes the entry it indexes), and
         // every `lists` range is within `pool` by construction — both
         // are only ever extended together. Same validate-then-unchecked
-        // shape as the engine's register file (`swpf_ir::exec::rd`).
+        // shape as the bytecode tier's register file (`swpf_ir::bytecode`).
         debug_assert!((slot as usize) < self.lists.len());
         let (at, len) = unsafe { *self.lists.get_unchecked(slot as usize) };
         debug_assert!((at + len) as usize <= self.pool.len());

@@ -1,18 +1,17 @@
-//! Differential test: the bytecode tier against both oracles.
+//! Differential test: the bytecode tier against the classic oracle.
 //!
-//! The bytecode engine (`swpf_ir::bytecode`) is the third execution
-//! tier behind the `Interp` facade, and like the `ExecImage` engine
-//! before it, it must be *observably identical* to the tree-walking
-//! classic interpreter: same architectural results (return value,
-//! memory, retired count, workload checksum) and the same retire-event
-//! stream — every event's pc, frame id, result id, kind (with
-//! addresses), operand list, and position in retire order. Fused
-//! superinstructions retire two events per dispatch and must leave no
-//! seam: this suite runs all seven workloads × {baseline, manual,
-//! auto-pass} plus an all-opcode torture kernel through all three tiers
-//! and compares everything, including trap behaviour, a fuel sweep that
-//! lands budgets *inside* fused pairs, and multicore contention
-//! schedules.
+//! The bytecode engine (`swpf_ir::bytecode`) is the default execution
+//! tier behind the `Interp` facade, and it must be *observably
+//! identical* to the tree-walking classic interpreter: same
+//! architectural results (return value, memory, retired count, workload
+//! checksum) and the same retire-event stream — every event's pc, frame
+//! id, result id, kind (with addresses), operand list, and position in
+//! retire order. Fused superinstructions retire two events per dispatch
+//! and must leave no seam: this suite runs all seven workloads ×
+//! {baseline, manual, auto-pass} plus an all-opcode torture kernel
+//! through both tiers and compares everything, including trap
+//! behaviour, a fuel sweep that lands budgets *inside* fused pairs,
+//! single-core `SimStats`, and multicore contention schedules.
 
 use std::sync::Arc;
 use swpf::workloads::{suite, KernelVariant, Scale, Workload};
@@ -126,9 +125,7 @@ fn all_workloads_all_variants_match_both_oracles() {
             swpf_ir::verifier::verify_module(&m).expect("workload verifies");
             let name = format!("{}/{variant}", w.name());
             let bytecode = run_tier(Tier::Bytecode, &m, w.as_ref());
-            let engine = run_tier(Tier::Engine, &m, w.as_ref());
             let classic = run_tier(Tier::Classic, &m, w.as_ref());
-            assert_identical(&format!("{name} vs engine"), &engine, &bytecode);
             assert_identical(&format!("{name} vs classic"), &classic, &bytecode);
             assert!(
                 bytecode.checksum.is_some(),
@@ -258,10 +255,8 @@ fn torture_kernel_matches_both_oracles() {
     swpf_ir::verifier::verify_module(&m).expect("torture verifies");
     let args = [RtVal::Int(64)];
     let bc = run_plain(Tier::Bytecode, &m, &args, None);
-    let engine = run_plain(Tier::Engine, &m, &args, None);
     let classic = run_plain(Tier::Classic, &m, &args, None);
     assert!(bc.result.is_ok(), "torture runs cleanly");
-    assert_identical("torture vs engine", &engine, &bc);
     assert_identical("torture vs classic", &classic, &bc);
     assert!(
         bc.events
@@ -293,10 +288,8 @@ fn traps_match_both_oracles() {
     let args = [RtVal::Int(5)];
     for fuel in [None, Some(1u64), Some(2)] {
         let bc = run_plain(Tier::Bytecode, &m, &args, fuel);
-        let engine = run_plain(Tier::Engine, &m, &args, fuel);
         let classic = run_plain(Tier::Classic, &m, &args, fuel);
         assert!(bc.result.is_err(), "kernel must trap");
-        assert_identical(&format!("trap vs engine, fuel {fuel:?}"), &engine, &bc);
         assert_identical(&format!("trap vs classic, fuel {fuel:?}"), &classic, &bc);
     }
 }
@@ -355,7 +348,7 @@ fn fuel_sweep_lands_inside_fused_pairs() {
     };
     // Unfuelled retired count bounds the sweep.
     let full = {
-        let mut interp = Interp::with_tier(Tier::Engine);
+        let mut interp = Interp::with_tier(Tier::Classic);
         let args = setup(&mut interp);
         let f = m.find_function("kernel").unwrap();
         interp
@@ -365,7 +358,7 @@ fn fuel_sweep_lands_inside_fused_pairs() {
     };
     for fuel in 1..=full {
         let mut outcomes = Vec::new();
-        for tier in [Tier::Bytecode, Tier::Engine, Tier::Classic] {
+        for tier in [Tier::Bytecode, Tier::Classic] {
             let mut interp = Interp::with_tier(tier);
             let args = setup(&mut interp);
             interp.set_fuel(fuel);
@@ -380,11 +373,10 @@ fn fuel_sweep_lands_inside_fused_pairs() {
                 events: rec.events,
             });
         }
-        let (bc, engine, classic) = (&outcomes[0], &outcomes[1], &outcomes[2]);
+        let (bc, classic) = (&outcomes[0], &outcomes[1]);
         if fuel < full {
             assert_eq!(bc.result, Err(Trap::OutOfFuel), "fuel {fuel} must exhaust");
         }
-        assert_identical(&format!("fuel {fuel} vs engine"), engine, bc);
         assert_identical(&format!("fuel {fuel} vs classic"), classic, bc);
     }
 }
@@ -398,7 +390,7 @@ fn sim_stats_identical_across_tiers() {
         let m = w.build_manual(16);
         let f = m.find_function("kernel").unwrap();
         let image = Arc::new(ExecImage::build(&m));
-        let stats: Vec<String> = [Tier::Bytecode, Tier::Engine]
+        let stats: Vec<String> = [Tier::Bytecode, Tier::Classic]
             .iter()
             .map(|&tier| {
                 let sim = Sim {
@@ -426,7 +418,7 @@ fn multicore_contention_schedule_identical_across_tiers() {
     let f = m.find_function("kernel").unwrap();
     let image = Arc::new(ExecImage::build(&m));
     for n_cores in [2usize, 4] {
-        let per_tier: Vec<String> = [Tier::Bytecode, Tier::Engine]
+        let per_tier: Vec<String> = [Tier::Bytecode, Tier::Classic]
             .iter()
             .map(|&tier| {
                 let sim = Sim {

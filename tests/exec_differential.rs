@@ -1,11 +1,11 @@
-//! Differential test: the pre-decoded engine against the classic oracle.
+//! Differential test: the default tier against the classic oracle.
 //!
-//! The `ExecImage` engine (`swpf_ir::exec`) replaced the tree-walking
-//! interpreter on every simulation path, so it must be *observably
-//! identical*: same architectural results (return value, memory, retired
-//! count, workload checksum) and the same observer event stream — every
-//! event's pc, frame id, result id, kind (with addresses), operand list,
-//! and position in retire order. This suite runs each of the seven
+//! The default `Interp` tier (bytecode, `swpf_ir::bytecode`) replaced
+//! the tree-walking interpreter on every simulation path, so it must be
+//! *observably identical*: same architectural results (return value,
+//! memory, retired count, workload checksum) and the same observer event
+//! stream — every event's pc, frame id, result id, kind (with
+//! addresses), operand list, and position in retire order. This suite runs each of the seven
 //! workloads' baseline and manual-prefetch modules, the auto-pass output,
 //! and a synthetic all-opcode torture kernel through both engines and
 //! compares everything, including trap behaviour.

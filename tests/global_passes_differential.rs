@@ -8,9 +8,9 @@
 //! and trap behaviour are all invariant, on every execution tier. This
 //! suite runs every pass (alone and in the full pipeline) over all 7
 //! workloads × 3 kernel variants and compares the outcome against the
-//! unoptimized module on all three tiers (bytecode, pre-decoded engine,
-//! classic tree-walker), plus a synthetic trapping kernel proving a
-//! runtime trap survives every pass. Property tests pin the per-pass
+//! unoptimized module on both tiers (bytecode, classic tree-walker),
+//! plus a synthetic trapping kernel proving a runtime trap survives
+//! every pass. Property tests pin the per-pass
 //! contracts: GVN never increases the (static or dynamic) instruction
 //! count, LICM hoists only speculation-safe loop-invariant code, and
 //! SCCP's folded constants agree with the interpreter.
@@ -26,7 +26,7 @@ use swpf_ir::Module;
 /// attribution) and the full default pipeline.
 const PIPELINES: [&str; 4] = ["gvn", "sccp", "licm", "gvn,sccp,licm,cse,dce"];
 
-const TIERS: [Tier; 3] = [Tier::Bytecode, Tier::Engine, Tier::Classic];
+const TIERS: [Tier; 2] = [Tier::Bytecode, Tier::Classic];
 
 /// FNV-1a over all allocated simulated memory.
 fn mem_digest(mem: &swpf_ir::interp::Memory) -> u64 {
@@ -249,8 +249,8 @@ proptest! {
         let m0 = m.clone();
         optimize(&mut m, "licm");
         prop_assert_eq!(inst_count(&m), inst_count(&m0), "LICM moves, never adds/removes");
-        let before = run_tier(Tier::Engine, &m0, w);
-        let after = run_tier(Tier::Engine, &m, w);
+        let before = run_tier(Tier::Classic, &m0, w);
+        let after = run_tier(Tier::Classic, &m, w);
         prop_assert_eq!(before.result, after.result);
         prop_assert_eq!(before.mem_digest, after.mem_digest);
     }

@@ -72,7 +72,7 @@ fn profiling_is_observationally_pure_on_every_tier() {
     let image = Arc::new(ExecImage::build(&module));
     for machine in [MachineConfig::haswell(), MachineConfig::a53()] {
         let mut tier_profiles = Vec::new();
-        for tier in [Tier::Classic, Tier::Engine, Tier::Bytecode] {
+        for tier in [Tier::Classic, Tier::Bytecode] {
             let ctx = format!("{}/{tier:?}", machine.name);
             let mut setup = |_: usize, i: &mut Interp| w.setup(i);
             swpf_sim::perf::set_enabled(false);

@@ -2,8 +2,8 @@
 //!
 //! Four families:
 //! 1. randomly generated kernels (op mix, constants, trip counts drawn
-//!    by proptest) must execute observably identically on the bytecode,
-//!    engine, and classic tiers — results, retired counts, and the full
+//!    by proptest) must execute observably identically on the bytecode
+//!    and classic tiers — results, retired counts, and the full
 //!    retire-event stream;
 //! 2. batched stepping (`Interp::run_steps(k)`) is `k` single steps:
 //!    same events, step marks, outcomes, retired counts and parked
@@ -12,13 +12,16 @@
 //!    for every word of every lowered workload function, and fusion
 //!    rewrites only head opcode bytes;
 //! 4. encodings that do not fit the 14-bit operand fields are rejected
-//!    at lowering time (`LowerError`), never reaching dispatch.
+//!    at lowering time (`LowerError`), never reaching dispatch, and run
+//!    on the classic tier instead.
 
 use proptest::prelude::*;
 use std::sync::Arc;
 use swpf_ir::bytecode::{decode_word, op, unfuse, BcImage, LowerError};
+use swpf_ir::classic::ClassicInterp;
 use swpf_ir::interp::{Event, EventKind, ExecObserver, Interp, RtVal, Step, Tier};
 use swpf_ir::prelude::*;
+use swpf_sim::{MachineConfig, Sim, Source};
 use swpf_workloads::{suite, Scale};
 
 #[derive(Default, Debug, PartialEq)]
@@ -191,7 +194,7 @@ proptest! {
     // step marks, and after every batch the same outcome, retired count
     // and log position as after the corresponding single step — through
     // calls and returns, and when the fuel runs out mid-batch (raised at
-    // the same instruction, cursor parked identically). The engine
+    // the same instruction, cursor parked identically). The classic
     // tier's independent single-step loop must agree with all of it.
     #[test]
     fn run_steps_is_k_single_steps(
@@ -202,11 +205,11 @@ proptest! {
     ) {
         let m = random_kernel_with_calls(&ops, &consts, trips);
         swpf_ir::verifier::verify_module(&m).expect("generated kernel verifies");
-        let (engine_steps, engine_log) = run_in_batches(Tier::Engine, &m, fuel, 1);
-        for tier in [Tier::Bytecode, Tier::Engine] {
+        let (classic_steps, classic_log) = run_in_batches(Tier::Classic, &m, fuel, 1);
+        for tier in [Tier::Bytecode, Tier::Classic] {
             let (steps, log) = run_in_batches(tier, &m, fuel, 1);
-            prop_assert_eq!(&log, &engine_log, "{:?} single steps vs engine", tier);
-            prop_assert_eq!(&steps, &engine_steps, "{:?} single-step outcomes", tier);
+            prop_assert_eq!(&log, &classic_log, "{:?} single steps vs classic", tier);
+            prop_assert_eq!(&steps, &classic_steps, "{:?} single-step outcomes", tier);
             for k in [7u64, 64, 1000] {
                 let (batches, batched_log) = run_in_batches(tier, &m, fuel, k);
                 prop_assert_eq!(&batched_log, &log, "{:?} k={} log", tier, k);
@@ -229,23 +232,29 @@ proptest! {
     }
 }
 
-/// The classic tier re-reads its module on every step, so the
-/// module-free stepping entry points keep refusing it.
+/// A classic cursor started from a module keeps its own copy of it, so
+/// the module-free stepping entry points run it like any other cursor:
+/// batches and single steps report the bytecode tier's events and step
+/// marks.
 #[test]
-fn run_steps_refuses_the_classic_tier() {
+fn run_steps_runs_a_classic_cursor_started_from_a_module() {
     let m = random_kernel(&[0], &[1], 2);
     let f = m.find_function("kernel").unwrap();
-    let mut interp = Interp::with_tier(Tier::Classic);
-    let buf = interp.alloc_array(8, 8).expect("small alloc");
-    interp.start(&m, f, &[RtVal::Int(buf as i64), RtVal::Int(8)]);
-    let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        interp.run_steps(4, &mut swpf_ir::interp::NullObserver)
-    }));
-    assert!(refused.is_err(), "run_steps must panic on a classic cursor");
-    // `step` with the module still works, and reports its step mark.
-    let mut log = StepLog::default();
-    assert_eq!(interp.step(&m, &mut log), Ok(Step::Continue));
-    assert_eq!(log.0.last(), Some(&Seen::EndStep));
+    let logs: Vec<Vec<Seen>> = [Tier::Classic, Tier::Bytecode]
+        .into_iter()
+        .map(|tier| {
+            let mut interp = Interp::with_tier(tier);
+            let buf = interp.alloc_array(8, 8).expect("small alloc");
+            interp.start(&m, f, &[RtVal::Int(buf as i64), RtVal::Int(8)]);
+            let mut log = StepLog::default();
+            assert_eq!(interp.run_steps(4, &mut log), Ok(Step::Continue));
+            assert_eq!(interp.step(&m, &mut log), Ok(Step::Continue));
+            assert_eq!(log.0.last(), Some(&Seen::EndStep));
+            while interp.step_cursor(&mut log) == Ok(Step::Continue) {}
+            log.0
+        })
+        .collect();
+    assert_eq!(logs[0], logs[1], "classic vs bytecode step log");
 }
 
 proptest! {
@@ -258,13 +267,9 @@ proptest! {
         let m = random_kernel(&ops, &consts, trips);
         swpf_ir::verifier::verify_module(&m).expect("generated kernel verifies");
         let (br, bret, bev) = run_tier(Tier::Bytecode, &m);
-        let (er, eret, eev) = run_tier(Tier::Engine, &m);
         let (cr, cret, cev) = run_tier(Tier::Classic, &m);
-        prop_assert_eq!(&br, &er, "bytecode vs engine result");
         prop_assert_eq!(&br, &cr, "bytecode vs classic result");
-        prop_assert_eq!(bret, eret, "retired vs engine");
         prop_assert_eq!(bret, cret, "retired vs classic");
-        prop_assert_eq!(&bev, &eev, "event stream vs engine");
         prop_assert_eq!(&bev, &cev, "event stream vs classic");
     }
 
@@ -278,7 +283,7 @@ proptest! {
     ) {
         let m = random_kernel(&ops, &[3, -7], 16);
         let mut outcomes = Vec::new();
-        for tier in [Tier::Bytecode, Tier::Engine, Tier::Classic] {
+        for tier in [Tier::Bytecode, Tier::Classic] {
             let mut interp = Interp::with_tier(tier);
             let buf = interp.alloc_array(8, 8).expect("small alloc");
             interp.set_fuel(fuel);
@@ -287,8 +292,7 @@ proptest! {
             let result = interp.run(&m, f, &[RtVal::Int(buf as i64), RtVal::Int(8)], &mut rec);
             outcomes.push((result, interp.retired(), rec));
         }
-        prop_assert_eq!(&outcomes[0], &outcomes[1], "bytecode vs engine under fuel");
-        prop_assert_eq!(&outcomes[0], &outcomes[2], "bytecode vs classic under fuel");
+        prop_assert_eq!(&outcomes[0], &outcomes[1], "bytecode vs classic under fuel");
     }
 }
 
@@ -349,8 +353,10 @@ fn fusion_is_an_opcode_only_rewrite_everywhere() {
 
 /// A function whose value count exceeds the 14-bit slot space is
 /// rejected with `LowerError::TooManySlots` at lowering; the facade's
-/// cached `bytecode()` returns `None` (and the `Interp` silently falls
-/// back to the engine tier) — nothing invalid ever reaches dispatch.
+/// cached `bytecode()` returns `None` — nothing invalid ever reaches
+/// dispatch — and the bytecode tier runs the image on the classic tier
+/// instead: through `Interp::run_with_image` and through a two-core
+/// `Sim`, both matching `ClassicInterp::run` on the module.
 #[test]
 fn oversized_functions_are_rejected_at_lowering_not_dispatch() {
     let mut m = Module::new("huge");
@@ -364,23 +370,47 @@ fn oversized_functions_are_rejected_at_lowering_not_dispatch() {
         }
         b.ret(Some(v));
     }
-    let image = ExecImage::build(&m);
+    let image = Arc::new(ExecImage::build(&m));
     assert!(matches!(
         BcImage::lower(&image),
         Err(LowerError::TooManySlots { .. })
     ));
     assert!(image.bytecode().is_none(), "facade cache agrees");
 
-    // The fallback still executes the module correctly on the bytecode
-    // tier setting — via the engine.
+    let args = [RtVal::Int(5)];
+    let mut oracle = ClassicInterp::new();
+    let mut oracle_events = Stream::default();
+    let want = oracle.run(&m, fid, &args, &mut oracle_events);
+    assert_eq!(want, Ok(Some(RtVal::Int(5 + 17_000))));
+
     let mut interp = Interp::with_tier(Tier::Bytecode);
-    let r = interp
-        .run(
-            &m,
-            fid,
-            &[RtVal::Int(5)],
-            &mut swpf_ir::interp::NullObserver,
-        )
-        .unwrap();
-    assert_eq!(r, Some(RtVal::Int(5 + 17_000)));
+    let mut events = Stream::default();
+    let got = interp.run_with_image(Arc::clone(&image), fid, &args, &mut events);
+    assert_eq!(got, want, "run_with_image result");
+    assert_eq!(interp.retired(), oracle.retired(), "run_with_image retired");
+    assert_eq!(events, oracle_events, "run_with_image event stream");
+
+    let cfg = MachineConfig::haswell();
+    let two_cores = |tier| {
+        let sim = Sim {
+            machines: &[&cfg],
+            cores: 2,
+            tier,
+        };
+        let runs = sim.run(Source::image(&image, fid, &mut |_, _| args.to_vec()));
+        runs.expect("no trap")
+    };
+    let runs = two_cores(Tier::Bytecode);
+    for run in &runs {
+        assert_eq!(
+            run.stats.insts.total,
+            oracle.retired(),
+            "Sim retired per core"
+        );
+    }
+    assert_eq!(
+        format!("{runs:?}"),
+        format!("{:?}", two_cores(Tier::Classic)),
+        "Sim per-core stats"
+    );
 }
