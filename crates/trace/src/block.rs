@@ -56,7 +56,7 @@
 //! pathological inputs cost at most the 21-byte block header.
 
 use crate::huff::{build_codes, code_lengths, BitReader, BitWriter, Decoder};
-use crate::wire::{checksum64, get_u32, get_u64, get_varint, put_varint};
+use crate::wire::{checksum64, get_u32, get_u64, get_varint};
 use crate::TraceError;
 
 /// Uncompressed block size the default writer targets. Small enough to
@@ -200,12 +200,10 @@ pub(crate) struct MatchScratch {
 }
 
 /// What one parse leaves behind besides the tokens: both `METHOD_LZH`
-/// symbol histograms and the exact `METHOD_LZ` size — enough to price
-/// every method before serialising any.
+/// symbol histograms — enough to price the block before serialising it.
 struct Parse {
     ll_freq: [u32; LITLEN_SYMS],
     off_freq: [u32; OFF_SYMS],
-    lz_bytes: usize,
 }
 
 /// Match-search effort of one block, for the `trace.encode.*` work
@@ -251,12 +249,6 @@ fn common_len(raw: &[u8], a: usize, i: usize, max: usize) -> usize {
         l += 1;
     }
     l
-}
-
-/// Bytes a varint of `v` occupies.
-#[inline]
-fn varint_len(v: u32) -> usize {
-    (38 - (v | 1).leading_zeros() as usize) / 7
 }
 
 /// Best match for position `i` among the first [`MAX_PROBES`] chain
@@ -307,20 +299,17 @@ fn tokenize(raw: &[u8], s: &mut MatchScratch) -> Parse {
     let mut parse = Parse {
         ll_freq: [0; LITLEN_SYMS],
         off_freq: [0; OFF_SYMS],
-        lz_bytes: 0,
     };
     let mut emit = |tokens: &mut Vec<Token>, lit: &[u8], match_len: usize, dist: usize| {
         let (mut len_sym, mut off_sym) = (0, 0);
         for &b in lit {
             parse.ll_freq[b as usize] += 1;
         }
-        parse.lz_bytes += varint_len(lit.len() as u32) + lit.len();
         if match_len > 0 {
             len_sym = geo_sym((match_len - MIN_MATCH) as u32, LEN_DIRECT);
             off_sym = geo_sym(dist as u32 - 1, OFF_DIRECT);
             parse.ll_freq[256 + len_sym as usize] += 1;
             parse.off_freq[off_sym as usize] += 1;
-            parse.lz_bytes += varint_len(match_len as u32) + varint_len(dist as u32);
         }
         tokens.push(Token {
             lit_len: lit.len() as u32,
@@ -392,21 +381,6 @@ fn tokenize(raw: &[u8], s: &mut MatchScratch) -> Parse {
 }
 
 // ---- serialisers ------------------------------------------------------
-
-/// Serialise the token list under the byte-aligned `METHOD_LZ` grammar.
-fn encode_lz(raw: &[u8], tokens: &[Token], out: &mut Vec<u8>) {
-    let mut pos = 0usize;
-    for t in tokens {
-        put_varint(out, u64::from(t.lit_len));
-        out.extend_from_slice(&raw[pos..pos + t.lit_len as usize]);
-        pos += t.lit_len as usize;
-        if t.match_len > 0 {
-            put_varint(out, u64::from(t.match_len));
-            put_varint(out, u64::from(t.dist));
-            pos += t.match_len as usize;
-        }
-    }
-}
 
 /// Fill one alphabet's per-symbol write entries — `code | len << 16 |
 /// extra_bits << 24`, so one lookup yields everything a token's symbol
@@ -490,26 +464,22 @@ fn encode_lzh(raw: &[u8], tokens: &[Token], plan: &LzhPlan, out: &mut Vec<u8>) {
     w.finish();
 }
 
-/// Compress `raw`, returning the smallest of the stored/LZ/LZH
+/// Compress `raw`, returning the smaller of the stored and LZH
 /// encodings — `(method, bytes)`, where [`METHOD_STORED`] hands `raw`
-/// itself back. Each method's size follows from the token list and the
-/// code lengths alone, so only the winner is serialised.
+/// itself back. The LZH size follows from the token list and the code
+/// lengths alone, so it is serialised only when it wins.
 pub(crate) fn compress_best<'a>(raw: &'a [u8], s: &'a mut MatchScratch) -> (u8, &'a [u8]) {
     let parse = tokenize(raw, s);
     let plan = plan_lzh(&parse);
     let lzh_bytes = TABLE_BYTES + plan.stream_bytes;
     s.out.clear();
-    // Either serialisation only wins below `raw.len()` (plus the bit
-    // writer's word of slack): sized once, for every block this long.
+    // LZH only wins below `raw.len()` (plus the bit writer's word of
+    // slack): sized once, for every block this long.
     s.out.reserve(raw.len() + 8);
-    if lzh_bytes < parse.lz_bytes && lzh_bytes < raw.len() {
+    if lzh_bytes < raw.len() {
         encode_lzh(raw, &s.tokens, &plan, &mut s.out);
         debug_assert_eq!(s.out.len(), lzh_bytes);
         (METHOD_LZH, &s.out)
-    } else if parse.lz_bytes < raw.len() {
-        encode_lz(raw, &s.tokens, &mut s.out);
-        debug_assert_eq!(s.out.len(), parse.lz_bytes);
-        (METHOD_LZ, &s.out)
     } else {
         (METHOD_STORED, raw)
     }
@@ -715,16 +685,32 @@ impl BlockHeader {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::put_varint;
 
-    /// Both serialisations of `raw`'s token list, whichever would win:
-    /// `(METHOD_LZ bytes, METHOD_LZH bytes)`, each checked against the
-    /// size `compress_best` prices it at.
+    /// Serialise the token list under the byte-aligned `METHOD_LZ`
+    /// grammar, which the writer no longer picks.
+    fn encode_lz(raw: &[u8], tokens: &[Token], out: &mut Vec<u8>) {
+        let mut pos = 0usize;
+        for t in tokens {
+            put_varint(out, u64::from(t.lit_len));
+            out.extend_from_slice(&raw[pos..pos + t.lit_len as usize]);
+            pos += t.lit_len as usize;
+            if t.match_len > 0 {
+                put_varint(out, u64::from(t.match_len));
+                put_varint(out, u64::from(t.dist));
+                pos += t.match_len as usize;
+            }
+        }
+    }
+
+    /// Both serialisations of `raw`'s token list:
+    /// `(METHOD_LZ bytes, METHOD_LZH bytes)`, the latter checked against
+    /// the size `compress_best` prices it at.
     fn both_serialisations(raw: &[u8]) -> (Vec<u8>, Vec<u8>) {
         let mut s = MatchScratch::default();
         let parse = tokenize(raw, &mut s);
         let mut lz = Vec::new();
         encode_lz(raw, &s.tokens, &mut lz);
-        assert_eq!(lz.len(), parse.lz_bytes, "METHOD_LZ size is mispriced");
         let plan = plan_lzh(&parse);
         let stream_bytes = plan.stream_bytes;
         let mut lzh = Vec::new();
@@ -749,7 +735,7 @@ mod tests {
         }
         let mut s = MatchScratch::default();
         let (method, comp) = compress_best(raw, &mut s);
-        assert_eq!(comp.len(), raw.len().min(lz.len()).min(lzh.len()));
+        assert_eq!(comp.len(), raw.len().min(lzh.len()));
         let mut out = Vec::new();
         decompress_into(method, comp, raw.len(), &mut out).expect("chosen method decodes");
         out
@@ -837,8 +823,8 @@ mod tests {
             assert_eq!((t.lit_len, t.match_len as usize, t.dist), (1, len - 1, 1));
             let (_, comp) = compress_best(&raw, &mut s);
             assert!(
-                comp.len() < 16,
-                "a run must cost a few bytes, got {}",
+                comp.len() < TABLE_BYTES + 16,
+                "a run must cost the code tables and a few bytes, got {}",
                 comp.len()
             );
             assert_eq!(round_trip(&raw), raw);

@@ -63,9 +63,13 @@ const MAGIC: &[u8; 8] = b"SWPFTRCE";
 const END_MAGIC: &[u8; 8] = b"SWPFEND.";
 /// Current format version. Bump on any grammar or envelope change.
 /// v1: raw per-core payloads. v2: block-compressed per-core payloads
-/// (readable by [`StreamingReplay`] in bounded memory). This build
-/// writes v2 and reads both.
-pub const FORMAT_VERSION: u32 = 2;
+/// (readable by [`StreamingReplay`] in bounded memory). v3: the v2
+/// envelope with stored and LZH blocks only. This build writes v3 and
+/// reads all three.
+pub const FORMAT_VERSION: u32 = 3;
+
+/// The block-compressed version whose blocks may also be `METHOD_LZ`.
+pub(crate) const FORMAT_VERSION_V2: u32 = 2;
 
 /// The last raw-payload format version; still decoded by
 /// [`Trace::from_bytes`] so existing cache files replay unchanged.
@@ -298,7 +302,7 @@ impl Trace {
                     });
                 }
             }
-            FORMAT_VERSION => {
+            FORMAT_VERSION_V2 | FORMAT_VERSION => {
                 sum = checksum_combine(sum, fingerprint);
                 sum = checksum_combine(sum, n_cores as u64);
                 for _ in 0..n_cores {
@@ -514,7 +518,7 @@ mod tests {
         let v1 = trace.to_bytes_v1();
         let v2 = trace.to_bytes();
         assert_eq!(u32::from_le_bytes(v1[8..12].try_into().unwrap()), 1);
-        assert_eq!(u32::from_le_bytes(v2[8..12].try_into().unwrap()), 2);
+        assert_eq!(u32::from_le_bytes(v2[8..12].try_into().unwrap()), 3);
         let from_v1 = Trace::from_bytes(&v1).expect("v1 decodes");
         let from_v2 = Trace::from_bytes(&v2).expect("v2 decodes");
         assert_eq!(from_v1, trace);

@@ -96,7 +96,7 @@ impl StreamingReplay {
         }
         let mut at = 8;
         let version = get_u32(&header, &mut at)?;
-        if version != crate::FORMAT_VERSION {
+        if version != crate::FORMAT_VERSION && version != crate::FORMAT_VERSION_V2 {
             return Err(TraceError::UnsupportedVersion(version));
         }
         let fingerprint = get_u64(&header, &mut at)?;
