@@ -1,5 +1,5 @@
-//! Dev tool: report each trace file's size under the v1 and (current)
-//! v2 encoders and the block codec's throughput on it — `to_bytes`
+//! Dev tool: report each trace file's raw payload and re-encoded size
+//! and the block codec's throughput on it — `to_bytes`
 //! (checksum + match search + entropy coding) and `from_bytes`
 //! (entropy decode + match copy + checksum), min of `--reps N` runs
 //! (default 25), in MB/s of *uncompressed* payload.
@@ -45,38 +45,37 @@ fn main() {
     }
     println!(
         "{:<44} {:>10} {:>10} {:>7} {:>11} {:>11}",
-        "file", "raw B", "v2 B", "ratio", "enc MB/s", "dec MB/s"
+        "file", "raw B", "file B", "ratio", "enc MB/s", "dec MB/s"
     );
-    let (mut raw_sum, mut v2_sum) = (0usize, 0usize);
+    let (mut raw_sum, mut file_sum) = (0usize, 0usize);
     let (mut enc_sum, mut dec_sum) = (Duration::ZERO, Duration::ZERO);
     for path in &paths {
         let bytes = std::fs::read(path).expect("read trace");
         let trace = Trace::from_bytes(&bytes).expect("decode");
         let raw = trace.payload_bytes();
-        let v1 = trace.to_bytes_v1().len();
-        let v2 = trace.to_bytes();
+        let file = trace.to_bytes();
         let enc = min_time(reps, || trace.to_bytes());
-        let dec = min_time(reps, || Trace::from_bytes(&v2).expect("decode"));
+        let dec = min_time(reps, || Trace::from_bytes(&file).expect("decode"));
         let name = std::path::Path::new(path)
             .file_name()
             .map_or(path.as_str().into(), |n| n.to_string_lossy());
         println!(
             "{name:<44} {raw:>10} {:>10} {:>6.3}x {:>11.1} {:>11.1}",
-            v2.len(),
-            v1 as f64 / v2.len() as f64,
+            file.len(),
+            raw as f64 / file.len() as f64,
             mb_per_s(raw, enc),
             mb_per_s(raw, dec),
         );
         raw_sum += raw;
-        v2_sum += v2.len();
+        file_sum += file.len();
         enc_sum += enc;
         dec_sum += dec;
     }
     if paths.len() > 1 {
         println!(
-            "{:<44} {raw_sum:>10} {v2_sum:>10} {:>6.3}x {:>11.1} {:>11.1}   (encode {:.2} ms, decode {:.2} ms)",
+            "{:<44} {raw_sum:>10} {file_sum:>10} {:>6.3}x {:>11.1} {:>11.1}   (encode {:.2} ms, decode {:.2} ms)",
             "total",
-            raw_sum as f64 / v2_sum.max(1) as f64,
+            raw_sum as f64 / file_sum.max(1) as f64,
             mb_per_s(raw_sum, enc_sum),
             mb_per_s(raw_sum, dec_sum),
             enc_sum.as_secs_f64() * 1e3,

@@ -1,12 +1,12 @@
-//! Block-level compression for the v2 trace envelope.
+//! Block-level compression for the trace envelope.
 //!
 //! The varint/delta/dictionary stream (`stream`) already removes most
 //! field-level redundancy, but loop-structured kernels still emit long
 //! *byte-level* repeats: each iteration encodes the same tag/delta
-//! pattern, so the payload is highly periodic. The v2 envelope
-//! therefore chops each core's payload into fixed-size blocks
-//! ([`BLOCK_TARGET`] uncompressed bytes) and compresses each block with
-//! a small self-contained LZ77 coder — no external crates, no shared
+//! pattern, so the payload is highly periodic. The envelope therefore
+//! chops each core's payload into fixed-size blocks ([`BLOCK_TARGET`]
+//! uncompressed bytes) and compresses each block with a small
+//! self-contained LZ77 + Huffman coder — no external crates, no shared
 //! state between blocks, so a reader can decode one block at a time in
 //! bounded memory.
 //!
@@ -16,28 +16,16 @@
 //! parsing for short matches only — a match under [`LAZY_BELOW`] bytes
 //! defers while the next position finds a strictly longer one — and
 //! only the edges of a match entered into the chains ([`SEED_EDGE`]).
-//! The token sequence the matcher produces can be serialised two ways;
-//! the writer prices both from the tokens and serialises the smaller:
-//!
-//! ## `METHOD_LZ` — byte-aligned token grammar
-//!
-//! A block is a sequence of (literal-run, match) pairs; the final pair
-//! may omit the match when the block ends in literals:
-//!
-//! ```text
-//! lit_len   varint         number of literal bytes that follow (may be 0)
-//! lit       lit_len bytes
-//! match_len varint         >= MIN_MATCH; absent iff the block is complete
-//! offset    varint         1 ..= bytes produced so far in THIS block
-//! ```
 //!
 //! ## `METHOD_LZH` — entropy-coded tokens
 //!
-//! The same tokens under two canonical length-limited Huffman codes
-//! (`huff`): a 318-symbol literal/length alphabet (0–255 literal byte,
-//! 256+ a match-length bucket) and a 60-symbol offset alphabet, both
-//! geometric past their direct range with the exponent's low bits sent
-//! as raw extra bits — the deflate shape, without the length caps.
+//! The matcher's tokens — literal runs, each but possibly the last
+//! followed by a match — go out under two canonical length-limited
+//! Huffman codes (`huff`): a 318-symbol literal/length alphabet (0–255
+//! literal byte, 256+ a match-length bucket) and a 60-symbol offset
+//! alphabet, both geometric past their direct range with the exponent's
+//! low bits sent as raw extra bits — the deflate shape, without the
+//! length caps.
 //! The wire layout is the two tables' code lengths, one nibble per
 //! symbol (189 bytes), then one MSB-first bitstream of symbols: a
 //! literal stands alone, a length symbol is followed by its extra
@@ -52,11 +40,15 @@
 //! over-long runs, out-of-range offsets, trailing or nonzero-padding
 //! compressed bytes — is a [`TraceError::Corrupt`].
 //!
-//! Blocks that do not shrink are stored raw ([`METHOD_STORED`]), so
-//! pathological inputs cost at most the 21-byte block header.
+//! The writer prices the encoding from the tokens and the code lengths
+//! alone; blocks it would not shrink are stored raw
+//! ([`METHOD_STORED`]), so pathological inputs cost at most the 17-byte
+//! block header. (Format 2 also had a byte-aligned `METHOD_LZ` = 1
+//! serialisation of the same tokens; it won 2 blocks in 81 on the
+//! test-scale corpus and went with the version bump.)
 
 use crate::huff::{build_codes, code_lengths, BitReader, BitWriter, Decoder};
-use crate::wire::{checksum64, get_u32, get_u64, get_varint};
+use crate::wire::{checksum64, get_u32, get_u64};
 use crate::TraceError;
 
 /// Uncompressed block size the default writer targets. Small enough to
@@ -66,32 +58,31 @@ pub const BLOCK_TARGET: usize = 64 << 10;
 
 /// Block stored raw (compression did not shrink it).
 pub(crate) const METHOD_STORED: u8 = 0;
-/// Block compressed with the byte-aligned LZ token grammar.
-pub(crate) const METHOD_LZ: u8 = 1;
 /// Block compressed with Huffman-coded LZ tokens.
 pub(crate) const METHOD_LZH: u8 = 2;
 
 /// Observability counter name for an encoded block's method.
 pub(crate) fn method_counter(method: u8) -> &'static str {
-    match method {
-        METHOD_LZ => "trace.encode.block.lz",
-        METHOD_LZH => "trace.encode.block.lzh",
-        _ => "trace.encode.block.stored",
+    if method == METHOD_LZH {
+        "trace.encode.block.lzh"
+    } else {
+        "trace.encode.block.stored"
     }
 }
 
 /// Observability counter name for a decoded block's method.
 pub(crate) fn method_counter_decode(method: u8) -> &'static str {
-    match method {
-        METHOD_LZ => "trace.decode.block.lz",
-        METHOD_LZH => "trace.decode.block.lzh",
-        _ => "trace.decode.block.stored",
+    if method == METHOD_LZH {
+        "trace.decode.block.lzh"
+    } else {
+        "trace.decode.block.stored"
     }
 }
 
-/// Shortest match worth encoding: lit_len + match_len + offset cost at
-/// least 3 bytes in the byte-aligned grammar, so 4-byte matches are the
-/// break-even point.
+/// Shortest match the tokenizer emits, and the base LZH match lengths
+/// are sent from (as `length - MIN_MATCH`), so it is part of the
+/// format. Four bytes is also the width the chains are hashed by
+/// ([`load4`]): no shorter match could be found through them.
 const MIN_MATCH: usize = 4;
 
 /// log2 of the hash head table (one u32 slot per bucket).
@@ -513,48 +504,9 @@ fn copy_match(dst: &mut [u8], p: usize, dist: usize, mlen: usize) {
     }
 }
 
-/// Decode a `METHOD_LZ` block into exactly `dst`.
-fn decode_lz(comp: &[u8], dst: &mut [u8]) -> Result<(), TraceError> {
-    let mut pos = 0usize;
-    let mut p = 0usize;
-    while p < dst.len() {
-        let lit = get_varint(comp, &mut pos)?;
-        let lit = usize::try_from(lit)
-            .ok()
-            .filter(|&l| l <= dst.len() - p)
-            .ok_or(TraceError::Corrupt("literal run overflows block"))?;
-        let end = pos
-            .checked_add(lit)
-            .filter(|&e| e <= comp.len())
-            .ok_or(TraceError::Truncated)?;
-        dst[p..p + lit].copy_from_slice(&comp[pos..end]);
-        pos = end;
-        p += lit;
-        if p == dst.len() {
-            break;
-        }
-        let mlen = get_varint(comp, &mut pos)?;
-        let mlen = usize::try_from(mlen)
-            .ok()
-            .filter(|&m| m >= MIN_MATCH && m <= dst.len() - p)
-            .ok_or(TraceError::Corrupt("match length invalid for block"))?;
-        let off = get_varint(comp, &mut pos)?;
-        let off = usize::try_from(off)
-            .ok()
-            .filter(|&o| o >= 1 && o <= p)
-            .ok_or(TraceError::Corrupt("match offset outside block"))?;
-        copy_match(dst, p, off, mlen);
-        p += mlen;
-    }
-    if pos != comp.len() {
-        return Err(TraceError::Corrupt("trailing bytes in compressed block"));
-    }
-    Ok(())
-}
-
-/// Decode a `METHOD_LZH` block into exactly `dst`; on top of
-/// [`decode_lz`]'s rules the bitstream must consume its final byte
-/// with zero padding.
+/// Decode a `METHOD_LZH` block into exactly `dst`: every match stays
+/// inside the block and inside `dst`, and the bitstream must consume
+/// its final byte with zero padding.
 fn decode_lzh(comp: &[u8], dst: &mut [u8]) -> Result<(), TraceError> {
     let tables = comp.get(..TABLE_BYTES).ok_or(TraceError::Truncated)?;
     let mut lens = [0u8; LITLEN_SYMS + OFF_SYMS];
@@ -614,7 +566,6 @@ pub(crate) fn decompress_into(
             Ok(())
         }
         METHOD_STORED => Err(TraceError::Corrupt("stored block length mismatch")),
-        METHOD_LZ => decode_lz(comp, dst),
         METHOD_LZH => decode_lzh(comp, dst),
         _ => Err(TraceError::Corrupt("unknown block method")),
     };
@@ -685,54 +636,31 @@ impl BlockHeader {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::put_varint;
 
-    /// Serialise the token list under the byte-aligned `METHOD_LZ`
-    /// grammar, which the writer no longer picks.
-    fn encode_lz(raw: &[u8], tokens: &[Token], out: &mut Vec<u8>) {
-        let mut pos = 0usize;
-        for t in tokens {
-            put_varint(out, u64::from(t.lit_len));
-            out.extend_from_slice(&raw[pos..pos + t.lit_len as usize]);
-            pos += t.lit_len as usize;
-            if t.match_len > 0 {
-                put_varint(out, u64::from(t.match_len));
-                put_varint(out, u64::from(t.dist));
-                pos += t.match_len as usize;
-            }
-        }
-    }
-
-    /// Both serialisations of `raw`'s token list:
-    /// `(METHOD_LZ bytes, METHOD_LZH bytes)`, the latter checked against
-    /// the size `compress_best` prices it at.
-    fn both_serialisations(raw: &[u8]) -> (Vec<u8>, Vec<u8>) {
+    /// The `METHOD_LZH` serialisation of `raw`'s token list, whichever
+    /// would win, checked against the size `compress_best` prices it at.
+    fn lzh_serialisation(raw: &[u8]) -> Vec<u8> {
         let mut s = MatchScratch::default();
         let parse = tokenize(raw, &mut s);
-        let mut lz = Vec::new();
-        encode_lz(raw, &s.tokens, &mut lz);
         let plan = plan_lzh(&parse);
-        let stream_bytes = plan.stream_bytes;
         let mut lzh = Vec::new();
         encode_lzh(raw, &s.tokens, &plan, &mut lzh);
         assert_eq!(
             lzh.len(),
-            TABLE_BYTES + stream_bytes,
+            TABLE_BYTES + plan.stream_bytes,
             "METHOD_LZH size is mispriced"
         );
-        (lz, lzh)
+        lzh
     }
 
     /// Round-trip through `compress_best`, decoding with the method it
-    /// picked — which must be the smallest — and also through both
-    /// serialisations of the same tokens.
+    /// picked — which must be the smaller — and also through the LZH
+    /// serialisation of the same tokens.
     fn round_trip(raw: &[u8]) -> Vec<u8> {
-        let (lz, lzh) = both_serialisations(raw);
-        for (method, comp) in [(METHOD_LZ, &lz), (METHOD_LZH, &lzh)] {
-            let mut out = Vec::new();
-            decompress_into(method, comp, raw.len(), &mut out).expect("serialisation decodes");
-            assert_eq!(out, raw, "method {method} disagrees with the tokens");
-        }
+        let lzh = lzh_serialisation(raw);
+        let mut out = Vec::new();
+        decompress_into(METHOD_LZH, &lzh, raw.len(), &mut out).expect("serialisation decodes");
+        assert_eq!(out, raw, "METHOD_LZH disagrees with the tokens");
         let mut s = MatchScratch::default();
         let (method, comp) = compress_best(raw, &mut s);
         assert_eq!(comp.len(), raw.len().min(lzh.len()));
@@ -769,7 +697,7 @@ mod tests {
     #[test]
     fn entropy_stage_beats_byte_alignment_on_skewed_literals() {
         // Text-like data with few distinct bytes and sparse repeats:
-        // the Huffman stage must win over the byte-aligned grammar.
+        // the Huffman stage must win over storing the bytes as they are.
         let mut x = 7u64;
         let raw: Vec<u8> = (0..16384)
             .map(|_| {
@@ -933,10 +861,9 @@ mod tests {
     /// block) or, for offset-equivalent encodings of periodic data, to
     /// the *identical* bytes (no corruption in effect). What can never
     /// happen is wrong bytes sneaking past the checksum.
-    fn corruption_is_caught(raw: &[u8], comp: &[u8], decode_lzh: bool) {
-        let method = if decode_lzh { METHOD_LZH } else { METHOD_LZ };
+    fn corruption_is_caught(raw: &[u8], comp: &[u8]) {
         let decode = |comp: &[u8], raw_len: usize, out: &mut Vec<u8>| {
-            decompress_into(method, comp, raw_len, out)
+            decompress_into(METHOD_LZH, comp, raw_len, out)
         };
         // Truncation anywhere.
         for cut in 0..comp.len() {
@@ -948,21 +875,13 @@ mod tests {
         }
         // A mis-stated raw_len either errors or yields that stated
         // length — which the envelope checksum then rejects. (The
-        // byte-aligned grammar always errors; the bitstream can decode
-        // trailing zero padding as the first canonical code, so it may
-        // "succeed" at the wrong length.)
+        // bitstream can decode trailing zero padding as the first
+        // canonical code, so it may "succeed" at the wrong length.)
         for wrong in [raw.len() - 1, raw.len() + 1] {
             let mut out = Vec::new();
             if decode(comp, wrong, &mut out).is_ok() {
                 assert_eq!(out.len(), wrong);
                 assert_ne!(out, raw);
-            }
-            if !decode_lzh {
-                let mut out = Vec::new();
-                assert!(
-                    decode(comp, wrong, &mut out).is_err(),
-                    "LZ grammar must reject raw_len {wrong} structurally"
-                );
             }
         }
         // Every single-bit corruption: no panic, and a "successful"
@@ -982,14 +901,6 @@ mod tests {
     }
 
     #[test]
-    fn corrupt_lz_blocks_are_rejected_not_panicked() {
-        let raw = b"abcdabcdabcdabcd____abcdabcdabcd".to_vec();
-        let (comp, _) = both_serialisations(&raw);
-        assert!(comp.len() < raw.len());
-        corruption_is_caught(&raw, &comp, false);
-    }
-
-    #[test]
     fn corrupt_lzh_blocks_are_rejected_not_panicked() {
         let raw: Vec<u8> = b"abcdabcdabcdabcd____abcdabcdabcd"
             .iter()
@@ -997,8 +908,8 @@ mod tests {
             .take(256)
             .copied()
             .collect();
-        let (_, comp) = both_serialisations(&raw);
+        let comp = lzh_serialisation(&raw);
         assert!(comp.len() > TABLE_BYTES);
-        corruption_is_caught(&raw, &comp, true);
+        corruption_is_caught(&raw, &comp);
     }
 }

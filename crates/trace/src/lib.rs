@@ -11,17 +11,17 @@
 //! in the loop.
 //!
 //! The format is a compact owned binary (see `stream` for the event
-//! grammar, `block` for the v2 block compression, and DESIGN.md §6 for
-//! the full layout):
+//! grammar, `block` for the block compression, and DESIGN.md §6 for the
+//! full layout):
 //!
 //! * a versioned header with a kernel **fingerprint** so stale cached
 //!   traces are detected, not silently replayed;
 //! * one varint + delta-encoded **event section per core**, so multicore
 //!   grids (Fig. 9) record each core's stream and replay preserves the
-//!   direct runner's step-granular interleaving — in v2, each section is
-//!   chopped into fixed-size **LZ-compressed blocks**, each carrying its
-//!   own length and checksum, so [`StreamingReplay`] can decode one
-//!   block at a time in bounded memory;
+//!   direct runner's step-granular interleaving — each section is
+//!   chopped into fixed-size **LZ + Huffman compressed blocks**, each
+//!   carrying its own length and checksum, so [`StreamingReplay`] can
+//!   decode one block at a time in bounded memory;
 //! * a checksummed **footer** (FNV-1a, folded over the header fields and
 //!   every block checksum) rejecting torn or corrupted files.
 //!
@@ -61,19 +61,12 @@ use wire::{checksum64, checksum_combine, get_u32, get_u64, put_u32, put_u64, CHE
 const MAGIC: &[u8; 8] = b"SWPFTRCE";
 /// Trailing file magic.
 const END_MAGIC: &[u8; 8] = b"SWPFEND.";
-/// Current format version. Bump on any grammar or envelope change.
-/// v1: raw per-core payloads. v2: block-compressed per-core payloads
-/// (readable by [`StreamingReplay`] in bounded memory). v3: the v2
-/// envelope with stored and LZH blocks only. This build writes v3 and
-/// reads all three.
+/// Current format version, the only one this build reads or writes.
+/// Bump on any grammar or envelope change: a cache file of another
+/// version is [`TraceError::UnsupportedVersion`], which cache layers
+/// treat as a miss and re-record. (v1 stored raw per-core payloads, v2
+/// also allowed a byte-aligned LZ block method.)
 pub const FORMAT_VERSION: u32 = 3;
-
-/// The block-compressed version whose blocks may also be `METHOD_LZ`.
-pub(crate) const FORMAT_VERSION_V2: u32 = 2;
-
-/// The last raw-payload format version; still decoded by
-/// [`Trace::from_bytes`] so existing cache files replay unchanged.
-pub const FORMAT_VERSION_V1: u32 = 1;
 
 /// Why a trace could not be decoded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -108,7 +101,7 @@ impl fmt::Display for TraceError {
             TraceError::UnsupportedVersion(v) => {
                 write!(
                     f,
-                    "unsupported trace version {v} (this build speaks {FORMAT_VERSION_V1}-{FORMAT_VERSION})"
+                    "unsupported trace version {v} (this build speaks {FORMAT_VERSION})"
                 )
             }
             TraceError::ChecksumMismatch { stored, computed } => write!(
@@ -174,14 +167,14 @@ impl Trace {
         Ok(EventCursor::new(ct.payload.as_slice(), ct.events))
     }
 
-    /// Serialise to the current (v2, block-compressed) on-disk
-    /// envelope, with the default block size [`BLOCK_TARGET`].
+    /// Serialise to the on-disk envelope, with the default block size
+    /// [`BLOCK_TARGET`].
     #[must_use]
     pub fn to_bytes(&self) -> Vec<u8> {
         self.to_bytes_with_block_size(BLOCK_TARGET)
     }
 
-    /// Serialise to the v2 envelope with an explicit uncompressed block
+    /// Serialise to the envelope with an explicit uncompressed block
     /// size. Exposed so tests (and size/ratio experiments) can force
     /// block-boundary straddles with tiny blocks; production callers
     /// use [`Trace::to_bytes`].
@@ -240,33 +233,9 @@ impl Trace {
         out
     }
 
-    /// Serialise to the legacy v1 envelope (raw, uncompressed
-    /// payloads). Kept public so compatibility tests — and any tool
-    /// that needs to measure the uncompressed baseline — can still
-    /// produce v1 files; [`Trace::from_bytes`] reads them forever.
-    #[must_use]
-    pub fn to_bytes_v1(&self) -> Vec<u8> {
-        let payload: usize = self.payload_bytes();
-        let mut out = Vec::with_capacity(payload + 64 + 24 * self.cores.len());
-        out.extend_from_slice(MAGIC);
-        put_u32(&mut out, FORMAT_VERSION_V1);
-        put_u64(&mut out, self.fingerprint);
-        put_u32(&mut out, self.cores.len() as u32);
-        let mut sum = CHECKSUM_SEED;
-        for c in &self.cores {
-            put_u64(&mut out, c.events);
-            put_u64(&mut out, c.payload.len() as u64);
-            out.extend_from_slice(&c.payload);
-            sum = checksum_combine(sum, checksum64(&c.payload));
-        }
-        put_u64(&mut out, sum);
-        out.extend_from_slice(END_MAGIC);
-        out
-    }
-
-    /// Decode an envelope (v1 or v2), verifying magic, version, and
-    /// every checksum — in v2, each block's checksum over its
-    /// uncompressed bytes plus the footer fold over the header fields.
+    /// Decode an envelope, verifying magic, version, and every
+    /// checksum — each block's over its uncompressed bytes, plus the
+    /// footer fold over the header fields.
     ///
     /// # Errors
     /// Any [`TraceError`] the envelope violates. Event payloads are
@@ -282,59 +251,41 @@ impl Trace {
         }
         pos += MAGIC.len();
         let version = get_u32(bytes, &mut pos)?;
+        if version != FORMAT_VERSION {
+            return Err(TraceError::UnsupportedVersion(version));
+        }
         let fingerprint = get_u64(bytes, &mut pos)?;
         let n_cores = get_u32(bytes, &mut pos)? as usize;
         let mut cores = Vec::with_capacity(n_cores.min(1 << 10));
         let mut sum = CHECKSUM_SEED;
-        match version {
-            FORMAT_VERSION_V1 => {
-                for _ in 0..n_cores {
-                    let events = get_u64(bytes, &mut pos)?;
-                    let len = get_u64(bytes, &mut pos)?;
-                    let len = usize::try_from(len).map_err(|_| TraceError::Truncated)?;
-                    let end = pos.checked_add(len).ok_or(TraceError::Truncated)?;
-                    let payload = bytes.get(pos..end).ok_or(TraceError::Truncated)?;
-                    pos = end;
-                    sum = checksum_combine(sum, checksum64(payload));
-                    cores.push(CoreTrace {
-                        events,
-                        payload: payload.to_vec(),
-                    });
-                }
+        sum = checksum_combine(sum, fingerprint);
+        sum = checksum_combine(sum, n_cores as u64);
+        for _ in 0..n_cores {
+            let events = get_u64(bytes, &mut pos)?;
+            let n_blocks = get_u32(bytes, &mut pos)? as usize;
+            let comp_total = get_u64(bytes, &mut pos)?;
+            sum = checksum_combine(sum, events);
+            sum = checksum_combine(sum, n_blocks as u64);
+            let comp_total = usize::try_from(comp_total).map_err(|_| TraceError::Truncated)?;
+            let section_end = pos.checked_add(comp_total).ok_or(TraceError::Truncated)?;
+            let mut payload = Vec::new();
+            for _ in 0..n_blocks {
+                let _block_span =
+                    swpf_obs::enabled().then(|| swpf_obs::span("trace:decode_block"));
+                let block = block::BlockHeader::parse(bytes, &mut pos)?;
+                swpf_obs::count(block::method_counter_decode(block.method), 1);
+                let end = pos
+                    .checked_add(block.comp_len)
+                    .ok_or(TraceError::Truncated)?;
+                let data = bytes.get(pos..end).ok_or(TraceError::Truncated)?;
+                pos = end;
+                block.expand_into(data, &mut payload)?;
+                sum = checksum_combine(sum, block.sum);
             }
-            FORMAT_VERSION_V2 | FORMAT_VERSION => {
-                sum = checksum_combine(sum, fingerprint);
-                sum = checksum_combine(sum, n_cores as u64);
-                for _ in 0..n_cores {
-                    let events = get_u64(bytes, &mut pos)?;
-                    let n_blocks = get_u32(bytes, &mut pos)? as usize;
-                    let comp_total = get_u64(bytes, &mut pos)?;
-                    sum = checksum_combine(sum, events);
-                    sum = checksum_combine(sum, n_blocks as u64);
-                    let comp_total =
-                        usize::try_from(comp_total).map_err(|_| TraceError::Truncated)?;
-                    let section_end = pos.checked_add(comp_total).ok_or(TraceError::Truncated)?;
-                    let mut payload = Vec::new();
-                    for _ in 0..n_blocks {
-                        let _block_span =
-                            swpf_obs::enabled().then(|| swpf_obs::span("trace:decode_block"));
-                        let block = block::BlockHeader::parse(bytes, &mut pos)?;
-                        swpf_obs::count(block::method_counter_decode(block.method), 1);
-                        let end = pos
-                            .checked_add(block.comp_len)
-                            .ok_or(TraceError::Truncated)?;
-                        let data = bytes.get(pos..end).ok_or(TraceError::Truncated)?;
-                        pos = end;
-                        block.expand_into(data, &mut payload)?;
-                        sum = checksum_combine(sum, block.sum);
-                    }
-                    if pos != section_end {
-                        return Err(TraceError::Corrupt("block section length mismatch"));
-                    }
-                    cores.push(CoreTrace { events, payload });
-                }
+            if pos != section_end {
+                return Err(TraceError::Corrupt("block section length mismatch"));
             }
-            v => return Err(TraceError::UnsupportedVersion(v)),
+            cores.push(CoreTrace { events, payload });
         }
         let stored = get_u64(bytes, &mut pos)?;
         let computed = sum;
@@ -495,7 +446,7 @@ mod tests {
             push_alu(&mut rec, 0, pc);
         }
         let mut bytes = rec.finish().to_bytes();
-        // v2 layout: 24-byte header, 20-byte section prologue, 17-byte
+        // Layout: 24-byte header, 20-byte section prologue, 17-byte
         // block header, then the block's compressed bytes. Flip a bit
         // in the middle of the compressed data: the block checksum
         // (computed over the re-expanded bytes) must catch it.
@@ -510,61 +461,19 @@ mod tests {
     }
 
     #[test]
-    fn v1_envelope_still_decodes() {
-        let mut rec = TraceRecorder::new(2, 0xfeed);
-        push_alu(&mut rec, 0, 1);
-        push_alu(&mut rec, 1, 2);
-        let trace = rec.finish();
-        let v1 = trace.to_bytes_v1();
-        let v2 = trace.to_bytes();
-        assert_eq!(u32::from_le_bytes(v1[8..12].try_into().unwrap()), 1);
-        assert_eq!(u32::from_le_bytes(v2[8..12].try_into().unwrap()), 3);
-        let from_v1 = Trace::from_bytes(&v1).expect("v1 decodes");
-        let from_v2 = Trace::from_bytes(&v2).expect("v2 decodes");
-        assert_eq!(from_v1, trace);
-        assert_eq!(from_v1, from_v2);
-    }
-
-    /// Real-shaped loop streams must actually shrink: the whole point
-    /// of v2 is that loop iterations are byte-periodic.
-    #[test]
-    fn v2_is_smaller_than_v1_on_loopy_streams() {
-        let mut rec = TraceRecorder::new(1, 0);
-        for i in 0..20_000u64 {
-            let e = Event {
-                pc: 7,
-                frame: 0,
-                result: ValueId(7),
-                kind: EventKind::Load {
-                    addr: 0x1000 + i * 8,
-                    size: 8,
-                },
-                operands: &[],
-            };
-            rec.stream(0).push(&e);
-            rec.stream(0).end_step();
-        }
-        let trace = rec.finish();
-        let v1 = trace.to_bytes_v1().len();
-        let v2 = trace.to_bytes().len();
-        assert!(
-            v2 * 5 <= v1,
-            "expected >=5x shrink on a periodic stream, got {v1} -> {v2}"
-        );
-    }
-
-    #[test]
     fn bad_magic_and_version_are_rejected() {
         let trace = TraceRecorder::new(1, 0).finish();
         let mut bytes = trace.to_bytes();
         bytes[0] = b'X';
         assert_eq!(Trace::from_bytes(&bytes), Err(TraceError::BadMagic));
-        let mut bytes = trace.to_bytes();
-        bytes[8] = 99; // version field
-        assert_eq!(
-            Trace::from_bytes(&bytes),
-            Err(TraceError::UnsupportedVersion(99))
-        );
+        for version in [1, 2, 99] {
+            let mut bytes = trace.to_bytes();
+            bytes[8] = version; // version field
+            assert_eq!(
+                Trace::from_bytes(&bytes),
+                Err(TraceError::UnsupportedVersion(version.into()))
+            );
+        }
         assert_eq!(Trace::from_bytes(&bytes[..4]), Err(TraceError::Truncated));
     }
 

@@ -1,4 +1,4 @@
-//! Bounded-memory replay directly from a v2 trace file.
+//! Bounded-memory replay directly from a trace file.
 //!
 //! [`Trace::from_bytes`] materialises every core's full uncompressed
 //! payload, which is fine for test-scale corpora but defeats the point
@@ -22,10 +22,11 @@
 //! what is streamed is the file that was validated even if the path is
 //! renamed over meanwhile.
 //!
-//! Version-1 files are rejected with
-//! [`TraceError::UnsupportedVersion`]: they carry no block structure to
-//! stream. Cache layers treat that exactly like a stale fingerprint —
-//! re-record and overwrite.
+//! This is the one reader of trace *files*: analytics, the pair miner
+//! and every warm `--trace-dir` hit stream through it. A file of any
+//! other format version is [`TraceError::UnsupportedVersion`], which
+//! cache layers treat exactly like a stale fingerprint — re-record and
+//! overwrite.
 
 use crate::block::{BlockHeader, BLOCK_HEADER_LEN};
 use crate::stream::{Window, WindowCursor};
@@ -67,7 +68,7 @@ struct CoreMeta {
     end: u64,
 }
 
-/// A v2 trace file opened for block-at-a-time replay. Holds the file
+/// A trace file opened for block-at-a-time replay. Holds the file
 /// handle and the header metadata; event data stays on disk until a
 /// [`StreamingCursor`] walks it.
 #[derive(Debug)]
@@ -78,13 +79,14 @@ pub struct StreamingReplay {
 }
 
 impl StreamingReplay {
-    /// Open a v2 trace file, reading and validating the envelope
-    /// header and per-core section structure (but no event data).
+    /// Open a trace file, reading and validating the envelope header
+    /// and per-core section structure (but no event data).
     ///
     /// # Errors
     /// Any [`TraceError`] the envelope violates, including
     /// [`TraceError::Io`] for filesystem failures and
-    /// [`TraceError::UnsupportedVersion`] for v1 files.
+    /// [`TraceError::UnsupportedVersion`] for any version but
+    /// [`crate::FORMAT_VERSION`].
     pub fn open(path: &Path) -> Result<StreamingReplay, TraceError> {
         let file = File::open(path).map_err(|e| io_err(&e))?;
         swpf_obs::count("trace.stream.opens", 1);
@@ -96,7 +98,7 @@ impl StreamingReplay {
         }
         let mut at = 8;
         let version = get_u32(&header, &mut at)?;
-        if version != crate::FORMAT_VERSION && version != crate::FORMAT_VERSION_V2 {
+        if version != crate::FORMAT_VERSION {
             return Err(TraceError::UnsupportedVersion(version));
         }
         let fingerprint = get_u64(&header, &mut at)?;

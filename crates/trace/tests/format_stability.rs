@@ -1,15 +1,13 @@
-//! Format stability of the block-compressed envelope across codec
-//! rewrites.
+//! Format stability of the trace envelope across codec rewrites.
 //!
-//! `golden/v2_two_core.trace` was written by the commit *before* the
-//! block codec was rebuilt (hash-chain 48-probe lazy matcher, both
-//! serialisations materialised, bit-at-a-time Huffman walk), and
-//! `golden/v3_two_core.trace` by the first writer of format 3 (stored
-//! and LZH blocks only), both from the deterministic recorder below
-//! with 4 KiB blocks. The readers must decode those exact bytes to the
-//! same events, and whatever the current writer produces from the same
-//! recording must decode to the same trace — only the encoder's choices
-//! may differ.
+//! `golden/v3_two_core.trace` was written by the first writer of format
+//! 3 (stored and LZH blocks only), from the deterministic recorder below
+//! with 4 KiB blocks; that writer's output was checked to carry the
+//! same per-core payloads as the format-2 fixture it replaced. The
+//! readers must decode those exact bytes to the same events, and
+//! whatever the current writer produces from the same recording must
+//! decode to the same trace — only the encoder's choices may differ.
+//! A file of any other version is refused by both readers.
 //!
 //! To regenerate after a *deliberate* format bump (never for a codec
 //! change — that is what this file exists to catch):
@@ -18,14 +16,14 @@
 use std::path::PathBuf;
 use swpf_ir::interp::{Event, EventKind};
 use swpf_ir::ValueId;
-use swpf_trace::{EventSource, StreamingReplay, Trace, TraceRecorder, FORMAT_VERSION};
+use swpf_trace::{EventSource, StreamingReplay, Trace, TraceError, TraceRecorder, FORMAT_VERSION};
 
 const FINGERPRINT: u64 = 0x5177_ab1e_f02d_a7e5;
 const BLOCK_SIZE: usize = 4 << 10;
 
-fn fixture_path(version: u32) -> PathBuf {
+fn fixture_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join(format!("tests/golden/v{version}_two_core.trace"))
+        .join(format!("tests/golden/v{FORMAT_VERSION}_two_core.trace"))
 }
 
 /// splitmix64 step: the recorder's only source of variety.
@@ -187,7 +185,7 @@ fn parent_written_fixture_decodes_identically_through_both_readers() {
         "fixture must span several blocks per core"
     );
 
-    let bytes = std::fs::read(fixture_path(FORMAT_VERSION)).expect("golden fixture is committed");
+    let bytes = std::fs::read(fixture_path()).expect("golden fixture is committed");
     assert_eq!(&bytes[8..12], &FORMAT_VERSION.to_le_bytes());
 
     let full = Trace::from_bytes(&bytes).expect("in-memory reader decodes the parent's file");
@@ -195,8 +193,7 @@ fn parent_written_fixture_decodes_identically_through_both_readers() {
     assert_eq!(full, want, "payload bytes differ from the recording");
     assert_eq!(rows_of_trace(&full), want_rows);
 
-    let streamed =
-        StreamingReplay::open(&fixture_path(FORMAT_VERSION)).expect("streaming reader opens it");
+    let streamed = StreamingReplay::open(&fixture_path()).expect("streaming reader opens it");
     assert_eq!(streamed.fingerprint(), FINGERPRINT);
     assert_eq!(rows_of_stream(&streamed), want_rows);
 
@@ -210,29 +207,29 @@ fn parent_written_fixture_decodes_identically_through_both_readers() {
     }
 }
 
-/// The last v2 file and the first v3 file of the same recording carry
-/// identical per-core raw payloads, through either reader: the version
-/// bump changed which block methods the writer picks, nothing else.
+/// The fixture with its version field rewritten to 1 (raw payloads),
+/// 2 (the envelope that also allowed byte-aligned LZ blocks) or a
+/// future 4 is refused by both readers as `UnsupportedVersion` — the
+/// answer cache layers treat as a miss.
 #[test]
-fn v2_and_v3_fixtures_decode_to_the_same_trace() {
-    let read = |version: u32| {
-        let bytes = std::fs::read(fixture_path(version)).expect("fixture is committed");
-        assert_eq!(&bytes[8..12], &version.to_le_bytes());
-        Trace::from_bytes(&bytes).expect("fixture decodes")
-    };
-    let (v2, v3) = (read(2), read(3));
-    assert_eq!(v2, v3, "per-core raw payloads differ");
-    let stream = |version: u32| {
-        rows_of_stream(&StreamingReplay::open(&fixture_path(version)).expect("fixture opens"))
-    };
-    assert_eq!(stream(2), stream(3));
-    assert_eq!(stream(3), rows_of_trace(&v2));
+fn other_versions_are_unsupported_by_both_readers() {
+    let bytes = std::fs::read(fixture_path()).expect("golden fixture is committed");
+    let path = std::env::temp_dir().join(format!("swpf_version_{}.trace", std::process::id()));
+    for version in [1u32, 2, FORMAT_VERSION + 1] {
+        let mut old = bytes.clone();
+        old[8..12].copy_from_slice(&version.to_le_bytes());
+        let want = Some(TraceError::UnsupportedVersion(version));
+        assert_eq!(Trace::from_bytes(&old).err(), want);
+        std::fs::write(&path, &old).expect("temp trace written");
+        assert_eq!(StreamingReplay::open(&path).err(), want);
+    }
+    std::fs::remove_file(&path).ok();
 }
 
 #[test]
 #[ignore = "rewrites the golden fixture with the current writer"]
 fn bless() {
-    let path = fixture_path(FORMAT_VERSION);
+    let path = fixture_path();
     std::fs::create_dir_all(path.parent().expect("fixture has a parent")).expect("golden dir");
     std::fs::write(&path, record().to_bytes_with_block_size(BLOCK_SIZE)).expect("fixture written");
 }

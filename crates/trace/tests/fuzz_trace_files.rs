@@ -1,4 +1,4 @@
-//! Whole-file mutation of v2 trace files: whatever a seeded byte-level
+//! Whole-file mutation of trace files: whatever a seeded byte-level
 //! edit does to a file, each reader either decodes one of the original
 //! event sequences or answers with a typed [`TraceError`] — no panic,
 //! no hang — while holding no more heap than the block lengths the
@@ -284,7 +284,7 @@ fn mutate(rng: &mut Rng, seed: &[u8], headers: &[usize], other: &[u8]) -> (Vec<u
 #[test]
 fn mutated_trace_files_decode_or_fail_typed_within_their_claims() {
     let golden = std::fs::read(
-        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/v2_two_core.trace"),
+        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/v3_two_core.trace"),
     )
     .expect("golden fixture reads");
     let fresh = three_block_stream();

@@ -1,15 +1,19 @@
 //! Block lengths are read from untrusted headers before anything can
 //! be checksummed, so what a reader allocates on their say-so must be
-//! bounded by a constant, not by the header. A few dozen hostile bytes
-//! — one literal and a run-length match — claim a 1 GiB block here;
-//! both readers must answer `Corrupt` without reserving for it, and a
-//! claim at the format's ceiling may cost that ceiling and no more.
+//! bounded by a constant, not by the header. The writer's own encoding
+//! of a 4 MiB run of one repeated event is a few hundred bytes; with
+//! its first block's length field patched to claim 1 GiB, both readers
+//! must answer `Corrupt` without reserving for it, and with only its
+//! checksum zeroed, the claim at the format's ceiling may cost that
+//! ceiling and no more.
 //!
 //! Own test binary with a single test: the counting allocator is
 //! process-wide.
 
+use swpf_ir::interp::{Event, EventKind};
+use swpf_ir::ValueId;
 use swpf_obs::alloc::CountingAlloc;
-use swpf_trace::{StreamingReplay, Trace, TraceError};
+use swpf_trace::{StreamingReplay, Trace, TraceError, TraceRecorder};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc::new();
@@ -17,39 +21,32 @@ static ALLOC: CountingAlloc = CountingAlloc::new();
 /// The largest block length readers accept (`block::MAX_BLOCK`).
 const CEILING: usize = 4 << 20;
 
-fn put_varint(out: &mut Vec<u8>, mut v: u64) {
-    while v >= 0x80 {
-        out.push(v as u8 | 0x80);
-        v >>= 7;
-    }
-    out.push(v as u8);
-}
+/// Offsets in a one-core file: 24-byte header, 20-byte section
+/// prologue, then the first block header — raw length, stored length,
+/// method, checksum.
+const RAW_LEN_AT: usize = 44;
+const CHECKSUM_AT: usize = 53;
 
-/// A one-core, one-block v2 envelope whose `METHOD_LZ` block claims
-/// `raw_len` bytes: the literal `A`, then a match of everything else at
-/// offset 1. Structurally valid; only the checksums are made up.
+/// A one-core file whose first block is an LZH-compressed run of
+/// [`CEILING`] raw bytes (one repeated event), its checksum zeroed and
+/// its raw length field claiming `raw_len`.
 fn run_length_bomb(raw_len: usize) -> Vec<u8> {
-    let mut block = Vec::new();
-    put_varint(&mut block, 1);
-    block.push(b'A');
-    put_varint(&mut block, raw_len as u64 - 1);
-    put_varint(&mut block, 1);
-
-    let mut out = Vec::new();
-    out.extend_from_slice(b"SWPFTRCE");
-    out.extend_from_slice(&2u32.to_le_bytes());
-    out.extend_from_slice(&0xfeedu64.to_le_bytes());
-    out.extend_from_slice(&1u32.to_le_bytes()); // cores
-    out.extend_from_slice(&1u64.to_le_bytes()); // events
-    out.extend_from_slice(&1u32.to_le_bytes()); // blocks
-    out.extend_from_slice(&(17 + block.len() as u64).to_le_bytes());
-    out.extend_from_slice(&(raw_len as u32).to_le_bytes());
-    out.extend_from_slice(&(block.len() as u32).to_le_bytes());
-    out.push(1); // METHOD_LZ
-    out.extend_from_slice(&0u64.to_le_bytes()); // block checksum
-    out.extend_from_slice(&block);
-    out.extend_from_slice(&0u64.to_le_bytes()); // footer checksum
-    out.extend_from_slice(b"SWPFEND.");
+    let mut rec = TraceRecorder::new(1, 0xfeed);
+    let event = Event {
+        pc: 0,
+        frame: 0,
+        result: ValueId(0),
+        kind: EventKind::Alu,
+        operands: &[],
+    };
+    while rec.stream(0).payload_len() < CEILING {
+        rec.stream(0).push(&event);
+        rec.stream(0).end_step();
+    }
+    let mut out = rec.finish().to_bytes_with_block_size(CEILING);
+    assert_eq!(&out[RAW_LEN_AT..RAW_LEN_AT + 4], &(CEILING as u32).to_le_bytes());
+    out[RAW_LEN_AT..RAW_LEN_AT + 4].copy_from_slice(&(raw_len as u32).to_le_bytes());
+    out[CHECKSUM_AT..CHECKSUM_AT + 8].fill(0);
     out
 }
 
@@ -75,7 +72,7 @@ fn stream_first_event(bytes: &[u8]) -> Result<(), TraceError> {
 fn oversized_block_claims_are_refused_before_any_allocation() {
     for claim in [1usize << 30, CEILING + 1] {
         let bytes = run_length_bomb(claim);
-        assert!(bytes.len() < 100, "the attack is a few dozen bytes");
+        assert!(bytes.len() < 1024, "the attack is a few hundred bytes");
 
         let (full, peak) = peak_during(|| Trace::from_bytes(&bytes));
         assert!(

@@ -1,9 +1,8 @@
 //! Property tests for the trace codec: encode → decode must be the
 //! identity on arbitrary event streams (varint boundaries, delta sign
 //! flips, empty and multi-core streams, block-boundary straddles in the
-//! v2 envelope), single-bit corruption anywhere in the file must be
-//! caught, truncation anywhere must be detected, and v1 envelopes must
-//! keep decoding.
+//! envelope), single-bit corruption anywhere in the file must be
+//! caught, and truncation anywhere must be detected.
 
 use proptest::prelude::*;
 use swpf_ir::interp::{Event, EventKind};
@@ -244,7 +243,7 @@ proptest! {
         assert_decodes_to(&back, &streams);
     }
 
-    // The same identity holds through the v2 block structure at
+    // The same identity holds through the block structure at
     // adversarially tiny block sizes (every event straddles a block
     // boundary somewhere) — for the full reader and for the
     // block-at-a-time streaming reader.
@@ -270,22 +269,6 @@ proptest! {
             assert_eq!(replay.fingerprint(), fp);
             assert_streams_to(&replay, &streams);
         });
-    }
-
-    // A v1 (uncompressed) envelope of the same recording still decodes
-    // to an identical trace: existing cache corpora keep replaying.
-    #[test]
-    fn v1_envelope_decodes_identically(seed: u64, n_cores in 0usize..3, len in 0usize..120) {
-        let mut rng = Rng(seed);
-        let streams: Vec<Vec<OwnedEvent>> = (0..n_cores)
-            .map(|_| gen_stream(&mut rng, len))
-            .collect();
-        let trace = encode(&streams, 5);
-        let from_v1 = Trace::from_bytes(&trace.to_bytes_v1()).expect("v1 decodes");
-        prop_assert_eq!(&from_v1, &trace);
-        let from_v2 = Trace::from_bytes(&trace.to_bytes()).expect("v2 decodes");
-        prop_assert_eq!(&from_v1, &from_v2);
-        assert_decodes_to(&from_v1, &streams);
     }
 
     // Adjacent events with full-width pc/address jumps in both
@@ -319,7 +302,7 @@ proptest! {
         assert_decodes_to(&Trace::from_bytes(&trace.to_bytes()).unwrap(), &streams);
     }
 
-    // Any single flipped bit, anywhere in the v2 envelope — header,
+    // Any single flipped bit, anywhere in the envelope — header,
     // section prologues, block headers, compressed payload, footer —
     // is caught by `from_bytes` (the footer fold covers the header
     // fields, each block checksum covers its uncompressed bytes, and

@@ -1,4 +1,4 @@
-//! The streaming-replay memory contract: draining a v2 trace file
+//! The streaming-replay memory contract: draining a trace file
 //! through [`StreamingReplay`] keeps peak live heap bounded by the
 //! block window — independent of trace length — while the full reader
 //! (`Trace::from_bytes`) necessarily materialises the whole payload.
@@ -42,7 +42,7 @@ fn record(n_events: u64) -> Trace {
     rec.finish()
 }
 
-/// Record `n_events`, write the v2 file, then measure the peak heap
+/// Record `n_events`, write the file, then measure the peak heap
 /// growth while streaming every event back. Returns
 /// `(uncompressed payload bytes, streaming peak delta)`.
 fn measure(n_events: u64) -> (usize, usize) {
