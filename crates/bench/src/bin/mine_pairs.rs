@@ -26,13 +26,11 @@
 
 use std::path::PathBuf;
 use std::sync::Arc;
-use swpf_bench::harness::{kernel_fingerprint, trace_cache_path};
+use swpf_bench::harness::{kernel_fingerprint, open_streaming, store_trace, trace_cache_path};
 use swpf_bench::{auto_module, scale_from_env_or_exit};
 use swpf_ir::exec::ExecImage;
 use swpf_ir::interp::Interp;
-use swpf_trace::{
-    count_pairs_in_trace, count_pairs_streaming, PairCounter, StreamingReplay, TraceRecorder,
-};
+use swpf_trace::{count_pairs, PairCounter, TraceRecorder};
 use swpf_workloads::{suite, KernelVariant};
 
 /// Can this pair be fused into a superinstruction? The second word of a
@@ -90,6 +88,7 @@ fn main() {
             let func = module.find_function("kernel").expect("kernel exists");
             let image = Arc::new(ExecImage::build(&module));
             let classes = image.op_class_table();
+            let classify = |ev: &swpf_ir::interp::Event<'_>| classes.get(&ev.pc).copied();
 
             // Harness-compatible cache identity: same trace key (the
             // variant's module key) and same fingerprint recipe, so the
@@ -104,15 +103,15 @@ fn main() {
                 .as_deref()
                 .map(|d| trace_cache_path(d, scale, w.name(), trace_key));
 
-            // Warm path: stream the cached recording block-at-a-time.
-            let cached = path
-                .as_deref()
-                .and_then(|p| match StreamingReplay::open(p) {
-                    Ok(replay) if replay.fingerprint() == fingerprint => {
-                        count_pairs_streaming(&replay, |ev| classes.get(&ev.pc).copied()).ok()
-                    }
-                    _ => None,
-                });
+            // Warm path: stream the cached recording block-at-a-time,
+            // under the harness's cache discipline — a damaged file is a
+            // miss with one warning, and re-recorded.
+            let cached = path.as_deref().and_then(|p| {
+                let replay = open_streaming(p, fingerprint)?;
+                count_pairs(replay.num_cores(), |c| replay.cursor(c), classify)
+                    .map_err(|e| eprintln!("warning: ignoring trace {}: {e}", p.display()))
+                    .ok()
+            });
             let (pairs, from) = match cached {
                 Some(pairs) => (pairs, "cache"),
                 None => {
@@ -127,14 +126,9 @@ fn main() {
                         .unwrap_or_else(|t| panic!("{}/{variant} trapped: {t}", w.name()));
                     let trace = rec.finish();
                     if let Some(p) = &path {
-                        if let Some(dir) = p.parent() {
-                            std::fs::create_dir_all(dir).ok();
-                        }
-                        if let Err(e) = std::fs::write(p, trace.to_bytes()) {
-                            eprintln!("warning: cannot store {}: {e}", p.display());
-                        }
+                        store_trace(p, &trace);
                     }
-                    let pairs = count_pairs_in_trace(&trace, |ev| classes.get(&ev.pc).copied())
+                    let pairs = count_pairs(trace.num_cores(), |c| trace.cursor(c), classify)
                         .expect("freshly recorded trace decodes");
                     (pairs, "interp")
                 }

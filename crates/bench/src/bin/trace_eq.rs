@@ -1,16 +1,15 @@
-//! Trace-equivalence gate for CI: run every experiment four times —
+//! Trace-equivalence gate for CI: run every experiment three times —
 //! direct simulation, a cold traced pass (fused execution, recording
-//! when `--trace-dir` is given), a warm traced pass (replaying the
-//! just-recorded traces), and a warm *streaming* pass (block-at-a-time
-//! decode of the compressed files, bounded memory) — and require every
-//! counter of every core of every cell to match bit-for-bit across all
-//! of them.
+//! when `--trace-dir` is given), and a warm traced pass (with
+//! `--trace-dir`, streaming the just-recorded files block-at-a-time in
+//! bounded memory) — and require every counter of every core of every
+//! cell to match bit-for-bit across all of them.
 //!
 //! ```sh
 //! SWPF_SCALE=test cargo run --release -p swpf-bench --bin trace_eq -- --trace-dir traces
 //! ```
 //!
-//! With `--trace-dir` the warm passes exercise the full encode → disk →
+//! With `--trace-dir` the warm pass exercises the full encode → disk →
 //! decode → replay path for every experiment (including multicore), the
 //! corpus is gated on its compressed density (bytes per event must stay
 //! under [`MAX_BYTES_PER_EVENT`] — a broken or disabled block coder
@@ -26,7 +25,7 @@ use swpf_trace::StreamingReplay;
 /// Compressed-corpus density ceiling in bytes per recorded event. The
 /// uncompressed event payload measures ~3.5 B/event on the test-scale
 /// corpus (short traces never reach the cheap steady-state deltas); the
-/// v2 block coder brings it to ~0.54 B/event. The ceiling sits between
+/// block coder brings it to ~0.54 B/event. The ceiling sits between
 /// the two with margin for workload drift: crossing it means block
 /// compression stopped working, not that the corpus grew.
 const MAX_BYTES_PER_EVENT: f64 = 2.0;
@@ -146,7 +145,6 @@ fn audit_corpus(dir: &Path) -> bool {
 fn main() -> std::process::ExitCode {
     let opts = cli_options();
     let scale = opts.scale;
-    let on_disk = matches!(opts.run.trace, TracePolicy::Dir(_));
     let mut total_diverged = 0usize;
     let mut total_replayed = 0usize;
 
@@ -161,29 +159,10 @@ fn main() -> std::process::ExitCode {
         );
         let cold = run_experiment(&exp, &opts.run);
         let warm = run_experiment(&exp, &opts.run);
-        let mut diverged =
+        let diverged =
             diverging_cells(name, &direct, &cold) + diverging_cells(name, &direct, &warm);
-        let mut streamed_note = String::new();
-        if on_disk {
-            // The bounded-memory path: same files, decoded one block at
-            // a time instead of materialising the payload.
-            let streamed = run_experiment(
-                &exp,
-                &RunOptions {
-                    stream: true,
-                    ..opts.run.clone()
-                },
-            );
-            diverged += diverging_cells(name, &direct, &streamed);
-            streamed_note = format!(
-                " stream {}/{}",
-                streamed.trace_hits(),
-                streamed.trace_misses()
-            );
-            total_replayed += streamed.trace_hits();
-        }
         println!(
-            "trace_eq {name}: {} cells, cold {}/{} warm {}/{}{streamed_note} \
+            "trace_eq {name}: {} cells, cold {}/{} warm {}/{} \
              (replayed/interpreted), {} diverged ({:.2}s direct, {:.2}s cold, {:.2}s warm)",
             cold.cells.len(),
             cold.trace_hits(),

@@ -1307,7 +1307,7 @@ fn workload_analytics(
 
     if let Some(p) = &path {
         if let Some(replay) = open_streaming(p, fingerprint) {
-            match swpf_trace::analyze_streaming(&replay) {
+            match swpf_trace::analyze(replay.num_cores(), |c| replay.cursor(c)) {
                 Ok(a) => return a,
                 Err(e) => eprintln!("warning: re-recording {}: {e}", p.display()),
             }
@@ -1323,9 +1323,10 @@ fn workload_analytics(
         .unwrap_or_else(|t| panic!("{}/{variant} trapped: {t}", w.name()));
     let trace = recorder.finish();
     if let Some(p) = &path {
-        store_trace(p, &trace, None);
+        store_trace(p, &trace);
     }
-    swpf_trace::analyze_trace(&trace).expect("freshly recorded trace is well-formed")
+    swpf_trace::analyze(trace.num_cores(), |c| trace.cursor(c))
+        .expect("freshly recorded trace is well-formed")
 }
 
 /// Reuse-distance percentile over the *warm* touches, reported as the

@@ -17,8 +17,9 @@
 //! most once per run**: cold, the single interpretation's retire-event
 //! stream fans out to every machine's timing model simultaneously
 //! (recording into the `swpf-trace` cache when persisting); warm
-//! (`--trace-dir` / `SWPF_TRACE_DIR`), the cached trace is decoded once
-//! and fanned out the same way with no interpreter in the loop at all.
+//! (`--trace-dir` / `SWPF_TRACE_DIR`), the cached file is streamed
+//! block-at-a-time, decoded once and fanned out the same way with no
+//! interpreter in the loop at all.
 //! Either way each cell's statistics are bit-identical to a dedicated
 //! direct simulation (see [`TracePolicy`]; `--no-trace` opts out).
 //! Multicore cells record on the group's first machine and replay on
@@ -432,17 +433,6 @@ pub struct RunOptions {
     pub threads: usize,
     /// Trace record/replay policy.
     pub trace: TracePolicy,
-    /// Replay persisted traces block-at-a-time through
-    /// [`StreamingReplay`] instead of materialising the payload
-    /// (`--stream-replay` / `SWPF_TRACE_STREAM`; only meaningful with
-    /// [`TracePolicy::Dir`]). Counters are bit-identical either way;
-    /// peak memory stops depending on trace length.
-    pub stream: bool,
-    /// Byte budget for the [`TracePolicy::Dir`] cache (`--trace-cap` /
-    /// `SWPF_TRACE_CAP`): after each store, the least-recently-used
-    /// trace files are evicted until the directory fits. `None`: no
-    /// bound.
-    pub trace_cap: Option<u64>,
     /// Force per-PC prefetch-efficacy profiling on for every cell
     /// (`--perf` / `SWPF_PERF`), regardless of the spec's own `perf`
     /// flag. The default path runs profiling-free.
@@ -755,30 +745,18 @@ fn run_group(
         _ => None,
     };
 
-    // Warm paths, preferred order: the bounded-memory streaming reader
-    // (when asked for), then the full in-memory decode. Either miss —
-    // no file, stale fingerprint, v1 envelope under streaming, damage —
-    // falls through to re-record.
-    let streamed = if opts.stream {
-        cache_path
-            .as_deref()
-            .and_then(|p| open_streaming(p, fingerprint))
-    } else {
-        None
-    };
-    let cached = if streamed.is_some() {
-        None
-    } else {
-        cache_path
-            .as_deref()
-            .and_then(|p| load_trace(p, fingerprint))
-    };
-    // A file can pass the envelope checks and still be damaged inside a
-    // block — the streaming reader verifies each block only as it gets
-    // there. That, too, is a miss: drop the partial row and re-record.
-    let warm = (streamed.as_ref().map(Source::Stream))
-        .or(cached.as_ref().map(Source::Trace))
-        .map(|source| try_run(group, source));
+    // Warm: stream the cached file block-at-a-time. A miss — no file,
+    // stale fingerprint, another format version, damage — falls through
+    // to re-record. A file can pass the envelope checks and still be
+    // damaged inside a block, which the reader meets only when the
+    // replay gets there: that, too, is a miss — drop the partial row
+    // and re-record.
+    let cached = cache_path
+        .as_deref()
+        .and_then(|p| open_streaming(p, fingerprint));
+    let warm = cached
+        .as_ref()
+        .map(|replay| try_run(group, Source::Stream(replay)));
     let warm = match (warm, &cache_path) {
         (Some(Err(SimError::Trace(e))), Some(path)) => {
             eprintln!("warning: ignoring trace {}: {e}", path.display());
@@ -822,7 +800,7 @@ fn run_group(
     if let Some(recorder) = recorder {
         let trace = recorder.finish();
         if let Some(path) = &cache_path {
-            store_trace(path, &trace, opts.trace_cap);
+            store_trace(path, &trace);
         }
         if !tail.is_empty() {
             out.extend(run(tail, Source::Trace(&trace)));
@@ -892,43 +870,17 @@ fn run_row(
         .collect())
 }
 
-/// Mark a cache file recently used, so size-capped eviction (see
-/// [`store_trace`]) removes cold traces first. Best-effort: an
-/// unwritable cache degrades to FIFO eviction, not an error.
-fn touch_trace(path: &Path) {
-    if let Ok(f) = std::fs::File::options().append(true).open(path) {
-        let _ = f.set_modified(std::time::SystemTime::now());
-    }
-}
-
-/// Load a cached trace, rejecting stale fingerprints and warning (once
-/// per file, on stderr) about undecodable ones.
-fn load_trace(path: &Path, fingerprint: u64) -> Option<Trace> {
-    let bytes = std::fs::read(path).ok()?;
-    match Trace::from_bytes(&bytes) {
-        Ok(trace) if trace.fingerprint == fingerprint => {
-            touch_trace(path);
-            Some(trace)
-        }
-        Ok(_) => None, // kernel, workload, or scale changed: re-record
-        Err(e) => {
-            eprintln!("warning: ignoring trace {}: {e}", path.display());
-            None
-        }
-    }
-}
-
-/// Open a cached trace for bounded-memory streaming replay, rejecting
-/// stale fingerprints. A v1 envelope (no block structure to stream) is
-/// treated exactly like a stale fingerprint: miss, re-record, and the
-/// store upgrades the file to v2. Public within the crate so the
-/// `trace_analytics` experiment shares the cache discipline.
-pub(crate) fn open_streaming(path: &Path, fingerprint: u64) -> Option<StreamingReplay> {
+/// Open a cached trace for bounded-memory streaming replay — the one
+/// way any consumer reads the cache — rejecting stale fingerprints. A
+/// file of another format version is treated exactly like a stale
+/// fingerprint: a silent miss, re-recorded and overwritten by the
+/// store; any other undecodable file is a miss with one warning on
+/// stderr. Public so the `trace_analytics` experiment and the
+/// `mine_pairs` miner share the cache discipline.
+#[must_use]
+pub fn open_streaming(path: &Path, fingerprint: u64) -> Option<StreamingReplay> {
     match StreamingReplay::open(path) {
-        Ok(replay) if replay.fingerprint() == fingerprint => {
-            touch_trace(path);
-            Some(replay)
-        }
+        Ok(replay) if replay.fingerprint() == fingerprint => Some(replay),
         Ok(_) => None,
         Err(swpf_trace::TraceError::UnsupportedVersion(_))
         | Err(swpf_trace::TraceError::Io(std::io::ErrorKind::NotFound)) => None,
@@ -944,13 +896,10 @@ pub(crate) fn open_streaming(path: &Path, fingerprint: u64) -> Option<StreamingR
 /// sibling temp file first and are renamed into place, so a reader —
 /// another worker, another process on the same directory, the next run
 /// after this one was killed — sees the old file or the new one, never
-/// a torn one. With a byte cap, the directory is LRU-pruned afterwards
-/// — oldest-read `.trace` files go first, the file just written never
-/// does.
-pub(crate) fn store_trace(path: &Path, trace: &Trace, cap: Option<u64>) {
+/// a torn one.
+pub fn store_trace(path: &Path, trace: &Trace) {
     static SEQ: AtomicUsize = AtomicUsize::new(0);
-    // Unique per writer, and not a `.trace`: eviction and cache lookups
-    // never see it.
+    // Unique per writer, and not a `.trace`: cache lookups never see it.
     let tmp = path.with_extension(format!(
         "tmp-{}-{}",
         std::process::id(),
@@ -969,44 +918,6 @@ pub(crate) fn store_trace(path: &Path, trace: &Trace, cap: Option<u64>) {
         return;
     }
     swpf_obs::count("trace.stored", 1);
-    if let (Some(cap), Some(dir)) = (cap, path.parent()) {
-        evict_lru(dir, cap, path);
-    }
-}
-
-/// Evict least-recently-used `.trace` files until the directory's trace
-/// bytes fit under `cap`. `keep` (the file just written) is exempt —
-/// the cap bounds the cache, it must not turn the current store into a
-/// no-op. Concurrent workers may race this scan; losing a file another
-/// thread was about to replay is just a cache miss, so every step is
-/// best-effort.
-fn evict_lru(dir: &Path, cap: u64, keep: &Path) {
-    let Ok(entries) = std::fs::read_dir(dir) else {
-        return;
-    };
-    let mut files: Vec<(std::time::SystemTime, u64, PathBuf)> = entries
-        .filter_map(|e| {
-            let e = e.ok()?;
-            let p = e.path();
-            if p.extension().is_none_or(|x| x != "trace") || p == keep {
-                return None;
-            }
-            let meta = e.metadata().ok()?;
-            let mtime = meta.modified().unwrap_or(std::time::SystemTime::UNIX_EPOCH);
-            Some((mtime, meta.len(), p))
-        })
-        .collect();
-    let kept = std::fs::metadata(keep).map_or(0, |m| m.len());
-    let mut total: u64 = kept + files.iter().map(|(_, len, _)| len).sum::<u64>();
-    files.sort();
-    for (_, len, p) in files {
-        if total <= cap {
-            break;
-        }
-        if std::fs::remove_file(&p).is_ok() {
-            total -= len;
-        }
-    }
 }
 
 /// Structural shape checks every experiment gets for free: the grid is
@@ -1464,7 +1375,7 @@ pub struct CliOptions {
 
 /// One-line usage of the options every experiment binary shares.
 pub const CLI_USAGE: &str = "[--threads N] [--out DIR] [--trace-dir DIR | --no-trace] \
-     [--stream-replay] [--trace-cap BYTES] [--profile PATH] [--perf] [--help]";
+     [--stream-replay (no effect: warm hits always stream)] [--profile PATH] [--perf] [--help]";
 
 /// Parse process arguments and environment; see [`cli_options_or_exit`].
 #[must_use]
@@ -1517,10 +1428,6 @@ pub fn cli_options_from(args: impl Iterator<Item = String>) -> Result<CliOptions
         v.parse()
             .map_err(|_| format!("{what} must be an integer, got `{v}`"))
     }
-    fn size(v: &str, what: &str) -> Result<u64, String> {
-        parse_size(v)
-            .ok_or_else(|| format!("{what} must be a size like 4096, 64K, 512M, got `{v}`"))
-    }
 
     let scale = crate::scale_from_env()?;
     let tier = Tier::try_from_env()?;
@@ -1531,11 +1438,6 @@ pub fn cli_options_from(args: impl Iterator<Item = String>) -> Result<CliOptions
     let mut trace = match std::env::var_os("SWPF_TRACE_DIR") {
         Some(dir) => TracePolicy::Dir(PathBuf::from(dir)),
         None => TracePolicy::default(),
-    };
-    let mut stream = std::env::var_os("SWPF_TRACE_STREAM").is_some();
-    let mut trace_cap = match std::env::var("SWPF_TRACE_CAP") {
-        Ok(v) => Some(size(&v, "SWPF_TRACE_CAP")?),
-        Err(_) => None,
     };
     let mut out_dir = PathBuf::from("RESULTS");
     let mut profile = std::env::var_os("SWPF_PROFILE").map(PathBuf::from);
@@ -1551,10 +1453,8 @@ pub fn cli_options_from(args: impl Iterator<Item = String>) -> Result<CliOptions
                 trace = TracePolicy::Dir(PathBuf::from(value(&mut args, "--trace-dir")?));
             }
             "--no-trace" => trace = TracePolicy::Off,
-            "--stream-replay" => stream = true,
-            "--trace-cap" => {
-                trace_cap = Some(size(&value(&mut args, "--trace-cap")?, "--trace-cap")?);
-            }
+            // Kept for existing command lines; every warm hit streams.
+            "--stream-replay" => {}
             "--profile" => profile = Some(PathBuf::from(value(&mut args, "--profile")?)),
             "--perf" => perf = true,
             other => return Err(format!("unknown argument `{other}`")),
@@ -1564,8 +1464,6 @@ pub fn cli_options_from(args: impl Iterator<Item = String>) -> Result<CliOptions
         run: RunOptions {
             threads,
             trace,
-            stream,
-            trace_cap,
             perf,
             tier,
         },
@@ -1604,19 +1502,6 @@ pub fn finish_profiling(path: &Path) {
         ),
         Err(e) => eprintln!("warning: cannot write profile {}: {e}", path.display()),
     }
-}
-
-/// Parse a byte count with an optional `K`/`M`/`G` suffix (powers of
-/// 1024, case-insensitive): `4096`, `64K`, `512M`, `2G`.
-fn parse_size(s: &str) -> Option<u64> {
-    let s = s.trim();
-    let (digits, shift) = match s.as_bytes().last()? {
-        b'k' | b'K' => (&s[..s.len() - 1], 10),
-        b'm' | b'M' => (&s[..s.len() - 1], 20),
-        b'g' | b'G' => (&s[..s.len() - 1], 30),
-        _ => (s, 0),
-    };
-    digits.parse::<u64>().ok()?.checked_shl(shift)
 }
 
 #[cfg(test)]

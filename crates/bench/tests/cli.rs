@@ -9,7 +9,7 @@ fn all(args: &[&str], env: &[(&str, &str)]) -> Output {
     // Run away from the repository so a parse that wrongly succeeds
     // cannot drop a RESULTS directory into it.
     cmd.args(args).current_dir(std::env::temp_dir());
-    for var in ["SWPF_THREADS", "SWPF_TRACE_CAP", "SWPF_TIER"] {
+    for var in ["SWPF_THREADS", "SWPF_TIER"] {
         cmd.env_remove(var);
     }
     cmd.env("SWPF_SCALE", "test")
@@ -34,6 +34,14 @@ fn assert_usage_error(out: &Output, what: &str) {
 #[test]
 fn unknown_flag_is_one_error_line_and_exit_2() {
     assert_usage_error(&all(&["--bogus"], &[]), "--bogus");
+    // The trace-cache byte cap went with the in-memory warm reader.
+    let cap = all(&["--trace-cap", "1g"], &[]);
+    assert_usage_error(&cap, "--trace-cap");
+    let stderr = String::from_utf8_lossy(&cap.stderr);
+    assert!(
+        stderr.contains("unknown argument `--trace-cap`"),
+        "{stderr}"
+    );
 }
 
 #[test]
@@ -43,7 +51,6 @@ fn malformed_values_are_usage_errors() {
     assert_usage_error(&all(&["--only"], &[]), "missing experiment name");
     assert_usage_error(&all(&["--only", "fig99"], &[]), "unknown experiment");
     assert_usage_error(&all(&[], &[("SWPF_THREADS", "many")]), "SWPF_THREADS");
-    assert_usage_error(&all(&[], &[("SWPF_TRACE_CAP", "big")]), "SWPF_TRACE_CAP");
     // Resolved once, before anything runs — not a panic in the middle
     // of a grid.
     assert_usage_error(&all(&[], &[("SWPF_TIER", "bytcode")]), "SWPF_TIER");
@@ -100,10 +107,12 @@ fn fig9_counters(flags: &[&str]) -> Vec<String> {
 
 /// The multicore grid through the spawned driver: interpreting every
 /// cell (`--no-trace`) and the default record-then-replay policy give
-/// the same counters on every core of every cell.
+/// the same counters on every core of every cell, and `--stream-replay`,
+/// still accepted, changes nothing.
 #[test]
 fn no_trace_and_default_policy_produce_identical_counters() {
     let direct = fig9_counters(&["--no-trace"]);
     assert_eq!(direct.len(), 6, "fig9 is six multicore cells");
     assert_eq!(direct, fig9_counters(&[]));
+    assert_eq!(direct, fig9_counters(&["--stream-replay"]));
 }

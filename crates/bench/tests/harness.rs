@@ -331,81 +331,35 @@ fn trace_dir_replays_multicore_cells() {
     assert_cells_identical("fig9", &cold, &warm);
 }
 
-/// Streaming replay (`--stream-replay`) from the disk cache is
-/// bit-identical to both direct simulation and whole-trace replay, for
-/// single-core (fig10) and multicore (fig9) grids alike.
+/// A warm run, which streams every group from the disk cache block by
+/// block, is bit-identical to direct simulation, for single-core
+/// (fig10) and multicore (fig9) grids alike.
 #[test]
 fn streaming_warm_runs_match_direct() {
     for name in ["fig10", "fig9"] {
         let dir = std::env::temp_dir().join(format!("swpf_stream_{name}_{}", std::process::id()));
         let exp = experiments::by_name(name, Scale::Test).unwrap();
-        let run = |stream: bool| {
+        let run = |trace: TracePolicy| {
             run_experiment(
                 &exp,
                 &RunOptions {
                     threads: 1,
-                    trace: TracePolicy::Dir(dir.clone()),
-                    stream,
+                    trace,
                     ..RunOptions::default()
                 },
             )
         };
-        let cold = run(false);
-        let warm = run(true);
+        let direct = run(TracePolicy::Off);
+        let cold = run(TracePolicy::Dir(dir.clone()));
+        let warm = run(TracePolicy::Dir(dir.clone()));
         std::fs::remove_dir_all(&dir).ok();
+        assert!(cold.trace_misses() > 0, "{name}: cold run records");
         assert_eq!(warm.trace_misses(), 0, "{name}: warm run streams from disk");
-        assert!(
-            warm.trace_hits() > 0,
-            "{name}: streamed cells count as hits"
+        assert_eq!(
+            warm.trace_hits(),
+            warm.cells.len(),
+            "{name}: every streamed cell counts as a hit"
         );
-        assert_cells_identical(name, &cold, &warm);
+        assert_cells_identical(name, &direct, &warm);
     }
-}
-
-/// `--trace-cap` keeps the trace directory within its byte budget by
-/// evicting least-recently-used files; the cache still works, it just
-/// re-records what was evicted.
-#[test]
-fn trace_cap_evicts_least_recently_used() {
-    let dir = std::env::temp_dir().join(format!("swpf_cap_{}", std::process::id()));
-    let exp = experiments::by_name("fig10", Scale::Test).unwrap();
-    let run = |cap: Option<u64>| {
-        run_experiment(
-            &exp,
-            &RunOptions {
-                threads: 1,
-                trace: TracePolicy::Dir(dir.clone()),
-                trace_cap: cap,
-                ..RunOptions::default()
-            },
-        )
-    };
-    // Uncapped cold run: all six traces on disk.
-    let cold = run(None);
-    assert_eq!(cold.trace_misses(), 6);
-    let bytes = |d: &std::path::Path| -> u64 {
-        std::fs::read_dir(d)
-            .map(|it| {
-                it.flatten()
-                    .filter(|e| e.path().extension().is_some_and(|x| x == "trace"))
-                    .filter_map(|e| e.metadata().ok())
-                    .map(|m| m.len())
-                    .sum()
-            })
-            .unwrap_or(0)
-    };
-    let full = bytes(&dir);
-    assert!(full > 0);
-    // A capped cold run must end within budget (cap below the full
-    // corpus but big enough for single traces to survive): every store
-    // evicts the least-recently-used files over the line.
-    std::fs::remove_dir_all(&dir).ok();
-    let cap = full / 2;
-    let capped = run(Some(cap));
-    let after = bytes(&dir);
-    std::fs::remove_dir_all(&dir).ok();
-    assert_eq!(capped.trace_misses(), 6, "cold capped run records all");
-    assert_cells_identical("fig10", &cold, &capped);
-    assert!(after <= cap, "directory holds {after} bytes, cap is {cap}");
-    assert!(after > 0, "cap keeps at least the newest trace");
 }

@@ -237,7 +237,7 @@ fn fig4_profile_has_phase_coverage_and_cache_counters() {
         "verify",
         "decode",
         "interpret",
-        "replay",
+        "stream_replay",
     ] {
         assert!(
             spans.contains(phase),

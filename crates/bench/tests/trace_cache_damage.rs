@@ -1,6 +1,6 @@
-//! The on-disk trace cache under damage: a torn or bit-flipped cache
-//! file is a miss, never a failed run, and stores leave no temp file
-//! behind.
+//! The on-disk trace cache under damage: a torn, bit-flipped or
+//! other-version cache file is a miss, never a failed run, and stores
+//! leave no temp file behind.
 //!
 //! A test binary of its own: `run_experiment` saves and restores the
 //! process-wide `swpf_sim::perf` switch, so the two dozen short runs
@@ -14,30 +14,24 @@ use swpf_workloads::Scale;
 static ONE_AT_A_TIME: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 /// Prime a fig10 cache, then for each eighth damage the first cache file
-/// with `damage(whole file, eighth)` and rerun, streaming or not as
-/// `stream(eighth)` says: exactly that file must re-record, with the
-/// cold run's counters, leaving the original bytes and no temp file
-/// behind, and the run after must hit.
-fn damage_heals(
-    tag: &str,
-    damage: impl Fn(&[u8], usize) -> Vec<u8>,
-    stream: impl Fn(usize) -> bool,
-) {
+/// with `damage(whole file, eighth)` and rerun, streaming it back: exactly
+/// that file must re-record, with the cold run's counters, leaving the
+/// original bytes and no temp file behind, and the run after must hit.
+fn damage_heals(tag: &str, damage: impl Fn(&[u8], usize) -> Vec<u8>) {
     let _guard = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
     let dir = std::env::temp_dir().join(format!("swpf_{tag}_{}", std::process::id()));
     let exp = experiments::by_name("fig10", Scale::Test).unwrap();
-    let run = |stream: bool| {
+    let run = || {
         run_experiment(
             &exp,
             &RunOptions {
                 threads: 2,
                 trace: TracePolicy::Dir(dir.clone()),
-                stream,
                 ..RunOptions::default()
             },
         )
     };
-    let cold = run(false);
+    let cold = run();
     assert_eq!(cold.trace_misses(), 6);
     let files = || -> Vec<std::path::PathBuf> {
         let mut v: Vec<_> = std::fs::read_dir(&dir)
@@ -56,9 +50,8 @@ fn damage_heals(
     let victim = &cached[0];
     let whole = std::fs::read(victim).expect("cache file reads");
     for eighth in 0..8 {
-        let stream = stream(eighth);
         std::fs::write(victim, damage(&whole, eighth)).expect("damage");
-        let again = run(stream);
+        let again = run();
         assert_eq!(
             again.trace_misses(),
             1,
@@ -90,7 +83,7 @@ fn damage_heals(
             cached,
             "{tag} at {eighth}/8: no temp file left behind"
         );
-        assert_eq!(run(stream).trace_misses(), 0, "{tag} at {eighth}/8: healed");
+        assert_eq!(run().trace_misses(), 0, "{tag} at {eighth}/8: healed");
     }
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -101,11 +94,9 @@ fn damage_heals(
 /// behind. And stores go through a temp file that never outlives them.
 #[test]
 fn truncated_cache_files_re_record_and_no_temp_file_survives() {
-    damage_heals(
-        "torn",
-        |whole, eighth| whole[..whole.len() * eighth / 8].to_vec(),
-        |eighth| eighth % 2 == 1,
-    );
+    damage_heals("torn", |whole, eighth| {
+        whole[..whole.len() * eighth / 8].to_vec()
+    });
 }
 
 /// One flipped byte — anywhere from the magic to the last block — under
@@ -114,13 +105,22 @@ fn truncated_cache_files_re_record_and_no_temp_file_survives() {
 /// failed run or a half-replayed row.
 #[test]
 fn a_flipped_byte_under_streaming_replay_re_records() {
-    damage_heals(
-        "flip",
-        |whole, eighth| {
-            let mut bytes = whole.to_vec();
-            bytes[whole.len() * eighth / 8] ^= 0x40;
-            bytes
-        },
-        |_| true,
-    );
+    damage_heals("flip", |whole, eighth| {
+        let mut bytes = whole.to_vec();
+        bytes[whole.len() * eighth / 8] ^= 0x40;
+        bytes
+    });
+}
+
+/// A file whose version field reads 2 — a cache written before the
+/// format bump, damage or not — is a miss like any other: the run
+/// re-records it byte for byte. (The reader answers
+/// `UnsupportedVersion`, which the harness takes without a warning.)
+#[test]
+fn a_file_of_the_previous_format_version_re_records() {
+    damage_heals("version", |whole, _| {
+        let mut bytes = whole.to_vec();
+        bytes[8..12].copy_from_slice(&2u32.to_le_bytes());
+        bytes
+    });
 }

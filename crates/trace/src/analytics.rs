@@ -9,12 +9,13 @@
 //! in DESIGN.md).
 //!
 //! The reader is deliberately generic: [`PairCounter`] counts adjacent
-//! pairs of any classification key, and [`count_pairs_in_trace`] drives
-//! it from a [`Trace`] with a caller-supplied classifier (typically
-//! `ExecImage::op_class_table`, mapping static event pcs to opcode
-//! mnemonics). A classifier may return `None` to break the chain — the
-//! following event then starts a fresh pair rather than pairing across
-//! the gap. Chains also break at core-stream boundaries.
+//! pairs of any classification key, and [`count_pairs`] drives it from
+//! per-core cursors — a [`crate::Trace`]'s or a
+//! [`crate::StreamingReplay`]'s — with a caller-supplied classifier
+//! (typically `ExecImage::op_class_table`, mapping static event pcs to
+//! opcode mnemonics). A classifier may return `None` to break the
+//! chain — the following event then starts a fresh pair rather than
+//! pairing across the gap. Chains also break at core-stream boundaries.
 
 //!
 //! Beyond pair mining, the module derives the paper's *memory-shape*
@@ -25,12 +26,15 @@
 //! [`MlpProfile`] (how many loads per window are address-independent —
 //! the memory-level parallelism a prefetcher can actually extract).
 //! All three are streaming observers drivable from any [`EventSource`],
-//! so they run in bounded memory over compressed trace files via
-//! [`analyze_streaming`].
+//! so [`analyze`] runs them in bounded memory over compressed trace
+//! files.
+//!
+//! Both entry points take their events the way `swpf-sim`'s replay
+//! does — a core count and `cursor(core)` — so the in-memory and the
+//! file source are one code path.
 
 use crate::stream::EventSource;
-use crate::streaming::StreamingReplay;
-use crate::{Trace, TraceError};
+use crate::TraceError;
 use std::collections::{HashMap, HashSet};
 use std::hash::Hash;
 use swpf_ir::interp::{Event, EventKind};
@@ -108,54 +112,27 @@ impl<K: Eq + Hash + Clone> PairCounter<K> {
     }
 }
 
-/// Count adjacent retired-instruction pairs across every core stream of
-/// `trace`, classifying each event with `classify` (a `None`
-/// classification breaks the chain). Core boundaries always break the
-/// chain: the last event of core *n* never pairs with the first of
-/// core *n+1*.
+/// Count adjacent retired-instruction pairs across `cores` per-core
+/// streams, `cursor(core)` opening each, classifying every event with
+/// `classify` (a `None` classification breaks the chain). Core
+/// boundaries always break the chain: the last event of core *n* never
+/// pairs with the first of core *n+1*.
 ///
 /// # Errors
-/// Any [`TraceError`] in the encoded streams.
-pub fn count_pairs_in_trace<K, F>(
-    trace: &Trace,
-    mut classify: F,
+/// Any [`TraceError`] opening or decoding a stream.
+pub fn count_pairs<K, S>(
+    cores: usize,
+    cursor: impl Fn(usize) -> Result<S, TraceError>,
+    mut classify: impl FnMut(&Event<'_>) -> Option<K>,
 ) -> Result<PairCounter<K>, TraceError>
 where
     K: Eq + Hash + Clone,
-    F: FnMut(&Event<'_>) -> Option<K>,
+    S: EventSource,
 {
     let mut pairs = PairCounter::new();
-    for core in 0..trace.num_cores() {
+    for core in 0..cores {
         pairs.break_chain();
-        let mut cursor = trace.cursor(core)?;
-        while let Some((ev, _)) = cursor.next_event()? {
-            match classify(&ev) {
-                Some(k) => pairs.observe(k),
-                None => pairs.break_chain(),
-            }
-        }
-    }
-    Ok(pairs)
-}
-
-/// Like [`count_pairs_in_trace`], but block-at-a-time over a v2 trace
-/// file — the pair miner's path under `--trace-dir`, bounded memory
-/// regardless of trace length.
-///
-/// # Errors
-/// Any [`TraceError`] in the file.
-pub fn count_pairs_streaming<K, F>(
-    replay: &StreamingReplay,
-    mut classify: F,
-) -> Result<PairCounter<K>, TraceError>
-where
-    K: Eq + Hash + Clone,
-    F: FnMut(&Event<'_>) -> Option<K>,
-{
-    let mut pairs = PairCounter::new();
-    for core in 0..replay.num_cores() {
-        pairs.break_chain();
-        let mut cursor = replay.cursor(core)?;
+        let mut cursor = cursor(core)?;
         while let Some((ev, _)) = cursor.next_event()? {
             match classify(&ev) {
                 Some(k) => pairs.observe(k),
@@ -680,32 +657,19 @@ impl TraceAnalytics {
     }
 }
 
-/// One-pass analytics over every core of an in-memory [`Trace`]; cores
-/// are analysed independently and merged.
+/// One-pass analytics over `cores` per-core streams, `cursor(core)`
+/// opening each; cores are analysed independently and merged.
 ///
 /// # Errors
-/// Any [`TraceError`] in the encoded streams.
-pub fn analyze_trace(trace: &Trace) -> Result<TraceAnalytics, TraceError> {
+/// Any [`TraceError`] opening or decoding a stream.
+pub fn analyze<S: EventSource>(
+    cores: usize,
+    cursor: impl Fn(usize) -> Result<S, TraceError>,
+) -> Result<TraceAnalytics, TraceError> {
     let mut all = TraceAnalytics::new();
-    for core in 0..trace.num_cores() {
+    for core in 0..cores {
         let mut one = TraceAnalytics::new();
-        one.drain(&mut trace.cursor(core)?)?;
-        all.merge(&one);
-    }
-    Ok(all)
-}
-
-/// Like [`analyze_trace`], but block-at-a-time over a v2 trace file —
-/// bounded memory regardless of trace length, no payload
-/// materialisation (the `trace_analytics` experiment's path).
-///
-/// # Errors
-/// Any [`TraceError`] in the file.
-pub fn analyze_streaming(replay: &StreamingReplay) -> Result<TraceAnalytics, TraceError> {
-    let mut all = TraceAnalytics::new();
-    for core in 0..replay.num_cores() {
-        let mut one = TraceAnalytics::new();
-        one.drain(&mut replay.cursor(core)?)?;
+        one.drain(&mut cursor(core)?)?;
         all.merge(&one);
     }
     Ok(all)
@@ -714,7 +678,7 @@ pub fn analyze_streaming(replay: &StreamingReplay) -> Result<TraceAnalytics, Tra
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::TraceRecorder;
+    use crate::{StreamingReplay, TraceRecorder};
     use swpf_ir::interp::EventKind;
     use swpf_ir::ValueId;
 
@@ -755,7 +719,7 @@ mod tests {
         }
         rec.stream(1).end_step();
         let trace = rec.finish();
-        let pairs = count_pairs_in_trace(&trace, |e| Some(e.pc)).unwrap();
+        let pairs = count_pairs(2, |c| trace.cursor(c), |e| Some(e.pc)).unwrap();
         assert_eq!(pairs.observed(), 6);
         assert_eq!(pairs.count(&(1, 2)), 2);
         // core 0 ends on 2, core 1 starts on 2 — must NOT pair.
@@ -903,12 +867,12 @@ mod tests {
             }
         }
         let trace = rec.finish();
-        let direct = analyze_trace(&trace).unwrap();
+        let direct = analyze(2, |c| trace.cursor(c)).unwrap();
         let path = std::env::temp_dir().join(format!("swpf_an_{}.trace", std::process::id()));
         std::fs::write(&path, trace.to_bytes_with_block_size(512)).unwrap();
         let streamed = {
             let replay = StreamingReplay::open(&path).unwrap();
-            analyze_streaming(&replay).unwrap()
+            analyze(2, |c| replay.cursor(c)).unwrap()
         };
         std::fs::remove_file(&path).ok();
         assert_eq!(direct.events, streamed.events);
@@ -930,7 +894,7 @@ mod tests {
         }
         rec.stream(0).end_step();
         let trace = rec.finish();
-        let pairs = count_pairs_in_trace(&trace, |e| (e.pc != 9).then_some(e.pc)).unwrap();
+        let pairs = count_pairs(1, |c| trace.cursor(c), |e| (e.pc != 9).then_some(e.pc)).unwrap();
         assert_eq!(pairs.observed(), 2);
         assert_eq!(pairs.count(&(1, 2)), 0, "pairing across a gap");
     }

@@ -43,9 +43,8 @@
 //! The writer prices the encoding from the tokens and the code lengths
 //! alone; blocks it would not shrink are stored raw
 //! ([`METHOD_STORED`]), so pathological inputs cost at most the 17-byte
-//! block header. (Format 2 also had a byte-aligned `METHOD_LZ` = 1
-//! serialisation of the same tokens; it won 2 blocks in 81 on the
-//! test-scale corpus and went with the version bump.)
+//! block header. Method 1, format 2's byte-aligned serialisation of
+//! the same tokens, is retired: readers refuse it as an unknown method.
 
 use crate::huff::{build_codes, code_lengths, BitReader, BitWriter, Decoder};
 use crate::wire::{checksum64, get_u32, get_u64};

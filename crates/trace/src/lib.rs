@@ -44,9 +44,8 @@ mod streaming;
 mod wire;
 
 pub use analytics::{
-    analyze_streaming, analyze_trace, count_pairs_in_trace, count_pairs_streaming,
-    IndirectionProfile, MlpProfile, PairCounter, ReuseHistogram, TraceAnalytics, MAX_INDIRECTION,
-    REUSE_BUCKETS,
+    analyze, count_pairs, IndirectionProfile, MlpProfile, PairCounter, ReuseHistogram,
+    TraceAnalytics, MAX_INDIRECTION, REUSE_BUCKETS,
 };
 pub use block::BLOCK_TARGET;
 pub use stream::{EventCursor, EventSource, StreamEncoder, WindowCursor};
@@ -64,8 +63,7 @@ const END_MAGIC: &[u8; 8] = b"SWPFEND.";
 /// Current format version, the only one this build reads or writes.
 /// Bump on any grammar or envelope change: a cache file of another
 /// version is [`TraceError::UnsupportedVersion`], which cache layers
-/// treat as a miss and re-record. (v1 stored raw per-core payloads, v2
-/// also allowed a byte-aligned LZ block method.)
+/// treat as a miss and re-record.
 pub const FORMAT_VERSION: u32 = 3;
 
 /// Why a trace could not be decoded.
@@ -270,8 +268,7 @@ impl Trace {
             let section_end = pos.checked_add(comp_total).ok_or(TraceError::Truncated)?;
             let mut payload = Vec::new();
             for _ in 0..n_blocks {
-                let _block_span =
-                    swpf_obs::enabled().then(|| swpf_obs::span("trace:decode_block"));
+                let _block_span = swpf_obs::enabled().then(|| swpf_obs::span("trace:decode_block"));
                 let block = block::BlockHeader::parse(bytes, &mut pos)?;
                 swpf_obs::count(block::method_counter_decode(block.method), 1);
                 let end = pos
@@ -458,6 +455,33 @@ mod tests {
             Trace::from_bytes(&bytes),
             Err(TraceError::ChecksumMismatch { .. }) | Err(TraceError::Corrupt(_))
         ));
+    }
+
+    /// Real-shaped loop streams must actually shrink: the whole point
+    /// of the block coder is that loop iterations are byte-periodic.
+    #[test]
+    fn blocks_shrink_loopy_streams_fivefold() {
+        let mut rec = TraceRecorder::new(1, 0);
+        for i in 0..20_000u64 {
+            let e = Event {
+                pc: 7,
+                frame: 0,
+                result: ValueId(7),
+                kind: EventKind::Load {
+                    addr: 0x1000 + i * 8,
+                    size: 8,
+                },
+                operands: &[],
+            };
+            rec.stream(0).push(&e);
+            rec.stream(0).end_step();
+        }
+        let trace = rec.finish();
+        let (raw, file) = (trace.payload_bytes(), trace.to_bytes().len());
+        assert!(
+            file * 5 <= raw,
+            "expected >=5x shrink on a periodic stream, got {raw} -> {file}"
+        );
     }
 
     #[test]

@@ -44,7 +44,10 @@ fn run_length_bomb(raw_len: usize) -> Vec<u8> {
         rec.stream(0).end_step();
     }
     let mut out = rec.finish().to_bytes_with_block_size(CEILING);
-    assert_eq!(&out[RAW_LEN_AT..RAW_LEN_AT + 4], &(CEILING as u32).to_le_bytes());
+    assert_eq!(
+        &out[RAW_LEN_AT..RAW_LEN_AT + 4],
+        &(CEILING as u32).to_le_bytes()
+    );
     out[RAW_LEN_AT..RAW_LEN_AT + 4].copy_from_slice(&(raw_len as u32).to_le_bytes());
     out[CHECKSUM_AT..CHECKSUM_AT + 8].fill(0);
     out
