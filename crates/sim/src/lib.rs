@@ -63,7 +63,7 @@ pub use request::{
     replay_on_machine, run_multicore, run_on_machine, run_on_machine_image, run_on_machine_traced,
     streaming_replay_on_machine, Setup, Sim, SimError, Source,
 };
-pub use stats::{SimRun, SimStats};
+pub use stats::{check_cell_laws, LawViolation, SimRun, SimStats};
 pub use swpf_ir::interp::Tier;
 
 /// Sub-cycle resolution: all internal times are in ticks.

@@ -31,7 +31,7 @@
 use crate::machine::{interpret_row, replay_row};
 use crate::multicore;
 use crate::presets::MachineConfig;
-use crate::stats::{SimRun, SimStats};
+use crate::stats::{check_cell_laws, SimRun, SimStats};
 use std::fmt;
 use std::sync::Arc;
 use swpf_ir::exec::ExecImage;
@@ -163,8 +163,23 @@ impl Sim<'_> {
     /// `cores` streams.
     ///
     /// # Panics
-    /// If a recording source carries fewer encoders than `cores`.
+    /// If a recording source carries fewer encoders than `cores`, and in
+    /// debug builds if a cell's counters break a conservation law
+    /// ([`check_cell_laws`]).
     pub fn run(&self, source: Source<'_>) -> Result<Vec<SimRun>, SimError> {
+        let runs = self.dispatch(source)?;
+        if cfg!(debug_assertions) {
+            for (machine, cell) in self.machines.iter().zip(runs.chunks(self.cores.max(1))) {
+                let stats: Vec<SimStats> = cell.iter().map(|r| r.stats).collect();
+                if let Err(v) = check_cell_laws(machine, &stats) {
+                    panic!("{}: {v}", machine.name);
+                }
+            }
+        }
+        Ok(runs)
+    }
+
+    fn dispatch(&self, source: Source<'_>) -> Result<Vec<SimRun>, SimError> {
         match source {
             Source::Image {
                 image,

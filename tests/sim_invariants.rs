@@ -21,49 +21,32 @@ fn accounting_identities_hold_everywhere() {
             let mut m = w.build_baseline();
             run_on_module(&mut m, &PassConfig::default());
             let s = sim(&machine, w.as_ref(), &m);
-            // Every load and store goes through the L1 exactly once.
-            assert_eq!(
-                s.l1_hits + s.l1_misses,
-                s.insts.loads + s.insts.stores,
-                "{}/{}: L1 accounting",
-                machine.name,
-                w.name()
-            );
-            // L2 sees demand L1 misses (plus prefetch probes), never fewer.
-            assert!(
-                s.l2_hits + s.l2_misses >= s.l1_misses,
-                "{}/{}: L2 sees all L1 misses",
-                machine.name,
-                w.name()
-            );
-            // Prefetch outcomes partition the issued prefetches.
-            assert!(
-                s.mem.sw_prefetches_dropped + s.mem.sw_prefetches_redundant()
-                    <= s.mem.sw_prefetches,
-                "{}/{}: prefetch outcome accounting",
-                machine.name,
-                w.name()
-            );
-            // Executed prefetch instructions >= prefetches reaching memory
-            // (invalid-address hints are dropped before the memory system).
-            assert!(
-                s.insts.prefetches >= s.mem.sw_prefetches,
-                "{}/{}: prefetch instruction accounting",
-                machine.name,
-                w.name()
-            );
+            // L1, TLB and L2 accounting, prefetch outcomes, issue width.
+            if let Err(v) = s.check_laws(&machine) {
+                panic!("{}/{}: {v}", machine.name, w.name());
+            }
             assert!(s.cycles > 0 && s.insts.total > 0);
-            // IPC can never exceed the issue width.
-            let width = f64::from(machine.width);
-            assert!(
-                s.ipc() <= width + 1e-9,
-                "{}/{}: IPC {} exceeds width {width}",
-                machine.name,
-                w.name(),
-                s.ipc()
-            );
         }
     }
+}
+
+#[test]
+fn a_broken_law_names_itself_and_its_counters() {
+    let machine = MachineConfig::a53();
+    let w = &suite(Scale::Test)[0];
+    let mut s = sim(&machine, w.as_ref(), &w.build_baseline());
+    assert_eq!(s.check_laws(&machine), Ok(()));
+    s.l1_hits += 1;
+    let v = s.check_laws(&machine).unwrap_err();
+    assert_eq!(v.law, "l1_hits + l1_misses = insts_loads + insts_stores");
+    assert!(
+        v.to_string().contains(&format!("l1_hits={}", s.l1_hits)),
+        "{v}"
+    );
+    s.l1_hits -= 1;
+    s.cycles = s.insts.total / u64::from(machine.width) / 2;
+    let v = s.check_laws(&machine).unwrap_err();
+    assert_eq!(v.law, "cycles * width >= insts_total");
 }
 
 #[test]
@@ -121,9 +104,10 @@ proptest! {
             |_, interp| w.setup(interp),
         );
         prop_assert_eq!(stats.len(), cores);
+        let cfg = MachineConfig::haswell();
+        prop_assert_eq!(swpf::sim::check_cell_laws(&cfg, &stats), Ok(()));
         for s in &stats {
             prop_assert!(s.cycles > 0);
-            prop_assert_eq!(s.l1_hits + s.l1_misses, s.insts.loads + s.insts.stores);
         }
         // All copies execute the same program: identical instruction counts.
         prop_assert!(stats.windows(2).all(|p| p[0].insts.total == p[1].insts.total));
