@@ -9,6 +9,7 @@
 
 use crate::presets::CacheConfig;
 use crate::LINE_BYTES;
+use std::cell::RefCell;
 
 /// Result of a cache lookup.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -31,31 +32,90 @@ enum SetIndex {
     Modulo(u64),
 }
 
+/// A cache's tag store: one array per field, indexed `set * ways + way`.
+/// All-zero means empty: a way holds `line + 1` in `tags`, so `0` is
+/// "invalid".
+#[derive(Debug, Clone, Default)]
+struct TagStore {
+    /// `line + 1` of the resident line; `0` for an invalid way.
+    tags: Box<[u64]>,
+    /// Tick when the way's fill completes.
+    ready: Box<[u64]>,
+    /// Tick of the way's last access, for LRU.
+    last_use: Box<[u64]>,
+    dirty: Box<[bool]>,
+}
+
+thread_local! {
+    /// Zeroed tag stores of dropped caches, for the next cache of the
+    /// same size built on this thread.
+    static FREE_STORES: RefCell<Vec<TagStore>> = const { RefCell::new(Vec::new()) };
+}
+
+impl TagStore {
+    /// An empty store of `len` ways: a recycled one when this thread has
+    /// one of that size, else fresh zeroed memory.
+    fn take(len: usize) -> TagStore {
+        let recycled = FREE_STORES.try_with(|free| {
+            let mut free = free.borrow_mut();
+            let i = free.iter().position(|s| s.tags.len() == len)?;
+            Some(free.swap_remove(i))
+        });
+        recycled.ok().flatten().unwrap_or_else(|| TagStore {
+            tags: vec![0; len].into(),
+            ready: vec![0; len].into(),
+            last_use: vec![0; len].into(),
+            dirty: vec![false; len].into(),
+        })
+    }
+
+    /// Empty the store and hand it to this thread's free list, touching
+    /// only the sets that ever held a line. Ways fill in order and are
+    /// never invalidated, so a set is untouched exactly when its first
+    /// way is invalid. Once the thread's free list is gone (the thread
+    /// is exiting), the store is simply freed.
+    fn recycle(mut self, ways: usize) {
+        if self.tags.is_empty() {
+            return;
+        }
+        for set in (0..self.tags.len()).step_by(ways) {
+            if self.tags[set] != 0 {
+                let ways = set..set + ways;
+                self.tags[ways.clone()].fill(0);
+                self.ready[ways.clone()].fill(0);
+                self.last_use[ways.clone()].fill(0);
+                self.dirty[ways].fill(false);
+            }
+        }
+        let _ = FREE_STORES.try_with(|free| free.borrow_mut().push(self));
+    }
+}
+
 /// A single cache level.
 ///
 /// Every method takes a *line number* (`addr / LINE_BYTES`), which the
 /// memory system computes once per access and hands to each level.
 ///
-/// The tag store is one array per field, indexed `set * ways + way`, and
-/// all-zero means empty: a way holds `line + 1` in `tags`, so `0` is
-/// "invalid". That lets construction take zeroed pages straight from the
-/// allocator — a multi-megabyte LLC costs nothing to build and sets a
-/// run never touches are never faulted in.
+/// Building a cache costs the sets a run touches, not the cache's size:
+/// the tag store comes zeroed from the allocator the first time a thread
+/// builds a cache of that size — sets a run never touches are never
+/// faulted in — and a dropped cache zeroes only its touched sets and
+/// leaves the store to the thread's next cache of the same size.
 #[derive(Debug, Clone)]
 pub struct Cache {
     index: SetIndex,
     ways: usize,
     /// Hit latency in ticks.
     pub latency_ticks: u64,
-    /// `line + 1` of the resident line; `0` for an invalid way.
-    tags: Vec<u64>,
-    /// Tick when the way's fill completes.
-    ready: Vec<u64>,
-    /// Tick of the way's last access, for LRU.
-    last_use: Vec<u64>,
-    dirty: Vec<bool>,
+    store: TagStore,
     hits: u64,
     misses: u64,
+}
+
+impl Drop for Cache {
+    fn drop(&mut self) {
+        std::mem::take(&mut self.store).recycle(self.ways);
+    }
 }
 
 impl Cache {
@@ -74,10 +134,7 @@ impl Cache {
             index,
             ways,
             latency_ticks: cfg.latency * crate::TICKS_PER_CYCLE,
-            tags: vec![0; sets * ways],
-            ready: vec![0; sets * ways],
-            last_use: vec![0; sets * ways],
-            dirty: vec![false; sets * ways],
+            store: TagStore::take(sets * ways),
             hits: 0,
             misses: 0,
         }
@@ -98,7 +155,7 @@ impl Cache {
     fn find(&self, line: u64) -> Option<usize> {
         let set = self.set_of(line);
         let base = set.start;
-        self.tags[set]
+        self.store.tags[set]
             .iter()
             .position(|&tag| tag == line + 1)
             .map(|way| base + way)
@@ -113,11 +170,11 @@ impl Cache {
             self.misses += 1;
             return Lookup::Miss;
         };
-        self.last_use[i] = now;
-        self.dirty[i] |= is_write;
+        self.store.last_use[i] = now;
+        self.store.dirty[i] |= is_write;
         self.hits += 1;
         Lookup::Hit {
-            ready_at: self.ready[i],
+            ready_at: self.store.ready[i],
         }
     }
 
@@ -127,7 +184,7 @@ impl Cache {
     pub fn probe(&self, line: u64) -> Lookup {
         match self.find(line) {
             Some(i) => Lookup::Hit {
-                ready_at: self.ready[i],
+                ready_at: self.store.ready[i],
             },
             None => Lookup::Miss,
         }
@@ -143,21 +200,21 @@ impl Cache {
         let mut victim = set.start;
         let mut oldest = u64::MAX;
         for i in set {
-            if self.tags[i] == 0 {
+            if self.store.tags[i] == 0 {
                 victim = i;
                 break;
             }
-            if self.last_use[i] < oldest {
-                oldest = self.last_use[i];
+            if self.store.last_use[i] < oldest {
+                oldest = self.store.last_use[i];
                 victim = i;
             }
         }
-        let writeback =
-            (self.tags[victim] != 0 && self.dirty[victim]).then(|| self.tags[victim] - 1);
-        self.tags[victim] = line + 1;
-        self.dirty[victim] = is_write;
-        self.ready[victim] = ready;
-        self.last_use[victim] = now;
+        let writeback = (self.store.tags[victim] != 0 && self.store.dirty[victim])
+            .then(|| self.store.tags[victim] - 1);
+        self.store.tags[victim] = line + 1;
+        self.store.dirty[victim] = is_write;
+        self.store.ready[victim] = ready;
+        self.store.last_use[victim] = now;
         writeback
     }
 
@@ -168,7 +225,7 @@ impl Cache {
         let Some(i) = self.find(line) else {
             return false;
         };
-        self.dirty[i] = true;
+        self.store.dirty[i] = true;
         true
     }
 
@@ -381,35 +438,74 @@ mod tests {
         (cache, ModelCache::new(sets, ways))
     }
 
+    /// Drive the cache and the model with the same random stream of
+    /// lookups, probes, dirty marks and fills, checking every answer.
+    fn drive_against_model(c: &mut Cache, m: &mut ModelCache, seed: u64) {
+        let sets = m.sets as u64;
+        let mut rng = StdRng::seed_from_u64(seed);
+        for now in 0..20_000u64 {
+            // Lines that collide in few sets, some with high
+            // (address-space) bits set; line 0 included.
+            let line = rng.random_range(0..40u64) * sets / 2 + (rng.random_range(0..3u64) << 38);
+            match rng.random_range(0..8u32) {
+                0 => assert_eq!(c.mark_dirty(line), m.mark_dirty(line)),
+                1 => assert_eq!(c.probe(line), m.probe(line)),
+                op => {
+                    let is_write = op == 2;
+                    let found = c.access(line, now, is_write);
+                    assert_eq!(found, m.access(line, now, is_write), "line {line}");
+                    if found == Lookup::Miss {
+                        assert_eq!(
+                            c.insert(line, now, now + 100, is_write),
+                            m.insert(line, now, now + 100, is_write),
+                            "victim of line {line} in {sets} sets"
+                        );
+                    }
+                }
+            }
+        }
+        assert_eq!((c.hits(), c.misses()), (m.hits, m.misses));
+    }
+
     #[test]
     fn set_mapping_is_line_modulo_sets_for_any_set_count() {
         // 24 sets is not a power of two (remainder); 4 and 1 are (mask).
         for (sets, ways) in [(24, 4), (4, 2), (1, 3)] {
             let (mut c, mut m) = cache_and_model(sets, ways);
-            let mut rng = StdRng::seed_from_u64(sets as u64);
-            for now in 0..20_000u64 {
-                // Lines that collide in few sets, some with high
-                // (address-space) bits set; line 0 included.
-                let line = rng.random_range(0..40u64) * sets as u64 / 2
-                    + (rng.random_range(0..3u64) << 38);
-                match rng.random_range(0..8u32) {
-                    0 => assert_eq!(c.mark_dirty(line), m.mark_dirty(line)),
-                    1 => assert_eq!(c.probe(line), m.probe(line)),
-                    op => {
-                        let is_write = op == 2;
-                        let found = c.access(line, now, is_write);
-                        assert_eq!(found, m.access(line, now, is_write), "line {line}");
-                        if found == Lookup::Miss {
-                            assert_eq!(
-                                c.insert(line, now, now + 100, is_write),
-                                m.insert(line, now, now + 100, is_write),
-                                "victim of line {line} in {sets} sets"
-                            );
-                        }
-                    }
-                }
+            drive_against_model(&mut c, &mut m, sets as u64);
+        }
+    }
+
+    #[test]
+    fn recycled_tag_store_matches_a_fresh_model() {
+        // Each test runs on a thread of its own, so the thread's free
+        // list starts empty and the rebuilt cache gets the dropped store.
+        for (sets, ways) in [(24, 4), (64, 8), (1, 3)] {
+            let (mut used, _) = cache_and_model(sets, ways);
+            // Fill and dirty every way of every set, ready and LRU ticks
+            // far in the future, with lines that carry high bits.
+            let lines = (sets * ways) as u64;
+            for line in 0..lines {
+                let line = line + (1 << 40);
+                used.insert(line, u64::MAX - line, u64::MAX - 1, true);
             }
-            assert_eq!((c.hits(), c.misses()), (m.hits, m.misses));
+            assert!(
+                used.store.tags.iter().all(|&t| t != 0),
+                "every way holds a line"
+            );
+            let store = used.store.tags.as_ptr();
+            drop(used);
+            let (mut c, mut m) = cache_and_model(sets, ways);
+            assert_eq!(
+                c.store.tags.as_ptr(),
+                store,
+                "the rebuilt cache reuses the store"
+            );
+            drive_against_model(&mut c, &mut m, 7 + sets as u64);
+            drop(c);
+            // A store of another size is not handed out for this one.
+            let (other, _) = cache_and_model(sets + 1, ways);
+            assert_ne!(other.store.tags.as_ptr(), store);
         }
     }
 

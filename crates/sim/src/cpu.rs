@@ -105,6 +105,7 @@ impl InOrder {
         }
     }
 
+    #[inline(always)]
     fn retire(&mut self, mem: &mut MemSys, shared: &mut SharedMem, ev: &Event<'_>) {
         self.counts.total += 1;
         let t = self.next_issue;
@@ -196,7 +197,11 @@ impl OutOfOrder {
     /// Acquire an MSHR for a load ready to issue at `t`: retire the
     /// misses that have completed by then and, if every MSHR is still
     /// busy, wait for the earliest one. Returns the issue tick.
+    #[inline]
     fn acquire_mshr(&mut self, t: u64) -> u64 {
+        if self.misses.is_empty() {
+            return t;
+        }
         self.misses.retain(|&done| done > t);
         if self.misses.len() < self.mshrs {
             return t;
@@ -211,6 +216,7 @@ impl OutOfOrder {
         earliest
     }
 
+    #[inline(always)]
     fn retire(&mut self, mem: &mut MemSys, shared: &mut SharedMem, ev: &Event<'_>) {
         self.counts.total += 1;
         let pc = ev.pc;

@@ -34,6 +34,9 @@ impl Hasher for PageHasher {
     }
 }
 
+/// Entries of [`Tlb`]'s direct-mapped hint table.
+const HINTS: usize = 256;
+
 #[derive(Debug, Clone, Copy)]
 struct Slot {
     page: u64,
@@ -55,8 +58,14 @@ pub struct Tlb {
     slots: Vec<Slot>,
     /// Slot of every resident page.
     index: HashMap<u64, usize, BuildHasherDefault<PageHasher>>,
-    /// Slot of the most recent translation, checked before the index.
+    /// Slot of the most recent translation, checked first.
     mru: usize,
+    /// Direct-mapped page → slot guesses, checked after the MRU slot and
+    /// before the index: `hints[page % HINTS]` is the slot that last
+    /// held a page of that residue. A guess is trusted only when the
+    /// slot it names holds the page, so a stale one merely falls
+    /// through to the index.
+    hints: [u32; HINTS],
     /// Tick at which each walker becomes free.
     walker_free: Vec<u64>,
     hits: u64,
@@ -74,6 +83,7 @@ impl Tlb {
             slots: Vec::new(),
             index: HashMap::default(),
             mru: 0,
+            hints: [0; HINTS],
             walker_free: vec![0; cfg.walkers.max(1) as usize],
             hits: 0,
             misses: 0,
@@ -90,12 +100,18 @@ impl Tlb {
     #[inline]
     pub fn translate(&mut self, addr: u64, now: u64) -> u64 {
         let page = self.page_of(addr);
-        let resident = match self.slots.get(self.mru) {
-            Some(slot) if slot.page == page => Some(self.mru),
-            _ => self.index.get(&page).copied(),
+        let hint = page as usize % HINTS;
+        let holds = |i: usize| self.slots.get(i).is_some_and(|s| s.page == page);
+        let resident = if holds(self.mru) {
+            Some(self.mru)
+        } else if holds(self.hints[hint] as usize) {
+            Some(self.hints[hint] as usize)
+        } else {
+            self.index.get(&page).copied()
         };
         if let Some(i) = resident {
             self.mru = i;
+            self.hints[hint] = i as u32;
             let slot = &mut self.slots[i];
             slot.last_use = now;
             self.hits += 1;
@@ -138,6 +154,7 @@ impl Tlb {
             self.mru = victim;
         }
         self.index.insert(page, self.mru);
+        self.hints[page as usize % HINTS] = self.mru as u32;
         done
     }
 
@@ -273,6 +290,52 @@ mod tests {
             }
             done
         }
+    }
+
+    #[test]
+    fn matches_linear_scan_model_on_pages_sharing_a_hint() {
+        let cfg = TlbConfig {
+            entries: 4,
+            page_bits: 12,
+            walkers: 1,
+            walk_latency: 30,
+        };
+        let (mut tlb, mut model) = (Tlb::new(&cfg), ScanTlb::new(&cfg));
+        let mut check = |page: u64, now: u64| {
+            let addr = page << 12;
+            assert_eq!(
+                tlb.translate(addr, now),
+                model.translate(addr, now),
+                "page {page} at {now}"
+            );
+            (tlb.hits(), tlb.misses()) == (model.hits, model.misses)
+        };
+        let h = HINTS as u64;
+        // Fill the TLB with pages 1, 1 + h, 1 + 2h, 1 + 3h (one hint
+        // bucket), returning to page 1 after each walk: the walk took
+        // both the MRU slot and the bucket's hint, so page 1 hits
+        // through the index.
+        for (i, page) in [1, 1 + h, 1, 1 + 2 * h, 1, 1 + 3 * h]
+            .into_iter()
+            .enumerate()
+        {
+            assert!(check(page, i as u64));
+        }
+        // Page 1 + h is now least recently used: evict it for 2 (a
+        // different bucket), so its bucket-mate's hint names a slot that
+        // now holds another page.
+        assert!(check(2, 100));
+        assert!(check(1 + 3 * h, 101));
+        assert!(check(1 + h, 102), "the evicted page misses");
+        assert!(check(1 + 2 * h, 103));
+        assert!(check(2, 104));
+        // A long stream over a few buckets, many pages per bucket.
+        let mut rng = StdRng::seed_from_u64(3);
+        for now in 200..20_000u64 {
+            let page = rng.random_range(0..3u64) + h * rng.random_range(0..5u64);
+            assert!(check(page, now / 3));
+        }
+        assert!(model.misses > 1000 && model.hits > 1000);
     }
 
     #[test]
