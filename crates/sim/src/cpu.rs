@@ -46,7 +46,9 @@ impl Core {
     /// and `ev.kind` is matched in place: the interpreter has just
     /// written the event field by field, and moving the 16-byte
     /// `EventKind` across a call reloads it with one wide load that
-    /// cannot be forwarded from those narrower stores.
+    /// cannot be forwarded from those narrower stores. Both leaf models
+    /// are `#[inline(always)]`, so the observer calling this holds the
+    /// whole model: one call per event, not two.
     #[inline]
     pub fn retire(&mut self, mem: &mut MemSys, shared: &mut SharedMem, ev: &Event<'_>) {
         match self {
