@@ -75,9 +75,6 @@ impl TagStore {
     /// way is invalid. Once the thread's free list is gone (the thread
     /// is exiting), the store is simply freed.
     fn recycle(mut self, ways: usize) {
-        if self.tags.is_empty() {
-            return;
-        }
         for set in (0..self.tags.len()).step_by(ways) {
             if self.tags[set] != 0 {
                 let ways = set..set + ways;
