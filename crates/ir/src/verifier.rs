@@ -707,6 +707,77 @@ mod tests {
     }
 
     #[test]
+    fn uses_inside_unreachable_blocks_are_not_checked_for_dominance() {
+        let m = module_with(|b| {
+            let then_bb = b.create_block("then");
+            let else_bb = b.create_block("else");
+            let dead = b.create_block("dead");
+            let zero = b.const_i64(0);
+            let c = b.icmp(Pred::Eq, b.arg(0), zero);
+            b.cond_br(c, then_bb, else_bb);
+            b.switch_to(then_bb);
+            let y = b.add(b.arg(0), b.arg(0));
+            b.ret(Some(y));
+            b.switch_to(else_bb);
+            b.ret(Some(zero));
+            // `then` does not dominate `dead`; nothing reaches `dead`.
+            b.switch_to(dead);
+            let z = b.add(y, y);
+            b.ret(Some(z));
+        });
+        assert_eq!(verify_module_all(&m), []);
+    }
+
+    #[test]
+    fn rejects_a_reachable_use_of_a_value_defined_in_an_unreachable_block() {
+        let m = module_with(|b| {
+            let join = b.create_block("join");
+            let dead = b.create_block("dead");
+            b.br(join);
+            b.switch_to(dead);
+            let x = b.add(b.arg(0), b.arg(0));
+            b.br(join);
+            b.switch_to(join);
+            let y = b.add(x, b.arg(0));
+            b.ret(Some(y));
+        });
+        let errs = verify_module_all(&m);
+        assert_eq!(errs.len(), 1, "{errs:?}");
+        assert_eq!(
+            errs[0].message,
+            "%5: use of %3 not dominated by its definition"
+        );
+    }
+
+    /// A phi incoming from an unreachable predecessor: a value defined in
+    /// that predecessor passes (a block dominates itself, reachable or
+    /// not), and a value defined anywhere else does not, because nothing
+    /// else dominates an unreachable block.
+    #[test]
+    fn phi_incoming_from_an_unreachable_predecessor() {
+        let build = |from_dead_block: bool| {
+            module_with(|b| {
+                let entry = b.entry_block();
+                let join = b.create_block("join");
+                let dead = b.create_block("dead");
+                let a = b.add(b.arg(0), b.arg(0));
+                b.br(join);
+                b.switch_to(dead);
+                let d = b.add(b.arg(0), b.arg(0));
+                b.br(join);
+                b.switch_to(join);
+                let incoming = if from_dead_block { d } else { a };
+                let p = b.phi(Type::I64, &[(entry, a), (dead, incoming)]);
+                b.ret(Some(p));
+            })
+        };
+        assert_eq!(verify_module_all(&build(true)), []);
+        let errs = verify_module_all(&build(false));
+        assert_eq!(errs.len(), 1, "{errs:?}");
+        assert_eq!(errs[0].message, "%6: phi incoming %2 does not dominate bb2");
+    }
+
+    #[test]
     fn idom_of_diamond() {
         let mut m = Module::new("t");
         let fid = m.declare_function("f", &[Type::I64], Type::I64);

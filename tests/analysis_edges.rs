@@ -2,9 +2,67 @@
 //! usable bounds, multi-exit loops, address-space isolation in the
 //! multicore model, and stride-prefetcher interplay.
 
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use swpf::analysis::{DomTree, FuncAnalysis, IvAnalysis, LoopForest};
 use swpf::sim::{run_multicore, MachineConfig};
 use swpf_ir::prelude::*;
+
+/// `DomTree::dominates` against the definition, on every pair of blocks
+/// of random CFGs with unreachable blocks: `a` dominates a reachable `b`
+/// iff `b` is unreachable from the entry once `a` is removed. Every
+/// block vacuously dominates an unreachable `b`; the tree answers
+/// `false` there instead, as it documents.
+#[test]
+fn dominance_matches_its_definition_on_random_cfgs() {
+    let mut rng = StdRng::seed_from_u64(0xd0_0d1e);
+    for _ in 0..400 {
+        let n = rng.random_range(1..12usize);
+        let mut m = Module::new("t");
+        let fid = m.declare_function("f", &[Type::I1], None);
+        {
+            let mut b = FunctionBuilder::new(m.function_mut(fid));
+            let mut blocks = vec![b.entry_block()];
+            for k in 1..n {
+                blocks.push(b.create_block(&format!("b{k}")));
+            }
+            for &blk in &blocks {
+                b.switch_to(blk);
+                let (t, e) = (
+                    blocks[rng.random_range(0..n)],
+                    blocks[rng.random_range(0..n)],
+                );
+                match rng.random_range(0..4u32) {
+                    0 => b.ret(None),
+                    1 => b.br(t),
+                    _ => b.cond_br(b.arg(0), t, e),
+                };
+            }
+        }
+        let f = m.function(fid);
+        let reach_without = |cut: Option<BlockId>| {
+            let mut seen = vec![false; n];
+            let mut stack = vec![f.entry()];
+            while let Some(b) = stack.pop() {
+                if Some(b) == cut || std::mem::replace(&mut seen[b.index()], true) {
+                    continue;
+                }
+                stack.extend(f.successors(b).iter().copied());
+            }
+            seen
+        };
+        let reach = reach_without(None);
+        let dom = DomTree::compute(f);
+        for a in f.block_ids() {
+            assert_eq!(dom.is_reachable(a), reach[a.index()]);
+            let without_a = reach_without(Some(a));
+            for b in f.block_ids() {
+                let expected = reach[b.index()] && !without_a[b.index()];
+                assert_eq!(dom.dominates(a, b), expected, "{a} dom {b} in\n{f:?}");
+            }
+        }
+    }
+}
 
 #[test]
 fn multi_exit_loop_has_no_bound() {
