@@ -245,7 +245,7 @@ fn find_bound(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dom::DomTree;
+    use crate::DomTree;
     use swpf_ir::prelude::*;
 
     fn analyse(m: &Module, fid: FuncId) -> (LoopForest, IvAnalysis) {

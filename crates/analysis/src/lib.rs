@@ -3,8 +3,9 @@
 //! The prefetch-generation pass of the CGO'17 paper needs exactly four
 //! pieces of static information (paper §4.1–4.2):
 //!
-//! 1. **Dominators** ([`dom`]) — for SSA sanity and for deciding whether an
-//!    instruction executes on every loop iteration.
+//! 1. **Dominators** ([`DomTree`], defined in `swpf-ir` beside the
+//!    verifier that shares it) — for SSA sanity and for deciding whether
+//!    an instruction executes on every loop iteration.
 //! 2. **Natural loops** ([`loops`]) — headers, latches, preheaders, nesting
 //!    depth; the pass walks loads *inside loops* and prefers induction
 //!    variables of the *innermost* enclosing loop.
@@ -23,29 +24,32 @@
 //! hand out shared results and fork cheaply; `FuncAnalysis` itself is a
 //! cheap bundle of clones of those `Arc`s.
 
-pub mod dom;
 pub mod indvar;
 pub mod invariance;
 pub mod loops;
 
-pub use dom::DomTree;
 pub use indvar::{InductionVar, IvAnalysis, LoopBound};
 pub use invariance::{object_root, object_roots, roots_may_alias, ObjectRoot, RootsAnalysis};
 pub use loops::{Loop, LoopForest, LoopId};
+pub use swpf_ir::DomTree;
 
 use std::sync::Arc;
 use swpf_ir::{BlockId, CfgScratch, Function};
 
 /// Working storage for the analyses, reusable across functions: the
 /// CFG traversal vectors and predecessor table, the loop-body flood
-/// fill, and the object-root walk's visit stamps. Whoever computes
+/// fill and header table, and the object-root walk's visit stamps. Whoever computes
 /// analyses for many functions (the pass manager's cache) owns one, so
 /// each computation allocates its result and nothing else.
 #[derive(Debug, Default)]
 pub struct Scratch {
-    pub(crate) cfg: CfgScratch,
+    /// The CFG traversal vectors and predecessor table, which
+    /// [`DomTree::compute_in`] also works in.
+    pub cfg: CfgScratch,
     pub(crate) in_loop: Vec<bool>,
     pub(crate) stack: Vec<BlockId>,
+    /// The loop each block heads, `u32::MAX` for none.
+    pub(crate) header_loop: Vec<u32>,
     pub(crate) roots: invariance::RootsScratch,
 }
 
@@ -67,7 +71,7 @@ impl FuncAnalysis {
     #[must_use]
     pub fn compute(f: &Function) -> Self {
         let scratch = &mut Scratch::default();
-        let dom = Arc::new(DomTree::compute_in(f, scratch));
+        let dom = Arc::new(DomTree::compute_in(f, &mut scratch.cfg));
         let loops = Arc::new(LoopForest::compute_in(f, &dom, scratch));
         let ivs = Arc::new(IvAnalysis::compute(f, &loops));
         let roots = Arc::new(RootsAnalysis::compute(f, scratch));

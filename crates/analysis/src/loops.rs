@@ -1,6 +1,6 @@
 //! Natural-loop detection and nesting.
 
-use crate::dom::DomTree;
+use crate::DomTree;
 use crate::Scratch;
 use swpf_ir::{BlockId, Function};
 
@@ -65,49 +65,52 @@ impl LoopForest {
         LoopForest::compute_in(f, dom, &mut Scratch::default())
     }
 
-    /// [`LoopForest::compute`], working in `scratch`.
+    /// [`LoopForest::compute`], working in `scratch`. Costs
+    /// O(blocks + edges + Σ loop bodies).
     #[must_use]
     pub fn compute_in(f: &Function, dom: &DomTree, scratch: &mut Scratch) -> Self {
         let Scratch {
             cfg,
             in_loop,
             stack,
+            header_loop,
             ..
         } = scratch;
         cfg.preds.refill(f);
         let preds = &cfg.preds;
-        // Find back edges (latch → header).
+        let n = f.num_blocks();
+        // Find back edges (latch → header), numbering loops in the order
+        // their headers are first found.
+        header_loop.clear();
+        header_loop.resize(n, u32::MAX);
         let mut headers: Vec<(BlockId, Vec<BlockId>)> = Vec::new();
-        for b in f.block_ids() {
-            if !dom.is_reachable(b) {
-                continue;
-            }
-            for s in f.successors(b) {
-                if dom.dominates(s, b) {
-                    match headers.iter_mut().find(|(h, _)| *h == s) {
-                        Some((_, latches)) => latches.push(b),
-                        None => headers.push((s, vec![b])),
-                    }
+        for b in f.block_ids().filter(|&b| dom.is_reachable(b)) {
+            for s in f.successors(b).into_iter().filter(|&s| dom.dominates(s, b)) {
+                let slot = &mut header_loop[s.index()];
+                if *slot == u32::MAX {
+                    *slot = headers.len() as u32;
+                    headers.push((s, Vec::new()));
                 }
+                headers[*slot as usize].1.push(b);
             }
         }
         // Natural loop body: backwards reachability from latches, stopping
-        // at the header.
+        // at the header. `in_loop` is all false between loops.
+        in_loop.clear();
+        in_loop.resize(n, false);
         let mut loops = Vec::with_capacity(headers.len());
         for (header, latches) in headers {
-            in_loop.clear();
-            in_loop.resize(f.num_blocks(), false);
             in_loop[header.index()] = true;
+            let mut blocks = vec![header];
             stack.clear();
             stack.extend_from_slice(&latches);
             while let Some(b) = stack.pop() {
-                if in_loop[b.index()] {
-                    continue;
+                if !std::mem::replace(&mut in_loop[b.index()], true) {
+                    blocks.push(b);
+                    stack.extend_from_slice(preds.get(b));
                 }
-                in_loop[b.index()] = true;
-                stack.extend_from_slice(preds.get(b));
             }
-            let blocks: Vec<BlockId> = f.block_ids().filter(|b| in_loop[b.index()]).collect();
+            blocks.sort_unstable();
             let mut outside_preds = preds
                 .get(header)
                 .iter()
@@ -122,6 +125,9 @@ impl LoopForest {
                 .copied()
                 .filter(|&b| f.successors(b).iter().any(|s| !in_loop[s.index()]))
                 .collect();
+            for b in &blocks {
+                in_loop[b.index()] = false;
+            }
             loops.push(Loop {
                 header,
                 latches,
@@ -133,47 +139,29 @@ impl LoopForest {
             });
         }
 
-        // Nesting: parent = smallest strictly-containing loop.
-        let order: Vec<usize> = {
-            let mut idx: Vec<usize> = (0..loops.len()).collect();
-            idx.sort_by_key(|&i| loops[i].blocks.len());
-            idx
-        };
-        for (pos, &i) in order.iter().enumerate() {
-            for &j in &order[pos + 1..] {
-                let child_header = loops[i].header;
-                if loops[j].contains(child_header) && i != j {
-                    loops[i].parent = Some(LoopId(j as u32));
-                    break;
+        // Nesting: natural loops with different headers are disjoint or
+        // nested, so painting each loop's blocks largest loop first
+        // leaves every block marked with its innermost loop, and a
+        // header's mark just before its own loop paints is the parent.
+        let mut order: Vec<usize> = (0..loops.len()).collect();
+        order.sort_by_key(|&i| std::cmp::Reverse(loops[i].blocks.len()));
+        let mut innermost: Vec<Option<LoopId>> = vec![None; n];
+        for i in order {
+            let id = LoopId(i as u32);
+            let parent = innermost[loops[i].header.index()];
+            let depth = parent.map_or(1, |p| loops[p.index()].depth + 1);
+            loops[i].parent = parent;
+            loops[i].depth = depth;
+            for &b in &loops[i].blocks {
+                // Only an unreachable block can sit in two loops neither
+                // of which nests the other; there the deeper loop wins,
+                // then the lower-numbered.
+                let slot = &mut innermost[b.index()];
+                let key = |l: LoopId| (loops[l.index()].depth, std::cmp::Reverse(l));
+                if slot.is_none_or(|cur| (depth, std::cmp::Reverse(id)) > key(cur)) {
+                    *slot = Some(id);
                 }
             }
-        }
-        // Depths.
-        for i in 0..loops.len() {
-            let mut d = 1;
-            let mut cur = loops[i].parent;
-            while let Some(p) = cur {
-                d += 1;
-                cur = loops[p.index()].parent;
-            }
-            loops[i].depth = d;
-        }
-        // Innermost loop per block: the containing loop with max depth.
-        let mut innermost: Vec<Option<LoopId>> = vec![None; f.num_blocks()];
-        for b in f.block_ids() {
-            let mut best: Option<LoopId> = None;
-            for (i, l) in loops.iter().enumerate() {
-                if l.contains(b) {
-                    let better = match best {
-                        None => true,
-                        Some(cur) => l.depth > loops[cur.index()].depth,
-                    };
-                    if better {
-                        best = Some(LoopId(i as u32));
-                    }
-                }
-            }
-            innermost[b.index()] = best;
         }
         LoopForest { loops, innermost }
     }
@@ -308,6 +296,40 @@ mod tests {
         let forest = LoopForest::compute(f, &DomTree::compute(f));
         assert!(forest.is_empty());
         assert_eq!(forest.innermost(BlockId(0)), None);
+    }
+
+    #[test]
+    fn an_unreachable_block_in_two_unnested_loops_belongs_to_the_first() {
+        let mut m = Module::new("t");
+        let fid = m.declare_function("f", &[Type::I1], None);
+        {
+            let mut b = FunctionBuilder::new(m.function_mut(fid));
+            let c = b.arg(0);
+            let (h1, l1) = (b.create_block("h1"), b.create_block("l1"));
+            let (h2, l2) = (b.create_block("h2"), b.create_block("l2"));
+            let exit = b.create_block("exit");
+            let dead = b.create_block("dead");
+            b.br(h1);
+            b.switch_to(h1);
+            b.cond_br(c, l1, h2);
+            b.switch_to(l1);
+            b.br(h1);
+            b.switch_to(h2);
+            b.cond_br(c, l2, exit);
+            b.switch_to(l2);
+            b.br(h2);
+            b.switch_to(exit);
+            b.ret(None);
+            b.switch_to(dead);
+            b.cond_br(c, l1, l2);
+        }
+        let f = m.function(fid);
+        let forest = LoopForest::compute(f, &DomTree::compute(f));
+        assert_eq!(forest.len(), 2);
+        let dead = BlockId(6);
+        assert!(forest.ids().all(|l| forest.get(l).contains(dead)));
+        assert!(forest.ids().all(|l| forest.get(l).parent.is_none()));
+        assert_eq!(forest.innermost(dead), Some(LoopId(0)));
     }
 
     #[test]

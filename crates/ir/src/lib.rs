@@ -13,6 +13,7 @@
 //!   can be recovered by walking the data-dependence graph, §4.2 of the
 //!   paper),
 //! * a [`builder::FunctionBuilder`] for programmatic construction,
+//! * a [`dom::DomTree`] answering dominance queries in O(1),
 //! * a [`verifier`] checking SSA dominance and structural invariants,
 //! * a textual [`printer`] / [`parser`] round-trip format, and
 //! * a two-tier execution stack behind the [`interp::Interp`] facade: a
@@ -74,6 +75,7 @@ pub mod block;
 pub mod builder;
 pub mod bytecode;
 pub mod classic;
+pub mod dom;
 pub mod exec;
 pub mod function;
 pub mod hash;
@@ -89,6 +91,7 @@ pub mod verifier;
 pub use block::{Block, BlockId};
 pub use builder::FunctionBuilder;
 pub use bytecode::{BcEngine, BcImage, LowerError};
+pub use dom::{CfgScratch, DomTree};
 pub use exec::ExecImage;
 pub use function::{FlatLists, FuncId, Function, Preds};
 pub use inst::{BinOp, CastOp, Inst, InstKind, Pred, Successors};
@@ -96,7 +99,6 @@ pub use interp::Tier;
 pub use module::Module;
 pub use types::Type;
 pub use value::{Constant, ValueData, ValueId, ValueKind};
-pub use verifier::CfgScratch;
 
 /// Convenient glob-import surface for downstream crates and examples.
 pub mod prelude {

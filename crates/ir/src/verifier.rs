@@ -11,7 +11,8 @@
 //! * declared function purity is consistent with the body.
 
 use crate::block::BlockId;
-use crate::function::{FuncId, Function, Preds, Purity};
+use crate::dom::{CfgScratch, DomTree};
+use crate::function::{FuncId, Function, Purity};
 use crate::inst::InstKind;
 use crate::module::Module;
 use crate::types::Type;
@@ -35,28 +36,12 @@ impl fmt::Display for VerifyError {
 
 impl std::error::Error for VerifyError {}
 
-/// Reusable CFG working storage: the predecessor table plus the
-/// traversal vectors of [`CfgScratch::idom_into`]. A driver that walks many
-/// functions (the verifier, the analysis manager) owns one and hands it
-/// to each computation, so the per-function cost is the walk, not the
-/// allocator.
-#[derive(Debug, Default)]
-pub struct CfgScratch {
-    /// Predecessors of the function last passed to
-    /// [`CfgScratch::idom_into`].
-    pub preds: Preds,
-    visited: Vec<bool>,
-    stack: Vec<(BlockId, u8)>,
-    rpo: Vec<BlockId>,
-    rpo_num: Vec<u32>,
-}
-
 /// The verifier's per-function side tables, owned by the module-level
 /// entry points and refilled for each function.
 #[derive(Default)]
 struct Scratch {
     cfg: CfgScratch,
-    idom: Vec<Option<BlockId>>,
+    dom: DomTree,
     /// Position of every placed instruction within its block.
     pos: Vec<u32>,
     ops: Vec<ValueId>,
@@ -145,7 +130,7 @@ fn verify_function_into(
     }
     let Scratch {
         cfg,
-        idom,
+        dom,
         pos,
         ops,
         incoming,
@@ -210,7 +195,7 @@ fn verify_function_into(
     }
 
     // --- phi incoming edges match predecessors -----------------------------
-    cfg.idom_into(f, idom);
+    dom.refill(f, cfg);
     let preds = &cfg.preds;
     for b in f.block_ids() {
         let mut have_actual = false;
@@ -245,29 +230,19 @@ fn verify_function_into(
     }
 
     // --- SSA dominance -------------------------------------------------------
-    let dominates = |a: BlockId, mut b: BlockId| -> bool {
-        loop {
-            if a == b {
-                return true;
-            }
-            match idom[b.index()] {
-                Some(d) if d != b => b = d,
-                _ => return false,
-            }
-        }
-    };
     for b in f.block_ids() {
-        if idom[b.index()].is_none() && b != f.entry() {
+        if !dom.is_reachable(b) {
             continue; // unreachable block: skip dominance checks
         }
         let insts = &f.block(b).insts;
         for (at, &v) in insts.iter().enumerate() {
             let inst = f.inst(v).expect("checked");
             if let InstKind::Phi { incomings } = &inst.kind {
-                // Each incoming value must dominate the end of its edge block.
+                // Each incoming value must dominate the end of its edge
+                // block, which it does if defined there, reachable or not.
                 for &(pb, pv) in incomings {
                     if let ValueKind::Inst(def) = &f.value(pv).kind {
-                        if !dominates(def.block, pb) {
+                        if def.block != pb && !dom.dominates(def.block, pb) {
                             fail!("{v}: phi incoming {pv} does not dominate {pb}");
                         }
                     }
@@ -283,7 +258,7 @@ fn verify_function_into(
                         if pos[op.index()] as usize >= at {
                             fail!("{v}: use of {op} before definition in {b}");
                         }
-                    } else if !dominates(def.block, b) {
+                    } else if !dom.dominates(def.block, b) {
                         fail!("{v}: use of {op} not dominated by its definition");
                     }
                 }
@@ -455,81 +430,6 @@ fn check_inst_types(m: &Module, f: &Function, v: ValueId) -> Result<(), String> 
         }
     }
     Ok(())
-}
-
-impl CfgScratch {
-    /// Immediate dominators of `f` into `idom`, via the
-    /// Cooper–Harvey–Kennedy iterative algorithm: entry's idom is itself,
-    /// unreachable blocks get `None`. Leaves `f`'s predecessor table in
-    /// `self.preds`. (The analysis crate wraps this with a richer API;
-    /// living here keeps the verifier dependency-free.)
-    pub fn idom_into(&mut self, f: &Function, idom: &mut Vec<Option<BlockId>>) {
-        let n = f.num_blocks();
-        // Reverse postorder.
-        self.visited.clear();
-        self.visited.resize(n, false);
-        self.rpo.clear();
-        self.stack.clear();
-        self.stack.push((f.entry(), 0));
-        self.visited[f.entry().index()] = true;
-        while let Some(&mut (b, ref mut i)) = self.stack.last_mut() {
-            let succs = f.successors(b);
-            if let Some(&s) = succs.get(usize::from(*i)) {
-                *i += 1;
-                if !self.visited[s.index()] {
-                    self.visited[s.index()] = true;
-                    self.stack.push((s, 0));
-                }
-            } else {
-                self.rpo.push(b);
-                self.stack.pop();
-            }
-        }
-        self.rpo.reverse();
-        let rpo = &self.rpo;
-        self.rpo_num.clear();
-        self.rpo_num.resize(n, u32::MAX);
-        for (i, b) in rpo.iter().enumerate() {
-            self.rpo_num[b.index()] = i as u32;
-        }
-        let rpo_num = &self.rpo_num;
-
-        self.preds.refill(f);
-        let preds = &self.preds;
-        idom.clear();
-        idom.resize(n, None);
-        idom[f.entry().index()] = Some(f.entry());
-        let intersect = |idom: &[Option<BlockId>], mut a: BlockId, mut b: BlockId| -> BlockId {
-            while a != b {
-                while rpo_num[a.index()] > rpo_num[b.index()] {
-                    a = idom[a.index()].expect("processed");
-                }
-                while rpo_num[b.index()] > rpo_num[a.index()] {
-                    b = idom[b.index()].expect("processed");
-                }
-            }
-            a
-        };
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for &b in rpo.iter().skip(1) {
-                let mut new_idom: Option<BlockId> = None;
-                for &p in preds.get(b) {
-                    if idom[p.index()].is_some() {
-                        new_idom = Some(match new_idom {
-                            None => p,
-                            Some(cur) => intersect(idom, cur, p),
-                        });
-                    }
-                }
-                if new_idom.is_some() && idom[b.index()] != new_idom {
-                    idom[b.index()] = new_idom;
-                    changed = true;
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -802,11 +702,13 @@ mod tests {
             let _ = entry;
         }
         verify_module(&m).unwrap();
-        let f = m.function(FuncId(0));
-        let mut idom = Vec::new();
-        CfgScratch::default().idom_into(f, &mut idom);
-        assert_eq!(idom[3], Some(BlockId(0)), "join dominated by entry");
-        assert_eq!(idom[1], Some(BlockId(0)));
-        assert_eq!(idom[2], Some(BlockId(0)));
+        let dom = DomTree::compute(m.function(FuncId(0)));
+        assert_eq!(
+            dom.idom(BlockId(3)),
+            Some(BlockId(0)),
+            "join dominated by entry"
+        );
+        assert_eq!(dom.idom(BlockId(1)), Some(BlockId(0)));
+        assert_eq!(dom.idom(BlockId(2)), Some(BlockId(0)));
     }
 }

@@ -64,7 +64,7 @@ fn canonical(key: Key) -> Key {
 
 /// Dominator-scoped global value numbering.
 ///
-/// Walks the dominator tree depth-first with a scoped table of
+/// Walks the dominator tree in preorder with a scoped table of
 /// available expressions: an instruction whose (canonicalised) key is
 /// already bound in a dominating block — or earlier in its own block —
 /// is redundant. Redundant instructions are detached and every use is
@@ -79,18 +79,9 @@ pub struct Gvn {
     canon: Rewrites,
     table: FastMap<Key, ValueId>,
     undo: Vec<Key>,
-    stack: Vec<GvnStep>,
-    /// Dominator-tree children as sibling lists in block order: the
-    /// first child of each block and each block's next sibling.
-    first_child: Vec<Option<BlockId>>,
-    next_sibling: Vec<Option<BlockId>>,
-}
-
-#[derive(Debug)]
-enum GvnStep {
-    Enter(BlockId),
-    /// Unbind every key bound since `undo` had this length.
-    Exit(usize),
+    /// Open scopes: a block on the current dominator-tree path and the
+    /// length `undo` had when it was entered.
+    scopes: Vec<(BlockId, usize)>,
 }
 
 impl FunctionPass for Gvn {
@@ -105,61 +96,38 @@ impl FunctionPass for Gvn {
             canon,
             table,
             undo,
-            stack,
-            first_child,
-            next_sibling,
+            scopes,
             ..
         } = self;
 
-        // Dominator-tree children lists (reachable blocks only).
-        let n = f.num_blocks();
-        first_child.clear();
-        first_child.resize(n, None);
-        next_sibling.clear();
-        next_sibling.resize(n, None);
-        for b in (0..n as u32).rev().map(BlockId) {
-            if b != f.entry() {
-                if let Some(p) = dom.idom(b) {
-                    next_sibling[b.index()] = first_child[p.index()].replace(b);
-                }
-            }
-        }
-
-        // DFS with an undo log: keys bound while visiting a subtree are
-        // unbound on the way back up, so availability is exactly
-        // "bound in a dominator".
+        // Preorder walk with an undo log: a scope closes, unbinding the
+        // keys its block bound, once its block no longer dominates the
+        // next one, so availability is exactly "bound in a dominator".
         canon.reset(f.num_values());
         table.clear();
         undo.clear();
-        stack.clear();
-        stack.push(GvnStep::Enter(f.entry()));
-        while let Some(step) = stack.pop() {
-            match step {
-                GvnStep::Enter(b) => {
-                    let mark = undo.len();
-                    for &v in &f.block(b).insts {
-                        let Some(inst) = f.inst(v) else { continue };
-                        let Some(key) = key_of(&inst.kind, canon).map(canonical) else {
-                            continue;
-                        };
-                        match table.get(&key) {
-                            Some(&leader) => canon.set(v, leader),
-                            None => {
-                                table.insert(key, v);
-                                undo.push(key);
-                            }
-                        }
-                    }
-                    stack.push(GvnStep::Exit(mark));
-                    let mut next = first_child[b.index()];
-                    while let Some(c) = next {
-                        stack.push(GvnStep::Enter(c));
-                        next = next_sibling[c.index()];
-                    }
+        scopes.clear();
+        for &b in dom.preorder() {
+            while let Some(&(open, mark)) = scopes.last() {
+                if dom.dominates(open, b) {
+                    break;
                 }
-                GvnStep::Exit(mark) => {
-                    for key in undo.drain(mark..) {
-                        table.remove(&key);
+                for key in undo.drain(mark..) {
+                    table.remove(&key);
+                }
+                scopes.pop();
+            }
+            scopes.push((b, undo.len()));
+            for &v in &f.block(b).insts {
+                let Some(inst) = f.inst(v) else { continue };
+                let Some(key) = key_of(&inst.kind, canon).map(canonical) else {
+                    continue;
+                };
+                match table.get(&key) {
+                    Some(&leader) => canon.set(v, leader),
+                    None => {
+                        table.insert(key, v);
+                        undo.push(key);
                     }
                 }
             }
@@ -332,19 +300,15 @@ struct SccpWork {
     users: FlatLists<ValueId>,
     ops: Vec<ValueId>,
     exec_block: Vec<bool>,
-    exec_edges: Vec<(BlockId, BlockId)>,
+    /// Per block, the [`edge_bits`] of its executable out-edges.
+    exec_edges: Vec<u8>,
     pending: Vec<ValueId>,
     folds: Vec<(ValueId, Constant)>,
     replace: Rewrites,
 }
 
 impl Sccp {
-    fn eval(
-        f: &swpf_ir::Function,
-        lat: &[Lat],
-        exec_edge: &dyn Fn(BlockId, BlockId) -> bool,
-        v: ValueId,
-    ) -> Lat {
+    fn eval(f: &swpf_ir::Function, lat: &[Lat], exec_edges: &[u8], v: ValueId) -> Lat {
         let inst = match f.inst(v) {
             Some(i) => i,
             None => return Lat::Bottom,
@@ -423,7 +387,7 @@ impl Sccp {
             InstKind::Phi { incomings } => {
                 let mut acc = Lat::Top;
                 for &(pb, pv) in incomings {
-                    if exec_edge(pb, inst.block) {
+                    if exec_edges[pb.index()] & edge_bits(f, pb, inst.block) != 0 {
                         acc = meet(acc, get(pv));
                     }
                 }
@@ -483,6 +447,7 @@ impl FunctionPass for Sccp {
         exec_block.clear();
         exec_block.resize(nb, false);
         exec_edges.clear();
+        exec_edges.resize(nb, 0);
         pending.clear();
         exec_block[f.entry().index()] = true;
         pending.extend(f.block(f.entry()).insts.iter().copied());
@@ -523,9 +488,7 @@ impl FunctionPass for Sccp {
                 }
                 _ => {}
             }
-            let exec_edge =
-                |p: BlockId, s: BlockId| exec_edges.iter().any(|&(a, c)| a == p && c == s);
-            let new = Self::eval(f, lat, &exec_edge, v);
+            let new = Self::eval(f, lat, exec_edges, v);
             let lowered = match (lat[v.index()], new) {
                 (Lat::Top, Lat::Top) => false,
                 (Lat::Top, _) => true,
@@ -643,21 +606,31 @@ impl FunctionPass for Sccp {
     }
 }
 
+/// The edge `from → to` as a mask over `from`'s successor slots: bit
+/// `i` for each slot `i` that targets `to`.
+fn edge_bits(f: &swpf_ir::Function, from: BlockId, to: BlockId) -> u8 {
+    let succs = f.successors(from);
+    (0..succs.len())
+        .filter(|&i| succs[i] == to)
+        .fold(0, |bits, i| bits | 1 << i)
+}
+
 /// Mark edge `from → to` executable; on a block's first activation its
 /// instructions join the evaluation list, on a repeat activation only
 /// the target's phis re-evaluate (a new incoming edge can lower them).
 fn mark_edge(
     f: &swpf_ir::Function,
-    exec_edges: &mut Vec<(BlockId, BlockId)>,
+    exec_edges: &mut [u8],
     exec_block: &mut [bool],
     pending: &mut Vec<ValueId>,
     from: BlockId,
     to: BlockId,
 ) {
-    if exec_edges.iter().any(|&(a, b)| a == from && b == to) {
+    let bits = edge_bits(f, from, to);
+    if exec_edges[from.index()] & bits != 0 {
         return;
     }
-    exec_edges.push((from, to));
+    exec_edges[from.index()] |= bits;
     if exec_block[to.index()] {
         for &v in &f.block(to).insts {
             if matches!(f.inst(v).map(|i| &i.kind), Some(InstKind::Phi { .. })) {

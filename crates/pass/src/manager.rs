@@ -273,7 +273,7 @@ impl AnalysisManager {
             self.note_hit();
             return dom;
         }
-        let dom = Arc::new(DomTree::compute_in(f, &mut self.scratch));
+        let dom = Arc::new(DomTree::compute_in(f, &mut self.scratch.cfg));
         self.note_computed();
         self.entry(fid).dom = Some(Arc::clone(&dom));
         dom
