@@ -38,9 +38,10 @@ use swpf_ir::{BlockId, CfgScratch, Function};
 
 /// Working storage for the analyses, reusable across functions: the
 /// CFG traversal vectors and predecessor table, the loop-body flood
-/// fill and header table, and the object-root walk's visit stamps. Whoever computes
-/// analyses for many functions (the pass manager's cache) owns one, so
-/// each computation allocates its result and nothing else.
+/// fill and header table, and the object-root walk's visit stamps.
+/// Whoever computes analyses for many functions (the pass manager's
+/// cache) owns one, so each computation allocates its result and
+/// nothing else.
 #[derive(Debug, Default)]
 pub struct Scratch {
     /// The CFG traversal vectors and predecessor table, which

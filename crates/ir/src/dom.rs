@@ -106,8 +106,10 @@ pub struct DomTree {
     /// Reachable blocks in preorder, entry first.
     preorder: Vec<BlockId>,
     /// `(enter, exit)` per block: its preorder number and the largest
-    /// preorder number in its subtree; `(u32::MAX, 0)` when unreachable,
-    /// so an unreachable block neither dominates nor is dominated.
+    /// preorder number in its subtree. An unreachable block keeps
+    /// `(u32::MAX, 1)`, an interval no block's number falls in and a
+    /// number no interval covers, so it neither dominates nor is
+    /// dominated.
     span: Vec<(u32, u32)>,
 }
 
@@ -138,14 +140,13 @@ impl DomTree {
         let (rpo, next) = (&cfg.rpo, &mut cfg.rpo_num);
         let span = &mut self.span;
         span.clear();
-        span.resize(f.num_blocks(), (u32::MAX, 0));
-        for &b in rpo {
-            span[b.index()].1 = 1;
-        }
+        span.resize(f.num_blocks(), (u32::MAX, 1));
         for &b in rpo[1..].iter().rev() {
             let p = self.idom[b.index()].expect("reachable");
             span[p.index()].1 += span[b.index()].1;
         }
+        self.preorder.clear();
+        self.preorder.resize(rpo.len(), f.entry());
         for &b in rpo {
             let size = span[b.index()].1;
             let enter = match self.idom[b.index()] {
@@ -158,11 +159,7 @@ impl DomTree {
             };
             span[b.index()] = (enter, enter + size - 1);
             next[b.index()] = enter + 1;
-        }
-        self.preorder.clear();
-        self.preorder.resize(rpo.len(), f.entry());
-        for &b in rpo {
-            self.preorder[span[b.index()].0 as usize] = b;
+            self.preorder[enter as usize] = b;
         }
     }
 
