@@ -5,7 +5,7 @@ use crate::block::BlockId;
 use crate::function::{Function, Preds};
 
 /// Reusable CFG working storage: the predecessor table plus the
-/// traversal vectors a [`DomTree`] is built with. A driver that walks
+/// traversal vectors a [`DomTree`] is built with. A caller that walks
 /// many functions (the verifier, the analysis manager) owns one and
 /// hands it to each computation, so the per-function cost is the walk,
 /// not the allocator.
