@@ -78,3 +78,77 @@ fn an_unwritable_stdout_is_a_one_line_error() {
         "{stderr}"
     );
 }
+
+/// Four functions: `@a` returns a value from a void function and `@c`
+/// returns nothing from an `i64` one (both verify errors), `@b` and
+/// `@d` are fine.
+const TWO_BAD: &str = "module m\n\n\
+    func @a(%0: i64) -> void {\nbb0:\n  ret %0\n}\n\n\
+    func @b() -> void {\nbb0:\n  ret\n}\n\n\
+    func @c() -> i64 {\nbb0:\n  ret\n}\n\n\
+    func @d() -> void {\nbb0:\n  ret\n}\n";
+
+/// Exit code, stdout and stderr of `swpf-opt <args>` on `input`.
+fn run(args: &[&str], input: &str) -> (Option<i32>, String, String) {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_swpf-opt"))
+        .args(args)
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("swpf-opt spawns");
+    let mut stdin = child.stdin.take().expect("piped stdin");
+    stdin.write_all(input.as_bytes()).expect("input written");
+    drop(stdin);
+    let out = child.wait_with_output().expect("swpf-opt exits");
+    (
+        out.status.code(),
+        String::from_utf8_lossy(&out.stdout).into_owned(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
+}
+
+#[test]
+fn a_parse_error_anywhere_outranks_an_earlier_verify_error() {
+    let input = TWO_BAD.replace(
+        "func @d() -> void {\nbb0:\n  ret",
+        "func @d() -> void {\nbb0:\n  frobnicate",
+    );
+    for args in [
+        &["--passes", "verify"][..],
+        &["--passes", "swpf,gvn,sccp,licm,cse,dce"],
+        &["--icc-like"],
+    ] {
+        assert_eq!(
+            run(args, &input),
+            (
+                Some(1),
+                String::new(),
+                "swpf-opt: parse error: parse error at line 20: unknown instruction `frobnicate`\n"
+                    .to_string()
+            ),
+            "{args:?}"
+        );
+    }
+}
+
+#[test]
+fn the_first_verify_error_is_the_one_reported() {
+    for args in [
+        &["--passes", "verify"][..],
+        &["--passes", "swpf,gvn,sccp,licm,cse,dce"],
+        &["--icc-like"],
+    ] {
+        assert_eq!(
+            run(args, TWO_BAD),
+            (
+                Some(1),
+                String::new(),
+                "swpf-opt: input does not verify: verify error in @a: %1: ret type Some(I64), \
+                 function returns None\n"
+                    .to_string()
+            ),
+            "{args:?}"
+        );
+    }
+}
