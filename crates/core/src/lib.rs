@@ -86,7 +86,7 @@ pub mod report;
 pub mod schedule;
 
 pub use candidates::{ClampSource, PlannedPrefetch, SkipReason};
-pub use pipeline::{run_pipeline, PassName, Pipeline, SwpfPass, PASS_NAMES};
+pub use pipeline::{run_pipeline, FunctionPipeline, PassName, Pipeline, SwpfPass, PASS_NAMES};
 pub use report::{FunctionReport, PassReport, PrefetchRecord, SkipRecord};
 
 use swpf_ir::{FuncId, Module};

@@ -15,22 +15,23 @@
 //! | `licm` | loop-invariant code motion ([`swpf_pass::Licm`]) |
 //! | `cse` | local common-subexpression elimination ([`swpf_pass::LocalCse`]) |
 //! | `dce` | dead-code elimination ([`swpf_pass::Dce`]) |
-//! | `verify` | an explicit IR-invariant checkpoint ([`swpf_pass::VerifyPass`]) |
+//! | `verify` | an explicit IR-invariant checkpoint ([`PassManager::add_verify`]) |
 //!
-//! Setting the `SWPF_VERIFY_PASSES` environment variable (to anything
-//! but `0`) additionally verifies the module after *every* pass — the
-//! verify-between-passes debug mode, attributing the first breakage to
-//! the pass that caused it.
+//! Every pass runs on one function before the next function is touched
+//! ([`FunctionPipeline`]). Setting the `SWPF_VERIFY_PASSES` environment
+//! variable (to anything but `0`) additionally verifies the function
+//! after *every* pass — the verify-between-passes debug mode,
+//! attributing the first breakage to the pass that caused it.
 
-use crate::{candidates, PassConfig, PassReport};
+use crate::{candidates, FunctionReport, PassConfig, PassReport};
 use std::cell::RefCell;
 use std::fmt;
 use std::rc::Rc;
 use std::str::FromStr;
 use swpf_ir::{FuncId, Module};
 use swpf_pass::{
-    AnalysisManager, Dce, FunctionPass, Gvn, Licm, LocalCse, PassEffect, PassManager, Sccp,
-    VerifyPass,
+    AnalysisManager, Dce, FunctionPass, Gvn, Licm, LocalCse, PassEffect, PassManager,
+    PipelineError, Sccp,
 };
 
 /// One named pass of a [`Pipeline`] spec.
@@ -219,7 +220,92 @@ impl FunctionPass for SwpfPass {
     }
 }
 
-/// Run `config`'s pipeline over `m`, reading analyses through `am`.
+/// `config`'s pipeline, run one function at a time.
+///
+/// [`FunctionPipeline::run`] runs every pass on one function before it
+/// returns. Each `swpf` stage keeps its own report, so that a pipeline
+/// with two of them (`swpf,dce,swpf`) still lists every function of the
+/// first stage before any of the second; [`FunctionPipeline::drain`]
+/// hands out what the stages reported so far.
+///
+/// Setting `SWPF_VERIFY_PASSES` (to anything but `0`) verifies the
+/// function after every pass.
+pub struct FunctionPipeline {
+    pm: PassManager<'static>,
+    /// One report per `swpf` stage, in pipeline order.
+    reports: Vec<Rc<RefCell<PassReport>>>,
+}
+
+impl FunctionPipeline {
+    /// The passes of `config.pipeline`, configured by `config`.
+    #[must_use]
+    pub fn new(config: &PassConfig) -> Self {
+        let verify_each = std::env::var_os("SWPF_VERIFY_PASSES").is_some_and(|v| v != "0");
+        let mut pm = PassManager::new().verify_between(verify_each);
+        let mut reports = Vec::new();
+        for pass in config.pipeline.passes() {
+            match pass {
+                PassName::Swpf => {
+                    let report = Rc::new(RefCell::new(PassReport::default()));
+                    let pass = SwpfPass::new(config.clone(), Rc::clone(&report));
+                    pm.add_function_pass(Box::new(pass));
+                    reports.push(report);
+                }
+                PassName::Gvn => pm.add_function_pass(Box::new(Gvn::default())),
+                PassName::Sccp => pm.add_function_pass(Box::new(Sccp::default())),
+                PassName::Licm => pm.add_function_pass(Box::new(Licm::default())),
+                PassName::Cse => pm.add_function_pass(Box::new(LocalCse::default())),
+                PassName::Dce => pm.add_function_pass(Box::new(Dce::default())),
+                PassName::Verify => pm.add_verify(),
+            }
+        }
+        FunctionPipeline { pm, reports }
+    }
+
+    /// The number of `swpf` stages, each of which reports.
+    #[must_use]
+    pub fn reporting_stages(&self) -> usize {
+        self.reports.len()
+    }
+
+    /// Run every pass on `m`'s function `fid`.
+    ///
+    /// # Errors
+    /// A `verify` stage the function fails, or under
+    /// `SWPF_VERIFY_PASSES` the first pass after which it no longer
+    /// verifies.
+    pub fn run(
+        &mut self,
+        m: &mut Module,
+        fid: FuncId,
+        am: &mut AnalysisManager,
+    ) -> Result<(), PipelineError> {
+        self.pm.run_function(m, fid, am)
+    }
+
+    /// Hand `each` every function report made since the last drain,
+    /// with the index of the `swpf` stage that made it, in stage order.
+    pub fn drain(&mut self, mut each: impl FnMut(usize, FunctionReport)) {
+        for (stage, report) in self.reports.iter().enumerate() {
+            for fr in report.borrow_mut().functions.drain(..) {
+                each(stage, fr);
+            }
+        }
+    }
+
+    /// The whole report: every `swpf` stage's functions, stage by
+    /// stage, and the instructions the cleanup passes removed.
+    #[must_use]
+    pub fn finish(mut self) -> PassReport {
+        let mut out = PassReport::default();
+        self.drain(|_, fr| out.functions.push(fr));
+        out.eliminated_insts = self.pm.take_runs().iter().map(|r| r.removed_insts).sum();
+        out
+    }
+}
+
+/// Run `config`'s pipeline over `m`, one function at a time, reading
+/// analyses through `am`.
 ///
 /// This is the engine under [`crate::run_on_module`]; callers compiling
 /// many variants of one pristine module (the `swpf-tune` evaluator)
@@ -232,28 +318,13 @@ impl FunctionPass for SwpfPass {
 /// attributed to the offending pass in the panic message.
 pub fn run_pipeline(m: &mut Module, config: &PassConfig, am: &mut AnalysisManager) -> PassReport {
     let _span = swpf_obs::span("compile");
-    let report = Rc::new(RefCell::new(PassReport::default()));
-    let verify_each = std::env::var_os("SWPF_VERIFY_PASSES").is_some_and(|v| v != "0");
-    let mut pm = PassManager::new().verify_between(verify_each);
-    for pass in config.pipeline.passes() {
-        match pass {
-            PassName::Swpf => {
-                pm.add_function_pass(Box::new(SwpfPass::new(config.clone(), Rc::clone(&report))))
-            }
-            PassName::Gvn => pm.add_function_pass(Box::new(Gvn::default())),
-            PassName::Sccp => pm.add_function_pass(Box::new(Sccp::default())),
-            PassName::Licm => pm.add_function_pass(Box::new(Licm::default())),
-            PassName::Cse => pm.add_function_pass(Box::new(LocalCse::default())),
-            PassName::Dce => pm.add_function_pass(Box::new(Dce::default())),
-            PassName::Verify => pm.add_module_pass(Box::new(VerifyPass)),
-        }
+    let mut pipeline = FunctionPipeline::new(config);
+    for fid in m.func_ids() {
+        pipeline
+            .run(m, fid, am)
+            .unwrap_or_else(|e| panic!("prefetch pipeline failed: {e}"));
     }
-    let runs = pm
-        .run(m, am)
-        .unwrap_or_else(|e| panic!("prefetch pipeline failed: {e}"));
-    let mut out = std::mem::take(&mut *report.borrow_mut());
-    out.eliminated_insts = runs.iter().map(|r| r.removed_insts).sum();
-    out
+    pipeline.finish()
 }
 
 #[cfg(test)]

@@ -78,28 +78,36 @@ impl PassReport {
     }
 }
 
-impl fmt::Display for PassReport {
+impl fmt::Display for FunctionReport {
+    /// The function's prefetches and skipped loads; nothing when it has
+    /// neither.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for func in &self.functions {
-            if func.prefetches.is_empty() && func.skipped.is_empty() {
-                continue;
-            }
-            writeln!(f, "@{}:", func.name)?;
-            for p in &func.prefetches {
-                writeln!(
-                    f,
-                    "  prefetch for load {}: chain {}, offsets {:?}, clamp {:?}{}",
-                    p.target,
-                    p.chain_len,
-                    p.offsets,
-                    p.clamp,
-                    if p.hoisted { ", hoisted" } else { "" }
-                )?;
-            }
-            for s in &func.skipped {
-                writeln!(f, "  skipped load {}: {:?}", s.load, s.reason)?;
-            }
+        if self.prefetches.is_empty() && self.skipped.is_empty() {
+            return Ok(());
+        }
+        writeln!(f, "@{}:", self.name)?;
+        for p in &self.prefetches {
+            writeln!(
+                f,
+                "  prefetch for load {}: chain {}, offsets {:?}, clamp {:?}{}",
+                p.target,
+                p.chain_len,
+                p.offsets,
+                p.clamp,
+                if p.hoisted { ", hoisted" } else { "" }
+            )?;
+        }
+        for s in &self.skipped {
+            writeln!(f, "  skipped load {}: {:?}", s.load, s.reason)?;
         }
         Ok(())
+    }
+}
+
+impl fmt::Display for PassReport {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.functions
+            .iter()
+            .try_for_each(|func| write!(f, "{func}"))
     }
 }

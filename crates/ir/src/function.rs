@@ -61,22 +61,44 @@ impl Function {
     /// Create a function with the given signature and an empty entry block.
     #[must_use]
     pub fn new(name: impl Into<String>, params: &[Type], ret: impl Into<Option<Type>>) -> Self {
-        let mut f = Function {
-            name: name.into(),
+        let mut f = Function::declaration(name.into(), params, ret.into());
+        f.open_body();
+        f
+    }
+
+    /// A function as its header declares it, without a body: no blocks,
+    /// and no values, not even its arguments.
+    pub(crate) fn declaration(name: String, params: &[Type], ret: Option<Type>) -> Self {
+        Function {
+            name,
             params: params.to_vec(),
-            ret: ret.into(),
+            ret,
             purity: Purity::Impure,
             values: Vec::new(),
-            blocks: vec![Block::default()],
-        };
-        for (i, &ty) in params.iter().enumerate() {
-            f.values.push(ValueData {
+            blocks: Vec::new(),
+        }
+    }
+
+    /// Give a function without a body its arguments and an empty entry
+    /// block.
+    pub(crate) fn open_body(&mut self) {
+        self.blocks.push(Block::default());
+        for (i, &ty) in self.params.iter().enumerate() {
+            self.values.push(ValueData {
                 ty: Some(ty),
                 kind: ValueKind::Arg { index: i as u32 },
                 name: None,
             });
         }
-        f
+    }
+
+    /// Drop the body, arguments and entry block included, and keep the
+    /// signature: the name, parameter and return types and purity that
+    /// a caller's verification and printing read, which is all that may
+    /// be read of the function afterwards.
+    pub fn clear_body(&mut self) {
+        self.values = Vec::new();
+        self.blocks = Vec::new();
     }
 
     /// The entry block id (always block 0).

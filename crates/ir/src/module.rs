@@ -28,8 +28,13 @@ impl Module {
         params: &[Type],
         ret: impl Into<Option<Type>>,
     ) -> FuncId {
+        self.add_function(Function::new(name, params, ret))
+    }
+
+    /// Add `f`; returns its id.
+    pub(crate) fn add_function(&mut self, f: Function) -> FuncId {
         let id = FuncId(self.functions.len() as u32);
-        self.functions.push(Function::new(name, params, ret));
+        self.functions.push(f);
         id
     }
 

@@ -303,32 +303,103 @@ impl<'a> Cur<'a> {
 /// first use of an unknown name in a function whose lines are all well
 /// formed (see the module docs).
 pub fn parse_module(text: &str) -> PResult<Module> {
-    let (text, pos, no) = (text.as_bytes(), 0, 0);
-    let mut lines = Lines { text, pos, no };
-    let first = lines.next()?.ok_or_else(|| err(1, "empty input"))?;
-    let name = first
-        .s
-        .strip_prefix(b"module")
-        .filter(|rest| rest.first().is_some_and(|&b| is_blank(b)))
-        .ok_or_else(|| first.err("expected `module <name>`"))?;
-    let mut m = Module::new(ascii(name.trim_ascii_start()));
+    let mut reader = ModuleReader::new(text)?;
+    while reader.next_body()?.is_some() {}
+    Ok(reader.into_module())
+}
 
-    let mut p = Parser::default();
-    let mut bad_header = p.declare_functions(&mut m, &lines);
-    let mut parsed = 0;
-    while let Some(line) = lines.next()? {
+/// A module read one function body at a time.
+///
+/// [`ModuleReader::new`] reads the `module` line and declares every
+/// function from its header, so that a call resolves whichever body it
+/// is in; each [`ModuleReader::next_body`] then parses the next body
+/// into its declaration. A function whose body has not been read yet
+/// has only its signature, as after [`Function::clear_body`]. Between
+/// two bodies the caller may work on the module — transform the
+/// function just read, print it, and drop its body — so that only one
+/// body need be held at a time. Errors come in the order
+/// [`parse_module`] reports them, which is that loop.
+pub struct ModuleReader<'a> {
+    module: Module,
+    lines: Lines<'a>,
+    parser: Parser<'a>,
+    /// The malformed header the pre-scan stopped at, if any.
+    bad_header: Option<ParseError>,
+    /// Bodies read so far.
+    parsed: usize,
+}
+
+impl<'a> ModuleReader<'a> {
+    /// Read the `module` line and declare every function.
+    ///
+    /// # Errors
+    /// If the text has no `module <name>` line first. A malformed header
+    /// is reported by the [`ModuleReader::next_body`] that reaches it.
+    pub fn new(text: &'a str) -> PResult<Self> {
+        let (text, pos, no) = (text.as_bytes(), 0, 0);
+        let mut lines = Lines { text, pos, no };
+        let first = lines.next()?.ok_or_else(|| err(1, "empty input"))?;
+        let name = first
+            .s
+            .strip_prefix(b"module")
+            .filter(|rest| rest.first().is_some_and(|&b| is_blank(b)))
+            .ok_or_else(|| first.err("expected `module <name>`"))?;
+        let mut module = Module::new(ascii(name.trim_ascii_start()));
+        let mut parser = Parser::default();
+        let bad_header = parser.declare_functions(&mut module, &lines);
+        Ok(ModuleReader {
+            module,
+            lines,
+            parser,
+            bad_header,
+            parsed: 0,
+        })
+    }
+
+    /// Parse the next body into its function and return the function's
+    /// id, or `None` at the end of the input.
+    ///
+    /// # Errors
+    /// The first malformed line of the body, or of the text between it
+    /// and the previous one; an unknown name in the body.
+    pub fn next_body(&mut self) -> PResult<Option<FuncId>> {
+        let Some(line) = self.lines.next()? else {
+            return Ok(None);
+        };
         if !line.s.starts_with(b"func @") {
             return Err(line.err("expected `func`"));
         }
         // The pre-scan declared every header up to the first malformed
         // one; past those, this is it.
-        if parsed == m.num_functions() {
-            return Err(bad_header.take().unwrap_or_else(|| line.err("bad header")));
+        if self.parsed == self.module.num_functions() {
+            return Err(self
+                .bad_header
+                .take()
+                .unwrap_or_else(|| line.err("bad header")));
         }
-        p.parse_body(m.function_mut(FuncId(parsed as u32)), &mut lines, line.line)?;
-        parsed += 1;
+        let fid = FuncId(self.parsed as u32);
+        let f = self.module.function_mut(fid);
+        self.parser.parse_body(f, fid, &mut self.lines, line.line)?;
+        self.parsed += 1;
+        Ok(Some(fid))
     }
-    Ok(m)
+
+    /// The module: every function declared, the bodies read so far.
+    #[must_use]
+    pub fn module(&self) -> &Module {
+        &self.module
+    }
+
+    /// The module, to work on the function just read.
+    pub fn module_mut(&mut self) -> &mut Module {
+        &mut self.module
+    }
+
+    /// The module as read so far.
+    #[must_use]
+    pub fn into_module(self) -> Module {
+        self.module
+    }
 }
 
 struct Header<'a> {
@@ -454,6 +525,9 @@ struct Parser<'a> {
     /// Every function by name, the first of a name winning, as
     /// [`Module::find_function`] would find it.
     funcs: HashMap<&'a [u8], FuncId>,
+    /// Per declared function, the lines with content (neither blank nor
+    /// only a comment) between its header and the next one.
+    content_lines: Vec<u32>,
     names: Names<'a>,
     /// The function's constants by bit pattern and type.
     consts: HashMap<(u64, Type), ValueId>,
@@ -484,16 +558,6 @@ impl<'a> Parser<'a> {
             mut no,
         } = *from;
         let mut params = Vec::new();
-        // The last header and its line. A value takes a line, so the
-        // lines up to the next header bound a function's arena; a fifth
-        // on top leaves the prefetch pass room to insert into a freshly
-        // parsed function without moving it first.
-        let mut last: Option<(FuncId, usize)> = None;
-        let reserve = |m: &mut Module, last: Option<(FuncId, usize)>, no: usize| {
-            if let Some((fid, header)) = last {
-                m.function_mut(fid).reserve_values((no - header) * 6 / 5);
-            }
-        };
         while pos < text.len() {
             let newline = scan(text, pos, false).0;
             let line = &text[pos..newline];
@@ -507,15 +571,16 @@ impl<'a> Parser<'a> {
                     Ok(h) => h,
                     Err(e) => return Some(e),
                 };
-                reserve(m, last, no);
-                let fid = m.declare_function(ascii(h.name), &params, h.ret);
-                m.function_mut(fid).purity = h.purity;
+                let mut f = Function::declaration(ascii(h.name).to_string(), &params, h.ret);
+                f.purity = h.purity;
+                let fid = m.add_function(f);
                 self.funcs.entry(h.name).or_insert(fid);
-                last = Some((fid, no + 1));
+                self.content_lines.push(0);
+            } else if let (Some(n), Some(&b)) = (self.content_lines.last_mut(), line.get(indent)) {
+                *n += u32::from(b != b';');
             }
             (pos, no) = (newline + 1, no + 1);
         }
-        reserve(m, last, no);
         None
     }
 
@@ -524,9 +589,16 @@ impl<'a> Parser<'a> {
     fn parse_body(
         &mut self,
         f: &mut Function,
+        fid: FuncId,
         lines: &mut Lines<'a>,
         header_line: usize,
     ) -> PResult<()> {
+        // A value takes a line with content, so those up to the next
+        // header bound the arena; a fifth on top leaves the prefetch pass
+        // room to insert without moving it first.
+        let values = f.params.len() + self.content_lines[fid.index()] as usize * 6 / 5;
+        f.reserve_values(values);
+        f.open_body();
         self.names.reset(f.params.len());
         self.consts.clear();
         self.insts.clear();

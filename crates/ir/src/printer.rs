@@ -84,16 +84,52 @@ fn size_hint(f: &Function) -> usize {
 #[must_use]
 pub fn print_module(m: &Module) -> String {
     let functions: usize = m.func_ids().map(|f| size_hint(m.function(f))).sum();
-    let mut out = String::with_capacity(functions + m.name.len() + 16);
-    out.push_str("module ");
-    out.push_str(&m.name);
-    out.push('\n');
-    let mut numbering = Numbering::default();
+    let mut printer = ModulePrinter::with_capacity(&m.name, functions);
     for f in m.func_ids() {
-        out.push('\n');
-        print_function_into(&mut out, m, m.function(f), &mut numbering, None);
+        printer.function(m, m.function(f));
     }
-    out
+    printer.finish()
+}
+
+/// A module printed one function at a time, into the text
+/// [`print_module`] makes of the whole.
+///
+/// Past what [`ModulePrinter::with_capacity`] reserved, the buffer grows
+/// by a quarter at a time, not by doubling, so that its spare room stays
+/// within a quarter of the text.
+pub struct ModulePrinter {
+    out: String,
+    numbering: Numbering,
+}
+
+impl ModulePrinter {
+    /// Start the text of module `name`, with room for `functions` bytes
+    /// of functions.
+    #[must_use]
+    pub fn with_capacity(name: &str, functions: usize) -> Self {
+        let mut out = String::with_capacity(functions + name.len() + 16);
+        out.push_str("module ");
+        out.push_str(name);
+        out.push('\n');
+        let numbering = Numbering::default();
+        ModulePrinter { out, numbering }
+    }
+
+    /// Append `f`, a function of `m`.
+    pub fn function(&mut self, m: &Module, f: &Function) {
+        let (room, hint) = (self.out.capacity() - self.out.len(), size_hint(f));
+        if room < hint {
+            self.out.reserve_exact(hint.max(self.out.len() / 4));
+        }
+        self.out.push('\n');
+        print_function_into(&mut self.out, m, f, &mut self.numbering, None);
+    }
+
+    /// The text.
+    #[must_use]
+    pub fn finish(self) -> String {
+        self.out
+    }
 }
 
 /// Print a single function in canonical form.

@@ -1,4 +1,4 @@
-//! Composable cleanup passes: local CSE, DCE, and verification.
+//! Composable cleanup passes: local CSE and DCE.
 //!
 //! These are the paper's "later passes clean it up" step made explicit
 //! and measurable. The prefetch generator clones address computations
@@ -11,7 +11,7 @@
 //! phis, calls, allocs, or terminators, so the architectural behaviour
 //! and every emitted prefetch survive — only redundant arithmetic goes.
 
-use crate::manager::{AnalysisManager, FunctionPass, ModulePass, PassEffect};
+use crate::manager::{AnalysisManager, FunctionPass, PassEffect};
 use swpf_ir::hash::FastMap;
 use swpf_ir::{BinOp, CastOp, FuncId, Function, InstKind, Module, Pred, Type, ValueId};
 
@@ -242,31 +242,6 @@ impl FunctionPass for Dce {
     }
 }
 
-/// A module pass that checks IR invariants and changes nothing — the
-/// explicit form of the verify-between-passes mode, placeable anywhere
-/// in a pipeline spec (`"swpf,verify,cse"`). It asks
-/// [`AnalysisManager::verify`], so a module that verified and that no
-/// pass has changed since is not walked again.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct VerifyPass;
-
-impl ModulePass for VerifyPass {
-    fn name(&self) -> &'static str {
-        "verify"
-    }
-
-    fn run(&mut self, m: &mut Module, am: &mut AnalysisManager) -> Result<PassEffect, String> {
-        match am.verify(m) {
-            Ok(()) => Ok(PassEffect::unchanged()),
-            Err(errs) => Err(errs
-                .iter()
-                .map(std::string::ToString::to_string)
-                .collect::<Vec<_>>()
-                .join("; ")),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -384,12 +359,15 @@ mod tests {
         )
         .unwrap();
         let mut am = AnalysisManager::new();
-        assert!(VerifyPass.run(&mut m, &mut am).is_ok());
+        let mut pm = PassManager::new();
+        pm.add_verify();
+        assert!(pm.run(&mut m, &mut am).is_ok());
         // Break it: drop the terminator, as a pass that says so would.
         let fid = m.find_function("f").unwrap();
         let entry = m.function(fid).entry();
         m.function_mut(fid).block_mut(entry).insts.pop();
         am.invalidate(fid);
-        assert!(VerifyPass.run(&mut m, &mut am).is_err());
+        let err = pm.run(&mut m, &mut am).unwrap_err();
+        assert_eq!(err.pass, "verify");
     }
 }

@@ -10,10 +10,10 @@
 //! This crate provides that substrate, shaped like a miniature LLVM
 //! new-pass-manager:
 //!
-//! * [`FunctionPass`] / [`ModulePass`] — a transformation over one
-//!   function or a whole module. A pass **never mutates the analysis
-//!   cache itself**; it *declares* what it did through the returned
-//!   [`PassEffect`], and the driver invalidates accordingly.
+//! * [`FunctionPass`] — a transformation over one function. A pass
+//!   **never mutates the analysis cache itself**; it *declares* what it
+//!   did through the returned [`PassEffect`], and the driver
+//!   invalidates accordingly.
 //! * [`AnalysisManager`] — lazily computes and caches the
 //!   `swpf-analysis` products (dominators, loops, induction variables,
 //!   object roots) per function behind `Arc`s. Results are shared, and
@@ -21,10 +21,12 @@
 //!   caller compiling many variants of one pristine module (the
 //!   `swpf-tune` evaluator) pays for each analysis once, not once per
 //!   variant.
-//! * [`PassManager`] — runs a pipeline in order, invalidates caches on
-//!   declared mutation, and (in the verify-between-passes debug mode)
-//!   checks module invariants after every pass, attributing **every**
-//!   breakage to the pass that caused it.
+//! * [`PassManager`] — runs every stage of a pipeline on one function
+//!   before the next function, invalidates caches on declared mutation,
+//!   holds verification checkpoints ([`PassManager::add_verify`]), and
+//!   (in the verify-between-passes debug mode) checks the function after
+//!   every pass, attributing **every** breakage to the pass that caused
+//!   it.
 //! * [`cleanup`] — the composable cleanup passes themselves:
 //!   [`cleanup::LocalCse`] and [`cleanup::Dce`], the measurable "let
 //!   `-O3` clean it up" step over generated address code.
@@ -37,9 +39,8 @@
 //!
 //! An analysis cached for function `f` is valid as long as `f`'s body
 //! is unchanged. The driver maintains this: when a pass returns
-//! [`PassEffect::changed`] for `f` (or for the module), the cached
-//! analyses of `f` (of every function) are dropped before the next
-//! pass runs. One finer-grained preservation tier exists: a pass whose
+//! [`PassEffect::changed`] for `f`, the cached analyses of `f` are
+//! dropped before the next pass runs. One finer-grained preservation tier exists: a pass whose
 //! mutations provably leave the CFG intact (no blocks or edges added,
 //! removed, or retargeted) declares [`PassEffect::preserving_cfg`],
 //! and the driver keeps the dominator tree and loop forest — which
@@ -70,8 +71,6 @@ pub mod cleanup;
 pub mod global;
 pub mod manager;
 
-pub use cleanup::{Dce, LocalCse, VerifyPass};
+pub use cleanup::{Dce, LocalCse};
 pub use global::{Gvn, Licm, Sccp};
-pub use manager::{
-    AnalysisManager, FunctionPass, ModulePass, PassEffect, PassManager, PassRun, PipelineError,
-};
+pub use manager::{AnalysisManager, FunctionPass, PassEffect, PassManager, PassRun, PipelineError};

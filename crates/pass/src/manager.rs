@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 use swpf_analysis::{DomTree, FuncAnalysis, IvAnalysis, LoopForest, RootsAnalysis, Scratch};
-use swpf_ir::verifier::{verify_module_all, VerifyError};
+use swpf_ir::verifier::{verify_function_all, VerifyError};
 use swpf_ir::{FuncId, Function, Module};
 
 /// What one pass execution did, as declared by the pass itself.
@@ -86,20 +86,6 @@ pub trait FunctionPass {
     fn run(&mut self, m: &mut Module, fid: FuncId, am: &mut AnalysisManager) -> PassEffect;
 }
 
-/// A transformation (or check) over a whole module.
-pub trait ModulePass {
-    /// Stable pass name for pipeline specs, logs, and attribution.
-    fn name(&self) -> &'static str;
-
-    /// Transform or check `m`. Returning an `Err` aborts the pipeline
-    /// (used by verification passes).
-    ///
-    /// # Errors
-    /// A pass-specific diagnostic; the driver wraps it with the pass
-    /// name into a [`PipelineError`].
-    fn run(&mut self, m: &mut Module, am: &mut AnalysisManager) -> Result<PassEffect, String>;
-}
-
 /// Cached per-function analyses.
 #[derive(Debug, Default, Clone)]
 struct FuncEntry {
@@ -119,9 +105,9 @@ struct FuncEntry {
 /// module can share its pre-mutation analyses without any of their
 /// invalidations leaking back.
 ///
-/// "The module verifies" is cached the same way
-/// ([`AnalysisManager::verify`]): one fact for the whole module, which
-/// every invalidation clears.
+/// "This function verifies" is cached the same way
+/// ([`AnalysisManager::verify`]): one fact per function, which every
+/// invalidation of the function clears. A fork starts without any.
 #[derive(Debug, Default)]
 pub struct AnalysisManager {
     /// Indexed by `FuncId`; `None` until a function's analyses are
@@ -129,8 +115,9 @@ pub struct AnalysisManager {
     entries: Vec<Option<FuncEntry>>,
     /// Working storage every computation runs in.
     scratch: Scratch,
-    /// Whether the module has verified and nothing was invalidated since.
-    verified: bool,
+    /// Indexed by `FuncId`: whether the function has verified and was
+    /// not invalidated since.
+    verified: Vec<bool>,
     computed: usize,
     hits: usize,
     preserved: usize,
@@ -150,7 +137,7 @@ impl AnalysisManager {
         AnalysisManager {
             entries: self.entries.clone(),
             scratch: Scratch::default(),
-            verified: false,
+            verified: Vec::new(),
             computed: 0,
             hits: 0,
             preserved: 0,
@@ -176,29 +163,40 @@ impl AnalysisManager {
         self.preserved
     }
 
-    /// Check `m`'s invariants, unless they were checked and nothing has
-    /// been invalidated since: a pass that changed nothing, or the
-    /// driver's check of an output no pass touched, costs nothing.
+    /// Check the invariants of `m`'s function `fid`, unless they were
+    /// checked and the function was not invalidated since: a pass that
+    /// changed nothing, or the driver's check of an output no pass
+    /// touched, costs nothing.
     ///
     /// The fact rests on passes declaring their mutations truthfully;
     /// [`PassManager::verify_between`] does not consult it.
     ///
     /// # Errors
-    /// Every violation found.
-    pub fn verify(&mut self, m: &Module) -> Result<(), Vec<VerifyError>> {
-        if !self.verified {
-            let errs = verify_module_all(m);
+    /// Every violation found in the function.
+    pub fn verify(&mut self, m: &Module, fid: FuncId) -> Result<(), Vec<VerifyError>> {
+        if self.verified.get(fid.index()) != Some(&true) {
+            let errs = verify_function_all(m, fid);
             if !errs.is_empty() {
                 return Err(errs);
             }
-            self.verified = true;
+            if self.verified.len() <= fid.index() {
+                self.verified.resize(fid.index() + 1, false);
+            }
+            self.verified[fid.index()] = true;
         }
         Ok(())
     }
 
+    /// Forget that `fid` verified.
+    fn unverify(&mut self, fid: FuncId) {
+        if let Some(verified) = self.verified.get_mut(fid.index()) {
+            *verified = false;
+        }
+    }
+
     /// Drop every cached analysis of `fid`.
     pub fn invalidate(&mut self, fid: FuncId) {
-        self.verified = false;
+        self.unverify(fid);
         if self
             .entries
             .get_mut(fid.index())
@@ -214,7 +212,7 @@ impl AnalysisManager {
     /// stay cached; the value-level analyses (induction variables,
     /// object roots) reference instruction placement and are dropped.
     pub fn invalidate_preserving_cfg(&mut self, fid: FuncId) {
-        self.verified = false;
+        self.unverify(fid);
         if let Some(Some(entry)) = self.entries.get_mut(fid.index()) {
             entry.ivs = None;
             entry.roots = None;
@@ -224,25 +222,6 @@ impl AnalysisManager {
                 swpf_obs::count("analysis.preserved", kept as u64);
             }
             swpf_obs::count("analysis.invalidated", 1);
-        }
-    }
-
-    /// Drop the whole cache (after a module-level mutation).
-    pub fn invalidate_all(&mut self) {
-        self.verified = false;
-        let cached = self.entries.iter().flatten().count();
-        if cached > 0 {
-            swpf_obs::count("analysis.invalidated", cached as u64);
-        }
-        self.entries.clear();
-    }
-
-    /// [`AnalysisManager::invalidate_preserving_cfg`] over every cached
-    /// function (after a CFG-preserving module-level mutation).
-    pub fn invalidate_all_preserving_cfg(&mut self) {
-        self.verified = false;
-        for fid in 0..self.entries.len() {
-            self.invalidate_preserving_cfg(FuncId(fid as u32));
         }
     }
 
@@ -351,27 +330,41 @@ impl std::error::Error for PipelineError {}
 pub struct PassRun {
     /// The pass's name.
     pub name: &'static str,
-    /// Whether any function (or the module) was mutated.
+    /// Whether any function was mutated.
     pub changed: bool,
     /// Total instructions removed by this stage.
     pub removed_insts: usize,
 }
 
-/// One pipeline stage: a function pass (driven over every function) or
-/// a module pass.
+/// One pipeline stage: a function pass, or a verification checkpoint.
 enum Stage<'p> {
-    Function(Box<dyn FunctionPass + 'p>),
-    Module(Box<dyn ModulePass + 'p>),
+    Pass(Box<dyn FunctionPass + 'p>),
+    Verify,
 }
 
-/// Runs a pass pipeline over a module, maintaining the analysis cache.
+impl Stage<'_> {
+    fn name(&self) -> &'static str {
+        match self {
+            Stage::Pass(pass) => pass.name(),
+            Stage::Verify => "verify",
+        }
+    }
+}
+
+/// Runs a pass pipeline one function at a time, maintaining the
+/// analysis cache.
 ///
-/// Passes execute in insertion order. After each function a function
-/// pass changed, that function's analyses are invalidated; after a
-/// module pass that reports change, the whole cache is. With
-/// [`PassManager::verify_between`] enabled, module invariants are
-/// checked after every stage; the first broken stage aborts the
-/// pipeline with **every** violation it introduced attributed to it.
+/// [`PassManager::run_function`] runs every stage, in insertion order,
+/// on one function before it returns, so a caller that compiles a module
+/// function by function holds one function's analyses at a time;
+/// [`PassManager::run`] does that for every function of a module in
+/// order. After a stage changed the function, its analyses are
+/// invalidated. A verification stage ([`PassManager::add_verify`])
+/// checks the function through the cached fact of
+/// [`AnalysisManager::verify`]. With [`PassManager::verify_between`]
+/// enabled, the function is checked after every stage; the first broken
+/// stage aborts the pipeline with **every** violation it introduced
+/// attributed to it.
 ///
 /// When profiling is enabled (`swpf-obs`), each stage runs under a
 /// `pass:<name>` span, and the analysis cache reports
@@ -380,6 +373,8 @@ enum Stage<'p> {
 #[derive(Default)]
 pub struct PassManager<'p> {
     stages: Vec<Stage<'p>>,
+    /// What each stage did since the last [`PassManager::take_runs`].
+    runs: Vec<PassRun>,
     verify_between: bool,
 }
 
@@ -387,10 +382,7 @@ impl<'p> PassManager<'p> {
     /// An empty pipeline.
     #[must_use]
     pub fn new() -> Self {
-        PassManager {
-            stages: Vec::new(),
-            verify_between: false,
-        }
+        PassManager::default()
     }
 
     /// Enable (or disable) the verify-between-passes debug mode.
@@ -400,15 +392,25 @@ impl<'p> PassManager<'p> {
         self
     }
 
-    /// Append a function pass (driven over every function in module
-    /// order).
+    /// Append a function pass.
     pub fn add_function_pass(&mut self, pass: Box<dyn FunctionPass + 'p>) {
-        self.stages.push(Stage::Function(pass));
+        self.push(Stage::Pass(pass));
     }
 
-    /// Append a module pass.
-    pub fn add_module_pass(&mut self, pass: Box<dyn ModulePass + 'p>) {
-        self.stages.push(Stage::Module(pass));
+    /// Append a verification checkpoint, which fails the pipeline on a
+    /// function that does not verify and changes nothing.
+    pub fn add_verify(&mut self) {
+        self.push(Stage::Verify);
+    }
+
+    fn push(&mut self, stage: Stage<'p>) {
+        let (name, changed, removed_insts) = (stage.name(), false, 0);
+        self.runs.push(PassRun {
+            name,
+            changed,
+            removed_insts,
+        });
+        self.stages.push(stage);
     }
 
     /// Number of stages in the pipeline.
@@ -423,70 +425,54 @@ impl<'p> PassManager<'p> {
         self.stages.is_empty()
     }
 
-    /// Run every stage in order over `m`, reading and maintaining `am`.
+    /// Run every stage in order on `m`'s function `fid`, reading and
+    /// maintaining `am`.
     ///
     /// # Errors
-    /// The first module-pass error, or (with verification enabled) the
-    /// first stage whose post-verification fails — attributed to that
-    /// stage, with **every** invariant violation it introduced listed.
-    pub fn run(
+    /// The first verification stage the function fails, or (with
+    /// verification between passes) the first stage after which it no
+    /// longer verifies — attributed to that stage, with **every**
+    /// invariant violation it introduced listed.
+    pub fn run_function(
         &mut self,
         m: &mut Module,
+        fid: FuncId,
         am: &mut AnalysisManager,
-    ) -> Result<Vec<PassRun>, PipelineError> {
-        let mut runs = Vec::with_capacity(self.stages.len());
-        for stage in &mut self.stages {
-            let stage_name = match stage {
-                Stage::Function(p) => p.name(),
-                Stage::Module(p) => p.name(),
-            };
-            let _span = swpf_obs::enabled().then(|| swpf_obs::span(format!("pass:{stage_name}")));
-            let run = match stage {
-                Stage::Function(pass) => {
-                    let mut changed = false;
-                    let mut removed = 0usize;
-                    for fid in m.func_ids() {
-                        let effect = pass.run(m, fid, am);
-                        if effect.changed {
-                            if effect.preserves_cfg {
-                                am.invalidate_preserving_cfg(fid);
-                            } else {
-                                am.invalidate(fid);
-                            }
-                            changed = true;
-                        }
-                        removed += effect.removed_insts;
-                    }
-                    PassRun {
-                        name: pass.name(),
-                        changed,
-                        removed_insts: removed,
-                    }
-                }
-                Stage::Module(pass) => {
-                    let effect = pass.run(m, am).map_err(|message| PipelineError {
-                        pass: pass.name(),
-                        message,
-                    })?;
+    ) -> Result<(), PipelineError> {
+        for (stage, run) in self.stages.iter_mut().zip(&mut self.runs) {
+            let _span = swpf_obs::enabled().then(|| swpf_obs::span(format!("pass:{}", run.name)));
+            match stage {
+                Stage::Pass(pass) => {
+                    let effect = pass.run(m, fid, am);
                     if effect.changed {
                         if effect.preserves_cfg {
-                            am.invalidate_all_preserving_cfg();
+                            am.invalidate_preserving_cfg(fid);
                         } else {
-                            am.invalidate_all();
+                            am.invalidate(fid);
                         }
+                        run.changed = true;
                     }
-                    PassRun {
-                        name: pass.name(),
-                        changed: effect.changed,
-                        removed_insts: effect.removed_insts,
+                    run.removed_insts += effect.removed_insts;
+                }
+                Stage::Verify => {
+                    if let Err(errs) = am.verify(m, fid) {
+                        let message = errs
+                            .iter()
+                            .map(std::string::ToString::to_string)
+                            .collect::<Vec<_>>()
+                            .join("; ");
+                        return Err(PipelineError {
+                            pass: run.name,
+                            message,
+                        });
                     }
                 }
-            };
+            }
             if self.verify_between {
                 // Unconditionally: this mode exists to catch a pass that
                 // mutates and declares `unchanged`, which the cached fact
                 // of `AnalysisManager::verify` would believe.
-                let errs = verify_module_all(m);
+                let errs = verify_function_all(m, fid);
                 if !errs.is_empty() {
                     use std::fmt::Write as _;
                     let mut message = format!(
@@ -503,9 +489,35 @@ impl<'p> PassManager<'p> {
                     });
                 }
             }
-            runs.push(run);
         }
-        Ok(runs)
+        Ok(())
+    }
+
+    /// What each stage did over the functions run since the last call,
+    /// in stage order; the counts start again from zero.
+    pub fn take_runs(&mut self) -> Vec<PassRun> {
+        let fresh = self.runs.iter().map(|run| PassRun {
+            changed: false,
+            removed_insts: 0,
+            ..*run
+        });
+        let fresh = fresh.collect();
+        std::mem::replace(&mut self.runs, fresh)
+    }
+
+    /// Run every stage on each function of `m` in turn.
+    ///
+    /// # Errors
+    /// The first failure of [`PassManager::run_function`].
+    pub fn run(
+        &mut self,
+        m: &mut Module,
+        am: &mut AnalysisManager,
+    ) -> Result<Vec<PassRun>, PipelineError> {
+        for fid in m.func_ids() {
+            self.run_function(m, fid, am)?;
+        }
+        Ok(self.take_runs())
     }
 }
 

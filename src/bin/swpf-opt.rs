@@ -2,9 +2,10 @@
 //!
 //! Reads a module in the textual IR format (see `swpf_ir::printer`), runs
 //! the automatic software-prefetching pass, and prints the transformed
-//! module. The pass report goes to stderr. Each stream is rendered into
-//! one buffer and written in one piece; a reader that closes its end
-//! early (`swpf-opt … | head -1`) is not an error.
+//! module. The pass report goes to stderr. The module is compiled one
+//! function at a time by [`swpf::opt::compile`]; each stream is rendered
+//! into one buffer and written in one piece at the end, and a reader
+//! that closes its end early (`swpf-opt … | head -1`) is not an error.
 //!
 //! ```text
 //! swpf-opt [options] [input.swir]        (stdin when no file given)
@@ -18,11 +19,9 @@
 //!   --report-only  print only the report, not the module
 //! ```
 
-use std::fmt::Write as _;
 use std::io::{Read as _, Write as _};
-use swpf::ir::Module;
-use swpf::pass::{icc_like, run_pipeline, PassConfig, PassName, PASS_NAMES};
-use swpf::pass_manager::AnalysisManager;
+use swpf::opt::{compile, Options};
+use swpf::pass::{PassConfig, PassName, PASS_NAMES};
 
 /// One-line description of each pipeline pass for `--list`.
 fn pass_blurb(p: PassName) -> &'static str {
@@ -102,41 +101,15 @@ fn main() {
         }
     };
 
-    let mut module =
-        swpf::ir::parser::parse_module(&text).unwrap_or_else(|e| die(&format!("parse error: {e}")));
-    // One manager for the whole run: the input check, a `verify` stage
-    // and the output check share its "this module verifies" fact, so a
-    // module no pass changed is walked once.
-    let mut am = AnalysisManager::new();
-    check(&mut am, &module, "input does not verify");
-
-    let report = if use_icc {
-        let report = icc_like::run_on_module(&mut module, &config);
-        am.invalidate_all();
-        report
-    } else {
-        run_pipeline(&mut module, &config, &mut am)
+    let options = Options {
+        config,
+        icc_like: use_icc,
+        report_only,
     };
-    check(&mut am, &module, "internal error: output does not verify");
-
-    let mut summary = String::new();
-    let _ = writeln!(
-        summary,
-        "{report}{} prefetch instruction(s) inserted, {} load(s) skipped",
-        report.total_prefetches(),
-        report.total_skipped()
-    );
-    write_whole(std::io::stderr().lock(), &summary, "report");
+    let out = compile(&text, &options).unwrap_or_else(|e| die(&e));
+    write_whole(std::io::stderr().lock(), &out.report, "report");
     if !report_only {
-        let text = swpf::ir::printer::print_module(&module);
-        write_whole(std::io::stdout().lock(), &text, "output");
-    }
-}
-
-/// Exit with `what` and the first violation unless `module` verifies.
-fn check(am: &mut AnalysisManager, module: &Module, what: &str) {
-    if let Err(errs) = am.verify(module) {
-        die(&format!("{what}: {}", errs[0]));
+        write_whole(std::io::stdout().lock(), &out.module, "output");
     }
 }
 

@@ -7,3 +7,5 @@ pub use swpf_sim as sim;
 pub use swpf_trace as trace;
 pub use swpf_tune as tune;
 pub use swpf_workloads as workloads;
+
+pub mod opt;

@@ -6,24 +6,26 @@
 //! One test in a binary of its own: the counters and the
 //! `SWPF_VERIFY_PASSES` variable are process-wide.
 
-use swpf::ir::parser::parse_module;
-use swpf::pass::{run_pipeline, PassConfig};
-use swpf::pass_manager::AnalysisManager;
+use swpf::opt::{compile, Options};
+use swpf::pass::PassConfig;
 use swpf::workloads::{replicated_suite, Scale};
 
-/// `swpf-opt --passes <pipeline>` between parser and printer, as
-/// `src/bin/swpf-opt.rs` does it — one manager; input check, pipeline,
-/// output check — and the verifier's walks per function it took.
+/// `swpf-opt --passes <pipeline>` on `text` — per function: input
+/// check, pipeline, output check — and the verifier's walks per
+/// function it took.
 fn walks_per_function(text: &str, pipeline: &str) -> f64 {
-    let mut module = parse_module(text).expect("parses");
     swpf_obs::reset();
-    let mut am = AnalysisManager::new();
-    am.verify(&module).expect("input verifies");
-    let report = run_pipeline(&mut module, &PassConfig::with_pipeline(pipeline), &mut am);
-    am.verify(&module).expect("output verifies");
-    assert_eq!(report.total_prefetches() > 0, pipeline.contains("swpf"));
+    let options = Options {
+        config: PassConfig::with_pipeline(pipeline),
+        ..Options::default()
+    };
+    let out = compile(text, &options).expect("compiles");
+    assert_eq!(
+        out.report.starts_with("0 prefetch"),
+        !pipeline.contains("swpf")
+    );
     let walks = swpf_obs::snapshot().counters["ir.verify.functions"];
-    walks as f64 / module.num_functions() as f64
+    walks as f64 / text.matches("\nfunc @").count() as f64
 }
 
 #[test]
