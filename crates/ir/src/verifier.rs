@@ -36,10 +36,12 @@ impl fmt::Display for VerifyError {
 
 impl std::error::Error for VerifyError {}
 
-/// The verifier's per-function side tables, owned by the module-level
-/// entry points and refilled for each function.
-#[derive(Default)]
-struct Scratch {
+/// The verifier's per-function side tables, refilled for each function:
+/// the module-level entry points own one, and a caller that checks
+/// functions one by one keeps one across them
+/// ([`verify_function_all_in`]).
+#[derive(Debug, Default)]
+pub struct VerifyScratch {
     cfg: CfgScratch,
     dom: DomTree,
     /// Position of every placed instruction within its block.
@@ -55,7 +57,7 @@ struct Scratch {
 /// Returns the first violation found ([`verify_module_all`] collects
 /// them all).
 pub fn verify_module(m: &Module) -> Result<(), VerifyError> {
-    let mut scratch = Scratch::default();
+    let mut scratch = VerifyScratch::default();
     let mut errs = Vec::new();
     for f in m.func_ids() {
         verify_function_into(m, f, &mut scratch, &mut errs);
@@ -72,7 +74,7 @@ pub fn verify_module(m: &Module) -> Result<(), VerifyError> {
 /// once. Empty means the module is valid.
 #[must_use]
 pub fn verify_module_all(m: &Module) -> Vec<VerifyError> {
-    let mut scratch = Scratch::default();
+    let mut scratch = VerifyScratch::default();
     let mut errs = Vec::new();
     for f in m.func_ids() {
         verify_function_into(m, f, &mut scratch, &mut errs);
@@ -105,8 +107,18 @@ pub fn verify_function(m: &Module, fid: FuncId) -> Result<(), VerifyError> {
 /// at instruction granularity).
 #[must_use]
 pub fn verify_function_all(m: &Module, fid: FuncId) -> Vec<VerifyError> {
+    verify_function_all_in(m, fid, &mut VerifyScratch::default())
+}
+
+/// [`verify_function_all`], working in `scratch`.
+#[must_use]
+pub fn verify_function_all_in(
+    m: &Module,
+    fid: FuncId,
+    scratch: &mut VerifyScratch,
+) -> Vec<VerifyError> {
     let mut errs = Vec::new();
-    verify_function_into(m, fid, &mut Scratch::default(), &mut errs);
+    verify_function_into(m, fid, scratch, &mut errs);
     errs
 }
 
@@ -114,7 +126,7 @@ pub fn verify_function_all(m: &Module, fid: FuncId) -> Vec<VerifyError> {
 fn verify_function_into(
     m: &Module,
     fid: FuncId,
-    scratch: &mut Scratch,
+    scratch: &mut VerifyScratch,
     errs: &mut Vec<VerifyError>,
 ) {
     swpf_obs::count("ir.verify.functions", 1);
@@ -128,7 +140,7 @@ fn verify_function_into(
             })
         };
     }
-    let Scratch {
+    let VerifyScratch {
         cfg,
         dom,
         pos,

@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 use swpf_analysis::{DomTree, FuncAnalysis, IvAnalysis, LoopForest, RootsAnalysis, Scratch};
-use swpf_ir::verifier::{verify_function_all, VerifyError};
+use swpf_ir::verifier::{verify_function_all_in, VerifyError, VerifyScratch};
 use swpf_ir::{FuncId, Function, Module};
 
 /// What one pass execution did, as declared by the pass itself.
@@ -115,6 +115,8 @@ pub struct AnalysisManager {
     entries: Vec<Option<FuncEntry>>,
     /// Working storage every computation runs in.
     scratch: Scratch,
+    /// Working storage every verification runs in.
+    verify_scratch: VerifyScratch,
     /// Indexed by `FuncId`: whether the function has verified and was
     /// not invalidated since.
     verified: Vec<bool>,
@@ -137,6 +139,7 @@ impl AnalysisManager {
         AnalysisManager {
             entries: self.entries.clone(),
             scratch: Scratch::default(),
+            verify_scratch: VerifyScratch::default(),
             verified: Vec::new(),
             computed: 0,
             hits: 0,
@@ -175,7 +178,7 @@ impl AnalysisManager {
     /// Every violation found in the function.
     pub fn verify(&mut self, m: &Module, fid: FuncId) -> Result<(), Vec<VerifyError>> {
         if self.verified.get(fid.index()) != Some(&true) {
-            let errs = verify_function_all(m, fid);
+            let errs = verify_function_all_in(m, fid, &mut self.verify_scratch);
             if !errs.is_empty() {
                 return Err(errs);
             }
@@ -472,7 +475,7 @@ impl<'p> PassManager<'p> {
                 // Unconditionally: this mode exists to catch a pass that
                 // mutates and declares `unchanged`, which the cached fact
                 // of `AnalysisManager::verify` would believe.
-                let errs = verify_function_all(m, fid);
+                let errs = verify_function_all_in(m, fid, &mut am.verify_scratch);
                 if !errs.is_empty() {
                     use std::fmt::Write as _;
                     let mut message = format!(
