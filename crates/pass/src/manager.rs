@@ -168,8 +168,8 @@ impl AnalysisManager {
 
     /// Check the invariants of `m`'s function `fid`, unless they were
     /// checked and the function was not invalidated since: a pass that
-    /// changed nothing, or the driver's check of an output no pass
-    /// touched, costs nothing.
+    /// changed nothing, or `swpf-opt`'s final check of an output no
+    /// pass touched, costs nothing.
     ///
     /// The fact rests on passes declaring their mutations truthfully;
     /// [`PassManager::verify_between`] does not consult it.
