@@ -234,6 +234,8 @@ pub struct FunctionPipeline {
     pm: PassManager<'static>,
     /// One report per `swpf` stage, in pipeline order.
     reports: Vec<Rc<RefCell<PassReport>>>,
+    /// Instructions the cleanup passes removed so far.
+    eliminated: usize,
 }
 
 impl FunctionPipeline {
@@ -259,7 +261,11 @@ impl FunctionPipeline {
                 PassName::Verify => pm.add_verify(),
             }
         }
-        FunctionPipeline { pm, reports }
+        FunctionPipeline {
+            pm,
+            reports,
+            eliminated: 0,
+        }
     }
 
     /// The number of `swpf` stages, each of which reports.
@@ -280,7 +286,8 @@ impl FunctionPipeline {
         fid: FuncId,
         am: &mut AnalysisManager,
     ) -> Result<(), PipelineError> {
-        self.pm.run_function(m, fid, am)
+        self.eliminated += self.pm.run_function(m, fid, am)?;
+        Ok(())
     }
 
     /// Hand `each` every function report made since the last drain,
@@ -299,7 +306,7 @@ impl FunctionPipeline {
     pub fn finish(mut self) -> PassReport {
         let mut out = PassReport::default();
         self.drain(|_, fr| out.functions.push(fr));
-        out.eliminated_insts = self.pm.take_runs().iter().map(|r| r.removed_insts).sum();
+        out.eliminated_insts = self.eliminated;
         out
     }
 }

@@ -376,8 +376,6 @@ impl Stage<'_> {
 #[derive(Default)]
 pub struct PassManager<'p> {
     stages: Vec<Stage<'p>>,
-    /// What each stage did since the last [`PassManager::take_runs`].
-    runs: Vec<PassRun>,
     verify_between: bool,
 }
 
@@ -397,23 +395,13 @@ impl<'p> PassManager<'p> {
 
     /// Append a function pass.
     pub fn add_function_pass(&mut self, pass: Box<dyn FunctionPass + 'p>) {
-        self.push(Stage::Pass(pass));
+        self.stages.push(Stage::Pass(pass));
     }
 
     /// Append a verification checkpoint, which fails the pipeline on a
     /// function that does not verify and changes nothing.
     pub fn add_verify(&mut self) {
-        self.push(Stage::Verify);
-    }
-
-    fn push(&mut self, stage: Stage<'p>) {
-        let (name, changed, removed_insts) = (stage.name(), false, 0);
-        self.runs.push(PassRun {
-            name,
-            changed,
-            removed_insts,
-        });
-        self.stages.push(stage);
+        self.stages.push(Stage::Verify);
     }
 
     /// Number of stages in the pipeline.
@@ -429,7 +417,7 @@ impl<'p> PassManager<'p> {
     }
 
     /// Run every stage in order on `m`'s function `fid`, reading and
-    /// maintaining `am`.
+    /// maintaining `am`; the instructions the stages removed.
     ///
     /// # Errors
     /// The first verification stage the function fails, or (with
@@ -441,9 +429,52 @@ impl<'p> PassManager<'p> {
         m: &mut Module,
         fid: FuncId,
         am: &mut AnalysisManager,
+    ) -> Result<usize, PipelineError> {
+        let mut removed = 0;
+        self.run_stages(m, fid, am, |_, effect| removed += effect.removed_insts)?;
+        Ok(removed)
+    }
+
+    /// Run every stage on each function of `m` in turn; what each stage
+    /// did over all of them, in stage order.
+    ///
+    /// # Errors
+    /// The first failure of [`PassManager::run_function`].
+    pub fn run(
+        &mut self,
+        m: &mut Module,
+        am: &mut AnalysisManager,
+    ) -> Result<Vec<PassRun>, PipelineError> {
+        let mut runs: Vec<PassRun> = self
+            .stages
+            .iter()
+            .map(|stage| PassRun {
+                name: stage.name(),
+                changed: false,
+                removed_insts: 0,
+            })
+            .collect();
+        for fid in m.func_ids() {
+            self.run_stages(m, fid, am, |stage, effect| {
+                runs[stage].changed |= effect.changed;
+                runs[stage].removed_insts += effect.removed_insts;
+            })?;
+        }
+        Ok(runs)
+    }
+
+    /// [`PassManager::run_function`], handing `record` each pass
+    /// stage's index and effect.
+    fn run_stages(
+        &mut self,
+        m: &mut Module,
+        fid: FuncId,
+        am: &mut AnalysisManager,
+        mut record: impl FnMut(usize, PassEffect),
     ) -> Result<(), PipelineError> {
-        for (stage, run) in self.stages.iter_mut().zip(&mut self.runs) {
-            let _span = swpf_obs::enabled().then(|| swpf_obs::span(format!("pass:{}", run.name)));
+        for (index, stage) in self.stages.iter_mut().enumerate() {
+            let name = stage.name();
+            let _span = swpf_obs::enabled().then(|| swpf_obs::span(format!("pass:{name}")));
             match stage {
                 Stage::Pass(pass) => {
                     let effect = pass.run(m, fid, am);
@@ -453,9 +484,8 @@ impl<'p> PassManager<'p> {
                         } else {
                             am.invalidate(fid);
                         }
-                        run.changed = true;
                     }
-                    run.removed_insts += effect.removed_insts;
+                    record(index, effect);
                 }
                 Stage::Verify => {
                     if let Err(errs) = am.verify(m, fid) {
@@ -465,7 +495,7 @@ impl<'p> PassManager<'p> {
                             .collect::<Vec<_>>()
                             .join("; ");
                         return Err(PipelineError {
-                            pass: run.name,
+                            pass: name,
                             message,
                         });
                     }
@@ -487,40 +517,13 @@ impl<'p> PassManager<'p> {
                         let _ = write!(message, "\n  {e}");
                     }
                     return Err(PipelineError {
-                        pass: run.name,
+                        pass: name,
                         message,
                     });
                 }
             }
         }
         Ok(())
-    }
-
-    /// What each stage did over the functions run since the last call,
-    /// in stage order; the counts start again from zero.
-    pub fn take_runs(&mut self) -> Vec<PassRun> {
-        let fresh = self.runs.iter().map(|run| PassRun {
-            changed: false,
-            removed_insts: 0,
-            ..*run
-        });
-        let fresh = fresh.collect();
-        std::mem::replace(&mut self.runs, fresh)
-    }
-
-    /// Run every stage on each function of `m` in turn.
-    ///
-    /// # Errors
-    /// The first failure of [`PassManager::run_function`].
-    pub fn run(
-        &mut self,
-        m: &mut Module,
-        am: &mut AnalysisManager,
-    ) -> Result<Vec<PassRun>, PipelineError> {
-        for fid in m.func_ids() {
-            self.run_function(m, fid, am)?;
-        }
-        Ok(self.take_runs())
     }
 }
 
