@@ -1,423 +1,167 @@
-//! Bench-regression gate for CI's bench-smoke job.
-//!
-//! Reads the line-oriented records the `criterion` shim appends under
-//! `CRITERION_JSON` and compares relative speedups against the
-//! references recorded at the repository root, failing (exit 1) on a
-//! regression beyond the threshold:
+//! Bench-regression gate for CI's bench-smoke job: one inequality over
+//! the rows of `BENCH.json`'s `gates` table.
 //!
 //! ```sh
 //! CRITERION_JSON=bench.jsonl cargo bench -p swpf-bench --bench sim_throughput
-//! cargo run --release -p swpf-bench --bin bench_gate -- \
-//!     bench.jsonl BENCH_interp.json [BENCH_trace.json] [BENCH_pass.json]
+//! cargo run --release -p swpf-bench --bin bench_gate -- BENCH.json bench.jsonl
 //! ```
 //!
-//! Absolute ns/iter numbers are not comparable across hosts (CI
-//! runners, developer laptops, and the container that recorded the
-//! references all differ), so the gate watches *relative* speedups —
-//! both sides measured in the same process seconds apart:
+//! A row `{leg, num, den, per, reference, allowance}` passes when
+//! `mean(num) / mean(den) <= reference * allowance`. Each name is a
+//! `group/bench` record of the line-oriented file the `criterion` shim
+//! appends under `CRITERION_JSON` (the last record of a name wins), read
+//! as ns per iteration (`per: "iter"`) or ns per throughput element
+//! (`"element"`, from `rate_per_s`). A name under `probe:` is measured
+//! here instead, by an in-process probe that interleaves its two sides
+//! within each repetition so that host drift cancels.
 //!
-//! * **bytecode** (`BENCH_interp.json`): the fixed-width bytecode tier
-//!   over the classic tree-walker — what the decode layer, the
-//!   threaded-code lowering and the superinstruction catalogue bought
-//!   together;
-//! * **timing model** (`BENCH_interp.json`): the haswell (out-of-order)
-//!   timing model attached to the interpreter over the interpreter
-//!   alone — the cost of the core/MemSys hot path in units of the layer
-//!   beneath it, so a regression there cannot hide behind a fast host;
-//! * **event path** (`BENCH_interp.json`): per-event cost of the two
-//!   delivery shapes the single-machine benches never take — the 4-way
-//!   fan-out of a fused grid row (per machine-event, over the mean of
-//!   the same four presets' `interp_with_timing` cost) and the 4-core
-//!   multicore interleaver (over `interp_with_timing/haswell`);
-//! * **profiling** (no reference file): the bytecode-tier cell with
-//!   `swpf-obs` instrumentation compiled in but disabled against the
-//!   plain `bytecode/IS` record from the same process — the
-//!   disabled-path cost contract (<2%, plus a noise allowance);
-//! * **trace** (`BENCH_trace.json`, optional third argument): trace
-//!   replay over direct simulation of the identical cell — what the
-//!   record/replay cache banks on every repeated machine cell; plus the
-//!   block-at-a-time streaming replay of the same cell from its
-//!   persisted file over in-memory replay (what streaming adds to
-//!   replay is what the trace layer owns; its ratio to direct
-//!   simulation falls whenever the timing model gets faster);
-//! * **compression** (`BENCH_trace.json`): the block-compressed
-//!   envelope's size advantage over the raw event payload, measured
-//!   deterministically in-process on a freshly recorded IS
-//!   trace — byte counts, not wall-clock, so this leg is host-exact;
-//! * **pipeline** (`BENCH_pass.json`, optional fourth argument): the
-//!   full `swpf,gvn,sccp,licm,cse,dce` pipeline's compile-phase cost on
-//!   the tune evaluator over the local-only `swpf,cse,dce` reference
-//!   pipeline — both sides measured in-process, A/B-interleaved within
-//!   each repetition, gated at a tighter 1.25x allowance;
-//! * **IR text** (`BENCH_pass.json`): `parse_module` over
-//!   `print_module` on the 500-function module the repo benchmark's
-//!   `compile_batch` reads — reading a module in units of writing it,
-//!   measured in-process and interleaved like the pipeline leg.
+//! Absolute ns are not comparable across hosts, so every row is a ratio
+//! of two sides measured in one process seconds apart, and a speedup is
+//! written fast over slow so that every row is a ceiling. The rows hold
+//! the bytecode tier over the classic interpreter (`bytecode`), the
+//! haswell timing model over the interpreter alone (`timing`), the
+//! fan-out and multicore event paths over single-machine delivery, per
+//! event (`fanout`, `multicore`), disabled `swpf-obs` and per-PC
+//! profiling over the plain cell (`profiling`, `perf`), trace replay
+//! over direct simulation and streaming over in-memory replay
+//! (`replay`, `stream_replay`), the full pass pipeline's compile cost
+//! over `swpf,cse,dce` (`pipeline`), and parsing a module over printing
+//! it (`ir_text`).
 //!
-//! The 30% allowance keeps shared-runner noise from flaking the job;
-//! the gate exists to catch cliffs, not single-digit drift.
+//! An unreadable or malformed file, or a missing record, prints one
+//! line and fails the run (exit 1), as does any row past its ceiling.
 
+use std::collections::HashMap;
+use std::process::ExitCode;
 use swpf_bench::json::Json;
 
-/// Allowed loss of a reference relative speedup before failing.
-const MAX_REGRESSION: f64 = 1.30;
+/// `group/bench` → [ns per iteration, ns per element].
+type Records = HashMap<String, [Option<f64>; 2]>;
 
-/// Allowed cost of disabled profiling on the bytecode sim hot path.
-/// The `swpf-obs` contract is <2% when disabled; the rest of the
-/// allowance absorbs shared-runner noise between the two same-process
-/// measurements.
-const MAX_PROFILING_OVERHEAD: f64 = 1.10;
-
-/// Allowed drift of the full pipeline's compile-phase cost relative to
-/// the `swpf,cse,dce` reference pipeline before failing. Tighter than
-/// [`MAX_REGRESSION`] because both sides are measured in-process,
-/// A/B-interleaved within each repetition, so host noise cancels.
-const MAX_PIPELINE_REGRESSION: f64 = 1.25;
-
-fn ns_from_records(text: &str, group: &str, bench: &str) -> Option<f64> {
-    field_from_records(text, group, bench, "ns_per_iter")
+/// One row of the `gates` table.
+struct Row {
+    leg: String,
+    num: Vec<String>,
+    den: Vec<String>,
+    /// Index into a [`Records`] value: 0 per iteration, 1 per element.
+    per: usize,
+    reference: f64,
+    allowance: f64,
 }
 
-/// Nanoseconds per throughput element (per retired event, for the
-/// simulation benches) of a record that carries a rate.
-fn ns_per_element(text: &str, group: &str, bench: &str) -> Option<f64> {
-    field_from_records(text, group, bench, "rate_per_s").map(|rate| 1e9 / rate)
-}
+impl Row {
+    fn parse(row: &Json) -> Option<Row> {
+        let names = |key| -> Option<Vec<String>> {
+            let names = row.get(key)?.as_array().filter(|names| !names.is_empty())?;
+            names
+                .iter()
+                .map(|n| n.as_str().map(str::to_string))
+                .collect()
+        };
+        let per = row.get("per")?.as_str()?;
+        Some(Row {
+            leg: row.get("leg")?.as_str()?.to_string(),
+            num: names("num")?,
+            den: names("den")?,
+            per: ["iter", "element"].iter().position(|p| *p == per)?,
+            reference: row.get("reference")?.as_f64()?,
+            allowance: row.get("allowance")?.as_f64()?,
+        })
+    }
 
-fn field_from_records(text: &str, group: &str, bench: &str, field: &str) -> Option<f64> {
-    // Last record wins: CRITERION_JSON is append-only across runs.
-    let mut best = None;
-    for line in text.lines().filter(|l| !l.trim().is_empty()) {
-        let rec = match Json::parse(line) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("bench_gate: skipping malformed record: {e}");
-                continue;
+    /// The mean of `names`' values, or an error naming the first missing.
+    fn mean(&self, records: &Records, names: &[String]) -> Result<f64, String> {
+        let value = |name: &String| records.get(name).and_then(|values| values[self.per]);
+        let sum: Result<f64, String> = names
+            .iter()
+            .map(|name| value(name).ok_or_else(|| format!("missing record `{name}`")))
+            .sum();
+        Ok(sum? / names.len() as f64)
+    }
+
+    /// Print the row's measurement; true when it is within the ceiling.
+    fn check(&self, records: &Records, records_path: &str) -> bool {
+        let (num, den) = match (self.mean(records, &self.num), self.mean(records, &self.den)) {
+            (Ok(num), Ok(den)) => (num, den),
+            (Err(e), _) | (_, Err(e)) => {
+                eprintln!("bench_gate: {}: {e} in {records_path}", self.leg);
+                return false;
             }
         };
-        if rec.get("group").and_then(Json::as_str) == Some(group)
-            && rec.get("bench").and_then(Json::as_str) == Some(bench)
-        {
-            best = rec.get(field).and_then(Json::as_f64);
+        let (measured, ceiling) = (num / den, self.reference * self.allowance);
+        println!(
+            "bench_gate: {} ({} over {}) — measured {measured:.4}x ({num:.2} / {den:.2} ns), \
+             reference {}x, ceiling {ceiling:.4}x (allowance {}x)",
+            self.leg,
+            self.num.join(" + "),
+            self.den.join(" + "),
+            self.reference,
+            self.allowance,
+        );
+        let ok = measured <= ceiling;
+        if !ok {
+            eprintln!(
+                "bench_gate: {}: measured {measured:.4}x is past its ceiling {ceiling:.4}x",
+                self.leg
+            );
         }
-    }
-    best
-}
-
-fn reference_f64(reference: &Json, path: &str, group_key: &str, key: &str) -> Option<f64> {
-    reference
-        .get(group_key)
-        .and_then(|g| g.get(key))
-        .and_then(Json::as_f64)
-        .or_else(|| {
-            eprintln!("bench_gate: {path} has no {group_key}.{key}");
-            None
-        })
-}
-
-fn load_json(path: &str) -> Json {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
-    Json::parse(&text).unwrap_or_else(|e| panic!("cannot parse {path}: {e}"))
-}
-
-/// Gate one relative speedup: `slow_bench / fast_bench` of `group`,
-/// measured vs. the reference `slow_ref / fast_ref`, each a
-/// `(group key, key)` of the reference file. Returns false on missing
-/// records or a regression beyond the allowance.
-fn gate_ratio(
-    records: &str,
-    group: &str,
-    (fast_bench, slow_bench): (&str, &str),
-    records_path: &str,
-    reference: &Json,
-    reference_path: &str,
-    (fast_ref, slow_ref): ((&str, &str), (&str, &str)),
-) -> bool {
-    let (Some(fast_ns), Some(slow_ns)) = (
-        ns_from_records(records, group, fast_bench),
-        ns_from_records(records, group, slow_bench),
-    ) else {
-        eprintln!(
-            "bench_gate: missing `{group}/{fast_bench}` or `{group}/{slow_bench}` \
-             record in {records_path}"
-        );
-        return false;
-    };
-    let (Some(ref_fast), Some(ref_slow)) = (
-        reference_f64(reference, reference_path, fast_ref.0, fast_ref.1),
-        reference_f64(reference, reference_path, slow_ref.0, slow_ref.1),
-    ) else {
-        return false;
-    };
-
-    let measured_speedup = slow_ns / fast_ns;
-    let reference_speedup = ref_slow / ref_fast;
-    let floor = reference_speedup / MAX_REGRESSION;
-    println!(
-        "bench_gate: {group} speedup ({slow_bench} over {fast_bench}) — measured \
-         {measured_speedup:.3}x ({slow_ns:.0} / {fast_ns:.0} ns), reference \
-         {reference_speedup:.3}x, floor {floor:.3}x (allowance {MAX_REGRESSION}x)"
-    );
-    if measured_speedup >= floor {
-        true
-    } else {
-        eprintln!(
-            "bench_gate: `{fast_bench}`'s advantage over `{slow_bench}` regressed more \
-             than {MAX_REGRESSION}x vs the {reference_path} reference"
-        );
-        false
+        ok
     }
 }
 
-/// Gate the envelope's compression ratio on a freshly recorded IS
-/// trace: record in-process (byte-deterministic — no wall-clock in this
-/// leg), encode it, and require the measured raw-payload/file ratio to
-/// stay within the allowance of the reference ratio. The reference
-/// numerator is the size of the retired raw-payload envelope, which is
-/// the payload plus a fixed 56 bytes for one core.
-fn gate_compression(reference: &Json, reference_path: &str) -> bool {
-    use std::sync::Arc;
-    use swpf_ir::exec::ExecImage;
-    use swpf_ir::interp::Interp;
-    use swpf_workloads::{Scale, Workload};
-
-    let is = swpf_workloads::is::IntegerSort::new(Scale::Test);
-    let module = is.build_baseline();
-    let func = module.find_function("kernel").expect("kernel exists");
-    let mut interp = Interp::new();
-    let args = is.setup(&mut interp);
-    let mut rec = swpf_trace::TraceRecorder::new(1, 0);
-    interp
-        .run_with_image(
-            Arc::new(ExecImage::build(&module)),
-            func,
-            &args,
-            rec.stream(0),
-        )
-        .expect("IS kernel runs");
-    let trace = rec.finish();
-    let raw = trace.payload_bytes() as f64;
-    let file = trace.to_bytes().len() as f64;
-
-    let (Some(ref_v1), Some(ref_v2)) = (
-        reference_f64(reference, reference_path, "compression", "v1_bytes"),
-        reference_f64(reference, reference_path, "compression", "v2_bytes"),
-    ) else {
-        return false;
+/// Parse the shim's records: one JSON object per non-blank line.
+fn parse_records(text: &str) -> Result<Records, String> {
+    let record = |rec: Json| {
+        let name = |key| rec.get(key).and_then(Json::as_str);
+        let ns = rec.get("ns_per_iter").and_then(Json::as_f64);
+        let per_element = rec
+            .get("rate_per_s")
+            .and_then(Json::as_f64)
+            .map(|r| 1e9 / r);
+        Some((
+            format!("{}/{}", name("group")?, name("bench")?),
+            [ns, per_element],
+        ))
     };
-    let measured = raw / file;
-    let reference_ratio = (ref_v1 - 56.0) / ref_v2;
-    let floor = reference_ratio / MAX_REGRESSION;
-    println!(
-        "bench_gate: compression ratio (raw payload over file bytes, IS test trace) — \
-         measured {measured:.3}x ({raw:.0} / {file:.0} B), reference {reference_ratio:.3}x, \
-         floor {floor:.3}x (allowance {MAX_REGRESSION}x)"
-    );
-    if measured >= floor {
-        true
-    } else {
-        eprintln!(
-            "bench_gate: the envelope's compression ratio regressed more than \
-             {MAX_REGRESSION}x vs the {reference_path} reference"
-        );
-        false
+    let mut records = Records::new();
+    for (i, line) in text
+        .lines()
+        .enumerate()
+        .filter(|(_, l)| !l.trim().is_empty())
+    {
+        let (name, values) = Json::parse(line)
+            .ok()
+            .and_then(record)
+            .ok_or_else(|| format!("line {} is not a record with `group` and `bench`", i + 1))?;
+        records.insert(name, values);
     }
+    Ok(records)
 }
 
-/// Gate the disabled-profiling overhead: `profiling/disabled/IS` runs
-/// the identical bytecode-tier cell as `bytecode/bytecode/IS` in the
-/// same process, with instrumentation compiled in but switched off.
-/// No reference file — both sides are fresh records, so the ratio is
-/// directly comparable and must stay under the allowance.
-fn gate_profiling(records: &str, records_path: &str) -> bool {
-    let (Some(disabled_ns), Some(baseline_ns)) = (
-        ns_from_records(records, "profiling", "disabled/IS"),
-        ns_from_records(records, "bytecode", "bytecode/IS"),
-    ) else {
-        eprintln!(
-            "bench_gate: missing `profiling/disabled/IS` or `bytecode/bytecode/IS` \
-             record in {records_path}"
-        );
-        return false;
-    };
-    let overhead = disabled_ns / baseline_ns;
-    println!(
-        "bench_gate: disabled-profiling overhead (disabled/IS over bytecode/IS) — \
-         {overhead:.3}x ({disabled_ns:.0} / {baseline_ns:.0} ns), \
-         allowance {MAX_PROFILING_OVERHEAD}x"
-    );
-    if overhead <= MAX_PROFILING_OVERHEAD {
-        true
-    } else {
-        eprintln!(
-            "bench_gate: disabled profiling costs more than {MAX_PROFILING_OVERHEAD}x \
-             on the bytecode sim hot path — the swpf-obs disabled-path contract is broken"
-        );
-        false
-    }
-}
-
-/// Per-PC prefetch profiling must be free when disabled: the
-/// `perf/disabled/IS` timed simulation (the production configuration —
-/// one `Option` check per memory access, nothing else) is compared
-/// against the bytecode-tier direct-simulation reference
-/// (`trace/direct/IS`) from the same process, same allowance as
-/// `gate_profiling`. The enabled path is opt-in and deliberately
-/// ungated.
-fn gate_perf(records: &str, records_path: &str) -> bool {
-    let (Some(disabled_ns), Some(baseline_ns)) = (
-        ns_from_records(records, "perf", "disabled/IS"),
-        ns_from_records(records, "trace", "direct/IS"),
-    ) else {
-        eprintln!(
-            "bench_gate: missing `perf/disabled/IS` or `trace/direct/IS` \
-             record in {records_path}"
-        );
-        return false;
-    };
-    let overhead = disabled_ns / baseline_ns;
-    println!(
-        "bench_gate: disabled-perf overhead (perf disabled/IS over trace direct/IS) — \
-         {overhead:.3}x ({disabled_ns:.0} / {baseline_ns:.0} ns), \
-         allowance {MAX_PROFILING_OVERHEAD}x"
-    );
-    if overhead <= MAX_PROFILING_OVERHEAD {
-        true
-    } else {
-        eprintln!(
-            "bench_gate: disabled per-PC profiling costs more than {MAX_PROFILING_OVERHEAD}x \
-             on the timed simulation hot path — the swpf_sim::perf purity contract is broken"
-        );
-        false
-    }
-}
-
-/// Gate the timing model's cost over the interpreter that drives it:
-/// `interp_with_timing/haswell` (the out-of-order core model and the
-/// full memory hierarchy on every event) over `interp_only/IS` (the
-/// same cell with no observer), against the ratio recorded when the
-/// hot path was last reworked.
-fn gate_timing_over_interp(
-    records: &str,
-    records_path: &str,
-    reference: &Json,
-    reference_path: &str,
-) -> bool {
-    let (Some(timing_ns), Some(interp_ns)) = (
-        ns_from_records(records, "interp_with_timing", "haswell"),
-        ns_from_records(records, "interp_only", "IS"),
-    ) else {
-        eprintln!(
-            "bench_gate: missing `interp_with_timing/haswell` or `interp_only/IS` \
-             record in {records_path}"
-        );
-        return false;
-    };
-    let Some(ref_ratio) = reference_f64(
-        reference,
-        reference_path,
-        "timing_model",
-        "timing_over_interp_haswell",
-    ) else {
-        return false;
-    };
-    let measured = timing_ns / interp_ns;
-    let ceiling = ref_ratio * MAX_REGRESSION;
-    println!(
-        "bench_gate: timing model over interpreter (interp_with_timing/haswell over \
-         interp_only/IS) — measured {measured:.3}x ({timing_ns:.0} / {interp_ns:.0} ns), \
-         reference {ref_ratio:.3}x, ceiling {ceiling:.3}x (allowance {MAX_REGRESSION}x)"
-    );
-    if measured <= ceiling {
-        true
-    } else {
-        eprintln!(
-            "bench_gate: the timing model's cost over the interpreter regressed more \
-             than {MAX_REGRESSION}x vs the {reference_path} reference"
-        );
-        false
-    }
-}
-
-/// Gate one event-delivery shape's per-event cost (`group/bench`) over
-/// the mean per-event cost of `interp_with_timing` on `presets` — the
-/// monomorphic single-machine path, where delivery inlines away —
-/// against the ratio recorded under `event_path.<ref_key>`.
-fn gate_event_path(
-    records: &str,
-    records_path: &str,
-    reference: &Json,
-    reference_path: &str,
-    (group, bench): (&str, &str),
-    presets: &[&str],
-    ref_key: &str,
-) -> bool {
-    let timing: Option<Vec<f64>> = presets
-        .iter()
-        .map(|p| ns_per_element(records, "interp_with_timing", p))
-        .collect();
-    let (Some(shape_ns), Some(timing)) = (ns_per_element(records, group, bench), timing) else {
-        eprintln!(
-            "bench_gate: missing `{group}/{bench}` or an `interp_with_timing/{{{}}}` \
-             record in {records_path}",
-            presets.join(",")
-        );
-        return false;
-    };
-    let Some(ref_ratio) = reference_f64(reference, reference_path, "event_path", ref_key) else {
-        return false;
-    };
-    let timing_ns = timing.iter().sum::<f64>() / timing.len() as f64;
-    let measured = shape_ns / timing_ns;
-    let ceiling = ref_ratio * MAX_REGRESSION;
-    println!(
-        "bench_gate: event path ({group}/{bench} over interp_with_timing/{{{}}}, per event) — \
-         measured {measured:.3}x ({shape_ns:.2} / {timing_ns:.2} ns), reference \
-         {ref_ratio:.3}x, ceiling {ceiling:.3}x (allowance {MAX_REGRESSION}x)",
-        presets.join(",")
-    );
-    if measured <= ceiling {
-        true
-    } else {
-        eprintln!(
-            "bench_gate: `{group}/{bench}`'s per-event cost over the single-machine path \
-             regressed more than {MAX_REGRESSION}x vs the {reference_path} reference"
-        );
-        false
-    }
-}
-
-/// Gate the full pipeline's compile-phase cost: compile every point of
-/// the default search space through the full global pipeline
-/// (`swpf,gvn,sccp,licm,cse,dce`) and through the PR 5 local-only
-/// pipeline (`swpf,cse,dce`) on the tune evaluator — A/B-interleaved
-/// within each repetition, so wall-clock drift cancels — and require
-/// the measured full/local ratio to stay within the allowance of the
-/// `BENCH_pass.json` reference. Catches a global pass turning
-/// accidentally super-linear, which per-run absolutes cannot.
-fn gate_pipeline(reference: &Json, reference_path: &str) -> bool {
+/// The full pipeline's compile-phase cost against the local-only one:
+/// every point of the default search space, on every FIG6 workload,
+/// through a fresh tune evaluator per sweep, the two pipelines
+/// alternating within each repetition. Returns ns per repetition.
+fn probe_pipeline() -> Result<[f64; 2], String> {
     use std::time::Instant;
     use swpf_core::PassConfig;
     use swpf_tune::{Evaluator, SearchSpace};
     use swpf_workloads::{Scale, WorkloadId};
 
-    const FULL: &str = "swpf,gvn,sccp,licm,cse,dce";
-    const LOCAL: &str = "swpf,cse,dce";
+    let specs = ["swpf,gvn,sccp,licm,cse,dce", "swpf,cse,dce"];
     let machines = [swpf_sim::MachineConfig::a53()];
     let space = SearchSpace::paper_default();
     let reps = 10;
-
-    let mut full_s = 0.0;
-    let mut local_s = 0.0;
+    let mut secs = [0.0; 2];
     for _ in 0..reps {
         for &id in &WorkloadId::FIG6 {
             let w = id.instantiate(Scale::Test);
-            for (spec, acc) in [(FULL, &mut full_s), (LOCAL, &mut local_s)] {
+            for (spec, acc) in specs.iter().zip(&mut secs) {
                 let mut ev = Evaluator::new(w.as_ref(), &machines);
                 let t = Instant::now();
                 for i in 0..space.len() {
                     let config = PassConfig {
-                        pipeline: spec.parse().expect("valid pipeline spec"),
+                        pipeline: spec.parse()?,
                         ..space.at(i)
                     };
                     let _ = ev.compile_candidate(&config);
@@ -426,41 +170,13 @@ fn gate_pipeline(reference: &Json, reference_path: &str) -> bool {
             }
         }
     }
-
-    let Some(ref_ratio) = reference_f64(
-        reference,
-        reference_path,
-        "pipeline_gate",
-        "full_over_cse_dce",
-    ) else {
-        return false;
-    };
-    let measured = full_s / local_s;
-    let ceiling = ref_ratio * MAX_PIPELINE_REGRESSION;
-    println!(
-        "bench_gate: pipeline compile cost (`{FULL}` over `{LOCAL}`, {reps} interleaved \
-         reps × {} points) — measured {measured:.3}x ({:.1} / {:.1} ms), reference \
-         {ref_ratio:.3}x, ceiling {ceiling:.3}x (allowance {MAX_PIPELINE_REGRESSION}x)",
-        space.len(),
-        full_s * 1e3,
-        local_s * 1e3,
-    );
-    if measured <= ceiling {
-        true
-    } else {
-        eprintln!(
-            "bench_gate: the full pipeline's compile cost over `{LOCAL}` regressed more \
-             than {MAX_PIPELINE_REGRESSION}x vs the {reference_path} reference"
-        );
-        false
-    }
+    Ok(secs.map(|s| s * 1e9 / f64::from(reps)))
 }
 
-/// The text front end's cost: `parse_module` over `print_module` on
-/// `replicated_suite(Scale::Test, 100)`, each the fastest of `reps`
-/// interleaved repetitions, held to `ir_text_gate.parse_over_print` of
-/// the reference times [`MAX_REGRESSION`].
-fn gate_ir_text(reference: &Json, reference_path: &str) -> bool {
+/// `parse_module` against `print_module` on
+/// `replicated_suite(Scale::Test, 100)`: each side the fastest of 20
+/// alternating repetitions, in ns.
+fn probe_ir_text() -> Result<[f64; 2], String> {
     use std::hint::black_box;
     use std::time::Instant;
     use swpf_ir::parser::parse_module;
@@ -468,132 +184,132 @@ fn gate_ir_text(reference: &Json, reference_path: &str) -> bool {
     use swpf_workloads::{replicated_suite, Scale};
 
     let text = replicated_suite(Scale::Test, 100);
-    let module = parse_module(&text).expect("the replicated suite parses");
-    let reps = 20;
+    let module = parse_module(&text).map_err(|e| format!("the replicated suite: {e}"))?;
     let (mut parse_s, mut print_s) = (f64::MAX, f64::MAX);
-    for _ in 0..reps {
+    for _ in 0..20 {
         let t = Instant::now();
-        black_box(parse_module(black_box(&text)).expect("parses"));
+        black_box(parse_module(black_box(&text)).map_err(|e| e.to_string())?);
         parse_s = parse_s.min(t.elapsed().as_secs_f64());
         let t = Instant::now();
         black_box(print_module(black_box(&module)));
         print_s = print_s.min(t.elapsed().as_secs_f64());
     }
+    Ok([parse_s * 1e9, print_s * 1e9])
+}
 
-    let Some(ref_ratio) = reference_f64(
-        reference,
-        reference_path,
-        "ir_text_gate",
-        "parse_over_print",
-    ) else {
-        return false;
+fn run(args: &[String]) -> Result<bool, String> {
+    let [bench_path, records_path] = args else {
+        return Err("usage: bench_gate <BENCH.json> <criterion-json-lines>".into());
     };
-    let measured = parse_s / print_s;
-    let ceiling = ref_ratio * MAX_REGRESSION;
-    println!(
-        "bench_gate: IR text (`parse_module` over `print_module`, {} lines, fastest of {reps} \
-         interleaved reps) — measured {measured:.3}x ({:.2} / {:.2} ms), reference \
-         {ref_ratio:.3}x, ceiling {ceiling:.3}x (allowance {MAX_REGRESSION}x)",
-        text.lines().count(),
-        parse_s * 1e3,
-        print_s * 1e3,
-    );
-    if measured <= ceiling {
-        true
-    } else {
-        eprintln!(
-            "bench_gate: parsing a module costs more than {MAX_REGRESSION}x the \
-             {reference_path} reference, in units of printing it"
-        );
-        false
+    let read =
+        |path: &str| std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"));
+    let bench = Json::parse(&read(bench_path)?).map_err(|e| format!("{bench_path}: {e}"))?;
+    let rows = bench
+        .get("gates")
+        .and_then(Json::as_array)
+        .ok_or_else(|| format!("{bench_path} has no `gates` array"))?
+        .iter()
+        .enumerate()
+        .map(|(i, row)| Row::parse(row).ok_or(i))
+        .collect::<Result<Vec<_>, _>>()
+        .map_err(|i| format!("{bench_path}: gate row {i} is malformed"))?;
+    let mut records =
+        parse_records(&read(records_path)?).map_err(|e| format!("{records_path}: {e}"))?;
+
+    // Measure each probe a row names; a name no probe measures stays missing.
+    let mut probe = |name: &str, sides: [&str; 2], measure: fn() -> Result<[f64; 2], String>| {
+        let prefix = format!("probe:{name}/");
+        let names = || rows.iter().flat_map(|row| row.num.iter().chain(&row.den));
+        if names().any(|n| n.starts_with(&prefix)) {
+            for (side, ns) in sides.iter().zip(measure()?) {
+                records.insert(format!("{prefix}{side}"), [Some(ns), None]);
+            }
+        }
+        Ok::<_, String>(())
+    };
+    probe("pipeline", ["full", "cse_dce"], probe_pipeline)?;
+    probe("ir_text", ["parse", "print"], probe_ir_text)?;
+    Ok(rows
+        .iter()
+        .fold(true, |ok, row| row.check(&records, records_path) && ok))
+}
+
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    match run(&args) {
+        Ok(true) => ExitCode::SUCCESS,
+        Ok(false) => ExitCode::FAILURE,
+        Err(e) => {
+            eprintln!("bench_gate: {e}");
+            ExitCode::FAILURE
+        }
     }
 }
 
-fn main() -> std::process::ExitCode {
-    let mut args = std::env::args().skip(1);
-    let (Some(records_path), Some(interp_ref_path)) = (args.next(), args.next()) else {
-        eprintln!(
-            "usage: bench_gate <criterion-json-lines> <BENCH_interp.json> \
-             [BENCH_trace.json] [BENCH_pass.json]"
-        );
-        return std::process::ExitCode::FAILURE;
-    };
-    let trace_ref_path = args.next();
-    let pass_ref_path = args.next();
+#[cfg(test)]
+mod tests {
+    use super::*;
 
-    let records = std::fs::read_to_string(&records_path)
-        .unwrap_or_else(|e| panic!("cannot read {records_path}: {e}"));
+    fn gate(bench: &str, records: &str) -> Result<bool, String> {
+        let dir = std::env::temp_dir().join(format!("bench_gate_unit_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let bench_path = dir.join(format!("{:x}.json", bench.len() * 31 + records.len()));
+        let records_path = bench_path.with_extension("jsonl");
+        std::fs::write(&bench_path, bench).unwrap();
+        std::fs::write(&records_path, records).unwrap();
+        let args = [&bench_path, &records_path].map(|p| p.display().to_string());
+        let verdict = run(&args);
+        let _ = std::fs::remove_file(&bench_path);
+        let _ = std::fs::remove_file(&records_path);
+        verdict
+    }
 
-    let interp_ref = load_json(&interp_ref_path);
-    let mut ok = gate_ratio(
-        &records,
-        "bytecode",
-        ("bytecode/IS", "classic/IS"),
-        &records_path,
-        &interp_ref,
-        &interp_ref_path,
-        (
-            ("bytecode_group", "bytecode_ns_per_iter"),
-            ("engines_group", "before_classic_ns_per_iter"),
-        ),
-    );
-    ok &= gate_timing_over_interp(&records, &records_path, &interp_ref, &interp_ref_path);
-    ok &= gate_event_path(
-        &records,
-        &records_path,
-        &interp_ref,
-        &interp_ref_path,
-        ("fanout", "HJ8_x4"),
-        &["haswell", "xeon_phi", "a57", "a53"],
-        "fanout_over_timing",
-    );
-    ok &= gate_event_path(
-        &records,
-        &records_path,
-        &interp_ref,
-        &interp_ref_path,
-        ("multicore", "IS_x4"),
-        &["haswell"],
-        "multicore_over_timing",
-    );
-    ok &= gate_profiling(&records, &records_path);
-    ok &= gate_perf(&records, &records_path);
-    if let Some(path) = trace_ref_path {
-        let trace_ref = load_json(&path);
-        ok &= gate_ratio(
-            &records,
-            "trace",
-            ("replay/IS", "direct/IS"),
-            &records_path,
-            &trace_ref,
-            &path,
-            (
-                ("trace_group", "replay_ns_per_iter"),
-                ("trace_group", "direct_ns_per_iter"),
-            ),
-        );
-        ok &= gate_ratio(
-            &records,
-            "trace",
-            ("stream_replay/IS", "replay/IS"),
-            &records_path,
-            &trace_ref,
-            &path,
-            (
-                ("trace_group", "stream_replay_ns_per_iter"),
-                ("trace_group", "replay_ns_per_iter"),
-            ),
-        );
-        ok &= gate_compression(&trace_ref, &path);
+    const ROW: &str = r#"{"gates": [{"leg": "l", "num": ["g/a"], "den": ["g/b"], "per": "iter",
+        "reference": 2.0, "allowance": 1.5}]}"#;
+
+    fn record(bench: &str, ns: f64) -> String {
+        format!(
+            "{{\"group\":\"g\",\"bench\":\"{bench}\",\"ns_per_iter\":{ns},\"rate_per_s\":null}}\n"
+        )
     }
-    if let Some(path) = pass_ref_path {
-        let pass_ref = load_json(&path);
-        ok &= gate_pipeline(&pass_ref, &path);
-        ok &= gate_ir_text(&pass_ref, &path);
+
+    #[test]
+    fn one_inequality_decides_a_row() {
+        let pair = |a, b| record("a", a) + &record("b", b);
+        assert_eq!(gate(ROW, &pair(299.0, 100.0)), Ok(true));
+        assert_eq!(gate(ROW, &pair(301.0, 100.0)), Ok(false));
+        // The last record of a name wins.
+        assert_eq!(
+            gate(ROW, &(pair(900.0, 100.0) + &record("a", 100.0))),
+            Ok(true)
+        );
+        // A row per element reads `rate_per_s`; a record without one is missing.
+        let per_element = ROW.replace("\"iter\"", "\"element\"");
+        assert_eq!(gate(&per_element, &pair(100.0, 100.0)), Ok(false));
+        // So is a probe side that no probe measures.
+        let unknown_probe = ROW.replace("g/a", "probe:nothing/a");
+        assert_eq!(gate(&unknown_probe, &pair(1.0, 1.0)), Ok(false));
     }
-    if ok {
-        std::process::ExitCode::SUCCESS
-    } else {
-        std::process::ExitCode::FAILURE
+
+    #[test]
+    fn bad_input_is_an_error_not_a_panic() {
+        let ok_records = record("a", 1.0) + &record("b", 1.0);
+        assert!(run(&["/nonexistent/BENCH.json".into(), "r".into()])
+            .unwrap_err()
+            .contains("cannot read"));
+        assert!(run(&["only-one".into()]).unwrap_err().starts_with("usage"));
+        for bad in [
+            "{",
+            "{}",
+            r#"{"gates": [{}]}"#,
+            &ROW.replace("\"iter\"", "\"row\""),
+            &ROW.replace("[\"g/b\"]", "[]"),
+            &ROW.replace("2.0", "\"2\""),
+        ] {
+            assert!(gate(bad, &ok_records).is_err(), "{bad}");
+        }
+        for bad in ["{\"group\":\"g\"", "{\"bench\":\"a\"}", "[]"] {
+            assert!(gate(ROW, bad).is_err(), "{bad}");
+        }
     }
 }

@@ -26,7 +26,7 @@ const LEGS: [(&str, f64); 8] = [
 
 /// The gate's arguments, `RECORDS` standing for the records file and
 /// every other name for a file at the repository root.
-const INVOCATION: [&str; 3] = ["RECORDS", "BENCH_interp.json", "BENCH_trace.json"];
+const INVOCATION: [&str; 2] = ["BENCH.json", "RECORDS"];
 
 /// Retired elements per iteration of the single-core IS cell.
 const ELEMENTS: f64 = 12_300.0;

@@ -16,7 +16,7 @@ use std::path::Path;
 const BUDGET: [(&str, usize); 11] = [
     (".", 0),
     ("crates/analysis", 0),
-    ("crates/bench", 58),
+    ("crates/bench", 47),
     ("crates/core", 17),
     ("crates/ir", 58),
     ("crates/obs", 12),
