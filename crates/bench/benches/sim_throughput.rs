@@ -5,15 +5,15 @@
 //!
 //! The `bytecode` group compares the default bytecode tier against the
 //! original tree-walking interpreter (`ClassicInterp`, kept as the
-//! differential oracle); `bench_gate` holds the ratio to the numbers
-//! recorded in `BENCH_interp.json` at the repository root.
+//! differential oracle); `bench_gate` holds the ratio to the `bytecode`
+//! row of `BENCH.json` at the repository root.
 //!
 //! The `trace` group compares a full timed simulation driven by the
 //! interpreter (`direct`) against the same machine driven by a recorded
 //! event trace (`replay`) — the per-cell saving the experiment
 //! harness's record/replay cache banks for every repeated machine cell;
-//! the ratio is recorded in `BENCH_trace.json` and gated by
-//! `--bin bench_gate`.
+//! `bench_gate` holds the ratio to `BENCH.json`'s `replay` row, and
+//! streamed over in-memory replay to its `stream_replay` row.
 //!
 //! The `fanout` and `multicore` groups time the two event-delivery
 //! shapes the single-machine groups never take: one interpretation
@@ -36,8 +36,8 @@ use swpf_workloads::is::IntegerSort;
 use swpf_workloads::{Scale, Workload, WorkloadId};
 
 /// The bytecode tier against the classic tree-walker: the A/B the
-/// `bytecode` tier must win (`bench_gate` enforces the ratio recorded
-/// in `BENCH_interp.json`). The sides run back to back in one group
+/// `bytecode` tier must win (`bench_gate` enforces the ratio in
+/// `BENCH.json`'s `bytecode` row). The sides run back to back in one group
 /// from the same cloned input memory; the bytecode side decodes once
 /// outside the timed loop (the amortised shape of every real simulation
 /// path — decode is per-module, not per-run). `unfused` runs the same

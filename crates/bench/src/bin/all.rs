@@ -8,7 +8,7 @@
 //!
 //! `--only <name>` / `--skip <name>` filter the catalogue (repeatable,
 //! or comma-separated), so smoke jobs can run one experiment instead of
-//! re-running everything: CI's `searched-smoke` job is
+//! re-running everything: a step of CI's `experiments` job is
 //! `--only tune,pipeline_search`. Those two searched experiments are
 //! not in the default set; `--only` is how they run.
 //! `--list` prints the experiment catalogue, the filter syntax, the

@@ -78,7 +78,7 @@ fn golden_matches_oracle_at_half_cost_and_tuned_never_loses() {
 }
 
 /// The full experiment runner: every shape check passes at test scale
-/// (the CI `searched-smoke` job runs exactly this via
+/// (the CI `experiments` job runs exactly this via
 /// `--bin all -- --only tune`), and the run is deterministic.
 #[test]
 fn tune_experiment_checks_pass_and_runs_are_deterministic() {
