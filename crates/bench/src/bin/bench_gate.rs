@@ -229,9 +229,8 @@ fn run(args: &[String]) -> Result<bool, String> {
     };
     probe("pipeline", ["full", "cse_dce"], probe_pipeline)?;
     probe("ir_text", ["parse", "print"], probe_ir_text)?;
-    Ok(rows
-        .iter()
-        .fold(true, |ok, row| row.check(&records, records_path) && ok))
+    let failed = rows.iter().filter(|row| !row.check(&records, records_path));
+    Ok(failed.count() == 0)
 }
 
 fn main() -> ExitCode {
