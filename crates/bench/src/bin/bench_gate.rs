@@ -249,10 +249,13 @@ fn main() -> ExitCode {
 mod tests {
     use super::*;
 
+    /// Write both files under a name no other call uses, and run the gate.
     fn gate(bench: &str, records: &str) -> Result<bool, String> {
+        static CALLS: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+        let call = CALLS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         let dir = std::env::temp_dir().join(format!("bench_gate_unit_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let bench_path = dir.join(format!("{:x}.json", bench.len() * 31 + records.len()));
+        let bench_path = dir.join(format!("{call}.json"));
         let records_path = bench_path.with_extension("jsonl");
         std::fs::write(&bench_path, bench).unwrap();
         std::fs::write(&records_path, records).unwrap();
