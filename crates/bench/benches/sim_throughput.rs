@@ -23,7 +23,6 @@
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
-use swpf_ir::bytecode::{BcEngine, BcImage};
 use swpf_ir::classic::ClassicInterp;
 use swpf_ir::exec::ExecImage;
 use swpf_ir::interp::{CountingObserver, Interp, NullObserver, Tier};
@@ -40,9 +39,7 @@ use swpf_workloads::{Scale, Workload, WorkloadId};
 /// `BENCH.json`'s `bytecode` row). The sides run back to back in one group
 /// from the same cloned input memory; the bytecode side decodes once
 /// outside the timed loop (the amortised shape of every real simulation
-/// path — decode is per-module, not per-run). `unfused` runs the same
-/// flat words with superinstruction fusion disabled, sizing the
-/// catalogue's own contribution.
+/// path — decode is per-module, not per-run).
 fn bytecode_tier(c: &mut Criterion) {
     let is = IntegerSort::new(Scale::Test);
     let m = is.build_baseline();
@@ -55,7 +52,6 @@ fn bytecode_tier(c: &mut Criterion) {
     let args = is.setup(&mut proto);
     let proto_mem = proto.mem_ref().clone();
     let image = std::sync::Arc::new(ExecImage::build(&m));
-    let unfused = std::sync::Arc::new(BcImage::lower_unfused(&image).expect("IS lowers"));
     let mut group = c.benchmark_group("bytecode");
     group.throughput(Throughput::Elements(insts));
     group.bench_function("bytecode/IS", |b| {
@@ -73,15 +69,6 @@ fn bytecode_tier(c: &mut Criterion) {
             let mut interp = ClassicInterp::new();
             *interp.mem() = proto_mem.clone();
             let r = interp.run(&m, f, &args, &mut NullObserver).unwrap();
-            black_box(r);
-        });
-    });
-    group.bench_function("unfused/IS", |b| {
-        b.iter(|| {
-            let mut mem = proto_mem.clone();
-            let mut eng = BcEngine::new();
-            eng.start(std::sync::Arc::clone(&unfused), f, &args);
-            let r = eng.run_to_done(&mut mem, &mut NullObserver).unwrap();
             black_box(r);
         });
     });

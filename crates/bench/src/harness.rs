@@ -684,19 +684,28 @@ pub fn run_experiment(exp: &Experiment, opts: &RunOptions) -> ExperimentResult {
 /// Everything the trace fingerprint must cover: the kernel's textual
 /// IR, the workload (whose `setup` fixes the input data), the scale,
 /// and the core count. A cached trace with any of these changed is
-/// re-recorded, never silently replayed. Public so trace consumers
-/// outside the grid runner (the `trace_analytics` experiment, the
-/// `mine_pairs` miner) can share the harness's cache files.
+/// re-recorded, never silently replayed. Shared with the
+/// `trace_analytics` experiment, which reads the same cache files.
 #[must_use]
-pub fn kernel_fingerprint(workload: &str, scale: Scale, cores: usize, text_hash: u64) -> u64 {
+pub(crate) fn kernel_fingerprint(
+    workload: &str,
+    scale: Scale,
+    cores: usize,
+    text_hash: u64,
+) -> u64 {
     fnv64(format!("{workload}|{}|{cores}|{text_hash:016x}", scale.label()).as_bytes())
 }
 
 /// The cache file a (scale, workload, trace-key) triple persists to
 /// under a [`TracePolicy::Dir`] directory — one naming scheme shared by
-/// the harness, the analytics experiment, and the pair miner.
+/// the harness and the analytics experiment.
 #[must_use]
-pub fn trace_cache_path(dir: &Path, scale: Scale, workload: &str, trace_key: &str) -> PathBuf {
+pub(crate) fn trace_cache_path(
+    dir: &Path,
+    scale: Scale,
+    workload: &str,
+    trace_key: &str,
+) -> PathBuf {
     dir.join(format!("{}_{workload}_{trace_key}.trace", scale.label()))
 }
 
@@ -875,10 +884,10 @@ fn run_row(
 /// file of another format version is treated exactly like a stale
 /// fingerprint: a silent miss, re-recorded and overwritten by the
 /// store; any other undecodable file is a miss with one warning on
-/// stderr. Public so the `trace_analytics` experiment and the
-/// `mine_pairs` miner share the cache discipline.
+/// stderr. Shared with the `trace_analytics` experiment, so both keep
+/// one cache discipline.
 #[must_use]
-pub fn open_streaming(path: &Path, fingerprint: u64) -> Option<StreamingReplay> {
+pub(crate) fn open_streaming(path: &Path, fingerprint: u64) -> Option<StreamingReplay> {
     match StreamingReplay::open(path) {
         Ok(replay) if replay.fingerprint() == fingerprint => Some(replay),
         Ok(_) => None,
@@ -897,7 +906,7 @@ pub fn open_streaming(path: &Path, fingerprint: u64) -> Option<StreamingReplay> 
 /// another worker, another process on the same directory, the next run
 /// after this one was killed — sees the old file or the new one, never
 /// a torn one.
-pub fn store_trace(path: &Path, trace: &Trace) {
+pub(crate) fn store_trace(path: &Path, trace: &Trace) {
     static SEQ: AtomicUsize = AtomicUsize::new(0);
     // Unique per writer, and not a `.trace`: cache lookups never see it.
     let tmp = path.with_extension(format!(

@@ -24,8 +24,7 @@
 //! `--bin trace_eq` is the replay-equivalence gate (every experiment,
 //! direct vs. record/replay, counters must match bit-for-bit). The
 //! other binaries are provenance and reporting tools: `bench_gate`
-//! (the `gates` rows of `BENCH.json`), `mine_pairs` (the bytecode
-//! tier's fusion table), `perf_annotate`, `prof_report`.
+//! (the `gates` rows of `BENCH.json`), `perf_annotate`, `prof_report`.
 //!
 //! Run with `cargo run --release -p swpf-bench --bin all -- --only figN`.
 //! Set `SWPF_SCALE=test` for a fast smoke run with tiny inputs (shapes

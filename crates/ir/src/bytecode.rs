@@ -1,5 +1,4 @@
-//! Bytecode execution tier: fixed-width threaded code with fused
-//! superinstructions.
+//! Bytecode execution tier: fixed-width threaded code.
 //!
 //! The [`crate::exec`] decode layer turns a module into enum-shaped
 //! [`Op`](crate::exec::Op) values (24-byte variants behind a
@@ -33,22 +32,11 @@
 //! is what lets the dispatch loop use unchecked accesses ([`rd`] /
 //! [`wr`]).
 //!
-//! # Superinstructions
-//!
-//! On top of the flat encoding, lowering runs a peephole pass that
-//! *fuses* frequent adjacent instruction pairs (mined from the
-//! swpf-trace corpus across all seven workloads — see the `mine_pairs`
-//! bin in `swpf-bench` and DESIGN.md for the frequency table). Fusion
-//! only rewrites the opcode byte of the *first* word of a pair; its
-//! operand fields and the entire second word stay intact. A fused
-//! handler executes both halves — two architectural effects, two retire
-//! events, one dispatch. Because the second word is untouched, a branch
-//! into the middle of a pair executes it standalone, and the
-//! single-stepping entry point ([`BcEngine::run_steps`]) simply demotes a
-//! fused opcode to its first component ([`unfuse`]) — so stepped
-//! execution (multicore interleaving, trace step boundaries) retires
-//! exactly one instruction per call and one fused image serves both
-//! paths with bit-identical event streams.
+//! Every word keeps its base opcode, so one dispatch retires exactly one
+//! instruction: the stepping entry point ([`BcEngine::run_steps`]) and
+//! the run-to-completion loop ([`BcEngine::run_to_done`]) dispatch the
+//! same arms, and multicore interleavings and trace step boundaries
+//! match the classic tier exactly.
 //!
 //! The tier is reached through the [`crate::interp::Interp`] facade
 //! (`SWPF_TIER=bytecode`, the default). The classic tree-walker is its
@@ -65,15 +53,7 @@ use crate::interp::{
 use crate::types::Type;
 use crate::value::ValueId;
 use std::fmt;
-use std::sync::{Arc, OnceLock};
-
-/// Whether the opt-in `SWPF_OPCODE_STATS=1` retired-opcode statistics
-/// are active. Read once per process — flipping the variable after the
-/// first bytecode run has no effect.
-fn opcode_stats_enabled() -> bool {
-    static FLAG: OnceLock<bool> = OnceLock::new();
-    *FLAG.get_or_init(|| std::env::var_os("SWPF_OPCODE_STATS").is_some_and(|v| v != "0"))
-}
+use std::sync::Arc;
 
 /// Width of each packed operand field.
 pub const FIELD_BITS: u32 = 14;
@@ -117,8 +97,7 @@ fn fd(w: u64) -> u32 {
     ((w >> D_SHIFT) as u32) & FIELD_MASK
 }
 
-/// The opcode space. Base opcodes below [`op::FUSED_BASE`], fused
-/// superinstruction opcodes at and above it.
+/// The opcode space.
 #[allow(missing_docs)]
 pub mod op {
     pub const RET: u8 = 0; // a = value slot | BC_NO_SLOT
@@ -161,126 +140,6 @@ pub mod op {
     pub const PREFETCH: u8 = 37; // a = addr
     pub const CALL: u8 = 38; // a = callee function index, b = dst
     pub const FALLOFF: u8 = 39; // block without terminator (panics)
-
-    /// First fused opcode; everything below is a base opcode.
-    pub const FUSED_BASE: u8 = 64;
-    // The superinstruction catalogue: the 12 most frequent fusible
-    // adjacent pairs mined from the swpf-trace corpus across all 7
-    // workloads x {baseline, manual, auto} by `mine_pairs` in
-    // swpf-bench (see DESIGN.md for the full frequency table).
-    pub const GEP_LD64: u8 = 64; // gep ; ld_i64     (indirect access)
-    pub const LD64_GEP: u8 = 65; // ld_i64 ; gep     (index load -> address)
-    pub const ICMP_CBR: u8 = 66; // icmp ; cbr       (loop back-edge test)
-    pub const GEP_PF: u8 = 67; // gep ; prefetch   (prefetch address gen)
-    pub const ICMP_SEL: u8 = 68; // icmp ; select    (branchless min/max)
-    pub const LD64_ICMP: u8 = 69; // ld_i64 ; icmp    (loaded-value test)
-    pub const SEL_GEP: u8 = 70; // select ; gep     (clamped index -> address)
-    pub const ADD_SUB: u8 = 71; // add ; sub        (paired index arithmetic)
-    pub const PF_ADD: u8 = 72; // prefetch ; add   (prefetch then induction)
-    pub const LD64_MUL: u8 = 73; // ld_i64 ; mul     (hash mixing)
-    pub const MUL_LSHR: u8 = 74; // mul ; lshr       (multiplicative hash)
-    pub const ADD_ICMP: u8 = 75; // add ; icmp       (increment then test)
-    pub const GEP_LDF64: u8 = 76; // gep ; ld_f64     (float gather, CG)
-
-    /// Mnemonic of an opcode (base or fused), for tooling and the
-    /// `SWPF_OPCODE_STATS` retired-opcode report.
-    #[must_use]
-    pub fn name(opcode: u8) -> &'static str {
-        match opcode {
-            RET => "ret",
-            BR => "br",
-            CBR => "cbr",
-            ADD => "add",
-            SUB => "sub",
-            MUL => "mul",
-            SDIV => "sdiv",
-            UDIV => "udiv",
-            SREM => "srem",
-            UREM => "urem",
-            AND => "and",
-            OR => "or",
-            XOR => "xor",
-            SHL => "shl",
-            LSHR => "lshr",
-            ASHR => "ashr",
-            FADD => "fadd",
-            FSUB => "fsub",
-            FMUL => "fmul",
-            FDIV => "fdiv",
-            ICMP => "icmp",
-            SELECT => "select",
-            MASK => "mask",
-            SEXT => "sext",
-            COPY => "copy",
-            ALLOC => "alloc",
-            GEP => "gep",
-            LD_I1 => "ld_i1",
-            LD_I8 => "ld_i8",
-            LD_I16 => "ld_i16",
-            LD_I32 => "ld_i32",
-            LD_I64 => "ld_i64",
-            LD_F64 => "ld_f64",
-            ST_1 => "st_1",
-            ST_2 => "st_2",
-            ST_4 => "st_4",
-            ST_8 => "st_8",
-            PREFETCH => "prefetch",
-            CALL => "call",
-            FALLOFF => "falloff",
-            GEP_LD64 => "gep+ld_i64",
-            LD64_GEP => "ld_i64+gep",
-            ICMP_CBR => "icmp+cbr",
-            GEP_PF => "gep+prefetch",
-            ICMP_SEL => "icmp+select",
-            LD64_ICMP => "ld_i64+icmp",
-            SEL_GEP => "select+gep",
-            ADD_SUB => "add+sub",
-            PF_ADD => "prefetch+add",
-            LD64_MUL => "ld_i64+mul",
-            MUL_LSHR => "mul+lshr",
-            ADD_ICMP => "add+icmp",
-            GEP_LDF64 => "gep+ld_f64",
-            _ => "invalid",
-        }
-    }
-}
-
-/// The fusion catalogue: `(first opcode, second opcode, fused opcode)`.
-/// Lowering fuses a pair by replacing the first word's opcode byte; the
-/// second word is left intact.
-pub const FUSE_TABLE: &[(u8, u8, u8)] = &[
-    (op::GEP, op::LD_I64, op::GEP_LD64),
-    (op::LD_I64, op::GEP, op::LD64_GEP),
-    (op::ICMP, op::CBR, op::ICMP_CBR),
-    (op::GEP, op::PREFETCH, op::GEP_PF),
-    (op::ICMP, op::SELECT, op::ICMP_SEL),
-    (op::LD_I64, op::ICMP, op::LD64_ICMP),
-    (op::SELECT, op::GEP, op::SEL_GEP),
-    (op::ADD, op::SUB, op::ADD_SUB),
-    (op::PREFETCH, op::ADD, op::PF_ADD),
-    (op::LD_I64, op::MUL, op::LD64_MUL),
-    (op::MUL, op::LSHR, op::MUL_LSHR),
-    (op::ADD, op::ICMP, op::ADD_ICMP),
-    (op::GEP, op::LD_F64, op::GEP_LDF64),
-];
-
-/// Demote an opcode to its first component: identity for base opcodes,
-/// the first half for fused opcodes. [`BcEngine::run_steps`] dispatches on
-/// the demoted opcode so stepped execution stays single-instruction
-/// granular (the second half has kept its own opcode and runs on the
-/// next step).
-#[inline]
-#[must_use]
-pub fn unfuse(opcode: u8) -> u8 {
-    if opcode < op::FUSED_BASE {
-        return opcode;
-    }
-    for &(first, _, fused) in FUSE_TABLE {
-        if fused == opcode {
-            return first;
-        }
-    }
-    opcode
 }
 
 /// Predicate codes for the `d` field of `ICMP`, in table order.
@@ -421,15 +280,6 @@ impl BcFunc {
     pub fn words(&self) -> &[u64] {
         &self.code
     }
-
-    /// Number of fused superinstruction heads in this function.
-    #[must_use]
-    pub fn fused_count(&self) -> usize {
-        self.code
-            .iter()
-            .filter(|&&w| (w as u8) >= op::FUSED_BASE)
-            .count()
-    }
 }
 
 /// A module in bytecode form: one [`BcFunc`] per function, same
@@ -440,9 +290,9 @@ pub struct BcImage {
 }
 
 impl BcImage {
-    /// Lower a decoded image to bytecode, fuse the superinstruction
-    /// catalogue, and validate every encoded index (slots, edges,
-    /// immediates) so the dispatch loop can run unchecked.
+    /// Lower a decoded image to bytecode and validate every encoded
+    /// index (slots, edges, immediates) so the dispatch loop can run
+    /// unchecked.
     ///
     /// # Errors
     /// [`LowerError`] when the image exceeds a 14-bit field capacity.
@@ -452,20 +302,6 @@ impl BcImage {
     /// (internal consistency; cannot happen for [`ExecImage::build`]
     /// output).
     pub fn lower(image: &ExecImage) -> Result<BcImage, LowerError> {
-        Self::lower_impl(image, true)
-    }
-
-    /// [`BcImage::lower`] without the superinstruction pass — every word
-    /// keeps its base opcode. Used by tests and by the throughput bench
-    /// to isolate the fusion contribution.
-    ///
-    /// # Errors
-    /// [`LowerError`] when the image exceeds a 14-bit field capacity.
-    pub fn lower_unfused(image: &ExecImage) -> Result<BcImage, LowerError> {
-        Self::lower_impl(image, false)
-    }
-
-    fn lower_impl(image: &ExecImage, fuse: bool) -> Result<BcImage, LowerError> {
         let _span = swpf_obs::span("bc:lower");
         if image.funcs.len() > FIELD_MASK as usize + 1 {
             return Err(LowerError::TooManyFuncs {
@@ -474,11 +310,8 @@ impl BcImage {
         }
         let mut funcs = Vec::with_capacity(image.funcs.len());
         for (fidx, fi) in image.funcs.iter().enumerate() {
-            let mut bf = lower_function(fidx, fi)?;
+            let bf = lower_function(fidx, fi)?;
             validate_bc(fidx, &bf, image.funcs.len());
-            if fuse {
-                fuse_function(&mut bf);
-            }
             funcs.push(bf);
         }
         if swpf_obs::enabled() {
@@ -486,10 +319,6 @@ impl BcImage {
             swpf_obs::count(
                 "bc.lowered_words",
                 funcs.iter().map(|f| f.code.len() as u64).sum(),
-            );
-            swpf_obs::count(
-                "bc.fused_heads",
-                funcs.iter().map(|f| f.fused_count() as u64).sum(),
             );
         }
         Ok(BcImage { funcs })
@@ -700,37 +529,12 @@ fn lower_function(fidx: usize, fi: &exec::FuncImage) -> Result<BcFunc, LowerErro
     })
 }
 
-/// The superinstruction peephole: greedy left-to-right scan replacing
-/// the opcode byte of the first word of every catalogued pair. After a
-/// fusion the scan skips past the pair, so a word is only ever
-/// rewritten as a head and second words always keep their original
-/// opcode (fused handlers re-decode them, and branches into the middle
-/// of a pair execute them standalone).
-fn fuse_function(bf: &mut BcFunc) {
-    let mut ip = 0;
-    while ip + 1 < bf.code.len() {
-        let first = bf.code[ip] as u8;
-        let second = bf.code[ip + 1] as u8;
-        let fused = FUSE_TABLE
-            .iter()
-            .find(|&&(f, s, _)| f == first && s == second)
-            .map(|&(_, _, z)| z);
-        if let Some(z) = fused {
-            bf.code[ip] = (bf.code[ip] & !0xFF) | u64::from(z);
-            ip += 2;
-        } else {
-            ip += 1;
-        }
-    }
-}
-
 /// Lowering-time validation establishing the dispatch loop's safety
 /// invariant: every encoded slot index is within the frame register
 /// file, every edge/immediate index is within its pool, every edge
 /// target and the entry point are valid code indices, and every pool
-/// range is in bounds. Runs on the unfused lowering (fusion only
-/// rewrites opcode bytes). Violations are internal lowering bugs, so
-/// they panic rather than surface as [`LowerError`].
+/// range is in bounds. Violations are internal lowering bugs, so they
+/// panic rather than surface as [`LowerError`].
 #[allow(clippy::too_many_lines)]
 fn validate_bc(fidx: usize, bf: &BcFunc, num_funcs: usize) {
     assert_eq!(bf.code.len(), bf.meta.len(), "meta not parallel to code");
@@ -816,7 +620,7 @@ fn validate_bc(fidx: usize, bf: &BcFunc, num_funcs: usize) {
                 slot(b);
             }
             op::FALLOFF => {}
-            other => panic!("fn {fidx}: invalid opcode {other} in unfused code"),
+            other => panic!("fn {fidx}: invalid opcode {other}"),
         }
     }
     // Event operand ids double as caller-frame slots for call arguments.
@@ -955,11 +759,7 @@ impl BcEngine {
     /// copies of a taken branch, which retire with it — inside one frame
     /// loop, reporting each completed step through
     /// [`ExecObserver::end_step`]; stops early when the top-level
-    /// function returns ([`Step::Done`]) or a step traps. Fused heads
-    /// are demoted to their first component, so a
-    /// step never retires two instructions at once — multicore
-    /// interleavings and trace step boundaries match the classic tier
-    /// exactly.
+    /// function returns ([`Step::Done`]) or a step traps.
     ///
     /// # Errors
     /// Any [`Trap`] raised by an instruction.
@@ -977,8 +777,8 @@ impl BcEngine {
         self.st.run_steps(n, image, mem, obs)
     }
 
-    /// Run the current cursor to completion through the fused fast
-    /// loop.
+    /// Run the current cursor to completion, with no per-step observer
+    /// call.
     ///
     /// # Errors
     /// Any [`Trap`] raised during execution.
@@ -1018,18 +818,15 @@ fn wr(regs: &mut [RtVal], slot: u32, v: RtVal) {
     }
 }
 
-/// Execute the instruction at the current ip. With `STEPPING`, fused
-/// opcodes are demoted to their first component so exactly one
-/// instruction retires; without, fused handlers execute both halves
-/// back to back (checking fuel in between, so an exhausted budget
-/// leaves the cursor parked on the second half exactly like the classic
-/// tier would).
+/// Execute the instruction at the current ip: one dispatch retires one
+/// instruction (plus the phi copies of a taken branch, which retire with
+/// it).
 ///
 /// Slot/edge/imm/meta accesses are unchecked: `validate_bc` established
 /// their bounds at lowering time.
 #[allow(clippy::too_many_lines, clippy::too_many_arguments)]
 #[inline(always)]
-fn exec_one<const STEPPING: bool>(
+fn exec_one(
     image: &BcImage,
     bf: &BcFunc,
     regs: &mut [RtVal],
@@ -1046,13 +843,12 @@ fn exec_one<const STEPPING: bool>(
     let cur = *ip as usize;
     debug_assert!(cur < bf.code.len(), "ip out of range");
     let w = unsafe { *bf.code.get_unchecked(cur) };
-    let opc = if STEPPING { unfuse(w as u8) } else { w as u8 };
 
-    /// Retire the instruction at code index `$i` with event kind `$k`.
+    /// Retire the instruction at `cur` with event kind `$k`.
     macro_rules! emit {
-        ($i:expr, $k:expr) => {{
+        ($k:expr) => {{
             *retired += 1;
-            let m = unsafe { bf.meta.get_unchecked($i) };
+            let m = unsafe { bf.meta.get_unchecked(cur) };
             let ops = unsafe {
                 bf.operands
                     .get_unchecked(m.ops_at as usize..(m.ops_at + m.ops_len) as usize)
@@ -1064,6 +860,13 @@ fn exec_one<const STEPPING: bool>(
                 kind: $k,
                 operands: ops,
             });
+        }};
+    }
+    /// Fall through to the next word and retire with event kind `$k`.
+    macro_rules! next {
+        ($k:expr) => {{
+            *ip = cur as u32 + 1;
+            emit!($k);
         }};
     }
 
@@ -1102,117 +905,37 @@ fn exec_one<const STEPPING: bool>(
         }};
     }
 
-    // Micro-op bodies. Each takes its own word `$w` and code index `$i`
-    // so fused handlers can compose them for both halves of a pair.
     macro_rules! bin {
-        ($w:expr, $i:expr, $op:expr) => {{
-            let r = eval_binary($op, rd(regs, fa($w)), rd(regs, fb($w)))?;
-            wr(regs, fc($w), r);
-            *ip = $i as u32 + 1;
-            emit!($i, EventKind::Alu);
-        }};
-    }
-    macro_rules! icmp {
-        ($w:expr, $i:expr) => {{
-            let p = PREDS[fd($w) as usize];
-            let r = eval_icmp(p, rd(regs, fa($w)).as_int(), rd(regs, fb($w)).as_int());
-            wr(regs, fc($w), RtVal::Int(i64::from(r)));
-            *ip = $i as u32 + 1;
-            emit!($i, EventKind::Alu);
-        }};
-    }
-    macro_rules! sel {
-        ($w:expr, $i:expr) => {{
-            let c = rd(regs, fa($w)).as_int() != 0;
-            let v = if c {
-                rd(regs, fb($w))
-            } else {
-                rd(regs, fc($w))
-            };
-            wr(regs, fd($w), v);
-            *ip = $i as u32 + 1;
-            emit!($i, EventKind::Alu);
-        }};
-    }
-    macro_rules! gep {
-        ($w:expr, $i:expr) => {{
-            let base = rd(regs, fa($w)).as_int() as u64;
-            let idx = rd(regs, fb($w)).as_int();
-            let at = fd($w) as usize;
-            let elem = unsafe { *bf.imms.get_unchecked(at) };
-            let off = unsafe { *bf.imms.get_unchecked(at + 1) };
-            let addr = base
-                .wrapping_add((idx as u64).wrapping_mul(elem))
-                .wrapping_add(off);
-            wr(regs, fc($w), RtVal::Int(addr as i64));
-            *ip = $i as u32 + 1;
-            emit!($i, EventKind::Alu);
+        ($op:expr) => {{
+            let r = eval_binary($op, rd(regs, fa(w)), rd(regs, fb(w)))?;
+            wr(regs, fc(w), r);
+            next!(EventKind::Alu);
         }};
     }
     macro_rules! load {
-        ($w:expr, $i:expr, $ty:expr, $size:expr) => {{
-            let a = rd(regs, fa($w)).as_int() as u64;
+        ($ty:expr, $size:expr) => {{
+            let a = rd(regs, fa(w)).as_int() as u64;
             let raw = mem.read(a, $size)?;
-            wr(regs, fb($w), decode_scalar(raw, $ty));
-            *ip = $i as u32 + 1;
-            emit!(
-                $i,
-                EventKind::Load {
-                    addr: a,
-                    size: $size
-                }
-            );
+            wr(regs, fb(w), decode_scalar(raw, $ty));
+            next!(EventKind::Load {
+                addr: a,
+                size: $size
+            });
         }};
     }
     macro_rules! store {
-        ($w:expr, $i:expr, $size:expr) => {{
-            let a = rd(regs, fa($w)).as_int() as u64;
-            let v = rd(regs, fb($w));
+        ($size:expr) => {{
+            let a = rd(regs, fa(w)).as_int() as u64;
+            let v = rd(regs, fb(w));
             mem.write(a, $size, encode_scalar(v))?;
-            *ip = $i as u32 + 1;
-            emit!(
-                $i,
-                EventKind::Store {
-                    addr: a,
-                    size: $size
-                }
-            );
-        }};
-    }
-    macro_rules! prefetch {
-        ($w:expr, $i:expr) => {{
-            let a = rd(regs, fa($w)).as_int() as u64;
-            // Prefetches never fault: an unmapped hint is dropped.
-            let valid = mem.is_valid(a, 1);
-            *ip = $i as u32 + 1;
-            emit!($i, EventKind::Prefetch { addr: a, valid });
-        }};
-    }
-    macro_rules! br {
-        ($w:expr, $i:expr) => {{
-            take_edge!(fa($w));
-            emit!($i, EventKind::Branch { taken: true });
-        }};
-    }
-    macro_rules! cbr {
-        ($w:expr, $i:expr) => {{
-            let c = rd(regs, fa($w)).as_int() != 0;
-            take_edge!(if c { fb($w) } else { fc($w) });
-            emit!($i, EventKind::Branch { taken: c });
-        }};
-    }
-    /// Between the halves of a fused pair: if the first half consumed
-    /// the last fuel, park on the second half (the next step/iteration
-    /// raises `OutOfFuel`, matching the unfused engines).
-    macro_rules! fuel_gate {
-        () => {{
-            if *retired >= fuel {
-                return Ok(Flow::Next);
-            }
+            next!(EventKind::Store {
+                addr: a,
+                size: $size
+            });
         }};
     }
 
-    match opc {
+    match w as u8 {
         op::RET => {
             let a = fa(w);
             let rv = if a == BC_NO_SLOT {
@@ -1220,49 +943,63 @@ fn exec_one<const STEPPING: bool>(
             } else {
                 Some(rd(regs, a))
             };
-            emit!(cur, EventKind::Ret);
+            emit!(EventKind::Ret);
             return Ok(Flow::Ret { val: rv });
         }
-        op::BR => br!(w, cur),
-        op::CBR => cbr!(w, cur),
-        op::ADD => bin!(w, cur, BinOp::Add),
-        op::SUB => bin!(w, cur, BinOp::Sub),
-        op::MUL => bin!(w, cur, BinOp::Mul),
-        op::SDIV => bin!(w, cur, BinOp::Sdiv),
-        op::UDIV => bin!(w, cur, BinOp::Udiv),
-        op::SREM => bin!(w, cur, BinOp::Srem),
-        op::UREM => bin!(w, cur, BinOp::Urem),
-        op::AND => bin!(w, cur, BinOp::And),
-        op::OR => bin!(w, cur, BinOp::Or),
-        op::XOR => bin!(w, cur, BinOp::Xor),
-        op::SHL => bin!(w, cur, BinOp::Shl),
-        op::LSHR => bin!(w, cur, BinOp::Lshr),
-        op::ASHR => bin!(w, cur, BinOp::Ashr),
-        op::FADD => bin!(w, cur, BinOp::Fadd),
-        op::FSUB => bin!(w, cur, BinOp::Fsub),
-        op::FMUL => bin!(w, cur, BinOp::Fmul),
-        op::FDIV => bin!(w, cur, BinOp::Fdiv),
-        op::ICMP => icmp!(w, cur),
-        op::SELECT => sel!(w, cur),
+        op::BR => {
+            take_edge!(fa(w));
+            emit!(EventKind::Branch { taken: true });
+        }
+        op::CBR => {
+            let c = rd(regs, fa(w)).as_int() != 0;
+            take_edge!(if c { fb(w) } else { fc(w) });
+            emit!(EventKind::Branch { taken: c });
+        }
+        op::ADD => bin!(BinOp::Add),
+        op::SUB => bin!(BinOp::Sub),
+        op::MUL => bin!(BinOp::Mul),
+        op::SDIV => bin!(BinOp::Sdiv),
+        op::UDIV => bin!(BinOp::Udiv),
+        op::SREM => bin!(BinOp::Srem),
+        op::UREM => bin!(BinOp::Urem),
+        op::AND => bin!(BinOp::And),
+        op::OR => bin!(BinOp::Or),
+        op::XOR => bin!(BinOp::Xor),
+        op::SHL => bin!(BinOp::Shl),
+        op::LSHR => bin!(BinOp::Lshr),
+        op::ASHR => bin!(BinOp::Ashr),
+        op::FADD => bin!(BinOp::Fadd),
+        op::FSUB => bin!(BinOp::Fsub),
+        op::FMUL => bin!(BinOp::Fmul),
+        op::FDIV => bin!(BinOp::Fdiv),
+        op::ICMP => {
+            let p = PREDS[fd(w) as usize];
+            let r = eval_icmp(p, rd(regs, fa(w)).as_int(), rd(regs, fb(w)).as_int());
+            wr(regs, fc(w), RtVal::Int(i64::from(r)));
+            next!(EventKind::Alu);
+        }
+        op::SELECT => {
+            let c = rd(regs, fa(w)).as_int() != 0;
+            let v = if c { rd(regs, fb(w)) } else { rd(regs, fc(w)) };
+            wr(regs, fd(w), v);
+            next!(EventKind::Alu);
+        }
         op::MASK => {
             let x = rd(regs, fa(w)).as_int();
             let mask = unsafe { *bf.imms.get_unchecked(fc(w) as usize) } as i64;
             wr(regs, fb(w), RtVal::Int(x & mask));
-            *ip = cur as u32 + 1;
-            emit!(cur, EventKind::Alu);
+            next!(EventKind::Alu);
         }
         op::SEXT => {
             let x = rd(regs, fa(w)).as_int();
             let shift = fc(w);
             wr(regs, fb(w), RtVal::Int((x << shift) >> shift));
-            *ip = cur as u32 + 1;
-            emit!(cur, EventKind::Alu);
+            next!(EventKind::Alu);
         }
         op::COPY => {
             let x = rd(regs, fa(w)).as_int();
             wr(regs, fb(w), RtVal::Int(x));
-            *ip = cur as u32 + 1;
-            emit!(cur, EventKind::Alu);
+            next!(EventKind::Alu);
         }
         op::ALLOC => {
             let n = rd(regs, fa(w)).as_int();
@@ -1270,21 +1007,36 @@ fn exec_one<const STEPPING: bool>(
             let size = u64::try_from(n.max(0)).expect("non-negative") * elem;
             let addr = mem.alloc(size)?;
             wr(regs, fb(w), RtVal::Int(addr as i64));
-            *ip = cur as u32 + 1;
-            emit!(cur, EventKind::Alloc);
+            next!(EventKind::Alloc);
         }
-        op::GEP => gep!(w, cur),
-        op::LD_I1 => load!(w, cur, Type::I1, 1),
-        op::LD_I8 => load!(w, cur, Type::I8, 1),
-        op::LD_I16 => load!(w, cur, Type::I16, 2),
-        op::LD_I32 => load!(w, cur, Type::I32, 4),
-        op::LD_I64 => load!(w, cur, Type::I64, 8),
-        op::LD_F64 => load!(w, cur, Type::F64, 8),
-        op::ST_1 => store!(w, cur, 1),
-        op::ST_2 => store!(w, cur, 2),
-        op::ST_4 => store!(w, cur, 4),
-        op::ST_8 => store!(w, cur, 8),
-        op::PREFETCH => prefetch!(w, cur),
+        op::GEP => {
+            let base = rd(regs, fa(w)).as_int() as u64;
+            let idx = rd(regs, fb(w)).as_int();
+            let at = fd(w) as usize;
+            let elem = unsafe { *bf.imms.get_unchecked(at) };
+            let off = unsafe { *bf.imms.get_unchecked(at + 1) };
+            let addr = base
+                .wrapping_add((idx as u64).wrapping_mul(elem))
+                .wrapping_add(off);
+            wr(regs, fc(w), RtVal::Int(addr as i64));
+            next!(EventKind::Alu);
+        }
+        op::LD_I1 => load!(Type::I1, 1),
+        op::LD_I8 => load!(Type::I8, 1),
+        op::LD_I16 => load!(Type::I16, 2),
+        op::LD_I32 => load!(Type::I32, 4),
+        op::LD_I64 => load!(Type::I64, 8),
+        op::LD_F64 => load!(Type::F64, 8),
+        op::ST_1 => store!(1),
+        op::ST_2 => store!(2),
+        op::ST_4 => store!(4),
+        op::ST_8 => store!(8),
+        op::PREFETCH => {
+            let a = rd(regs, fa(w)).as_int() as u64;
+            // Prefetches never fault: an unmapped hint is dropped.
+            let valid = mem.is_valid(a, 1);
+            next!(EventKind::Prefetch { addr: a, valid });
+        }
         op::CALL => {
             if depth >= max_depth {
                 return Err(Trap::StackOverflow);
@@ -1301,8 +1053,8 @@ fn exec_one<const STEPPING: bool>(
             for &(slot, v) in &cf.consts {
                 new_regs[slot as usize] = v;
             }
-            *ip = cur as u32 + 1; // resume after the call on return
-            emit!(cur, EventKind::Call);
+            // Resume after the call on return.
+            next!(EventKind::Call);
             return Ok(Flow::Call {
                 callee,
                 dst,
@@ -1310,88 +1062,6 @@ fn exec_one<const STEPPING: bool>(
             });
         }
         op::FALLOFF => panic!("fell off block end"),
-
-        // Fused superinstructions: first half from the head word (whose
-        // operand fields are intact), second half from the untouched
-        // next word.
-        op::GEP_LD64 => {
-            gep!(w, cur);
-            fuel_gate!();
-            let w2 = unsafe { *bf.code.get_unchecked(cur + 1) };
-            load!(w2, cur + 1, Type::I64, 8);
-        }
-        op::LD64_GEP => {
-            load!(w, cur, Type::I64, 8);
-            fuel_gate!();
-            let w2 = unsafe { *bf.code.get_unchecked(cur + 1) };
-            gep!(w2, cur + 1);
-        }
-        op::ICMP_CBR => {
-            icmp!(w, cur);
-            fuel_gate!();
-            let w2 = unsafe { *bf.code.get_unchecked(cur + 1) };
-            cbr!(w2, cur + 1);
-        }
-        op::GEP_PF => {
-            gep!(w, cur);
-            fuel_gate!();
-            let w2 = unsafe { *bf.code.get_unchecked(cur + 1) };
-            prefetch!(w2, cur + 1);
-        }
-        op::ICMP_SEL => {
-            icmp!(w, cur);
-            fuel_gate!();
-            let w2 = unsafe { *bf.code.get_unchecked(cur + 1) };
-            sel!(w2, cur + 1);
-        }
-        op::LD64_ICMP => {
-            load!(w, cur, Type::I64, 8);
-            fuel_gate!();
-            let w2 = unsafe { *bf.code.get_unchecked(cur + 1) };
-            icmp!(w2, cur + 1);
-        }
-        op::SEL_GEP => {
-            sel!(w, cur);
-            fuel_gate!();
-            let w2 = unsafe { *bf.code.get_unchecked(cur + 1) };
-            gep!(w2, cur + 1);
-        }
-        op::ADD_SUB => {
-            bin!(w, cur, BinOp::Add);
-            fuel_gate!();
-            let w2 = unsafe { *bf.code.get_unchecked(cur + 1) };
-            bin!(w2, cur + 1, BinOp::Sub);
-        }
-        op::PF_ADD => {
-            prefetch!(w, cur);
-            fuel_gate!();
-            let w2 = unsafe { *bf.code.get_unchecked(cur + 1) };
-            bin!(w2, cur + 1, BinOp::Add);
-        }
-        op::LD64_MUL => {
-            load!(w, cur, Type::I64, 8);
-            fuel_gate!();
-            let w2 = unsafe { *bf.code.get_unchecked(cur + 1) };
-            bin!(w2, cur + 1, BinOp::Mul);
-        }
-        op::MUL_LSHR => {
-            bin!(w, cur, BinOp::Mul);
-            fuel_gate!();
-            let w2 = unsafe { *bf.code.get_unchecked(cur + 1) };
-            bin!(w2, cur + 1, BinOp::Lshr);
-        }
-        op::ADD_ICMP => {
-            bin!(w, cur, BinOp::Add);
-            fuel_gate!();
-            let w2 = unsafe { *bf.code.get_unchecked(cur + 1) };
-            icmp!(w2, cur + 1);
-        }
-        op::GEP_LDF64 => {
-            gep!(w, cur);
-            fuel_gate!();
-            let w2 = unsafe { *bf.code.get_unchecked(cur + 1) };
-            load!(w2, cur + 1, Type::F64, 8);
-        }
         other => unreachable!("invalid opcode {other}"),
     }
     Ok(Flow::Next)
@@ -1399,9 +1069,9 @@ fn exec_one<const STEPPING: bool>(
 
 impl BcState {
     /// The stepping loop (see [`BcEngine::run_steps`]): the frame loop
-    /// of [`BcState::run_to_done`] around the demoting `exec_one`, with
-    /// a step budget — frame state is re-acquired only on calls and
-    /// returns, not once per step.
+    /// of [`BcState::run_to_done`] with a step budget and an
+    /// [`ExecObserver::end_step`] after each step — frame state is
+    /// re-acquired only on calls and returns, not once per step.
     fn run_steps(
         &mut self,
         n: u64,
@@ -1425,7 +1095,7 @@ impl BcState {
                     return Err(Trap::OutOfFuel);
                 }
                 left -= 1;
-                let flow = exec_one::<true>(
+                let flow = exec_one(
                     image,
                     bf,
                     regs,
@@ -1456,23 +1126,14 @@ impl BcState {
         Ok(Step::Continue)
     }
 
-    /// The fused fast loop: frame state (code, register file, ip) is
-    /// re-acquired only on calls and returns, and fused heads dispatch
-    /// once for two instructions.
-    ///
-    /// With `SWPF_OPCODE_STATS=1` the run is diverted up front to a
-    /// separate stepping-based loop that tallies dispatched opcodes —
-    /// the flag is checked once per run, before the loop, so the
-    /// default fast path carries no per-instruction cost for it.
+    /// The fast loop: frame state (code, register file, ip) is
+    /// re-acquired only on calls and returns.
     fn run_to_done(
         &mut self,
         image: &BcImage,
         mem: &mut Memory,
         obs: &mut (impl ExecObserver + ?Sized),
     ) -> Result<Option<RtVal>, Trap> {
-        if opcode_stats_enabled() {
-            return self.run_to_done_counted(image, mem, obs);
-        }
         'frames: loop {
             let depth = self.frames.len();
             let frame = self
@@ -1487,7 +1148,7 @@ impl BcState {
                 if self.retired >= self.fuel {
                     return Err(Trap::OutOfFuel);
                 }
-                match exec_one::<false>(
+                match exec_one(
                     image,
                     bf,
                     regs,
@@ -1513,45 +1174,6 @@ impl BcState {
                 }
             }
         }
-    }
-
-    /// The `SWPF_OPCODE_STATS=1` diagnostic loop: before every step it
-    /// reads the raw opcode byte at the cursor and tallies it (a fused
-    /// head tallies as the fused opcode — one dispatch), then steps.
-    /// The tally flushes into `swpf-obs` counters (`bc.op.<mnemonic>`)
-    /// when the run completes or traps. Stepped execution demotes fused
-    /// heads, so the dispatch *behaviour* measured here differs from
-    /// the fast loop only in speed, never in architectural effect.
-    #[cold]
-    fn run_to_done_counted(
-        &mut self,
-        image: &BcImage,
-        mem: &mut Memory,
-        obs: &mut (impl ExecObserver + ?Sized),
-    ) -> Result<Option<RtVal>, Trap> {
-        let mut tally = vec![0u64; 256];
-        let result = loop {
-            let frame = self
-                .frames
-                .last()
-                .expect("run_to_done() without an active cursor");
-            let w = image.funcs[frame.func as usize].code[frame.ip as usize];
-            tally[(w as u8) as usize] += 1;
-            match self.run_steps(1, image, mem, obs) {
-                Ok(Step::Continue) => {}
-                Ok(Step::Done(v)) => break Ok(v),
-                Err(t) => break Err(t),
-            }
-        };
-        if swpf_obs::enabled() {
-            for (opcode, &n) in tally.iter().enumerate() {
-                if n > 0 {
-                    #[allow(clippy::cast_possible_truncation)]
-                    swpf_obs::count(format!("bc.op.{}", op::name(opcode as u8)), n);
-                }
-            }
-        }
-        result
     }
 
     fn push_frame(&mut self, image: &BcImage, callee: u32, dst: u32, regs: Vec<RtVal>) {
@@ -1580,9 +1202,7 @@ impl BcState {
 }
 
 /// A decoded view of one instruction word, for tooling and the
-/// round-trip tests. Decoding a *fused* word yields its first
-/// component (the head word's fields are intact); the second half of
-/// the pair is the next word, which kept its own opcode.
+/// round-trip tests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[allow(missing_docs)]
 pub enum DecodedOp {
@@ -1661,7 +1281,7 @@ pub enum DecodedOp {
 }
 
 impl DecodedOp {
-    /// Re-encode to the (unfused) instruction word.
+    /// Re-encode to the instruction word.
     #[must_use]
     pub fn encode(&self) -> u64 {
         match *self {
@@ -1709,15 +1329,14 @@ impl DecodedOp {
     }
 }
 
-/// Decode one instruction word (fused opcodes decode as their first
-/// component; see [`DecodedOp`]).
+/// Decode one instruction word.
 ///
 /// # Panics
 /// On an opcode byte outside the defined space.
 #[must_use]
 pub fn decode_word(w: u64) -> DecodedOp {
     let (a, b, c, d) = (fa(w), fb(w), fc(w), fd(w));
-    match unfuse(w as u8) {
+    match w as u8 {
         op::RET => DecodedOp::Ret {
             val: (a != BC_NO_SLOT).then_some(a),
         },
@@ -1836,28 +1455,11 @@ mod tests {
     fn lowering_preserves_code_indices_and_roundtrips() {
         let m = sum_module();
         let image = ExecImage::build(&m);
-        let bc = BcImage::lower_unfused(&image).unwrap();
+        let bc = BcImage::lower(&image).unwrap();
         let bf = bc.func(FuncId(0));
         assert_eq!(bf.words().len(), image.code_len(FuncId(0)));
-        assert_eq!(bf.fused_count(), 0);
         for &w in bf.words() {
             assert_eq!(decode_word(w).encode(), w, "word is not canonical");
-        }
-    }
-
-    #[test]
-    fn fusion_rewrites_heads_only() {
-        let m = sum_module();
-        let image = ExecImage::build(&m);
-        let plain = BcImage::lower_unfused(&image).unwrap();
-        let fused = BcImage::lower(&image).unwrap();
-        let (p, f) = (plain.func(FuncId(0)), fused.func(FuncId(0)));
-        assert_eq!(p.words().len(), f.words().len());
-        assert!(f.fused_count() > 0, "loop body should fuse something");
-        for (&pw, &fw) in p.words().iter().zip(f.words()) {
-            // Fields never change; only head opcode bytes do.
-            assert_eq!(pw >> 8, fw >> 8);
-            assert_eq!(unfuse(fw as u8), pw as u8);
         }
     }
 
@@ -1877,6 +1479,8 @@ mod tests {
         assert_eq!(r, Some(RtVal::Int(55)));
     }
 
+    /// `run_to_done` and one-instruction steps reach the same result
+    /// after the same number of retirements.
     #[test]
     fn stepped_and_fused_execution_agree() {
         let m = sum_module();
@@ -1907,64 +1511,6 @@ mod tests {
     }
 
     #[test]
-    fn every_defined_opcode_has_a_unique_mnemonic() {
-        let mut seen = std::collections::HashSet::new();
-        for opc in (0..=op::FALLOFF).chain(op::FUSED_BASE..=op::GEP_LDF64) {
-            let n = op::name(opc);
-            assert_ne!(n, "invalid", "opcode {opc} has no mnemonic");
-            assert!(seen.insert(n), "duplicate mnemonic {n}");
-        }
-        assert_eq!(op::name(50), "invalid");
-    }
-
-    #[test]
-    fn opcode_stats_loop_matches_fast_loop_and_flushes_counters() {
-        let m = sum_module();
-        let image = ExecImage::build(&m);
-        let bc = Arc::new(BcImage::lower(&image).unwrap());
-        let mut mem_a = Memory::with_limit(1 << 20);
-        let base = mem_a.alloc(10 * 8).unwrap();
-        for i in 0..10u64 {
-            mem_a.write(base + i * 8, 8, i + 1).unwrap();
-        }
-        let mut mem_b = mem_a.clone();
-        let args = [RtVal::Int(base as i64), RtVal::Int(10)];
-
-        let mut fast = BcEngine::new();
-        fast.start(Arc::clone(&bc), FuncId(0), &args);
-        let fast_r = fast.run_to_done(&mut mem_a, &mut NullObserver).unwrap();
-
-        swpf_obs::enable();
-        let mut counted = BcEngine::new();
-        counted.start(Arc::clone(&bc), FuncId(0), &args);
-        let r = counted
-            .st
-            .run_to_done_counted(&bc, &mut mem_b, &mut NullObserver)
-            .unwrap();
-        let profile = swpf_obs::snapshot();
-        swpf_obs::disable();
-
-        assert_eq!(r, fast_r);
-        assert_eq!(counted.retired(), fast.retired());
-        let dispatched: u64 = profile
-            .counters
-            .iter()
-            .filter(|(k, _)| k.starts_with("bc.op."))
-            .map(|(_, &v)| v)
-            .sum();
-        // One tally per step; phi copies of taken branches retire with
-        // their branch, so dispatches never exceed retirements.
-        assert!(dispatched > 0 && dispatched <= counted.retired());
-        assert!(
-            profile
-                .counters
-                .keys()
-                .any(|k| k.starts_with("bc.op.") && k.contains('+')),
-            "sum kernel dispatches at least one fused head"
-        );
-    }
-
-    #[test]
     fn oversized_function_rejected_at_lowering() {
         let mut m = Module::new("big");
         let fid = m.declare_function("f", &[Type::I64], Type::I64);
@@ -1992,7 +1538,7 @@ mod tests {
         // lowering validator must reject it before any engine sees it.
         let m = sum_module();
         let image = ExecImage::build(&m);
-        let mut bc = BcImage::lower_unfused(&image).unwrap();
+        let mut bc = BcImage::lower(&image).unwrap();
         let bf = &mut bc.funcs[0];
         bf.code[bf.entry_ip as usize] = encode_word(op::COPY, FIELD_MASK - 1, 0, 0, 0);
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {

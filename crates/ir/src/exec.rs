@@ -262,26 +262,6 @@ impl ExecImage {
             .clone()
     }
 
-    /// Mnemonic class of the instruction retiring at each event `pc`,
-    /// including phis (which live on CFG edges, not in the code array,
-    /// but appear in retire streams). Intended for trace analytics such
-    /// as the superinstruction pair miner.
-    #[must_use]
-    pub fn op_class_table(&self) -> std::collections::HashMap<u64, &'static str> {
-        let mut table = std::collections::HashMap::new();
-        for fi in &self.funcs {
-            for d in &fi.code {
-                if !matches!(d.op, Op::FallOff) {
-                    table.insert(d.pc, op_class_name(&d.op));
-                }
-            }
-            for mv in &fi.moves {
-                table.insert(mv.pc, "phi");
-            }
-        }
-        table
-    }
-
     /// Number of decoded functions.
     #[must_use]
     pub fn num_funcs(&self) -> usize {
@@ -325,59 +305,6 @@ impl ExecImage {
             is_prefetch,
             width,
         })
-    }
-}
-
-/// Mnemonic for one decoded op, aligned with the bytecode tier's opcode
-/// names so mined pair tables read like the superinstruction catalogue.
-pub(crate) fn op_class_name(op: &Op) -> &'static str {
-    match op {
-        Op::Bin { op, .. } => match op {
-            BinOp::Add => "add",
-            BinOp::Sub => "sub",
-            BinOp::Mul => "mul",
-            BinOp::Sdiv => "sdiv",
-            BinOp::Udiv => "udiv",
-            BinOp::Srem => "srem",
-            BinOp::Urem => "urem",
-            BinOp::And => "and",
-            BinOp::Or => "or",
-            BinOp::Xor => "xor",
-            BinOp::Shl => "shl",
-            BinOp::Lshr => "lshr",
-            BinOp::Ashr => "ashr",
-            BinOp::Fadd => "fadd",
-            BinOp::Fsub => "fsub",
-            BinOp::Fmul => "fmul",
-            BinOp::Fdiv => "fdiv",
-        },
-        Op::ICmp { .. } => "icmp",
-        Op::Select { .. } => "select",
-        Op::Mask { .. } => "mask",
-        Op::SignExtend { .. } => "sext",
-        Op::Copy { .. } => "copy",
-        Op::Alloc { .. } => "alloc",
-        Op::Gep { .. } => "gep",
-        Op::Load { ty, .. } => match ty {
-            Type::I1 => "ld_i1",
-            Type::I8 => "ld_i8",
-            Type::I16 => "ld_i16",
-            Type::I32 => "ld_i32",
-            Type::I64 | Type::Ptr => "ld_i64",
-            Type::F64 => "ld_f64",
-        },
-        Op::Store { size, .. } => match size {
-            1 => "st1",
-            2 => "st2",
-            4 => "st4",
-            _ => "st8",
-        },
-        Op::Prefetch { .. } => "prefetch",
-        Op::Call { .. } => "call",
-        Op::Br { .. } => "br",
-        Op::CondBr { .. } => "cbr",
-        Op::Ret { .. } => "ret",
-        Op::FallOff => "falloff",
     }
 }
 

@@ -308,7 +308,7 @@ pub enum Step {
 pub enum Tier {
     /// The original tree-walking interpreter (`crate::classic`).
     Classic,
-    /// The fixed-width bytecode engine with fused superinstructions
+    /// The fixed-width bytecode engine, one instruction per word
     /// (`crate::bytecode`); the default.
     #[default]
     Bytecode,

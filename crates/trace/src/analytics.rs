@@ -1,147 +1,25 @@
 //! Analytics over recorded retire-event streams.
 //!
 //! The trace corpus records exactly what the timing models consume: the
-//! dynamic retire-event stream of every kernel. That makes it the
-//! ground truth for *dynamic* instruction statistics — most
-//! prominently, the adjacent-pair frequencies that drive the bytecode
-//! tier's superinstruction catalogue (`swpf_ir::bytecode`, mined by
-//! `swpf-bench`'s `mine_pairs` bin; the chosen catalogue is documented
-//! in DESIGN.md).
+//! dynamic retire-event stream of every kernel. From it the module
+//! derives the paper's *memory-shape* metrics without any
+//! re-simulation: [`ReuseHistogram`] (LRU stack distances over cache
+//! lines — how big a cache the kernel wants), [`IndirectionProfile`]
+//! (how many dependent loads feed each load's address — the depth of
+//! `a[b[i]]` chains prefetching must cover), and [`MlpProfile`] (how
+//! many loads per window are address-independent — the memory-level
+//! parallelism a prefetcher can actually extract). All three are
+//! streaming observers drivable from any [`EventSource`], so
+//! [`analyze`] runs them in bounded memory over compressed trace files.
 //!
-//! The reader is deliberately generic: [`PairCounter`] counts adjacent
-//! pairs of any classification key, and [`count_pairs`] drives it from
-//! per-core cursors — a [`crate::Trace`]'s or a
-//! [`crate::StreamingReplay`]'s — with a caller-supplied classifier
-//! (typically `ExecImage::op_class_table`, mapping static event pcs to
-//! opcode mnemonics). A classifier may return `None` to break the
-//! chain — the following event then starts a fresh pair rather than
-//! pairing across the gap. Chains also break at core-stream boundaries.
-
-//!
-//! Beyond pair mining, the module derives the paper's *memory-shape*
-//! metrics without any re-simulation: [`ReuseHistogram`] (LRU stack
-//! distances over cache lines — how big a cache the kernel wants),
-//! [`IndirectionProfile`] (how many dependent loads feed each load's
-//! address — the depth of `a[b[i]]` chains prefetching must cover), and
-//! [`MlpProfile`] (how many loads per window are address-independent —
-//! the memory-level parallelism a prefetcher can actually extract).
-//! All three are streaming observers drivable from any [`EventSource`],
-//! so [`analyze`] runs them in bounded memory over compressed trace
-//! files.
-//!
-//! Both entry points take their events the way `swpf-sim`'s replay
-//! does — a core count and `cursor(core)` — so the in-memory and the
-//! file source are one code path.
+//! [`analyze`] takes its events the way `swpf-sim`'s replay does — a
+//! core count and `cursor(core)` — so the in-memory and the file source
+//! are one code path.
 
 use crate::stream::EventSource;
 use crate::TraceError;
 use std::collections::{HashMap, HashSet};
-use std::hash::Hash;
 use swpf_ir::interp::{Event, EventKind};
-
-/// Streaming counter of adjacent pairs `(previous, current)`.
-#[derive(Debug, Clone)]
-pub struct PairCounter<K> {
-    prev: Option<K>,
-    counts: HashMap<(K, K), u64>,
-    observed: u64,
-}
-
-impl<K: Eq + Hash + Clone> Default for PairCounter<K> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<K: Eq + Hash + Clone> PairCounter<K> {
-    /// An empty counter.
-    #[must_use]
-    pub fn new() -> Self {
-        PairCounter {
-            prev: None,
-            counts: HashMap::new(),
-            observed: 0,
-        }
-    }
-
-    /// Feed the next classified event; pairs it with its predecessor
-    /// (if the chain is unbroken).
-    pub fn observe(&mut self, k: K) {
-        self.observed += 1;
-        if let Some(p) = self.prev.replace(k.clone()) {
-            *self.counts.entry((p, k)).or_insert(0) += 1;
-        }
-    }
-
-    /// Break the adjacency chain (stream boundary, unclassifiable
-    /// event): the next observation starts a fresh pair.
-    pub fn break_chain(&mut self) {
-        self.prev = None;
-    }
-
-    /// Total events observed (pair count is at most `observed - 1`).
-    #[must_use]
-    pub fn observed(&self) -> u64 {
-        self.observed
-    }
-
-    /// Count for one specific pair.
-    #[must_use]
-    pub fn count(&self, pair: &(K, K)) -> u64 {
-        self.counts.get(pair).copied().unwrap_or(0)
-    }
-
-    /// All pairs, most frequent first (ties broken arbitrarily but
-    /// deterministically is NOT guaranteed by `HashMap` order, so ties
-    /// are sub-sorted by count only — callers needing total determinism
-    /// should sort the returned vector further by key).
-    #[must_use]
-    pub fn ranked(&self) -> Vec<((K, K), u64)> {
-        let mut v: Vec<_> = self.counts.iter().map(|(k, &n)| (k.clone(), n)).collect();
-        v.sort_by_key(|&(_, n)| std::cmp::Reverse(n));
-        v
-    }
-
-    /// Fold another counter's pair counts into this one (the chains are
-    /// independent; no cross-counter pair is formed).
-    pub fn merge(&mut self, other: &PairCounter<K>) {
-        self.observed += other.observed;
-        for (k, &n) in &other.counts {
-            *self.counts.entry(k.clone()).or_insert(0) += n;
-        }
-    }
-}
-
-/// Count adjacent retired-instruction pairs across `cores` per-core
-/// streams, `cursor(core)` opening each, classifying every event with
-/// `classify` (a `None` classification breaks the chain). Core
-/// boundaries always break the chain: the last event of core *n* never
-/// pairs with the first of core *n+1*.
-///
-/// # Errors
-/// Any [`TraceError`] opening or decoding a stream.
-pub fn count_pairs<K, S>(
-    cores: usize,
-    cursor: impl Fn(usize) -> Result<S, TraceError>,
-    mut classify: impl FnMut(&Event<'_>) -> Option<K>,
-) -> Result<PairCounter<K>, TraceError>
-where
-    K: Eq + Hash + Clone,
-    S: EventSource,
-{
-    let mut pairs = PairCounter::new();
-    for core in 0..cores {
-        pairs.break_chain();
-        let mut cursor = cursor(core)?;
-        while let Some((ev, _)) = cursor.next_event()? {
-            match classify(&ev) {
-                Some(k) => pairs.observe(k),
-                None => pairs.break_chain(),
-            }
-        }
-    }
-    Ok(pairs)
-}
 
 /// Cache-line shift: analytics bucket memory touches by 64-byte line,
 /// matching every simulated cache level.
@@ -692,41 +570,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn pair_counter_counts_and_breaks() {
-        let mut pc = PairCounter::new();
-        for k in ["a", "b", "a", "b"] {
-            pc.observe(k);
-        }
-        pc.break_chain();
-        pc.observe("b"); // no pair across the break
-        assert_eq!(pc.observed(), 5);
-        assert_eq!(pc.count(&("a", "b")), 2);
-        assert_eq!(pc.count(&("b", "a")), 1);
-        assert_eq!(pc.count(&("b", "b")), 0);
-        assert_eq!(pc.ranked()[0], (("a", "b"), 2));
-    }
-
-    #[test]
-    fn trace_pairs_respect_core_boundaries() {
-        let mut rec = TraceRecorder::new(2, 0);
-        for p in [1u64, 2, 1, 2] {
-            rec.stream(0).push(&ev(p));
-        }
-        rec.stream(0).end_step();
-        for p in [2u64, 1] {
-            rec.stream(1).push(&ev(p));
-        }
-        rec.stream(1).end_step();
-        let trace = rec.finish();
-        let pairs = count_pairs(2, |c| trace.cursor(c), |e| Some(e.pc)).unwrap();
-        assert_eq!(pairs.observed(), 6);
-        assert_eq!(pairs.count(&(1, 2)), 2);
-        // core 0 ends on 2, core 1 starts on 2 — must NOT pair.
-        assert_eq!(pairs.count(&(2, 2)), 0);
-        assert_eq!(pairs.count(&(2, 1)), 2);
-    }
-
     fn load_ev(result: u32, addr: u64, operands: &'static [ValueId]) -> Event<'static> {
         Event {
             pc: u64::from(result),
@@ -884,18 +727,5 @@ mod tests {
         );
         assert_eq!(direct.mlp.samples(), streamed.mlp.samples());
         assert_eq!(direct.events, 6000);
-    }
-
-    #[test]
-    fn unclassified_events_break_the_chain() {
-        let mut rec = TraceRecorder::new(1, 0);
-        for p in [1u64, 9, 2] {
-            rec.stream(0).push(&ev(p));
-        }
-        rec.stream(0).end_step();
-        let trace = rec.finish();
-        let pairs = count_pairs(1, |c| trace.cursor(c), |e| (e.pc != 9).then_some(e.pc)).unwrap();
-        assert_eq!(pairs.observed(), 2);
-        assert_eq!(pairs.count(&(1, 2)), 0, "pairing across a gap");
     }
 }

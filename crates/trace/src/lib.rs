@@ -44,8 +44,8 @@ mod streaming;
 mod wire;
 
 pub use analytics::{
-    analyze, count_pairs, IndirectionProfile, MlpProfile, PairCounter, ReuseHistogram,
-    TraceAnalytics, MAX_INDIRECTION, REUSE_BUCKETS,
+    analyze, IndirectionProfile, MlpProfile, ReuseHistogram, TraceAnalytics, MAX_INDIRECTION,
+    REUSE_BUCKETS,
 };
 pub use block::BLOCK_TARGET;
 pub use stream::{EventCursor, EventSource, StreamEncoder, WindowCursor};

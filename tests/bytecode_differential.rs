@@ -6,12 +6,11 @@
 //! architectural results (return value, memory, retired count, workload
 //! checksum) and the same retire-event stream — every event's pc, frame
 //! id, result id, kind (with addresses), operand list, and position in
-//! retire order. Fused superinstructions retire two events per dispatch
-//! and must leave no seam: this suite runs all seven workloads ×
-//! {baseline, manual, auto-pass} plus an all-opcode torture kernel
-//! through both tiers and compares everything, including trap
-//! behaviour, a fuel sweep that lands budgets *inside* fused pairs,
-//! single-core `SimStats`, and multicore contention schedules.
+//! retire order. This suite runs all seven workloads × {baseline,
+//! manual, auto-pass} plus an all-opcode torture kernel through both
+//! tiers and compares everything, including trap behaviour, an
+//! exhaustive fuel sweep, single-core `SimStats`, and multicore
+//! contention schedules.
 
 use std::sync::Arc;
 use swpf::workloads::{suite, KernelVariant, Scale, Workload};
@@ -131,14 +130,6 @@ fn all_workloads_all_variants_match_both_oracles() {
                 bytecode.checksum.is_some(),
                 "{name}: workload checksum computed"
             );
-            // The comparison must be exercising the fused fast path:
-            // every workload kernel contains at least one mined pair.
-            let image = ExecImage::build(&m);
-            let bc = image.bytecode().expect("workloads lower to bytecode");
-            let fused: usize = (0..bc.num_funcs())
-                .map(|f| bc.func(FuncId(f as u32)).fused_count())
-                .sum();
-            assert!(fused > 0, "{name}: no superinstructions fused");
         }
     }
 }
@@ -200,8 +191,8 @@ fn torture_module() -> Module {
         let fnext = b.binary(BinOp::Fadd, facc, f2);
         let ahead = b.add(i, eight);
         // `fbuf` is the heap's last allocation, so the look-ahead runs
-        // past allocated memory near the end of the loop: the fused
-        // prefetch paths must keep the never-faults contract.
+        // past allocated memory near the end of the loop: the prefetch
+        // path must keep the never-faults contract.
         let pg = b.gep(fbuf, ahead, 8);
         b.prefetch(pg);
         let mixed = b.call(helper, &[wide, acc], Some(Type::I64));
@@ -294,13 +285,12 @@ fn traps_match_both_oracles() {
     }
 }
 
-/// Exhaustive fuel sweep over a loop whose body is dense with fused
-/// pairs: every budget value lands at a different point of the kernel,
-/// including *between the two halves of a fused superinstruction* — the
-/// bytecode tier must park the cursor mid-pair and report `OutOfFuel`
-/// with exactly the oracle's event prefix.
+/// Exhaustive fuel sweep over a summing loop: every budget value lands
+/// at a different point of the kernel, phi copies included — the
+/// bytecode tier must report `OutOfFuel` with exactly the oracle's
+/// event prefix.
 #[test]
-fn fuel_sweep_lands_inside_fused_pairs() {
+fn exhaustive_fuel_sweep_matches_classic() {
     let mut m = Module::new("sum");
     let fid = m.declare_function("kernel", &[Type::Ptr, Type::I64], Type::I64);
     {
@@ -318,7 +308,7 @@ fn fuel_sweep_lands_inside_fused_pairs() {
         let c = b.icmp(Pred::Slt, i, n);
         b.cond_br(c, body, exit);
         b.switch_to(body);
-        let addr = b.gep(a, i, 8); // gep;ld_i64 fuses
+        let addr = b.gep(a, i, 8);
         let v = b.load(Type::I64, addr);
         let acc2 = b.add(acc, v);
         let one = b.const_i64(1);
@@ -329,15 +319,6 @@ fn fuel_sweep_lands_inside_fused_pairs() {
         b.switch_to(exit);
         b.ret(Some(acc));
     }
-    // The kernel must actually contain fused pairs for the sweep to
-    // cross them.
-    let image = ExecImage::build(&m);
-    let bcimg = image.bytecode().expect("lowers");
-    assert!(
-        bcimg.func(FuncId(0)).fused_count() > 0,
-        "sum loop should fuse gep;ld pairs"
-    );
-
     let elems = 6u64;
     let setup = |interp: &mut Interp| -> Vec<RtVal> {
         let base = interp.alloc_array(elems, 8).unwrap();

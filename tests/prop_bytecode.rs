@@ -9,15 +9,14 @@
 //!    same events, step marks, outcomes, retired counts and parked
 //!    cursor, through calls and with the fuel running out mid-batch;
 //! 3. the fixed-width encoding round-trips: `decode(encode(w)) == w`
-//!    for every word of every lowered workload function, and fusion
-//!    rewrites only head opcode bytes;
+//!    for every word of every lowered workload function;
 //! 4. encodings that do not fit the 14-bit operand fields are rejected
 //!    at lowering time (`LowerError`), never reaching dispatch, and run
 //!    on the classic tier instead.
 
 use proptest::prelude::*;
 use std::sync::Arc;
-use swpf_ir::bytecode::{decode_word, op, unfuse, BcImage, LowerError};
+use swpf_ir::bytecode::{decode_word, BcImage, LowerError};
 use swpf_ir::classic::ClassicInterp;
 use swpf_ir::interp::{Event, EventKind, ExecObserver, Interp, RtVal, Step, Tier};
 use swpf_ir::prelude::*;
@@ -274,8 +273,7 @@ proptest! {
     }
 
     // Random fuel budgets on a random kernel: both tiers park at the
-    // same event prefix with the same `OutOfFuel` outcome, even when
-    // the budget lands between the halves of a fused pair.
+    // same event prefix with the same `OutOfFuel` outcome.
     #[test]
     fn random_fuel_budgets_are_tier_invariant(
         ops in prop::collection::vec(0usize..9, 1..6),
@@ -305,7 +303,7 @@ fn decode_encode_roundtrips_over_the_workload_corpus() {
     for w in suite(Scale::Test) {
         let m = w.build_baseline();
         let image = ExecImage::build(&m);
-        let bc = BcImage::lower_unfused(&image).expect("workloads lower");
+        let bc = BcImage::lower(&image).expect("workloads lower");
         for f in 0..bc.num_funcs() {
             for &word in bc.func(FuncId(f as u32)).words() {
                 assert_eq!(
@@ -319,36 +317,6 @@ fn decode_encode_roundtrips_over_the_workload_corpus() {
         }
     }
     assert!(words > 100, "corpus should exercise many words");
-}
-
-/// Fusion only rewrites head opcode bytes: the fused image's words are
-/// identical to the unfused image's except that some opcodes are
-/// promoted, and `unfuse` recovers the original opcode exactly.
-#[test]
-fn fusion_is_an_opcode_only_rewrite_everywhere() {
-    let mut fused_total = 0usize;
-    for w in suite(Scale::Test) {
-        let m = w.build_baseline();
-        let image = ExecImage::build(&m);
-        let plain = BcImage::lower_unfused(&image).expect("lowers");
-        let fused = BcImage::lower(&image).expect("lowers");
-        for f in 0..plain.num_funcs() {
-            let (pf, ff) = (plain.func(FuncId(f as u32)), fused.func(FuncId(f as u32)));
-            assert_eq!(pf.words().len(), ff.words().len(), "fusion never resizes");
-            for (pw, fw) in pf.words().iter().zip(ff.words()) {
-                assert_eq!(pw >> 8, fw >> 8, "operand fields must not change");
-                assert_eq!(
-                    unfuse(*fw as u8),
-                    *pw as u8,
-                    "unfuse must recover the original opcode"
-                );
-                if *fw as u8 >= op::FUSED_BASE {
-                    fused_total += 1;
-                }
-            }
-        }
-    }
-    assert!(fused_total > 0, "corpus should contain fused pairs");
 }
 
 /// A function whose value count exceeds the 14-bit slot space is
