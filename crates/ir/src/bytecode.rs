@@ -1,11 +1,7 @@
 //! Bytecode execution tier: fixed-width threaded code.
 //!
-//! The [`crate::exec`] decode layer turns a module into enum-shaped
-//! [`Op`](crate::exec::Op) values (24-byte variants behind a
-//! discriminant); matching on those and re-acquiring the active frame,
-//! function image and slice bounds on every step is what a dense
-//! executor would still pay. This module lowers an [`ExecImage`] one
-//! level further, into a flat array of fixed-width 8-byte instruction
+//! [`ExecImage::build`] lowers every function of a module, in one pass
+//! over its blocks, into a flat array of fixed-width 8-byte instruction
 //! words:
 //!
 //! ```text
@@ -19,18 +15,22 @@
 //! The opcode byte drives a tight `match`-on-`u8` dispatch loop; the
 //! four 14-bit fields carry frame-slot indices, pre-resolved CFG-edge
 //! indices, or indices into a per-function 64-bit immediate pool (cast
-//! masks, `gep` element sizes). Code indices are identical to the
-//! [`ExecImage`] instruction indices — each decoded instruction lowers
-//! to exactly one word — so branch targets, entry points and the
-//! observer metadata (event `pc`, result id, operand list) carry over
-//! unchanged into side tables the dispatch loop only touches when an
+//! masks, `alloc` / `gep` element sizes). Blocks are concatenated in
+//! creation order, one word per non-phi instruction (plus a `FALLOFF`
+//! marker for a block without a terminator). Phis lower to per-CFG-edge
+//! parallel-copy lists, constants to a pool materialised when a frame
+//! is created, and the observer metadata (event `pc`, result id, operand
+//! list) to side tables the dispatch loop only touches when an
 //! instruction retires.
 //!
+//! Frame slots coincide with [`ValueId`] indices (the per-function value
+//! arena is already dense), so observer-visible operand ids and frame
+//! slot numbers agree without a translation table.
+//!
 //! All slot / edge / immediate indices are validated once at lowering
-//! time ([`BcImage::lower`] returns [`LowerError`] when a function
-//! exceeds a 14-bit capacity, and asserts internal consistency), which
-//! is what lets the dispatch loop use unchecked accesses ([`rd`] /
-//! [`wr`]).
+//! time (lowering returns [`LowerError`] when a function exceeds a
+//! 14-bit capacity, and asserts internal consistency), which is what
+//! lets the dispatch loop use unchecked accesses.
 //!
 //! Every word keeps its base opcode, so one dispatch retires exactly one
 //! instruction: the stepping entry point ([`BcEngine::run_steps`]) and
@@ -40,18 +40,21 @@
 //!
 //! The tier is reached through the [`crate::interp::Interp`] facade
 //! (`SWPF_TIER=bytecode`, the default). The classic tree-walker is its
-//! differential oracle, and the facade's fallback for images that do not
-//! lower.
+//! differential oracle, and the facade's fallback for modules that do
+//! not lower.
 
-use crate::exec::{self, ExecImage, Op};
+use crate::block::BlockId;
+use crate::exec::ExecImage;
 use crate::function::FuncId;
-use crate::inst::{BinOp, Pred};
+use crate::inst::{BinOp, CastOp, Inst, InstKind, Pred};
 use crate::interp::{
     decode_scalar, encode_scalar, eval_binary, eval_icmp, Event, EventKind, ExecObserver, Memory,
     RtVal, Step, Trap,
 };
+use crate::module::Module;
 use crate::types::Type;
-use crate::value::ValueId;
+use crate::value::{Constant, ValueId, ValueKind};
+use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -233,28 +236,49 @@ struct BcMeta {
     ops_len: u32,
 }
 
-/// A pre-compiled CFG edge (same shape as the decoded image's).
+/// A pre-compiled CFG edge: where to jump and which phi moves to apply.
 #[derive(Debug, Clone, Copy)]
 struct BcEdge {
+    /// Code index of the target block's first non-phi instruction.
     target: u32,
+    /// Range into [`BcFunc::moves`].
     moves_at: u32,
     moves_len: u32,
+}
+
+/// One phi of a CFG edge's parallel copy, with its retire-event fields.
+#[derive(Debug, Clone, Copy)]
+struct PhiMove {
+    /// Destination slot (the phi's own value id).
+    dst: u32,
+    /// Source slot (the incoming chosen for this edge).
+    src: u32,
+    /// Event pc of the phi.
+    pc: u64,
+    /// The phi's value id.
+    result: ValueId,
+    /// The chosen incoming's value id (the event's single operand).
+    incoming: ValueId,
 }
 
 /// One function in bytecode form.
 #[derive(Debug)]
 pub struct BcFunc {
-    /// Fixed-width instruction words; indices coincide with the
-    /// [`ExecImage`] instruction indices of the same function.
+    /// Fixed-width instruction words, blocks concatenated in creation
+    /// order.
     code: Vec<u64>,
     /// Observer metadata, parallel to `code`.
     meta: Vec<BcMeta>,
     edges: Vec<BcEdge>,
-    moves: Vec<exec::PhiMove>,
+    moves: Vec<PhiMove>,
+    /// Pooled event-operand lists referenced by `meta`. For calls this
+    /// doubles as the argument list: slot `k` of an operand id is the
+    /// id's own index (slots and value ids coincide).
     operands: Vec<ValueId>,
     /// Pooled 64-bit immediates (cast masks, alloc/gep element sizes,
     /// gep offsets) referenced by 14-bit in-word indices.
     imms: Vec<u64>,
+    /// `(slot, value)` pairs to materialise when a frame is created.
     consts: Vec<(u32, RtVal)>,
     num_slots: u32,
     num_params: u32,
@@ -282,36 +306,39 @@ impl BcFunc {
     }
 }
 
-/// A module in bytecode form: one [`BcFunc`] per function, same
-/// indices as the source [`ExecImage`].
+/// A module in bytecode form: one [`BcFunc`] per function, indexed by
+/// [`FuncId`].
 #[derive(Debug)]
 pub struct BcImage {
     funcs: Vec<BcFunc>,
 }
 
 impl BcImage {
-    /// Lower a decoded image to bytecode and validate every encoded
-    /// index (slots, edges, immediates) so the dispatch loop can run
-    /// unchecked.
+    /// Lower the module `image` was built from, again (the image holds
+    /// its own lowering; see [`ExecImage::bytecode`]).
     ///
     /// # Errors
-    /// [`LowerError`] when the image exceeds a 14-bit field capacity.
+    /// [`LowerError`] when a function exceeds a 14-bit field capacity.
     ///
     /// # Panics
-    /// If the source image violates its own validation invariants
-    /// (internal consistency; cannot happen for [`ExecImage::build`]
-    /// output).
+    /// As [`ExecImage::build`].
     pub fn lower(image: &ExecImage) -> Result<BcImage, LowerError> {
+        BcImage::lower_module(&image.module)
+    }
+
+    /// Lower every function of `module` and validate every encoded
+    /// index (slots, edges, immediates) so the dispatch loop can run
+    /// unchecked.
+    pub(crate) fn lower_module(module: &Module) -> Result<BcImage, LowerError> {
         let _span = swpf_obs::span("bc:lower");
-        if image.funcs.len() > FIELD_MASK as usize + 1 {
-            return Err(LowerError::TooManyFuncs {
-                funcs: image.funcs.len(),
-            });
+        let num_funcs = module.num_functions();
+        if num_funcs > FIELD_MASK as usize + 1 {
+            return Err(LowerError::TooManyFuncs { funcs: num_funcs });
         }
-        let mut funcs = Vec::with_capacity(image.funcs.len());
-        for (fidx, fi) in image.funcs.iter().enumerate() {
-            let bf = lower_function(fidx, fi)?;
-            validate_bc(fidx, &bf, image.funcs.len());
+        let mut funcs = Vec::with_capacity(num_funcs);
+        for f in module.func_ids() {
+            let bf = lower_function(module, f)?;
+            validate_bc(f.index(), &bf, num_funcs);
             funcs.push(bf);
         }
         if swpf_obs::enabled() {
@@ -337,195 +364,293 @@ impl BcImage {
     }
 }
 
-/// Lower one function. Instruction indices are preserved 1:1, so edges,
-/// entry point and observer metadata copy over unchanged.
+fn bin_opcode(op: BinOp) -> u8 {
+    match op {
+        BinOp::Add => op::ADD,
+        BinOp::Sub => op::SUB,
+        BinOp::Mul => op::MUL,
+        BinOp::Sdiv => op::SDIV,
+        BinOp::Udiv => op::UDIV,
+        BinOp::Srem => op::SREM,
+        BinOp::Urem => op::UREM,
+        BinOp::And => op::AND,
+        BinOp::Or => op::OR,
+        BinOp::Xor => op::XOR,
+        BinOp::Shl => op::SHL,
+        BinOp::Lshr => op::LSHR,
+        BinOp::Ashr => op::ASHR,
+        BinOp::Fadd => op::FADD,
+        BinOp::Fsub => op::FSUB,
+        BinOp::Fmul => op::FMUL,
+        BinOp::Fdiv => op::FDIV,
+    }
+}
+
+/// Lower one function to words, immediates and side tables.
+///
+/// Structural violations the classic engine would only hit at run time
+/// — a phi after a non-phi, a missing phi incoming — panic here, before
+/// any capacity check.
 #[allow(clippy::too_many_lines)]
-fn lower_function(fidx: usize, fi: &exec::FuncImage) -> Result<BcFunc, LowerError> {
-    if fi.num_slots > FIELD_MASK {
+fn lower_function(module: &Module, func: FuncId) -> Result<BcFunc, LowerError> {
+    let f = module.function(func);
+    let fidx = func.index();
+    let pc_of = |v: ValueId| (u64::from(func.0) << 32) | u64::from(v.0);
+    let has_term = |b: BlockId| {
+        f.block(b)
+            .last()
+            .and_then(|t| f.inst(t))
+            .is_some_and(Inst::is_terminator)
+    };
+
+    // Pass 1: for each block, the leading phi run and the code index at
+    // which its non-phi instructions will start; and the edge count.
+    let mut block_phis: Vec<Vec<ValueId>> = Vec::with_capacity(f.num_blocks());
+    let mut block_start: Vec<u32> = Vec::with_capacity(f.num_blocks() + 1);
+    let mut num_edges = 0usize;
+    let mut next_code = 0u32;
+    for b in f.block_ids() {
+        let insts = &f.block(b).insts;
+        let mut phis = Vec::new();
+        for (pos, &v) in insts.iter().enumerate() {
+            match f.inst(v).map(|i| &i.kind) {
+                Some(InstKind::Phi { .. }) => {
+                    assert_eq!(phis.len(), pos, "phi after non-phi in {b} of @{}", f.name);
+                    phis.push(v);
+                }
+                Some(InstKind::Br { .. }) => num_edges += 1,
+                Some(InstKind::CondBr { .. }) => num_edges += 2,
+                _ => {}
+            }
+        }
+        block_start.push(next_code);
+        // Every block contributes its non-phi instructions, plus a
+        // FALLOFF marker when it lacks a terminator.
+        next_code += (insts.len() - phis.len()) as u32 + u32::from(!has_term(b));
+        block_phis.push(phis);
+    }
+    block_start.push(next_code);
+    assert!(
+        block_phis.first().is_none_or(Vec::is_empty),
+        "entry block of @{} has phis",
+        f.name
+    );
+    let num_slots = f.num_values() as u32;
+    if num_slots > FIELD_MASK {
         return Err(LowerError::TooManySlots {
             func: fidx,
-            slots: fi.num_slots as usize,
+            slots: num_slots as usize,
         });
     }
-    if fi.edges.len() > FIELD_MASK as usize + 1 {
+    if num_edges > FIELD_MASK as usize + 1 {
         return Err(LowerError::TooManyEdges {
             func: fidx,
-            edges: fi.edges.len(),
+            edges: num_edges,
         });
     }
 
+    let consts = (0..num_slots)
+        .filter_map(|i| match &f.value(ValueId(i)).kind {
+            ValueKind::Const(Constant::Int(v, _)) => Some((i, RtVal::Int(*v))),
+            ValueKind::Const(Constant::Float(v)) => Some((i, RtVal::Float(*v))),
+            _ => None,
+        })
+        .collect();
+
+    // Immediates are pooled per function: a single value (mask, alloc
+    // element size) or a `gep` (element size, offset) pair, each index
+    // the pool position of its first element.
     let mut imms: Vec<u64> = Vec::new();
-    let mut single_pool: std::collections::HashMap<u64, u32> = std::collections::HashMap::new();
-    let mut pair_pool: std::collections::HashMap<(u64, u64), u32> =
-        std::collections::HashMap::new();
-    let mut imm_of = |imms: &mut Vec<u64>, v: u64| -> u32 {
-        *single_pool.entry(v).or_insert_with(|| {
-            imms.push(v);
-            (imms.len() - 1) as u32
-        })
-    };
-    let mut imm_pair_of = |imms: &mut Vec<u64>, a: u64, b: u64| -> u32 {
-        *pair_pool.entry((a, b)).or_insert_with(|| {
-            imms.push(a);
-            imms.push(b);
-            (imms.len() - 2) as u32
-        })
+    let mut imm_index: HashMap<(u64, Option<u64>), u32> = HashMap::new();
+    let mut imm = |imms: &mut Vec<u64>, first: u64, second: Option<u64>| {
+        let idx = *imm_index.entry((first, second)).or_insert_with(|| {
+            imms.push(first);
+            imms.extend(second);
+            (imms.len() - 1 - usize::from(second.is_some())) as u32
+        });
+        if idx > FIELD_MASK {
+            return Err(LowerError::TooManyImms {
+                func: fidx,
+                imms: imms.len(),
+            });
+        }
+        Ok(idx)
     };
 
-    let mut code = Vec::with_capacity(fi.code.len());
-    let mut meta = Vec::with_capacity(fi.code.len());
-    for d in &fi.code {
-        let w = match d.op {
-            Op::Bin { op, lhs, rhs, dst } => {
-                let opc = match op {
-                    BinOp::Add => op::ADD,
-                    BinOp::Sub => op::SUB,
-                    BinOp::Mul => op::MUL,
-                    BinOp::Sdiv => op::SDIV,
-                    BinOp::Udiv => op::UDIV,
-                    BinOp::Srem => op::SREM,
-                    BinOp::Urem => op::UREM,
-                    BinOp::And => op::AND,
-                    BinOp::Or => op::OR,
-                    BinOp::Xor => op::XOR,
-                    BinOp::Shl => op::SHL,
-                    BinOp::Lshr => op::LSHR,
-                    BinOp::Ashr => op::ASHR,
-                    BinOp::Fadd => op::FADD,
-                    BinOp::Fsub => op::FSUB,
-                    BinOp::Fmul => op::FMUL,
-                    BinOp::Fdiv => op::FDIV,
-                };
-                encode_word(opc, lhs, rhs, dst, 0)
-            }
-            Op::ICmp {
-                pred,
-                lhs,
-                rhs,
-                dst,
-            } => encode_word(op::ICMP, lhs, rhs, dst, pred_code(pred)),
-            Op::Select {
-                cond,
-                then_val,
-                else_val,
-                dst,
-            } => encode_word(op::SELECT, cond, then_val, else_val, dst),
-            Op::Mask { src, mask, dst } => {
-                let idx = imm_of(&mut imms, mask as u64);
-                if idx > FIELD_MASK {
-                    return Err(LowerError::TooManyImms {
-                        func: fidx,
-                        imms: imms.len(),
-                    });
-                }
-                encode_word(op::MASK, src, dst, idx, 0)
-            }
-            Op::SignExtend { src, shift, dst } => encode_word(op::SEXT, src, dst, shift, 0),
-            Op::Copy { src, dst } => encode_word(op::COPY, src, dst, 0, 0),
-            Op::Alloc {
-                count,
-                elem_size,
-                dst,
-            } => {
-                let idx = imm_of(&mut imms, elem_size);
-                if idx > FIELD_MASK {
-                    return Err(LowerError::TooManyImms {
-                        func: fidx,
-                        imms: imms.len(),
-                    });
-                }
-                encode_word(op::ALLOC, count, dst, idx, 0)
-            }
-            Op::Gep {
-                base,
-                index,
-                elem_size,
-                offset,
-                dst,
-            } => {
-                let idx = imm_pair_of(&mut imms, elem_size, offset);
-                if idx > FIELD_MASK {
-                    return Err(LowerError::TooManyImms {
-                        func: fidx,
-                        imms: imms.len(),
-                    });
-                }
-                encode_word(op::GEP, base, index, dst, idx)
-            }
-            Op::Load { addr, ty, dst, .. } => {
-                let opc = match ty {
-                    Type::I1 => op::LD_I1,
-                    Type::I8 => op::LD_I8,
-                    Type::I16 => op::LD_I16,
-                    Type::I32 => op::LD_I32,
-                    Type::I64 | Type::Ptr => op::LD_I64,
-                    Type::F64 => op::LD_F64,
-                };
-                encode_word(opc, addr, dst, 0, 0)
-            }
-            Op::Store { addr, val, size } => {
-                let opc = match size {
-                    1 => op::ST_1,
-                    2 => op::ST_2,
-                    4 => op::ST_4,
-                    8 => op::ST_8,
-                    other => panic!("unsupported store width {other}"),
-                };
-                encode_word(opc, addr, val, 0, 0)
-            }
-            Op::Prefetch { addr } => encode_word(op::PREFETCH, addr, 0, 0, 0),
-            Op::Call { callee, dst } => {
-                if callee > FIELD_MASK {
-                    return Err(LowerError::TooManyFuncs {
-                        funcs: callee as usize + 1,
-                    });
-                }
-                encode_word(op::CALL, callee, dst, 0, 0)
-            }
-            Op::Br { edge } => encode_word(op::BR, edge, 0, 0, 0),
-            Op::CondBr {
-                cond,
-                then_edge,
-                else_edge,
-            } => encode_word(op::CBR, cond, then_edge, else_edge, 0),
-            Op::Ret { val } => {
-                let a = if val == exec::NO_SLOT {
-                    BC_NO_SLOT
-                } else {
-                    val
-                };
-                encode_word(op::RET, a, 0, 0, 0)
-            }
-            Op::FallOff => encode_word(op::FALLOFF, 0, 0, 0, 0),
-        };
-        code.push(w);
-        meta.push(BcMeta {
-            pc: d.pc,
-            result: d.result,
-            ops_at: d.ops_at,
-            ops_len: d.ops_len,
+    let mut edges: Vec<BcEdge> = Vec::with_capacity(num_edges);
+    let mut moves: Vec<PhiMove> = Vec::new();
+    let mut edge_to = |edges: &mut Vec<BcEdge>, from: BlockId, target: BlockId| -> u32 {
+        let moves_at = moves.len() as u32;
+        for &pv in &block_phis[target.index()] {
+            let Some(InstKind::Phi { incomings }) = f.inst(pv).map(|i| &i.kind) else {
+                unreachable!("collected as phi");
+            };
+            let (_, iv) = incomings
+                .iter()
+                .find(|(b, _)| *b == from)
+                .expect("verifier guarantees an incoming per predecessor");
+            moves.push(PhiMove {
+                dst: pv.0,
+                src: iv.0,
+                pc: pc_of(pv),
+                result: pv,
+                incoming: *iv,
+            });
+        }
+        edges.push(BcEdge {
+            target: block_start[target.index()],
+            moves_at,
+            moves_len: moves.len() as u32 - moves_at,
         });
+        edges.len() as u32 - 1
+    };
+
+    // Pass 2: one word (and its metadata) per non-phi instruction.
+    let mut code = Vec::with_capacity(next_code as usize);
+    let mut meta = Vec::with_capacity(next_code as usize);
+    let mut operands: Vec<ValueId> = Vec::new();
+    for b in f.block_ids() {
+        for &v in &f.block(b).insts {
+            let inst = f.inst(v).expect("placed value is an instruction");
+            let ops_at = operands.len() as u32;
+            let dst = v.0;
+            let w = match &inst.kind {
+                InstKind::Phi { .. } => continue,
+                InstKind::Binary { op, lhs, rhs } => {
+                    operands.extend([*lhs, *rhs]);
+                    encode_word(bin_opcode(*op), lhs.0, rhs.0, dst, 0)
+                }
+                InstKind::ICmp { pred, lhs, rhs } => {
+                    operands.extend([*lhs, *rhs]);
+                    encode_word(op::ICMP, lhs.0, rhs.0, dst, pred_code(*pred))
+                }
+                InstKind::Select {
+                    cond,
+                    then_val,
+                    else_val,
+                } => {
+                    operands.extend([*cond, *then_val, *else_val]);
+                    encode_word(op::SELECT, cond.0, then_val.0, else_val.0, dst)
+                }
+                InstKind::Cast { op, val, to } => {
+                    operands.push(*val);
+                    let from_bits = || f.value(*val).ty.expect("cast source typed").bits();
+                    match op {
+                        // Truncation is an AND mask, sign extension a
+                        // shift pair.
+                        CastOp::Trunc if to.bits() < 64 => {
+                            let idx = imm(&mut imms, (1u64 << to.bits()) - 1, None)?;
+                            encode_word(op::MASK, val.0, dst, idx, 0)
+                        }
+                        CastOp::Sext if from_bits() < 64 => {
+                            encode_word(op::SEXT, val.0, dst, 64 - from_bits(), 0)
+                        }
+                        // Values are stored canonically (zero-extended),
+                        // so zext, the pointer casts and full-width
+                        // trunc / sext are moves.
+                        _ => encode_word(op::COPY, val.0, dst, 0, 0),
+                    }
+                }
+                InstKind::Alloc { count, elem_size } => {
+                    operands.push(*count);
+                    let idx = imm(&mut imms, *elem_size, None)?;
+                    encode_word(op::ALLOC, count.0, dst, idx, 0)
+                }
+                InstKind::Gep {
+                    base,
+                    index,
+                    elem_size,
+                    offset,
+                } => {
+                    operands.extend([*base, *index]);
+                    let idx = imm(&mut imms, *elem_size, Some(*offset))?;
+                    encode_word(op::GEP, base.0, index.0, dst, idx)
+                }
+                InstKind::Load { addr, ty } => {
+                    operands.push(*addr);
+                    let opc = match ty {
+                        Type::I1 => op::LD_I1,
+                        Type::I8 => op::LD_I8,
+                        Type::I16 => op::LD_I16,
+                        Type::I32 => op::LD_I32,
+                        Type::I64 | Type::Ptr => op::LD_I64,
+                        Type::F64 => op::LD_F64,
+                    };
+                    encode_word(opc, addr.0, dst, 0, 0)
+                }
+                InstKind::Store { addr, value } => {
+                    operands.extend([*addr, *value]);
+                    let opc = match f.value(*value).ty.expect("store of typed value") {
+                        Type::I1 | Type::I8 => op::ST_1,
+                        Type::I16 => op::ST_2,
+                        Type::I32 => op::ST_4,
+                        Type::I64 | Type::F64 | Type::Ptr => op::ST_8,
+                    };
+                    encode_word(opc, addr.0, value.0, 0, 0)
+                }
+                InstKind::Prefetch { addr } => {
+                    operands.push(*addr);
+                    encode_word(op::PREFETCH, addr.0, 0, 0, 0)
+                }
+                InstKind::Call { callee, args } => {
+                    operands.extend(args.iter().copied());
+                    encode_word(op::CALL, callee.0, dst, 0, 0)
+                }
+                InstKind::Br { target } => {
+                    encode_word(op::BR, edge_to(&mut edges, b, *target), 0, 0, 0)
+                }
+                InstKind::CondBr {
+                    cond,
+                    then_bb,
+                    else_bb,
+                } => {
+                    operands.push(*cond);
+                    let then_edge = edge_to(&mut edges, b, *then_bb);
+                    let else_edge = edge_to(&mut edges, b, *else_bb);
+                    encode_word(op::CBR, cond.0, then_edge, else_edge, 0)
+                }
+                InstKind::Ret { value } => {
+                    operands.extend(*value);
+                    encode_word(op::RET, value.map_or(BC_NO_SLOT, |x| x.0), 0, 0, 0)
+                }
+            };
+            code.push(w);
+            meta.push(BcMeta {
+                pc: pc_of(v),
+                result: v,
+                ops_at,
+                ops_len: operands.len() as u32 - ops_at,
+            });
+        }
+        if !has_term(b) {
+            // Executing it reproduces the classic engine's "fell off
+            // block end" panic.
+            code.push(encode_word(op::FALLOFF, 0, 0, 0, 0));
+            meta.push(BcMeta {
+                pc: pc_of(ValueId(u32::MAX)),
+                result: ValueId(u32::MAX),
+                ops_at: operands.len() as u32,
+                ops_len: 0,
+            });
+        }
+        debug_assert_eq!(
+            code.len() as u32,
+            block_start[b.index() + 1],
+            "block layout mismatch"
+        );
     }
 
     Ok(BcFunc {
         code,
         meta,
-        edges: fi
-            .edges
-            .iter()
-            .map(|e| BcEdge {
-                target: e.target,
-                moves_at: e.moves_at,
-                moves_len: e.moves_len,
-            })
-            .collect(),
-        moves: fi.moves.clone(),
-        operands: fi.operands.clone(),
+        edges,
+        moves,
+        operands,
         imms,
-        consts: fi.consts.clone(),
-        num_slots: fi.num_slots,
-        num_params: fi.num_params,
-        entry_ip: fi.entry_ip,
+        consts,
+        num_slots,
+        num_params: f.params.len() as u32,
+        entry_ip: block_start[0],
     })
 }
 
@@ -655,7 +780,7 @@ struct BcFrame {
     frame_id: u64,
     ip: u32,
     /// Slot in the *caller's* frame receiving our return value
-    /// ([`exec::NO_SLOT`] for the top-level frame).
+    /// ([`BC_NO_SLOT`] for the top-level frame).
     ret_slot: u32,
     regs: Vec<RtVal>,
 }
@@ -749,7 +874,7 @@ impl BcEngine {
             func: func.0,
             frame_id: id,
             ip: entry_ip,
-            ret_slot: exec::NO_SLOT,
+            ret_slot: BC_NO_SLOT,
             regs,
         });
         self.image = Some(image);
@@ -1191,7 +1316,7 @@ impl BcState {
     fn pop_frame(&mut self, val: Option<RtVal>) -> Step {
         let finished = self.frames.pop().expect("non-empty");
         if let Some(parent) = self.frames.last_mut() {
-            if let (true, Some(v)) = (finished.ret_slot != exec::NO_SLOT, val) {
+            if let (true, Some(v)) = (finished.ret_slot != BC_NO_SLOT, val) {
                 parent.regs[finished.ret_slot as usize] = v;
             }
             Step::Continue
@@ -1452,15 +1577,37 @@ mod tests {
     }
 
     #[test]
-    fn lowering_preserves_code_indices_and_roundtrips() {
+    fn lowering_emits_one_canonical_word_per_non_phi_instruction() {
         let m = sum_module();
         let image = ExecImage::build(&m);
         let bc = BcImage::lower(&image).unwrap();
         let bf = bc.func(FuncId(0));
-        assert_eq!(bf.words().len(), image.code_len(FuncId(0)));
+        // br; icmp, br; gep, load, add, add, br; ret — the two phis live
+        // on edges and the constants in the pool.
+        assert_eq!(bf.words().len(), 9);
         for &w in bf.words() {
             assert_eq!(decode_word(w).encode(), w, "word is not canonical");
         }
+    }
+
+    #[test]
+    fn lowering_flattens_blocks_and_pools_constants() {
+        let mut m = Module::new("t");
+        let fid = m.declare_function("f", &[Type::I64], Type::I64);
+        {
+            let mut b = FunctionBuilder::new(m.function_mut(fid));
+            let x = b.arg(0);
+            let k = b.const_i64(7);
+            let r = b.add(x, k);
+            b.ret(Some(r));
+        }
+        let bc = BcImage::lower(&ExecImage::build(&m)).unwrap();
+        assert_eq!(bc.num_funcs(), 1);
+        let bf = bc.func(fid);
+        // add + ret; the constant lives in the const pool, not the code.
+        assert_eq!(bf.words().len(), 2);
+        assert!(bf.consts.iter().any(|&(_, v)| v == RtVal::Int(7)));
+        assert_eq!(bf.num_params, 1);
     }
 
     #[test]
