@@ -660,8 +660,8 @@ pub struct Licm {
     /// Instructions hoisted across every `run` call.
     pub hoisted: usize,
     order: Vec<swpf_analysis::LoopId>,
-    /// The block being swept, as it stood when the sweep reached it.
-    snapshot: Vec<ValueId>,
+    /// The swept block's instructions chosen to hoist, in block order.
+    hoist: Vec<ValueId>,
     ops: Vec<ValueId>,
 }
 
@@ -678,10 +678,7 @@ impl FunctionPass for Licm {
         // that is still inside an outer loop gets a second chance when
         // the outer loop is processed.
         let Licm {
-            order,
-            snapshot,
-            ops,
-            ..
+            order, hoist, ops, ..
         } = self;
         order.clear();
         order.extend(loops.ids());
@@ -697,9 +694,14 @@ impl FunctionPass for Licm {
             loop {
                 let mut moved_this_sweep = false;
                 for &b in &lp.blocks {
-                    snapshot.clear();
-                    snapshot.extend_from_slice(&f.block(b).insts);
-                    for &v in snapshot.iter() {
+                    // Each chosen instruction is re-homed to the
+                    // preheader at once, so its users later in the sweep
+                    // see it as outside the loop; the block then loses
+                    // them in one `retain`, and the preheader gains them
+                    // in one splice before its terminator.
+                    hoist.clear();
+                    for i in 0..f.block(b).insts.len() {
+                        let v = f.block(b).insts[i];
                         let Some(inst) = f.inst(v) else { continue };
                         if !dce_removable(&inst.kind) {
                             continue;
@@ -710,14 +712,27 @@ impl FunctionPass for Licm {
                             ValueKind::Arg { .. } | ValueKind::Const(_) => true,
                             ValueKind::Inst(def) => !lp.contains(def.block),
                         });
-                        if !invariant {
-                            continue;
+                        if let (true, Some(inst)) = (invariant, f.inst_mut(v)) {
+                            inst.block = ph;
+                            hoist.push(v);
                         }
-                        f.block_mut(b).insts.retain(|&x| x != v);
-                        f.insert_before(ph_term, v);
-                        hoisted += 1;
-                        moved_this_sweep = true;
                     }
+                    if hoist.is_empty() {
+                        continue;
+                    }
+                    // `hoist` is a subsequence of the block, in order.
+                    let mut next = 0;
+                    f.block_mut(b).insts.retain(|&x| {
+                        let keep = hoist.get(next) != Some(&x);
+                        next += usize::from(!keep);
+                        keep
+                    });
+                    let ph_insts = &mut f.block_mut(ph).insts;
+                    debug_assert_eq!(ph_insts.last(), Some(&ph_term));
+                    let at = ph_insts.len() - 1;
+                    ph_insts.splice(at..at, hoist.iter().copied());
+                    hoisted += hoist.len();
+                    moved_this_sweep = true;
                 }
                 if !moved_this_sweep {
                     break;

@@ -1,6 +1,7 @@
-//! The compile path stays linear on deep and loop-heavy functions: four
-//! times the blocks may cost the verifier, and the full pass pipeline,
-//! at most eight times as much.
+//! The compile path stays linear on deep, loop-heavy and wide functions:
+//! four times the blocks, or four times the instructions of one loop
+//! body, may cost the verifier, and the full pass pipeline, at most
+//! eight times as much.
 //!
 //! One test in a binary of its own, so no other test shares the CPU
 //! while it times.
@@ -44,6 +45,18 @@ fn sequential_loops(n: usize) -> String {
     s + &format!("bb{}:\n  ret\n}}\n", n + 1)
 }
 
+/// One self-loop whose body is a chain of `n` loop-invariant `add`s,
+/// all of which LICM hoists to the entry block.
+fn wide_loop_body(n: usize) -> String {
+    let mut s =
+        String::from("module t\n\nfunc @f(%0: i64, %1: i1) -> i64 {\nbb0:\n  br bb1\nbb1:\n");
+    s.push_str("  %2: i64 = add %0, %0\n");
+    for k in 3..n + 2 {
+        let _ = writeln!(s, "  %{k}: i64 = add %{}, %0", k - 1);
+    }
+    s + &format!("  br %1, bb1, bb2\nbb2:\n  ret %{}\n}}\n", n + 1)
+}
+
 /// Best-of-three seconds of `stage` on a fresh copy of `m`.
 fn seconds(m: &Module, stage: impl Fn(&mut Module)) -> f64 {
     (0..3)
@@ -67,6 +80,7 @@ fn verifier_and_pipeline_scale_linearly_with_blocks() {
         ("forward chain", forward_chain as fn(usize) -> String, 5_000),
         ("reverse chain", reverse_chain, 5_000),
         ("sequential self-loops", sequential_loops, 2_500),
+        ("wide loop body", wide_loop_body, 20_000),
     ] {
         let (m1, m4) = (
             parse_module(&make(small)).expect("parses"),
@@ -78,7 +92,7 @@ fn verifier_and_pipeline_scale_linearly_with_blocks() {
         ] {
             assert!(
                 t4 < 8.0 * t1,
-                "{shape}, {stage}: {t1:.4} s, then {t4:.4} s for 4x the blocks"
+                "{shape}, {stage}: {t1:.4} s, then {t4:.4} s for 4x the input"
             );
         }
     }
