@@ -165,7 +165,7 @@ pub trait ExecObserver {
     fn on_event(&mut self, ev: &Event<'_>);
 
     /// Called by the stepping entry points ([`Interp::step`],
-    /// [`Interp::step_cursor`], [`Interp::run_steps`]) after every
+    /// [`Interp::run_steps`]) after every
     /// completed interpreter step: the events reported since the
     /// previous call — one instruction, plus the phi copies of a taken
     /// branch — form one step. A step that traps is not reported, and
@@ -634,12 +634,9 @@ impl Interp {
         }
     }
 
-    /// Execute and retire exactly one instruction — [`Interp::run_steps`]
+    /// Execute and retire exactly one instruction of the active cursor
+    /// (plus the phi copies of a taken branch) — [`Interp::run_steps`]
     /// with a budget of one.
-    ///
-    /// `module` must be the module the cursor was started with. Every
-    /// cursor holds what it runs, so the argument is kept only for API
-    /// compatibility.
     ///
     /// # Errors
     /// Any [`Trap`] raised by the instruction.
@@ -647,25 +644,7 @@ impl Interp {
     /// # Panics
     /// If called without an active cursor (no `start`, or after `Done`).
     #[inline]
-    pub fn step(
-        &mut self,
-        _module: &Module,
-        obs: &mut (impl ExecObserver + ?Sized),
-    ) -> Result<Step, Trap> {
-        self.run_steps(1, obs)
-    }
-
-    /// Execute and retire exactly one instruction of the active cursor,
-    /// without needing the source module — [`Interp::run_steps`] with a
-    /// budget of one.
-    ///
-    /// # Errors
-    /// Any [`Trap`] raised by the instruction.
-    ///
-    /// # Panics
-    /// As [`Interp::run_steps`].
-    #[inline]
-    pub fn step_cursor(&mut self, obs: &mut (impl ExecObserver + ?Sized)) -> Result<Step, Trap> {
+    pub fn step(&mut self, obs: &mut (impl ExecObserver + ?Sized)) -> Result<Step, Trap> {
         self.run_steps(1, obs)
     }
 
@@ -1083,7 +1062,7 @@ mod tests {
             let mut interp = Interp::new();
             interp.start_with_image(Arc::clone(&image), fid, &[RtVal::Int(i)]);
             let r = loop {
-                match interp.step(&m, &mut NullObserver).unwrap() {
+                match interp.step(&mut NullObserver).unwrap() {
                     Step::Continue => {}
                     Step::Done(v) => break v,
                 }

@@ -156,7 +156,7 @@ fn random_kernel_with_calls(ops: &[usize], consts: &[i64], trips: i64) -> Module
     m
 }
 
-/// Drive `driver` to completion in `run_steps(k)` batches (`step_cursor`
+/// Drive `driver` to completion in `run_steps(k)` batches (`step`
 /// for `k == 1`) under a fuel budget; when the budget runs out the run
 /// is refuelled and resumed, so the rest of the log shows where the
 /// cursor was parked.
@@ -174,7 +174,7 @@ fn run_in_batches(tier: Tier, m: &Module, fuel: u64, k: u64) -> (Vec<Call>, Vec<
     let mut calls = Vec::new();
     loop {
         let outcome = if k == 1 {
-            interp.step_cursor(&mut log)
+            interp.step(&mut log)
         } else {
             interp.run_steps(k, &mut log)
         };
@@ -189,7 +189,7 @@ fn run_in_batches(tier: Tier, m: &Module, fuel: u64, k: u64) -> (Vec<Call>, Vec<
 }
 
 proptest! {
-    // `run_steps(k)` is `k` calls of `step_cursor`: the same events and
+    // `run_steps(k)` is `k` calls of `step`: the same events and
     // step marks, and after every batch the same outcome, retired count
     // and log position as after the corresponding single step — through
     // calls and returns, and when the fuel runs out mid-batch (raised at
@@ -247,9 +247,9 @@ fn run_steps_runs_a_classic_cursor_started_from_a_module() {
             interp.start(&m, f, &[RtVal::Int(buf as i64), RtVal::Int(8)]);
             let mut log = StepLog::default();
             assert_eq!(interp.run_steps(4, &mut log), Ok(Step::Continue));
-            assert_eq!(interp.step(&m, &mut log), Ok(Step::Continue));
+            assert_eq!(interp.step(&mut log), Ok(Step::Continue));
             assert_eq!(log.0.last(), Some(&Seen::EndStep));
-            while interp.step_cursor(&mut log) == Ok(Step::Continue) {}
+            while interp.step(&mut log) == Ok(Step::Continue) {}
             log.0
         })
         .collect();
