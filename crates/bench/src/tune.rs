@@ -8,7 +8,7 @@
 //! downstream machinery — [`CellResult`]s (one per evaluated point ×
 //! machine, each carrying its effective `params`), derived
 //! [`TableSection`]s, [`Check`] verdicts, and a `RESULTS/tune.json`
-//! artifact through [`write_artifact`].
+//! artifact through [`write_artifact`](crate::harness::write_artifact).
 //!
 //! Per workload, each strategy gets a **fresh** evaluator, so its
 //! reported interpretation count and wall time are the honest cost of

@@ -3,9 +3,9 @@
 //!
 //! The timing model consumes nothing but the retire-event stream
 //! ([`ExecObserver`]), so a row of machines can be driven by one
-//! interpretation of a decoded [`ExecImage`] ([`interpret_row`]) or by
+//! interpretation of an [`ExecImage`] (`interpret_row`) or by
 //! one decode pass over a recorded trace with no interpreter in the
-//! loop at all ([`replay_row`]) — each machine's [`SimRun`] is
+//! loop at all (`replay_row`) — each machine's [`SimRun`] is
 //! bit-identical either way, and identical to a row of that machine
 //! alone. [`Machine`] itself is the low-level building block: callers
 //! that need their own interpreter (a fuel budget, say) drive

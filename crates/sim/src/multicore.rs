@@ -8,13 +8,13 @@
 //! arrive in approximately global time order.
 //!
 //! These are the two multicore implementations behind [`crate::Sim`]
-//! (`cores > 1`): [`interpret`] drives one interpreter per core over a
-//! shared decoded image, optionally recording each core's retire-event
-//! stream with its step boundaries; [`replay`] re-drives the timing
+//! (`cores > 1`): `interpret` drives one interpreter per core over a
+//! shared image, optionally recording each core's retire-event
+//! stream with its step boundaries; `replay` re-drives the timing
 //! models from such a recording with no interpreters at all. Both are
-//! one [`interleave`] skeleton with a different batch body, so replay
+//! one `interleave` skeleton with a different batch body, so replay
 //! preserves the direct run's schedule exactly — smallest local clock
-//! first, [`BATCH_STEPS`] interpreter steps per decision — and
+//! first, 64 interpreter steps (`BATCH_STEPS`) per decision — and
 //! shared-resource contention, the whole point of Fig. 9, is reproduced
 //! bit-identically.
 

@@ -288,13 +288,13 @@ const MLP_MAX_SAMPLES: usize = 4096;
 
 /// Streaming memory-level-parallelism profile over fixed event windows.
 ///
-/// Within each window of [`MLP_WINDOW`] retired events, a load is
+/// Within each window of 256 (`MLP_WINDOW`) retired events, a load is
 /// *independent* if its address does not (transitively) depend on the
 /// result of an earlier load **in the same window** — those are the
 /// misses an out-of-order core or a software prefetcher can overlap.
 /// Each window contributes one sample: its independent-load count. The
 /// series is decimated by averaging adjacent samples whenever it
-/// exceeds [`MLP_MAX_SAMPLES`], so `samples()` is an MLP-over-time
+/// exceeds 4096 (`MLP_MAX_SAMPLES`), so `samples()` is an MLP-over-time
 /// curve at a resolution that adapts to trace length.
 #[derive(Debug, Clone)]
 pub struct MlpProfile {
@@ -412,13 +412,13 @@ impl MlpProfile {
         self.scale
     }
 
-    /// Primitive [`MLP_WINDOW`]-event windows observed.
+    /// Primitive 256-event windows observed.
     #[must_use]
     pub fn windows(&self) -> u64 {
         self.primitive_windows
     }
 
-    /// Mean independent loads per [`MLP_WINDOW`]-event window.
+    /// Mean independent loads per 256-event window.
     #[must_use]
     pub fn mean_independent(&self) -> f64 {
         if self.primitive_windows == 0 {
