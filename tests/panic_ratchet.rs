@@ -18,7 +18,7 @@ const BUDGET: [(&str, usize); 11] = [
     ("crates/analysis", 0),
     ("crates/bench", 37),
     ("crates/core", 17),
-    ("crates/ir", 57),
+    ("crates/ir", 55),
     ("crates/obs", 12),
     ("crates/pass", 3),
     ("crates/sim", 9),
