@@ -435,13 +435,13 @@ fn lower_function(module: &Module, func: FuncId) -> Result<BcFunc, LowerError> {
         "entry block of @{} has phis",
         f.name
     );
-    let num_slots = f.num_values() as u32;
-    if num_slots > FIELD_MASK {
+    if f.num_values() > FIELD_MASK as usize {
         return Err(LowerError::TooManySlots {
             func: fidx,
-            slots: num_slots as usize,
+            slots: f.num_values(),
         });
     }
+    let num_slots = f.num_values() as u32;
     if num_edges > FIELD_MASK as usize + 1 {
         return Err(LowerError::TooManyEdges {
             func: fidx,
@@ -462,7 +462,7 @@ fn lower_function(module: &Module, func: FuncId) -> Result<BcFunc, LowerError> {
     // the pool position of its first element.
     let mut imms: Vec<u64> = Vec::new();
     let mut imm_index: HashMap<(u64, Option<u64>), u32> = HashMap::new();
-    let mut imm = |imms: &mut Vec<u64>, first: u64, second: Option<u64>| {
+    let mut imm = |first: u64, second: Option<u64>| {
         let idx = *imm_index.entry((first, second)).or_insert_with(|| {
             imms.push(first);
             imms.extend(second);
@@ -479,7 +479,7 @@ fn lower_function(module: &Module, func: FuncId) -> Result<BcFunc, LowerError> {
 
     let mut edges: Vec<BcEdge> = Vec::with_capacity(num_edges);
     let mut moves: Vec<PhiMove> = Vec::new();
-    let mut edge_to = |edges: &mut Vec<BcEdge>, from: BlockId, target: BlockId| -> u32 {
+    let mut edge_to = |from: BlockId, target: BlockId| -> u32 {
         let moves_at = moves.len() as u32;
         for &pv in &block_phis[target.index()] {
             let Some(InstKind::Phi { incomings }) = f.inst(pv).map(|i| &i.kind) else {
@@ -539,7 +539,7 @@ fn lower_function(module: &Module, func: FuncId) -> Result<BcFunc, LowerError> {
                         // Truncation is an AND mask, sign extension a
                         // shift pair.
                         CastOp::Trunc if to.bits() < 64 => {
-                            let idx = imm(&mut imms, (1u64 << to.bits()) - 1, None)?;
+                            let idx = imm((1u64 << to.bits()) - 1, None)?;
                             encode_word(op::MASK, val.0, dst, idx, 0)
                         }
                         CastOp::Sext if from_bits() < 64 => {
@@ -553,7 +553,7 @@ fn lower_function(module: &Module, func: FuncId) -> Result<BcFunc, LowerError> {
                 }
                 InstKind::Alloc { count, elem_size } => {
                     operands.push(*count);
-                    let idx = imm(&mut imms, *elem_size, None)?;
+                    let idx = imm(*elem_size, None)?;
                     encode_word(op::ALLOC, count.0, dst, idx, 0)
                 }
                 InstKind::Gep {
@@ -563,7 +563,7 @@ fn lower_function(module: &Module, func: FuncId) -> Result<BcFunc, LowerError> {
                     offset,
                 } => {
                     operands.extend([*base, *index]);
-                    let idx = imm(&mut imms, *elem_size, Some(*offset))?;
+                    let idx = imm(*elem_size, Some(*offset))?;
                     encode_word(op::GEP, base.0, index.0, dst, idx)
                 }
                 InstKind::Load { addr, ty } => {
@@ -596,17 +596,15 @@ fn lower_function(module: &Module, func: FuncId) -> Result<BcFunc, LowerError> {
                     operands.extend(args.iter().copied());
                     encode_word(op::CALL, callee.0, dst, 0, 0)
                 }
-                InstKind::Br { target } => {
-                    encode_word(op::BR, edge_to(&mut edges, b, *target), 0, 0, 0)
-                }
+                InstKind::Br { target } => encode_word(op::BR, edge_to(b, *target), 0, 0, 0),
                 InstKind::CondBr {
                     cond,
                     then_bb,
                     else_bb,
                 } => {
                     operands.push(*cond);
-                    let then_edge = edge_to(&mut edges, b, *then_bb);
-                    let else_edge = edge_to(&mut edges, b, *else_bb);
+                    let then_edge = edge_to(b, *then_bb);
+                    let else_edge = edge_to(b, *else_bb);
                     encode_word(op::CBR, cond.0, then_edge, else_edge, 0)
                 }
                 InstKind::Ret { value } => {
