@@ -37,9 +37,9 @@ use swpf_workloads::{Scale, Workload, WorkloadId};
 /// The bytecode tier against the classic tree-walker: the A/B the
 /// `bytecode` tier must win (`bench_gate` enforces the ratio in
 /// `BENCH.json`'s `bytecode` row). The sides run back to back in one group
-/// from the same cloned input memory; the bytecode side decodes once
+/// from the same cloned input memory; the bytecode side lowers once
 /// outside the timed loop (the amortised shape of every real simulation
-/// path — decode is per-module, not per-run).
+/// path — lowering is per-module, not per-run).
 fn bytecode_tier(c: &mut Criterion) {
     let is = IntegerSort::new(Scale::Test);
     let m = is.build_baseline();

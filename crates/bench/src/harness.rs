@@ -5,7 +5,7 @@
 //! optional cell filter for asymmetric figures like Fig. 4's
 //! Phi-only ICC column). The harness expands the grid into independent
 //! [`SimJob`]s, builds and pass-compiles each distinct kernel module
-//! **once**, decodes it once into a shared [`ExecImage`], and executes
+//! **once**, lowers it once into a shared [`ExecImage`], and executes
 //! the jobs on a self-scheduling pool of host threads
 //! (`std::thread::scope` workers pulling from an atomic job queue —
 //! every simulation in a grid is independent, so the grid parallelises

@@ -14,8 +14,9 @@
 //!    `tests/bytecode_differential.rs` in the facade crate).
 //! 2. **Fallback.** An image too large for the bytecode encoding runs
 //!    here, walking the module the [`crate::exec::ExecImage`] carries.
-//! 3. **Semantics documentation.** When the decode layer is in doubt,
-//!    this file is the specification: it maps one-to-one onto the IR.
+//! 3. **Semantics documentation.** When the bytecode lowering is in
+//!    doubt, this file is the specification: it maps one-to-one onto the
+//!    IR.
 //!
 //! It is reached through [`crate::interp::Interp`] under
 //! `SWPF_TIER=classic` (or [`crate::interp::Tier::Classic`]) on every

@@ -8,13 +8,12 @@
 //! stride-prefetcher PC tables), memory addresses, and operand value-ids
 //! (for dataflow dependence tracking in the out-of-order core model).
 //!
-//! Execution has two tiers. A one-time decode pass ([`crate::exec`])
-//! lowers a module into a dense [`ExecImage`], which the default
-//! bytecode tier ([`crate::bytecode`]) lowers once more into fixed-width
-//! words. The original tree-walking interpreter,
-//! [`crate::classic::ClassicInterp`], is the other tier: the
-//! differential-testing oracle, and the fallback for images the bytecode
-//! encoding cannot hold. [`Interp`] is the facade over both: it owns the
+//! Execution has two tiers. A one-time pass ([`ExecImage::build`])
+//! lowers a module straight to the fixed-width words of the default
+//! bytecode tier ([`crate::bytecode`]). The original tree-walking
+//! interpreter, [`crate::classic::ClassicInterp`], is the other tier:
+//! the differential-testing oracle, and the fallback for modules the
+//! bytecode encoding cannot hold. [`Interp`] is the facade over both: it owns the
 //! simulated memory, builds images on demand in [`Interp::start`], and
 //! preserves the original interpreter's API — `start`/`step` for
 //! multicore interleaving, `run` for one-shot execution.
@@ -380,12 +379,12 @@ enum Cursor {
 /// cursor on one of two [`Tier`]s (default: the bytecode tier, or
 /// `SWPF_TIER` if set).
 ///
-/// [`Interp::start`] decodes the module into an [`ExecImage`]; callers
+/// [`Interp::start`] lowers the module into an [`ExecImage`]; callers
 /// that run the same module on many interpreters (e.g. multicore
-/// simulations) should decode once and use [`Interp::start_with_image`].
+/// simulations) should build once and use [`Interp::start_with_image`].
 ///
 /// Every entry point runs on the selected tier: an image carries the
-/// module it was decoded from, so the classic tier starts from an image
+/// module it was built from, so the classic tier starts from an image
 /// as readily as from a module. The bytecode tier runs an image that
 /// exceeds its 14-bit encoding capacities (`bytecode::LowerError`) on
 /// the classic tier instead (the retired count and fuel budget carry
@@ -559,7 +558,7 @@ impl Interp {
         self.start_classic(Arc::clone(&image.module), func, args);
     }
 
-    /// Begin executing `func` with `args`, decoding `module` into a
+    /// Begin executing `func` with `args`, lowering `module` into a
     /// fresh [`ExecImage`] (or walking a copy of it on the classic
     /// tier). Any previous cursor state is discarded; allocated memory
     /// is retained.
@@ -574,8 +573,8 @@ impl Interp {
         self.start_image(Arc::new(ExecImage::build(module)), func, args);
     }
 
-    /// Begin executing `func` from an already-decoded image, skipping
-    /// the decode pass, on the selected tier.
+    /// Begin executing `func` from an already-built image, skipping
+    /// the lowering pass, on the selected tier.
     ///
     /// # Panics
     /// If the argument count does not match the signature.
@@ -598,8 +597,8 @@ impl Interp {
         self.run_to_done(obs)
     }
 
-    /// Run to completion from an already-decoded image, skipping the
-    /// decode pass (the amortised shape every repeated-simulation caller
+    /// Run to completion from an already-built image, skipping the
+    /// lowering pass (the amortised shape every repeated-simulation caller
     /// wants; the throughput bench and multicore runner use it).
     ///
     /// # Errors
@@ -653,7 +652,7 @@ impl Interp {
     /// step followed by [`ExecObserver::end_step`] — stopping early when
     /// the top-level function returns or a step traps. Needs no source
     /// module: the natural shape for callers that started from a
-    /// pre-decoded image ([`Interp::start_with_image`]). On the bytecode
+    /// pre-built image ([`Interp::start_with_image`]). On the bytecode
     /// tier the steps run inside one frame loop, so a batch costs what
     /// the run-to-completion loop does, not `n` re-entries; events, fuel
     /// accounting and the parked cursor are those of `n` single steps.

@@ -17,14 +17,14 @@
 //! * a [`verifier`] checking SSA dominance and structural invariants,
 //! * a textual [`printer`] / [`parser`] round-trip format, and
 //! * a two-tier execution stack behind the [`interp::Interp`] facade: a
-//!   one-time decode pass lowering functions into dense
-//!   [`exec::ExecImage`]s, which the default [`bytecode`] tier lowers
-//!   into fixed-width threaded code, with a pluggable
+//!   one-time pass lowering a module's functions straight to the
+//!   default [`bytecode`] tier's fixed-width threaded code (held by an
+//!   [`exec::ExecImage`], which keeps the module too), with a pluggable
 //!   [`interp::ExecObserver`] through which the timing simulator (crate
 //!   `swpf-sim`) watches every retired instruction. The original
 //!   tree-walking engine is preserved as [`classic::ClassicInterp`]: the
 //!   second tier, the differential-testing oracle, and the fallback for
-//!   images the bytecode encoding cannot hold.
+//!   modules the bytecode encoding cannot hold.
 //!
 //! The IR is deliberately small: enough to express the paper's benchmarks
 //! (integer sort, sparse conjugate gradient, RandomAccess, hash join,

@@ -99,7 +99,7 @@ impl Machine {
         }
     }
 
-    /// Run `func` of an already-decoded [`ExecImage`] on this machine,
+    /// Run `func` of an already-built [`ExecImage`] on this machine,
     /// using `interp` for architectural state (set up its memory before
     /// calling). After a trap the machine holds the statistics of the
     /// events retired up to it.

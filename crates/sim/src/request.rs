@@ -81,7 +81,7 @@ impl From<TraceError> for SimError {
 
 /// Where a simulation's retire events come from.
 pub enum Source<'a> {
-    /// Interpret `func` of a decoded image. `func` must belong to the
+    /// Interpret `func` of a built image. `func` must belong to the
     /// module `image` was built from.
     Image {
         /// The decoded module, shared by every core's engine.
@@ -264,7 +264,7 @@ pub fn run_on_machine(
     )
 }
 
-/// Like [`run_on_machine`], from an already-decoded image.
+/// Like [`run_on_machine`], from an already-built image.
 ///
 /// # Panics
 /// If the program traps.
