@@ -71,7 +71,7 @@ impl StridePrefetcher {
             return None;
         }
         let stride = addr.wrapping_sub(e.last_addr) as i64;
-        if stride == e.stride && stride != 0 && stride.abs() <= 2048 {
+        if stride == e.stride && stride != 0 && stride.unsigned_abs() <= 2048 {
             e.confidence = e.confidence.saturating_add(1);
         } else {
             e.stride = stride;
@@ -137,6 +137,16 @@ mod tests {
             p.observe(2, 0x8000 + i * 8);
         }
         assert!(p.issued() >= 8, "both streams detected");
+    }
+
+    #[test]
+    fn a_stride_of_two_to_the_63_is_not_a_stream() {
+        // Its magnitude does not fit an i64: `abs` overflowed on it.
+        let mut p = StridePrefetcher::new(16, 16, 2);
+        for addr in [0, 1 << 63, 0, 1 << 63, 0] {
+            assert_eq!(p.observe(5, addr), None);
+        }
+        assert_eq!(p.issued(), 0);
     }
 
     #[test]

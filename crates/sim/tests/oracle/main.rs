@@ -476,6 +476,19 @@ fn synthetic(cfg: &MachineConfig) -> Vec<(&'static str, Stream)> {
     for k in 0..40u64 {
         s.load(43, (160u64).wrapping_sub(k * 8));
     }
+    // Two strides of exactly 2^63 in a row at one pc, line 0 evicted
+    // from L1 in between so that both accesses miss and train.
+    let l1_set_stride = sets(&cfg.l1) * LINE_BYTES;
+    for addr in [0, 1 << 63, 0] {
+        thrash(
+            &mut s,
+            45,
+            1 << 40,
+            l1_set_stride,
+            u64::from(cfg.l1.ways) + 1,
+        );
+        s.load(44, addr);
+    }
 
     out.push(("address 0 and the top line", s));
 

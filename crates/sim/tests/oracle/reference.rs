@@ -220,7 +220,7 @@ impl RefStride {
             return None;
         }
         let stride = addr.wrapping_sub(e.last_addr) as i64;
-        if stride == e.stride && stride != 0 && stride.abs() <= 2048 {
+        if stride == e.stride && stride != 0 && stride.unsigned_abs() <= 2048 {
             e.confidence = e.confidence.saturating_add(1);
         } else {
             e.stride = stride;
