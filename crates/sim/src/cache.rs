@@ -138,7 +138,7 @@ impl Cache {
     }
 
     /// Index range of the ways of `line`'s set.
-    #[inline]
+    #[inline(always)]
     fn set_of(&self, line: u64) -> std::ops::Range<usize> {
         let set = match self.index {
             SetIndex::Mask(mask) => line & mask,
@@ -148,7 +148,7 @@ impl Cache {
     }
 
     /// Index of the way holding `line`, if resident.
-    #[inline]
+    #[inline(always)]
     fn find(&self, line: u64) -> Option<usize> {
         let set = self.set_of(line);
         let base = set.start;
@@ -161,7 +161,7 @@ impl Cache {
     /// Look up `line` at time `now`, updating LRU and the dirty bit on a
     /// hit. Does not allocate on miss — call [`Cache::insert`] once the
     /// fill time is known.
-    #[inline]
+    #[inline(always)]
     pub fn access(&mut self, line: u64, now: u64, is_write: bool) -> Lookup {
         let Some(i) = self.find(line) else {
             self.misses += 1;

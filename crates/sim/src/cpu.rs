@@ -57,12 +57,14 @@ impl Core {
         }
     }
 
-    /// Current completion time in ticks.
+    /// Current completion time in ticks: the in-order core's next issue
+    /// slot, the out-of-order core's last retirement. Both only grow, so
+    /// each is its own running maximum.
     #[must_use]
     pub fn clock_ticks(&self) -> u64 {
         match self {
-            Core::InOrder(c) => c.clock,
-            Core::OutOfOrder(c) => c.clock,
+            Core::InOrder(c) => c.next_issue,
+            Core::OutOfOrder(c) => c.last_retire,
         }
     }
 
@@ -92,7 +94,6 @@ pub struct InOrder {
     /// Latencies at or below this are absorbed by the pipeline.
     pipelined_ticks: u64,
     next_issue: u64,
-    clock: u64,
     counts: InstCounts,
 }
 
@@ -102,13 +103,12 @@ impl InOrder {
             issue_inc: cfg.issue_interval_ticks(),
             pipelined_ticks: cfg.l1.latency * TICKS_PER_CYCLE,
             next_issue: 0,
-            clock: 0,
             counts: InstCounts::default(),
         }
     }
 
     #[inline(always)]
-    fn retire(&mut self, mem: &mut MemSys, shared: &mut SharedMem, ev: &Event<'_>) {
+    pub(crate) fn retire(&mut self, mem: &mut MemSys, shared: &mut SharedMem, ev: &Event<'_>) {
         self.counts.total += 1;
         let t = self.next_issue;
         let pc = ev.pc;
@@ -144,7 +144,6 @@ impl InOrder {
                 self.next_issue = t + self.issue_inc;
             }
         }
-        self.clock = self.clock.max(self.next_issue);
     }
 }
 
@@ -173,7 +172,6 @@ pub struct OutOfOrder {
     /// Completion times of outstanding demand misses, unordered; never
     /// more than `mshrs` of them.
     misses: Vec<u64>,
-    clock: u64,
     counts: InstCounts,
 }
 
@@ -191,7 +189,6 @@ impl OutOfOrder {
             last_retire: 0,
             last_issue: 0,
             misses: Vec::with_capacity(mshrs),
-            clock: 0,
             counts: InstCounts::default(),
         }
     }
@@ -208,18 +205,18 @@ impl OutOfOrder {
         if self.misses.len() < self.mshrs {
             return t;
         }
-        let (i, &earliest) = self
-            .misses
-            .iter()
-            .enumerate()
-            .min_by_key(|&(_, &done)| done)
-            .expect("at least one MSHR");
-        self.misses.swap_remove(i);
-        earliest
+        // Every MSHR is busy, so there is at least one miss.
+        let mut earliest = 0;
+        for i in 1..self.misses.len() {
+            if self.misses[i] < self.misses[earliest] {
+                earliest = i;
+            }
+        }
+        self.misses.swap_remove(earliest)
     }
 
     #[inline(always)]
-    fn retire(&mut self, mem: &mut MemSys, shared: &mut SharedMem, ev: &Event<'_>) {
+    pub(crate) fn retire(&mut self, mem: &mut MemSys, shared: &mut SharedMem, ev: &Event<'_>) {
         self.counts.total += 1;
         let pc = ev.pc;
         // Dispatch in program order: bounded by front-end bandwidth and
@@ -283,7 +280,6 @@ impl OutOfOrder {
             self.rob_head = 0;
         }
         self.last_issue = dispatch;
-        self.clock = self.clock.max(self.last_retire);
     }
 }
 

@@ -12,7 +12,7 @@
 //! [`Machine::run_image`] and read the partial result with
 //! [`Machine::finish`].
 
-use crate::cpu::Core;
+use crate::cpu::{Core, InOrder, OutOfOrder};
 use crate::memsys::{MemSys, SharedMem};
 use crate::presets::MachineConfig;
 use crate::request::{Setup, SimError};
@@ -49,18 +49,61 @@ impl ExecObserver for TimingObserver<'_> {
     }
 }
 
+/// One machine of a row, its core model known by type.
+struct Lane<'a, C> {
+    core: &'a mut C,
+    mem: &'a mut MemSys,
+    shared: &'a mut SharedMem,
+}
+
+/// A row's machines split by core kind: one loop per kind, each calling
+/// its inlined model with no per-machine match on the [`Core`] enum.
+/// Machines are independent, so the order they see an event in does not
+/// matter; results are read from the row, in row order.
+struct Lanes<'a> {
+    out_of_order: Vec<Lane<'a, OutOfOrder>>,
+    in_order: Vec<Lane<'a, InOrder>>,
+}
+
+impl<'a> Lanes<'a> {
+    fn new(row: &'a mut [Machine]) -> Self {
+        let mut lanes = Lanes {
+            out_of_order: Vec::new(),
+            in_order: Vec::new(),
+        };
+        for m in row {
+            let (mem, shared) = (&mut m.mem, &mut m.shared);
+            match &mut m.core {
+                Core::OutOfOrder(core) => lanes.out_of_order.push(Lane { core, mem, shared }),
+                Core::InOrder(core) => lanes.in_order.push(Lane { core, mem, shared }),
+            }
+        }
+        lanes
+    }
+
+    #[inline(always)]
+    fn retire(&mut self, ev: &Event<'_>) {
+        for l in &mut self.out_of_order {
+            l.core.retire(l.mem, l.shared, ev);
+        }
+        for l in &mut self.in_order {
+            l.core.retire(l.mem, l.shared, ev);
+        }
+    }
+}
+
 /// One event stream into every machine of a grid row and, when
-/// recording, a trace encoder — direct calls on concrete observers, so
-/// a fused row pays no virtual dispatch per machine per event. Events
-/// are handed on as they arrive, never buffered: copying them out of the
+/// recording, a trace encoder — direct calls on concrete models, so a
+/// fused row pays no virtual dispatch per machine per event. Events are
+/// handed on as they arrive, never buffered: copying them out of the
 /// interpreter's hands costs more than the calls it would batch.
 ///
 /// `on_event` stays out of line: the interpreter has some sixty retire
-/// sites, and one shared copy of the machine loop (with the core models
-/// inlined into it) beats sixty copies of it.
+/// sites, and one shared copy of the machine loops (with the core models
+/// inlined into them) beats sixty copies of them.
 struct RowObserver<'a> {
     enc: Option<&'a mut StreamEncoder>,
-    timing: Vec<TimingObserver<'a>>,
+    lanes: Lanes<'a>,
 }
 
 impl ExecObserver for RowObserver<'_> {
@@ -69,9 +112,7 @@ impl ExecObserver for RowObserver<'_> {
         if let Some(enc) = &mut self.enc {
             enc.push(ev);
         }
-        for obs in &mut self.timing {
-            obs.on_event(ev);
-        }
+        self.lanes.retire(ev);
     }
 }
 
@@ -186,7 +227,7 @@ pub(crate) fn interpret_row(
         (row, enc) => {
             let mut row = RowObserver {
                 enc,
-                timing: row.iter_mut().map(Machine::observer).collect(),
+                lanes: Lanes::new(row),
             };
             interp
                 .run_with_image(image, func, &args, &mut row)
@@ -200,7 +241,8 @@ pub(crate) fn interpret_row(
 /// decode pass (in memory or block-at-a-time from the file, whatever
 /// `src` is), every event fanned out to all timing models. The decode
 /// loop is the only call site, so delivery inlines into it — for a row
-/// of one, with the observer hoisted out of the loop.
+/// of one, with the observer hoisted out of the loop; for a longer row,
+/// one loop per core kind ([`Lanes`]).
 pub(crate) fn replay_row(
     configs: &[&MachineConfig],
     src: &mut impl EventSource,
@@ -212,10 +254,9 @@ pub(crate) fn replay_row(
             obs.on_event(&ev);
         }
     } else {
+        let mut lanes = Lanes::new(&mut machines);
         while let Some((ev, _)) = src.next_event()? {
-            for m in &mut machines {
-                m.observer().on_event(&ev);
-            }
+            lanes.retire(&ev);
         }
     }
     Ok(machines.iter_mut().map(Machine::finish).collect())

@@ -115,6 +115,11 @@ impl MemSys {
 
     /// Perform a demand access at tick `now`; returns the load-to-use
     /// latency in ticks (0-ish for L1 hits).
+    ///
+    /// The TLB's MRU check and the L1 lookup inline into the core model
+    /// that calls this, so an L1 hit on the MRU page makes no call; the
+    /// rest of the TLB and everything below L1 stay out of line.
+    #[inline(always)]
     pub fn access(
         &mut self,
         shared: &mut SharedMem,
@@ -148,6 +153,7 @@ impl MemSys {
 
     /// The rest of a demand access once L1 has missed.
     #[allow(clippy::too_many_arguments)]
+    #[inline(never)]
     fn access_below_l1(
         &mut self,
         shared: &mut SharedMem,

@@ -97,15 +97,31 @@ impl Tlb {
     /// Translate `addr` at tick `now`; returns the tick at which the
     /// translation is available (equal to `now` on a hit, later when a
     /// walk — possibly queued behind other walks — is needed).
-    #[inline]
+    ///
+    /// Only the MRU check is inline. It leaves the hint table alone: the
+    /// MRU slot's hint was written when that slot became MRU, and only a
+    /// lookup of another page, which moves the MRU, rewrites a hint.
+    #[inline(always)]
     pub fn translate(&mut self, addr: u64, now: u64) -> u64 {
         let page = self.page_of(addr);
+        if let Some(slot) = self.slots.get_mut(self.mru) {
+            if slot.page == page {
+                slot.last_use = now;
+                self.hits += 1;
+                return slot.ready.max(now);
+            }
+        }
+        self.translate_past_mru(page, now)
+    }
+
+    /// The MRU slot holds another page: try the hint, then the index, and
+    /// walk when the page is not resident.
+    #[inline(never)]
+    fn translate_past_mru(&mut self, page: u64, now: u64) -> u64 {
         let hint = page as usize % HINTS;
-        let holds = |i: usize| self.slots.get(i).is_some_and(|s| s.page == page);
-        let resident = if holds(self.mru) {
-            Some(self.mru)
-        } else if holds(self.hints[hint] as usize) {
-            Some(self.hints[hint] as usize)
+        let hinted = self.hints[hint] as usize;
+        let resident = if self.slots.get(hinted).is_some_and(|s| s.page == page) {
+            Some(hinted)
         } else {
             self.index.get(&page).copied()
         };
@@ -123,15 +139,16 @@ impl Tlb {
     /// TLB miss: walk the page table and install the translation.
     fn walk(&mut self, page: u64, now: u64) -> u64 {
         self.misses += 1;
-        // Grab the earliest-free walker.
-        let w = self
-            .walker_free
-            .iter_mut()
-            .min_by_key(|t| **t)
-            .expect("at least one walker");
-        let start = (*w).max(now);
+        // Grab the first earliest-free walker; there is at least one.
+        let mut w = 0;
+        for i in 1..self.walker_free.len() {
+            if self.walker_free[i] < self.walker_free[w] {
+                w = i;
+            }
+        }
+        let start = self.walker_free[w].max(now);
         let done = start + self.walk_latency_ticks;
-        *w = done;
+        self.walker_free[w] = done;
         // Install with LRU replacement: the first of the least recently
         // used slots is the victim.
         let installed = Slot {
@@ -143,14 +160,15 @@ impl Tlb {
             self.mru = self.slots.len();
             self.slots.push(installed);
         } else {
-            let (victim, slot) = self
-                .slots
-                .iter_mut()
-                .enumerate()
-                .min_by_key(|(_, s)| s.last_use)
-                .expect("at least one entry");
-            self.index.remove(&slot.page);
-            *slot = installed;
+            // The TLB is full, so slot 0 exists.
+            let mut victim = 0;
+            for i in 1..self.slots.len() {
+                if self.slots[i].last_use < self.slots[victim].last_use {
+                    victim = i;
+                }
+            }
+            self.index.remove(&self.slots[victim].page);
+            self.slots[victim] = installed;
             self.mru = victim;
         }
         self.index.insert(page, self.mru);

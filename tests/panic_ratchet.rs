@@ -21,7 +21,7 @@ const BUDGET: [(&str, usize); 11] = [
     ("crates/ir", 55),
     ("crates/obs", 12),
     ("crates/pass", 3),
-    ("crates/sim", 9),
+    ("crates/sim", 6),
     ("crates/trace", 9),
     ("crates/tune", 9),
     ("crates/workloads", 43),
