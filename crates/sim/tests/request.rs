@@ -45,6 +45,10 @@ fn with_trace_file<R>(
 fn every_source_topology_and_tier_agrees() {
     swpf_sim::perf::set_enabled(true);
     let (haswell, a53) = (MachineConfig::haswell(), MachineConfig::a53());
+    let (xeon_phi, a57) = (MachineConfig::xeon_phi(), MachineConfig::a57());
+    // Core kinds interleaved: a row that ran one kind's machines first
+    // and returned their results in that order would not match.
+    let row_machines = [&a53, &haswell, &xeon_phi, &a57];
     for id in [WorkloadId::Is, WorkloadId::Hj8] {
         let w = id.instantiate(Scale::Test);
         let module = w.build_manual(64);
@@ -53,7 +57,7 @@ fn every_source_topology_and_tier_agrees() {
         let mut setup = |_: usize, interp: &mut Interp| w.setup(interp);
         for cores in [1usize, 2] {
             let mut per_machine = Vec::new();
-            for cfg in [&haswell, &a53] {
+            for cfg in row_machines {
                 let mut per_tier = Vec::new();
                 for tier in [Tier::Bytecode, Tier::Classic] {
                     let at = format!("{} x{cores} on {} ({tier:?})", w.name(), cfg.name);
@@ -105,7 +109,7 @@ fn every_source_topology_and_tier_agrees() {
             // A row of N machines equals N rows of one, interpreted
             // (with and without the encoder in the row) and replayed.
             let row = Sim {
-                machines: &[&haswell, &a53],
+                machines: &row_machines,
                 cores,
                 tier: Tier::Bytecode,
             };
