@@ -9,6 +9,12 @@
 //! reported under their mapping's file name. Inlined code is charged to
 //! the function it was inlined into.
 //!
+//! It also prints the minimum, first quartile and median of the rounds'
+//! wall times, and an FNV-1a digest of every cell's `SimStats` per
+//! experiment (every round must give the same digests). One run on each
+//! side of a timing-model change then checks both its speed and its
+//! exactness.
+//!
 //! ```sh
 //! SWPF_SCALE=test cargo run --release -p swpf-bench --example sample_profile -- \
 //!     [--seconds S] [--top N] fig7,fig9,fig10
@@ -36,7 +42,7 @@ mod sampler {
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::time::{Duration, Instant};
     use swpf_bench::experiments;
-    use swpf_bench::harness::{run_experiment, RunOptions};
+    use swpf_bench::harness::{run_experiment, ExperimentResult, RunOptions};
 
     const SIGPROF: i32 = 27;
     const ITIMER_PROF: i32 = 2;
@@ -184,6 +190,22 @@ mod sampler {
         path.rsplit('/').next().unwrap_or(path)
     }
 
+    /// FNV-1a over every cell's key and every counter of each of its
+    /// cores' `SimStats`, in job order.
+    fn stats_digest(result: &ExperimentResult) -> u64 {
+        let mut text = String::new();
+        for cell in &result.cells {
+            text += &format!("{}|{}|{}", cell.machine, cell.workload, cell.variant);
+            for core in &cell.cores {
+                for (name, value) in core.counters() {
+                    text += &format!("|{name}={value}");
+                }
+            }
+            text.push('\n');
+        }
+        swpf_trace::fnv64(text.as_bytes())
+    }
+
     pub fn main() {
         let mut seconds = 20.0f64;
         let mut top = 25usize;
@@ -220,15 +242,23 @@ mod sampler {
         install_handler();
         set_timer(PERIOD_US);
         let t0 = Instant::now();
-        let mut rounds = 0u64;
-        while t0.elapsed() < Duration::from_secs_f64(seconds) {
-            for exp in &exps {
-                std::hint::black_box(run_experiment(exp, &opts));
+        let mut round_walls = Vec::new();
+        let mut digests: Vec<u64> = Vec::new();
+        while round_walls.is_empty() || t0.elapsed() < Duration::from_secs_f64(seconds) {
+            let round = Instant::now();
+            let results: Vec<_> = exps.iter().map(|e| run_experiment(e, &opts)).collect();
+            round_walls.push(round.elapsed().as_secs_f64());
+            let round_digests: Vec<u64> = results.iter().map(stats_digest).collect();
+            if digests.is_empty() {
+                digests = round_digests;
+            } else {
+                assert_eq!(digests, round_digests, "a round's SimStats differ");
             }
-            rounds += 1;
         }
         set_timer(0);
         let wall = t0.elapsed().as_secs_f64();
+        let rounds = round_walls.len();
+        round_walls.sort_by(f64::total_cmp);
 
         let taken = TAKEN.load(Ordering::Relaxed).min(MAX_SAMPLES);
         let exe = std::env::current_exe().expect("current_exe");
@@ -286,5 +316,16 @@ mod sampler {
             "{:>6.1}%  {outside:>7}  (outside the executable, all mappings)",
             pct(outside)
         );
+        // Nearest rank, rounding down.
+        let rank = |q: usize| round_walls[(rounds - 1) * q / 4] * 1e3;
+        println!(
+            "round wall: min {:.2} ms, q1 {:.2} ms, median {:.2} ms over {rounds} round(s)",
+            rank(0),
+            rank(1),
+            rank(2)
+        );
+        for (name, digest) in names.iter().zip(&digests) {
+            println!("SimStats digest {name}: {digest:016x}");
+        }
     }
 }
