@@ -141,7 +141,7 @@ mod tests {
 
     #[test]
     fn a_stride_of_two_to_the_63_is_not_a_stream() {
-        // Its magnitude does not fit an i64: `abs` overflowed on it.
+        // i64::MIN, whose magnitude has no i64: compared unsigned.
         let mut p = StridePrefetcher::new(16, 16, 2);
         for addr in [0, 1 << 63, 0, 1 << 63, 0] {
             assert_eq!(p.observe(5, addr), None);

@@ -402,6 +402,10 @@ impl Stream {
     }
 }
 
+fn set_count(c: &CacheConfig) -> u64 {
+    (c.capacity / LINE_BYTES / u64::from(c.ways)).max(1)
+}
+
 /// Lines `stride` bytes apart from `base`, `n` of them, touched eight
 /// times round, every third access a store.
 fn thrash(s: &mut Stream, pc: u64, base: u64, stride: u64, n: u64) {
@@ -419,7 +423,6 @@ fn thrash(s: &mut Stream, pc: u64, base: u64, stride: u64, n: u64) {
 
 /// The synthetic streams for one machine, by name.
 fn synthetic(cfg: &MachineConfig) -> Vec<(&'static str, Stream)> {
-    let sets = |c: &CacheConfig| (c.capacity / LINE_BYTES / u64::from(c.ways)).max(1);
     let page = 1u64 << cfg.tlb.page_bits;
     let mut out = Vec::new();
 
@@ -427,7 +430,7 @@ fn synthetic(cfg: &MachineConfig) -> Vec<(&'static str, Stream)> {
     let mut s = Stream::default();
     let levels = [Some(cfg.l1), Some(cfg.l2), cfg.l3];
     for (level, c) in levels.iter().flatten().enumerate() {
-        let stride = sets(c) * LINE_BYTES;
+        let stride = set_count(c) * LINE_BYTES;
         for n in [u64::from(c.ways), u64::from(c.ways) + 1] {
             thrash(&mut s, 10 + level as u64, 1 << 30, stride, n);
         }
@@ -478,7 +481,7 @@ fn synthetic(cfg: &MachineConfig) -> Vec<(&'static str, Stream)> {
     }
     // Two strides of exactly 2^63 in a row at one pc, line 0 evicted
     // from L1 in between so that both accesses miss and train.
-    let l1_set_stride = sets(&cfg.l1) * LINE_BYTES;
+    let l1_set_stride = set_count(&cfg.l1) * LINE_BYTES;
     for addr in [0, 1 << 63, 0] {
         thrash(
             &mut s,
@@ -489,7 +492,6 @@ fn synthetic(cfg: &MachineConfig) -> Vec<(&'static str, Stream)> {
         );
         s.load(44, addr);
     }
-
     out.push(("address 0 and the top line", s));
 
     // Prefetches to unmapped addresses are retired but never issued;
@@ -541,10 +543,11 @@ fn synthetic(cfg: &MachineConfig) -> Vec<(&'static str, Stream)> {
 }
 
 /// Random loads, stores, prefetches, branches and ALU work over a pool
-/// of lines that collide in few L1 sets, with operand dependences and
-/// calls and returns, spread over `cores` cores.
+/// of lines that collide in few L1 sets, with operand dependences,
+/// calls and returns, and events on suspended or returned frames,
+/// spread over `cores` cores.
 fn random_stream(cfg: &MachineConfig, seed: u64, cores: usize) -> Stream {
-    let l1_sets = (cfg.l1.capacity / LINE_BYTES / u64::from(cfg.l1.ways)).max(1);
+    let l1_sets = set_count(&cfg.l1);
     let mut rng = StdRng::seed_from_u64(seed);
     let mut s = Stream::default();
     let mut frames = vec![0u64];
@@ -570,6 +573,10 @@ fn random_stream(cfg: &MachineConfig, seed: u64, cores: usize) -> Stream {
             14 if frames.len() > 1 => {
                 frames.pop();
                 EventKind::Ret
+            }
+            15 => {
+                s.frame = rng.random_range(0..next_frame);
+                EventKind::Alu
             }
             _ => EventKind::Alu,
         };
