@@ -510,9 +510,12 @@ fn synthetic(cfg: &MachineConfig) -> Vec<(&'static str, Stream)> {
 
     // Bursts of independent misses beyond the MSHRs, of prefetches beyond
     // the queue, then demands on the prefetched lines while in flight,
-    // and dependent chains through the scoreboard.
+    // and dependent chains through the scoreboard. Each burst has a
+    // frame of its own that returns while its chain is in flight, and
+    // the chain's value is read on the returned frame: ready at 0.
     let mut s = Stream::default();
     for burst in 0..6u64 {
+        s.frame = burst + 1;
         let base = (burst + 1) << 32;
         for k in 0..(4 * cfg.mshrs as u64 + 8) {
             s.load(60, base + k * (page + 3 * LINE_BYTES));
@@ -531,6 +534,7 @@ fn synthetic(cfg: &MachineConfig) -> Vec<(&'static str, Stream)> {
             };
             prev = s.push(64, kind, &[prev]);
         }
+        s.push(66, EventKind::Ret, &[]);
         for _ in 0..50 {
             s.push(65, EventKind::Alu, &[prev]);
         }
