@@ -33,9 +33,9 @@ pub struct Machine {
     shared: SharedMem,
 }
 
-/// The one observer that wires retire events into a timing model —
-/// every execution path (a row of machines interpreted or replayed, and
-/// the multicore interleaver) goes through this adapter.
+/// The observer that wires retire events into one timing model of
+/// either core kind: a row of one machine, interpreted or replayed, and
+/// each core of the multicore interleaver. Longer rows use [`Lanes`].
 pub(crate) struct TimingObserver<'a> {
     pub(crate) core: &'a mut Core,
     pub(crate) mem: &'a mut MemSys,

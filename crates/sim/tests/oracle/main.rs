@@ -48,7 +48,7 @@ use swpf_workloads::{Scale, WorkloadId};
 /// fill hits, hardware stride fills.
 type Counters = [u64; 16];
 
-fn parent_counters(mem: &MemSys, sh: &SharedMem) -> Counters {
+fn production_counters(mem: &MemSys, sh: &SharedMem) -> Counters {
     let (l1h, l1m, l2h, l2m) = mem.cache_counters();
     let (l3h, l3m) = sh.l3.as_ref().map_or((0, 0), |c| (c.hits(), c.misses()));
     let (th, tm) = mem.tlb_counters();
@@ -109,7 +109,7 @@ impl Tee<'_> {
     fn agree(&self, call: std::fmt::Arguments<'_>) {
         assert_eq!(
             reference_counters(self.r, self.rs),
-            parent_counters(self.p, self.ps),
+            production_counters(self.p, self.ps),
             "{}, event {}: counters after {call}",
             self.at.0,
             self.at.1
@@ -166,7 +166,7 @@ impl Diff {
     fn new(name: impl Into<String>, cfg: &MachineConfig, cores: usize) -> Self {
         let lanes = (0..cores)
             .map(|i| {
-                let parent = || {
+                let production = || {
                     let mut m = MemSys::new(cfg);
                     m.set_address_space(i as u64);
                     m
@@ -174,9 +174,9 @@ impl Diff {
                 Lane {
                     reference: RefCore::new(cfg),
                     r: RefMem::new(cfg, i as u64),
-                    tee: parent(),
+                    tee: production(),
                     core: Core::new(cfg),
-                    mem: parent(),
+                    mem: production(),
                 }
             })
             .collect();
@@ -213,7 +213,7 @@ impl Diff {
         assert_eq!(lane.reference.counts, counts, "{at}: instruction counts");
         assert_eq!(
             reference_counters(&lane.r, &self.rs),
-            parent_counters(&lane.mem, &self.shared),
+            production_counters(&lane.mem, &self.shared),
             "{at}: counters"
         );
         self.events += 1;
@@ -235,7 +235,7 @@ impl Diff {
             self.name
         );
         assert!(self.events > 0, "{}: an empty stream", self.name);
-        parent_counters(&self.lanes[0].mem, &self.shared)
+        production_counters(&self.lanes[0].mem, &self.shared)
     }
 }
 
