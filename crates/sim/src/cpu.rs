@@ -205,13 +205,10 @@ impl OutOfOrder {
         if self.misses.len() < self.mshrs {
             return t;
         }
-        // Every MSHR is busy, so there is at least one miss.
-        let mut earliest = 0;
-        for i in 1..self.misses.len() {
-            if self.misses[i] < self.misses[earliest] {
-                earliest = i;
-            }
-        }
+        // Every MSHR is busy, so there is a miss to wait for.
+        let earliest = (0..self.misses.len())
+            .min_by_key(|&i| self.misses[i])
+            .unwrap_or(0);
         self.misses.swap_remove(earliest)
     }
 

@@ -140,12 +140,9 @@ impl Tlb {
     fn walk(&mut self, page: u64, now: u64) -> u64 {
         self.misses += 1;
         // Grab the first earliest-free walker; there is at least one.
-        let mut w = 0;
-        for i in 1..self.walker_free.len() {
-            if self.walker_free[i] < self.walker_free[w] {
-                w = i;
-            }
-        }
+        let w = (0..self.walker_free.len())
+            .min_by_key(|&i| self.walker_free[i])
+            .unwrap_or(0);
         let start = self.walker_free[w].max(now);
         let done = start + self.walk_latency_ticks;
         self.walker_free[w] = done;
@@ -160,13 +157,11 @@ impl Tlb {
             self.mru = self.slots.len();
             self.slots.push(installed);
         } else {
-            // The TLB is full, so slot 0 exists.
-            let mut victim = 0;
-            for i in 1..self.slots.len() {
-                if self.slots[i].last_use < self.slots[victim].last_use {
-                    victim = i;
-                }
-            }
+            // The TLB is full, so slot 0 exists; `min_by_key` keeps the
+            // first of equal keys.
+            let victim = (0..self.slots.len())
+                .min_by_key(|&i| self.slots[i].last_use)
+                .unwrap_or(0);
             self.index.remove(&self.slots[victim].page);
             self.slots[victim] = installed;
             self.mru = victim;
