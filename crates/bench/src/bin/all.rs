@@ -1,5 +1,6 @@
-//! Run the experiment suite — the figure/table reproductions (plus the
-//! pass-pipeline ablation) through the shared harness — and summarise.
+//! Run the experiment suite — the figure/table reproductions, the
+//! studies built on them and the searched experiments, every one
+//! through the shared harness — and summarise.
 //!
 //! Every experiment writes its `RESULTS/<name>.json` artifact; a
 //! `RESULTS/suite.json` summary records per-experiment wall time and
@@ -9,8 +10,9 @@
 //! `--only <name>` / `--skip <name>` filter the catalogue (repeatable,
 //! or comma-separated), so smoke jobs can run one experiment instead of
 //! re-running everything: a step of CI's `experiments` job is
-//! `--only tune,pipeline_search`. Those two searched experiments are
-//! not in the default set; `--only` is how they run.
+//! `--only tune,pipeline_search`. Every experiment is dispatched the
+//! same way; the catalogue marks which ones are in the default set (all
+//! but those two searched experiments, which run only when named).
 //! `--list` prints the experiment catalogue, the filter syntax, the
 //! machine models, and the workloads, without running anything.
 //!
@@ -41,7 +43,7 @@ use swpf_bench::json::Json;
 fn push_names(out: &mut Vec<String>, flag: &str, value: Option<String>) -> Result<(), String> {
     let value = value.ok_or_else(|| format!("{flag} needs an experiment name"))?;
     for name in value.split(',').map(str::trim).filter(|n| !n.is_empty()) {
-        if !experiments::EXPERIMENTS.contains(&name) {
+        if !experiments::CATALOGUE.iter().any(|e| e.0 == name) {
             return Err(format!(
                 "{flag}: unknown experiment `{name}` (see --list for the catalogue)"
             ));
@@ -77,23 +79,20 @@ fn main() -> std::process::ExitCode {
         return std::process::ExitCode::SUCCESS;
     }
 
-    // Selection: `--only` picks from the full catalogue (in catalogue
-    // order, so `--only tune` works); otherwise the grid experiments,
-    // minus `--skip`.
-    let selected: Vec<&str> = if only.is_empty() {
-        experiments::ALL_NAMES
-            .iter()
-            .copied()
-            .filter(|n| !skip.iter().any(|s| s == n))
-            .collect()
-    } else {
-        experiments::EXPERIMENTS
-            .iter()
-            .copied()
-            .filter(|n| only.iter().any(|o| o == n))
-            .filter(|n| !skip.iter().any(|s| s == n))
-            .collect()
-    };
+    // Selection, in catalogue order: `--only` picks from the whole
+    // catalogue (so `--only tune` works), otherwise the default set;
+    // `--skip` removes names from either.
+    let selected: Vec<&experiments::Entry> = experiments::CATALOGUE
+        .iter()
+        .filter(|(name, _, default)| {
+            if only.is_empty() {
+                *default
+            } else {
+                only.iter().any(|o| o == name)
+            }
+        })
+        .filter(|(name, _, _)| !skip.iter().any(|s| s == name))
+        .collect();
     if selected.is_empty() {
         exit_with_usage_error("the filters selected no experiments", &usage);
     }
@@ -104,23 +103,8 @@ fn main() -> std::process::ExitCode {
     let mut summaries = Vec::new();
     let mut failed = 0usize;
 
-    for name in &selected {
-        let (result, checks) = match experiments::by_name(name, scale) {
-            Some(exp) => run_and_report(&exp, &opts.run, &opts.out_dir),
-            None if *name == "tune" => {
-                swpf_bench::tune::run_and_report(&experiments::tune(scale), &opts.out_dir)
-            }
-            None => {
-                assert_eq!(
-                    *name, "pipeline_search",
-                    "non-grid experiments: tune and pipeline_search only"
-                );
-                swpf_bench::pipeline_search::run_and_report(
-                    &experiments::pipeline_search(scale),
-                    &opts.out_dir,
-                )
-            }
-        };
+    for (name, build, _) in &selected {
+        let (result, checks) = run_and_report(&build(scale), &opts.run, &opts.out_dir);
         let check_failures = checks.iter().filter(|c| !c.passed).count();
         failed += check_failures;
         summaries.push(Json::obj(vec![

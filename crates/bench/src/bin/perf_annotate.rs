@@ -13,12 +13,15 @@
 //! * `VARIANT`: `baseline` | `auto` | `manual` | `manual_c<N>` (default `auto`)
 //! * `MACHINE`: `haswell` | `xeon_phi` | `a57` | `a53` (default `haswell`)
 //!
-//! The workload scale comes from `SWPF_SCALE`, as everywhere else.
+//! The workload scale comes from `SWPF_SCALE` and the tier from
+//! `SWPF_TIER`, as everywhere else. An unknown name or a malformed
+//! variable is one `error:` line and exit status 2.
 
 #![allow(clippy::cast_precision_loss)]
 
 use std::collections::HashMap;
-use swpf_bench::{auto_module, scale_from_env_or_exit};
+use swpf_bench::harness::exit_with_usage_error;
+use swpf_bench::{auto_module, scale_from_env};
 use swpf_core::PassConfig;
 use swpf_ir::interp::Tier;
 use swpf_ir::printer::print_function_lines;
@@ -49,31 +52,34 @@ fn site_annotation(s: &SiteProfile) -> String {
     )
 }
 
+const USAGE: &str = "[WORKLOAD [VARIANT [MACHINE]]]";
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let wname = args.first().map_or("IS", String::as_str);
     let vname = args.get(1).map_or("auto", String::as_str);
     let mname = args.get(2).map_or("haswell", String::as_str);
+    let fail = |e: String| -> ! { exit_with_usage_error(&e, USAGE) };
 
-    let scale = scale_from_env_or_exit();
+    let scale = scale_from_env().unwrap_or_else(|e| fail(e));
+    let tier = Tier::try_from_env().unwrap_or_else(|e| fail(e));
     let suite = swpf_workloads::suite(scale);
-    let w = suite
-        .iter()
-        .find(|w| w.name() == wname)
-        .unwrap_or_else(|| {
-            let names: Vec<&str> = suite.iter().map(|w| w.name()).collect();
-            panic!(
-                "unknown workload `{wname}` (expected one of {})",
-                names.join(", ")
-            )
-        })
-        .as_ref();
-    let machine = MachineConfig::all_systems()
+    let Some(w) = suite.iter().find(|w| w.name() == wname) else {
+        let names: Vec<&str> = suite.iter().map(|w| w.name()).collect();
+        fail(format!(
+            "unknown workload `{wname}` (expected one of {})",
+            names.join(", ")
+        ))
+    };
+    let w = w.as_ref();
+    let Some(machine) = MachineConfig::all_systems()
         .into_iter()
         .find(|m| m.name == mname)
-        .unwrap_or_else(|| {
-            panic!("unknown machine `{mname}` (expected haswell | xeon_phi | a57 | a53)")
-        });
+    else {
+        fail(format!(
+            "unknown machine `{mname}` (expected haswell | xeon_phi | a57 | a53)"
+        ))
+    };
     let config = PassConfig::default();
     let module = match vname {
         "baseline" => w.build_baseline(),
@@ -84,9 +90,9 @@ fn main() {
             .and_then(|n| n.parse::<i64>().ok())
         {
             Some(c) => w.build_manual(c),
-            None => {
-                panic!("unknown variant `{v}` (expected baseline | auto | manual | manual_c<N>)")
-            }
+            None => fail(format!(
+                "unknown variant `{v}` (expected baseline | auto | manual | manual_c<N>)"
+            )),
         },
     };
 
@@ -94,7 +100,7 @@ fn main() {
     let sim = Sim {
         machines: &[&machine],
         cores: 1,
-        tier: Tier::from_env(),
+        tier,
     };
     let run = Source::module(&module, "kernel", &mut |_, i| w.setup(i))
         .and_then(|source| sim.run(source))

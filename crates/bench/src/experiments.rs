@@ -17,53 +17,42 @@
 
 use crate::geomean;
 use crate::harness::{
-    CellResult, Check, Experiment, ExperimentResult, ExperimentSpec, Row, TableSection, Variant,
+    run_search, CellResult, Check, Experiment, ExperimentResult, ExperimentSpec, Row, Search,
+    TableSection, Variant, WorkloadSearch,
 };
 use swpf_core::PassConfig;
 use swpf_sim::{CoreKind, MachineConfig, PcProfile, SiteProfile};
+use swpf_tune::{
+    distance_curve, strictly_unimodal, Exhaustive, GoldenSection, HillClimb, PipelineSpace,
+    SearchSpace,
+};
 use swpf_workloads::is::Fig2Scheme;
 use swpf_workloads::{KernelVariant, Scale, WorkloadId};
 
-/// Every *grid* experiment name: the paper's figures/tables in figure
-/// order, plus the pass-pipeline `ablation` study and the
-/// `trace_analytics` corpus profiler (the declarative specs
-/// [`by_name`] resolves; what `--bin all` runs by default).
-pub const ALL_NAMES: [&str; 12] = [
-    "table1",
-    "fig2",
-    "fig4",
-    "fig5",
-    "fig6",
-    "fig7",
-    "fig8",
-    "fig9",
-    "fig10",
-    "ablation",
-    "trace_analytics",
-    "prefetch_profile",
-];
+/// One entry of the experiment [`CATALOGUE`]: the name (the `--only`
+/// value and the artifact stem), the experiment at a given scale, and
+/// whether `--bin all` runs it without `--only`.
+pub type Entry = (&'static str, fn(Scale) -> Experiment, bool);
 
-/// The complete experiment catalogue: the grid experiments plus the
-/// searched experiments — `tune` (`--bin all -- --only tune`, through
-/// [`crate::tune::run_tune`]) and `pipeline_search`
-/// (`--only pipeline_search`, through
-/// [`crate::pipeline_search::run_search`]). This is what
-/// `--bin all -- --list` enumerates.
-pub const EXPERIMENTS: [&str; 14] = [
-    "table1",
-    "fig2",
-    "fig4",
-    "fig5",
-    "fig6",
-    "fig7",
-    "fig8",
-    "fig9",
-    "fig10",
-    "ablation",
-    "trace_analytics",
-    "prefetch_profile",
-    "tune",
-    "pipeline_search",
+/// Every experiment, in `--list` order: the paper's figures/tables in
+/// figure order, the pass-pipeline `ablation` study, the
+/// `trace_analytics` corpus profiler, the `prefetch_profile` sweep, and
+/// the two searched experiments, which run only when named.
+pub const CATALOGUE: [Entry; 14] = [
+    ("table1", table1, true),
+    ("fig2", fig2, true),
+    ("fig4", fig4, true),
+    ("fig5", fig5, true),
+    ("fig6", fig6, true),
+    ("fig7", fig7, true),
+    ("fig8", fig8, true),
+    ("fig9", fig9, true),
+    ("fig10", fig10, true),
+    ("ablation", ablation, true),
+    ("trace_analytics", trace_analytics, true),
+    ("prefetch_profile", prefetch_profile, true),
+    ("tune", tune, false),
+    ("pipeline_search", pipeline_search, false),
 ];
 
 /// The default manual-variant label (`c = 64`, the paper's choice).
@@ -83,21 +72,7 @@ const PROFILE_DISTANCES: [i64; 8] = [2, 4, 8, 16, 32, 64, 128, 256];
 /// Look up an experiment by name at the given scale.
 #[must_use]
 pub fn by_name(name: &str, scale: Scale) -> Option<Experiment> {
-    match name {
-        "table1" => Some(table1(scale)),
-        "fig2" => Some(fig2(scale)),
-        "fig4" => Some(fig4(scale)),
-        "fig5" => Some(fig5(scale)),
-        "fig6" => Some(fig6(scale)),
-        "fig7" => Some(fig7(scale)),
-        "fig8" => Some(fig8(scale)),
-        "fig9" => Some(fig9(scale)),
-        "fig10" => Some(fig10(scale)),
-        "ablation" => Some(ablation(scale)),
-        "trace_analytics" => Some(trace_analytics(scale)),
-        "prefetch_profile" => Some(prefetch_profile(scale)),
-        _ => None,
-    }
+    CATALOGUE.iter().find(|e| e.0 == name).map(|e| (e.1)(scale))
 }
 
 // ---- shared derivation helpers ------------------------------------------
@@ -178,6 +153,7 @@ fn table1(scale: Scale) -> Experiment {
             filter: None,
             perf: false,
         },
+        search: None,
         derive: |res| {
             let columns = [
                 "width",
@@ -267,6 +243,7 @@ fn fig2(scale: Scale) -> Experiment {
             filter: None,
             perf: false,
         },
+        search: None,
         derive: |res| {
             let schemes = [
                 ("intuitive", "fig2_intuitive"),
@@ -361,6 +338,7 @@ fn fig4(scale: Scale) -> Experiment {
             filter: Some(fig4_filter),
             perf: false,
         },
+        search: None,
         derive: |res| {
             res.machines
                 .iter()
@@ -460,6 +438,7 @@ fn fig5(scale: Scale) -> Experiment {
             filter: None,
             perf: false,
         },
+        search: None,
         derive: |res| {
             vec![TableSection::new(
                 "Fig. 5 — Haswell: indirect-only vs. indirect+stride",
@@ -511,6 +490,7 @@ fn fig6(scale: Scale) -> Experiment {
             filter: None,
             perf: false,
         },
+        search: None,
         derive: |res| {
             WorkloadId::FIG6
                 .iter()
@@ -600,6 +580,7 @@ fn fig7(scale: Scale) -> Experiment {
             filter: None,
             perf: false,
         },
+        search: None,
         derive: |res| {
             vec![TableSection::new(
                 "Fig. 7 — HJ-8: speedup vs. prefetch stagger depth",
@@ -669,6 +650,7 @@ fn fig8(scale: Scale) -> Experiment {
             filter: None,
             perf: false,
         },
+        search: None,
         derive: |res| {
             let overhead = |variant: &str, w: WorkloadId| -> f64 {
                 let (Some(v), Some(b)) = (
@@ -736,6 +718,7 @@ fn fig9(scale: Scale) -> Experiment {
             filter: None,
             perf: false,
         },
+        search: None,
         derive: |res| {
             let makespan = |variant: &str| -> f64 {
                 res.cell("haswell", "IS", variant)
@@ -834,6 +817,7 @@ fn fig10(scale: Scale) -> Experiment {
             filter: None,
             perf: false,
         },
+        search: None,
         derive: |res| {
             vec![TableSection::new(
                 "Fig. 10 — Haswell: prefetch speedup by page size",
@@ -956,45 +940,26 @@ fn ablation_static_costs(scale: Scale) -> Vec<(WorkloadId, StaticCost)> {
         .collect()
 }
 
-/// One cell of the pipeline search the ablation's `searched` column
-/// reports: evaluator-exact simulated cycles of the compiler's default
-/// pipeline (bare `swpf`), the full heuristic pipeline, and the
-/// exhaustive best over [`swpf_tune::PipelineSpace::paper_default`].
-struct SearchedCell {
-    machine: &'static str,
-    workload: String,
-    default_cycles: u64,
-    full_cycles: u64,
-    best_cycles: u64,
-    chosen: String,
-}
-
 /// Exhaustively search the cleanup-pipeline space per workload ×
-/// machine. The heuristic (full pipeline) and the bare default are both
+/// machine, through the harness's search loop: the evaluator-exact
+/// cycles of the compiler's default pipeline (bare `swpf`), the full
+/// heuristic pipeline, and the best over
+/// [`swpf_tune::PipelineSpace::paper_default`]. Both references are
 /// candidates, so `best ≤ full` and `best ≤ default` by construction;
 /// what the search *adds* is the exact margin, per cell.
-fn ablation_searched_cells(scale: Scale, machines: &[MachineConfig]) -> Vec<SearchedCell> {
-    use swpf_tune::{tune_cell, Evaluator, Exhaustive, PipelineSpace, Space};
-    let space = PipelineSpace::paper_default();
-    space.assert_well_formed();
-    let default_config = PassConfig::default();
-    let mut cells = Vec::new();
-    for &id in &WorkloadId::ALL {
-        let w = id.instantiate(scale);
-        let mut eval = Evaluator::new(w.as_ref(), machines);
-        for (mi, m) in machines.iter().enumerate() {
-            let report = tune_cell(&Exhaustive, &space, mi, &mut eval, None);
-            cells.push(SearchedCell {
-                machine: m.name,
-                workload: w.name().to_string(),
-                default_cycles: eval.cycles(&default_config, mi),
-                full_cycles: report.heuristic_cycles,
-                best_cycles: report.chosen_cycles,
-                chosen: report.chosen.pipeline.to_string(),
-            });
-        }
-    }
-    cells
+fn ablation_searched_cells(res: &ExperimentResult) -> Vec<WorkloadSearch> {
+    let search = Search {
+        space: Box::new(PipelineSpace::paper_default()),
+        strategies: vec![Box::new(Exhaustive)],
+    };
+    run_search(
+        &search,
+        res.scale,
+        &res.machines,
+        &WorkloadId::ALL,
+        res.tier,
+    )
+    .1
 }
 
 fn ablation(scale: Scale) -> Experiment {
@@ -1018,6 +983,7 @@ fn ablation(scale: Scale) -> Experiment {
             filter: None,
             perf: false,
         },
+        search: None,
         derive: |res| {
             // Static pipeline costs: what the pass cloned, what the
             // cleanup passes took back (recomputed here — they are
@@ -1092,21 +1058,30 @@ fn ablation(scale: Scale) -> Experiment {
             sections.push(lr);
             // The searched-pipeline column: exhaustive search over the
             // cleanup-pipeline space, evaluator-exact cycles per cell.
-            let searched = ablation_searched_cells(res.scale, &res.machines);
+            let searched = ablation_searched_cells(res);
+            let mut rows = Vec::new();
+            let mut chosen = Vec::new();
+            for s in &searched {
+                for (mi, m) in res.machines.iter().enumerate() {
+                    let (r, name) = (&s.reports[mi][0], format!("{}/{}", m.name, s.workload));
+                    let pipeline = r.chosen.pipeline.to_string();
+                    if pipeline != swpf_tune::DEFAULT_FULL_PIPELINE {
+                        chosen.push(format!("{name}: searched pipeline `{pipeline}`"));
+                    }
+                    rows.push(Row {
+                        name,
+                        values: vec![
+                            s.default_cycles[mi] as f64,
+                            r.heuristic_cycles as f64,
+                            r.chosen_cycles as f64,
+                        ],
+                    });
+                }
+            }
             let mut srch = TableSection::new(
                 "Ablation (searched) — simulated cycles: default vs. full vs. searched pipeline",
                 ["default", "full", "searched"].map(String::from).to_vec(),
-                searched
-                    .iter()
-                    .map(|c| Row {
-                        name: format!("{}/{}", c.machine, c.workload),
-                        values: vec![
-                            c.default_cycles as f64,
-                            c.full_cycles as f64,
-                            c.best_cycles as f64,
-                        ],
-                    })
-                    .collect(),
+                rows,
             );
             srch.notes.push(
                 "default = the compiler's default pipeline (bare `swpf`); full = \
@@ -1115,31 +1090,25 @@ fn ablation(scale: Scale) -> Experiment {
                  searched ≤ min(default, full) by construction)"
                     .to_string(),
             );
-            for c in &searched {
-                if c.chosen != swpf_tune::DEFAULT_FULL_PIPELINE {
-                    srch.notes.push(format!(
-                        "{}/{}: searched pipeline `{}`",
-                        c.machine, c.workload, c.chosen
-                    ));
-                }
-            }
+            srch.notes.extend(chosen);
             sections.push(srch);
             // Speedup over no-prefetch per machine, per pipeline, plus
             // the searched column: the full pipeline's measured speedup
             // scaled by the searched pipeline's exact cycle margin.
-            sections.extend(res.machines.iter().map(|m| {
+            sections.extend(res.machines.iter().enumerate().map(|(mi, m)| {
                 let mut rows = speedup_rows(res, m.name, &WorkloadId::ALL, &labels);
                 let mut searched_col = Vec::new();
                 for r in &mut rows {
                     if r.name == "Geomean" {
                         continue;
                     }
-                    let cell = searched
+                    let cell = &searched
                         .iter()
-                        .find(|c| c.machine == m.name && c.workload == r.name)
-                        .expect("one searched cell per machine × workload");
+                        .find(|s| s.workload == r.name)
+                        .expect("one search per workload")
+                        .reports[mi][0];
                     let full_speedup = r.values[labels.len() - 1];
-                    let v = full_speedup * cell.full_cycles as f64 / cell.best_cycles as f64;
+                    let v = full_speedup * cell.heuristic_cycles as f64 / cell.chosen_cycles as f64;
                     r.values.push(v);
                     searched_col.push(v);
                 }
@@ -1367,6 +1336,7 @@ fn trace_analytics(scale: Scale) -> Experiment {
             filter: None,
             perf: false,
         },
+        search: None,
         derive: |res| {
             let dir = match res.trace_policy.as_str() {
                 "off" | "memory" => None,
@@ -1531,6 +1501,7 @@ fn prefetch_profile(scale: Scale) -> Experiment {
             filter: None,
             perf: true,
         },
+        search: None,
         derive: |res| {
             let ncols = PROFILE_DISTANCES.len() + 1;
             let columns: Vec<String> = PROFILE_DISTANCES
@@ -1795,51 +1766,337 @@ fn prefetch_profile(scale: Scale) -> Experiment {
     }
 }
 
-// ---- tune ----------------------------------------------------------------
+// ---- searched experiments -------------------------------------------------
+
+/// The aggregate search-cost table of a searched experiment: per
+/// strategy, the per-machine search requests, the interpretations paid
+/// (the fan-out means they count candidates, not candidates ×
+/// machines), and the wall seconds.
+fn search_cost(res: &ExperimentResult) -> TableSection {
+    let strategies = res.searches.first().map_or(0, |s| s.costs.len());
+    let rows = (0..strategies)
+        .map(|si| {
+            let points: usize = res
+                .searches
+                .iter()
+                .flat_map(|s| &s.reports)
+                .map(|r| r[si].points.len())
+                .sum();
+            let interps: usize = res.searches.iter().map(|s| s.costs[si].0).sum();
+            let wall: f64 = res.searches.iter().map(|s| s.costs[si].1).sum();
+            Row {
+                name: res.searches[0].reports[0][si].strategy.to_string(),
+                values: vec![points as f64, interps as f64, wall],
+            }
+        })
+        .collect();
+    let mut cost = TableSection::new(
+        "Search cost (all workloads)",
+        ["points", "interpretations", "wall_s"]
+            .map(String::from)
+            .to_vec(),
+        rows,
+    );
+    cost.notes.push(format!(
+        "points: per-machine search requests ({} machines share each \
+         candidate's single interpretation via fan-out)",
+        res.machines.len()
+    ));
+    cost
+}
 
 /// The searched `tune` experiment: find the best look-ahead (and
 /// stride-companion toggle, for hill-climbing) per workload × machine,
 /// and quantify how close the paper's static `c = 64` heuristic sits to
-/// the exhaustive oracle. Tuning targets the in-order systems — the
-/// machines that cannot hide indirect misses themselves, where the
-/// distance actually decides the outcome — over the Fig. 6 sweep
-/// workloads. Three strategies run per cell: the exhaustive oracle,
-/// golden-section bracketing over the unimodal distance curve, and
-/// budgeted hill-climbing. Each candidate is compiled once and
-/// interpreted once, its event stream fanned out to every machine, so
-/// search cost scales with candidates, not candidates × machines.
-#[must_use]
-pub fn tune(scale: Scale) -> crate::tune::TuneExperiment {
-    crate::tune::TuneExperiment {
-        name: "tune",
-        title: "Tuning — searched look-ahead vs. the paper's c=64 heuristic",
-        scale,
-        machines: vec![MachineConfig::xeon_phi(), MachineConfig::a53()],
-        workloads: WorkloadId::FIG6.to_vec(),
-        space: swpf_tune::SearchSpace::paper_default(),
-        hill_budget: 16,
+/// the exhaustive oracle (`heur_%opt`, 100 = optimal). Tuning targets
+/// the in-order systems — the machines that cannot hide indirect misses
+/// themselves, where the distance actually decides the outcome — over
+/// the Fig. 6 sweep workloads. Three strategies run per cell: the
+/// exhaustive oracle, golden-section bracketing over the unimodal
+/// distance curve, and budgeted hill-climbing. Each candidate is
+/// compiled once and interpreted once, its event stream fanned out to
+/// every machine, so search cost scales with candidates, not
+/// candidates × machines.
+fn tune(scale: Scale) -> Experiment {
+    Experiment {
+        spec: ExperimentSpec {
+            name: "tune",
+            title: "Tuning — searched look-ahead vs. the paper's c=64 heuristic",
+            scale,
+            machines: vec![MachineConfig::xeon_phi(), MachineConfig::a53()],
+            workloads: WorkloadId::FIG6.to_vec(),
+            variants: vec![],
+            filter: None,
+            perf: false,
+        },
+        search: Some(Search {
+            space: Box::new(SearchSpace::paper_default()),
+            strategies: vec![
+                Box::new(Exhaustive),
+                Box::new(GoldenSection),
+                Box::new(HillClimb { budget: 16 }),
+            ],
+        }),
+        derive: |res| {
+            let columns = [
+                "heuristic",
+                "golden",
+                "hill",
+                "oracle",
+                "heur_%opt",
+                "gold_%opt",
+                "best_c",
+                "pts_gold",
+                "pts_orac",
+            ];
+            let mut sections: Vec<TableSection> = res
+                .machines
+                .iter()
+                .enumerate()
+                .map(|(mi, m)| {
+                    let rows = res
+                        .searches
+                        .iter()
+                        .map(|s| {
+                            let [oracle, golden, hill] = &s.reports[mi][..] else {
+                                unreachable!("three strategies per cell")
+                            };
+                            Row {
+                                name: s.workload.to_string(),
+                                values: vec![
+                                    golden.heuristic_cycles as f64,
+                                    golden.chosen_cycles as f64,
+                                    hill.chosen_cycles as f64,
+                                    oracle.chosen_cycles as f64,
+                                    golden.heuristic_pct_of_oracle(),
+                                    golden.pct_of_oracle(),
+                                    golden.chosen.look_ahead as f64,
+                                    golden.points.len() as f64,
+                                    oracle.points.len() as f64,
+                                ],
+                            }
+                        })
+                        .collect();
+                    TableSection::new(
+                        format!("Tuning ({}) — cycles: heuristic c=64 vs. searched", m.name),
+                        columns.iter().map(ToString::to_string).collect(),
+                        rows,
+                    )
+                })
+                .collect();
+            sections.push(search_cost(res));
+            sections
+        },
+        checks: |res, _derived| {
+            let space = SearchSpace::paper_default();
+            let mut checks = Vec::new();
+            for s in &res.searches {
+                for (m, reports) in res.machines.iter().zip(&s.reports) {
+                    let [oracle, golden, hill] = &reports[..] else {
+                        unreachable!("three strategies per cell")
+                    };
+                    let cell = format!("{}_{}", m.name, s.workload);
+                    // Tuned configs are never worse than the paper
+                    // heuristic (by construction: the heuristic is
+                    // always a candidate).
+                    for r in [golden, hill] {
+                        checks.push(Check::new(
+                            format!("tuned_beats_heuristic_{}_{cell}", r.strategy),
+                            r.chosen_cycles <= r.heuristic_cycles,
+                            format!(
+                                "{} {} vs heuristic {} cycles",
+                                r.strategy, r.chosen_cycles, r.heuristic_cycles
+                            ),
+                        ));
+                    }
+                    // Bracketing must pay: at most half the oracle's points.
+                    checks.push(Check::new(
+                        format!("golden_frugal_{cell}"),
+                        golden.points.len() * 2 <= oracle.points.len(),
+                        format!(
+                            "golden evaluated {} vs exhaustive {} points",
+                            golden.points.len(),
+                            oracle.points.len()
+                        ),
+                    ));
+                    // Where Fig. 6's unimodality actually holds in the
+                    // measured curve, golden-section provably finds the
+                    // oracle's optimum.
+                    let unimodal = strictly_unimodal(&distance_curve(&space, &oracle.points));
+                    checks.push(Check::new(
+                        format!("golden_matches_oracle_{cell}"),
+                        !unimodal || golden.chosen_cycles == oracle.chosen_cycles,
+                        if unimodal {
+                            format!(
+                                "unimodal cell: golden {} vs oracle {} cycles",
+                                golden.chosen_cycles, oracle.chosen_cycles
+                            )
+                        } else {
+                            "distance curve not strictly unimodal: equivalence not claimed"
+                                .to_string()
+                        },
+                    ));
+                }
+            }
+            checks
+        },
     }
 }
+
+/// Evaluation budget of `pipeline_search`'s hill-climb.
+const PIPELINE_HILL_BUDGET: usize = 5;
 
 /// The searched `pipeline_search` experiment: per workload × machine,
 /// search the cleanup-pipeline space for the ordering that minimises
 /// simulated cycles, against two references — the compiler's default
-/// pipeline (bare `swpf`) and the full heuristic pipeline
-/// (`swpf,gvn,sccp,licm,cse,dce`). All machine models participate: the
-/// pipeline decides static code quality, which every core model pays
-/// for differently. Two strategies run per cell: the exhaustive oracle
-/// over the curated candidate set and a budgeted hill-climb along the
-/// probe order.
-#[must_use]
-pub fn pipeline_search(scale: Scale) -> crate::pipeline_search::PipelineSearchExperiment {
-    crate::pipeline_search::PipelineSearchExperiment {
-        name: "pipeline_search",
-        title: "Pipeline search — searched pass ordering vs. the default pipelines",
-        scale,
-        machines: MachineConfig::all_systems(),
-        workloads: WorkloadId::ALL.to_vec(),
-        space: swpf_tune::PipelineSpace::paper_default(),
-        hill_budget: 5,
+/// pipeline (bare `swpf`, what `PassConfig::default()` compiles) and
+/// the full heuristic pipeline (`swpf,gvn,sccp,licm,cse,dce`, the
+/// space's seed). Both references are candidates, so the searched
+/// pipeline is never worse than either by construction; the experiment
+/// reports the exact per-cell margin. All machine models participate:
+/// the pipeline decides static code quality, which every core model
+/// pays for differently. Two strategies run per cell: the exhaustive
+/// oracle over the curated candidate set and a budgeted hill-climb
+/// along the probe order.
+fn pipeline_search(scale: Scale) -> Experiment {
+    Experiment {
+        spec: ExperimentSpec {
+            name: "pipeline_search",
+            title: "Pipeline search — searched pass ordering vs. the default pipelines",
+            scale,
+            machines: MachineConfig::all_systems(),
+            workloads: WorkloadId::ALL.to_vec(),
+            variants: vec![],
+            filter: None,
+            perf: false,
+        },
+        search: Some(Search {
+            space: Box::new(PipelineSpace::paper_default()),
+            strategies: vec![
+                Box::new(Exhaustive),
+                Box::new(HillClimb {
+                    budget: PIPELINE_HILL_BUDGET,
+                }),
+            ],
+        }),
+        derive: |res| {
+            let columns = [
+                "default",
+                "full",
+                "searched",
+                "hill",
+                "dflt_%srch",
+                "full_%srch",
+                "pts_orac",
+                "pts_hill",
+            ];
+            let mut sections: Vec<TableSection> = res
+                .machines
+                .iter()
+                .enumerate()
+                .map(|(mi, m)| {
+                    let mut notes = Vec::new();
+                    let rows = res
+                        .searches
+                        .iter()
+                        .map(|s| {
+                            let [oracle, hill] = &s.reports[mi][..] else {
+                                unreachable!("two strategies per cell")
+                            };
+                            let dflt = s.default_cycles[mi] as f64;
+                            notes.push(format!(
+                                "{}: searched pipeline `{}`",
+                                s.workload, oracle.chosen.pipeline
+                            ));
+                            Row {
+                                name: s.workload.to_string(),
+                                values: vec![
+                                    dflt,
+                                    oracle.heuristic_cycles as f64,
+                                    oracle.chosen_cycles as f64,
+                                    hill.chosen_cycles as f64,
+                                    100.0 * oracle.chosen_cycles as f64 / dflt,
+                                    100.0 * oracle.chosen_cycles as f64
+                                        / oracle.heuristic_cycles as f64,
+                                    oracle.points.len() as f64,
+                                    hill.points.len() as f64,
+                                ],
+                            }
+                        })
+                        .collect();
+                    let mut section = TableSection::new(
+                        format!(
+                            "Pipeline search ({}) — cycles: default/full pipelines vs. searched",
+                            m.name
+                        ),
+                        columns.iter().map(ToString::to_string).collect(),
+                        rows,
+                    );
+                    section.notes.push(
+                        "default = bare `swpf`; full = the heuristic cleanup pipeline; \
+                         `%srch` columns are searched cycles as a percentage of each \
+                         reference (100 = tie, lower = the search won)"
+                            .to_string(),
+                    );
+                    section.notes.extend(notes);
+                    section
+                })
+                .collect();
+            sections.push(search_cost(res));
+            sections
+        },
+        checks: |res, _derived| {
+            let mut checks = Vec::new();
+            let mut strict_wins = 0usize;
+            let mut cells = 0usize;
+            for s in &res.searches {
+                for (mi, m) in res.machines.iter().enumerate() {
+                    let [oracle, hill] = &s.reports[mi][..] else {
+                        unreachable!("two strategies per cell")
+                    };
+                    let dflt = s.default_cycles[mi];
+                    let cell = format!("{}_{}", m.name, s.workload);
+                    cells += 1;
+                    if oracle.chosen_cycles < dflt {
+                        strict_wins += 1;
+                    }
+                    // The searched pipeline is never worse than either
+                    // reference — both are candidates of the space.
+                    checks.push(Check::new(
+                        format!("searched_never_worse_{cell}"),
+                        oracle.chosen_cycles <= oracle.heuristic_cycles
+                            && oracle.chosen_cycles <= dflt,
+                        format!(
+                            "searched {} vs full {} vs default {dflt} cycles",
+                            oracle.chosen_cycles, oracle.heuristic_cycles
+                        ),
+                    ));
+                    // The hill-climb seeds at the full pipeline, so it is
+                    // never worse than that reference either, on a
+                    // fraction of the oracle's budget.
+                    checks.push(Check::new(
+                        format!("hill_beats_heuristic_{cell}"),
+                        hill.chosen_cycles <= hill.heuristic_cycles
+                            && hill.points.len() <= PIPELINE_HILL_BUDGET,
+                        format!(
+                            "hill {} vs full {} cycles in {} ≤ {PIPELINE_HILL_BUDGET} points",
+                            hill.chosen_cycles,
+                            hill.heuristic_cycles,
+                            hill.points.len(),
+                        ),
+                    ));
+                }
+            }
+            // The payoff claim: searching pipelines must strictly beat
+            // the compiler's default pipeline somewhere, or the whole
+            // axis is pointless.
+            checks.push(Check::new(
+                "searched_pipeline_strictly_beats_default",
+                strict_wins >= 1,
+                format!("strict cycle wins vs bare `swpf` on {strict_wins} of {cells} cells"),
+            ));
+            checks
+        },
     }
 }
 
@@ -1847,21 +2104,16 @@ pub fn pipeline_search(scale: Scale) -> crate::pipeline_search::PipelineSearchEx
 /// the `--list` mode of the `all` driver. Runs nothing.
 pub fn print_catalog() {
     println!("experiments:");
-    for name in EXPERIMENTS {
-        let title = match by_name(name, Scale::Test) {
-            Some(exp) => exp.spec.title,
-            None if name == "tune" => tune(Scale::Test).title,
-            None => pipeline_search(Scale::Test).title,
-        };
-        println!("  {name:<8} {title}");
+    for (name, build, default) in CATALOGUE {
+        let only = if default { "" } else { " (--only)" };
+        println!("  {name:<8} {}{only}", build(Scale::Test).spec.title);
     }
     println!(
         "\nfilters (--bin all):\n  \
          --only <name>   run only the named experiment(s); repeatable, or\n                  \
          comma-separated (e.g. `--only ablation` or `--only fig4,fig9,tune`)\n  \
          --skip <name>   run the default set without the named experiment(s)\n  \
-         (default set: every experiment above except the searched `tune` and\n  \
-         `pipeline_search`; `--only tune` or `--only pipeline_search` runs them)"
+         (default set: every experiment above not marked `(--only)`)"
     );
     println!(
         "\nprofiling:\n  \
@@ -1890,26 +2142,30 @@ mod tests {
 
     #[test]
     fn every_name_resolves() {
-        for name in ALL_NAMES {
-            assert!(by_name(name, Scale::Test).is_some(), "{name}");
+        for (name, _, _) in CATALOGUE {
+            assert_eq!(by_name(name, Scale::Test).map(|e| e.spec.name), Some(name));
         }
         assert!(by_name("fig3", Scale::Test).is_none());
     }
 
     #[test]
     fn catalogue_is_the_grid_experiments_plus_the_searched_ones() {
-        assert_eq!(EXPERIMENTS[..ALL_NAMES.len()], ALL_NAMES);
-        assert_eq!(EXPERIMENTS[ALL_NAMES.len()..], ["tune", "pipeline_search"]);
-        for name in &EXPERIMENTS[ALL_NAMES.len()..] {
-            assert!(by_name(name, Scale::Test).is_none(), "{name} is searched");
+        for (name, build, default) in CATALOGUE {
+            let exp = build(Scale::Test);
+            let searched = matches!(name, "tune" | "pipeline_search");
+            assert_eq!(exp.search.is_some(), searched, "{name}");
+            assert_eq!(default, !searched, "{name}");
+            if searched {
+                assert!(expand(&exp.spec).is_empty(), "{name} has no grid");
+            }
         }
-        let exp = tune(Scale::Test);
-        assert!(exp.machines.len() >= 2);
-        assert!(exp.workloads.len() >= 3);
+        let tune = tune(Scale::Test);
+        assert!(tune.spec.machines.len() >= 2);
+        assert!(tune.spec.workloads.len() >= 3);
         let ps = pipeline_search(Scale::Test);
-        assert!(ps.machines.len() >= 3);
-        assert_eq!(ps.workloads.len(), WorkloadId::ALL.len());
-        assert!(ps.hill_budget >= 2, "hill must get past its seed");
+        assert!(ps.spec.machines.len() >= 3);
+        assert_eq!(ps.spec.workloads.len(), WorkloadId::ALL.len());
+        const { assert!(PIPELINE_HILL_BUDGET >= 2, "hill must get past its seed") };
     }
 
     #[test]

@@ -36,6 +36,13 @@
 //!   shape-check verdicts, and wall-clock metadata — so CI can diff the
 //!   numbers a PR changed.
 //!
+//! An experiment may also carry a [`Search`]: after its grid, the
+//! harness runs each of the search's strategies over its space, per
+//! workload × machine of the spec, on the `swpf-tune` evaluator (see
+//! [`run_search`]). The searched experiments (`tune`,
+//! `pipeline_search`) have an empty grid and a search; every
+//! experiment, searched or not, is run and reported the same way.
+//!
 //! Shape checks ([`Check`]) turn the suite into an end-to-end
 //! regression oracle: structural checks (grid complete, non-zero
 //! cycles, finite derived values) run at every scale, and each
@@ -55,6 +62,7 @@ use swpf_ir::interp::{Interp, Tier};
 use swpf_ir::FuncId;
 use swpf_sim::{MachineConfig, PcProfile, Sim, SimError, SimStats, Source};
 use swpf_trace::{fnv64, StreamingReplay, Trace, TraceRecorder};
+use swpf_tune::{tune_cell, Evaluator, Space, Strategy, TuneReport};
 use swpf_workloads::{KernelVariant, Scale, Workload, WorkloadId};
 
 /// One axis value of the variant dimension: what kernel to run, and how.
@@ -357,9 +365,14 @@ pub struct ExperimentResult {
     pub threads: usize,
     /// Total harness wall time in seconds (prepare + simulate).
     pub wall_s: f64,
-    /// Label of the trace policy the run used ("off", "memory", or the
-    /// trace directory path).
+    /// Label of the trace policy the run used ("off", "memory", the
+    /// trace directory path, or "fanout" for a searched experiment).
     pub trace_policy: String,
+    /// Execution tier the run's interpreters were built on.
+    pub tier: Tier,
+    /// What the experiment's [`Search`] found, one entry per workload;
+    /// empty for an experiment without one.
+    pub searches: Vec<WorkloadSearch>,
 }
 
 impl ExperimentResult {
@@ -516,19 +529,46 @@ pub type DeriveFn = fn(&ExperimentResult) -> Vec<TableSection>;
 /// Shape-check hook: assert the paper's qualitative claims.
 pub type ChecksFn = fn(&ExperimentResult, &[TableSection]) -> Vec<Check>;
 
-/// A complete experiment: grid + derivation + shape checks.
+/// A complete experiment: grid (+ search) + derivation + shape checks.
 pub struct Experiment {
     /// The declarative grid.
     pub spec: ExperimentSpec,
+    /// A search run after the grid over the spec's machines and
+    /// workloads (`None`: the grid is the whole experiment).
+    pub search: Option<Search>,
     /// Derivation hook.
     pub derive: DeriveFn,
     /// Shape-check hook (behavioural; structural checks are automatic).
     pub checks: ChecksFn,
 }
 
+/// A search over one [`Space`]: each strategy in turn, per workload ×
+/// machine. The first strategy is the oracle the later ones are
+/// measured against ([`TuneReport::oracle_cycles`]).
+pub struct Search {
+    /// The space searched.
+    pub space: Box<dyn Space>,
+    /// The strategies, oracle first.
+    pub strategies: Vec<Box<dyn Strategy>>,
+}
+
+/// What a [`Search`] found on one workload.
+pub struct WorkloadSearch {
+    /// Workload display name.
+    pub workload: &'static str,
+    /// `[machine][strategy]`, in spec and search order.
+    pub reports: Vec<Vec<TuneReport>>,
+    /// Per machine: simulated cycles of the compiler's default
+    /// configuration (`PassConfig::default()`, bare `swpf`).
+    pub default_cycles: Vec<u64>,
+    /// Per strategy: (interpretations, wall seconds).
+    pub costs: Vec<(usize, f64)>,
+}
+
 /// Run an experiment: prepare modules, execute the job grid on a thread
-/// pool (grouped by shared kernel trace, see [`TracePolicy`]), and
-/// collect per-cell statistics in deterministic order.
+/// pool (grouped by shared kernel trace, see [`TracePolicy`]), collect
+/// per-cell statistics in deterministic order, then run the
+/// experiment's [`Search`], if any.
 ///
 /// # Panics
 /// On unsupported spec cells surviving expansion, simulation traps, or
@@ -660,7 +700,7 @@ pub fn run_experiment(exp: &Experiment, opts: &RunOptions) -> ExperimentResult {
         work();
     });
 
-    let cells = slots
+    let mut cells: Vec<CellResult> = slots
         .into_inner()
         .expect("workers finished")
         .into_iter()
@@ -669,6 +709,11 @@ pub fn run_experiment(exp: &Experiment, opts: &RunOptions) -> ExperimentResult {
 
     swpf_sim::perf::set_enabled(perf_prev);
 
+    let (search_cells, searches) = match &exp.search {
+        Some(s) => run_search(s, spec.scale, &spec.machines, &spec.workloads, opts.tier),
+        None => Default::default(),
+    };
+    cells.extend(search_cells);
     ExperimentResult {
         name: spec.name,
         title: spec.title,
@@ -677,7 +722,103 @@ pub fn run_experiment(exp: &Experiment, opts: &RunOptions) -> ExperimentResult {
         cells,
         threads,
         wall_s: t0.elapsed().as_secs_f64(),
-        trace_policy: opts.trace.label(),
+        trace_policy: match exp.search {
+            Some(_) => "fanout".to_string(),
+            None => opts.trace.label(),
+        },
+        tier: opts.tier,
+        searches,
+    }
+}
+
+/// Run `search` over `workloads` × `machines` at `scale`, each strategy
+/// in turn per workload (see `run_strategy`). Returns every evaluated
+/// point as cells and what the search found per workload.
+///
+/// # Panics
+/// On a malformed space or a simulation trap — configuration errors.
+#[must_use]
+pub fn run_search(
+    search: &Search,
+    scale: Scale,
+    machines: &[MachineConfig],
+    workloads: &[WorkloadId],
+    tier: Tier,
+) -> (Vec<CellResult>, Vec<WorkloadSearch>) {
+    search.space.assert_well_formed();
+    let mut cells = Vec::new();
+    let mut searches = Vec::new();
+    for &id in workloads {
+        let w = id.instantiate(scale);
+        let mut found = WorkloadSearch {
+            workload: w.name(),
+            reports: vec![Vec::new(); machines.len()],
+            default_cycles: Vec::new(),
+            costs: Vec::new(),
+        };
+        for strategy in &search.strategies {
+            run_strategy(
+                &mut found,
+                &mut cells,
+                w.as_ref(),
+                machines,
+                search.space.as_ref(),
+                strategy.as_ref(),
+                tier,
+            );
+        }
+        searches.push(found);
+    }
+    (cells, searches)
+}
+
+/// Run one strategy over every machine on a **fresh** [`Evaluator`], so
+/// its interpretation count and wall time are the honest cost of
+/// running it alone (the evaluator's fan-out still shares each
+/// candidate's interpretation across the machines). Appends to `found`
+/// the per-machine reports, measured against the first strategy's
+/// optimum, and the strategy's cost — the first strategy also records
+/// the default configuration's cycles — and to `cells` every distinct
+/// point evaluated, one cell per machine.
+fn run_strategy(
+    found: &mut WorkloadSearch,
+    cells: &mut Vec<CellResult>,
+    w: &dyn Workload,
+    machines: &[MachineConfig],
+    space: &dyn Space,
+    strategy: &dyn Strategy,
+    tier: Tier,
+) {
+    let oracles: Option<Vec<u64>> = (!found.costs.is_empty())
+        .then(|| found.reports.iter().map(|r| r[0].chosen_cycles).collect());
+    let mut eval = Evaluator::new(w, machines).with_tier(tier);
+    let t0 = Instant::now();
+    for (mi, reports) in found.reports.iter_mut().enumerate() {
+        let oracle = oracles.as_ref().map(|o| o[mi]);
+        reports.push(tune_cell(strategy, space, mi, &mut eval, oracle));
+        let default_cycles = eval.cycles(&PassConfig::default(), mi);
+        if oracles.is_none() {
+            found.default_cycles.push(default_cycles);
+        }
+    }
+    let wall = t0.elapsed().as_secs_f64();
+    found.costs.push((eval.interpretations(), wall));
+
+    let wall_each = wall * 1e3 / (eval.points().len() * machines.len()).max(1) as f64;
+    for point in eval.points() {
+        for (mi, m) in machines.iter().enumerate() {
+            cells.push(CellResult {
+                machine: m.name,
+                workload: w.name(),
+                variant: format!("{}_{}", strategy.name(), point.config.cache_key()),
+                cores: vec![point.stats[mi]],
+                wall_ms: wall_each,
+                replayed: mi > 0,
+                params: point.config.parameters(),
+                tier: tier.label(),
+                perf: Vec::new(),
+            });
+        }
     }
 }
 

@@ -15,7 +15,7 @@
 //! | `fig9`  | Fig. 9 — IS multicore throughput |
 //! | `fig10` | Fig. 10 — small vs. huge pages |
 //! | `ablation` | pass-pipeline ablation — static cleanup × speedup |
-//! | `tune`, `pipeline_search` | the searched experiments (not in the default set) |
+//! | `tune`, `pipeline_search` | the searched experiments (run only when named) |
 //!
 //! The grids are declared in [`experiments`] and executed by the shared
 //! [`harness`] on a pool of host threads — every cell one
@@ -38,9 +38,7 @@
 pub mod experiments;
 pub mod harness;
 pub mod json;
-pub mod pipeline_search;
 pub mod prof;
-pub mod tune;
 
 use swpf_core::PassConfig;
 use swpf_ir::Module;

@@ -1,11 +1,16 @@
-//! The `all` driver's command line: a malformed invocation is one
-//! `error:` line plus the usage and exit status 2, never a panic, and
-//! the trace policy flags never change a counter.
+//! The command lines of the `all` driver and `perf_annotate`: a
+//! malformed invocation is one `error:` line plus the usage and exit
+//! status 2, never a panic, and the trace policy flags never change a
+//! counter.
 
 use std::process::{Command, Output};
 
 fn all(args: &[&str], env: &[(&str, &str)]) -> Output {
-    let mut cmd = Command::new(env!("CARGO_BIN_EXE_all"));
+    run(env!("CARGO_BIN_EXE_all"), args, env)
+}
+
+fn run(exe: &str, args: &[&str], env: &[(&str, &str)]) -> Output {
+    let mut cmd = Command::new(exe);
     // Run away from the repository so a parse that wrongly succeeds
     // cannot drop a RESULTS directory into it.
     cmd.args(args).current_dir(std::env::temp_dir());
@@ -15,10 +20,14 @@ fn all(args: &[&str], env: &[(&str, &str)]) -> Output {
     cmd.env("SWPF_SCALE", "test")
         .envs(env.iter().copied())
         .output()
-        .expect("the `all` binary runs")
+        .expect("the binary runs")
 }
 
 fn assert_usage_error(out: &Output, what: &str) {
+    assert_usage_error_of("all", out, what);
+}
+
+fn assert_usage_error_of(bin: &str, out: &Output, what: &str) {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(2), "{what}: {stderr}");
     assert_eq!(
@@ -26,7 +35,10 @@ fn assert_usage_error(out: &Output, what: &str) {
         1,
         "{what}: {stderr}"
     );
-    assert!(stderr.contains("usage: all "), "{what}: {stderr}");
+    assert!(
+        stderr.contains(&format!("usage: {bin} ")),
+        "{what}: {stderr}"
+    );
     assert!(!stderr.contains("panicked at"), "{what}: {stderr}");
     assert!(out.stdout.is_empty(), "{what}: nothing ran");
 }
@@ -61,6 +73,21 @@ fn malformed_values_are_usage_errors() {
     let stderr = String::from_utf8_lossy(&engine.stderr);
     assert!(stderr.contains("classic|bytecode"), "{stderr}");
     assert_usage_error(&all(&[], &[("SWPF_SCALE", "tiny")]), "SWPF_SCALE");
+}
+
+#[test]
+fn perf_annotate_bad_input_is_a_usage_error() {
+    let perf_annotate =
+        |args: &[&str], env: &[(&str, &str)]| run(env!("CARGO_BIN_EXE_perf_annotate"), args, env);
+    let usage_error = |out: Output, what| assert_usage_error_of("perf_annotate", &out, what);
+    usage_error(perf_annotate(&["NOPE"], &[]), "unknown workload");
+    usage_error(perf_annotate(&["IS", "bogus"], &[]), "unknown variant");
+    usage_error(
+        perf_annotate(&["IS", "auto", "pentium"], &[]),
+        "unknown machine",
+    );
+    usage_error(perf_annotate(&[], &[("SWPF_TIER", "bytcode")]), "SWPF_TIER");
+    usage_error(perf_annotate(&[], &[("SWPF_SCALE", "tiny")]), "SWPF_SCALE");
 }
 
 #[test]

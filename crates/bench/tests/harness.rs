@@ -2,12 +2,13 @@
 //! real experiment list, deterministic threaded execution, and a
 //! JSON-artifact snapshot at `Scale::Test`.
 
-use swpf_bench::experiments::{self, ALL_NAMES};
+use swpf_bench::experiments::{self, CATALOGUE};
 use swpf_bench::harness::{
     artifact_json, expand, run_experiment, structural_checks, write_artifact, RunOptions,
-    TracePolicy,
+    TableSection, TracePolicy,
 };
 use swpf_bench::json::Json;
+use swpf_ir::interp::Tier;
 use swpf_workloads::Scale;
 
 fn opts(threads: usize) -> RunOptions {
@@ -34,8 +35,10 @@ fn experiment_grid_sizes_are_pinned() {
         ("ablation", 4 * 7 * 6),          // baseline + five pass pipelines
         ("trace_analytics", 0),           // all work happens in derive, off traces
         ("prefetch_profile", 4 * 4 * 10), // baseline + 8 distances + auto
+        ("tune", 0),                      // searched: no grid
+        ("pipeline_search", 0),
     ];
-    assert_eq!(expected.map(|(n, _)| n), ALL_NAMES);
+    assert_eq!(expected.map(|(n, _)| n), CATALOGUE.map(|e| e.0));
     for (name, jobs) in expected {
         let exp = experiments::by_name(name, Scale::Test).unwrap();
         assert_eq!(expand(&exp.spec).len(), jobs, "{name} grid size");
@@ -181,12 +184,13 @@ fn structural_checks_catch_dead_cells() {
     );
 }
 
-/// The artifact JSON for the full suite at test scale stays parseable
-/// and every experiment's checks pass — the exact gate CI applies.
+/// The artifact JSON for the whole catalogue at test scale stays
+/// parseable and every experiment's checks pass — the exact gate CI
+/// applies.
 #[test]
 fn all_experiments_pass_their_checks_at_test_scale() {
-    for name in ALL_NAMES {
-        let exp = experiments::by_name(name, Scale::Test).unwrap();
+    for (name, build, _) in CATALOGUE {
+        let exp = build(Scale::Test);
         let result = run_experiment(&exp, &opts(2));
         let derived = (exp.derive)(&result);
         let mut checks = structural_checks(&result, &derived);
@@ -195,9 +199,11 @@ fn all_experiments_pass_their_checks_at_test_scale() {
             assert!(check.passed, "{name}: {} — {}", check.name, check.detail);
         }
         // Every prefetching cell carries its effective pass parameters;
-        // cells without prefetch code carry none.
+        // cells without prefetch code carry none. Every searched point
+        // is a pass-compiled kernel.
         for cell in &result.cells {
-            let prefetching = cell.variant.starts_with("auto")
+            let prefetching = exp.search.is_some()
+                || cell.variant.starts_with("auto")
                 || cell.variant.starts_with("manual_")
                 || cell.variant.ends_with("_auto")
                 || cell.variant.starts_with("swpf")
@@ -361,5 +367,55 @@ fn streaming_warm_runs_match_direct() {
             "{name}: every streamed cell counts as a hit"
         );
         assert_cells_identical(name, &direct, &warm);
+    }
+}
+
+/// A derived section without its timed `wall_s` column (the `Search
+/// cost` tables'), so runs can be compared.
+fn untimed(sections: Vec<TableSection>) -> Vec<TableSection> {
+    sections
+        .into_iter()
+        .map(|mut s| {
+            if let Some(ci) = s.columns.iter().position(|c| c == "wall_s") {
+                s.columns.remove(ci);
+                for r in &mut s.rows {
+                    r.values.remove(ci);
+                }
+            }
+            s
+        })
+        .collect()
+}
+
+/// The searched experiments run on the tier the run options name, and
+/// the two tiers agree: same cells, same cycles, same derived tables,
+/// each cell labelled with its tier.
+#[test]
+fn searched_experiments_run_on_the_options_tier() {
+    for name in ["tune", "pipeline_search"] {
+        let exp = experiments::by_name(name, Scale::Test).unwrap();
+        let run = |tier: Tier| {
+            let result = run_experiment(
+                &exp,
+                &RunOptions {
+                    tier,
+                    ..RunOptions::default()
+                },
+            );
+            assert!(
+                result.cells.iter().all(|c| c.tier == tier.label()),
+                "{name}"
+            );
+            result
+        };
+        let classic = run(Tier::Classic);
+        let bytecode = run(Tier::Bytecode);
+        assert!(!classic.cells.is_empty(), "{name}");
+        assert_cells_identical(name, &classic, &bytecode);
+        assert_eq!(
+            untimed((exp.derive)(&classic)),
+            untimed((exp.derive)(&bytecode)),
+            "{name}"
+        );
     }
 }

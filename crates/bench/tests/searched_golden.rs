@@ -26,20 +26,12 @@ fn golden_path() -> PathBuf {
 /// Run one experiment at test scale: its cells, derived tables and
 /// checks (structural ones included).
 fn run(name: &str) -> (ExperimentResult, Vec<TableSection>, Vec<Check>) {
-    match name {
-        "tune" => swpf_bench::tune::run_tune(&experiments::tune(Scale::Test)),
-        "pipeline_search" => {
-            swpf_bench::pipeline_search::run_search(&experiments::pipeline_search(Scale::Test))
-        }
-        _ => {
-            let exp = experiments::by_name(name, Scale::Test).expect("experiment exists");
-            let result = run_experiment(&exp, &RunOptions::default());
-            let derived = (exp.derive)(&result);
-            let mut checks = structural_checks(&result, &derived);
-            checks.extend((exp.checks)(&result, &derived));
-            (result, derived, checks)
-        }
-    }
+    let exp = experiments::by_name(name, Scale::Test).expect("experiment exists");
+    let result = run_experiment(&exp, &RunOptions::default());
+    let derived = (exp.derive)(&result);
+    let mut checks = structural_checks(&result, &derived);
+    checks.extend((exp.checks)(&result, &derived));
+    (result, derived, checks)
 }
 
 /// One line per cell, per derived section, column list, row and note,

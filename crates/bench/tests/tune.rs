@@ -5,9 +5,11 @@
 //! self-describing `params` member).
 
 use swpf_bench::experiments;
-use swpf_bench::harness::artifact_json;
+use swpf_bench::harness::{
+    artifact_json, run_experiment, structural_checks, Check, Experiment, ExperimentResult,
+    RunOptions, TableSection,
+};
 use swpf_bench::json::Json;
-use swpf_bench::tune::run_tune;
 use swpf_core::PassConfig;
 use swpf_sim::CoreKind;
 use swpf_tune::{
@@ -15,18 +17,37 @@ use swpf_tune::{
 };
 use swpf_workloads::Scale;
 
+fn tune() -> Experiment {
+    experiments::by_name("tune", Scale::Test).expect("tune is in the catalogue")
+}
+
+/// Run an experiment as the driver does: cells, derived tables, checks.
+fn run(exp: &Experiment) -> (ExperimentResult, Vec<TableSection>, Vec<Check>) {
+    let result = run_experiment(exp, &RunOptions::default());
+    let derived = (exp.derive)(&result);
+    let mut checks = structural_checks(&result, &derived);
+    checks.extend((exp.checks)(&result, &derived));
+    (result, derived, checks)
+}
+
 /// The acceptance grid: the default tune experiment already spans
 /// ≥ 2 in-order machines × ≥ 3 workloads.
 #[test]
 fn default_grid_is_in_order_machines_by_fig6_workloads() {
-    let exp = experiments::tune(Scale::Test);
-    assert!(exp.machines.len() >= 2);
-    assert!(exp.machines.iter().all(|m| m.core == CoreKind::InOrder));
-    assert!(exp.workloads.len() >= 3);
+    let exp = tune();
+    assert!(exp.spec.machines.len() >= 2);
+    assert!(exp
+        .spec
+        .machines
+        .iter()
+        .all(|m| m.core == CoreKind::InOrder));
+    assert!(exp.spec.workloads.len() >= 3);
+    let space = &exp.search.expect("tune is a search").space;
     assert!(
-        exp.space.look_aheads.contains(&64),
+        (0..space.len()).any(|i| space.at(i) == *space.heuristic()),
         "heuristic is a candidate"
     );
+    assert_eq!(*space.heuristic(), PassConfig::default());
 }
 
 /// The headline acceptance criteria, per cell of the default grid:
@@ -35,15 +56,16 @@ fn default_grid_is_in_order_machines_by_fig6_workloads() {
 /// tuned config is ever worse than the paper heuristic.
 #[test]
 fn golden_matches_oracle_at_half_cost_and_tuned_never_loses() {
-    let exp = experiments::tune(Scale::Test);
+    let exp = tune().spec;
+    let space = SearchSpace::paper_default();
     for &wid in &exp.workloads {
         let w = wid.instantiate(exp.scale);
         let mut eval = Evaluator::new(w.as_ref(), &exp.machines);
         for mi in 0..exp.machines.len() {
-            let oracle = tune_cell(&Exhaustive, &exp.space, mi, &mut eval, None);
+            let oracle = tune_cell(&Exhaustive, &space, mi, &mut eval, None);
             let golden = tune_cell(
                 &GoldenSection,
-                &exp.space,
+                &space,
                 mi,
                 &mut eval,
                 Some(oracle.chosen_cycles),
@@ -65,8 +87,8 @@ fn golden_matches_oracle_at_half_cost_and_tuned_never_loses() {
                 "{cell}: oracle worse than heuristic"
             );
 
-            let curve = distance_curve(&exp.space, &oracle.points);
-            assert_eq!(curve.len(), exp.space.len(), "oracle sweeps the axis");
+            let curve = distance_curve(&space, &oracle.points);
+            assert_eq!(curve.len(), space.len(), "oracle sweeps the axis");
             if strictly_unimodal(&curve) {
                 assert_eq!(
                     golden.chosen_cycles, oracle.chosen_cycles,
@@ -82,14 +104,14 @@ fn golden_matches_oracle_at_half_cost_and_tuned_never_loses() {
 /// `--bin all -- --only tune`), and the run is deterministic.
 #[test]
 fn tune_experiment_checks_pass_and_runs_are_deterministic() {
-    let exp = experiments::tune(Scale::Test);
-    let (result, derived, checks) = run_tune(&exp);
+    let exp = tune();
+    let (result, derived, checks) = run(&exp);
     for c in &checks {
         assert!(c.passed, "check {} failed: {}", c.name, c.detail);
     }
     assert!(!derived.is_empty());
 
-    let (again, _, _) = run_tune(&exp);
+    let (again, _, _) = run(&exp);
     assert_eq!(result.cells.len(), again.cells.len());
     for (a, b) in result.cells.iter().zip(&again.cells) {
         assert_eq!(
@@ -104,9 +126,9 @@ fn tune_experiment_checks_pass_and_runs_are_deterministic() {
 /// (look-ahead and transform toggles) on every evaluated point.
 #[test]
 fn tune_artifact_cells_carry_their_pass_parameters() {
-    let mut exp = experiments::tune(Scale::Test);
-    exp.workloads.truncate(1); // one workload is enough for shape
-    let (result, derived, checks) = run_tune(&exp);
+    let mut exp = tune();
+    exp.spec.workloads.truncate(1); // one workload is enough for shape
+    let (result, derived, checks) = run(&exp);
     let doc = artifact_json(&result, &derived, &checks);
     let parsed = Json::parse(&doc.to_pretty_string()).expect("artifact parses");
 
@@ -126,7 +148,9 @@ fn tune_artifact_cells_carry_their_pass_parameters() {
             .and_then(Json::as_f64)
             .expect("look_ahead recorded");
         assert!(
-            exp.space.look_aheads.contains(&(la as i64)) || la as i64 == 64,
+            SearchSpace::paper_default()
+                .look_aheads
+                .contains(&(la as i64)),
             "look-ahead {la} comes from the search space"
         );
         assert!(

@@ -68,6 +68,8 @@ pub struct Evaluator<'a> {
     /// cached mode that benefits from it — and never paid when caching
     /// is disabled).
     primed: bool,
+    /// Execution tier candidates are interpreted on.
+    tier: Tier,
     index: HashMap<PassConfig, usize>,
     points: Vec<Arc<EvaluatedPoint>>,
     interpretations: usize,
@@ -86,12 +88,20 @@ impl<'a> Evaluator<'a> {
             shared_analyses: AnalysisManager::new(),
             analysis_caching: true,
             primed: false,
+            tier: Tier::default(),
             index: HashMap::new(),
             points: Vec::new(),
             interpretations: 0,
             compile_ns: 0,
             analyses_computed: 0,
         }
+    }
+
+    /// Interpret candidates on `tier` (default: bytecode).
+    #[must_use]
+    pub fn with_tier(mut self, tier: Tier) -> Self {
+        self.tier = tier;
+        self
     }
 
     /// The machine set results are reported over.
@@ -159,7 +169,7 @@ impl<'a> Evaluator<'a> {
         let row = Sim {
             machines: &self.machines.iter().collect::<Vec<_>>(),
             cores: 1,
-            tier: Tier::from_env(),
+            tier: self.tier,
         };
         let mut setup = |_: usize, interp: &mut Interp| self.workload.setup(interp);
         let stats = Source::module(&module, "kernel", &mut setup)
