@@ -10,10 +10,11 @@
 //! the function it was inlined into.
 //!
 //! It also prints the minimum, first quartile and median of the rounds'
-//! wall times, and an FNV-1a digest of every cell's `SimStats` per
-//! experiment (every round must give the same digests). One run on each
-//! side of a timing-model change then checks both its speed and its
-//! exactness.
+//! wall times and of each experiment's own part of every round (a change
+//! that moves one experiment shows up in its own line), and an FNV-1a
+//! digest of every cell's `SimStats` per experiment (every round must
+//! give the same digests). One run on each side of a timing-model change
+//! then checks both its speed and its exactness.
 //!
 //! ```sh
 //! SWPF_SCALE=test cargo run --release -p swpf-bench --example sample_profile -- \
@@ -243,10 +244,21 @@ mod sampler {
         set_timer(PERIOD_US);
         let t0 = Instant::now();
         let mut round_walls = Vec::new();
+        // Each experiment's own wall in every round, by experiment.
+        let mut exp_walls: Vec<Vec<f64>> = vec![Vec::new(); exps.len()];
         let mut digests: Vec<u64> = Vec::new();
         while round_walls.is_empty() || t0.elapsed() < Duration::from_secs_f64(seconds) {
             let round = Instant::now();
-            let results: Vec<_> = exps.iter().map(|e| run_experiment(e, &opts)).collect();
+            let results: Vec<_> = exps
+                .iter()
+                .zip(&mut exp_walls)
+                .map(|(e, walls)| {
+                    let start = Instant::now();
+                    let result = run_experiment(e, &opts);
+                    walls.push(start.elapsed().as_secs_f64());
+                    result
+                })
+                .collect();
             round_walls.push(round.elapsed().as_secs_f64());
             let round_digests: Vec<u64> = results.iter().map(stats_digest).collect();
             if digests.is_empty() {
@@ -258,7 +270,6 @@ mod sampler {
         set_timer(0);
         let wall = t0.elapsed().as_secs_f64();
         let rounds = round_walls.len();
-        round_walls.sort_by(f64::total_cmp);
 
         let taken = TAKEN.load(Ordering::Relaxed).min(MAX_SAMPLES);
         let exe = std::env::current_exe().expect("current_exe");
@@ -317,13 +328,23 @@ mod sampler {
             pct(outside)
         );
         // Nearest rank, rounding down.
-        let rank = |q: usize| round_walls[(rounds - 1) * q / 4] * 1e3;
+        let quartiles = |walls: &mut [f64]| {
+            walls.sort_by(f64::total_cmp);
+            let rank = |q: usize| walls[(rounds - 1) * q / 4] * 1e3;
+            format!(
+                "min {:.2} ms, q1 {:.2} ms, median {:.2} ms",
+                rank(0),
+                rank(1),
+                rank(2)
+            )
+        };
         println!(
-            "round wall: min {:.2} ms, q1 {:.2} ms, median {:.2} ms over {rounds} round(s)",
-            rank(0),
-            rank(1),
-            rank(2)
+            "round wall: {} over {rounds} round(s)",
+            quartiles(&mut round_walls)
         );
+        for (name, walls) in names.iter().zip(&mut exp_walls) {
+            println!("  {name} wall: {}", quartiles(walls));
+        }
         for (name, digest) in names.iter().zip(&digests) {
             println!("SimStats digest {name}: {digest:016x}");
         }

@@ -4,7 +4,7 @@ use crate::memsys::{AccessKind, MemSys, SharedMem};
 use crate::presets::{CoreKind, MachineConfig};
 use crate::scoreboard::Scoreboard;
 use crate::TICKS_PER_CYCLE;
-use swpf_ir::interp::{Event, EventKind};
+use swpf_ir::interp::Event;
 
 /// Instruction-class counters.
 #[derive(Debug, Clone, Copy, Default)]
@@ -20,6 +20,26 @@ pub struct InstCounts {
     /// Branches.
     pub branches: u64,
 }
+
+/// Match `ev.kind` once, reading its fields in place, and expand
+/// `$arm!(name, args..)`: every core model has one method per kind,
+/// taking `(mem, shared, ev, args..)`. `Core::retire` expands the arm
+/// into a match on the model, `Lanes::retire` (`machine.rs`) into one
+/// loop per core kind, so a row matches the kind once per event.
+macro_rules! by_kind {
+    ($ev:expr, $arm:ident) => {{
+        use swpf_ir::interp::EventKind as K;
+        match $ev.kind {
+            K::Load { addr, .. } => $arm!(load, addr),
+            K::Store { addr, .. } => $arm!(store, addr),
+            K::Prefetch { addr, valid } => $arm!(prefetch, addr, valid),
+            K::Branch { .. } => $arm!(branch),
+            K::Ret => $arm!(ret),
+            K::Alu | K::Call | K::Alloc => $arm!(alu),
+        }
+    }};
+}
+pub(crate) use by_kind;
 
 /// A core timing model consuming interpreter events.
 #[derive(Debug)]
@@ -41,20 +61,20 @@ impl Core {
     }
 
     /// Account one retired instruction; advances the model's clock.
-    ///
-    /// The event is taken by reference all the way into the leaf model
-    /// and `ev.kind` is matched in place: the interpreter has just
-    /// written the event field by field, and moving the 16-byte
-    /// `EventKind` across a call reloads it with one wide load that
-    /// cannot be forwarded from those narrower stores. Both leaf models
-    /// are `#[inline(always)]`, so the observer calling this holds the
-    /// whole model: one call per event, not two.
-    #[inline]
+    /// The event stays behind its reference: the interpreter has just
+    /// written it field by field, and a by-value `EventKind` would be
+    /// reloaded with one wide load those narrow stores cannot forward.
+    #[inline(always)]
     pub fn retire(&mut self, mem: &mut MemSys, shared: &mut SharedMem, ev: &Event<'_>) {
-        match self {
-            Core::InOrder(c) => c.retire(mem, shared, ev),
-            Core::OutOfOrder(c) => c.retire(mem, shared, ev),
+        macro_rules! arm {
+            ($name:ident $(, $arg:expr)*) => {
+                match self {
+                    Core::InOrder(c) => c.$name(mem, shared, ev $(, $arg)*),
+                    Core::OutOfOrder(c) => c.$name(mem, shared, ev $(, $arg)*),
+                }
+            };
         }
+        by_kind!(ev, arm)
     }
 
     /// Current completion time in ticks: the in-order core's next issue
@@ -97,6 +117,7 @@ pub struct InOrder {
     counts: InstCounts,
 }
 
+/// The in-order core's arms (`by_kind!`).
 impl InOrder {
     fn new(cfg: &MachineConfig) -> Self {
         InOrder {
@@ -108,42 +129,62 @@ impl InOrder {
     }
 
     #[inline(always)]
-    pub(crate) fn retire(&mut self, mem: &mut MemSys, shared: &mut SharedMem, ev: &Event<'_>) {
-        self.counts.total += 1;
+    pub(crate) fn load(&mut self, mem: &mut MemSys, sh: &mut SharedMem, ev: &Event<'_>, addr: u64) {
+        self.counts.loads += 1;
         let t = self.next_issue;
-        let pc = ev.pc;
-        match ev.kind {
-            EventKind::Load { addr, .. } => {
-                self.counts.loads += 1;
-                let lat = mem.access(shared, addr, t, AccessKind::Read, pc);
-                if lat > self.pipelined_ticks {
-                    // Stall: nothing issues until the data returns.
-                    mem.record_stall(pc, lat - self.pipelined_ticks);
-                    self.next_issue = t + lat;
-                } else {
-                    self.next_issue = t + self.issue_inc;
-                }
-            }
-            EventKind::Store { addr, .. } => {
-                self.counts.stores += 1;
-                let _ = mem.access(shared, addr, t, AccessKind::Write, pc);
-                self.next_issue = t + self.issue_inc;
-            }
-            EventKind::Prefetch { addr, valid } => {
-                self.counts.prefetches += 1;
-                if valid {
-                    mem.prefetch(shared, addr, t, pc);
-                }
-                self.next_issue = t + self.issue_inc;
-            }
-            EventKind::Branch { .. } => {
-                self.counts.branches += 1;
-                self.next_issue = t + self.issue_inc;
-            }
-            _ => {
-                self.next_issue = t + self.issue_inc;
-            }
+        let lat = mem.access(sh, addr, t, AccessKind::Read, ev.pc);
+        self.alu(mem, sh, ev);
+        if lat > self.pipelined_ticks {
+            // Stall: nothing issues until the data returns.
+            mem.record_stall(ev.pc, lat - self.pipelined_ticks);
+            self.next_issue = t + lat;
         }
+    }
+
+    #[inline(always)]
+    pub(crate) fn store(
+        &mut self,
+        mem: &mut MemSys,
+        sh: &mut SharedMem,
+        ev: &Event<'_>,
+        addr: u64,
+    ) {
+        self.counts.stores += 1;
+        let _ = mem.access(sh, addr, self.next_issue, AccessKind::Write, ev.pc);
+        self.alu(mem, sh, ev);
+    }
+
+    #[inline(always)]
+    pub(crate) fn prefetch(
+        &mut self,
+        mem: &mut MemSys,
+        sh: &mut SharedMem,
+        ev: &Event<'_>,
+        addr: u64,
+        valid: bool,
+    ) {
+        self.counts.prefetches += 1;
+        if valid {
+            mem.prefetch(sh, addr, self.next_issue, ev.pc);
+        }
+        self.alu(mem, sh, ev);
+    }
+
+    #[inline(always)]
+    pub(crate) fn branch(&mut self, mem: &mut MemSys, sh: &mut SharedMem, ev: &Event<'_>) {
+        self.counts.branches += 1;
+        self.alu(mem, sh, ev);
+    }
+
+    #[inline(always)]
+    pub(crate) fn ret(&mut self, mem: &mut MemSys, sh: &mut SharedMem, ev: &Event<'_>) {
+        self.alu(mem, sh, ev);
+    }
+
+    #[inline(always)]
+    pub(crate) fn alu(&mut self, _: &mut MemSys, _: &mut SharedMem, _: &Event<'_>) {
+        self.counts.total += 1;
+        self.next_issue += self.issue_inc;
     }
 }
 
@@ -175,6 +216,8 @@ pub struct OutOfOrder {
     counts: InstCounts,
 }
 
+/// The out-of-order core's arms (`by_kind!`), each between `issue` and
+/// `finish`.
 impl OutOfOrder {
     fn new(cfg: &MachineConfig) -> Self {
         let mshrs = cfg.mshrs.max(1);
@@ -212,64 +255,29 @@ impl OutOfOrder {
         self.misses.swap_remove(earliest)
     }
 
+    /// Dispatch in program order, bounded by front-end bandwidth and by
+    /// ROB occupancy (cannot dispatch more than `rob` instructions ahead
+    /// of the oldest unretired one). Operand readiness does NOT delay
+    /// dispatch — stalled instructions wait in reservation stations
+    /// while younger independent work proceeds — but execution waits
+    /// for operands. Returns the dispatch and execution ticks.
     #[inline(always)]
-    pub(crate) fn retire(&mut self, mem: &mut MemSys, shared: &mut SharedMem, ev: &Event<'_>) {
+    fn issue(&mut self, ev: &Event<'_>) -> (u64, u64) {
         self.counts.total += 1;
-        let pc = ev.pc;
-        // Dispatch in program order: bounded by front-end bandwidth and
-        // by ROB occupancy (cannot dispatch more than `rob` instructions
-        // ahead of the oldest unretired one). Operand readiness does NOT
-        // delay dispatch — stalled instructions wait in reservation
-        // stations while younger independent work proceeds.
         let dispatch = (self.last_issue + self.issue_inc).max(self.rob_q[self.rob_head]);
-        // Execution waits for operands.
         self.ready.select(ev.frame);
         let mut t = dispatch;
         for op in ev.operands {
             t = t.max(self.ready.ready_at(op.index()));
         }
+        (dispatch, t)
+    }
 
-        let done = match ev.kind {
-            EventKind::Load { addr, .. } => {
-                self.counts.loads += 1;
-                let t = self.acquire_mshr(t);
-                let lat = mem.access(shared, addr, t, AccessKind::Read, pc);
-                let done = t + lat;
-                if lat > self.miss_threshold {
-                    // Attributed as outstanding-miss latency beyond the
-                    // pipelined threshold; the dataflow model may hide
-                    // part of it under younger independent work.
-                    mem.record_stall(pc, lat - self.miss_threshold);
-                    self.misses.push(done);
-                }
-                done
-            }
-            EventKind::Store { addr, .. } => {
-                self.counts.stores += 1;
-                let _ = mem.access(shared, addr, t, AccessKind::Write, pc);
-                t + self.alu_ticks
-            }
-            EventKind::Prefetch { addr, valid } => {
-                self.counts.prefetches += 1;
-                if valid {
-                    mem.prefetch(shared, addr, t, pc);
-                }
-                t + self.alu_ticks
-            }
-            EventKind::Branch { .. } => {
-                self.counts.branches += 1;
-                t + self.alu_ticks
-            }
-            _ => t + self.alu_ticks,
-        };
-
-        if matches!(ev.kind, EventKind::Ret) {
-            self.ready.free_frame();
-        } else {
-            self.ready.set_ready(ev.result.index(), done);
-        }
-
-        // In-order retirement: this instruction takes the oldest slot.
+    /// The result is ready at `done`; retire in order into the oldest
+    /// ROB slot.
+    #[inline(always)]
+    fn finish(&mut self, ev: &Event<'_>, dispatch: u64, done: u64) {
+        self.ready.set_ready(ev.result.index(), done);
         self.last_retire = self.last_retire.max(done);
         self.rob_q[self.rob_head] = self.last_retire;
         self.rob_head += 1;
@@ -278,12 +286,79 @@ impl OutOfOrder {
         }
         self.last_issue = dispatch;
     }
+
+    #[inline(always)]
+    pub(crate) fn load(&mut self, mem: &mut MemSys, sh: &mut SharedMem, ev: &Event<'_>, addr: u64) {
+        let (dispatch, t) = self.issue(ev);
+        self.counts.loads += 1;
+        let t = self.acquire_mshr(t);
+        let lat = mem.access(sh, addr, t, AccessKind::Read, ev.pc);
+        if lat > self.miss_threshold {
+            // Attributed as outstanding-miss latency beyond the
+            // pipelined threshold; the dataflow model may hide part of
+            // it under younger independent work.
+            mem.record_stall(ev.pc, lat - self.miss_threshold);
+            self.misses.push(t + lat);
+        }
+        self.finish(ev, dispatch, t + lat);
+    }
+
+    #[inline(always)]
+    pub(crate) fn store(
+        &mut self,
+        mem: &mut MemSys,
+        sh: &mut SharedMem,
+        ev: &Event<'_>,
+        addr: u64,
+    ) {
+        let (dispatch, t) = self.issue(ev);
+        self.counts.stores += 1;
+        let _ = mem.access(sh, addr, t, AccessKind::Write, ev.pc);
+        self.finish(ev, dispatch, t + self.alu_ticks);
+    }
+
+    #[inline(always)]
+    pub(crate) fn prefetch(
+        &mut self,
+        mem: &mut MemSys,
+        sh: &mut SharedMem,
+        ev: &Event<'_>,
+        addr: u64,
+        valid: bool,
+    ) {
+        let (dispatch, t) = self.issue(ev);
+        self.counts.prefetches += 1;
+        if valid {
+            mem.prefetch(sh, addr, t, ev.pc);
+        }
+        self.finish(ev, dispatch, t + self.alu_ticks);
+    }
+
+    #[inline(always)]
+    pub(crate) fn branch(&mut self, mem: &mut MemSys, sh: &mut SharedMem, ev: &Event<'_>) {
+        self.counts.branches += 1;
+        self.alu(mem, sh, ev);
+    }
+
+    /// The returning frame's values are forgotten.
+    #[inline(always)]
+    pub(crate) fn ret(&mut self, mem: &mut MemSys, sh: &mut SharedMem, ev: &Event<'_>) {
+        self.alu(mem, sh, ev);
+        self.ready.free_frame();
+    }
+
+    #[inline(always)]
+    pub(crate) fn alu(&mut self, _: &mut MemSys, _: &mut SharedMem, ev: &Event<'_>) {
+        let (dispatch, t) = self.issue(ev);
+        self.finish(ev, dispatch, t + self.alu_ticks);
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::MachineConfig;
+    use swpf_ir::interp::EventKind;
     use swpf_ir::ValueId;
 
     fn setup(cfg: &MachineConfig) -> (Core, MemSys, SharedMem) {

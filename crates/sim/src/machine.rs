@@ -12,7 +12,7 @@
 //! [`Machine::run_image`] and read the partial result with
 //! [`Machine::finish`].
 
-use crate::cpu::{Core, InOrder, OutOfOrder};
+use crate::cpu::{by_kind, Core, InOrder, OutOfOrder};
 use crate::memsys::{MemSys, SharedMem};
 use crate::presets::MachineConfig;
 use crate::request::{Setup, SimError};
@@ -56,8 +56,8 @@ struct Lane<'a, C> {
     shared: &'a mut SharedMem,
 }
 
-/// A row's machines split by core kind: one loop per kind, each calling
-/// its inlined model with no per-machine match on the [`Core`] enum.
+/// A row's machines split by core kind: one match on the event's kind,
+/// then its arm in one loop per core kind, with no per-machine match.
 /// Machines are independent, so the order they see an event in does not
 /// matter; results are read from the row, in row order.
 struct Lanes<'a> {
@@ -83,12 +83,17 @@ impl<'a> Lanes<'a> {
 
     #[inline(always)]
     fn retire(&mut self, ev: &Event<'_>) {
-        for l in &mut self.out_of_order {
-            l.core.retire(l.mem, l.shared, ev);
+        macro_rules! arm {
+            ($name:ident $(, $arg:expr)*) => {{
+                for l in &mut self.out_of_order {
+                    l.core.$name(l.mem, l.shared, ev $(, $arg)*);
+                }
+                for l in &mut self.in_order {
+                    l.core.$name(l.mem, l.shared, ev $(, $arg)*);
+                }
+            }};
         }
-        for l in &mut self.in_order {
-            l.core.retire(l.mem, l.shared, ev);
-        }
+        by_kind!(ev, arm)
     }
 }
 

@@ -57,10 +57,16 @@ impl Scoreboard {
     /// Record that value `idx` of the executing frame is ready at `done`.
     #[inline]
     pub(crate) fn set_ready(&mut self, idx: usize, done: u64) {
-        if self.regs.len() <= idx {
-            self.regs.resize(idx + 1, 0);
+        match self.regs.get_mut(idx) {
+            Some(slot) => *slot = done,
+            None => self.grow_and_set(idx, done),
         }
-        self.regs[idx] = done;
+    }
+
+    #[cold]
+    fn grow_and_set(&mut self, idx: usize, done: u64) {
+        self.regs.resize(idx, 0);
+        self.regs.push(done);
     }
 
     /// The executing frame returned: forget its values.

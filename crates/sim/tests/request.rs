@@ -41,6 +41,71 @@ fn with_trace_file<R>(
     r
 }
 
+/// `kernel(n)` emits the event kinds the IS and HJ-8 inputs never do:
+/// it allocates its own `n`-element array, calls `helper` (a load, so a
+/// call, its operands and its return) on every even `i` and skips it on
+/// every odd one (a conditional branch taken both ways), and beside a
+/// prefetch two elements ahead issues one 8 TiB past the array (an
+/// invalid prefetch).
+fn every_kind_module() -> Module {
+    let mut m = Module::new("t");
+    let helper = m.declare_function("helper", &[Type::Ptr, Type::I64], Type::I64);
+    let mut b = FunctionBuilder::new(m.function_mut(helper));
+    let (p, i) = (b.arg(0), b.arg(1));
+    let g = b.gep(p, i, 8);
+    let v = b.load(Type::I64, g);
+    let s = b.add(v, i);
+    b.ret(Some(s));
+    let kernel = m.declare_function("kernel", &[Type::I64], Type::I64);
+    let mut b = FunctionBuilder::new(m.function_mut(kernel));
+    let n = b.arg(0);
+    let entry = b.entry_block();
+    let (header, body, even) = (
+        b.create_block("h"),
+        b.create_block("b"),
+        b.create_block("e"),
+    );
+    let (latch, exit) = (b.create_block("l"), b.create_block("x"));
+    let buf = b.alloc(n, 8);
+    let (zero, one, two) = (b.const_i64(0), b.const_i64(1), b.const_i64(2));
+    let far = b.const_i64(1 << 40);
+    b.br(header);
+    b.switch_to(header);
+    let i = b.phi(Type::I64, &[(entry, zero)]);
+    let acc = b.phi(Type::I64, &[(entry, zero)]);
+    let c = b.icmp(Pred::Slt, i, n);
+    b.cond_br(c, body, exit);
+    b.switch_to(body);
+    let g = b.gep(buf, i, 8);
+    b.store(i, g);
+    let ahead = b.add(i, two);
+    let near = b.gep(buf, ahead, 8);
+    b.prefetch(near);
+    let wild = b.gep(buf, far, 8);
+    b.prefetch(wild);
+    let odd = b.and(i, one);
+    let is_even = b.icmp(Pred::Eq, odd, zero);
+    b.cond_br(is_even, even, latch);
+    b.switch_to(even);
+    let r = b.call(helper, &[buf, i], Some(Type::I64));
+    let acc_even = b.add(acc, r);
+    b.br(latch);
+    b.switch_to(latch);
+    let acc2 = b.phi(Type::I64, &[(body, acc), (even, acc_even)]);
+    let i2 = b.add(i, one);
+    b.add_phi_incoming(i, latch, i2);
+    b.add_phi_incoming(acc, latch, acc2);
+    b.br(header);
+    b.switch_to(exit);
+    b.ret(Some(acc));
+    let _ = b;
+    swpf_ir::verifier::verify_module(&m).expect("every-kind kernel verifies");
+    m
+}
+
+/// Builds a kernel's arguments.
+type Args = Box<dyn Fn(&mut Interp) -> Vec<RtVal>>;
+
 #[test]
 fn every_source_topology_and_tier_agrees() {
     swpf_sim::perf::set_enabled(true);
@@ -49,18 +114,30 @@ fn every_source_topology_and_tier_agrees() {
     // Core kinds interleaved: a row that ran one kind's machines first
     // and returned their results in that order would not match.
     let row_machines = [&a53, &haswell, &xeon_phi, &a57];
-    for id in [WorkloadId::Is, WorkloadId::Hj8] {
-        let w = id.instantiate(Scale::Test);
-        let module = w.build_manual(64);
+    let mut inputs: Vec<(&str, Module, Args)> = [WorkloadId::Is, WorkloadId::Hj8]
+        .into_iter()
+        .map(|id| {
+            let w = id.instantiate(Scale::Test);
+            let module = w.build_manual(64);
+            let setup: Args = Box::new(move |i| w.setup(i));
+            (id.name(), module, setup)
+        })
+        .collect();
+    inputs.push((
+        "every_kind",
+        every_kind_module(),
+        Box::new(|_| vec![RtVal::Int(3000)]),
+    ));
+    for (name, module, setup_args) in &inputs {
         let func = module.find_function("kernel").expect("kernel exists");
-        let image = Arc::new(ExecImage::build(&module));
-        let mut setup = |_: usize, interp: &mut Interp| w.setup(interp);
+        let image = Arc::new(ExecImage::build(module));
+        let mut setup = |_: usize, interp: &mut Interp| setup_args(interp);
         for cores in [1usize, 2] {
             let mut per_machine = Vec::new();
             for cfg in row_machines {
                 let mut per_tier = Vec::new();
                 for tier in [Tier::Bytecode, Tier::Classic] {
-                    let at = format!("{} x{cores} on {} ({tier:?})", w.name(), cfg.name);
+                    let at = format!("{name} x{cores} on {} ({tier:?})", cfg.name);
                     let sim = Sim {
                         machines: &[cfg],
                         cores,
@@ -69,7 +146,7 @@ fn every_source_topology_and_tier_agrees() {
                     let direct = sim.run(Source::image(&image, func, &mut setup)).unwrap();
                     assert_eq!(direct.len(), cores, "{at}");
                     let profile = direct[0].perf.as_ref().expect("profiling is enabled");
-                    assert!(!profile.sites.is_empty(), "{at}: manual kernels prefetch");
+                    assert!(!profile.sites.is_empty(), "{at}: every input prefetches");
 
                     let mut rec = TraceRecorder::new(cores, 42);
                     let recorded = sim
@@ -113,7 +190,7 @@ fn every_source_topology_and_tier_agrees() {
                 cores,
                 tier: Tier::Bytecode,
             };
-            let at = format!("{} x{cores} row", w.name());
+            let at = format!("{name} x{cores} row");
             let fused = row.run(Source::image(&image, func, &mut setup)).unwrap();
             assert_eq!(show(&per_machine), show(&fused), "{at}");
             let mut rec = TraceRecorder::new(cores, 0);
@@ -144,23 +221,19 @@ fn every_source_topology_and_tier_agrees() {
         };
         let want = one(1).run(Source::image(&image, func, &mut setup)).unwrap();
         let want = format!("{:?}", want[0].stats);
-        let by_name = run_on_machine(cfg, &module, "kernel", |i| w.setup(i));
+        let by_name = run_on_machine(cfg, module, "kernel", setup_args);
         assert_eq!(want, format!("{by_name:?}"), "run_on_machine");
-        let by_image = run_on_machine_image(cfg, &image, func, |i| w.setup(i));
+        let by_image = run_on_machine_image(cfg, &image, func, setup_args);
         assert_eq!(want, format!("{by_image:?}"), "run_on_machine_image");
         let mut rec = TraceRecorder::new(1, 0);
-        let traced = run_on_machine_traced(cfg, &image, func, |i| w.setup(i), rec.stream(0));
+        let traced = run_on_machine_traced(cfg, &image, func, setup_args, rec.stream(0));
         assert_eq!(want, format!("{traced:?}"), "run_on_machine_traced");
-        with_trace_file(
-            &format!("{}_wrappers", w.name()),
-            &rec.finish(),
-            |trace, file| {
-                let replayed = replay_on_machine(cfg, trace);
-                assert_eq!(want, format!("{replayed:?}"), "replay_on_machine");
-                let streamed = streaming_replay_on_machine(cfg, file).unwrap();
-                assert_eq!(want, format!("{streamed:?}"), "streaming_replay_on_machine");
-            },
-        );
+        with_trace_file(&format!("{name}_wrappers"), &rec.finish(), |trace, file| {
+            let replayed = replay_on_machine(cfg, trace);
+            assert_eq!(want, format!("{replayed:?}"), "replay_on_machine");
+            let streamed = streaming_replay_on_machine(cfg, file).unwrap();
+            assert_eq!(want, format!("{streamed:?}"), "streaming_replay_on_machine");
+        });
         for cores in [1usize, 2] {
             let want: Vec<_> = one(cores)
                 .run(Source::image(&image, func, &mut setup))
@@ -168,7 +241,7 @@ fn every_source_topology_and_tier_agrees() {
                 .iter()
                 .map(|r| r.stats)
                 .collect();
-            let got = run_multicore(cfg, cores, &module, func, |_, i| w.setup(i));
+            let got = run_multicore(cfg, cores, module, func, |_, i| setup_args(i));
             assert_eq!(
                 format!("{want:?}"),
                 format!("{got:?}"),
