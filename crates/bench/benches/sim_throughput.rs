@@ -178,6 +178,7 @@ fn fanout(c: &mut Criterion) {
         machines: &cfgs.iter().collect::<Vec<_>>(),
         cores: 1,
         tier: Tier::from_env(),
+        perf: false,
     };
     let mut group = c.benchmark_group("fanout");
     group.throughput(Throughput::Elements(cfgs.len() as u64 * counts.total));
@@ -302,21 +303,19 @@ fn perf_overhead(c: &mut Criterion) {
         machines: &[&cfg],
         cores: 1,
         tier: Tier::from_env(),
+        perf: true,
     };
     let mut group = c.benchmark_group("perf");
     group.throughput(Throughput::Elements(insts));
-    swpf_sim::perf::set_enabled(false);
     group.bench_function("disabled/IS", |b| {
         b.iter(|| black_box(run_on_machine_image(&cfg, &image, f, setup)));
     });
-    swpf_sim::perf::set_enabled(true);
     group.bench_function("enabled/IS", |b| {
         b.iter(|| black_box(haswell.run(Source::image(&image, f, &mut per_core))));
     });
     group.bench_function("enabled_manual/IS", |b| {
         b.iter(|| black_box(haswell.run(Source::image(&manual_image, manual_f, &mut per_core))));
     });
-    swpf_sim::perf::set_enabled(false);
     group.finish();
 }
 

@@ -75,6 +75,7 @@ fn main() {
         machines: &row,
         cores: 1,
         tier: Tier::default(),
+        perf: false,
     };
 
     let (mut events, mut raw) = (0u64, 0usize);

@@ -96,17 +96,17 @@ fn main() {
         },
     };
 
-    swpf_sim::perf::set_enabled(true);
     let sim = Sim {
         machines: &[&machine],
         cores: 1,
         tier,
+        perf: true,
     };
     let run = Source::module(&module, "kernel", &mut |_, i| w.setup(i))
         .and_then(|source| sim.run(source))
         .unwrap_or_else(|e| panic!("{wname}/{vname} on {mname}: {e}"))
         .remove(0);
-    let profile = run.perf.as_ref().expect("profiling was just enabled");
+    let profile = run.perf.as_ref().expect("the request asked for a profile");
     let stats = &run.stats;
 
     let sites: HashMap<u64, &SiteProfile> = profile.sites.iter().map(|(pc, s)| (*pc, s)).collect();

@@ -17,8 +17,8 @@
 
 use crate::geomean;
 use crate::harness::{
-    run_search, CellResult, Check, Experiment, ExperimentResult, ExperimentSpec, Row, Search,
-    TableSection, Variant, WorkloadSearch,
+    run_search, CellResult, Check, Experiment, ExperimentResult, ExperimentSpec, Kernel, Row,
+    Search, TableSection, TracePolicy, Variant, WorkloadSearch,
 };
 use swpf_core::PassConfig;
 use swpf_sim::{CoreKind, MachineConfig, PcProfile, SiteProfile};
@@ -78,7 +78,7 @@ pub fn by_name(name: &str, scale: Scale) -> Option<Experiment> {
 // ---- shared derivation helpers ------------------------------------------
 
 fn manual_variant() -> Variant {
-    Variant::Kernel(KernelVariant::Manual {
+    Variant::built(KernelVariant::Manual {
         look_ahead: PassConfig::default().look_ahead,
     })
 }
@@ -235,10 +235,10 @@ fn fig2(scale: Scale) -> Experiment {
             workloads: vec![WorkloadId::Is],
             variants: vec![
                 Variant::baseline(),
-                Variant::Kernel(KernelVariant::Fig2(Fig2Scheme::Intuitive)),
-                Variant::Kernel(KernelVariant::Fig2(Fig2Scheme::OffsetTooSmall)),
-                Variant::Kernel(KernelVariant::Fig2(Fig2Scheme::OffsetTooBig)),
-                Variant::Kernel(KernelVariant::Fig2(Fig2Scheme::Optimal)),
+                Variant::built(KernelVariant::Fig2(Fig2Scheme::Intuitive)),
+                Variant::built(KernelVariant::Fig2(Fig2Scheme::OffsetTooSmall)),
+                Variant::built(KernelVariant::Fig2(Fig2Scheme::OffsetTooBig)),
+                Variant::built(KernelVariant::Fig2(Fig2Scheme::Optimal)),
             ],
             filter: None,
             perf: false,
@@ -315,7 +315,7 @@ fn fig2(scale: Scale) -> Experiment {
 fn fig4_filter(m: &MachineConfig, _w: WorkloadId, v: &Variant) -> bool {
     // The ICC-like baseline pass is evaluated on the Xeon Phi only
     // (paper Fig. 4d).
-    !matches!(v, Variant::Icc) || m.name == "xeon_phi"
+    v.kernel != Kernel::Icc || m.name == "xeon_phi"
 }
 
 /// Fig. 4 — speedup of autogenerated and best-manual software prefetches
@@ -333,7 +333,7 @@ fn fig4(scale: Scale) -> Experiment {
                 Variant::baseline(),
                 Variant::auto_default(),
                 manual_variant(),
-                Variant::Icc,
+                Variant::icc(),
             ],
             filter: Some(fig4_filter),
             perf: false,
@@ -426,13 +426,13 @@ fn fig5(scale: Scale) -> Experiment {
             workloads: WorkloadId::ALL.to_vec(),
             variants: vec![
                 Variant::baseline(),
-                Variant::Auto {
-                    label: "auto_ind",
-                    config: PassConfig {
+                Variant::pass(
+                    "auto_ind",
+                    PassConfig {
                         stride_companion: false,
                         ..PassConfig::default()
                     },
-                },
+                ),
                 Variant::auto_default(),
             ],
             filter: None,
@@ -477,7 +477,7 @@ fn fig6(scale: Scale) -> Experiment {
     variants.extend(
         FIG6_DISTANCES
             .iter()
-            .map(|&c| Variant::Kernel(KernelVariant::Manual { look_ahead: c })),
+            .map(|&c| Variant::built(KernelVariant::Manual { look_ahead: c })),
     );
     Experiment {
         spec: ExperimentSpec {
@@ -564,7 +564,7 @@ fn fig6(scale: Scale) -> Experiment {
 fn fig7(scale: Scale) -> Experiment {
     let mut variants = vec![Variant::baseline()];
     variants.extend((1..=4).map(|depth| {
-        Variant::Kernel(KernelVariant::ManualDepth {
+        Variant::built(KernelVariant::ManualDepth {
             look_ahead: 64,
             depth,
         })
@@ -704,8 +704,13 @@ fn fig8(scale: Scale) -> Experiment {
 fn fig9(scale: Scale) -> Experiment {
     let mut variants = Vec::new();
     for &cores in &FIG9_CORES {
-        variants.push(Variant::Multicore { cores, auto: false });
-        variants.push(Variant::Multicore { cores, auto: true });
+        for v in [Variant::baseline(), Variant::auto_default()] {
+            variants.push(Variant {
+                label: format!("mc{cores}_{}", v.label),
+                cores,
+                ..v
+            });
+        }
     }
     Experiment {
         spec: ExperimentSpec {
@@ -967,10 +972,7 @@ fn ablation(scale: Scale) -> Experiment {
     variants.extend(
         ABLATION_PIPELINES
             .iter()
-            .map(|&(label, spec)| Variant::Auto {
-                label,
-                config: PassConfig::with_pipeline(spec),
-            }),
+            .map(|&(label, spec)| Variant::pass(label, PassConfig::with_pipeline(spec))),
     );
     Experiment {
         spec: ExperimentSpec {
@@ -1245,10 +1247,12 @@ fn ablation(scale: Scale) -> Experiment {
 // ---- trace analytics -----------------------------------------------------
 
 /// The two kernel builds profiled per workload: the plain baseline and
-/// the pass-prefetched `auto` build. Labels double as harness trace
-/// keys, so the profiles stream from (and warm) the same disk cache the
-/// figure grids use.
-const ANALYTICS_VARIANTS: [&str; 2] = ["baseline", "auto"];
+/// the pass-prefetched `auto` build. Their cache files are named by the
+/// kernel's fingerprint, as the harness names them, so the profiles
+/// stream from (and warm) the same disk cache the figure grids use.
+fn analytics_variants() -> [Variant; 2] {
+    [Variant::baseline(), Variant::auto_default()]
+}
 
 /// Stream one kernel's cached trace — or record it functionally (one
 /// interpretation, no timing model in the loop) on a miss — and profile
@@ -1256,23 +1260,22 @@ const ANALYTICS_VARIANTS: [&str; 2] = ["baseline", "auto"];
 /// next consumer.
 fn workload_analytics(
     id: WorkloadId,
-    variant: &str,
+    kernel: &Kernel,
     scale: Scale,
     dir: Option<&std::path::Path>,
 ) -> swpf_trace::TraceAnalytics {
     use crate::harness::{kernel_fingerprint, open_streaming, store_trace, trace_cache_path};
 
     let w = id.instantiate(scale);
-    let module = match variant {
-        "auto" => crate::auto_module(w.as_ref(), &PassConfig::default()),
-        _ => w.build_baseline(),
-    };
+    let module = kernel
+        .build(w.as_ref())
+        .expect("every workload builds the analytics kernels");
     let func = module
         .find_function("kernel")
         .expect("workload kernels are named `kernel`");
     let text_hash = swpf_trace::fnv64(swpf_ir::printer::print_module(&module).as_bytes());
     let fingerprint = kernel_fingerprint(w.name(), scale, 1, text_hash);
-    let path = dir.map(|d| trace_cache_path(d, scale, w.name(), variant));
+    let path = dir.map(|d| trace_cache_path(d, scale, w.name(), fingerprint));
 
     if let Some(p) = &path {
         if let Some(replay) = open_streaming(p, fingerprint) {
@@ -1289,7 +1292,7 @@ fn workload_analytics(
     let mut recorder = swpf_trace::TraceRecorder::new(1, fingerprint);
     interp
         .run_with_image(image, func, &args, recorder.stream(0))
-        .unwrap_or_else(|t| panic!("{}/{variant} trapped: {t}", w.name()));
+        .unwrap_or_else(|t| panic!("{}/{kernel:?} trapped: {t}", w.name()));
     let trace = recorder.finish();
     if let Some(p) = &path {
         store_trace(p, &trace);
@@ -1338,18 +1341,18 @@ fn trace_analytics(scale: Scale) -> Experiment {
         },
         search: None,
         derive: |res| {
-            let dir = match res.trace_policy.as_str() {
-                "off" | "memory" => None,
-                p => Some(std::path::PathBuf::from(p)),
+            let dir = match &res.trace {
+                TracePolicy::Dir(dir) => Some(dir.as_path()),
+                TracePolicy::Off | TracePolicy::Memory => None,
             };
             let mut corpus = Vec::new();
             let mut depth = Vec::new();
             let mut mlp = Vec::new();
             #[allow(clippy::cast_precision_loss)]
             for id in WorkloadId::ALL {
-                for variant in ANALYTICS_VARIANTS {
-                    let a = workload_analytics(id, variant, res.scale, dir.as_deref());
-                    let name = format!("{}/{variant}", id.name());
+                for variant in analytics_variants() {
+                    let a = workload_analytics(id, &variant.kernel, res.scale, dir);
+                    let name = format!("{}/{}", id.name(), variant.label);
                     corpus.push(Row {
                         name: name.clone(),
                         values: vec![
@@ -1487,7 +1490,7 @@ fn prefetch_profile(scale: Scale) -> Experiment {
     variants.extend(
         PROFILE_DISTANCES
             .iter()
-            .map(|&c| Variant::Kernel(KernelVariant::Manual { look_ahead: c })),
+            .map(|&c| Variant::built(KernelVariant::Manual { look_ahead: c })),
     );
     variants.push(Variant::auto_default());
     Experiment {
@@ -2181,9 +2184,17 @@ mod tests {
         let exp = fig9(Scale::Test);
         let jobs = expand(&exp.spec);
         assert_eq!(jobs.len(), 6);
-        let keys: std::collections::HashSet<String> =
-            exp.spec.variants.iter().map(Variant::module_key).collect();
-        assert_eq!(keys.len(), 2, "all core counts share two kernel modules");
+        let (mut kernels, mut cores) = (Vec::new(), Vec::new());
+        for v in &exp.spec.variants {
+            if !kernels.contains(&&v.kernel) {
+                kernels.push(&v.kernel);
+            }
+            if !cores.contains(&v.cores) {
+                cores.push(v.cores);
+            }
+        }
+        assert_eq!(kernels.len(), 2, "all core counts share two kernels");
+        assert_eq!(cores, FIG9_CORES);
     }
 
     #[test]

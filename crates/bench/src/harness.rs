@@ -3,20 +3,22 @@
 //! Every figure/table reproduction is a *declarative*
 //! [`ExperimentSpec`]: a machine × workload × variant grid (plus an
 //! optional cell filter for asymmetric figures like Fig. 4's
-//! Phi-only ICC column). The harness expands the grid into independent
-//! [`SimJob`]s, builds and pass-compiles each distinct kernel module
-//! **once**, lowers it once into a shared [`ExecImage`], and executes
-//! the jobs on a self-scheduling pool of host threads
+//! Phi-only ICC column), where a [`Variant`] is a label, a [`Kernel`]
+//! and a core count. The harness expands the grid into independent
+//! [`SimJob`]s, builds and pass-compiles each distinct kernel **once**,
+//! lowers each distinct printed text once into a shared [`ExecImage`],
+//! and executes the jobs on a self-scheduling pool of host threads
 //! (`std::thread::scope` workers pulling from an atomic job queue —
 //! every simulation in a grid is independent, so the grid parallelises
 //! embarrassingly).
 //!
 //! Functional execution is machine-independent, so the harness groups a
 //! grid's jobs by the event stream they share — same workload, same
-//! module, same core count — and **interprets each distinct kernel at
-//! most once per run**: cold, the single interpretation's retire-event
-//! stream fans out to every machine's timing model simultaneously
-//! (recording into the `swpf-trace` cache when persisting); warm
+//! printed kernel, same core count — and **interprets each distinct
+//! kernel at most once per run**: cold, the single interpretation's
+//! retire-event stream fans out to every machine's timing model
+//! simultaneously (recording into the `swpf-trace` cache when
+//! persisting); warm
 //! (`--trace-dir` / `SWPF_TRACE_DIR`), the cached file is streamed
 //! block-at-a-time, decoded once and fanned out the same way with no
 //! interpreter in the loop at all.
@@ -59,99 +61,94 @@ use std::time::Instant;
 use swpf_core::{ParamValue, PassConfig};
 use swpf_ir::exec::ExecImage;
 use swpf_ir::interp::{Interp, Tier};
-use swpf_ir::FuncId;
+use swpf_ir::{FuncId, Module};
 use swpf_sim::{MachineConfig, PcProfile, Sim, SimError, SimStats, Source};
 use swpf_trace::{fnv64, StreamingReplay, Trace, TraceRecorder};
 use swpf_tune::{tune_cell, Evaluator, Space, Strategy, TuneReport};
 use swpf_workloads::{KernelVariant, Scale, Workload, WorkloadId};
 
-/// One axis value of the variant dimension: what kernel to run, and how.
-#[derive(Debug, Clone)]
-pub enum Variant {
+/// The kernel a variant's cells run.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Kernel {
     /// A kernel the workload builds itself (baseline, manual, Fig. 2
     /// schemes, stagger depths).
-    Kernel(KernelVariant),
-    /// The automatic pass output under `config`. `label` names the cell
-    /// (one spec may sweep several configs, e.g. Fig. 5).
-    Auto {
-        /// Cell label ("auto", "auto_nostride", ...).
-        label: &'static str,
-        /// Pass configuration to compile with.
-        config: PassConfig,
-    },
-    /// The ICC-like stride-indirect baseline pass (Fig. 4d).
+    Built(KernelVariant),
+    /// The automatic pass output under this configuration.
+    Pass(PassConfig),
+    /// The ICC-like stride-indirect baseline pass (Fig. 4d), at the
+    /// default configuration.
     Icc,
-    /// `cores` copies of the kernel on a shared memory system (Fig. 9).
-    Multicore {
-        /// Number of cores, each running its own copy.
-        cores: usize,
-        /// Run the auto-pass kernel instead of the baseline.
-        auto: bool,
-    },
+}
+
+impl Kernel {
+    /// Build this kernel for `w`; `None` when `w` cannot build it (e.g.
+    /// Fig. 2 schemes outside IS). Pass kernels build everywhere.
+    #[must_use]
+    pub(crate) fn build(&self, w: &dyn Workload) -> Option<Module> {
+        match self {
+            Kernel::Built(kv) => w.build_variant(*kv),
+            Kernel::Pass(config) => Some(auto_module(w, config)),
+            Kernel::Icc => Some(icc_module(w, &PassConfig::default())),
+        }
+    }
+}
+
+/// One value of the variant axis: the cells' label, the kernel they
+/// run, and on how many cores. This is all that tells cells apart
+/// within a workload: cells whose kernels print the same and whose core
+/// counts agree share one event stream (see [`run_experiment`]).
+#[derive(Debug, Clone)]
+pub struct Variant {
+    /// Unique cell label within an experiment ("auto", "mc4_baseline").
+    pub label: String,
+    /// The kernel the cells run.
+    pub kernel: Kernel,
+    /// Copies of the kernel, each on its own core of one machine
+    /// (Fig. 9); 1 for single-core cells.
+    pub cores: usize,
 }
 
 impl Variant {
+    /// A single-core cell of a kernel the workload builds, labelled
+    /// after it.
+    #[must_use]
+    pub fn built(kv: KernelVariant) -> Variant {
+        Variant {
+            label: kv.label(),
+            kernel: Kernel::Built(kv),
+            cores: 1,
+        }
+    }
+
+    /// A single-core cell of the pass output under `config`.
+    #[must_use]
+    pub fn pass(label: &str, config: PassConfig) -> Variant {
+        Variant {
+            label: label.to_string(),
+            kernel: Kernel::Pass(config),
+            cores: 1,
+        }
+    }
+
     /// The baseline kernel variant (speedup denominator).
     #[must_use]
     pub fn baseline() -> Variant {
-        Variant::Kernel(KernelVariant::Baseline)
+        Variant::built(KernelVariant::Baseline)
     }
 
     /// The auto-pass variant at the default configuration.
     #[must_use]
     pub fn auto_default() -> Variant {
-        Variant::Auto {
-            label: "auto",
-            config: PassConfig::default(),
-        }
+        Variant::pass("auto", PassConfig::default())
     }
 
-    /// Unique cell label within an experiment.
+    /// The ICC-like pass variant.
     #[must_use]
-    pub fn label(&self) -> String {
-        match self {
-            Variant::Kernel(v) => v.label(),
-            Variant::Auto { label, .. } => (*label).to_string(),
-            Variant::Icc => "icc".to_string(),
-            Variant::Multicore { cores, auto } => {
-                format!("mc{cores}_{}", if *auto { "auto" } else { "baseline" })
-            }
-        }
-    }
-
-    /// Key of the kernel module this variant executes. Variants sharing
-    /// a key share one build + pass-compile + decode (e.g. every
-    /// Fig. 9 core count reuses the same two modules).
-    #[must_use]
-    pub fn module_key(&self) -> String {
-        match self {
-            Variant::Kernel(v) => v.label(),
-            Variant::Auto { label, .. } => (*label).to_string(),
-            Variant::Icc => "icc".to_string(),
-            Variant::Multicore { auto: true, .. } => "auto".to_string(),
-            Variant::Multicore { auto: false, .. } => "baseline".to_string(),
-        }
-    }
-
-    /// Key of the recorded event trace this variant can replay: the
-    /// module key, extended with the core count for multicore cells
-    /// (each core count records its own per-core streams). Jobs sharing
-    /// a trace key within one workload interpret once and replay
-    /// everywhere else.
-    #[must_use]
-    pub fn trace_key(&self) -> String {
-        match self {
-            Variant::Multicore { cores, .. } => format!("{}_mc{cores}", self.module_key()),
-            _ => self.module_key(),
-        }
-    }
-
-    /// Simulated core count of this variant's cells.
-    #[must_use]
-    fn core_count(&self) -> usize {
-        match self {
-            Variant::Multicore { cores, .. } => *cores,
-            _ => 1,
+    pub fn icc() -> Variant {
+        Variant {
+            label: "icc".to_string(),
+            kernel: Kernel::Icc,
+            cores: 1,
         }
     }
 
@@ -164,24 +161,20 @@ impl Variant {
     /// none.
     #[must_use]
     pub fn pass_params(&self) -> Vec<(&'static str, ParamValue)> {
-        match self {
-            Variant::Auto { config, .. } => config.parameters(),
-            // The harness compiles ICC and multicore-auto cells at the
-            // default configuration (see `run_experiment`).
-            Variant::Icc | Variant::Multicore { auto: true, .. } => {
-                PassConfig::default().parameters()
-            }
-            Variant::Kernel(KernelVariant::Manual { look_ahead }) => {
+        match &self.kernel {
+            Kernel::Pass(config) => config.parameters(),
+            Kernel::Icc => PassConfig::default().parameters(),
+            Kernel::Built(KernelVariant::Manual { look_ahead }) => {
                 vec![("look_ahead", ParamValue::Int(*look_ahead))]
             }
-            Variant::Kernel(KernelVariant::ManualDepth { look_ahead, depth }) => vec![
+            Kernel::Built(KernelVariant::ManualDepth { look_ahead, depth }) => vec![
                 ("look_ahead", ParamValue::Int(*look_ahead)),
                 (
                     "max_indirect_depth",
                     ParamValue::Int(i64::try_from(*depth).unwrap_or(i64::MAX)),
                 ),
             ],
-            Variant::Kernel(_) | Variant::Multicore { auto: false, .. } => Vec::new(),
+            Kernel::Built(_) => Vec::new(),
         }
     }
 }
@@ -206,11 +199,11 @@ pub struct ExperimentSpec {
     pub variants: Vec<Variant>,
     /// Optional cell filter (`None` keeps the full cross product).
     pub filter: Option<CellFilter>,
-    /// Run the grid with per-PC prefetch-efficacy profiling
-    /// ([`swpf_sim::perf`]) enabled: every cell additionally collects a
-    /// [`PcProfile`], serialised as the additive `perf` cell member.
-    /// Off for the figure grids (the default timing path stays
-    /// profiling-free); the `prefetch_profile` experiment turns it on.
+    /// Ask every cell's simulation for a per-PC prefetch-efficacy
+    /// profile ([`swpf_sim::perf`]), serialised as the additive `perf`
+    /// cell member. Off for the figure grids (the default timing path
+    /// stays profiling-free); the `prefetch_profile` experiment turns it
+    /// on.
     pub perf: bool,
 }
 
@@ -251,7 +244,7 @@ pub fn expand(spec: &ExperimentSpec) -> Vec<SimJob> {
                 if !spec.keep(m, w, v) {
                     continue;
                 }
-                if seen.insert((mi, wi, v.label())) {
+                if seen.insert((mi, wi, &v.label)) {
                     jobs.push(SimJob {
                         machine: mi,
                         workload: wi,
@@ -275,11 +268,11 @@ fn support_mask(spec: &ExperimentSpec) -> Vec<bool> {
     let mut mask = Vec::with_capacity(spec.workloads.len() * spec.variants.len());
     for w in &probe {
         for v in &spec.variants {
-            mask.push(match v {
-                // Probe with tiny inputs: support depends only on the
-                // workload's shape, not its scale.
-                Variant::Kernel(kv) => w.build_variant(*kv).is_some(),
-                Variant::Auto { .. } | Variant::Icc | Variant::Multicore { .. } => true,
+            // Probe with tiny inputs: support depends only on the
+            // workload's shape, not its scale.
+            mask.push(match v.kernel {
+                Kernel::Built(kv) => w.build_variant(kv).is_some(),
+                Kernel::Pass(_) | Kernel::Icc => true,
             });
         }
     }
@@ -326,9 +319,9 @@ pub struct CellResult {
     /// `tier` member of the cell.
     pub tier: &'static str,
     /// Per-core prefetch-efficacy profiles ([`PcProfile`]), parallel to
-    /// `cores` when profiling was enabled for the run (spec `perf`,
-    /// `--perf`, or `SWPF_PERF`); empty otherwise. Serialised as the
-    /// additive `perf` member of the cell.
+    /// `cores` when the run asked for them (spec `perf`, `--perf`, or
+    /// `SWPF_PERF`); empty otherwise. Serialised as the additive `perf`
+    /// member of the cell.
     pub perf: Vec<PcProfile>,
 }
 
@@ -365,9 +358,8 @@ pub struct ExperimentResult {
     pub threads: usize,
     /// Total harness wall time in seconds (prepare + simulate).
     pub wall_s: f64,
-    /// Label of the trace policy the run used ("off", "memory", the
-    /// trace directory path, or "fanout" for a searched experiment).
-    pub trace_policy: String,
+    /// The trace policy the run's grid used.
+    pub trace: TracePolicy,
     /// Execution tier the run's interpreters were built on.
     pub tier: Tier,
     /// What the experiment's [`Search`] found, one entry per workload;
@@ -376,6 +368,18 @@ pub struct ExperimentResult {
 }
 
 impl ExperimentResult {
+    /// The trace policy as artifacts and logs name it: "fanout" for a
+    /// searched experiment (its evaluator fans each interpretation out
+    /// itself), else [`TracePolicy::label`].
+    #[must_use]
+    pub fn trace_label(&self) -> String {
+        if self.searches.is_empty() {
+            self.trace.label()
+        } else {
+            "fanout".to_string()
+        }
+    }
+
     /// Cells served without their own interpretation — from a replayed
     /// trace or a fused group pass.
     #[must_use]
@@ -446,9 +450,9 @@ pub struct RunOptions {
     pub threads: usize,
     /// Trace record/replay policy.
     pub trace: TracePolicy,
-    /// Force per-PC prefetch-efficacy profiling on for every cell
-    /// (`--perf` / `SWPF_PERF`), regardless of the spec's own `perf`
-    /// flag. The default path runs profiling-free.
+    /// Profile every cell (`--perf` / `SWPF_PERF`) whatever the spec's
+    /// own `perf` flag says; it reaches the simulations as
+    /// [`Sim::perf`]. The default path runs profiling-free.
     pub perf: bool,
     /// Execution tier every cell's interpreters are built on
     /// (`SWPF_TIER`, resolved once by [`cli_options_from`]; default:
@@ -578,16 +582,6 @@ pub fn run_experiment(exp: &Experiment, opts: &RunOptions) -> ExperimentResult {
     let spec = &exp.spec;
     let t0 = Instant::now();
 
-    // Per-PC profiling enablement is read once per simulation (at
-    // `MemSys` construction), so flipping it here covers every cell of
-    // this run; the previous state is restored afterwards so one
-    // profiled experiment in a multi-experiment driver (`--bin all`)
-    // does not bloat its successors' artifacts. Profiling never changes
-    // simulated statistics (see `swpf_sim::perf`), only whether cells
-    // carry a profile.
-    let perf_prev = swpf_sim::perf::enabled();
-    swpf_sim::perf::set_enabled(spec.perf || opts.perf || perf_prev);
-
     // Instantiate each workload once; jobs share them read-only.
     let workloads: Vec<Box<dyn Workload>> = spec
         .workloads
@@ -597,45 +591,7 @@ pub fn run_experiment(exp: &Experiment, opts: &RunOptions) -> ExperimentResult {
 
     let jobs = expand(spec);
 
-    // Build + pass-compile + decode each distinct kernel module once.
-    let mut modules: HashMap<(usize, String), PreparedModule> = HashMap::new();
-    for job in &jobs {
-        let key = (job.workload, spec.variants[job.variant].module_key());
-        if modules.contains_key(&key) {
-            continue;
-        }
-        let w = workloads[job.workload].as_ref();
-        let module = {
-            let _span = swpf_obs::span("build");
-            match &spec.variants[job.variant] {
-                Variant::Kernel(kv) => w
-                    .build_variant(*kv)
-                    .expect("expansion only keeps supported kernel variants"),
-                Variant::Auto { config, .. } => auto_module(w, config),
-                Variant::Icc => icc_module(w, &PassConfig::default()),
-                Variant::Multicore { auto, .. } => {
-                    if *auto {
-                        auto_module(w, &PassConfig::default())
-                    } else {
-                        w.build_baseline()
-                    }
-                }
-            }
-        };
-        let func = module
-            .find_function("kernel")
-            .expect("workload kernels are named `kernel`");
-        let text_hash = fnv64(swpf_ir::printer::print_module(&module).as_bytes());
-        let _span = swpf_obs::span("decode");
-        modules.insert(
-            key,
-            PreparedModule {
-                image: Arc::new(ExecImage::build(&module)),
-                func,
-                text_hash,
-            },
-        );
-    }
+    let (modules, groups) = group_jobs(spec, &workloads, &jobs);
     if swpf_obs::enabled() {
         swpf_obs::count("harness.jobs", jobs.len() as u64);
         swpf_obs::count("harness.modules_prepared", modules.len() as u64);
@@ -645,23 +601,6 @@ pub fn run_experiment(exp: &Experiment, opts: &RunOptions) -> ExperimentResult {
             "harness.kernel_dedup_hits",
             (jobs.len().saturating_sub(modules.len())) as u64,
         );
-    }
-
-    // Group jobs by the trace they can share: same workload, same
-    // trace key (module + core count). The group's first cell records
-    // while it measures; the rest replay — each distinct kernel is
-    // interpreted exactly once per run (or zero times on a disk hit).
-    let mut group_of: HashMap<(usize, String), usize> = HashMap::new();
-    let mut groups: Vec<Vec<usize>> = Vec::new();
-    for (ji, job) in jobs.iter().enumerate() {
-        let key = (job.workload, spec.variants[job.variant].trace_key());
-        match group_of.get(&key) {
-            Some(&gi) => groups[gi].push(ji),
-            None => {
-                group_of.insert(key, groups.len());
-                groups.push(vec![ji]);
-            }
-        }
     }
 
     // Execute: worker threads self-schedule trace groups off an atomic
@@ -678,10 +617,11 @@ pub fn run_experiment(exp: &Experiment, opts: &RunOptions) -> ExperimentResult {
     let (groups_ref, next_ref, slots_ref) = (&groups, &next, &slots);
     let work = move || loop {
         let gi = next_ref.fetch_add(1, Ordering::Relaxed);
-        let Some(group) = groups_ref.get(gi) else {
+        let Some((module, group)) = groups_ref.get(gi) else {
             break;
         };
-        let cells = run_group(spec, workloads_ref, modules_ref, jobs_ref, group, opts);
+        let prepared = &modules_ref[*module];
+        let cells = run_group(spec, workloads_ref, prepared, jobs_ref, group, opts);
         let mut slots = slots_ref.lock().expect("no panics hold the lock");
         for (ji, cell) in cells {
             slots[ji] = Some(cell);
@@ -707,8 +647,6 @@ pub fn run_experiment(exp: &Experiment, opts: &RunOptions) -> ExperimentResult {
         .map(|c| c.expect("every job ran"))
         .collect();
 
-    swpf_sim::perf::set_enabled(perf_prev);
-
     let (search_cells, searches) = match &exp.search {
         Some(s) => run_search(s, spec.scale, &spec.machines, &spec.workloads, opts.tier),
         None => Default::default(),
@@ -722,13 +660,67 @@ pub fn run_experiment(exp: &Experiment, opts: &RunOptions) -> ExperimentResult {
         cells,
         threads,
         wall_s: t0.elapsed().as_secs_f64(),
-        trace_policy: match exp.search {
-            Some(_) => "fanout".to_string(),
-            None => opts.trace.label(),
-        },
+        trace: opts.trace.clone(),
         tier: opts.tier,
         searches,
     }
+}
+
+/// Prepare the modules `jobs` run and group the jobs by the event
+/// stream they consume. Each distinct (workload, kernel) is built and
+/// pass-compiled once, and each distinct printed text of a workload
+/// decoded once: kernels that print alike (a pass that found nothing to
+/// do, two pipelines that end in the same code) are one module. Jobs of
+/// one module and one core count form one trace group — its first cell
+/// records while it measures and the rest replay, so each distinct
+/// kernel is interpreted exactly once per run (or zero times on a disk
+/// hit). Returns the modules and each group's module and jobs, in job
+/// order.
+fn group_jobs(
+    spec: &ExperimentSpec,
+    workloads: &[Box<dyn Workload>],
+    jobs: &[SimJob],
+) -> (Vec<PreparedModule>, Vec<(usize, Vec<usize>)>) {
+    let mut modules: Vec<PreparedModule> = Vec::new();
+    let mut by_text: HashMap<(usize, String), usize> = HashMap::new();
+    let mut module_of: HashMap<(usize, usize), usize> = HashMap::new();
+    let mut group_of: HashMap<(usize, usize), usize> = HashMap::new();
+    let mut groups: Vec<(usize, Vec<usize>)> = Vec::new();
+    for (ji, job) in jobs.iter().enumerate() {
+        let (wi, v) = (job.workload, &spec.variants[job.variant]);
+        // The first variant with this kernel builds it (Fig. 9 lists
+        // each kernel once per core count).
+        let first = spec.variants.iter().position(|u| u.kernel == v.kernel);
+        let module = *module_of
+            .entry((wi, first.unwrap_or(job.variant)))
+            .or_insert_with(|| {
+                let module = {
+                    let _span = swpf_obs::span("build");
+                    let w = workloads[wi].as_ref();
+                    v.kernel
+                        .build(w)
+                        .expect("expansion only keeps supported kernels")
+                };
+                let text = swpf_ir::printer::print_module(&module);
+                *by_text.entry((wi, text)).or_insert_with_key(|(_, text)| {
+                    let _span = swpf_obs::span("decode");
+                    modules.push(PreparedModule {
+                        image: Arc::new(ExecImage::build(&module)),
+                        func: module
+                            .find_function("kernel")
+                            .expect("workload kernels are named `kernel`"),
+                        text_hash: fnv64(text.as_bytes()),
+                    });
+                    modules.len() - 1
+                })
+            });
+        let gi = *group_of.entry((module, v.cores)).or_insert_with(|| {
+            groups.push((module, Vec::new()));
+            groups.len() - 1
+        });
+        groups[gi].1.push(ji);
+    }
+    (modules, groups)
 }
 
 /// Run `search` over `workloads` × `machines` at `scale`, each strategy
@@ -837,37 +829,30 @@ pub(crate) fn kernel_fingerprint(
     fnv64(format!("{workload}|{}|{cores}|{text_hash:016x}", scale.label()).as_bytes())
 }
 
-/// The cache file a (scale, workload, trace-key) triple persists to
-/// under a [`TracePolicy::Dir`] directory — one naming scheme shared by
-/// the harness and the analytics experiment.
+/// The cache file a kernel's trace persists to under a
+/// [`TracePolicy::Dir`] directory, named by its [`kernel_fingerprint`]:
+/// one kernel finds one file, whichever experiment or cell label asks —
+/// one naming scheme shared by the harness and the analytics experiment.
 #[must_use]
-pub(crate) fn trace_cache_path(
-    dir: &Path,
-    scale: Scale,
-    workload: &str,
-    trace_key: &str,
-) -> PathBuf {
-    dir.join(format!("{}_{workload}_{trace_key}.trace", scale.label()))
+pub(crate) fn trace_cache_path(dir: &Path, scale: Scale, workload: &str, fp: u64) -> PathBuf {
+    dir.join(format!("{}_{workload}_{fp:016x}.trace", scale.label()))
 }
 
-/// Run one trace group: all jobs sharing a workload and trace key.
+/// Run one trace group: all jobs that run `prepared` on one core count.
 /// Returns `(job index, cell)` pairs.
 fn run_group(
     spec: &ExperimentSpec,
     workloads: &[Box<dyn Workload>],
-    modules: &HashMap<(usize, String), PreparedModule>,
+    prepared: &PreparedModule,
     jobs: &[SimJob],
     group: &[usize],
     opts: &RunOptions,
 ) -> Vec<(usize, CellResult)> {
     let first = jobs[group[0]];
-    let variant = &spec.variants[first.variant];
     let w = workloads[first.workload].as_ref();
-    let prepared = &modules[&(first.workload, variant.module_key())];
-    let cores = variant.core_count();
-    let try_run = |row: &[usize], source: Source<'_>| {
-        run_row(spec, jobs, w.name(), cores, opts.tier, row, source)
-    };
+    let cores = spec.variants[first.variant].cores;
+    let try_run =
+        |row: &[usize], source: Source<'_>| run_row(spec, opts, jobs, w.name(), cores, row, source);
     let run = |row: &[usize], source: Source<'_>| {
         try_run(row, source).unwrap_or_else(|e| panic!("{}: {e}", w.name()))
     };
@@ -886,12 +871,7 @@ fn run_group(
 
     let fingerprint = kernel_fingerprint(w.name(), spec.scale, cores, prepared.text_hash);
     let cache_path = match &opts.trace {
-        TracePolicy::Dir(dir) => Some(trace_cache_path(
-            dir,
-            spec.scale,
-            w.name(),
-            &variant.trace_key(),
-        )),
+        TracePolicy::Dir(dir) => Some(trace_cache_path(dir, spec.scale, w.name(), fingerprint)),
         _ => None,
     };
 
@@ -901,29 +881,18 @@ fn run_group(
     // damaged inside a block, which the reader meets only when the
     // replay gets there: that, too, is a miss — drop the partial row
     // and re-record.
-    let cached = cache_path
-        .as_deref()
-        .and_then(|p| open_streaming(p, fingerprint));
-    let warm = cached
-        .as_ref()
-        .map(|replay| try_run(group, Source::Stream(replay)));
-    let warm = match (warm, &cache_path) {
-        (Some(Err(SimError::Trace(e))), Some(path)) => {
-            eprintln!("warning: ignoring trace {}: {e}", path.display());
-            None
+    if let Some(path) = &cache_path {
+        let warm =
+            open_streaming(path, fingerprint).map(|replay| try_run(group, Source::Stream(&replay)));
+        match warm {
+            Some(Ok(cells)) => {
+                swpf_obs::count("trace.disk_hit", 1);
+                return cells;
+            }
+            Some(Err(e)) => eprintln!("warning: ignoring trace {}: {e}", path.display()),
+            None => {}
         }
-        (warm, _) => warm,
-    };
-    if cache_path.is_some() {
-        let counter = if warm.is_some() {
-            "trace.disk_hit"
-        } else {
-            "trace.disk_miss"
-        };
-        swpf_obs::count(counter, 1);
-    }
-    if let Some(cells) = warm {
-        return cells.unwrap_or_else(|e| panic!("{}: {e}", w.name()));
+        swpf_obs::count("trace.disk_miss", 1);
     }
 
     // Cold. One event stream serves a whole single-core group at once:
@@ -967,10 +936,10 @@ fn run_group(
 /// recording is cache upkeep, not cell cost), shared evenly by the row.
 fn run_row(
     spec: &ExperimentSpec,
+    opts: &RunOptions,
     jobs: &[SimJob],
     workload: &'static str,
     cores: usize,
-    tier: Tier,
     row: &[usize],
     source: Source<'_>,
 ) -> Result<Vec<(usize, CellResult)>, SimError> {
@@ -986,7 +955,8 @@ fn run_row(
     let sim = Sim {
         machines: &machines,
         cores,
-        tier,
+        tier: opts.tier,
+        perf: spec.perf || opts.perf,
     };
     let t0 = Instant::now();
     let runs = {
@@ -1000,19 +970,19 @@ fn run_row(
         .enumerate()
         .map(|(k, &ji)| {
             let variant = &spec.variants[jobs[ji].variant];
-            // Profiles are present for all cores or none (enablement is
-            // per run, not per core).
+            // Profiles are present for all cores or none (profiling is
+            // per request, not per core).
             let (cores, perf): (Vec<SimStats>, Vec<Option<PcProfile>>) =
                 runs.by_ref().take(cores).map(|r| (r.stats, r.perf)).unzip();
             let cell = CellResult {
                 machine: machines[k].name,
                 workload,
-                variant: variant.label(),
+                variant: variant.label.clone(),
                 cores,
                 wall_ms,
                 replayed: from_trace || k > 0,
                 params: variant.pass_params(),
-                tier: tier.label(),
+                tier: opts.tier.label(),
                 perf: perf.into_iter().flatten().collect(),
             };
             (ji, cell)
@@ -1439,7 +1409,7 @@ pub fn artifact_json(
         (
             "trace",
             Json::obj(vec![
-                ("policy", Json::Str(result.trace_policy.clone())),
+                ("policy", Json::Str(result.trace_label())),
                 ("hits", Json::U64(result.trace_hits() as u64)),
                 ("misses", Json::U64(result.trace_misses() as u64)),
             ]),
@@ -1492,7 +1462,7 @@ pub fn run_and_report(
         result.cells.len(),
         result.threads,
         result.wall_s,
-        result.trace_policy,
+        result.trace_label(),
         result.trace_hits(),
         result.trace_misses(),
     );
@@ -1591,8 +1561,8 @@ pub fn cli_options_from(args: impl Iterator<Item = String>) -> Result<CliOptions
     };
     let mut out_dir = PathBuf::from("RESULTS");
     let mut profile = std::env::var_os("SWPF_PROFILE").map(PathBuf::from);
-    // `SWPF_PERF=0` explicitly off, any other value on — same contract
-    // as the simulator's own env seed (`swpf_sim::perf`).
+    // `SWPF_PERF=0` explicitly off, any other value on. This is the one
+    // reader of the variable: the simulator takes profiling per request.
     let mut perf = std::env::var("SWPF_PERF").is_ok_and(|v| v != "0");
     let mut args = args;
     while let Some(arg) = args.next() {
@@ -1667,7 +1637,7 @@ mod tests {
             workloads: vec![WorkloadId::Is, WorkloadId::Hj8],
             variants: vec![
                 Variant::baseline(),
-                Variant::Kernel(KernelVariant::Manual { look_ahead: 64 }),
+                Variant::built(KernelVariant::Manual { look_ahead: 64 }),
             ],
             filter: None,
             perf: false,
@@ -1690,7 +1660,7 @@ mod tests {
     #[test]
     fn expansion_drops_unsupported_kernel_variants() {
         let mut spec = tiny_spec();
-        spec.variants.push(Variant::Kernel(KernelVariant::Fig2(
+        spec.variants.push(Variant::built(KernelVariant::Fig2(
             swpf_workloads::is::Fig2Scheme::Optimal,
         )));
         // Fig. 2 schemes exist only for IS: +2 jobs, not +4.
@@ -1701,25 +1671,42 @@ mod tests {
     fn expansion_applies_cell_filters() {
         let mut spec = tiny_spec();
         fn only_haswell(m: &MachineConfig, _w: WorkloadId, v: &Variant) -> bool {
-            !matches!(v, Variant::Kernel(KernelVariant::Manual { .. })) || m.name == "haswell"
+            !matches!(v.kernel, Kernel::Built(KernelVariant::Manual { .. })) || m.name == "haswell"
         }
         spec.filter = Some(only_haswell);
         assert_eq!(expand(&spec).len(), 4 + 2);
     }
 
+    /// `spec`'s module count and trace groups, as `run_experiment`
+    /// prepares and groups them.
+    fn grouped(spec: &ExperimentSpec) -> (usize, Vec<(usize, Vec<usize>)>) {
+        let workloads: Vec<Box<dyn Workload>> = spec
+            .workloads
+            .iter()
+            .map(|id| id.instantiate(spec.scale))
+            .collect();
+        let (modules, groups) = group_jobs(spec, &workloads, &expand(spec));
+        (modules.len(), groups)
+    }
+
+    fn fig9() -> ExperimentSpec {
+        crate::experiments::by_name("fig9", Scale::Test)
+            .expect("fig9 exists")
+            .spec
+    }
+
     #[test]
     fn multicore_variants_share_kernel_modules() {
-        let a = Variant::Multicore {
-            cores: 1,
-            auto: false,
-        };
-        let b = Variant::Multicore {
-            cores: 4,
-            auto: false,
-        };
-        assert_eq!(a.module_key(), b.module_key());
-        assert_ne!(a.label(), b.label());
-        assert_eq!(a.module_key(), Variant::baseline().module_key());
+        let spec = fig9();
+        // Six cells with six labels run from two kernels' images.
+        let labels: std::collections::HashSet<&str> =
+            spec.variants.iter().map(|v| v.label.as_str()).collect();
+        assert_eq!(labels.len(), 6);
+        assert_eq!(
+            grouped(&spec).0,
+            2,
+            "every core count runs one of two images"
+        );
     }
 
     #[test]
@@ -1735,17 +1722,37 @@ mod tests {
 
     #[test]
     fn trace_keys_separate_core_counts_but_share_modules() {
-        let one = Variant::Multicore {
-            cores: 1,
-            auto: false,
+        let spec = fig9();
+        let (modules, groups) = grouped(&spec);
+        // One group per (module, core count): 2 kernels × 3 core counts.
+        assert_eq!(groups.len(), 6);
+        for mi in 0..modules {
+            let cores: Vec<usize> = groups
+                .iter()
+                .filter(|(m, _)| *m == mi)
+                .map(|(_, jobs)| {
+                    assert_eq!(jobs.len(), 1, "one machine, one cell per group");
+                    spec.variants[expand(&spec)[jobs[0]].variant].cores
+                })
+                .collect();
+            assert_eq!(cores, [1, 2, 4], "module {mi}");
+        }
+    }
+
+    #[test]
+    fn kernels_that_print_alike_share_one_module() {
+        // The ICC-like pass finds no stride-indirect pattern in RA (the
+        // paper's Fig. 4d), so its kernel prints like the baseline; in
+        // IS it prefetches what the auto pass does.
+        let spec = ExperimentSpec {
+            workloads: vec![WorkloadId::Ra, WorkloadId::Is],
+            variants: vec![Variant::baseline(), Variant::icc(), Variant::auto_default()],
+            machines: vec![MachineConfig::a53()],
+            ..tiny_spec()
         };
-        let four = Variant::Multicore {
-            cores: 4,
-            auto: false,
-        };
-        assert_eq!(one.module_key(), four.module_key());
-        assert_ne!(one.trace_key(), four.trace_key());
-        assert_eq!(Variant::baseline().trace_key(), "baseline");
-        assert_eq!(four.trace_key(), "baseline_mc4");
+        let (modules, groups) = grouped(&spec);
+        assert_eq!(modules, 4, "two texts per workload, none shared across");
+        let jobs: Vec<Vec<usize>> = groups.into_iter().map(|(_, jobs)| jobs).collect();
+        assert_eq!(jobs, [vec![0, 1], vec![2], vec![3], vec![4, 5]]);
     }
 }

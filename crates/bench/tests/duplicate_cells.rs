@@ -5,10 +5,11 @@
 //! determines them (`MachineConfig::parameters`, the kernel, the core
 //! count) would simulate each pair once; this pins that both members of
 //! a pair agree counter for counter, so such a key cannot change a
-//! result.
+//! result. Their kernels already share one trace file: the cache names
+//! a file by the kernel's fingerprint, not by the cell's label.
 
 use swpf_bench::experiments;
-use swpf_bench::harness::{run_experiment, ExperimentResult, RunOptions};
+use swpf_bench::harness::{run_experiment, ExperimentResult, RunOptions, TracePolicy};
 use swpf_sim::MachineConfig;
 use swpf_workloads::Scale;
 
@@ -43,5 +44,36 @@ fn fig9_one_core_cells_equal_fig10_huge_page_cells() {
             counters(&fig10, "haswell_huge", single),
             "fig9 {multicore} vs fig10 haswell_huge {single}"
         );
+    }
+}
+
+#[test]
+fn fig10_streams_the_kernels_fig9_recorded() {
+    let dir = std::env::temp_dir().join(format!("swpf_shared_cache_{}", std::process::id()));
+    let with_dir = |name: &str| {
+        let exp = experiments::by_name(name, Scale::Test).expect("experiment exists");
+        run_experiment(
+            &exp,
+            &RunOptions {
+                threads: 1,
+                trace: TracePolicy::Dir(dir.clone()),
+                ..RunOptions::default()
+            },
+        )
+    };
+    let fig9 = with_dir("fig9");
+    let fig10 = with_dir("fig10");
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(fig9.trace_misses(), 6);
+    // fig10 runs 3 workloads × {baseline, auto}; IS's two kernels are
+    // fig9's one-core kernels, already on disk.
+    assert_eq!(fig10.trace_misses(), 4, "IS baseline and auto stream");
+    for variant in ["baseline", "auto"] {
+        for machine in ["haswell_small", "haswell_huge"] {
+            let cell = fig10
+                .cell(machine, "IS", variant)
+                .expect("fig10 has the cell");
+            assert!(cell.replayed, "{machine} IS {variant} streamed");
+        }
     }
 }

@@ -277,6 +277,35 @@ fn traced_runs_match_direct_runs() {
     assert_eq!(traced.trace_hits(), 15, "every other machine cell replays");
 }
 
+/// Kernels that print alike share one event stream: fig4's 28 kernels
+/// (7 workloads × baseline, auto, manual, icc) are 21 texts, because
+/// the ICC-like pass's output prints like the auto pass's on IS and CG
+/// and like the baseline on the other five. Sharing changes no counter.
+#[test]
+fn fig4_interprets_each_distinct_kernel_text_once() {
+    let exp = experiments::by_name("fig4", Scale::Test).unwrap();
+    let direct = run_experiment(
+        &exp,
+        &RunOptions {
+            threads: 2,
+            trace: TracePolicy::Off,
+            ..RunOptions::default()
+        },
+    );
+    let traced = run_experiment(&exp, &opts(2));
+    assert_eq!(traced.trace_misses(), 21, "one interpretation per text");
+    assert_eq!(traced.trace_hits(), 4 * 7 * 3 + 7 - 21);
+    assert_cells_identical("fig4", &direct, &traced);
+    assert!(
+        traced
+            .cells
+            .iter()
+            .filter(|c| c.variant == "icc")
+            .all(|c| c.replayed),
+        "every icc cell rides another kernel's stream"
+    );
+}
+
 /// The persistent trace cache: a second run replays every cell from
 /// disk, and the artifact records hits/misses.
 #[test]

@@ -1,24 +1,16 @@
 //! The on-disk trace cache under damage: a torn, bit-flipped or
 //! other-version cache file is a miss, never a failed run, and stores
 //! leave no temp file behind.
-//!
-//! A test binary of its own: `run_experiment` saves and restores the
-//! process-wide `swpf_sim::perf` switch, so the two dozen short runs
-//! here must not overlap another test's profiled experiment.
 
 use swpf_bench::experiments;
 use swpf_bench::harness::{run_experiment, RunOptions, TracePolicy};
 use swpf_workloads::Scale;
-
-/// The two tests share the process-wide switch the header describes.
-static ONE_AT_A_TIME: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 /// Prime a fig10 cache, then for each eighth damage the first cache file
 /// with `damage(whole file, eighth)` and rerun, streaming it back: exactly
 /// that file must re-record, with the cold run's counters, leaving the
 /// original bytes and no temp file behind, and the run after must hit.
 fn damage_heals(tag: &str, damage: impl Fn(&[u8], usize) -> Vec<u8>) {
-    let _guard = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
     let dir = std::env::temp_dir().join(format!("swpf_{tag}_{}", std::process::id()));
     let exp = experiments::by_name("fig10", Scale::Test).unwrap();
     let run = || {

@@ -29,10 +29,11 @@
 //!
 //! Because the timing models consume nothing but the retire-event
 //! stream, there is one way to run a simulation — a [`Sim`] request
-//! (machine row, core count, execution tier) over a [`Source`] of
-//! events: an interpretation of a lowered image, optionally recorded
-//! into a `swpf-trace` encoder as it runs, or a recorded trace replayed
-//! from memory or streamed from its file with no interpreter at all.
+//! (machine row, core count, execution tier, profiling) over a
+//! [`Source`] of events: an interpretation of a lowered image,
+//! optionally recorded into a `swpf-trace` encoder as it runs, or a
+//! recorded trace replayed from memory or streamed from its file with
+//! no interpreter at all.
 //! Every source yields bit-identical [`SimRun`]s, single- and
 //! multi-core, and failures are a typed [`SimError`] ([`request`]).
 //!

@@ -15,11 +15,11 @@
 use crate::cpu::{by_kind, Core, InOrder, OutOfOrder};
 use crate::memsys::{MemSys, SharedMem};
 use crate::presets::MachineConfig;
-use crate::request::{Setup, SimError};
+use crate::request::{Setup, Sim, SimError};
 use crate::stats::{SimRun, SimStats};
 use std::sync::Arc;
 use swpf_ir::exec::ExecImage;
-use swpf_ir::interp::{Event, ExecObserver, Interp, RtVal, Tier, Trap};
+use swpf_ir::interp::{Event, ExecObserver, Interp, RtVal, Trap};
 use swpf_ir::FuncId;
 use swpf_trace::{EventSource, StreamEncoder};
 
@@ -122,11 +122,12 @@ impl ExecObserver for RowObserver<'_> {
 }
 
 impl Machine {
-    /// Build a machine from a configuration.
+    /// Build a machine from a configuration, collecting a per-PC
+    /// profile when `perf` (see [`crate::perf`]).
     #[must_use]
-    pub fn new(config: MachineConfig) -> Self {
+    pub fn new(config: MachineConfig, perf: bool) -> Self {
         let core = Core::new(&config);
-        let mem = MemSys::new(&config);
+        let mem = MemSys::with_perf(&config, perf);
         let shared = SharedMem::new(&config);
         Machine {
             config,
@@ -166,8 +167,8 @@ impl Machine {
 
     /// The statistics accumulated so far plus the per-PC profile —
     /// finishing it classifies still-cached prefetched lines as
-    /// `unused_at_end`; it is `None` unless [`crate::perf::enabled`]
-    /// was set when the machine was built.
+    /// `unused_at_end`; it is `None` unless the machine was built with
+    /// `perf`.
     pub fn finish(&mut self) -> SimRun {
         sim_run(&self.core, &mut self.mem, &self.shared)
     }
@@ -197,12 +198,15 @@ pub(crate) fn sim_run(core: &Core, mem: &mut MemSys, shared: &SharedMem) -> SimR
     }
 }
 
-fn fresh_row(configs: &[&MachineConfig]) -> Vec<Machine> {
-    configs.iter().map(|c| Machine::new((*c).clone())).collect()
+fn fresh_row(sim: &Sim<'_>) -> Vec<Machine> {
+    sim.machines
+        .iter()
+        .map(|c| Machine::new((*c).clone(), sim.perf))
+        .collect()
 }
 
 /// Interpret `func` once and fan its retire-event stream out to every
-/// machine of the row — and, when `enc` is given, to a trace encoder —
+/// machine of `sim`'s row — and, when `enc` is given, to a trace encoder —
 /// so N cells pay for one interpretation. Single-core replay never
 /// consults step boundaries (they exist to reproduce the multicore
 /// interleaver's schedule), so this rides the engine's fast
@@ -213,8 +217,7 @@ fn fresh_row(configs: &[&MachineConfig]) -> Vec<Machine> {
 /// run about a fifth faster than behind the out-of-line row loop
 /// (`sim_throughput`'s `interp_with_timing`, see CHANGES.md PR 18).
 pub(crate) fn interpret_row(
-    configs: &[&MachineConfig],
-    tier: Tier,
+    sim: &Sim<'_>,
     image: &Arc<ExecImage>,
     func: FuncId,
     setup: &mut Setup<'_>,
@@ -223,8 +226,8 @@ pub(crate) fn interpret_row(
     // Machines before the interpreter: the allocator sees the row's tag
     // arrays first and frees them last. The other order cost Fig. 9's
     // later cells ~40% more page faults (CHANGES.md PR 18).
-    let mut machines = fresh_row(configs);
-    let mut interp = Interp::with_tier(tier);
+    let mut machines = fresh_row(sim);
+    let mut interp = Interp::with_tier(sim.tier);
     let args = setup(0, &mut interp);
     let image = Arc::clone(image);
     match (machines.as_mut_slice(), enc) {
@@ -242,17 +245,17 @@ pub(crate) fn interpret_row(
     Ok(machines.iter_mut().map(Machine::finish).collect())
 }
 
-/// Replay core 0 of a recorded trace on every machine of the row: one
+/// Replay core 0 of a recorded trace on every machine of `sim`'s row: one
 /// decode pass (in memory or block-at-a-time from the file, whatever
 /// `src` is), every event fanned out to all timing models. The decode
 /// loop is the only call site, so delivery inlines into it — for a row
 /// of one, with the observer hoisted out of the loop; for a longer row,
 /// one loop per core kind ([`Lanes`]).
 pub(crate) fn replay_row(
-    configs: &[&MachineConfig],
+    sim: &Sim<'_>,
     src: &mut impl EventSource,
 ) -> Result<Vec<SimRun>, SimError> {
-    let mut machines = fresh_row(configs);
+    let mut machines = fresh_row(sim);
     if let [one] = machines.as_mut_slice() {
         let mut obs = one.observer();
         while let Some((ev, _)) = src.next_event()? {

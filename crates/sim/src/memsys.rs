@@ -3,7 +3,7 @@
 
 use crate::cache::{Cache, Lookup};
 use crate::dram::Dram;
-use crate::perf::{self, MemPerf, PcProfile};
+use crate::perf::{MemPerf, PcProfile};
 use crate::presets::MachineConfig;
 use crate::stride::StridePrefetcher;
 use crate::tlb::Tlb;
@@ -85,15 +85,22 @@ pub struct MemSys {
     address_space: u64,
     stats: MemSysStats,
     /// Per-PC prefetch-outcome and stall attribution; `None` (the
-    /// default) keeps the demand path allocation-free. Enabled at
-    /// construction time when [`crate::perf::enabled`] is set.
+    /// default) keeps the demand path allocation-free. Chosen at
+    /// construction ([`MemSys::with_perf`]).
     perf: Option<Box<MemPerf>>,
 }
 
 impl MemSys {
-    /// Build the private hierarchy from a machine configuration.
+    /// Build the private hierarchy from a machine configuration,
+    /// unprofiled.
     #[must_use]
     pub fn new(cfg: &MachineConfig) -> Self {
+        MemSys::with_perf(cfg, false)
+    }
+
+    /// Build the private hierarchy, with a per-PC profile when `perf`.
+    #[must_use]
+    pub(crate) fn with_perf(cfg: &MachineConfig, perf: bool) -> Self {
         MemSys {
             l1: Cache::new(&cfg.l1),
             l2: Cache::new(&cfg.l2),
@@ -103,7 +110,7 @@ impl MemSys {
             pf_capacity: cfg.prefetch_queue.max(1),
             address_space: 0,
             stats: MemSysStats::default(),
-            perf: perf::enabled().then(|| Box::new(MemPerf::new())),
+            perf: perf.then(|| Box::new(MemPerf::new())),
         }
     }
 

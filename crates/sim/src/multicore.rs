@@ -22,11 +22,11 @@ use crate::cpu::Core;
 use crate::machine::{sim_run, TimingObserver};
 use crate::memsys::{MemSys, SharedMem};
 use crate::presets::MachineConfig;
-use crate::request::{Setup, SimError};
+use crate::request::{Setup, Sim, SimError};
 use crate::stats::SimRun;
 use std::sync::Arc;
 use swpf_ir::exec::ExecImage;
-use swpf_ir::interp::{ExecObserver, Interp, Step, Tier};
+use swpf_ir::interp::{ExecObserver, Interp, Step};
 use swpf_ir::FuncId;
 use swpf_trace::{EventSource, StreamEncoder, Tee, TraceError};
 
@@ -45,15 +45,17 @@ struct Slot<D> {
 }
 
 /// The interleaver: one private core model + memory system per driver
-/// against one shared LLC and DRAM channel. Repeatedly hands the
-/// unfinished core with the smallest local clock to `batch`, which
-/// feeds it one batch of events and reports whether its driver is done
-/// — small batches amortise the scheduling decision, and local clocks
-/// advance slowly per instruction, so the interleaving stays
-/// fine-grained enough for bandwidth contention. `drivers` is pulled
-/// lazily, so each core's driver and timing model are built together.
+/// (profiled when `perf`) against one shared LLC and DRAM channel.
+/// Repeatedly hands the unfinished core with the smallest local clock
+/// to `batch`, which feeds it one batch of events and reports whether
+/// its driver is done — small batches amortise the scheduling
+/// decision, and local clocks advance slowly per instruction, so the
+/// interleaving stays fine-grained enough for bandwidth contention.
+/// `drivers` is pulled lazily, so each core's driver and timing model
+/// are built together.
 fn interleave<D>(
     config: &MachineConfig,
+    perf: bool,
     drivers: impl Iterator<Item = Result<D, SimError>>,
     mut batch: impl FnMut(usize, &mut D, &mut TimingObserver<'_>) -> Result<bool, SimError>,
 ) -> Result<Vec<SimRun>, SimError> {
@@ -61,7 +63,7 @@ fn interleave<D>(
     let mut slots = drivers
         .enumerate()
         .map(|(i, driver)| {
-            let mut mem = MemSys::new(config);
+            let mut mem = MemSys::with_perf(config, perf);
             mem.set_address_space(i as u64);
             Ok(Slot {
                 driver: driver?,
@@ -93,29 +95,28 @@ fn interleave<D>(
         .collect())
 }
 
-/// Run `n_cores` independent copies of `func`, one interpreter each
-/// over the shared decoded `image`; `setup` is invoked once per core
-/// with the core index, so each copy builds its own private data (as
-/// the paper does when it runs "four copies of the benchmark
-/// simultaneously on four different cores"). With `record`, each core's
-/// stream is tee'd into its encoder, which takes the step marks through
-/// `ExecObserver::end_step`.
+/// Run `sim.cores` independent copies of `func` on `config`, one
+/// interpreter each over the shared decoded `image`; `setup` is invoked
+/// once per core with the core index, so each copy builds its own
+/// private data (as the paper does when it runs "four copies of the
+/// benchmark simultaneously on four different cores"). With `record`,
+/// each core's stream is tee'd into its encoder, which takes the step
+/// marks through `ExecObserver::end_step`.
 pub(crate) fn interpret(
     config: &MachineConfig,
-    n_cores: usize,
-    tier: Tier,
+    sim: &Sim<'_>,
     image: &Arc<ExecImage>,
     func: FuncId,
     setup: &mut Setup<'_>,
     mut record: Option<&mut [StreamEncoder]>,
 ) -> Result<Vec<SimRun>, SimError> {
-    let interps = (0..n_cores).map(|i| {
-        let mut interp = Interp::with_tier(tier);
+    let interps = (0..sim.cores).map(|i| {
+        let mut interp = Interp::with_tier(sim.tier);
         let args = setup(i, &mut interp);
         interp.start_with_image(Arc::clone(image), func, &args);
         Ok(interp)
     });
-    interleave(config, interps, |i, interp: &mut Interp, obs| {
+    interleave(config, sim.perf, interps, |i, interp: &mut Interp, obs| {
         let step = match &mut record {
             Some(rec) => interp.run_steps(BATCH_STEPS, &mut Tee(&mut rec[i], obs)),
             None => interp.run_steps(BATCH_STEPS, obs),
@@ -124,17 +125,17 @@ pub(crate) fn interpret(
     })
 }
 
-/// Re-drive one timing model per core from a recorded multicore trace
-/// — `cursor(core)` opens it in memory or block-at-a-time from the
-/// file, whatever `S` is. One interpreter step is the events up to an
-/// end-of-step mark.
+/// Re-drive `sim.cores` timing models on `config` from a recorded
+/// multicore trace — `cursor(core)` opens it in memory or
+/// block-at-a-time from the file, whatever `S` is. One interpreter step
+/// is the events up to an end-of-step mark.
 pub(crate) fn replay<S: EventSource>(
     config: &MachineConfig,
-    n_cores: usize,
+    sim: &Sim<'_>,
     cursor: impl Fn(usize) -> Result<S, TraceError>,
 ) -> Result<Vec<SimRun>, SimError> {
-    let cursors = (0..n_cores).map(|i| Ok(cursor(i)?));
-    interleave(config, cursors, |_, cursor, obs| {
+    let cursors = (0..sim.cores).map(|i| Ok(cursor(i)?));
+    interleave(config, sim.perf, cursors, |_, cursor, obs| {
         for _ in 0..BATCH_STEPS {
             loop {
                 let Some((ev, end_of_step)) = cursor.next_event()? else {

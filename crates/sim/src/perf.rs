@@ -32,14 +32,17 @@
 //!
 //! Profiling piggybacks on branches the memory system already takes:
 //! it never probes a cache, never perturbs a clock, and never changes
-//! a counter. Enabling `SWPF_PERF` must leave every [`crate::SimStats`]
+//! a counter. Profiling a run must leave every [`crate::SimStats`]
 //! counter and every recorded event stream bit-identical (covered by
-//! `tests/perf_differential.rs`). When disabled (the default) the cost
-//! is one `Option` check per memory operation and no allocation.
+//! `tests/perf_differential.rs`). When off (the default) the cost is
+//! one `Option` check per memory operation and no allocation.
+//!
+//! Profiling is asked for, per run: `Sim { perf: true, .. }` (or
+//! `Machine::new(config, true)`). This crate reads no switch and no
+//! environment, so concurrent runs never see each other's choice; only
+//! the harness CLI maps `--perf` / `SWPF_PERF` onto the request.
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::OnceLock;
 use swpf_obs::Hist;
 
 use crate::TICKS_PER_CYCLE;
@@ -49,27 +52,6 @@ use crate::TICKS_PER_CYCLE;
 /// the oldest entries are recycled into `unused_at_end` so memory stays
 /// bounded regardless of run length.
 const TABLE_CAP: usize = 1 << 16;
-
-fn state() -> &'static AtomicBool {
-    static STATE: OnceLock<AtomicBool> = OnceLock::new();
-    STATE.get_or_init(|| AtomicBool::new(std::env::var_os("SWPF_PERF").is_some_and(|v| v != "0")))
-}
-
-/// Is per-PC profiling enabled? Seeded from `SWPF_PERF` (any value but
-/// `0`) on first use; flipped explicitly by [`set_enabled`]. Checked at
-/// machine *construction* time — toggling mid-run does not affect
-/// machines that already exist.
-#[must_use]
-pub fn enabled() -> bool {
-    state().load(Ordering::Relaxed)
-}
-
-/// Enable or disable per-PC profiling for machines built after this
-/// call (the `--perf` flag and the differential tests use this instead
-/// of racing on process environment).
-pub fn set_enabled(on: bool) {
-    state().store(on, Ordering::Relaxed);
-}
 
 /// Per-prefetch-site (static prefetch instruction, keyed by PC) outcome
 /// partition and lead-time histogram.

@@ -3,13 +3,13 @@
 //! Every figure of the paper is the same act — one kernel's
 //! retire-event stream priced by one or more machine models — so there
 //! is one way to ask for it: a [`Sim`] says *what is simulated* (a row
-//! of machines, the core count, the execution tier) and a [`Source`]
-//! says *where the events come from* (an interpretation of a decoded
-//! image, optionally recorded as it runs; a trace in memory; a trace
-//! file streamed block-at-a-time). [`Sim::run`] always returns
-//! [`SimRun`]s — statistics plus the per-PC profile, which is present
-//! exactly when [`crate::perf`] profiling was enabled — and dispatches
-//! to one of four implementations:
+//! of machines, the core count, the execution tier, whether to profile)
+//! and a [`Source`] says *where the events come from* (an
+//! interpretation of a decoded image, optionally recorded as it runs; a
+//! trace in memory; a trace file streamed block-at-a-time).
+//! [`Sim::run`] always returns [`SimRun`]s — statistics plus the per-PC
+//! profile ([`crate::perf`]), which is present exactly when the request
+//! asked for it — and dispatches to one of four implementations:
 //!
 //! | | interpret | replay |
 //! |---|---|---|
@@ -23,10 +23,11 @@
 //! machines equals N rows of one (events are observer-independent).
 //!
 //! The free functions below are one-expression conveniences over the
-//! request for quick starts and for `benchmark/layers`; they resolve
-//! the tier from `SWPF_TIER` and treat any [`SimError`] as a fatal
-//! configuration error. The request itself never reads the environment
-//! and never panics on a trap or a damaged trace.
+//! request for quick starts and for `benchmark/layers`; they run
+//! unprofiled, resolve the tier from `SWPF_TIER` and treat any
+//! [`SimError`] as a fatal configuration error. The request itself
+//! reads no environment at all — its tier and its profiling are
+//! fields — and never panics on a trap or a damaged trace.
 
 use crate::machine::{interpret_row, replay_row};
 use crate::multicore;
@@ -151,6 +152,10 @@ pub struct Sim<'a> {
     pub cores: usize,
     /// Execution tier of the interpreters; replay sources ignore it.
     pub tier: Tier,
+    /// Collect a per-PC prefetch-efficacy profile ([`crate::perf`]) on
+    /// every core: each [`SimRun::perf`] is then `Some`. Profiling never
+    /// changes a counter.
+    pub perf: bool,
 }
 
 impl Sim<'_> {
@@ -189,11 +194,11 @@ impl Sim<'_> {
             } => {
                 if self.cores == 1 {
                     let enc = record.map(|r| &mut r[0]);
-                    return interpret_row(self.machines, self.tier, &image, func, setup, enc);
+                    return interpret_row(self, &image, func, setup, enc);
                 }
                 self.per_machine(|m| {
                     let record = record.take();
-                    multicore::interpret(m, self.cores, self.tier, &image, func, setup, record)
+                    multicore::interpret(m, self, &image, func, setup, record)
                 })
             }
             Source::Trace(trace) => self.replay(|core| trace.cursor(core)),
@@ -206,9 +211,9 @@ impl Sim<'_> {
         cursor: impl Fn(usize) -> Result<S, TraceError>,
     ) -> Result<Vec<SimRun>, SimError> {
         if self.cores == 1 {
-            return replay_row(self.machines, &mut cursor(0)?);
+            return replay_row(self, &mut cursor(0)?);
         }
-        self.per_machine(|m| multicore::replay(m, self.cores, &cursor))
+        self.per_machine(|m| multicore::replay(m, self, &cursor))
     }
 
     fn per_machine(
@@ -231,12 +236,13 @@ fn once<'a>(
     move |_, interp| (setup.take().expect("a one-core run sets up once"))(interp)
 }
 
-/// One copy of the kernel on one machine.
+/// One unprofiled copy of the kernel on one machine.
 fn one<'a>(config: &'a &'a MachineConfig, tier: Tier) -> Sim<'a> {
     Sim {
         machines: std::slice::from_ref(config),
         cores: 1,
         tier,
+        perf: false,
     }
 }
 

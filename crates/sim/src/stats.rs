@@ -274,15 +274,15 @@ pub fn check_cell_laws(machine: &MachineConfig, cores: &[SimStats]) -> Result<()
 }
 
 /// One simulated core's complete result: the aggregate counters plus,
-/// when per-PC profiling was enabled ([`crate::perf`]), the attribution
-/// profile. The `*_perf` run entry points return this; the plain ones
-/// keep returning bare [`SimStats`].
+/// when the run was profiled ([`crate::perf`]), the attribution
+/// profile. A [`crate::Sim`] request returns this; the convenience
+/// wrappers keep only the bare [`SimStats`].
 #[derive(Debug, Clone, Default)]
 pub struct SimRun {
     /// Aggregate counters — bit-identical whether or not profiling ran.
     pub stats: SimStats,
-    /// Per-PC attribution; `None` unless profiling was enabled when the
-    /// machine was built.
+    /// Per-PC attribution; `None` unless the machine was built
+    /// profiled (`Sim::perf`).
     pub perf: Option<PcProfile>,
 }
 

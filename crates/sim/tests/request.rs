@@ -108,7 +108,6 @@ type Args = Box<dyn Fn(&mut Interp) -> Vec<RtVal>>;
 
 #[test]
 fn every_source_topology_and_tier_agrees() {
-    swpf_sim::perf::set_enabled(true);
     let (haswell, a53) = (MachineConfig::haswell(), MachineConfig::a53());
     let (xeon_phi, a57) = (MachineConfig::xeon_phi(), MachineConfig::a57());
     // Core kinds interleaved: a row that ran one kind's machines first
@@ -142,10 +141,11 @@ fn every_source_topology_and_tier_agrees() {
                         machines: &[cfg],
                         cores,
                         tier,
+                        perf: true,
                     };
                     let direct = sim.run(Source::image(&image, func, &mut setup)).unwrap();
                     assert_eq!(direct.len(), cores, "{at}");
-                    let profile = direct[0].perf.as_ref().expect("profiling is enabled");
+                    let profile = direct[0].perf.as_ref().expect("the request profiles");
                     assert!(!profile.sites.is_empty(), "{at}: every input prefetches");
 
                     let mut rec = TraceRecorder::new(cores, 42);
@@ -189,6 +189,7 @@ fn every_source_topology_and_tier_agrees() {
                 machines: &row_machines,
                 cores,
                 tier: Tier::Bytecode,
+                perf: true,
             };
             let at = format!("{name} x{cores} row");
             let fused = row.run(Source::image(&image, func, &mut setup)).unwrap();
@@ -218,6 +219,7 @@ fn every_source_topology_and_tier_agrees() {
             machines: &machines,
             cores,
             tier: Tier::Bytecode,
+            perf: true,
         };
         let want = one(1).run(Source::image(&image, func, &mut setup)).unwrap();
         let want = format!("{:?}", want[0].stats);
@@ -249,7 +251,6 @@ fn every_source_topology_and_tier_agrees() {
             );
         }
     }
-    swpf_sim::perf::set_enabled(false);
 }
 
 /// `f(p) = *p` — traps on any pointer outside allocated memory.
@@ -278,6 +279,7 @@ fn failures_are_typed_not_panics() {
             machines: &[&cfg],
             cores,
             tier: Tier::Bytecode,
+            perf: false,
         };
         let trapped = sim
             .run(Source::module(&module, "deref", &mut wild).unwrap())
@@ -299,6 +301,7 @@ fn failures_are_typed_not_panics() {
         machines: &[&cfg],
         cores: 2,
         tier: Tier::Bytecode,
+        perf: false,
     };
     assert_eq!(
         two.run(Source::Trace(&trace)).unwrap_err(),

@@ -170,6 +170,7 @@ impl<'a> Evaluator<'a> {
             machines: &self.machines.iter().collect::<Vec<_>>(),
             cores: 1,
             tier: self.tier,
+            perf: false,
         };
         let mut setup = |_: usize, interp: &mut Interp| self.workload.setup(interp);
         let stats = Source::module(&module, "kernel", &mut setup)

@@ -378,6 +378,7 @@ fn sim_stats_identical_across_tiers() {
                     machines: &[&cfg],
                     cores: 1,
                     tier,
+                    perf: false,
                 };
                 let runs = sim.run(Source::image(&image, f, &mut |_, i| w.setup(i)));
                 format!("{:?}", runs.expect("no trap")[0].stats)
@@ -406,6 +407,7 @@ fn multicore_contention_schedule_identical_across_tiers() {
                     machines: &[&cfg],
                     cores: n_cores,
                     tier,
+                    perf: false,
                 };
                 let runs = sim.run(Source::image(&image, f, &mut |_, i| w.setup(i)));
                 format!("{:?}", runs.expect("no trap"))

@@ -25,6 +25,7 @@ fn rebuilding_a_fig7_row_reuses_its_tag_stores() {
         machines: &row,
         cores: 1,
         tier: Tier::Bytecode,
+        perf: false,
     };
     let runs = sim
         .run(Source::module(&module, "kernel", &mut setup).expect("HJ-8 has a kernel"))
@@ -40,7 +41,10 @@ fn rebuilding_a_fig7_row_reuses_its_tag_stores() {
     // is the row's vector and each core's reorder buffer.
     let before = ALLOC.live_bytes();
     ALLOC.reset_peak();
-    let machines: Vec<Machine> = configs.iter().cloned().map(Machine::new).collect();
+    let machines: Vec<Machine> = configs
+        .iter()
+        .map(|c| Machine::new(c.clone(), false))
+        .collect();
     let peak = ALLOC.peak_bytes() - before;
     assert_eq!(machines.len(), 4);
     assert!(

@@ -12,33 +12,25 @@
 //! and fuel budgets that cut the run off mid-loop.
 
 use proptest::prelude::*;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::Arc;
 use swpf::workloads::{suite, Scale};
 use swpf_ir::exec::ExecImage;
 use swpf_ir::interp::{Interp, Tier, Trap};
 use swpf_sim::{Machine, MachineConfig, PcProfile, Sim, SimRun, SimStats, Source};
 use swpf_trace::TraceRecorder;
 
-/// `swpf_sim::perf::set_enabled` is process-global; tests that flip it
-/// serialise on this lock (and restore the disabled default on exit).
-fn lock() -> std::sync::MutexGuard<'static, ()> {
-    static GUARD: OnceLock<Mutex<()>> = OnceLock::new();
-    GUARD
-        .get_or_init(Mutex::default)
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
 fn fmt_stats(s: &SimStats) -> String {
     format!("{s:?}")
 }
 
-/// One copy of the kernel on `machine`, through the request.
-fn run_one(machine: &MachineConfig, tier: Tier, source: Source<'_>) -> SimRun {
+/// One copy of the kernel on `machine`, through the request, profiled
+/// when `perf`.
+fn run_one(machine: &MachineConfig, tier: Tier, perf: bool, source: Source<'_>) -> SimRun {
     let sim = Sim {
         machines: &[machine],
         cores: 1,
         tier,
+        perf,
     };
     sim.run(source).expect("no trap").remove(0)
 }
@@ -65,7 +57,6 @@ fn assert_partition(p: &PcProfile, s: &SimStats, ctx: &str) {
 
 #[test]
 fn profiling_is_observationally_pure_on_every_tier() {
-    let _g = lock();
     let w = &suite(Scale::Test)[0]; // IS — the paper's a[b[i]] kernel
     let module = w.build_manual(64);
     let f = module.find_function("kernel").expect("kernel exists");
@@ -75,13 +66,13 @@ fn profiling_is_observationally_pure_on_every_tier() {
         for tier in [Tier::Classic, Tier::Bytecode] {
             let ctx = format!("{}/{tier:?}", machine.name);
             let mut setup = |_: usize, i: &mut Interp| w.setup(i);
-            swpf_sim::perf::set_enabled(false);
-            let off = run_one(&machine, tier, Source::image(&image, f, &mut setup));
-            swpf_sim::perf::set_enabled(true);
-            let on = run_one(&machine, tier, Source::image(&image, f, &mut setup));
-            swpf_sim::perf::set_enabled(false);
-            assert!(off.perf.is_none(), "{ctx}: disabled run carries a profile");
-            let profile = on.perf.expect("enabled run carries a profile");
+            let off = run_one(&machine, tier, false, Source::image(&image, f, &mut setup));
+            let on = run_one(&machine, tier, true, Source::image(&image, f, &mut setup));
+            assert!(
+                off.perf.is_none(),
+                "{ctx}: unprofiled run carries a profile"
+            );
+            let profile = on.perf.expect("profiled run carries a profile");
             // Bit-identical statistics with profiling off and on: the
             // profiler never perturbs timing.
             assert_eq!(fmt_stats(&off.stats), fmt_stats(&on.stats), "{ctx}");
@@ -105,17 +96,16 @@ fn profiling_is_observationally_pure_on_every_tier() {
 
 #[test]
 fn replayed_profile_matches_direct_simulation() {
-    let _g = lock();
     let w = &suite(Scale::Test)[0];
     let module = w.build_manual(64);
     let f = module.find_function("kernel").expect("kernel exists");
     let image = Arc::new(ExecImage::build(&module));
     let machine = MachineConfig::a53();
-    swpf_sim::perf::set_enabled(true);
     let mut recorder = TraceRecorder::new(1, 42);
     let direct = run_one(
         &machine,
         Tier::Bytecode,
+        true,
         Source::Image {
             image: Arc::clone(&image),
             func: f,
@@ -124,8 +114,7 @@ fn replayed_profile_matches_direct_simulation() {
         },
     );
     let trace = recorder.finish();
-    let replayed = run_one(&machine, Tier::Bytecode, Source::Trace(&trace));
-    swpf_sim::perf::set_enabled(false);
+    let replayed = run_one(&machine, Tier::Bytecode, true, Source::Trace(&trace));
     assert_eq!(fmt_stats(&direct.stats), fmt_stats(&replayed.stats));
     assert_eq!(
         format!("{:?}", direct.perf.expect("direct profile")),
@@ -146,24 +135,21 @@ proptest! {
         mi in 0usize..4,
         fuel in 1_000u64..60_000,
     ) {
-        let _g = lock();
         let w = &suite(Scale::Test)[0];
         let module = w.build_manual(look_ahead);
         let f = module.find_function("kernel").expect("kernel exists");
         let image = Arc::new(ExecImage::build(&module));
         let machine = MachineConfig::all_systems()[mi].clone();
-        swpf_sim::perf::set_enabled(true);
         let mut interp = Interp::new();
         let args = w.setup(&mut interp);
         interp.set_fuel(fuel);
-        let mut machine = Machine::new(machine);
+        let mut machine = Machine::new(machine, true);
         match machine.run_image(Arc::clone(&image), f, &mut interp, &args) {
             Ok(_) | Err(Trap::OutOfFuel) => {}
             Err(t) => panic!("unexpected trap: {t}"),
         }
         let run = machine.finish();
-        swpf_sim::perf::set_enabled(false);
-        let p = run.perf.expect("profiling enabled");
+        let p = run.perf.expect("the machine profiles");
         prop_assert!(p.conserved(), "partition not conserved: {:?}", p.totals());
         for (pc, site) in &p.sites {
             prop_assert!(site.conserved(), "site {pc:#x} not conserved");

@@ -364,6 +364,7 @@ fn oversized_functions_are_rejected_at_lowering_not_dispatch() {
             machines: &[&cfg],
             cores: 2,
             tier,
+            perf: false,
         };
         let runs = sim.run(Source::image(&image, fid, &mut |_, _| args.to_vec()));
         runs.expect("no trap")
