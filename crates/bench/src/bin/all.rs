@@ -104,6 +104,7 @@ fn main() -> std::process::ExitCode {
     let mut failed = 0usize;
 
     for (name, build, _) in &selected {
+        let t = Instant::now(); // the whole experiment: the rows sum to the suite wall
         let (result, checks) = run_and_report(&build(scale), &opts.run, &opts.out_dir);
         let check_failures = checks.iter().filter(|c| !c.passed).count();
         failed += check_failures;
@@ -111,7 +112,7 @@ fn main() -> std::process::ExitCode {
             ("experiment", Json::Str((*name).to_string())),
             ("jobs", Json::U64(result.cells.len() as u64)),
             ("threads", Json::U64(result.threads as u64)),
-            ("wall_seconds", Json::F64(result.wall_s)),
+            ("wall_seconds", Json::F64(t.elapsed().as_secs_f64())),
             ("trace_hits", Json::U64(result.trace_hits() as u64)),
             ("trace_misses", Json::U64(result.trace_misses() as u64)),
             ("checks", Json::U64(checks.len() as u64)),

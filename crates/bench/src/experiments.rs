@@ -17,14 +17,14 @@
 
 use crate::geomean;
 use crate::harness::{
-    run_search, CellResult, Check, Experiment, ExperimentResult, ExperimentSpec, Kernel, Row,
-    Search, TableSection, TracePolicy, Variant, WorkloadSearch,
+    CellResult, Check, Experiment, ExperimentResult, ExperimentSpec, Kernel, Row, Search,
+    TableSection, TracePolicy, Variant,
 };
 use swpf_core::PassConfig;
 use swpf_sim::{CoreKind, MachineConfig, PcProfile, SiteProfile};
 use swpf_tune::{
     distance_curve, strictly_unimodal, Exhaustive, GoldenSection, HillClimb, PipelineSpace,
-    SearchSpace,
+    SearchSpace, Space,
 };
 use swpf_workloads::is::Fig2Scheme;
 use swpf_workloads::{KernelVariant, Scale, WorkloadId};
@@ -870,8 +870,8 @@ fn fig10(scale: Scale) -> Experiment {
 /// isolation (GVN + DCE), and the full global pipeline — the paper's
 /// "later passes clean up the generated address code" step (§4/§5),
 /// made measurable. Each entry is `(variant label, pipeline spec)`;
-/// this const is the single source of the experiment's variant axis,
-/// its static-cost columns, and its speedup tables. The first entry
+/// this const heads the experiment's variant axis and is the single
+/// source of its static-cost columns and speedup tables. The first entry
 /// must be the bare pass (the reference the others are checked
 /// against), entries must only add cleanup (the monotonicity check
 /// assumes it), and `swpf_cse_dce`/`swpf_full` must both be present
@@ -945,34 +945,30 @@ fn ablation_static_costs(scale: Scale) -> Vec<(WorkloadId, StaticCost)> {
         .collect()
 }
 
-/// Exhaustively search the cleanup-pipeline space per workload ×
-/// machine, through the harness's search loop: the evaluator-exact
-/// cycles of the compiler's default pipeline (bare `swpf`), the full
-/// heuristic pipeline, and the best over
-/// [`swpf_tune::PipelineSpace::paper_default`]. Both references are
-/// candidates, so `best ≤ full` and `best ≤ default` by construction;
-/// what the search *adds* is the exact margin, per cell.
-fn ablation_searched_cells(res: &ExperimentResult) -> Vec<WorkloadSearch> {
-    let search = Search {
-        space: Box::new(PipelineSpace::paper_default()),
-        strategies: vec![Box::new(Exhaustive)],
-    };
-    run_search(
-        &search,
-        res.scale,
-        &res.machines,
-        &WorkloadId::ALL,
-        res.tier,
-    )
-    .1
+/// The ablation's pass variants: [`ABLATION_PIPELINES`], then every
+/// pipeline of [`PipelineSpace::paper_default`] not already listed,
+/// labelled by its spec with `,` → `_`. The searched column is read off
+/// these cells, so the grid prices every candidate of the space.
+fn ablation_pipelines() -> Vec<(String, PassConfig)> {
+    let mut out: Vec<(String, PassConfig)> = ABLATION_PIPELINES
+        .iter()
+        .map(|&(label, spec)| (label.to_string(), PassConfig::with_pipeline(spec)))
+        .collect();
+    let space = PipelineSpace::paper_default();
+    for config in (0..space.len()).map(|i| space.at(i)) {
+        if !out.iter().any(|(_, c)| *c == config) {
+            out.push((config.pipeline.to_string().replace(',', "_"), config));
+        }
+    }
+    out
 }
 
 fn ablation(scale: Scale) -> Experiment {
     let mut variants = vec![Variant::baseline()];
     variants.extend(
-        ABLATION_PIPELINES
-            .iter()
-            .map(|&(label, spec)| Variant::pass(label, PassConfig::with_pipeline(spec))),
+        ablation_pipelines()
+            .into_iter()
+            .map(|(label, config)| Variant::pass(&label, config)),
     );
     Experiment {
         spec: ExperimentSpec {
@@ -1058,25 +1054,41 @@ fn ablation(scale: Scale) -> Experiment {
                     .to_string(),
             );
             sections.push(lr);
-            // The searched-pipeline column: exhaustive search over the
-            // cleanup-pipeline space, evaluator-exact cycles per cell.
-            let searched = ablation_searched_cells(res);
+            // The searched-pipeline column: the exhaustive oracle over
+            // the cleanup-pipeline space, read off the grid's cells.
+            // Candidates go in `Exhaustive`'s visit order — the full
+            // heuristic pipeline, then the space — and ties go to the
+            // first, so both references are candidates.
+            let (space, pipelines) = (PipelineSpace::paper_default(), ablation_pipelines());
+            let variant = |c: PassConfig| pipelines.iter().find(|(_, p)| *p == c);
+            let visit: Vec<&(String, PassConfig)> = std::iter::once(space.heuristic().clone())
+                .chain((0..space.len()).map(|i| space.at(i)))
+                .filter_map(variant)
+                .collect();
+            let cycles = |m: &str, w: &str, label: &str| {
+                res.cell(m, w, label).expect("grid complete").stats().cycles
+            };
+            let (bare, full) = (ABLATION_PIPELINES[0].0, visit[0].0.as_str());
+            let searched = |m: &str, w: &str| {
+                let heuristic = (cycles(m, w, full), &visit[0].1);
+                visit.iter().fold(heuristic, |best, (l, c)| {
+                    std::cmp::min_by_key(best, (cycles(m, w, l), c), |p| p.0)
+                })
+            };
             let mut rows = Vec::new();
             let mut chosen = Vec::new();
-            for s in &searched {
-                for (mi, m) in res.machines.iter().enumerate() {
-                    let (r, name) = (&s.reports[mi][0], format!("{}/{}", m.name, s.workload));
-                    let pipeline = r.chosen.pipeline.to_string();
+            for w in WorkloadId::ALL.map(WorkloadId::name) {
+                for m in res.machines.iter().map(|m| m.name) {
+                    let (best, config) = searched(m, w);
+                    let name = format!("{m}/{w}");
+                    let pipeline = config.pipeline.to_string();
                     if pipeline != swpf_tune::DEFAULT_FULL_PIPELINE {
                         chosen.push(format!("{name}: searched pipeline `{pipeline}`"));
                     }
+                    let values = [cycles(m, w, bare), cycles(m, w, full), best];
                     rows.push(Row {
                         name,
-                        values: vec![
-                            s.default_cycles[mi] as f64,
-                            r.heuristic_cycles as f64,
-                            r.chosen_cycles as f64,
-                        ],
+                        values: values.map(|c| c as f64).to_vec(),
                     });
                 }
             }
@@ -1097,20 +1109,16 @@ fn ablation(scale: Scale) -> Experiment {
             // Speedup over no-prefetch per machine, per pipeline, plus
             // the searched column: the full pipeline's measured speedup
             // scaled by the searched pipeline's exact cycle margin.
-            sections.extend(res.machines.iter().enumerate().map(|(mi, m)| {
+            sections.extend(res.machines.iter().map(|m| {
                 let mut rows = speedup_rows(res, m.name, &WorkloadId::ALL, &labels);
                 let mut searched_col = Vec::new();
                 for r in &mut rows {
                     if r.name == "Geomean" {
                         continue;
                     }
-                    let cell = &searched
-                        .iter()
-                        .find(|s| s.workload == r.name)
-                        .expect("one search per workload")
-                        .reports[mi][0];
+                    let full_cycles = cycles(m.name, &r.name, full);
                     let full_speedup = r.values[labels.len() - 1];
-                    let v = full_speedup * cell.heuristic_cycles as f64 / cell.chosen_cycles as f64;
+                    let v = full_speedup * full_cycles as f64 / searched(m.name, &r.name).0 as f64;
                     r.values.push(v);
                     searched_col.push(v);
                 }

@@ -41,7 +41,7 @@
 //! An experiment may also carry a [`Search`]: after its grid, the
 //! harness runs each of the search's strategies over its space, per
 //! workload × machine of the spec, on the `swpf-tune` evaluator (see
-//! [`run_search`]). The searched experiments (`tune`,
+//! `run_search`). The searched experiments (`tune`,
 //! `pipeline_search`) have an empty grid and a search; every
 //! experiment, searched or not, is run and reported the same way.
 //!
@@ -360,8 +360,6 @@ pub struct ExperimentResult {
     pub wall_s: f64,
     /// The trace policy the run's grid used.
     pub trace: TracePolicy,
-    /// Execution tier the run's interpreters were built on.
-    pub tier: Tier,
     /// What the experiment's [`Search`] found, one entry per workload;
     /// empty for an experiment without one.
     pub searches: Vec<WorkloadSearch>,
@@ -661,7 +659,6 @@ pub fn run_experiment(exp: &Experiment, opts: &RunOptions) -> ExperimentResult {
         threads,
         wall_s: t0.elapsed().as_secs_f64(),
         trace: opts.trace.clone(),
-        tier: opts.tier,
         searches,
     }
 }
@@ -730,7 +727,7 @@ fn group_jobs(
 /// # Panics
 /// On a malformed space or a simulation trap — configuration errors.
 #[must_use]
-pub fn run_search(
+fn run_search(
     search: &Search,
     scale: Scale,
     machines: &[MachineConfig],
@@ -929,7 +926,8 @@ fn run_group(
 }
 
 /// Run one row of a trace group — cells that differ only in their
-/// machine — through one simulation request, and label the results.
+/// machine — through one simulation request of its distinct machines
+/// (alike kernels put one machine in a row twice), and label the results.
 /// The span is named after where the events come from, and a cell
 /// counts as `replayed` unless it is the one that paid for an
 /// interpretation. `wall_ms` covers the simulation only (persisting a
@@ -948,10 +946,11 @@ fn run_row(
         Source::Trace(_) => ("replay", true),
         Source::Stream(_) => ("stream_replay", true),
     };
-    let machines: Vec<&MachineConfig> = row
-        .iter()
-        .map(|&ji| &spec.machines[jobs[ji].machine])
-        .collect();
+    let mut distinct: Vec<usize> = row.iter().map(|&ji| jobs[ji].machine).collect();
+    distinct.sort_unstable();
+    distinct.dedup();
+    let machines: Vec<&MachineConfig> = distinct.iter().map(|&mi| &spec.machines[mi]).collect();
+    swpf_obs::count("harness.machine_runs", machines.len() as u64);
     let sim = Sim {
         machines: &machines,
         cores,
@@ -964,18 +963,20 @@ fn run_row(
         sim.run(source)?
     };
     let wall_ms = t0.elapsed().as_secs_f64() * 1e3 / row.len() as f64;
-    let mut runs = runs.into_iter();
+    let runs_of: HashMap<usize, &[_]> = distinct.into_iter().zip(runs.chunks(cores)).collect();
     Ok(row
         .iter()
         .enumerate()
         .map(|(k, &ji)| {
-            let variant = &spec.variants[jobs[ji].variant];
+            let (machine, variant) = (jobs[ji].machine, &spec.variants[jobs[ji].variant]);
             // Profiles are present for all cores or none (profiling is
             // per request, not per core).
-            let (cores, perf): (Vec<SimStats>, Vec<Option<PcProfile>>) =
-                runs.by_ref().take(cores).map(|r| (r.stats, r.perf)).unzip();
+            let (cores, perf): (Vec<SimStats>, Vec<Option<PcProfile>>) = runs_of[&machine]
+                .iter()
+                .map(|r| (r.stats, r.perf.clone()))
+                .unzip();
             let cell = CellResult {
-                machine: machines[k].name,
+                machine: spec.machines[machine].name,
                 workload,
                 variant: variant.label.clone(),
                 cores,
@@ -1129,25 +1130,12 @@ pub fn print_sections(sections: &[TableSection]) {
 }
 
 /// Serialise one run to `dir/<name>.json` (creating `dir`), returning
-/// the path written.
-///
-/// # Errors
-/// Propagates filesystem errors.
-pub fn write_artifact(
-    dir: &Path,
-    result: &ExperimentResult,
-    derived: &[TableSection],
-    checks: &[Check],
-) -> std::io::Result<PathBuf> {
-    write_artifact_with_profile(dir, result, derived, checks, None)
-}
-
-/// [`write_artifact`], optionally carrying the run's additive `profile`
+/// the path written, optionally carrying the run's additive `profile`
 /// section (see [`profile_window_json`]).
 ///
 /// # Errors
 /// Propagates filesystem errors.
-pub fn write_artifact_with_profile(
+pub fn write_artifact(
     dir: &Path,
     result: &ExperimentResult,
     derived: &[TableSection],
@@ -1467,7 +1455,7 @@ pub fn run_and_report(
         result.trace_misses(),
     );
     print_sections(&derived);
-    let path = write_artifact_with_profile(out_dir, &result, &derived, &checks, profile)
+    let path = write_artifact(out_dir, &result, &derived, &checks, profile)
         .unwrap_or_else(|e| panic!("cannot write artifact for {}: {e}", result.name));
     println!("\nartifact: {}", path.display());
     for check in &checks {

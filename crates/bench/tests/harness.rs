@@ -32,7 +32,7 @@ fn experiment_grid_sizes_are_pinned() {
         ("fig8", 7 * 3),
         ("fig9", 6),                      // {1,2,4} cores × {baseline, auto}
         ("fig10", 2 * 3 * 2),             // two page policies
-        ("ablation", 4 * 7 * 6),          // baseline + five pass pipelines
+        ("ablation", 4 * 7 * 10),         // baseline + nine pass pipelines
         ("trace_analytics", 0),           // all work happens in derive, off traces
         ("prefetch_profile", 4 * 4 * 10), // baseline + 8 distances + auto
         ("tune", 0),                      // searched: no grid
@@ -86,7 +86,7 @@ fn artifact_snapshot_at_test_scale() {
     checks.extend((exp.checks)(&result, &derived));
 
     let dir = std::env::temp_dir().join(format!("swpf_artifact_{}", std::process::id()));
-    let path = write_artifact(&dir, &result, &derived, &checks).expect("artifact written");
+    let path = write_artifact(&dir, &result, &derived, &checks, None).expect("artifact written");
     let text = std::fs::read_to_string(&path).expect("artifact readable");
     std::fs::remove_dir_all(&dir).ok();
     let doc = Json::parse(&text).expect("artifact is valid JSON");
@@ -252,10 +252,12 @@ fn assert_cells_identical(
 /// The replay equivalence contract at harness level: the default
 /// record/replay policy produces cell-identical statistics to direct
 /// simulation, including the multicore (fig9) and TLB-sweep (fig10)
-/// grids, and actually replays the machine-axis cells.
+/// grids and ablation's fused rows, which hold one machine several
+/// times (pipelines that end in the same code), and actually replays
+/// the machine-axis cells.
 #[test]
 fn traced_runs_match_direct_runs() {
-    for name in ["fig2", "fig9", "fig10"] {
+    for name in ["fig2", "fig9", "fig10", "ablation"] {
         let exp = experiments::by_name(name, Scale::Test).unwrap();
         let direct = run_experiment(
             &exp,
@@ -416,12 +418,13 @@ fn untimed(sections: Vec<TableSection>) -> Vec<TableSection> {
         .collect()
 }
 
-/// The searched experiments run on the tier the run options name, and
-/// the two tiers agree: same cells, same cycles, same derived tables,
-/// each cell labelled with its tier.
+/// The searched experiments, and ablation with its searched column
+/// read off its grid, run on the tier the run options name, and the
+/// two tiers agree: same cells, same cycles, same derived tables, each
+/// cell labelled with its tier.
 #[test]
 fn searched_experiments_run_on_the_options_tier() {
-    for name in ["tune", "pipeline_search"] {
+    for name in ["tune", "pipeline_search", "ablation"] {
         let exp = experiments::by_name(name, Scale::Test).unwrap();
         let run = |tier: Tier| {
             let result = run_experiment(

@@ -7,10 +7,13 @@ use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Mutex;
 use swpf_bench::experiments;
-use swpf_bench::harness::{run_and_report, run_experiment, RunOptions, TracePolicy};
+use swpf_bench::harness::{
+    run_and_report, run_experiment, Experiment, ExperimentSpec, RunOptions, TracePolicy, Variant,
+};
 use swpf_bench::json::Json;
 use swpf_obs::{Profile, ThreadTrack, TrackEvent};
-use swpf_workloads::Scale;
+use swpf_sim::MachineConfig;
+use swpf_workloads::{Scale, WorkloadId};
 
 /// The `swpf-obs` recorder is process-global; tests that touch it
 /// serialise here and reset around themselves.
@@ -274,4 +277,62 @@ fn fig4_profile_has_phase_coverage_and_cache_counters() {
             > 0,
         "warm artifact window sees cache hits"
     );
+}
+
+/// A row that holds one machine twice runs that machine's timing model
+/// once. The ICC-like pass finds nothing to do in RA, so its kernel
+/// prints like the baseline and both ride one a53 row; in IS it prints
+/// like the auto pass. Six cells, four distinct (text, machine) pairs:
+/// four timing-model runs, and every cell equal to its direct run.
+#[test]
+fn a_machine_repeated_in_a_row_is_simulated_once() {
+    let _g = lock();
+    let exp = Experiment {
+        spec: ExperimentSpec {
+            name: "alike",
+            title: "kernels that print alike on one machine",
+            scale: Scale::Test,
+            machines: vec![MachineConfig::a53()],
+            workloads: vec![WorkloadId::Ra, WorkloadId::Is],
+            variants: vec![Variant::baseline(), Variant::icc(), Variant::auto_default()],
+            filter: None,
+            perf: false,
+        },
+        search: None,
+        derive: |_| Vec::new(),
+        checks: |_, _| Vec::new(),
+    };
+    let run = |trace: TracePolicy| {
+        run_experiment(
+            &exp,
+            &RunOptions {
+                threads: 1,
+                trace,
+                ..RunOptions::default()
+            },
+        )
+    };
+    let direct = run(TracePolicy::Off);
+    swpf_obs::reset();
+    swpf_obs::enable();
+    let fused = run(TracePolicy::Memory);
+    swpf_obs::disable();
+    let runs = swpf_obs::snapshot()
+        .counters
+        .get("harness.machine_runs")
+        .copied();
+    assert_eq!(fused.cells.len(), 6);
+    assert_eq!(runs, Some(4), "one timing model per distinct text");
+    for (d, f) in direct.cells.iter().zip(&fused.cells) {
+        assert_eq!((d.workload, &d.variant), (f.workload, &f.variant));
+        assert_eq!(d.stats().counters(), f.stats().counters(), "{}", d.variant);
+    }
+    let ra = |v: &str| {
+        fused
+            .cell("a53", WorkloadId::Ra.name(), v)
+            .expect("RA cell")
+            .stats()
+            .counters()
+    };
+    assert_eq!(ra("baseline"), ra("icc"), "icc shares the baseline's run");
 }

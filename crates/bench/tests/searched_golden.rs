@@ -1,7 +1,7 @@
 //! Golden pin of the three searched results at `Scale::Test`: the
 //! `tune` and `pipeline_search` experiments and the `ablation`
-//! experiment, whose `searched` column runs the same exhaustive
-//! pipeline oracle. Every cell's cycles, every derived section (the
+//! experiment, whose `searched` column reads the same exhaustive
+//! pipeline oracle off its grid. Every cell's cycles, every derived section (the
 //! `Search cost` table without its timed `wall_s` column) and every
 //! check verdict are diffed against
 //! `tests/golden/searched_test_scale.txt`.
