@@ -65,7 +65,8 @@ impl LoopBound {
     }
 }
 
-/// Induction variables and bounds for every loop of a function.
+/// Induction variables and bounds for every loop of a function, each
+/// list sorted by phi so a lookup is a binary search.
 #[derive(Debug, Clone, Default)]
 pub struct IvAnalysis {
     ivs: Vec<InductionVar>,
@@ -80,6 +81,7 @@ impl IvAnalysis {
         let mut bounds = Vec::new();
         for lid in forest.ids() {
             let l = forest.get(lid);
+            let first = ivs.len();
             let (Some(preheader), [latch]) = (l.preheader, l.latches.as_slice()) else {
                 continue; // multi-latch or multi-entry: no canonical IV
             };
@@ -116,11 +118,13 @@ impl IvAnalysis {
             // Bound: single exiting block whose condition compares an IV
             // (or its update) against a loop-invariant value.
             if let [exiting] = l.exiting.as_slice() {
-                if let Some(b) = find_bound(f, forest, lid, *exiting, &ivs) {
+                if let Some(b) = find_bound(f, forest, lid, *exiting, &ivs[first..]) {
                     bounds.push(b);
                 }
             }
         }
+        ivs.sort_unstable_by_key(|iv| iv.phi);
+        bounds.sort_unstable_by_key(|b| b.iv_phi);
         IvAnalysis { ivs, bounds }
     }
 
@@ -132,16 +136,18 @@ impl IvAnalysis {
     /// The induction variable whose phi is `v`, if `v` is one.
     #[must_use]
     pub fn as_iv(&self, v: ValueId) -> Option<&InductionVar> {
-        self.ivs.iter().find(|iv| iv.phi == v)
+        let at = self.ivs.binary_search_by_key(&v, |iv| iv.phi).ok()?;
+        Some(&self.ivs[at])
     }
 
     /// The bound constraining induction variable `phi`, if discovered.
     #[must_use]
     pub fn bound_of(&self, phi: ValueId) -> Option<&LoopBound> {
-        self.bounds.iter().find(|b| b.iv_phi == phi)
+        let at = self.bounds.binary_search_by_key(&phi, |b| b.iv_phi).ok()?;
+        Some(&self.bounds[at])
     }
 
-    /// All discovered induction variables.
+    /// All discovered induction variables, in phi order.
     #[must_use]
     pub fn all(&self) -> &[InductionVar] {
         &self.ivs
@@ -186,6 +192,7 @@ fn find_bound(
     exiting: swpf_ir::BlockId,
     ivs: &[InductionVar],
 ) -> Option<LoopBound> {
+    // `ivs` are loop `lid`'s own.
     let l = forest.get(lid);
     let term = f.block(exiting).last()?;
     let InstKind::CondBr {
@@ -209,7 +216,7 @@ fn find_bound(
     };
     // Normalise: IV-ish operand on the left, invariant bound on the right.
     let classify = |v: ValueId| -> Option<(ValueId, bool)> {
-        for iv in ivs.iter().filter(|iv| iv.in_loop == lid) {
+        for iv in ivs {
             if v == iv.phi {
                 return Some((iv.phi, false));
             }

@@ -1051,32 +1051,54 @@ pub fn structural_checks(result: &ExperimentResult, derived: &[TableSection]) ->
         .cells
         .iter()
         .filter(|c| c.cores.iter().any(|s| s.cycles == 0 || s.insts.total == 0))
-        .count();
+        .map(|c| format!("{}/{}/{}", c.workload, c.variant, c.machine));
     if !result.cells.is_empty() {
         checks.push(Check::new(
             "all_cells_simulated",
-            dead == 0,
-            format!("{} of {} cells retired no work", dead, result.cells.len()),
+            dead.clone().next().is_none(),
+            first_three(dead, "every cell retired work", "retired no work"),
         ));
     }
-    let mut bad_values = 0usize;
-    let mut total_values = 0usize;
-    for section in derived {
-        for row in &section.rows {
-            for v in &row.values {
-                total_values += 1;
-                if !v.is_finite() || *v < 0.0 {
-                    bad_values += 1;
-                }
-            }
-        }
-    }
+    let bad = derived.iter().flat_map(|section| {
+        section.rows.iter().flat_map(move |row| {
+            row.values
+                .iter()
+                .enumerate()
+                .filter(|(_, v)| !v.is_finite() || **v < 0.0)
+                .map(move |(i, _)| {
+                    let column = section.columns.get(i).map_or("?", String::as_str);
+                    format!("{} / {} / {column}", section.title, row.name)
+                })
+        })
+    });
     checks.push(Check::new(
         "derived_values_finite",
-        bad_values == 0,
-        format!("{bad_values} of {total_values} derived values non-finite or negative"),
+        bad.clone().next().is_none(),
+        first_three(
+            bad,
+            "every derived value finite and non-negative",
+            "non-finite or negative",
+        ),
     ));
     checks
+}
+
+/// A check's detail that names what failed, not how much there was: so
+/// that a grid growing by cells leaves a passing detail as it was.
+/// `ok` when `names` is empty, else up to three of them and `what`.
+fn first_three(mut names: impl Iterator<Item = String>, ok: &str, what: &str) -> String {
+    let Some(first) = names.next() else {
+        return ok.to_string();
+    };
+    let mut detail = first;
+    for name in names.by_ref().take(2) {
+        detail.push_str(", ");
+        detail.push_str(&name);
+    }
+    if names.next().is_some() {
+        detail.push_str(" and more");
+    }
+    format!("{detail}: {what}")
 }
 
 /// Geomean of one column across all named rows of a section.

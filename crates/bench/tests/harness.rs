@@ -174,13 +174,48 @@ fn structural_checks_catch_dead_cells() {
         .iter()
         .all(|c| c.passed));
 
+    let passing: Vec<String> = structural_checks(&result, &derived)
+        .into_iter()
+        .map(|c| c.detail)
+        .collect();
+    assert_eq!(
+        passing,
+        [
+            "every cell retired work",
+            "every derived value finite and non-negative"
+        ],
+        "passing details name no count, so a larger grid keeps them"
+    );
+
     result.cells[0].cores[0].cycles = 0;
     let broken = structural_checks(&result, &derived);
-    assert!(
-        broken
-            .iter()
-            .any(|c| c.name == "all_cells_simulated" && !c.passed),
-        "zeroed cell must fail the structural check"
+    let dead = broken
+        .iter()
+        .find(|c| c.name == "all_cells_simulated" && !c.passed)
+        .expect("zeroed cell must fail the structural check");
+    let cell = &result.cells[0];
+    assert_eq!(
+        dead.detail,
+        format!(
+            "{}/{}/{}: retired no work",
+            cell.workload, cell.variant, cell.machine
+        )
+    );
+
+    let mut derived = derived;
+    derived[0].rows[0].values[0] = f64::NAN;
+    let section = &derived[0];
+    let bad = structural_checks(&result, &derived)
+        .into_iter()
+        .find(|c| c.name == "derived_values_finite")
+        .expect("always checked");
+    assert!(!bad.passed);
+    assert_eq!(
+        bad.detail,
+        format!(
+            "{} / {} / {}: non-finite or negative",
+            section.title, section.rows[0].name, section.columns[0]
+        )
     );
 }
 

@@ -16,7 +16,7 @@
 //! * every duplicated instruction executes unconditionally each iteration
 //!   of its loop (no loads conditional on loop-variant values).
 
-use crate::codegen;
+use crate::codegen::{self, CloneScratch};
 use crate::dfs::{find_iv_paths, DfsResult, DfsScratch, ValueSet};
 use crate::hoist;
 use crate::report::{FunctionReport, SkipRecord};
@@ -55,6 +55,26 @@ pub enum SkipReason {
     /// (same base and index, byte offsets within one line) — e.g. the
     /// fields of one hash-table bucket.
     SameLineCovered,
+}
+
+impl SkipReason {
+    /// The reason's name, as `Debug` prints it (the pass report's text).
+    #[must_use]
+    pub fn as_str(self) -> &'static str {
+        match self {
+            SkipReason::NoInductionVariable => "NoInductionVariable",
+            SkipReason::ContainsCall => "ContainsCall",
+            SkipReason::ContainsNonIvPhi => "ContainsNonIvPhi",
+            SkipReason::LookaheadNotDirect => "LookaheadNotDirect",
+            SkipReason::NotCanonicalIv => "NotCanonicalIv",
+            SkipReason::NoSizeInfo => "NoSizeInfo",
+            SkipReason::MayAliasStore => "MayAliasStore",
+            SkipReason::Conditional => "Conditional",
+            SkipReason::StrideOnly => "StrideOnly",
+            SkipReason::Subsumed => "Subsumed",
+            SkipReason::SameLineCovered => "SameLineCovered",
+        }
+    }
 }
 
 /// How the look-ahead induction variable is clamped (paper §4.2).
@@ -116,65 +136,84 @@ pub struct PlannedPrefetch {
     pub placement: Placement,
 }
 
+/// What the pass reuses from load to load and from function to
+/// function: the candidate walk's tables, [`chain_of`]'s levels, code
+/// generation's clone map, and the buffers between the stages.
+#[derive(Debug, Default)]
+pub struct Scratch {
+    walk: DfsScratch,
+    chain: ChainScratch,
+    clone: CloneScratch,
+    raw: Vec<(ValueId, DfsResult)>,
+    planned: Vec<PlannedPrefetch>,
+    /// Per value: a chain load of an accepted plan.
+    covered: Vec<bool>,
+    line_keys: Vec<(ValueId, ValueId, u64, u64)>,
+}
+
 /// Stage 1 — **discovery** (Algorithm 1 lines 29–33): walk every load
 /// inside a loop, in block order, and DFS its data dependences back to
-/// an induction variable. Returns the raw candidates plus a skip record
-/// for every load no path reaches an induction variable from.
-#[must_use]
+/// an induction variable. Appends the raw candidates to `raw`, and a
+/// skip record to `skipped` for every load no path reaches an induction
+/// variable from.
 pub fn discover(
     f: &Function,
     analysis: &FuncAnalysis,
-) -> (Vec<(ValueId, DfsResult)>, Vec<SkipRecord>) {
+    walk: &mut DfsScratch,
+    raw: &mut Vec<(ValueId, DfsResult)>,
+    skipped: &mut Vec<SkipRecord>,
+) {
     // Loads inside loops, in block order (paper line 30).
-    let mut loads: Vec<ValueId> = Vec::new();
     for b in f.block_ids() {
         if analysis.loops.innermost(b).is_none() {
             continue;
         }
-        for &v in &f.block(b).insts {
-            if matches!(f.inst(v).map(|i| &i.kind), Some(InstKind::Load { .. })) {
-                loads.push(v);
+        for &load in &f.block(b).insts {
+            if !matches!(f.inst(load).map(|i| &i.kind), Some(InstKind::Load { .. })) {
+                continue;
+            }
+            match find_iv_paths(f, analysis, load, walk) {
+                Some(r) => raw.push((load, r)),
+                None => skipped.push(SkipRecord {
+                    load,
+                    reason: SkipReason::NoInductionVariable,
+                }),
             }
         }
     }
-
-    let mut raw: Vec<(ValueId, DfsResult)> = Vec::new();
-    let mut skipped: Vec<SkipRecord> = Vec::new();
-    let mut scratch = DfsScratch::default();
-    for load in loads {
-        match find_iv_paths(f, analysis, load, &mut scratch) {
-            Some(r) => raw.push((load, r)),
-            None => skipped.push(SkipRecord {
-                load,
-                reason: SkipReason::NoInductionVariable,
-            }),
-        }
-    }
-    (raw, skipped)
 }
 
 /// Stage 2 — **filtering** (Algorithm 1 lines 34–42, §4.2): deduplicate
 /// the raw candidates (subsumption by longer chains, cache-line
-/// coverage) and apply every safety filter, turning survivors into
-/// fully-validated [`PlannedPrefetch`]es.
-#[must_use]
+/// coverage) and apply every safety filter, draining `scratch.raw` into
+/// fully-validated [`PlannedPrefetch`]es in `scratch.planned` and skip
+/// records in `skipped`.
 pub fn filter(
     f: &Function,
     analysis: &FuncAnalysis,
-    mut raw: Vec<(ValueId, DfsResult)>,
     config: &PassConfig,
-) -> (Vec<PlannedPrefetch>, Vec<SkipRecord>) {
-    let mut planned: Vec<PlannedPrefetch> = Vec::new();
-    let mut skipped: Vec<SkipRecord> = Vec::new();
-
+    scratch: &mut Scratch,
+    skipped: &mut Vec<SkipRecord>,
+) {
+    let Scratch {
+        chain: chain_scratch,
+        raw,
+        planned,
+        covered,
+        line_keys,
+        ..
+    } = scratch;
     // Longest chains first so shorter chains they cover are subsumed.
     raw.sort_by_key(|(_, r)| std::cmp::Reverse(r.set.len()));
-    let mut covered = vec![false; f.num_values()];
-    // (base, index, elem_size) of accepted targets' address geps, for
-    // line-granularity deduplication: prefetching `bucket.k0` already
-    // fetches `bucket.k1`'s line.
-    let mut line_keys: Vec<(ValueId, ValueId, u64, u64)> = Vec::new();
-    for (load, r) in raw {
+    if covered.len() < f.num_values() {
+        covered.resize(f.num_values(), false);
+    }
+    // (base, index, elem_size, offset) of accepted targets' address
+    // geps, for line-granularity deduplication: prefetching `bucket.k0`
+    // already fetches `bucket.k1`'s line.
+    line_keys.clear();
+    let first_plan = planned.len();
+    for (load, r) in raw.drain(..) {
         if covered[load.index()] {
             skipped.push(SkipRecord {
                 load,
@@ -182,7 +221,8 @@ pub fn filter(
             });
             continue;
         }
-        if let Some(key) = target_gep_key(f, load) {
+        let key = target_gep_key(f, load);
+        if let Some(key) = key {
             if line_keys
                 .iter()
                 .any(|k| k.0 == key.0 && k.1 == key.1 && k.2 == key.2 && k.3.abs_diff(key.3) < 64)
@@ -194,26 +234,29 @@ pub fn filter(
                 continue;
             }
         }
-        match validate(f, analysis, load, &r, config) {
+        match validate(f, analysis, load, r, config, chain_scratch) {
             Ok(plan) => {
                 for c in &plan.chain {
                     covered[c.load.index()] = true;
                 }
-                if let Some(key) = target_gep_key(f, load) {
-                    line_keys.push(key);
-                }
+                line_keys.extend(key);
                 planned.push(plan);
             }
             Err(reason) => skipped.push(SkipRecord { load, reason }),
         }
     }
-    (planned, skipped)
+    for plan in &planned[first_plan..] {
+        for c in &plan.chain {
+            covered[c.load.index()] = false;
+        }
+    }
 }
 
 /// Run the pass stages on one function using caller-provided analyses
 /// (the pass-manager path: `swpf_core::SwpfPass` feeds analyses from
 /// the `swpf-pass` [`AnalysisManager`](swpf_pass::AnalysisManager)
-/// cache). `analysis` must describe `m.function(fid)`'s current body.
+/// cache, and keeps `scratch` from function to function). `analysis`
+/// must describe `m.function(fid)`'s current body.
 ///
 /// Stages: [`discover`] → [`filter`] → scheduling + generation
 /// ([`crate::codegen::emit`], which applies [`crate::schedule`]'s
@@ -223,23 +266,25 @@ pub fn run_with_analysis(
     fid: FuncId,
     config: &PassConfig,
     analysis: &FuncAnalysis,
+    scratch: &mut Scratch,
 ) -> FunctionReport {
+    let f = m.function(fid);
     let mut report = FunctionReport {
-        name: m.function(fid).name.clone(),
+        name: f.name.clone(),
         ..FunctionReport::default()
     };
-    let planned = {
-        let f = m.function(fid);
-        let (raw, no_iv) = discover(f, analysis);
-        report.skipped.extend(no_iv);
-        let (planned, rejected) = filter(f, analysis, raw, config);
-        report.skipped.extend(rejected);
-        planned
-    };
+    discover(
+        f,
+        analysis,
+        &mut scratch.walk,
+        &mut scratch.raw,
+        &mut report.skipped,
+    );
+    filter(f, analysis, config, scratch, &mut report.skipped);
 
     // Stages 3 + 4 — scheduling and generation (mutates the function).
-    for plan in &planned {
-        let record = codegen::emit(m.function_mut(fid), plan, config);
+    for plan in scratch.planned.drain(..) {
+        let record = codegen::emit(m.function_mut(fid), &plan, config, &mut scratch.clone);
         report.prefetches.push(record);
     }
     report
@@ -251,7 +296,7 @@ pub fn run_with_analysis(
 /// path (see `swpf_core::run_on_module_monolithic`).
 pub fn run(m: &mut Module, fid: FuncId, config: &PassConfig) -> FunctionReport {
     let analysis = FuncAnalysis::compute(m.function(fid));
-    run_with_analysis(m, fid, config, &analysis)
+    run_with_analysis(m, fid, config, &analysis, &mut Scratch::default())
 }
 
 /// The `(base, index, elem_size, offset)` of a load's address gep, used
@@ -277,8 +322,9 @@ fn validate(
     f: &Function,
     analysis: &FuncAnalysis,
     target: ValueId,
-    r: &DfsResult,
+    r: DfsResult,
     config: &PassConfig,
+    chain_scratch: &mut ChainScratch,
 ) -> Result<PlannedPrefetch, SkipReason> {
     let iv = *analysis
         .ivs
@@ -309,7 +355,7 @@ fn validate(
     }
 
     // Chain structure: levels of loads within the set.
-    let chain = chain_of(f, &r.set, target);
+    let chain = chain_of(f, &r.set, target, chain_scratch);
     let t = chain.iter().map(|c| c.level).max().map_or(0, |m| m + 1);
     if t < 2 {
         // A lone stride access: the hardware prefetcher handles it (§4.3).
@@ -386,7 +432,7 @@ fn validate(
     Ok(PlannedPrefetch {
         target,
         iv,
-        set: r.set.clone(),
+        set: r.set,
         chain,
         t,
         clamp,
@@ -400,55 +446,98 @@ fn invariance_ok(f: &Function, analysis: &FuncAnalysis, iv: InductionVar, base: 
     swpf_analysis::indvar::is_loop_invariant(f, &analysis.loops, iv.in_loop, base)
 }
 
-/// Order the loads of `set` by dependence level.
+/// [`chain_of`]'s side tables, reused from candidate to candidate:
+/// levels by rank in the set (`None`: not computed yet), the explicit
+/// stack, and the operands of the members on it.
+#[derive(Debug, Default)]
+pub struct ChainScratch {
+    levels: Vec<Option<usize>>,
+    stack: Vec<LevelFrame>,
+    ops: Vec<ValueId>,
+}
+
+/// A member on [`chain_of`]'s stack: its operands are `ops[next..end]`
+/// still to take; `deepest` is the level they give it so far.
+#[derive(Debug, Clone, Copy)]
+struct LevelFrame {
+    rank: usize,
+    first: usize,
+    next: usize,
+    end: usize,
+    deepest: usize,
+}
+
+/// Order the loads of `set` by dependence level, working in `scratch`.
 ///
 /// Level 0 loads depend on no other load in the set; a level-`k` load
 /// needs `k` earlier loads on its longest dependence path (the paper's
-/// position `l` in a sequence of `t` loads).
+/// position `l` in a sequence of `t` loads). A member already being
+/// levelled counts as level 0 where a cycle meets it again.
 #[must_use]
-pub fn chain_of(f: &Function, set: &ValueSet, target: ValueId) -> Vec<ChainLoad> {
+pub fn chain_of(
+    f: &Function,
+    set: &ValueSet,
+    target: ValueId,
+    scratch: &mut ChainScratch,
+) -> Vec<ChainLoad> {
     fn is_load(f: &Function, v: ValueId) -> bool {
         matches!(f.inst(v).map(|i| &i.kind), Some(InstKind::Load { .. }))
     }
-    /// The level of the member of rank `at`; `levels` is indexed by rank.
-    fn level_of(
-        f: &Function,
-        set: &ValueSet,
-        at: usize,
-        levels: &mut [Option<usize>],
-        ops: &mut Vec<ValueId>,
-    ) -> usize {
-        if let Some(l) = levels[at] {
-            return l;
-        }
-        levels[at] = Some(0); // cycle guard
-        let v = set[at];
-        let mut deepest_below = 0usize;
-        if let Some(inst) = f.inst(v) {
-            let first = ops.len();
+    let ChainScratch { levels, stack, ops } = scratch;
+    let enter = |rank: usize,
+                 levels: &mut [Option<usize>],
+                 stack: &mut Vec<LevelFrame>,
+                 ops: &mut Vec<ValueId>| {
+        levels[rank] = Some(0); // cycle guard
+        let first = ops.len();
+        if let Some(inst) = f.inst(set[rank]) {
             inst.operands_into(ops);
-            for i in first..ops.len() {
-                let o = ops[i];
-                if let Some(below) = set.position(o) {
-                    let lo = level_of(f, set, below, levels, ops);
-                    deepest_below = deepest_below.max(if is_load(f, o) { lo + 1 } else { lo });
-                }
-            }
-            ops.truncate(first);
         }
-        levels[at] = Some(deepest_below);
-        deepest_below
-    }
-    let mut levels = vec![None; set.len()];
-    let mut ops = Vec::new();
+        stack.push(LevelFrame {
+            rank,
+            first,
+            next: first,
+            end: ops.len(),
+            deepest: 0,
+        });
+    };
+    levels.clear();
+    levels.resize(set.len(), None);
     let mut chain: Vec<ChainLoad> = Vec::new();
     for (at, &v) in set.iter().enumerate() {
-        if is_load(f, v) {
-            chain.push(ChainLoad {
-                load: v,
-                level: level_of(f, set, at, &mut levels, &mut ops),
-            });
+        if !is_load(f, v) {
+            continue;
         }
+        if levels[at].is_none() {
+            enter(at, levels, stack, ops);
+        }
+        while let Some(top) = stack.last_mut() {
+            if top.next == top.end {
+                let done = *top;
+                stack.pop();
+                ops.truncate(done.first);
+                levels[done.rank] = Some(done.deepest);
+                if let Some(user) = stack.last_mut() {
+                    let below = set[done.rank];
+                    user.deepest = user
+                        .deepest
+                        .max(done.deepest + usize::from(is_load(f, below)));
+                }
+                continue;
+            }
+            let o = ops[top.next];
+            top.next += 1;
+            if let Some(below) = set.position(o) {
+                match levels[below] {
+                    Some(lo) => top.deepest = top.deepest.max(lo + usize::from(is_load(f, o))),
+                    None => enter(below, levels, stack, ops),
+                }
+            }
+        }
+        chain.push(ChainLoad {
+            load: v,
+            level: levels[at].unwrap_or(0),
+        });
     }
     chain.sort_by_key(|c| (c.level, c.load));
     // The target load must be last; it is by construction the deepest.

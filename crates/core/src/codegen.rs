@@ -25,16 +25,61 @@ use crate::dfs::ValueSet;
 use crate::report::PrefetchRecord;
 use crate::schedule;
 use crate::PassConfig;
-use swpf_ir::{Constant, Function, InstKind, Pred, Type, ValueId};
+use swpf_ir::{BlockId, Constant, Function, InstKind, Pred, Type, ValueId};
 
-/// Generate the prefetch code for one plan. Returns what was emitted.
-pub fn emit(f: &mut Function, plan: &PlannedPrefetch, config: &PassConfig) -> PrefetchRecord {
+/// Code generation's side tables, reused from chain position to chain
+/// position and from function to function. `sweep` and `clone` are
+/// indexed by rank in the plan's set; `order` lists the members one
+/// chain position clones, `(sweep, value, rank)`, and is sorted into the
+/// clone order.
+#[derive(Debug, Default)]
+pub struct CloneScratch {
+    /// The member's sweep in the clone order (0: not needed here).
+    sweep: Vec<u32>,
+    /// The member's clone at the current chain position.
+    clone: Vec<Option<ValueId>>,
+    order: Vec<(u32, ValueId, usize)>,
+    stack: Vec<Frame>,
+    ops: Vec<ValueId>,
+    /// The plan's new instructions, in order, spliced in before its
+    /// anchor at once.
+    placed: Vec<ValueId>,
+}
+
+/// A member on the needed-set walk's stack: its operands are
+/// `ops[next..end]` still to take; `sweep` is the least sweep its
+/// operands taken so far allow.
+#[derive(Debug, Clone, Copy)]
+struct Frame {
+    v: ValueId,
+    rank: usize,
+    first: usize,
+    next: usize,
+    end: usize,
+    sweep: u32,
+}
+
+/// `sweep` of a member the walk has entered but not finished.
+const ON_PATH: u32 = u32::MAX;
+
+/// Generate the prefetch code for one plan, working in `scratch`.
+/// Returns what was emitted.
+pub fn emit(
+    f: &mut Function,
+    plan: &PlannedPrefetch,
+    config: &PassConfig,
+    scratch: &mut CloneScratch,
+) -> PrefetchRecord {
     let anchor = match plan.placement {
         Placement::BeforeTarget => plan.target,
         Placement::Preheader(b) => f.block(b).last().expect("preheader has a terminator"),
     };
+    let block = f.inst(anchor).expect("anchor is an instruction").block;
     let mut offsets = Vec::new();
-    let mut inserted = 0usize;
+    scratch.sweep.clear();
+    scratch.sweep.resize(plan.set.len(), 0);
+    scratch.clone.clear();
+    scratch.clone.resize(plan.set.len(), None);
 
     for c in &plan.chain {
         if c.level == 0 && !config.stride_companion {
@@ -44,9 +89,12 @@ pub fn emit(f: &mut Function, plan: &PlannedPrefetch, config: &PassConfig) -> Pr
             continue;
         }
         let off = schedule::offset(config.look_ahead, plan.t, c.level);
-        inserted += emit_one(f, plan, c, off, anchor);
+        emit_one(f, plan, c, off, block, scratch);
         offsets.push(off);
     }
+    let inserted = scratch.placed.len();
+    f.insert_all_before(anchor, &scratch.placed);
+    scratch.placed.clear();
 
     PrefetchRecord {
         target: plan.target,
@@ -58,22 +106,17 @@ pub fn emit(f: &mut Function, plan: &PlannedPrefetch, config: &PassConfig) -> Pr
     }
 }
 
-/// Emit the look-ahead clone for a single chain position. Returns the
-/// number of instructions inserted.
+/// Emit the look-ahead clone for a single chain position, appending
+/// its instructions to `scratch.placed`.
 fn emit_one(
     f: &mut Function,
     plan: &PlannedPrefetch,
     chain_load: &ChainLoad,
     off: i64,
-    anchor: ValueId,
-) -> usize {
-    let block = f.inst(anchor).expect("anchor is an instruction").block;
+    block: BlockId,
+    scratch: &mut CloneScratch,
+) {
     let iv_ty = f.value(plan.iv.phi).ty.expect("iv is typed");
-    let mut inserted = 0usize;
-    let place = |f: &mut Function, v: ValueId, n: &mut usize| {
-        f.insert_before(anchor, v);
-        *n += 1;
-    };
 
     // Look-ahead value: iv + off in the iteration direction.
     let step_dir = if plan.iv.step < 0 { -1 } else { 1 };
@@ -87,11 +130,11 @@ fn emit_one(
         Some(iv_ty),
         block,
     );
-    place(f, iv_off, &mut inserted);
+    scratch.placed.push(iv_off);
 
     // Every position computes its fault-avoidance limit (the naive
     // Algorithm 1 rule)…
-    let (limit, cmp_pred) = clamp_limit(f, plan, iv_ty, block, anchor, &mut inserted);
+    let (limit, cmp_pred) = clamp_limit(f, plan, iv_ty, block, &mut scratch.placed);
     // …but the clamp is applied only where real loads are generated
     // (level >= 1): prefetches cannot fault (Fig. 3(c)). An unclamped
     // position's limit is dead code for the cleanup passes.
@@ -104,35 +147,34 @@ fn emit_one(
             cmp_pred,
             iv_ty,
             block,
-            anchor,
-            &mut inserted,
+            &mut scratch.placed,
         )
     } else {
         iv_off
     };
 
     // Instructions needed for this chain position's address: the
-    // transitive closure of the load's operands within the recorded set.
-    let needed = needed_subset(f, &plan.set, chain_load.load);
-    let order = topo_order(f, &needed);
-
-    // Original → clone, for the handful of values of one chain position
-    // (a clone is never itself a key, so one lookup per operand rewrites).
-    let mut map: Vec<(ValueId, ValueId)> = Vec::with_capacity(order.len() + 1);
-    map.push((plan.iv.phi, lookahead_iv));
-    let cloned = |map: &[(ValueId, ValueId)], v: ValueId| {
-        map.iter().find(|(old, _)| *old == v).map(|&(_, new)| new)
+    // transitive closure of the load's operands within the recorded set,
+    // in clone order. Original → clone goes in `scratch.clone`; the one
+    // value outside the set that is rewritten is the induction variable.
+    clone_order(f, &plan.set, chain_load.load, scratch);
+    let cloned = |clone: &[Option<ValueId>], v: ValueId| {
+        if v == plan.iv.phi {
+            Some(lookahead_iv)
+        } else {
+            plan.set.position(v).and_then(|at| clone[at])
+        }
     };
-    for v in order {
+    for &(_, v, rank) in &scratch.order {
         let inst = f.inst(v).expect("set member is an instruction");
         if v == chain_load.load {
             // Final load becomes the prefetch (Algorithm 1 line 52).
             let InstKind::Load { addr, .. } = inst.kind else {
                 unreachable!("chain entries are loads");
             };
-            let new_addr = cloned(&map, addr).unwrap_or(addr);
+            let new_addr = cloned(&scratch.clone, addr).unwrap_or(addr);
             let pf = f.create_inst(InstKind::Prefetch { addr: new_addr }, None, block);
-            place(f, pf, &mut inserted);
+            scratch.placed.push(pf);
             break;
         }
         let ty = f.value(v).ty;
@@ -141,15 +183,19 @@ fn emit_one(
             block,
         };
         tmp.for_each_operand_mut(|op| {
-            if let Some(new) = cloned(&map, *op) {
+            if let Some(new) = cloned(&scratch.clone, *op) {
                 *op = new;
             }
         });
         let clone = f.create_inst(tmp.kind, ty, block);
-        place(f, clone, &mut inserted);
-        map.push((v, clone));
+        scratch.placed.push(clone);
+        scratch.clone[rank] = Some(clone);
     }
-    inserted
+    for &(_, _, rank) in &scratch.order {
+        scratch.sweep[rank] = 0;
+        scratch.clone[rank] = None;
+    }
+    scratch.order.clear();
 }
 
 /// Emit the fault-avoidance limit of a plan's clamp source: the last
@@ -159,14 +205,9 @@ fn clamp_limit(
     f: &mut Function,
     plan: &PlannedPrefetch,
     iv_ty: Type,
-    block: swpf_ir::BlockId,
-    anchor: ValueId,
-    inserted: &mut usize,
+    block: BlockId,
+    placed: &mut Vec<ValueId>,
 ) -> (ValueId, Pred) {
-    let place = |f: &mut Function, v: ValueId, n: &mut usize| {
-        f.insert_before(anchor, v);
-        *n += 1;
-    };
     match plan.clamp {
         ClampSource::AllocCount { count } => {
             let one = f.add_const(Constant::Int(1, iv_ty));
@@ -179,7 +220,7 @@ fn clamp_limit(
                 Some(iv_ty),
                 block,
             );
-            place(f, lim, inserted);
+            placed.push(lim);
             (lim, Pred::Slt)
         }
         ClampSource::LoopBound {
@@ -199,7 +240,7 @@ fn clamp_limit(
                     Some(iv_ty),
                     block,
                 );
-                place(f, lim, inserted);
+                placed.push(lim);
                 (lim, pred)
             } else {
                 (bound, pred)
@@ -217,14 +258,9 @@ fn clamp_apply(
     limit: ValueId,
     cmp_pred: Pred,
     iv_ty: Type,
-    block: swpf_ir::BlockId,
-    anchor: ValueId,
-    inserted: &mut usize,
+    block: BlockId,
+    placed: &mut Vec<ValueId>,
 ) -> ValueId {
-    let place = |f: &mut Function, v: ValueId, n: &mut usize| {
-        f.insert_before(anchor, v);
-        *n += 1;
-    };
     // Up-counting: clamped = min(iv_off, limit). Down-counting loops
     // overrun towards zero instead, so clamp from below at 0.
     if plan.iv.step >= 0 {
@@ -237,7 +273,7 @@ fn clamp_apply(
             Some(Type::I1),
             block,
         );
-        place(f, cmp, inserted);
+        placed.push(cmp);
         let sel = f.create_inst(
             InstKind::Select {
                 cond: cmp,
@@ -247,7 +283,7 @@ fn clamp_apply(
             Some(iv_ty),
             block,
         );
-        place(f, sel, inserted);
+        placed.push(sel);
         sel
     } else {
         let zero = f.add_const(Constant::Int(0, iv_ty));
@@ -260,7 +296,7 @@ fn clamp_apply(
             Some(Type::I1),
             block,
         );
-        place(f, cmp, inserted);
+        placed.push(cmp);
         let sel = f.create_inst(
             InstKind::Select {
                 cond: cmp,
@@ -270,61 +306,70 @@ fn clamp_apply(
             Some(iv_ty),
             block,
         );
-        place(f, sel, inserted);
+        placed.push(sel);
         sel
     }
 }
 
-/// The subset of `set` that `load`'s value transitively depends on,
-/// including `load` itself.
-fn needed_subset(f: &Function, set: &ValueSet, load: ValueId) -> ValueSet {
-    let mut needed = ValueSet::default();
-    let mut stack = vec![load];
-    let mut ops = Vec::new();
-    while let Some(v) = stack.pop() {
-        if !needed.insert(v) {
+/// Fill `scratch.order` with the members of `set` that `load`'s value
+/// transitively depends on, `load` included, in clone order: sweep by
+/// sweep, and in id order within a sweep, where a sweep takes, in id
+/// order, every member whose operands in the set are already taken. A
+/// member's sweep is the least one after each operand's — its
+/// operand's own sweep when the operand has the lower id, the next one
+/// otherwise — so one walk over the needed members computes it.
+fn clone_order(f: &Function, set: &ValueSet, load: ValueId, scratch: &mut CloneScratch) {
+    let CloneScratch {
+        sweep,
+        order,
+        stack,
+        ops,
+        ..
+    } = scratch;
+    let enter = |v: ValueId, rank: usize, stack: &mut Vec<Frame>, ops: &mut Vec<ValueId>| {
+        let first = ops.len();
+        if let Some(inst) = f.inst(v) {
+            inst.operands_into(ops);
+        }
+        stack.push(Frame {
+            v,
+            rank,
+            first,
+            next: first,
+            end: ops.len(),
+            sweep: 1,
+        });
+    };
+    if let Some(rank) = set.position(load) {
+        sweep[rank] = ON_PATH;
+        enter(load, rank, stack, ops);
+    }
+    while let Some(top) = stack.last_mut() {
+        if top.next == top.end {
+            let done = *top;
+            stack.pop();
+            ops.truncate(done.first);
+            sweep[done.rank] = done.sweep;
+            order.push((done.sweep, done.v, done.rank));
+            if let Some(user) = stack.last_mut() {
+                user.sweep = user.sweep.max(done.sweep + u32::from(done.v > user.v));
+            }
             continue;
         }
-        if let Some(inst) = f.inst(v) {
-            ops.clear();
-            inst.operands_into(&mut ops);
-            for o in &ops {
-                if set.contains(o) && !needed.contains(o) {
-                    stack.push(*o);
-                }
+        let o = ops[top.next];
+        top.next += 1;
+        let Some(rank) = set.position(o) else {
+            continue;
+        };
+        match sweep[rank] {
+            0 => {
+                sweep[rank] = ON_PATH;
+                enter(o, rank, stack, ops);
             }
+            // SSA orders a set without phis; a cycle cannot arise.
+            ON_PATH => {}
+            s => top.sweep = top.sweep.max(s + u32::from(o > top.v)),
         }
     }
-    needed
-}
-
-/// Topologically order `subset` by operand dependence (stable: ties go
-/// in id order, sweep by sweep).
-fn topo_order(f: &Function, subset: &ValueSet) -> Vec<ValueId> {
-    let mut order = Vec::with_capacity(subset.len());
-    // Indexed by rank in `subset`.
-    let mut emitted = vec![false; subset.len()];
-    let mut remaining: Vec<ValueId> = subset.iter().copied().collect();
-    let mut ops = Vec::new();
-    while !remaining.is_empty() {
-        let before = remaining.len();
-        remaining.retain(|&v| {
-            let ready = f.inst(v).is_none_or(|inst| {
-                ops.clear();
-                inst.operands_into(&mut ops);
-                ops.iter()
-                    .all(|o| subset.position(*o).is_none_or(|at| emitted[at]))
-            });
-            if ready {
-                order.push(v);
-                emitted[subset.position(v).expect("remaining ⊆ subset")] = true;
-            }
-            !ready
-        });
-        assert!(
-            remaining.len() < before,
-            "cyclic dependence in prefetch set (should be impossible in SSA)"
-        );
-    }
-    order
+    order.sort_unstable();
 }

@@ -6,14 +6,35 @@
 //! path)`. If paths reach several induction variables, the one in the
 //! innermost (deepest) loop wins — the paper's `closest_loop_indvar` —
 //! and the sets of all paths reaching that variable are merged.
+//!
+//! The walk does not list the paths. It is an iterative depth-first
+//! search with the recursive form's rules: a value already on the
+//! current path cuts it, and a value finished earlier in the same
+//! load's walk is not walked again. Every edge the walk takes to a
+//! finished value or to an induction variable carries whatever paths
+//! lie beyond it; these *merge edges* point from a value to one that
+//! finished before it. Each value records the best induction variable
+//! over its merge edges when it finishes, so the load's record names
+//! the winner. The merged set is then every finished value whose record
+//! names that same winner: every finished value is reached from the
+//! load over merge edges (the search tree's own edges are merge edges),
+//! and the winner is the best anywhere below the load, so a value names
+//! it exactly when one of its merge-edge paths ends at it. Time and
+//! memory are linear in the values the load reaches, plus sorting the
+//! set.
+//!
+//! That is not plain reachability ("reached from the load and reaching
+//! the induction variable" in the dependence graph): a non-IV phi on a
+//! cycle through the load reaches the induction variable only through a
+//! value already on the path, which the cut excludes, as Algorithm 1's
+//! path listing does.
 
 use swpf_analysis::FuncAnalysis;
 use swpf_ir::{Function, InstKind, ValueId, ValueKind};
 
 /// An ordered set of values as a sorted vector (read through its slice
-/// view): the sets here hold a handful of instructions, are copied
-/// along every dependence path and iterated in id order by code
-/// generation.
+/// view): the sets here are iterated in id order by code generation and
+/// searched by rank.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ValueSet(Vec<ValueId>);
 
@@ -27,17 +48,6 @@ impl ValueSet {
                 true
             }
         }
-    }
-
-    /// This set plus `v`.
-    #[must_use]
-    fn with(&self, v: ValueId) -> ValueSet {
-        let mut members = Vec::with_capacity(self.0.len() + 1);
-        let at = self.0.partition_point(|&m| m < v);
-        members.extend_from_slice(&self.0[..at]);
-        members.push(v);
-        members.extend(self.0[at..].iter().filter(|&&m| m != v));
-        ValueSet(members)
     }
 
     /// The rank of `v` in id order, if present.
@@ -64,20 +74,72 @@ impl FromIterator<ValueId> for ValueSet {
     }
 }
 
-/// The candidates found beneath a value: `(induction variable, path
-/// set)` pairs, or `None` when no path finds an induction variable.
-type Paths = Option<Vec<(ValueId, ValueSet)>>;
+/// An induction variable as the walk ranks them: the deeper loop wins,
+/// then the lower id (`None` — no induction variable — ranks below
+/// every `Some`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Found {
+    depth: u32,
+    iv: std::cmp::Reverse<ValueId>,
+}
 
-/// The search's side tables over one function's values, reusable from
-/// load to load: the memo (`None`: not computed yet), which of its
-/// slots the current search filled, the on-path marks that cut cycles,
-/// and the operand stack of the recursion.
+/// A value's state in the current load's walk.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+enum Mark {
+    #[default]
+    Unseen,
+    OnPath,
+    /// Finished, with the best induction variable over its merge edges.
+    Done(Option<Found>),
+}
+
+/// One value on the walk's stack: its operands are `ops[next..end]`
+/// still to take, and `best` is the best induction variable over the
+/// merge edges taken so far.
+#[derive(Debug, Clone, Copy)]
+struct Frame {
+    v: ValueId,
+    first: usize,
+    next: usize,
+    end: usize,
+    best: Option<Found>,
+}
+
+/// The walk's side tables, reusable from load to load and from function
+/// to function: a mark per value, the values finished by the current
+/// walk in finish order, the explicit stack, and the operands of the
+/// values on it.
 #[derive(Debug, Default)]
 pub struct DfsScratch {
-    memo: Vec<Option<Paths>>,
-    touched: Vec<ValueId>,
-    visiting: Vec<bool>,
+    marks: Vec<Mark>,
+    finished: Vec<ValueId>,
+    stack: Vec<Frame>,
     ops: Vec<ValueId>,
+}
+
+impl DfsScratch {
+    /// Put `v` on the path, with the operands the walk follows from it:
+    /// a load's address only, every operand of anything else (a phi's
+    /// incoming values too — non-IV phis are rejected later by the
+    /// candidate filter, but the walk explores them so the rejection is
+    /// precise).
+    fn enter(&mut self, f: &Function, v: ValueId) {
+        self.marks[v.index()] = Mark::OnPath;
+        let first = self.ops.len();
+        if let ValueKind::Inst(inst) = &f.value(v).kind {
+            match &inst.kind {
+                InstKind::Load { addr, .. } => self.ops.push(*addr),
+                _ => inst.operands_into(&mut self.ops),
+            }
+        }
+        self.stack.push(Frame {
+            v,
+            first,
+            next: first,
+            end: self.ops.len(),
+            best: None,
+        });
+    }
 }
 
 /// The result of a successful search: the chosen induction variable's phi
@@ -104,89 +166,62 @@ pub fn find_iv_paths(
     load: ValueId,
     scratch: &mut DfsScratch,
 ) -> Option<DfsResult> {
-    scratch.memo.resize(f.num_values(), None);
-    scratch.visiting.resize(f.num_values(), false);
-    dfs(f, analysis, load, scratch);
-    let found = scratch.memo[load.index()]
-        .as_ref()
-        .and_then(|paths| paths.as_deref())
-        .and_then(|candidates| best_paths(analysis, candidates));
-    for v in scratch.touched.drain(..) {
-        scratch.memo[v.index()] = None;
+    if scratch.marks.len() < f.num_values() {
+        scratch.marks.resize(f.num_values(), Mark::Unseen);
+    }
+    scratch.enter(f, load);
+    let mut best = None;
+    while let Some(top) = scratch.stack.last_mut() {
+        if top.next == top.end {
+            // Finished: the edge from its parent is a merge edge.
+            let done = *top;
+            scratch.stack.pop();
+            scratch.ops.truncate(done.first);
+            scratch.marks[done.v.index()] = Mark::Done(done.best);
+            scratch.finished.push(done.v);
+            match scratch.stack.last_mut() {
+                Some(parent) => parent.best = parent.best.max(done.best),
+                None => best = done.best,
+            }
+            continue;
+        }
+        let o = scratch.ops[top.next];
+        top.next += 1;
+        // Found an induction variable: finish this path (paper line 5).
+        if let Some(iv) = analysis.ivs.as_iv(o) {
+            let found = Found {
+                depth: analysis.loops.get(iv.in_loop).depth,
+                iv: std::cmp::Reverse(o),
+            };
+            top.best = top.best.max(Some(found));
+            continue;
+        }
+        // Walk on through values defined inside a loop (paper line 8).
+        let ValueKind::Inst(oi) = &f.value(o).kind else {
+            continue;
+        };
+        if analysis.loops.innermost(oi.block).is_none() {
+            continue;
+        }
+        match scratch.marks[o.index()] {
+            Mark::Done(best) => top.best = top.best.max(best),
+            Mark::OnPath => {}
+            Mark::Unseen => scratch.enter(f, o),
+        }
+    }
+    let found = best.map(|best| DfsResult {
+        iv: best.iv.0,
+        set: scratch
+            .finished
+            .iter()
+            .copied()
+            .filter(|v| scratch.marks[v.index()] == Mark::Done(Some(best)))
+            .collect(),
+    });
+    for v in scratch.finished.drain(..) {
+        scratch.marks[v.index()] = Mark::Unseen;
     }
     found
-}
-
-/// Pick the induction variable in the deepest loop (paper line 21) and
-/// merge the paths that reach it (paper line 24).
-fn best_paths(analysis: &FuncAnalysis, candidates: &[(ValueId, ValueSet)]) -> Option<DfsResult> {
-    let depth_of = |iv: ValueId| -> u32 {
-        analysis
-            .ivs
-            .as_iv(iv)
-            .map_or(0, |i| analysis.loops.get(i.in_loop).depth)
-    };
-    let best_iv = candidates
-        .iter()
-        .map(|(iv, _)| *iv)
-        .max_by_key(|&iv| (depth_of(iv), std::cmp::Reverse(iv)))?;
-    let set = candidates
-        .iter()
-        .filter(|(iv, _)| *iv == best_iv)
-        .flat_map(|(_, s)| s.iter().copied())
-        .collect();
-    Some(DfsResult { iv: best_iv, set })
-}
-
-/// Recursive DFS: memoise the list of `(iv, path set)` candidates found
-/// beneath `v` (`None` when no path finds an induction variable).
-/// Returns `false`, memoising nothing, when `v` is already on the
-/// current path — a cycle through non-IV phis, which cuts the path.
-fn dfs(f: &Function, analysis: &FuncAnalysis, v: ValueId, scratch: &mut DfsScratch) -> bool {
-    if scratch.memo[v.index()].is_some() {
-        return true;
-    }
-    if std::mem::replace(&mut scratch.visiting[v.index()], true) {
-        return false;
-    }
-
-    let mut candidates: Vec<(ValueId, ValueSet)> = Vec::new();
-    // Arguments and constants terminate paths without a find.
-    if let ValueKind::Inst(inst) = &f.value(v).kind {
-        // The operands the walk follows. For phis these are all incoming
-        // values (non-IV phis are later rejected by the candidate filter,
-        // but the walk still explores them so the rejection is precise).
-        // For loads, only the address matters.
-        let first = scratch.ops.len();
-        match &inst.kind {
-            InstKind::Load { addr, .. } => scratch.ops.push(*addr),
-            _ => inst.operands_into(&mut scratch.ops),
-        }
-        for at in first..scratch.ops.len() {
-            let o = scratch.ops[at];
-            // Found an induction variable: finish this path (paper line 5).
-            if analysis.ivs.as_iv(o).is_some() {
-                candidates.push((o, ValueSet(vec![v])));
-                continue;
-            }
-            // Recurse into values defined inside a loop (paper line 8).
-            let defined_in_loop = match &f.value(o).kind {
-                ValueKind::Inst(oi) => analysis.loops.innermost(oi.block).is_some(),
-                _ => false,
-            };
-            if defined_in_loop && dfs(f, analysis, o, scratch) {
-                if let Some(Some(subs)) = &scratch.memo[o.index()] {
-                    candidates.extend(subs.iter().map(|(iv, s)| (*iv, s.with(v))));
-                }
-            }
-        }
-        scratch.ops.truncate(first);
-    }
-
-    scratch.visiting[v.index()] = false;
-    scratch.memo[v.index()] = Some((!candidates.is_empty()).then_some(candidates));
-    scratch.touched.push(v);
-    true
 }
 
 #[cfg(test)]

@@ -55,8 +55,9 @@ pub fn run_on_function(m: &mut Module, fid: FuncId, config: &PassConfig) -> Func
             }
         }
     }
+    let mut scratch = codegen::CloneScratch::default();
     for plan in &planned {
-        let record = codegen::emit(m.function_mut(fid), plan, config);
+        let record = codegen::emit(m.function_mut(fid), plan, config, &mut scratch);
         report.prefetches.push(record);
     }
     report

@@ -182,19 +182,27 @@ impl fmt::Display for Pipeline {
 /// [`candidates::filter`], [`crate::codegen`]), with every analysis
 /// served by the driver's [`AnalysisManager`] instead of recomputed.
 ///
+/// The pass keeps its side tables (the candidate walk's, `chain_of`'s,
+/// code generation's) from function to function.
+///
 /// Per-function [`crate::FunctionReport`]s accumulate into the shared
 /// report handed to [`SwpfPass::new`] (shared so [`run_pipeline`] can
 /// retrieve it back out of the type-erased pipeline).
 pub struct SwpfPass {
     config: PassConfig,
     report: Rc<RefCell<PassReport>>,
+    scratch: candidates::Scratch,
 }
 
 impl SwpfPass {
     /// A prefetch pass writing its outcome into `report`.
     #[must_use]
     pub fn new(config: PassConfig, report: Rc<RefCell<PassReport>>) -> Self {
-        SwpfPass { config, report }
+        SwpfPass {
+            config,
+            report,
+            scratch: candidates::Scratch::default(),
+        }
     }
 }
 
@@ -205,7 +213,7 @@ impl FunctionPass for SwpfPass {
 
     fn run(&mut self, m: &mut Module, fid: FuncId, am: &mut AnalysisManager) -> PassEffect {
         let analysis = am.func_analysis(m.function(fid), fid);
-        let fr = candidates::run_with_analysis(m, fid, &self.config, &analysis);
+        let fr = candidates::run_with_analysis(m, fid, &self.config, &analysis, &mut self.scratch);
         let changed = !fr.prefetches.is_empty();
         self.report.borrow_mut().functions.push(fr);
         if changed {

@@ -270,6 +270,17 @@ impl Function {
     /// # Panics
     /// If `before` is not placed in a block.
     pub fn insert_before(&mut self, before: ValueId, inst: ValueId) {
+        self.insert_all_before(before, &[inst]);
+    }
+
+    /// Insert `insts`, in order, immediately before `before` in
+    /// `before`'s block, updating their block fields: what
+    /// [`Function::insert_before`] on each in turn does, with one scan
+    /// and one move of the block's list.
+    ///
+    /// # Panics
+    /// If `before` is not placed in a block.
+    pub fn insert_all_before(&mut self, before: ValueId, insts: &[ValueId]) {
         let b = self.values[before.index()]
             .as_inst()
             .expect("insert_before target is not an instruction")
@@ -277,10 +288,14 @@ impl Function {
         let pos = self.blocks[b.index()]
             .position_of(before)
             .expect("insert_before target not found in its block");
-        if let Some(i) = self.values[inst.index()].as_inst_mut() {
-            i.block = b;
+        for &inst in insts {
+            if let Some(i) = self.values[inst.index()].as_inst_mut() {
+                i.block = b;
+            }
         }
-        self.blocks[b.index()].insts.insert(pos, inst);
+        self.blocks[b.index()]
+            .insts
+            .splice(pos..pos, insts.iter().copied());
     }
 
     /// Insert instruction `inst` at the front of block `b`, after any phis.

@@ -21,7 +21,6 @@ use crate::ir::parser::{ModuleReader, ParseError};
 use crate::ir::printer::ModulePrinter;
 use crate::pass::{icc_like, FunctionPipeline, FunctionReport, PassConfig};
 use crate::pass_manager::AnalysisManager;
-use std::fmt::Write as _;
 
 /// What [`compile`] runs.
 #[derive(Debug, Clone, Default)]
@@ -69,7 +68,7 @@ pub fn compile(text: &str, options: &Options) -> Result<Output, String> {
     let mut reports = vec![String::new(); stages];
     let (mut prefetches, mut skipped) = (0, 0);
     let mut render = |stage: usize, fr: FunctionReport| {
-        let _ = write!(reports[stage], "{fr}");
+        fr.render_into(&mut reports[stage]);
         prefetches += fr.num_prefetch_insts();
         skipped += fr.skipped.len();
     };

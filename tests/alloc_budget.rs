@@ -44,13 +44,31 @@ fn compile_path_stays_within_its_allocation_budget() {
         round_trip as f64 / lines as f64
     );
 
+    // The prefetch pass alone, on a module parsed afresh. At the commit
+    // before this row existed it made 122 allocator calls per function:
+    // a candidate walk that copied a path set at each level of each
+    // path, and side tables built per function and per chain position.
+    // Now 43, over half of them the analyses' results; the budget is
+    // that figure plus 25% headroom.
+    let mut fresh = parse_module(&text).expect("replicated module parses");
+    let functions = fresh.num_functions();
+    let before = ALLOC.calls();
+    let report = run_on_module(&mut fresh, &PassConfig::default());
+    let swpf = ALLOC.calls() - before;
+    assert!(report.total_prefetches() > 0, "the pass did its work");
+    assert!(
+        swpf <= 54 * functions,
+        "swpf: {swpf} allocator calls for {functions} functions \
+         ({:.1} per function, budget 54)",
+        swpf as f64 / functions as f64
+    );
+
     // The full six-pass pipeline. Seed: 545 allocator calls per function
     // (SipHash maps and tree sets rebuilt per function and per pass, a
-    // vector per operand query). Now 119, nearly all in the prefetch
-    // pass's path sets and the analyses' results; the budget is that
-    // figure plus 25% headroom.
+    // vector per operand query); 124 while the prefetch pass's path sets
+    // made most of them. Now 45; the budget is that figure plus 25%
+    // headroom.
     let mut module = module;
-    let functions = module.num_functions();
     let before = ALLOC.calls();
     let report = run_on_module(
         &mut module,
@@ -59,9 +77,9 @@ fn compile_path_stays_within_its_allocation_budget() {
     let pipeline = ALLOC.calls() - before;
     assert!(report.total_prefetches() > 0, "the pipeline did its work");
     assert!(
-        pipeline <= 150 * functions,
+        pipeline <= 56 * functions,
         "full pipeline: {pipeline} allocator calls for {functions} functions \
-         ({:.1} per function, budget 150)",
+         ({:.1} per function, budget 56)",
         pipeline as f64 / functions as f64
     );
     verify_module(&module).expect("pipeline output verifies");

@@ -1,7 +1,7 @@
-//! The compile path stays linear on deep, loop-heavy and wide functions:
-//! four times the blocks, or four times the instructions of one loop
-//! body, may cost the verifier, and the full pass pipeline, at most
-//! eight times as much.
+//! The compile path stays linear on deep, loop-heavy and wide functions,
+//! and on the prefetch pass's candidate walk: four times the blocks, or
+//! four times the instructions of one loop body, may cost the verifier,
+//! and the full pass pipeline, at most eight times as much.
 //!
 //! One test in a binary of its own, so no other test shares the CPU
 //! while it times.
@@ -57,6 +57,67 @@ fn wide_loop_body(n: usize) -> String {
     s + &format!("  br %1, bb1, bb2\nbb2:\n  ret %{}\n}}\n", n + 1)
 }
 
+/// One counted loop over `%0[...]` whose body computes the index of
+/// its load from the induction variable `%4` through `n` adds, each
+/// made by `step` from the value before it; the increment is last.
+fn loop_feeding_a_load(n: usize, step: impl Fn(usize) -> String) -> String {
+    let mut s = format!(
+        "module t\n\nfunc @f(%0: ptr, %1: i64) -> void {{\n  %2 = const 0: i64\n  \
+         %3 = const 1: i64\nbb0:\n  br bb1\nbb1:\n  %4: i64 = phi [bb0: %2], [bb2: %{}]\n  \
+         %5: i1 = icmp slt %4, %1\n  br %5, bb2, bb3\nbb2:\n",
+        n + 8
+    );
+    for k in 6..n + 6 {
+        let prev = if k == 6 { 4 } else { k - 1 };
+        let _ = writeln!(s, "  %{k}: i64 = {}", step(prev));
+    }
+    s + &format!(
+        "  %{}: ptr = gep %0, %{} x 8\n  %{}: i64 = load i64, %{}\n  %{}: i64 = add %4, %3\n  \
+         br bb1\nbb3:\n  ret\n}}\n",
+        n + 6,
+        n + 5,
+        n + 7,
+        n + 6,
+        n + 8
+    )
+}
+
+/// `n` self-doubling adds (`%k = add %j, %j`) from the induction
+/// variable to a load's index: one path per choice of operand at each
+/// add, 2^n in all, through `n` values.
+fn doubling_adds(n: usize) -> String {
+    loop_feeding_a_load(n, |prev| format!("add %{prev}, %{prev}"))
+}
+
+/// A chain of `n` adds from the induction variable to a load's index.
+fn chain_to_a_load(n: usize) -> String {
+    loop_feeding_a_load(n, |prev| format!("add %{prev}, %1"))
+}
+
+/// A chain of `n` adds between two loads, `%0[f(%1[i])]`: the pass
+/// accepts the prefetch and clones the whole chain.
+fn chain_between_loads(n: usize) -> String {
+    let mut s = format!(
+        "module t\n\nfunc @f(%0: ptr, %1: ptr, %2: i64) -> void {{\n  %3 = const 0: i64\n  \
+         %4 = const 1: i64\nbb0:\n  br bb1\nbb1:\n  %5: i64 = phi [bb0: %3], [bb2: %{}]\n  \
+         %6: i1 = icmp slt %5, %2\n  br %6, bb2, bb3\nbb2:\n  %7: ptr = gep %1, %5 x 8\n  \
+         %8: i64 = load i64, %7\n",
+        n + 11
+    );
+    for k in 9..n + 9 {
+        let _ = writeln!(s, "  %{k}: i64 = add %{}, %4", k - 1);
+    }
+    s + &format!(
+        "  %{}: ptr = gep %0, %{} x 8\n  %{}: i64 = load i64, %{}\n  %{}: i64 = add %5, %4\n  \
+         br bb1\nbb3:\n  ret\n}}\n",
+        n + 9,
+        n + 8,
+        n + 10,
+        n + 9,
+        n + 11
+    )
+}
+
 /// Best-of-three seconds of `stage` on a fresh copy of `m`.
 fn seconds(m: &Module, stage: impl Fn(&mut Module)) -> f64 {
     (0..3)
@@ -81,6 +142,9 @@ fn verifier_and_pipeline_scale_linearly_with_blocks() {
         ("reverse chain", reverse_chain, 5_000),
         ("sequential self-loops", sequential_loops, 2_500),
         ("wide loop body", wide_loop_body, 20_000),
+        ("self-doubling adds feeding a load", doubling_adds, 5_000),
+        ("add chain feeding a load", chain_to_a_load, 20_000),
+        ("add chain between two loads", chain_between_loads, 5_000),
     ] {
         let (m1, m4) = (
             parse_module(&make(small)).expect("parses"),
