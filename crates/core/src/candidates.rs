@@ -148,7 +148,13 @@ pub struct Scratch {
     planned: Vec<PlannedPrefetch>,
     /// Per value: a chain load of an accepted plan.
     covered: Vec<bool>,
-    line_keys: Vec<(ValueId, ValueId, u64, u64)>,
+    /// Accepted targets' line keys, each with the index of the one
+    /// before it that has the same gep index (`NO_KEY`: none).
+    line_keys: Vec<(LineKey, u32)>,
+    /// Per value: the last of `line_keys` whose gep index it is.
+    line_heads: Vec<u32>,
+    /// Per loop: the roots its stores may write, once asked for.
+    store_roots: Vec<Option<Vec<ObjectRoot>>>,
 }
 
 /// Stage 1 — **discovery** (Algorithm 1 lines 29–33): walk every load
@@ -201,18 +207,20 @@ pub fn filter(
         planned,
         covered,
         line_keys,
+        line_heads,
+        store_roots,
         ..
     } = scratch;
+    store_roots.clear();
+    store_roots.resize(analysis.loops.len(), None);
     // Longest chains first so shorter chains they cover are subsumed.
     raw.sort_by_key(|(_, r)| std::cmp::Reverse(r.set.len()));
     if covered.len() < f.num_values() {
         covered.resize(f.num_values(), false);
+        line_heads.resize(f.num_values(), NO_KEY);
     }
-    // (base, index, elem_size, offset) of accepted targets' address
-    // geps, for line-granularity deduplication: prefetching `bucket.k0`
-    // already fetches `bucket.k1`'s line.
-    line_keys.clear();
-    let first_plan = planned.len();
+    // Accepted targets' line keys, for line-granularity deduplication:
+    // prefetching `bucket.k0` already fetches `bucket.k1`'s line.
     for (load, r) in raw.drain(..) {
         if covered[load.index()] {
             skipped.push(SkipRecord {
@@ -223,10 +231,14 @@ pub fn filter(
         }
         let key = target_gep_key(f, load);
         if let Some(key) = key {
-            if line_keys
-                .iter()
-                .any(|k| k.0 == key.0 && k.1 == key.1 && k.2 == key.2 && k.3.abs_diff(key.3) < 64)
-            {
+            let mut at = line_heads[key.1.index()];
+            let mut same_line = false;
+            while at != NO_KEY && !same_line {
+                let (k, before) = line_keys[at as usize];
+                same_line = k.0 == key.0 && k.2 == key.2 && k.3.abs_diff(key.3) < 64;
+                at = before;
+            }
+            if same_line {
                 skipped.push(SkipRecord {
                     load,
                     reason: SkipReason::SameLineCovered,
@@ -234,21 +246,28 @@ pub fn filter(
                 continue;
             }
         }
-        match validate(f, analysis, load, r, config, chain_scratch) {
+        match validate(f, analysis, load, r, config, chain_scratch, store_roots) {
             Ok(plan) => {
                 for c in &plan.chain {
                     covered[c.load.index()] = true;
                 }
-                line_keys.extend(key);
+                if let Some(key) = key {
+                    let head = &mut line_heads[key.1.index()];
+                    line_keys.push((key, *head));
+                    *head = line_keys.len() as u32 - 1;
+                }
                 planned.push(plan);
             }
             Err(reason) => skipped.push(SkipRecord { load, reason }),
         }
     }
-    for plan in &planned[first_plan..] {
+    for plan in planned.iter() {
         for c in &plan.chain {
             covered[c.load.index()] = false;
         }
+    }
+    for (key, _) in line_keys.drain(..) {
+        line_heads[key.1.index()] = NO_KEY;
     }
 }
 
@@ -283,10 +302,12 @@ pub fn run_with_analysis(
     filter(f, analysis, config, scratch, &mut report.skipped);
 
     // Stages 3 + 4 — scheduling and generation (mutates the function).
+    let f = m.function_mut(fid);
     for plan in scratch.planned.drain(..) {
-        let record = codegen::emit(m.function_mut(fid), &plan, config, &mut scratch.clone);
+        let record = codegen::emit(f, &plan, config, &mut scratch.clone);
         report.prefetches.push(record);
     }
+    codegen::place(f, &mut scratch.clone);
     report
 }
 
@@ -301,7 +322,13 @@ pub fn run(m: &mut Module, fid: FuncId, config: &PassConfig) -> FunctionReport {
 
 /// The `(base, index, elem_size, offset)` of a load's address gep, used
 /// as a cache-line identity for prefetch deduplication.
-fn target_gep_key(f: &Function, load: ValueId) -> Option<(ValueId, ValueId, u64, u64)> {
+type LineKey = (ValueId, ValueId, u64, u64);
+
+/// The end of a chain of [`LineKey`]s.
+const NO_KEY: u32 = u32::MAX;
+
+/// A load's [`LineKey`], when its address is a gep.
+fn target_gep_key(f: &Function, load: ValueId) -> Option<LineKey> {
     let InstKind::Load { addr, .. } = &f.inst(load)?.kind else {
         return None;
     };
@@ -325,6 +352,7 @@ fn validate(
     r: DfsResult,
     config: &PassConfig,
     chain_scratch: &mut ChainScratch,
+    store_roots: &mut [Option<Vec<ObjectRoot>>],
 ) -> Result<PlannedPrefetch, SkipReason> {
     let iv = *analysis
         .ivs
@@ -409,14 +437,16 @@ fn validate(
     // Store aliasing (§4.2): arrays read by the address-generation code
     // (all chain loads except the target, whose clone is a prefetch) must
     // not be written inside the induction variable's loop.
-    let store_roots = analysis
-        .roots
-        .store_roots_in(f, &analysis.loops.get(iv.in_loop).blocks);
+    let store_roots = &*store_roots[iv.in_loop.index()].get_or_insert_with(|| {
+        analysis
+            .roots
+            .store_roots_in(f, &analysis.loops.get(iv.in_loop).blocks)
+    });
     for c in chain.iter().filter(|c| c.load != target) {
         let Some(InstKind::Load { addr, .. }) = f.inst(c.load).map(|i| &i.kind) else {
             unreachable!();
         };
-        if invariance::roots_may_alias(&store_roots, analysis.roots.roots_of(*addr)) {
+        if invariance::roots_may_alias(store_roots, analysis.roots.roots_of(*addr)) {
             return Err(SkipReason::MayAliasStore);
         }
     }

@@ -41,9 +41,26 @@ pub struct CloneScratch {
     order: Vec<(u32, ValueId, usize)>,
     stack: Vec<Frame>,
     ops: Vec<ValueId>,
-    /// The plan's new instructions, in order, spliced in before its
-    /// anchor at once.
+    /// The current plan's new instructions, in order.
     placed: Vec<ValueId>,
+    /// Every plan's new instructions so far, each with the instruction
+    /// it goes before: [`place`] puts them in the blocks at once.
+    pending: Vec<(ValueId, ValueId)>,
+    /// The function's integer constants asked for so far.
+    consts: Vec<(i64, Type, ValueId)>,
+}
+
+impl CloneScratch {
+    /// The integer constant `v` of type `ty` in `f`, remembered until
+    /// [`place`] ([`Function::add_const`] scans all of `f`'s values).
+    fn int_const(&mut self, f: &mut Function, v: i64, ty: Type) -> ValueId {
+        if let Some(&(.., id)) = self.consts.iter().find(|c| c.0 == v && c.1 == ty) {
+            return id;
+        }
+        let id = f.add_const(Constant::Int(v, ty));
+        self.consts.push((v, ty, id));
+        id
+    }
 }
 
 /// A member on the needed-set walk's stack: its operands are
@@ -62,8 +79,8 @@ struct Frame {
 /// `sweep` of a member the walk has entered but not finished.
 const ON_PATH: u32 = u32::MAX;
 
-/// Generate the prefetch code for one plan, working in `scratch`.
-/// Returns what was emitted.
+/// Generate the prefetch code for one plan, working in `scratch`, and
+/// leave it in `scratch` for [`place`]. Returns what was emitted.
 pub fn emit(
     f: &mut Function,
     plan: &PlannedPrefetch,
@@ -93,8 +110,8 @@ pub fn emit(
         offsets.push(off);
     }
     let inserted = scratch.placed.len();
-    f.insert_all_before(anchor, &scratch.placed);
-    scratch.placed.clear();
+    let placed = scratch.placed.drain(..).map(|v| (anchor, v));
+    scratch.pending.extend(placed);
 
     PrefetchRecord {
         target: plan.target,
@@ -104,6 +121,15 @@ pub fn emit(
         hoisted: matches!(plan.placement, Placement::Preheader(_)),
         inserted_insts: inserted,
     }
+}
+
+/// Put the instructions [`emit`] generated into their blocks, each
+/// plan's just before its anchor (the target load, or a preheader's
+/// terminator), in one pass over each block.
+pub fn place(f: &mut Function, scratch: &mut CloneScratch) {
+    f.insert_before_each(&mut scratch.pending);
+    scratch.pending.clear();
+    scratch.consts.clear();
 }
 
 /// Emit the look-ahead clone for a single chain position, appending
@@ -120,7 +146,7 @@ fn emit_one(
 
     // Look-ahead value: iv + off in the iteration direction.
     let step_dir = if plan.iv.step < 0 { -1 } else { 1 };
-    let off_const = f.add_const(Constant::Int(off * step_dir, iv_ty));
+    let off_const = scratch.int_const(f, off * step_dir, iv_ty);
     let iv_off = f.create_inst(
         InstKind::Binary {
             op: swpf_ir::BinOp::Add,
@@ -134,21 +160,12 @@ fn emit_one(
 
     // Every position computes its fault-avoidance limit (the naive
     // Algorithm 1 rule)…
-    let (limit, cmp_pred) = clamp_limit(f, plan, iv_ty, block, &mut scratch.placed);
+    let (limit, cmp_pred) = clamp_limit(f, plan, iv_ty, block, scratch);
     // …but the clamp is applied only where real loads are generated
     // (level >= 1): prefetches cannot fault (Fig. 3(c)). An unclamped
     // position's limit is dead code for the cleanup passes.
     let lookahead_iv = if chain_load.level >= 1 {
-        clamp_apply(
-            f,
-            plan,
-            iv_off,
-            limit,
-            cmp_pred,
-            iv_ty,
-            block,
-            &mut scratch.placed,
-        )
+        clamp_apply(f, plan, iv_off, limit, cmp_pred, iv_ty, block, scratch)
     } else {
         iv_off
     };
@@ -206,11 +223,11 @@ fn clamp_limit(
     plan: &PlannedPrefetch,
     iv_ty: Type,
     block: BlockId,
-    placed: &mut Vec<ValueId>,
+    scratch: &mut CloneScratch,
 ) -> (ValueId, Pred) {
     match plan.clamp {
         ClampSource::AllocCount { count } => {
-            let one = f.add_const(Constant::Int(1, iv_ty));
+            let one = scratch.int_const(f, 1, iv_ty);
             let lim = f.create_inst(
                 InstKind::Binary {
                     op: swpf_ir::BinOp::Sub,
@@ -220,7 +237,7 @@ fn clamp_limit(
                 Some(iv_ty),
                 block,
             );
-            placed.push(lim);
+            scratch.placed.push(lim);
             (lim, Pred::Slt)
         }
         ClampSource::LoopBound {
@@ -230,7 +247,7 @@ fn clamp_limit(
         } => {
             let pred = if unsigned { Pred::Ult } else { Pred::Slt };
             if strict {
-                let one = f.add_const(Constant::Int(1, iv_ty));
+                let one = scratch.int_const(f, 1, iv_ty);
                 let lim = f.create_inst(
                     InstKind::Binary {
                         op: swpf_ir::BinOp::Sub,
@@ -240,7 +257,7 @@ fn clamp_limit(
                     Some(iv_ty),
                     block,
                 );
-                placed.push(lim);
+                scratch.placed.push(lim);
                 (lim, pred)
             } else {
                 (bound, pred)
@@ -259,7 +276,7 @@ fn clamp_apply(
     cmp_pred: Pred,
     iv_ty: Type,
     block: BlockId,
-    placed: &mut Vec<ValueId>,
+    scratch: &mut CloneScratch,
 ) -> ValueId {
     // Up-counting: clamped = min(iv_off, limit). Down-counting loops
     // overrun towards zero instead, so clamp from below at 0.
@@ -273,7 +290,7 @@ fn clamp_apply(
             Some(Type::I1),
             block,
         );
-        placed.push(cmp);
+        scratch.placed.push(cmp);
         let sel = f.create_inst(
             InstKind::Select {
                 cond: cmp,
@@ -283,10 +300,10 @@ fn clamp_apply(
             Some(iv_ty),
             block,
         );
-        placed.push(sel);
+        scratch.placed.push(sel);
         sel
     } else {
-        let zero = f.add_const(Constant::Int(0, iv_ty));
+        let zero = scratch.int_const(f, 0, iv_ty);
         let cmp = f.create_inst(
             InstKind::ICmp {
                 pred: Pred::Sgt,
@@ -296,7 +313,7 @@ fn clamp_apply(
             Some(Type::I1),
             block,
         );
-        placed.push(cmp);
+        scratch.placed.push(cmp);
         let sel = f.create_inst(
             InstKind::Select {
                 cond: cmp,
@@ -306,7 +323,7 @@ fn clamp_apply(
             Some(iv_ty),
             block,
         );
-        placed.push(sel);
+        scratch.placed.push(sel);
         sel
     }
 }

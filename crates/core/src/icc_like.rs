@@ -56,10 +56,12 @@ pub fn run_on_function(m: &mut Module, fid: FuncId, config: &PassConfig) -> Func
         }
     }
     let mut scratch = codegen::CloneScratch::default();
+    let f = m.function_mut(fid);
     for plan in &planned {
-        let record = codegen::emit(m.function_mut(fid), plan, config, &mut scratch);
+        let record = codegen::emit(f, plan, config, &mut scratch);
         report.prefetches.push(record);
     }
+    codegen::place(f, &mut scratch);
     report
 }
 

@@ -270,32 +270,55 @@ impl Function {
     /// # Panics
     /// If `before` is not placed in a block.
     pub fn insert_before(&mut self, before: ValueId, inst: ValueId) {
-        self.insert_all_before(before, &[inst]);
+        self.insert_before_each(&mut [(before, inst)]);
     }
 
-    /// Insert `insts`, in order, immediately before `before` in
-    /// `before`'s block, updating their block fields: what
-    /// [`Function::insert_before`] on each in turn does, with one scan
-    /// and one move of the block's list.
+    /// For each `(before, inst)` pair, insert `inst` immediately before
+    /// `before` in `before`'s block, updating `inst`'s block field: what
+    /// [`Function::insert_before`] on each pair in turn does, with one
+    /// pass over each block the pairs touch. Sorts `pairs`.
     ///
     /// # Panics
-    /// If `before` is not placed in a block.
-    pub fn insert_all_before(&mut self, before: ValueId, insts: &[ValueId]) {
-        let b = self.values[before.index()]
-            .as_inst()
-            .expect("insert_before target is not an instruction")
-            .block;
-        let pos = self.blocks[b.index()]
-            .position_of(before)
-            .expect("insert_before target not found in its block");
-        for &inst in insts {
-            if let Some(i) = self.values[inst.index()].as_inst_mut() {
-                i.block = b;
+    /// If some `before` is not placed in a block.
+    pub fn insert_before_each(&mut self, pairs: &mut [(ValueId, ValueId)]) {
+        let block_of = |values: &[ValueData], v: ValueId| {
+            values[v.index()]
+                .as_inst()
+                .expect("insert_before target is not an instruction")
+                .block
+        };
+        // By block, then by target; stable, so the instructions for one
+        // target keep their order.
+        pairs.sort_by_key(|&(before, _)| (block_of(&self.values, before), before));
+        let mut start = 0;
+        while start < pairs.len() {
+            let b = block_of(&self.values, pairs[start].0);
+            let len = pairs[start..]
+                .iter()
+                .take_while(|&&(before, _)| block_of(&self.values, before) == b)
+                .count();
+            let group = &pairs[start..start + len];
+            start += len;
+            let old = std::mem::take(&mut self.blocks[b.index()].insts);
+            let want = old.len() + group.len();
+            let mut insts = Vec::with_capacity(want);
+            for v in old {
+                let at = group.partition_point(|&(before, _)| before < v);
+                for &(_, inst) in group[at..].iter().take_while(|&&(before, _)| before == v) {
+                    if let Some(i) = self.values[inst.index()].as_inst_mut() {
+                        i.block = b;
+                    }
+                    insts.push(inst);
+                }
+                insts.push(v);
             }
+            assert_eq!(
+                insts.len(),
+                want,
+                "insert_before target not found in its block"
+            );
+            self.blocks[b.index()].insts = insts;
         }
-        self.blocks[b.index()]
-            .insts
-            .splice(pos..pos, insts.iter().copied());
     }
 
     /// Insert instruction `inst` at the front of block `b`, after any phis.
@@ -516,6 +539,47 @@ mod tests {
         );
         f.insert_before(ret, mul);
         assert_eq!(f.block(entry).insts, vec![add, mul, ret]);
+    }
+
+    /// One batch places what `insert_before` on each pair in turn
+    /// places, across blocks and with several pairs per target.
+    #[test]
+    fn insert_before_each_matches_insert_before_in_turn() {
+        let mut f = sample();
+        let (entry, next) = (f.entry(), f.add_block("next"));
+        let c = f.const_i64(1);
+        let new = |f: &mut Function, b: BlockId| {
+            let lhs = f.arg(0);
+            f.create_inst(
+                InstKind::Binary {
+                    op: BinOp::Add,
+                    lhs,
+                    rhs: c,
+                },
+                Some(Type::I64),
+                b,
+            )
+        };
+        let mut targets = Vec::new();
+        for b in [entry, entry, next, entry, next] {
+            let v = new(&mut f, b);
+            f.push_inst(v);
+            targets.push(v);
+        }
+        let mut pairs = Vec::new();
+        for t in [4, 0, 2, 0, 3, 4, 0] {
+            let b = f.inst(targets[t]).unwrap().block;
+            pairs.push((targets[t], new(&mut f, b)));
+        }
+        let mut in_turn = f.clone();
+        for &(before, inst) in &pairs {
+            in_turn.insert_before(before, inst);
+        }
+        f.insert_before_each(&mut pairs);
+        for b in [entry, next] {
+            assert_eq!(f.block(b).insts, in_turn.block(b).insts);
+        }
+        assert_eq!(f.block(entry).insts.len(), 3 + 4);
     }
 
     #[test]

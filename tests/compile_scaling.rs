@@ -118,6 +118,36 @@ fn chain_between_loads(n: usize) -> String {
     )
 }
 
+/// One loop body of `n` independent `%0[%1[i + k]]` pairs, every one
+/// an accepted prefetch: the pass's per-candidate and per-plan work,
+/// and where it puts the clones, in one wide block.
+fn indirect_pairs(n: usize) -> String {
+    let mut s = format!(
+        "module t\n\nfunc @f(%0: ptr, %1: ptr, %2: i64) -> void {{\n  %3 = const 0: i64\n  \
+         %4 = const 1: i64\nbb0:\n  br bb1\nbb1:\n  %5: i64 = phi [bb0: %3], [bb2: %{}]\n  \
+         %6: i1 = icmp slt %5, %2\n  br %6, bb2, bb3\nbb2:\n",
+        4 * n + 7
+    );
+    for k in 0..n {
+        let v = 7 + 4 * k;
+        let _ = write!(
+            s,
+            "  %{v}: ptr = gep %1, %5 x 8 + {}\n  %{}: i64 = load i64, %{v}\n  \
+             %{}: ptr = gep %0, %{} x 8\n  %{}: i64 = load i64, %{}\n",
+            8 * k,
+            v + 1,
+            v + 2,
+            v + 1,
+            v + 3,
+            v + 2
+        );
+    }
+    s + &format!(
+        "  %{}: i64 = add %5, %4\n  br bb1\nbb3:\n  ret\n}}\n",
+        4 * n + 7
+    )
+}
+
 /// Best-of-three seconds of `stage` on a fresh copy of `m`.
 fn seconds(m: &Module, stage: impl Fn(&mut Module)) -> f64 {
     (0..3)
@@ -145,6 +175,7 @@ fn verifier_and_pipeline_scale_linearly_with_blocks() {
         ("self-doubling adds feeding a load", doubling_adds, 5_000),
         ("add chain feeding a load", chain_to_a_load, 20_000),
         ("add chain between two loads", chain_between_loads, 5_000),
+        ("independent indirect pairs", indirect_pairs, 2_500),
     ] {
         let (m1, m4) = (
             parse_module(&make(small)).expect("parses"),

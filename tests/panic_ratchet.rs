@@ -17,8 +17,8 @@ const BUDGET: [(&str, usize); 11] = [
     (".", 0),
     ("crates/analysis", 0),
     ("crates/bench", 33),
-    ("crates/core", 17),
-    ("crates/ir", 55),
+    ("crates/core", 16),
+    ("crates/ir", 54),
     ("crates/obs", 12),
     ("crates/pass", 3),
     ("crates/sim", 6),
