@@ -137,7 +137,7 @@ pub struct PlannedPrefetch {
 }
 
 /// What the pass reuses from load to load and from function to
-/// function: the candidate walk's tables, [`chain_of`]'s levels, code
+/// function: the candidate walk's tables, `chain_of`'s levels, code
 /// generation's clone map, and the buffers between the stages.
 #[derive(Debug, Default)]
 pub struct Scratch {
@@ -480,7 +480,7 @@ fn invariance_ok(f: &Function, analysis: &FuncAnalysis, iv: InductionVar, base: 
 /// levels by rank in the set (`None`: not computed yet), the explicit
 /// stack, and the operands of the members on it.
 #[derive(Debug, Default)]
-pub struct ChainScratch {
+struct ChainScratch {
     levels: Vec<Option<usize>>,
     stack: Vec<LevelFrame>,
     ops: Vec<ValueId>,
@@ -504,7 +504,7 @@ struct LevelFrame {
 /// position `l` in a sequence of `t` loads). A member already being
 /// levelled counts as level 0 where a cycle meets it again.
 #[must_use]
-pub fn chain_of(
+fn chain_of(
     f: &Function,
     set: &ValueSet,
     target: ValueId,

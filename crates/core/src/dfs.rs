@@ -39,17 +39,6 @@ use swpf_ir::{Function, InstKind, ValueId, ValueKind};
 pub struct ValueSet(Vec<ValueId>);
 
 impl ValueSet {
-    /// Add `v`; `false` if it was already present.
-    pub fn insert(&mut self, v: ValueId) -> bool {
-        match self.0.binary_search(&v) {
-            Ok(_) => false,
-            Err(at) => {
-                self.0.insert(at, v);
-                true
-            }
-        }
-    }
-
     /// The rank of `v` in id order, if present.
     #[must_use]
     pub fn position(&self, v: ValueId) -> Option<usize> {
