@@ -7,10 +7,16 @@
 //! a pair agree counter for counter, so such a key cannot change a
 //! result. Their kernels already share one trace file: the cache names
 //! a file by the kernel's fingerprint, not by the cell's label.
+//!
+//! `pipeline_search`'s exhaustive strategy prices every candidate of
+//! `PipelineSpace::paper_default()` on every machine and workload, and
+//! ablation's grid holds a cell for each of those pipelines: the two
+//! agree counter for counter, so one suite-level memo may serve both.
 
 use swpf_bench::experiments;
-use swpf_bench::harness::{run_experiment, ExperimentResult, RunOptions, TracePolicy};
+use swpf_bench::harness::{run_experiment, ExperimentResult, Kernel, RunOptions, TracePolicy};
 use swpf_sim::MachineConfig;
+use swpf_tune::{PipelineSpace, Space};
 use swpf_workloads::Scale;
 
 fn run(name: &str) -> ExperimentResult {
@@ -76,4 +82,37 @@ fn fig10_streams_the_kernels_fig9_recorded() {
             assert!(cell.replayed, "{machine} IS {variant} streamed");
         }
     }
+}
+
+#[test]
+fn pipeline_search_exhaustive_cells_equal_ablation_grid_cells() {
+    let (search, ablation) = (run("pipeline_search"), run("ablation"));
+    let grid = experiments::by_name("ablation", Scale::Test).expect("ablation exists");
+    let space = PipelineSpace::paper_default();
+    let mut compared = 0;
+    for config in (0..space.len()).map(|i| space.at(i)) {
+        let label = &grid
+            .spec
+            .variants
+            .iter()
+            .find(|v| v.kernel == Kernel::Pass(config.clone()))
+            .unwrap_or_else(|| panic!("ablation has no `{}` variant", config.pipeline))
+            .label;
+        let searched = format!("exhaustive_{}", config.cache_key());
+        for cell in ablation.cells.iter().filter(|c| c.variant == *label) {
+            let priced = search
+                .cell(cell.machine, cell.workload, &searched)
+                .unwrap_or_else(|| panic!("no {} {} {searched}", cell.machine, cell.workload));
+            assert_eq!(
+                cell.stats().counters(),
+                priced.stats().counters(),
+                "{} {}: ablation {label} vs pipeline_search {searched}",
+                cell.machine,
+                cell.workload
+            );
+            compared += 1;
+        }
+    }
+    // 7 workloads × 8 pipelines × 4 machines.
+    assert_eq!(compared, 224);
 }

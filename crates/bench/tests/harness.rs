@@ -403,6 +403,28 @@ fn trace_dir_replays_multicore_cells() {
     assert_cells_identical("fig9", &cold, &warm);
 }
 
+/// A multicore group of two machines: under the default policy every
+/// cell equals its direct simulation.
+#[test]
+fn fig9_on_two_machines_matches_direct_runs() {
+    let mut exp = experiments::by_name("fig9", Scale::Test).unwrap();
+    exp.spec.machines.push(swpf_sim::MachineConfig::a53());
+    let run = |trace: TracePolicy| {
+        run_experiment(
+            &exp,
+            &RunOptions {
+                threads: 1,
+                trace,
+                ..RunOptions::default()
+            },
+        )
+    };
+    let direct = run(TracePolicy::Off);
+    let memory = run(TracePolicy::Memory);
+    assert_eq!(memory.cells.len(), 12, "two machines × six cells");
+    assert_cells_identical("fig9", &direct, &memory);
+}
+
 /// A warm run, which streams every group from the disk cache block by
 /// block, is bit-identical to direct simulation, for single-core
 /// (fig10) and multicore (fig9) grids alike.
