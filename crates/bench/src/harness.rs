@@ -24,11 +24,11 @@
 //! interpreter in the loop at all.
 //! Either way each cell's statistics are bit-identical to a dedicated
 //! direct simulation (see [`TracePolicy`]; `--no-trace` opts out).
-//! Multicore cells record on the group's first machine and replay on
-//! the rest instead — their interleaving schedule is timing-dependent,
-//! so they cannot share one fused pass. Every arm is the same call: one
-//! row of cells through one [`swpf_sim::Sim`] request, differing only
-//! in the [`swpf_sim::Source`] the events come from.
+//! Multicore cells interpret one by one instead — their interleaving
+//! schedule is timing-dependent, so they cannot share one fused pass.
+//! Every arm is the same call: one row of cells through one
+//! [`swpf_sim::Sim`] request, differing only in the
+//! [`swpf_sim::Source`] the events come from.
 //!
 //! Each run emits:
 //! * the human-readable table of the paper's figure, rendered from
@@ -40,9 +40,11 @@
 //!
 //! An experiment may also carry a [`Search`]: after its grid, the
 //! harness runs each of the search's strategies over its space, per
-//! workload × machine of the spec, on the `swpf-tune` evaluator (see
-//! `run_search`). The searched experiments (`tune`,
-//! `pipeline_search`) have an empty grid and a search; every
+//! workload × machine of the spec (see `run_search`). A search prices
+//! its candidates through the same rows as a grid: each configuration
+//! it asks for becomes a variant with one cell per machine, and each
+//! distinct printed text is simulated once. The searched experiments
+//! (`tune`, `pipeline_search`) have an empty grid and a search; every
 //! experiment, searched or not, is run and reported the same way.
 //!
 //! Shape checks ([`Check`]) turn the suite into an end-to-end
@@ -64,7 +66,7 @@ use swpf_ir::interp::{Interp, Tier};
 use swpf_ir::{FuncId, Module};
 use swpf_sim::{MachineConfig, PcProfile, Sim, SimError, SimStats, Source};
 use swpf_trace::{fnv64, StreamingReplay, Trace, TraceRecorder};
-use swpf_tune::{tune_cell, Evaluator, Space, Strategy, TuneReport};
+use swpf_tune::{tune_cell, Evaluator, Pricer, Space, Strategy, TuneReport};
 use swpf_workloads::{KernelVariant, Scale, Workload, WorkloadId};
 
 /// The kernel a variant's cells run.
@@ -289,6 +291,20 @@ struct PreparedModule {
     text_hash: u64,
 }
 
+impl PreparedModule {
+    /// Decode `module`, whose printed form is `text`.
+    fn new(module: &Module, text: &str) -> PreparedModule {
+        let _span = swpf_obs::span("decode");
+        PreparedModule {
+            image: Arc::new(ExecImage::build(module)),
+            func: module
+                .find_function("kernel")
+                .expect("workload kernels are named `kernel`"),
+            text_hash: fnv64(text.as_bytes()),
+        }
+    }
+}
+
 /// The result of one simulated cell.
 #[derive(Debug, Clone)]
 pub struct CellResult {
@@ -367,8 +383,9 @@ pub struct ExperimentResult {
 
 impl ExperimentResult {
     /// The trace policy as artifacts and logs name it: "fanout" for a
-    /// searched experiment (its evaluator fans each interpretation out
-    /// itself), else [`TracePolicy::label`].
+    /// searched experiment (each of its rows fans one interpretation
+    /// out to every machine, whatever the policy), else
+    /// [`TracePolicy::label`].
     #[must_use]
     pub fn trace_label(&self) -> String {
         if self.searches.is_empty() {
@@ -418,14 +435,15 @@ impl ExperimentResult {
 pub enum TracePolicy {
     /// Simulate every cell directly (no recording, no replay).
     Off,
-    /// Record each distinct kernel while its first cell simulates and
-    /// replay the group's remaining machine cells from the in-memory
-    /// trace, which is dropped when the group completes (the default).
+    /// Interpret each distinct single-core kernel once, its events
+    /// fanned out to every machine of its group; record nothing (the
+    /// default).
     #[default]
     Memory,
-    /// Like [`TracePolicy::Memory`], but persist traces under this
-    /// directory and reuse fingerprint-matching traces across runs and
-    /// experiments (`--trace-dir` / `SWPF_TRACE_DIR`).
+    /// Like [`TracePolicy::Memory`], but record each group's first
+    /// interpretation under this directory and reuse
+    /// fingerprint-matching traces across runs and experiments
+    /// (`--trace-dir` / `SWPF_TRACE_DIR`).
     Dir(PathBuf),
 }
 
@@ -563,7 +581,7 @@ pub struct WorkloadSearch {
     /// Per machine: simulated cycles of the compiler's default
     /// configuration (`PassConfig::default()`, bare `swpf`).
     pub default_cycles: Vec<u64>,
-    /// Per strategy: (interpretations, wall seconds).
+    /// Per strategy: (distinct configurations priced, wall seconds).
     pub costs: Vec<(usize, f64)>,
 }
 
@@ -646,7 +664,7 @@ pub fn run_experiment(exp: &Experiment, opts: &RunOptions) -> ExperimentResult {
         .collect();
 
     let (search_cells, searches) = match &exp.search {
-        Some(s) => run_search(s, spec.scale, &spec.machines, &spec.workloads, opts.tier),
+        Some(s) => run_search(s, spec, opts),
         None => Default::default(),
     };
     cells.extend(search_cells);
@@ -668,8 +686,8 @@ pub fn run_experiment(exp: &Experiment, opts: &RunOptions) -> ExperimentResult {
 /// pass-compiled once, and each distinct printed text of a workload
 /// decoded once: kernels that print alike (a pass that found nothing to
 /// do, two pipelines that end in the same code) are one module. Jobs of
-/// one module and one core count form one trace group — its first cell
-/// records while it measures and the rest replay, so each distinct
+/// one module and one core count form one trace group — a single-core
+/// group's cells share one interpretation, so each distinct single-core
 /// kernel is interpreted exactly once per run (or zero times on a disk
 /// hit). Returns the modules and each group's module and jobs, in job
 /// order.
@@ -700,14 +718,7 @@ fn group_jobs(
                 };
                 let text = swpf_ir::printer::print_module(&module);
                 *by_text.entry((wi, text)).or_insert_with_key(|(_, text)| {
-                    let _span = swpf_obs::span("decode");
-                    modules.push(PreparedModule {
-                        image: Arc::new(ExecImage::build(&module)),
-                        func: module
-                            .find_function("kernel")
-                            .expect("workload kernels are named `kernel`"),
-                        text_hash: fnv64(text.as_bytes()),
-                    });
+                    modules.push(PreparedModule::new(&module, text));
                     modules.len() - 1
                 })
             });
@@ -720,8 +731,8 @@ fn group_jobs(
     (modules, groups)
 }
 
-/// Run `search` over `workloads` × `machines` at `scale`, each strategy
-/// in turn per workload (see `run_strategy`). Returns every evaluated
+/// Run `search` over the spec's workloads × machines, each strategy in
+/// turn per workload (see `run_strategy`). Returns every evaluated
 /// point as cells and what the search found per workload.
 ///
 /// # Panics
@@ -729,85 +740,142 @@ fn group_jobs(
 #[must_use]
 fn run_search(
     search: &Search,
-    scale: Scale,
-    machines: &[MachineConfig],
-    workloads: &[WorkloadId],
-    tier: Tier,
+    spec: &ExperimentSpec,
+    opts: &RunOptions,
 ) -> (Vec<CellResult>, Vec<WorkloadSearch>) {
     search.space.assert_well_formed();
     let mut cells = Vec::new();
     let mut searches = Vec::new();
-    for &id in workloads {
-        let w = id.instantiate(scale);
+    for &id in &spec.workloads {
+        let w = id.instantiate(spec.scale);
         let mut found = WorkloadSearch {
             workload: w.name(),
-            reports: vec![Vec::new(); machines.len()],
+            reports: vec![Vec::new(); spec.machines.len()],
             default_cycles: Vec::new(),
             costs: Vec::new(),
         };
         for strategy in &search.strategies {
-            run_strategy(
+            let session = Session {
+                spec,
+                opts,
+                workload: w.as_ref(),
+                strategy: strategy.name(),
+                eval: Evaluator::new(w.as_ref(), &spec.machines),
+                configs: HashMap::new(),
+                texts: HashMap::new(),
+                cells: Vec::new(),
+            };
+            cells.extend(run_strategy(
                 &mut found,
-                &mut cells,
-                w.as_ref(),
-                machines,
+                session,
                 search.space.as_ref(),
                 strategy.as_ref(),
-                tier,
-            );
+            ));
         }
         searches.push(found);
     }
     (cells, searches)
 }
 
-/// Run one strategy over every machine on a **fresh** [`Evaluator`], so
-/// its interpretation count and wall time are the honest cost of
-/// running it alone (the evaluator's fan-out still shares each
-/// candidate's interpretation across the machines). Appends to `found`
-/// the per-machine reports, measured against the first strategy's
-/// optimum, and the strategy's cost — the first strategy also records
-/// the default configuration's cycles — and to `cells` every distinct
-/// point evaluated, one cell per machine.
+/// Run one strategy over every machine on a **fresh** [`Session`], so
+/// the configurations it asks for and its wall time are the honest cost
+/// of running it alone. Appends to `found` the per-machine reports,
+/// measured against the first strategy's optimum, and the strategy's
+/// cost — the first strategy also records the default configuration's
+/// cycles — and returns the session's cells.
 fn run_strategy(
     found: &mut WorkloadSearch,
-    cells: &mut Vec<CellResult>,
-    w: &dyn Workload,
-    machines: &[MachineConfig],
+    mut session: Session<'_>,
     space: &dyn Space,
     strategy: &dyn Strategy,
-    tier: Tier,
-) {
+) -> Vec<CellResult> {
     let oracles: Option<Vec<u64>> = (!found.costs.is_empty())
         .then(|| found.reports.iter().map(|r| r[0].chosen_cycles).collect());
-    let mut eval = Evaluator::new(w, machines).with_tier(tier);
+    let machines = session.eval.machines();
     let t0 = Instant::now();
     for (mi, reports) in found.reports.iter_mut().enumerate() {
         let oracle = oracles.as_ref().map(|o| o[mi]);
-        reports.push(tune_cell(strategy, space, mi, &mut eval, oracle));
-        let default_cycles = eval.cycles(&PassConfig::default(), mi);
+        reports.push(tune_cell(
+            strategy,
+            space,
+            machines,
+            mi,
+            &mut session,
+            oracle,
+        ));
+        let default_cycles = session.cycles(&PassConfig::default(), mi);
         if oracles.is_none() {
             found.default_cycles.push(default_cycles);
         }
     }
-    let wall = t0.elapsed().as_secs_f64();
-    found.costs.push((eval.interpretations(), wall));
+    found
+        .costs
+        .push((session.configs.len(), t0.elapsed().as_secs_f64()));
+    session.cells
+}
 
-    let wall_each = wall * 1e3 / (eval.points().len() * machines.len()).max(1) as f64;
-    for point in eval.points() {
-        for (mi, m) in machines.iter().enumerate() {
-            cells.push(CellResult {
-                machine: m.name,
-                workload: w.name(),
-                variant: format!("{}_{}", strategy.name(), point.config.cache_key()),
-                cores: vec![point.stats[mi]],
-                wall_ms: wall_each,
-                replayed: mi > 0,
-                params: point.config.parameters(),
-                tier: tier.label(),
-                perf: Vec::new(),
-            });
-        }
+/// One strategy's [`Pricer`] on one workload. Each configuration asked
+/// for is compiled once, with the [`Evaluator`]'s shared analyses, and
+/// becomes a variant labelled `{strategy}_{cache key}` with one cell per
+/// machine of the spec. Each distinct printed text is simulated once,
+/// on every machine at once, by [`run_row`]; a configuration that prints
+/// like an earlier one gets copies of that one's cells under its own
+/// label (so its first machine's cell is not `replayed` either).
+struct Session<'a> {
+    spec: &'a ExperimentSpec,
+    opts: &'a RunOptions,
+    workload: &'a dyn Workload,
+    strategy: &'static str,
+    eval: Evaluator<'a>,
+    /// Configurations asked for: the index of their first cell.
+    configs: HashMap<PassConfig, usize>,
+    /// Texts simulated: the index of the first cell that simulated it.
+    texts: HashMap<String, usize>,
+    /// One cell per machine per configuration, in request order.
+    cells: Vec<CellResult>,
+}
+
+impl Pricer for Session<'_> {
+    fn cycles(&mut self, config: &PassConfig, machine: usize) -> u64 {
+        let at = match self.configs.get(config) {
+            Some(&at) => at,
+            None => self.price(config),
+        };
+        self.cells[at + machine].stats().cycles
+    }
+}
+
+impl Session<'_> {
+    /// Compile `config`, add its cells, and return the first one's index.
+    fn price(&mut self, config: &PassConfig) -> usize {
+        let label = format!("{}_{}", self.strategy, config.cache_key());
+        let variant = Variant::pass(&label, config.clone());
+        let (module, _) = self.eval.compile_candidate(config);
+        let text = swpf_ir::printer::print_module(&module);
+        let at = self.cells.len();
+        let machines = self.spec.machines.len();
+        let cells = if let Some(&seen) = self.texts.get(&text) {
+            self.cells[seen..seen + machines]
+                .iter()
+                .map(|cell| CellResult {
+                    variant: label.clone(),
+                    params: variant.pass_params(),
+                    wall_ms: 0.0,
+                    ..cell.clone()
+                })
+                .collect()
+        } else {
+            let prepared = PreparedModule::new(&module, &text);
+            self.texts.insert(text, at);
+            let w = self.workload;
+            let mut setup = |_: usize, interp: &mut Interp| w.setup(interp);
+            let row: Vec<(usize, &Variant)> = (0..machines).map(|mi| (mi, &variant)).collect();
+            let source = Source::image(&prepared.image, prepared.func, &mut setup);
+            interpret_row(self.spec, self.opts, w, 1, &row, source)
+        };
+        self.cells.extend(cells);
+        self.configs.insert(config.clone(), at);
+        at
     }
 }
 
@@ -848,23 +916,15 @@ fn run_group(
     let first = jobs[group[0]];
     let w = workloads[first.workload].as_ref();
     let cores = spec.variants[first.variant].cores;
-    let try_run =
-        |row: &[usize], source: Source<'_>| run_row(spec, opts, jobs, w.name(), cores, row, source);
-    let run = |row: &[usize], source: Source<'_>| {
-        try_run(row, source).unwrap_or_else(|e| panic!("{}: {e}", w.name()))
+    let cells_of = |row: &[usize]| -> Vec<(usize, &Variant)> {
+        row.iter()
+            .map(|&ji| (jobs[ji].machine, &spec.variants[jobs[ji].variant]))
+            .collect()
+    };
+    let by_job = |row: &[usize], cells: Vec<CellResult>| -> Vec<(usize, CellResult)> {
+        row.iter().copied().zip(cells).collect()
     };
     let mut setup = |_: usize, interp: &mut Interp| w.setup(interp);
-
-    if opts.trace == TracePolicy::Off {
-        // No fusion either: every cell pays its own interpretation.
-        return group
-            .iter()
-            .flat_map(|&ji| {
-                let source = Source::image(&prepared.image, prepared.func, &mut setup);
-                run(&[ji], source)
-            })
-            .collect();
-    }
 
     let fingerprint = kernel_fingerprint(w.name(), spec.scale, cores, prepared.text_hash);
     let cache_path = match &opts.trace {
@@ -879,12 +939,20 @@ fn run_group(
     // replay gets there: that, too, is a miss — drop the partial row
     // and re-record.
     if let Some(path) = &cache_path {
-        let warm =
-            open_streaming(path, fingerprint).map(|replay| try_run(group, Source::Stream(&replay)));
+        let warm = open_streaming(path, fingerprint).map(|replay| {
+            run_row(
+                spec,
+                opts,
+                w.name(),
+                cores,
+                &cells_of(group),
+                Source::Stream(&replay),
+            )
+        });
         match warm {
             Some(Ok(cells)) => {
                 swpf_obs::count("trace.disk_hit", 1);
-                return cells;
+                return by_job(group, cells);
             }
             Some(Err(e)) => eprintln!("warning: ignoring trace {}: {e}", path.display()),
             None => {}
@@ -897,56 +965,70 @@ fn run_group(
     // every machine's timing model, so the stream crosses the host
     // caches once per group, not once per cell. Multicore cells
     // interleave their per-core streams on a schedule that depends on
-    // the machine's timing, so they cannot share one fused pass: the
-    // group's first cell interprets, recording step boundaries, and the
-    // rest replay its trace. Either way each kernel is interpreted once
-    // per run — and recorded only if something will read the recording.
-    let (head, tail) = group.split_at(if cores == 1 { group.len() } else { 1 });
-    let mut recorder =
-        (cache_path.is_some() || !tail.is_empty()).then(|| TraceRecorder::new(cores, fingerprint));
-    let mut out = run(
-        head,
-        Source::Image {
+    // the machine's timing, so they cannot share one fused pass: each
+    // interprets on its own. So does every cell under
+    // `TracePolicy::Off`. Only a trace directory records, on the
+    // group's first row.
+    let fused = cores == 1 && opts.trace != TracePolicy::Off;
+    let mut recorder = cache_path
+        .as_ref()
+        .map(|_| TraceRecorder::new(cores, fingerprint));
+    let mut out = Vec::with_capacity(group.len());
+    for row in group.chunks(if fused { group.len() } else { 1 }) {
+        let source = Source::Image {
             image: Arc::clone(&prepared.image),
             func: prepared.func,
             setup: &mut setup,
             record: recorder.as_mut().map(TraceRecorder::streams),
-        },
-    );
-    if let Some(recorder) = recorder {
-        let trace = recorder.finish();
-        if let Some(path) = &cache_path {
-            store_trace(path, &trace);
-        }
-        if !tail.is_empty() {
-            out.extend(run(tail, Source::Trace(&trace)));
+        };
+        out.extend(by_job(
+            row,
+            interpret_row(spec, opts, w, cores, &cells_of(row), source),
+        ));
+        if let (Some(recorder), Some(path)) = (recorder.take(), &cache_path) {
+            store_trace(path, &recorder.finish());
         }
     }
     out
 }
 
-/// Run one row of a trace group — cells that differ only in their
-/// machine — through one simulation request of its distinct machines
-/// (alike kernels put one machine in a row twice), and label the results.
-/// The span is named after where the events come from, and a cell
-/// counts as `replayed` unless it is the one that paid for an
-/// interpretation. `wall_ms` covers the simulation only (persisting a
-/// recording is cache upkeep, not cell cost), shared evenly by the row.
+/// [`run_row`] on interpreted events, whose one failure is a trap in
+/// `w`'s kernel: a configuration error, fatal to the run.
+fn interpret_row(
+    spec: &ExperimentSpec,
+    opts: &RunOptions,
+    w: &dyn Workload,
+    cores: usize,
+    row: &[(usize, &Variant)],
+    source: Source<'_>,
+) -> Vec<CellResult> {
+    run_row(spec, opts, w.name(), cores, row, source)
+        .unwrap_or_else(|e| panic!("{}: {e}", w.name()))
+}
+
+/// Run one row of cells that differ only in their machine — each a
+/// machine index into `spec.machines` and the variant it runs — through
+/// one simulation request of its distinct machines (alike kernels put
+/// one machine in a row twice), and label the results in row order.
+/// Grids and searches alike run every simulation through here. The span
+/// is named after where the events come from, and a cell counts as
+/// `replayed` unless it is the one that paid for an interpretation.
+/// `wall_ms` covers the simulation only (persisting a recording is cache
+/// upkeep, not cell cost), shared evenly by the row.
 fn run_row(
     spec: &ExperimentSpec,
     opts: &RunOptions,
-    jobs: &[SimJob],
     workload: &'static str,
     cores: usize,
-    row: &[usize],
+    row: &[(usize, &Variant)],
     source: Source<'_>,
-) -> Result<Vec<(usize, CellResult)>, SimError> {
+) -> Result<Vec<CellResult>, SimError> {
     let (span, from_trace) = match source {
         Source::Image { .. } => ("interpret", false),
         Source::Trace(_) => ("replay", true),
         Source::Stream(_) => ("stream_replay", true),
     };
-    let mut distinct: Vec<usize> = row.iter().map(|&ji| jobs[ji].machine).collect();
+    let mut distinct: Vec<usize> = row.iter().map(|&(mi, _)| mi).collect();
     distinct.sort_unstable();
     distinct.dedup();
     let machines: Vec<&MachineConfig> = distinct.iter().map(|&mi| &spec.machines[mi]).collect();
@@ -967,15 +1049,14 @@ fn run_row(
     Ok(row
         .iter()
         .enumerate()
-        .map(|(k, &ji)| {
-            let (machine, variant) = (jobs[ji].machine, &spec.variants[jobs[ji].variant]);
+        .map(|(k, &(machine, variant))| {
             // Profiles are present for all cores or none (profiling is
             // per request, not per core).
             let (cores, perf): (Vec<SimStats>, Vec<Option<PcProfile>>) = runs_of[&machine]
                 .iter()
                 .map(|r| (r.stats, r.perf.clone()))
                 .unzip();
-            let cell = CellResult {
+            CellResult {
                 machine: spec.machines[machine].name,
                 workload,
                 variant: variant.label.clone(),
@@ -985,8 +1066,7 @@ fn run_row(
                 params: variant.pass_params(),
                 tier: opts.tier.label(),
                 perf: perf.into_iter().flatten().collect(),
-            };
-            (ji, cell)
+            }
         })
         .collect())
 }

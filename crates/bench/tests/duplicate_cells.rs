@@ -12,15 +12,28 @@
 //! `PipelineSpace::paper_default()` on every machine and workload, and
 //! ablation's grid holds a cell for each of those pipelines: the two
 //! agree counter for counter, so one suite-level memo may serve both.
+//! Within one strategy's search, pipelines that print alike already
+//! share one simulation.
 
-use swpf_bench::experiments;
+use std::collections::HashSet;
+use std::sync::Mutex;
 use swpf_bench::harness::{run_experiment, ExperimentResult, Kernel, RunOptions, TracePolicy};
+use swpf_bench::{auto_module, experiments};
+use swpf_core::PassConfig;
+use swpf_ir::printer::print_module;
 use swpf_sim::MachineConfig;
 use swpf_tune::{PipelineSpace, Space};
 use swpf_workloads::Scale;
 
+/// The `swpf-obs` recorder is process-global: experiments run one at a
+/// time here, so a test that counts sees only its own run.
+static GUARD: Mutex<()> = Mutex::new(());
+
 fn run(name: &str) -> ExperimentResult {
     let exp = experiments::by_name(name, Scale::Test).expect("experiment exists");
+    let _guard = GUARD
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
     run_experiment(&exp, &RunOptions::default())
 }
 
@@ -58,6 +71,9 @@ fn fig10_streams_the_kernels_fig9_recorded() {
     let dir = std::env::temp_dir().join(format!("swpf_shared_cache_{}", std::process::id()));
     let with_dir = |name: &str| {
         let exp = experiments::by_name(name, Scale::Test).expect("experiment exists");
+        let _guard = GUARD
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
         run_experiment(
             &exp,
             &RunOptions {
@@ -115,4 +131,55 @@ fn pipeline_search_exhaustive_cells_equal_ablation_grid_cells() {
     }
     // 7 workloads × 8 pipelines × 4 machines.
     assert_eq!(compared, 224);
+}
+
+/// Each strategy of `pipeline_search` runs its own session per
+/// workload, and a session simulates each distinct printed text once,
+/// on all machines in one row: the timing models run machines × texts
+/// times, fewer than machines × configurations asked for.
+#[test]
+fn pipeline_search_sessions_simulate_each_text_once() {
+    let exp = experiments::by_name("pipeline_search", Scale::Test).expect("experiment exists");
+    let res = {
+        let _guard = GUARD
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        swpf_obs::reset();
+        swpf_obs::enable();
+        let res = run_experiment(&exp, &RunOptions::default());
+        swpf_obs::disable();
+        res
+    };
+    let runs = swpf_obs::snapshot()
+        .counters
+        .get("harness.machine_runs")
+        .copied();
+
+    let (mut configs, mut texts) = (0, 0);
+    for (id, found) in exp.spec.workloads.iter().zip(&res.searches) {
+        let w = id.instantiate(Scale::Test);
+        for (si, &(cost, _)) in found.costs.iter().enumerate() {
+            // What the session priced: every visited point, and the
+            // default configuration the first strategy reports.
+            let mut asked: Vec<&PassConfig> = Vec::new();
+            let default = PassConfig::default();
+            let visited = found.reports.iter().flat_map(|r| &r[si].points);
+            for config in visited.map(|p| &p.config).chain([&default]) {
+                if !asked.contains(&config) {
+                    asked.push(config);
+                }
+            }
+            assert_eq!(asked.len(), cost, "{} strategy {si}", found.workload);
+            let printed: HashSet<String> = asked
+                .iter()
+                .map(|c| print_module(&auto_module(w.as_ref(), c)))
+                .collect();
+            configs += asked.len();
+            texts += printed.len();
+        }
+    }
+    assert_eq!(configs, 70, "the Search cost table's interpretations");
+    assert!(texts < configs, "some pipelines print alike");
+    let machines = exp.spec.machines.len();
+    assert_eq!(runs, Some((machines * texts) as u64));
 }

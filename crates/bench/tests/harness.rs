@@ -403,8 +403,9 @@ fn trace_dir_replays_multicore_cells() {
     assert_cells_identical("fig9", &cold, &warm);
 }
 
-/// A multicore group of two machines: under the default policy every
-/// cell equals its direct simulation.
+/// Multicore groups of two machines: under the default policy each
+/// multicore cell interprets on its own, nothing is recorded or
+/// replayed, and every cell equals its direct simulation.
 #[test]
 fn fig9_on_two_machines_matches_direct_runs() {
     let mut exp = experiments::by_name("fig9", Scale::Test).unwrap();
@@ -422,6 +423,12 @@ fn fig9_on_two_machines_matches_direct_runs() {
     let direct = run(TracePolicy::Off);
     let memory = run(TracePolicy::Memory);
     assert_eq!(memory.cells.len(), 12, "two machines × six cells");
+    let multicore: Vec<_> = memory.cells.iter().filter(|c| c.cores.len() > 1).collect();
+    assert_eq!(multicore.len(), 8, "two machines × four multicore cells");
+    assert!(
+        multicore.iter().all(|c| !c.replayed),
+        "every multicore cell interprets"
+    );
     assert_cells_identical("fig9", &direct, &memory);
 }
 

@@ -16,35 +16,35 @@
 //!   [`Space`] abstraction, [`PipelineSpace`] exposes cleanup-pipeline
 //!   *orderings* as the axis, so the identical strategies also search
 //!   which pass pipeline minimises cycles per workload × machine.
-//! * [`Evaluator`] ([`eval`]) — the cost model that makes search
-//!   affordable: each candidate config is compiled through `swpf-core`
-//!   and interpreted **once**, with its retire-event stream fanned out
-//!   to every machine's timing model via the `swpf-sim` fan-out/replay
-//!   paths — cost scales with candidates, not candidates × machines.
-//!   Points are cached by `(workload, machine-set, config)` (the
-//!   evaluator is per workload × machine-set; [`PassConfig::cache_key`]
-//!   keys the config), so strategies and machines share evaluations.
+//! * [`Pricer`] ([`search`]) — the cost model, one method: the
+//!   simulated cycles of a configuration on one machine. This crate
+//!   owns no simulator. The experiment harness prices each candidate
+//!   through the same simulation rows as its grids, compiling it with
+//!   the [`Evaluator`] ([`eval`]), whose forked analysis cache makes a
+//!   candidate compile cheap; tests price with synthetic curves.
 //! * [`Strategy`] ([`search`]) — [`Exhaustive`] grid (the oracle),
 //!   [`GoldenSection`] bracketing over the unimodal distance curve, and
 //!   budgeted [`HillClimb`] over the full space.
 //!
 //! **Determinism contract:** a tuning run is a pure function of
-//! (workload, machine set, search space, strategy). Workload inputs are
-//! deterministic, simulation is execution-driven, probe orders are
-//! fixed, ties break to the earliest visit, and the point cache only
-//! memoises. Every strategy evaluates the paper heuristic first, so a
-//! tuned config is **never worse than the heuristic** by construction.
+//! (pricer, search space, strategy): probe orders are fixed and ties
+//! break to the earliest visit. Every strategy evaluates the paper
+//! heuristic first, so a tuned config is **never worse than the
+//! heuristic** by construction.
 //!
 //! ```
+//! use swpf_core::PassConfig;
 //! use swpf_sim::MachineConfig;
-//! use swpf_tune::{tune_cell, Evaluator, GoldenSection, SearchSpace};
-//! use swpf_workloads::{Scale, WorkloadId};
+//! use swpf_tune::{tune_cell, GoldenSection, SearchSpace};
 //!
-//! let workload = WorkloadId::Is.instantiate(Scale::Test);
+//! // A synthetic curve with its valley at c = 32.
+//! let mut pricer = |config: &PassConfig, _machine: usize| {
+//!     1000 + (config.look_ahead - 32).unsigned_abs()
+//! };
 //! let machines = [MachineConfig::a53()];
 //! let space = SearchSpace::paper_default();
-//! let mut eval = Evaluator::new(workload.as_ref(), &machines);
-//! let report = tune_cell(&GoldenSection, &space, 0, &mut eval, None);
+//! let report = tune_cell(&GoldenSection, &space, &machines, 0, &mut pricer, None);
+//! assert_eq!(report.chosen.look_ahead, 32);
 //! assert!(report.chosen_cycles <= report.heuristic_cycles);
 //! ```
 
@@ -53,34 +53,35 @@ pub mod report;
 pub mod search;
 pub mod space;
 
-pub use eval::{EvaluatedPoint, Evaluator};
+pub use eval::Evaluator;
 pub use report::{EvalPoint, Outcome, TuneReport};
-pub use search::{strictly_unimodal, Exhaustive, GoldenSection, HillClimb, Strategy};
+pub use search::{strictly_unimodal, Exhaustive, GoldenSection, HillClimb, Pricer, Strategy};
 pub use space::{PipelineSpace, SearchSpace, Space, DEFAULT_FULL_PIPELINE, PAPER_DISTANCES};
 
 use swpf_core::PassConfig;
+use swpf_sim::MachineConfig;
 
 /// Tune one (workload, machine) cell with one strategy and fold the
-/// outcome into a [`TuneReport`]. `oracle_cycles` is the exhaustive
-/// sweep's optimum when one was run (enables `pct_of_oracle`).
+/// outcome into a [`TuneReport`]: `pricer` prices configurations on
+/// machine index `machine` of `machines`. `oracle_cycles` is the
+/// exhaustive sweep's optimum when one was run (enables
+/// `pct_of_oracle`).
 ///
 /// # Panics
-/// If `machine` is out of range of the evaluator's machine set.
+/// If `machine` is out of range of `machines`.
 pub fn tune_cell(
     strategy: &dyn Strategy,
     space: &dyn Space,
+    machines: &[MachineConfig],
     machine: usize,
-    eval: &mut Evaluator<'_>,
+    pricer: &mut dyn Pricer,
     oracle_cycles: Option<u64>,
 ) -> TuneReport {
-    let outcome = strategy.tune(space, machine, eval);
-    // The strategy already evaluated the heuristic (seed point), so
-    // this is a cache hit, never a new interpretation.
-    let heuristic_cycles = eval.cycles(space.heuristic(), machine);
-    let machine_name = eval.machines()[machine].name;
+    let outcome = strategy.tune(space, machine, pricer);
+    // The strategy already priced the heuristic (its seed point).
+    let heuristic_cycles = pricer.cycles(space.heuristic(), machine);
     TuneReport {
-        workload: eval.workload_name().to_string(),
-        machine: machine_name,
+        machine: machines[machine].name,
         strategy: outcome.strategy,
         chosen: outcome.best_config().clone(),
         chosen_cycles: outcome.best_cycles(),
@@ -117,40 +118,34 @@ pub fn distance_curve(space: &SearchSpace, points: &[EvalPoint]) -> Vec<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use swpf_sim::MachineConfig;
-    use swpf_workloads::{Scale, WorkloadId};
 
     #[test]
-    fn tune_cell_fills_the_report_and_shares_the_cache() {
-        let w = WorkloadId::Is.instantiate(Scale::Test);
+    fn tune_cell_fills_the_report() {
         let machines = [MachineConfig::xeon_phi(), MachineConfig::a53()];
         let space = SearchSpace::paper_default();
-        let mut eval = Evaluator::new(w.as_ref(), &machines);
+        // Valleys at c = 16 on the Phi and c = 48 on the A53.
+        let mut pricer =
+            |config: &PassConfig, m: usize| 500 + (config.look_ahead - [16, 48][m]).unsigned_abs();
 
-        let oracle = tune_cell(&Exhaustive, &space, 0, &mut eval, None);
-        let after_oracle = eval.interpretations();
+        let oracle = tune_cell(&Exhaustive, &space, &machines, 0, &mut pricer, None);
+        assert_eq!(oracle.chosen.look_ahead, 16);
+        assert!(oracle.pct_of_oracle().is_nan());
         let golden = tune_cell(
             &GoldenSection,
             &space,
+            &machines,
             0,
-            &mut eval,
+            &mut pricer,
             Some(oracle.chosen_cycles),
         );
-        assert_eq!(
-            eval.interpretations(),
-            after_oracle,
-            "golden re-probes points the exhaustive sweep evaluated: all cache hits"
-        );
-        assert_eq!(golden.workload, "IS");
         assert_eq!(golden.machine, "xeon_phi");
-        assert!(golden.chosen_cycles <= golden.heuristic_cycles);
-        assert!(golden.pct_of_oracle() <= 100.0 + 1e-9);
+        assert_eq!(golden.strategy, "golden");
+        assert_eq!(golden.heuristic_cycles, 500 + 64 - 16);
+        assert!((golden.pct_of_oracle() - 100.0).abs() < 1e-9);
 
-        // The second machine's search reuses the same fanned-out
-        // evaluations: zero new interpretations for the whole cell.
-        let other = tune_cell(&Exhaustive, &space, 1, &mut eval, None);
-        assert_eq!(eval.interpretations(), after_oracle);
+        let other = tune_cell(&Exhaustive, &space, &machines, 1, &mut pricer, None);
         assert_eq!(other.machine, "a53");
+        assert_eq!(other.chosen.look_ahead, 48);
     }
 
     #[test]

@@ -53,8 +53,6 @@ impl Outcome {
 /// exhaustive sweep of the same cell is available — %-of-oracle.
 #[derive(Debug, Clone)]
 pub struct TuneReport {
-    /// Workload display name.
-    pub workload: String,
     /// Machine display name.
     pub machine: &'static str,
     /// Strategy name.
@@ -103,7 +101,6 @@ mod tests {
 
     fn report(chosen: u64, heuristic: u64, oracle: Option<u64>) -> TuneReport {
         TuneReport {
-            workload: "IS".to_string(),
             machine: "a53",
             strategy: "golden",
             points: vec![],

@@ -15,17 +15,33 @@
 //!   (distance steps plus pass toggles such as the stride companion),
 //!   for the secondary axes bracketing cannot cover.
 //!
-//! Every strategy evaluates the paper-heuristic configuration first and
-//! returns the best point it *visited*, so a tuned configuration is
-//! never worse than the heuristic by construction. Searches are fully
-//! deterministic: fixed probe orders, first-visit tie-breaking, no
-//! randomness.
+//! Strategies own no simulator: they ask a [`Pricer`] for the cycles of
+//! each configuration they visit. Every strategy evaluates the
+//! paper-heuristic configuration first and returns the best point it
+//! *visited*, so a tuned configuration is never worse than the
+//! heuristic by construction. Searches are fully deterministic: fixed
+//! probe orders, first-visit tie-breaking, no randomness.
 
-use crate::eval::Evaluator;
 use crate::report::{EvalPoint, Outcome};
 use crate::space::Space;
 use std::collections::HashMap;
 use swpf_core::PassConfig;
+
+/// The cost a search minimises: simulated cycles of the kernel `config`
+/// compiles to, on machine index `machine` of the caller's machine set.
+/// The experiment harness prices through its simulation rows; a test
+/// can price with a synthetic curve (any `FnMut(&PassConfig, usize) ->
+/// u64` is a pricer).
+pub trait Pricer {
+    /// Simulated cycles of `config` on machine `machine`.
+    fn cycles(&mut self, config: &PassConfig, machine: usize) -> u64;
+}
+
+impl<F: FnMut(&PassConfig, usize) -> u64> Pricer for F {
+    fn cycles(&mut self, config: &PassConfig, machine: usize) -> u64 {
+        self(config, machine)
+    }
+}
 
 /// A search procedure for the best [`PassConfig`] of one
 /// (workload, machine) cell. Strategies search any [`Space`] — the
@@ -35,28 +51,27 @@ pub trait Strategy {
     /// Stable strategy name for reports and artifact labels.
     fn name(&self) -> &'static str;
 
-    /// Search `space` for the configuration minimising simulated cycles
-    /// on machine index `machine` of `eval`'s machine set.
-    fn tune(&self, space: &dyn Space, machine: usize, eval: &mut Evaluator<'_>) -> Outcome;
+    /// Search `space` for the configuration minimising the cycles
+    /// `pricer` reports on machine index `machine`.
+    fn tune(&self, space: &dyn Space, machine: usize, pricer: &mut dyn Pricer) -> Outcome;
 }
 
-/// Per-search probe bookkeeping on top of the shared evaluator: counts
-/// each *distinct* configuration the search requests exactly once (the
-/// honest per-search cost, independent of what the cross-strategy cache
-/// already holds) and remembers the visit order for the [`Outcome`].
-/// Like the evaluator's point cache, the memo is keyed on the
+/// Per-search probe bookkeeping on top of the pricer: counts each
+/// *distinct* configuration the search requests exactly once (the
+/// honest per-search cost, whatever the pricer memoises) and remembers
+/// the visit order for the [`Outcome`]. The memo is keyed on the
 /// [`PassConfig`] value itself.
-struct Probe<'e, 'a> {
-    eval: &'e mut Evaluator<'a>,
+struct Probe<'p> {
+    pricer: &'p mut dyn Pricer,
     machine: usize,
     seen: HashMap<PassConfig, u64>,
     visited: Vec<EvalPoint>,
 }
 
-impl<'e, 'a> Probe<'e, 'a> {
-    fn new(eval: &'e mut Evaluator<'a>, machine: usize) -> Self {
+impl<'p> Probe<'p> {
+    fn new(pricer: &'p mut dyn Pricer, machine: usize) -> Self {
         Probe {
-            eval,
+            pricer,
             machine,
             seen: HashMap::new(),
             visited: Vec::new(),
@@ -68,7 +83,7 @@ impl<'e, 'a> Probe<'e, 'a> {
         if let Some(&c) = self.seen.get(config) {
             return c;
         }
-        let cycles = self.eval.cycles(config, self.machine);
+        let cycles = self.pricer.cycles(config, self.machine);
         self.seen.insert(config.clone(), cycles);
         self.visited.push(EvalPoint {
             config: config.clone(),
@@ -125,9 +140,9 @@ impl Strategy for Exhaustive {
         "exhaustive"
     }
 
-    fn tune(&self, space: &dyn Space, machine: usize, eval: &mut Evaluator<'_>) -> Outcome {
+    fn tune(&self, space: &dyn Space, machine: usize, pricer: &mut dyn Pricer) -> Outcome {
         space.assert_well_formed();
-        let mut probe = Probe::new(eval, machine);
+        let mut probe = Probe::new(pricer, machine);
         probe.cycles(&space.heuristic().clone());
         for i in 0..space.len() {
             probe.cycles(&space.at(i));
@@ -146,9 +161,9 @@ impl Strategy for GoldenSection {
         "golden"
     }
 
-    fn tune(&self, space: &dyn Space, machine: usize, eval: &mut Evaluator<'_>) -> Outcome {
+    fn tune(&self, space: &dyn Space, machine: usize, pricer: &mut dyn Pricer) -> Outcome {
         space.assert_well_formed();
-        let mut probe = Probe::new(eval, machine);
+        let mut probe = Probe::new(pricer, machine);
         probe.cycles(&space.heuristic().clone());
         let mut f = |i: usize| probe.cycles(&space.at(i));
         let _ = bracket_argmin(space.len(), &mut f);
@@ -233,9 +248,9 @@ impl Strategy for HillClimb {
         "hill"
     }
 
-    fn tune(&self, space: &dyn Space, machine: usize, eval: &mut Evaluator<'_>) -> Outcome {
+    fn tune(&self, space: &dyn Space, machine: usize, pricer: &mut dyn Pricer) -> Outcome {
         space.assert_well_formed();
-        let mut probe = Probe::new(eval, machine);
+        let mut probe = Probe::new(pricer, machine);
         probe.cycles(&space.heuristic().clone());
         let mut here = Cell {
             idx: space.heuristic_index(),
@@ -357,8 +372,6 @@ pub fn strictly_unimodal(v: &[u64]) -> bool {
 mod tests {
     use super::*;
     use crate::space::SearchSpace;
-    use swpf_sim::MachineConfig;
-    use swpf_workloads::{Scale, WorkloadId};
 
     /// Count distinct probes of a synthetic function.
     fn counted<'c>(
@@ -438,46 +451,51 @@ mod tests {
         assert!(!strictly_unimodal(&[1, 5, 2, 6, 3]), "two valleys");
     }
 
-    /// End-to-end on a real (tiny) workload: every strategy beats or
-    /// matches the heuristic by construction, golden stays within its
-    /// O(log n) probe budget, and hill-climbing respects its budget.
-    #[test]
-    fn strategies_never_lose_to_the_heuristic_on_a_real_kernel() {
-        let w = WorkloadId::Is.instantiate(Scale::Test);
-        let machines = [MachineConfig::a53()];
-        let space = SearchSpace::paper_default();
-        let mut eval = Evaluator::new(w.as_ref(), &machines);
+    /// A synthetic cycle curve over the paper's space: a valley at
+    /// `c = 24` on machine 0 and at `c = 96` on machine 1, where the
+    /// stride companion costs a little.
+    fn valley(config: &PassConfig, machine: usize) -> u64 {
+        let optimum = [24, 96][machine];
+        1000 + (config.look_ahead - optimum).unsigned_abs() * 10
+            + u64::from(config.stride_companion)
+    }
 
-        let heuristic_cycles = eval.cycles(&space.heuristic, 0);
-        for strategy in [
-            &Exhaustive as &dyn Strategy,
-            &GoldenSection,
-            &HillClimb::default(),
-        ] {
-            let out = strategy.tune(&space, 0, &mut eval);
-            assert!(
-                out.best_cycles() <= heuristic_cycles,
-                "{} must never lose to the heuristic",
-                strategy.name()
-            );
-            assert_eq!(out.strategy, strategy.name());
+    /// Every strategy beats or matches the heuristic by construction,
+    /// and reports the cycles its pricer gave for the point it chose.
+    #[test]
+    fn strategies_never_lose_to_the_heuristic() {
+        let space = SearchSpace::paper_default();
+        for machine in 0..2 {
+            let heuristic_cycles = valley(&space.heuristic, machine);
+            for strategy in [
+                &Exhaustive as &dyn Strategy,
+                &GoldenSection,
+                &HillClimb::default(),
+            ] {
+                let out = strategy.tune(&space, machine, &mut valley);
+                assert!(
+                    out.best_cycles() <= heuristic_cycles,
+                    "{} must never lose to the heuristic",
+                    strategy.name()
+                );
+                assert_eq!(out.best_cycles(), valley(out.best_config(), machine));
+                assert_eq!(out.strategy, strategy.name());
+            }
         }
     }
 
     #[test]
     fn golden_visits_at_most_half_of_exhaustive_on_the_default_axis() {
-        let w = WorkloadId::Hj2.instantiate(Scale::Test);
-        let machines = [MachineConfig::xeon_phi()];
         let space = SearchSpace::paper_default();
-        let mut eval = Evaluator::new(w.as_ref(), &machines);
-        let full = Exhaustive.tune(&space, 0, &mut eval);
-        let golden = GoldenSection.tune(&space, 0, &mut eval);
+        let full = Exhaustive.tune(&space, 0, &mut valley);
+        let golden = GoldenSection.tune(&space, 0, &mut valley);
         assert!(
             golden.points_evaluated() * 2 <= full.points_evaluated(),
             "golden {} vs exhaustive {}",
             golden.points_evaluated(),
             full.points_evaluated()
         );
+        assert_eq!(golden.best_cycles(), full.best_cycles(), "a strict valley");
     }
 
     /// The same strategies search pipeline orderings: both the oracle
@@ -485,13 +503,16 @@ mod tests {
     /// so the searched pipeline is never worse than the default.
     #[test]
     fn strategies_search_pipeline_orderings_too() {
-        let w = WorkloadId::Is.instantiate(Scale::Test);
-        let machines = [MachineConfig::a53()];
         let space = crate::PipelineSpace::paper_default();
-        let mut eval = Evaluator::new(w.as_ref(), &machines);
-        let default_cycles = eval.cycles(&space.heuristic, 0);
+        let mut asked = std::collections::HashSet::new();
+        let mut pricer = |config: &PassConfig, _: usize| {
+            asked.insert(config.clone());
+            let spec = config.pipeline.to_string();
+            100 + (spec.len() as u64 * 7) % 13
+        };
+        let default_cycles = pricer.cycles(&space.heuristic, 0);
 
-        let oracle = Exhaustive.tune(&space, 0, &mut eval);
+        let oracle = Exhaustive.tune(&space, 0, &mut pricer);
         assert!(oracle.best_cycles() <= default_cycles);
         assert_eq!(
             oracle.points_evaluated(),
@@ -499,10 +520,10 @@ mod tests {
             "the oracle visits every candidate pipeline exactly once"
         );
 
-        let hill = HillClimb::default().tune(&space, 0, &mut eval);
+        let hill = HillClimb::default().tune(&space, 0, &mut pricer);
         assert!(hill.best_cycles() <= default_cycles);
         assert_eq!(
-            eval.interpretations(),
+            asked.len(),
             space.pipelines.len(),
             "hill-climbing re-walks points the oracle already evaluated"
         );
@@ -510,11 +531,8 @@ mod tests {
 
     #[test]
     fn hill_climb_respects_its_budget() {
-        let w = WorkloadId::Ra.instantiate(Scale::Test);
-        let machines = [MachineConfig::a53()];
         let space = SearchSpace::paper_default();
-        let mut eval = Evaluator::new(w.as_ref(), &machines);
-        let out = HillClimb { budget: 5 }.tune(&space, 0, &mut eval);
+        let out = HillClimb { budget: 5 }.tune(&space, 0, &mut valley);
         assert!(out.points_evaluated() <= 5);
 
         // Tightest budgets: the seed points count too, even when the
@@ -522,7 +540,7 @@ mod tests {
         let mut off_axis = SearchSpace::distance_only(vec![4, 8]);
         off_axis.heuristic = swpf_core::PassConfig::with_look_ahead(64);
         for budget in [0usize, 1, 2] {
-            let out = HillClimb { budget }.tune(&off_axis, 0, &mut eval);
+            let out = HillClimb { budget }.tune(&off_axis, 0, &mut valley);
             assert!(
                 out.points_evaluated() <= budget.max(1),
                 "budget {budget}: evaluated {}",

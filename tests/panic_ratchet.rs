@@ -23,7 +23,7 @@ const BUDGET: [(&str, usize); 11] = [
     ("crates/pass", 3),
     ("crates/sim", 6),
     ("crates/trace", 9),
-    ("crates/tune", 9),
+    ("crates/tune", 8),
     ("crates/workloads", 43),
 ];
 
