@@ -46,21 +46,6 @@ pub struct CloneScratch {
     /// Every plan's new instructions so far, each with the instruction
     /// it goes before: [`place`] puts them in the blocks at once.
     pending: Vec<(ValueId, ValueId)>,
-    /// The function's integer constants asked for so far.
-    consts: Vec<(i64, Type, ValueId)>,
-}
-
-impl CloneScratch {
-    /// The integer constant `v` of type `ty` in `f`, remembered until
-    /// [`place`] ([`Function::add_const`] scans all of `f`'s values).
-    fn int_const(&mut self, f: &mut Function, v: i64, ty: Type) -> ValueId {
-        if let Some(&(.., id)) = self.consts.iter().find(|c| c.0 == v && c.1 == ty) {
-            return id;
-        }
-        let id = f.add_const(Constant::Int(v, ty));
-        self.consts.push((v, ty, id));
-        id
-    }
 }
 
 /// A member on the needed-set walk's stack: its operands are
@@ -129,7 +114,6 @@ pub fn emit(
 pub fn place(f: &mut Function, scratch: &mut CloneScratch) {
     f.insert_before_each(&mut scratch.pending);
     scratch.pending.clear();
-    scratch.consts.clear();
 }
 
 /// Emit the look-ahead clone for a single chain position, appending
@@ -146,7 +130,7 @@ fn emit_one(
 
     // Look-ahead value: iv + off in the iteration direction.
     let step_dir = if plan.iv.step < 0 { -1 } else { 1 };
-    let off_const = scratch.int_const(f, off * step_dir, iv_ty);
+    let off_const = f.add_const(Constant::Int(off * step_dir, iv_ty));
     let iv_off = f.create_inst(
         InstKind::Binary {
             op: swpf_ir::BinOp::Add,
@@ -227,7 +211,7 @@ fn clamp_limit(
 ) -> (ValueId, Pred) {
     match plan.clamp {
         ClampSource::AllocCount { count } => {
-            let one = scratch.int_const(f, 1, iv_ty);
+            let one = f.add_const(Constant::Int(1, iv_ty));
             let lim = f.create_inst(
                 InstKind::Binary {
                     op: swpf_ir::BinOp::Sub,
@@ -247,7 +231,7 @@ fn clamp_limit(
         } => {
             let pred = if unsigned { Pred::Ult } else { Pred::Slt };
             if strict {
-                let one = scratch.int_const(f, 1, iv_ty);
+                let one = f.add_const(Constant::Int(1, iv_ty));
                 let lim = f.create_inst(
                     InstKind::Binary {
                         op: swpf_ir::BinOp::Sub,
@@ -303,7 +287,7 @@ fn clamp_apply(
         scratch.placed.push(sel);
         sel
     } else {
-        let zero = scratch.int_const(f, 0, iv_ty);
+        let zero = f.add_const(Constant::Int(0, iv_ty));
         let cmp = f.create_inst(
             InstKind::ICmp {
                 pred: Pred::Sgt,

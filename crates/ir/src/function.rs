@@ -4,6 +4,7 @@ use crate::block::{Block, BlockId};
 use crate::inst::{Inst, InstKind, Successors};
 use crate::types::Type;
 use crate::value::{Constant, ValueData, ValueId, ValueKind};
+use std::collections::HashMap;
 use std::fmt;
 
 /// Index of a function within its [`Module`](crate::module::Module).
@@ -51,10 +52,38 @@ pub struct Function {
     /// [`crate::verifier::verify_module`]).
     pub purity: Purity,
     /// All values: arguments first, then constants/instructions in
-    /// creation order.
+    /// creation order. Only ever appended to (or dropped whole), and a
+    /// constant never changes once pushed.
     values: Vec<ValueData>,
     /// Basic blocks; index 0 is the entry block.
     blocks: Vec<Block>,
+    consts: ConstIndex,
+}
+
+/// Where each distinct constant of a function's value arena first
+/// appears, for [`Function::add_const`]. It covers the arena's first
+/// `indexed` values and catches up on the rest when asked, so appending
+/// a value costs nothing here; a clone starts empty and catches up on
+/// its first lookup, so cloning a function costs no more than its arena.
+#[derive(Debug, Default)]
+struct ConstIndex {
+    first: HashMap<(bool, u64, Type), ValueId>,
+    indexed: usize,
+}
+
+impl Clone for ConstIndex {
+    fn clone(&self) -> Self {
+        ConstIndex::default()
+    }
+}
+
+/// What makes two constants one for interning: the kind, the bit
+/// pattern (floats compare by bits) and the type.
+fn const_key(c: Constant) -> (bool, u64, Type) {
+    match c {
+        Constant::Int(v, ty) => (false, v as u64, ty),
+        Constant::Float(v) => (true, v.to_bits(), Type::F64),
+    }
 }
 
 impl Function {
@@ -76,6 +105,7 @@ impl Function {
             purity: Purity::Impure,
             values: Vec::new(),
             blocks: Vec::new(),
+            consts: ConstIndex::default(),
         }
     }
 
@@ -99,6 +129,7 @@ impl Function {
     pub fn clear_body(&mut self) {
         self.values = Vec::new();
         self.blocks = Vec::new();
+        self.consts = ConstIndex::default();
     }
 
     /// The entry block id (always block 0).
@@ -165,11 +196,6 @@ impl Function {
         &self.values[v.index()]
     }
 
-    /// Mutable access to a value table entry.
-    pub fn value_mut(&mut self, v: ValueId) -> &mut ValueData {
-        &mut self.values[v.index()]
-    }
-
     /// The instruction payload of `v`, or `None` if `v` is an argument or
     /// constant.
     #[must_use]
@@ -197,21 +223,18 @@ impl Function {
         matches!(self.constant(v), Some(Constant::Int(x, _)) if x == n)
     }
 
-    /// Intern a constant, reusing an existing slot when one matches.
+    /// Intern a constant: the first value of the arena equal to `c`,
+    /// or a new one.
     pub fn add_const(&mut self, c: Constant) -> ValueId {
-        // Linear scan: functions have few distinct constants and this keeps
-        // the arena free of auxiliary maps.
-        for (i, vd) in self.values.iter().enumerate() {
-            if let ValueKind::Const(existing) = &vd.kind {
-                let equal = match (existing, &c) {
-                    (Constant::Int(a, ta), Constant::Int(b, tb)) => a == b && ta == tb,
-                    (Constant::Float(a), Constant::Float(b)) => a.to_bits() == b.to_bits(),
-                    _ => false,
-                };
-                if equal {
-                    return ValueId(i as u32);
-                }
+        let index = &mut self.consts;
+        for (i, vd) in self.values.iter().enumerate().skip(index.indexed) {
+            if let ValueKind::Const(k) = vd.kind {
+                index.first.entry(const_key(k)).or_insert(ValueId(i as u32));
             }
+        }
+        index.indexed = self.values.len();
+        if let Some(&id) = index.first.get(&const_key(c)) {
+            return id;
         }
         self.push_const(c)
     }
@@ -497,6 +520,39 @@ mod tests {
         // Same bits, different type: distinct slots.
         let d = f.add_const(Constant::Int(42, Type::I32));
         assert_ne!(a, d);
+    }
+
+    /// The id is the first equal constant of the arena, whoever pushed
+    /// it and whatever was appended since, in clones too.
+    #[test]
+    fn interning_returns_the_first_equal_constant_of_the_arena() {
+        let mut f = sample();
+        let first = f.push_const(Constant::Int(7, Type::I64));
+        let _second = f.push_const(Constant::Int(7, Type::I64));
+        let float = f.add_const(Constant::Float(f64::from_bits(7)));
+        assert_ne!(float, first, "a float is never an int of the same bits");
+        let bb = f.entry();
+        let sum = f.create_inst(
+            InstKind::Binary {
+                op: BinOp::Add,
+                lhs: first,
+                rhs: first,
+            },
+            Some(Type::I64),
+            bb,
+        );
+        let late = f.push_const(Constant::Int(9, Type::I64));
+        assert_eq!(f.const_i64(7), first);
+        assert_eq!(f.const_i64(9), late);
+        let mut copy = f.clone();
+        assert_eq!(copy.const_i64(7), first);
+        assert_eq!(copy.const_i64(9), late);
+        let fresh = copy.const_i64(10);
+        assert!(fresh.index() > sum.index());
+        assert_eq!(copy.const_i64(10), fresh);
+        copy.clear_body();
+        copy.open_body();
+        assert_eq!(copy.const_i64(7).index(), copy.params.len());
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! The compile path stays linear on deep, loop-heavy and wide functions,
-//! and on the prefetch pass's candidate walk: four times the blocks, or
-//! four times the instructions of one loop body, may cost the verifier,
-//! and the full pass pipeline, at most eight times as much.
+//! on the prefetch pass's candidate walk, and on SCCP's constant folds:
+//! four times the blocks, or four times the instructions of one loop
+//! body or block, may cost the verifier, and the full pass pipeline, at
+//! most eight times as much.
 //!
 //! One test in a binary of its own, so no other test shares the CPU
 //! while it times.
@@ -148,6 +149,18 @@ fn indirect_pairs(n: usize) -> String {
     )
 }
 
+/// One block of `n` adds that SCCP folds, each to a new constant:
+/// `%k = add %(k-1), %0` with `%0` a constant.
+fn foldable_adds(n: usize) -> String {
+    let mut s = String::from(
+        "module t\n\nfunc @f() -> i64 {\n  %0 = const 1: i64\nbb0:\n  %1: i64 = add %0, %0\n",
+    );
+    for k in 2..=n {
+        let _ = writeln!(s, "  %{k}: i64 = add %{}, %0", k - 1);
+    }
+    s + &format!("  ret %{n}\n}}\n")
+}
+
 /// Best-of-three seconds of `stage` on a fresh copy of `m`.
 fn seconds(m: &Module, stage: impl Fn(&mut Module)) -> f64 {
     (0..3)
@@ -176,6 +189,7 @@ fn verifier_and_pipeline_scale_linearly_with_blocks() {
         ("add chain feeding a load", chain_to_a_load, 20_000),
         ("add chain between two loads", chain_between_loads, 5_000),
         ("independent indirect pairs", indirect_pairs, 2_500),
+        ("foldable add chain", foldable_adds, 20_000),
     ] {
         let (m1, m4) = (
             parse_module(&make(small)).expect("parses"),
