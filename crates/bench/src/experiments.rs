@@ -1780,9 +1780,9 @@ fn prefetch_profile(scale: Scale) -> Experiment {
 // ---- searched experiments -------------------------------------------------
 
 /// The aggregate search-cost table of a searched experiment: per
-/// strategy, the per-machine search requests, the interpretations paid
-/// (the fan-out means they count candidates, not candidates ×
-/// machines), and the wall seconds.
+/// strategy, the per-machine search requests, the distinct
+/// configurations it priced (its `interpretations` column: configurations,
+/// not configurations × machines), and the wall seconds.
 fn search_cost(res: &ExperimentResult) -> TableSection {
     let strategies = res.searches.first().map_or(0, |s| s.costs.len());
     let rows = (0..strategies)
@@ -1825,9 +1825,9 @@ fn search_cost(res: &ExperimentResult) -> TableSection {
 /// the Fig. 6 sweep workloads. Three strategies run per cell: the
 /// exhaustive oracle, golden-section bracketing over the unimodal
 /// distance curve, and budgeted hill-climbing. Each candidate is
-/// compiled once and interpreted once, its event stream fanned out to
-/// every machine, so search cost scales with candidates, not
-/// candidates × machines.
+/// compiled once, and each distinct printed text interpreted once, its
+/// event stream fanned out to every machine, so search cost scales with
+/// candidates, not candidates × machines.
 fn tune(scale: Scale) -> Experiment {
     Experiment {
         spec: ExperimentSpec {

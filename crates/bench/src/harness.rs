@@ -921,9 +921,6 @@ fn run_group(
             .map(|&ji| (jobs[ji].machine, &spec.variants[jobs[ji].variant]))
             .collect()
     };
-    let by_job = |row: &[usize], cells: Vec<CellResult>| -> Vec<(usize, CellResult)> {
-        row.iter().copied().zip(cells).collect()
-    };
     let mut setup = |_: usize, interp: &mut Interp| w.setup(interp);
 
     let fingerprint = kernel_fingerprint(w.name(), spec.scale, cores, prepared.text_hash);
@@ -939,20 +936,13 @@ fn run_group(
     // replay gets there: that, too, is a miss — drop the partial row
     // and re-record.
     if let Some(path) = &cache_path {
-        let warm = open_streaming(path, fingerprint).map(|replay| {
-            run_row(
-                spec,
-                opts,
-                w.name(),
-                cores,
-                &cells_of(group),
-                Source::Stream(&replay),
-            )
-        });
+        let row = cells_of(group);
+        let warm = open_streaming(path, fingerprint)
+            .map(|replay| run_row(spec, opts, w.name(), cores, &row, Source::Stream(&replay)));
         match warm {
             Some(Ok(cells)) => {
                 swpf_obs::count("trace.disk_hit", 1);
-                return by_job(group, cells);
+                return group.iter().copied().zip(cells).collect();
             }
             Some(Err(e)) => eprintln!("warning: ignoring trace {}: {e}", path.display()),
             None => {}
@@ -981,10 +971,8 @@ fn run_group(
             setup: &mut setup,
             record: recorder.as_mut().map(TraceRecorder::streams),
         };
-        out.extend(by_job(
-            row,
-            interpret_row(spec, opts, w, cores, &cells_of(row), source),
-        ));
+        let cells = interpret_row(spec, opts, w, cores, &cells_of(row), source);
+        out.extend(row.iter().copied().zip(cells));
         if let (Some(recorder), Some(path)) = (recorder.take(), &cache_path) {
             store_trace(path, &recorder.finish());
         }
