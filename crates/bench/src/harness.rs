@@ -841,7 +841,11 @@ impl Pricer for Session<'_> {
             Some(&at) => at,
             None => self.price(config),
         };
-        self.cells[at + machine].stats().cycles
+        // Slice first: a machine out of range must not read the next
+        // configuration's cells.
+        self.cells[at..at + self.spec.machines.len()][machine]
+            .stats()
+            .cycles
     }
 }
 
