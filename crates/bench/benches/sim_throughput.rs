@@ -15,6 +15,11 @@
 //! `bench_gate` holds the ratio to `BENCH.json`'s `replay` row, and
 //! streamed over in-memory replay to its `stream_replay` row.
 //!
+//! The `interp_with_timing` group times one machine of each preset on
+//! the interpreter; `bench_gate` holds its haswell and a53 rows, over
+//! `interp_only`, to `BENCH.json`'s `timing` and `timing_inorder` rows,
+//! so both core models' single-machine paths have a leg.
+//!
 //! The `fanout` and `multicore` groups time the two event-delivery
 //! shapes the single-machine groups never take: one interpretation
 //! fanned out to all four presets (a fused grid row), and the four-core

@@ -1,10 +1,11 @@
 //! Core timing models: stall-on-miss in-order and dataflow out-of-order.
 
+use crate::machine::Lane;
 use crate::memsys::{AccessKind, MemSys, SharedMem};
 use crate::presets::{CoreKind, MachineConfig};
 use crate::scoreboard::Scoreboard;
 use crate::TICKS_PER_CYCLE;
-use swpf_ir::interp::Event;
+use swpf_ir::interp::{Event, ExecObserver};
 
 /// Instruction-class counters.
 #[derive(Debug, Clone, Copy, Default)]
@@ -23,9 +24,9 @@ pub struct InstCounts {
 
 /// Match `ev.kind` once, reading its fields in place, and expand
 /// `$arm!(name, args..)`: every core model has one method per kind,
-/// taking `(mem, shared, ev, args..)`. `Core::retire` expands the arm
-/// into a match on the model, `Lanes::retire` (`machine.rs`) into one
-/// loop per core kind, so a row matches the kind once per event.
+/// taking `(mem, shared, ev, args..)`. A `Lane` (`machine.rs`) expands
+/// the arm into one call on a model known by type, `Lanes::retire` into
+/// one loop per core kind, so a row matches the kind once per event.
 macro_rules! by_kind {
     ($ev:expr, $arm:ident) => {{
         use swpf_ir::interp::EventKind as K;
@@ -40,6 +41,41 @@ macro_rules! by_kind {
     }};
 }
 pub(crate) use by_kind;
+
+/// Evaluate `$body` with `$model` naming the core model type that `$kind`
+/// (a [`CoreKind`]) selects: a driver's one match on the model per run,
+/// compiling `$body` once per model.
+macro_rules! by_model {
+    ($kind:expr, $model:ident, $body:expr) => {
+        match $kind {
+            $crate::CoreKind::InOrder => {
+                type $model = $crate::cpu::InOrder;
+                $body
+            }
+            $crate::CoreKind::OutOfOrder => {
+                type $model = $crate::cpu::OutOfOrder;
+                $body
+            }
+        }
+    };
+}
+pub(crate) use by_model;
+
+/// One core model, known by type: its six arms (`by_kind!`), its clock
+/// and its counters. Every driver picks the type once per run and
+/// retires events through its `Lane` (`machine.rs`).
+pub(crate) trait CoreModel {
+    fn new(cfg: &MachineConfig) -> Self;
+    /// Completion time in ticks ([`Core::clock_ticks`]).
+    fn clock_ticks(&self) -> u64;
+    fn counts(&self) -> InstCounts;
+    fn load(&mut self, m: &mut MemSys, s: &mut SharedMem, ev: &Event<'_>, addr: u64);
+    fn store(&mut self, m: &mut MemSys, s: &mut SharedMem, ev: &Event<'_>, addr: u64);
+    fn prefetch(&mut self, m: &mut MemSys, s: &mut SharedMem, ev: &Event<'_>, a: u64, v: bool);
+    fn branch(&mut self, m: &mut MemSys, s: &mut SharedMem, ev: &Event<'_>);
+    fn ret(&mut self, m: &mut MemSys, s: &mut SharedMem, ev: &Event<'_>);
+    fn alu(&mut self, m: &mut MemSys, s: &mut SharedMem, ev: &Event<'_>);
+}
 
 /// A core timing model consuming interpreter events.
 #[derive(Debug)]
@@ -60,21 +96,15 @@ impl Core {
         }
     }
 
-    /// Account one retired instruction; advances the model's clock.
-    /// The event stays behind its reference: the interpreter has just
-    /// written it field by field, and a by-value `EventKind` would be
-    /// reloaded with one wide load those narrow stores cannot forward.
+    /// Account one retired instruction: match the model, then run the
+    /// typed `Lane` every driver runs (`machine.rs`). For the oracle and
+    /// the unit tests; no driver calls it per event.
     #[inline(always)]
     pub fn retire(&mut self, mem: &mut MemSys, shared: &mut SharedMem, ev: &Event<'_>) {
-        macro_rules! arm {
-            ($name:ident $(, $arg:expr)*) => {
-                match self {
-                    Core::InOrder(c) => c.$name(mem, shared, ev $(, $arg)*),
-                    Core::OutOfOrder(c) => c.$name(mem, shared, ev $(, $arg)*),
-                }
-            };
+        match self {
+            Core::InOrder(core) => Lane { core, mem, shared }.on_event(ev),
+            Core::OutOfOrder(core) => Lane { core, mem, shared }.on_event(ev),
         }
-        by_kind!(ev, arm)
     }
 
     /// Current completion time in ticks: the in-order core's next issue
@@ -83,8 +113,8 @@ impl Core {
     #[must_use]
     pub fn clock_ticks(&self) -> u64 {
         match self {
-            Core::InOrder(c) => c.next_issue,
-            Core::OutOfOrder(c) => c.last_retire,
+            Core::InOrder(c) => c.clock_ticks(),
+            Core::OutOfOrder(c) => c.clock_ticks(),
         }
     }
 
@@ -98,8 +128,8 @@ impl Core {
     #[must_use]
     pub fn counts(&self) -> InstCounts {
         match self {
-            Core::InOrder(c) => c.counts,
-            Core::OutOfOrder(c) => c.counts,
+            Core::InOrder(c) => c.counts(),
+            Core::OutOfOrder(c) => c.counts(),
         }
     }
 }
@@ -118,7 +148,7 @@ pub struct InOrder {
 }
 
 /// The in-order core's arms (`by_kind!`).
-impl InOrder {
+impl CoreModel for InOrder {
     fn new(cfg: &MachineConfig) -> Self {
         InOrder {
             issue_inc: cfg.issue_interval_ticks(),
@@ -128,8 +158,16 @@ impl InOrder {
         }
     }
 
+    fn clock_ticks(&self) -> u64 {
+        self.next_issue
+    }
+
+    fn counts(&self) -> InstCounts {
+        self.counts
+    }
+
     #[inline(always)]
-    pub(crate) fn load(&mut self, mem: &mut MemSys, sh: &mut SharedMem, ev: &Event<'_>, addr: u64) {
+    fn load(&mut self, mem: &mut MemSys, sh: &mut SharedMem, ev: &Event<'_>, addr: u64) {
         self.counts.loads += 1;
         let t = self.next_issue;
         let lat = mem.access(sh, addr, t, AccessKind::Read, ev.pc);
@@ -142,20 +180,14 @@ impl InOrder {
     }
 
     #[inline(always)]
-    pub(crate) fn store(
-        &mut self,
-        mem: &mut MemSys,
-        sh: &mut SharedMem,
-        ev: &Event<'_>,
-        addr: u64,
-    ) {
+    fn store(&mut self, mem: &mut MemSys, sh: &mut SharedMem, ev: &Event<'_>, addr: u64) {
         self.counts.stores += 1;
         let _ = mem.access(sh, addr, self.next_issue, AccessKind::Write, ev.pc);
         self.alu(mem, sh, ev);
     }
 
     #[inline(always)]
-    pub(crate) fn prefetch(
+    fn prefetch(
         &mut self,
         mem: &mut MemSys,
         sh: &mut SharedMem,
@@ -171,18 +203,18 @@ impl InOrder {
     }
 
     #[inline(always)]
-    pub(crate) fn branch(&mut self, mem: &mut MemSys, sh: &mut SharedMem, ev: &Event<'_>) {
+    fn branch(&mut self, mem: &mut MemSys, sh: &mut SharedMem, ev: &Event<'_>) {
         self.counts.branches += 1;
         self.alu(mem, sh, ev);
     }
 
     #[inline(always)]
-    pub(crate) fn ret(&mut self, mem: &mut MemSys, sh: &mut SharedMem, ev: &Event<'_>) {
+    fn ret(&mut self, mem: &mut MemSys, sh: &mut SharedMem, ev: &Event<'_>) {
         self.alu(mem, sh, ev);
     }
 
     #[inline(always)]
-    pub(crate) fn alu(&mut self, _: &mut MemSys, _: &mut SharedMem, _: &Event<'_>) {
+    fn alu(&mut self, _: &mut MemSys, _: &mut SharedMem, _: &Event<'_>) {
         self.counts.total += 1;
         self.next_issue += self.issue_inc;
     }
@@ -216,26 +248,8 @@ pub struct OutOfOrder {
     counts: InstCounts,
 }
 
-/// The out-of-order core's arms (`by_kind!`), each between `issue` and
-/// `finish`.
+/// The out-of-order core's bookkeeping around its arms.
 impl OutOfOrder {
-    fn new(cfg: &MachineConfig) -> Self {
-        let mshrs = cfg.mshrs.max(1);
-        OutOfOrder {
-            issue_inc: cfg.issue_interval_ticks(),
-            mshrs,
-            alu_ticks: TICKS_PER_CYCLE,
-            miss_threshold: cfg.l1.latency * TICKS_PER_CYCLE,
-            ready: Scoreboard::default(),
-            rob_q: vec![0; cfg.rob.max(8)].into_boxed_slice(),
-            rob_head: 0,
-            last_retire: 0,
-            last_issue: 0,
-            misses: Vec::with_capacity(mshrs),
-            counts: InstCounts::default(),
-        }
-    }
-
     /// Acquire an MSHR for a load ready to issue at `t`: retire the
     /// misses that have completed by then and, if every MSHR is still
     /// busy, wait for the earliest one. Returns the issue tick.
@@ -286,9 +300,38 @@ impl OutOfOrder {
         }
         self.last_issue = dispatch;
     }
+}
+
+/// The out-of-order core's arms (`by_kind!`), each between `issue` and
+/// `finish`.
+impl CoreModel for OutOfOrder {
+    fn new(cfg: &MachineConfig) -> Self {
+        let mshrs = cfg.mshrs.max(1);
+        OutOfOrder {
+            issue_inc: cfg.issue_interval_ticks(),
+            mshrs,
+            alu_ticks: TICKS_PER_CYCLE,
+            miss_threshold: cfg.l1.latency * TICKS_PER_CYCLE,
+            ready: Scoreboard::default(),
+            rob_q: vec![0; cfg.rob.max(8)].into_boxed_slice(),
+            rob_head: 0,
+            last_retire: 0,
+            last_issue: 0,
+            misses: Vec::with_capacity(mshrs),
+            counts: InstCounts::default(),
+        }
+    }
+
+    fn clock_ticks(&self) -> u64 {
+        self.last_retire
+    }
+
+    fn counts(&self) -> InstCounts {
+        self.counts
+    }
 
     #[inline(always)]
-    pub(crate) fn load(&mut self, mem: &mut MemSys, sh: &mut SharedMem, ev: &Event<'_>, addr: u64) {
+    fn load(&mut self, mem: &mut MemSys, sh: &mut SharedMem, ev: &Event<'_>, addr: u64) {
         let (dispatch, t) = self.issue(ev);
         self.counts.loads += 1;
         let t = self.acquire_mshr(t);
@@ -304,13 +347,7 @@ impl OutOfOrder {
     }
 
     #[inline(always)]
-    pub(crate) fn store(
-        &mut self,
-        mem: &mut MemSys,
-        sh: &mut SharedMem,
-        ev: &Event<'_>,
-        addr: u64,
-    ) {
+    fn store(&mut self, mem: &mut MemSys, sh: &mut SharedMem, ev: &Event<'_>, addr: u64) {
         let (dispatch, t) = self.issue(ev);
         self.counts.stores += 1;
         let _ = mem.access(sh, addr, t, AccessKind::Write, ev.pc);
@@ -318,7 +355,7 @@ impl OutOfOrder {
     }
 
     #[inline(always)]
-    pub(crate) fn prefetch(
+    fn prefetch(
         &mut self,
         mem: &mut MemSys,
         sh: &mut SharedMem,
@@ -335,20 +372,20 @@ impl OutOfOrder {
     }
 
     #[inline(always)]
-    pub(crate) fn branch(&mut self, mem: &mut MemSys, sh: &mut SharedMem, ev: &Event<'_>) {
+    fn branch(&mut self, mem: &mut MemSys, sh: &mut SharedMem, ev: &Event<'_>) {
         self.counts.branches += 1;
         self.alu(mem, sh, ev);
     }
 
     /// The returning frame's values are forgotten.
     #[inline(always)]
-    pub(crate) fn ret(&mut self, mem: &mut MemSys, sh: &mut SharedMem, ev: &Event<'_>) {
+    fn ret(&mut self, mem: &mut MemSys, sh: &mut SharedMem, ev: &Event<'_>) {
         self.alu(mem, sh, ev);
         self.ready.free_frame();
     }
 
     #[inline(always)]
-    pub(crate) fn alu(&mut self, _: &mut MemSys, _: &mut SharedMem, ev: &Event<'_>) {
+    fn alu(&mut self, _: &mut MemSys, _: &mut SharedMem, ev: &Event<'_>) {
         let (dispatch, t) = self.issue(ev);
         self.finish(ev, dispatch, t + self.alu_ticks);
     }

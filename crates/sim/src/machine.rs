@@ -12,11 +12,12 @@
 //! [`Machine::run_image`] and read the partial result with
 //! [`Machine::finish`].
 
-use crate::cpu::{by_kind, Core, InOrder, OutOfOrder};
+use crate::cpu::{by_kind, Core, CoreModel, InOrder, InstCounts, OutOfOrder};
 use crate::memsys::{MemSys, SharedMem};
 use crate::presets::MachineConfig;
 use crate::request::{Setup, Sim, SimError};
 use crate::stats::{SimRun, SimStats};
+use crate::TICKS_PER_CYCLE;
 use std::sync::Arc;
 use swpf_ir::exec::ExecImage;
 use swpf_ir::interp::{Event, ExecObserver, Interp, RtVal, Trap};
@@ -33,27 +34,47 @@ pub struct Machine {
     shared: SharedMem,
 }
 
-/// The observer that wires retire events into one timing model of
-/// either core kind: a row of one machine, interpreted or replayed, and
-/// each core of the multicore interleaver. Longer rows use [`Lanes`].
-pub(crate) struct TimingObserver<'a> {
-    pub(crate) core: &'a mut Core,
+/// One machine's timing model, its core model known by type: what a row
+/// of one machine and each multicore core hand their interpreter or
+/// decode loop after one match on the model per run, and what [`Lanes`]
+/// loops over. No event pays a match on [`Core`].
+pub(crate) struct Lane<'a, C> {
+    pub(crate) core: &'a mut C,
     pub(crate) mem: &'a mut MemSys,
     pub(crate) shared: &'a mut SharedMem,
 }
 
-impl ExecObserver for TimingObserver<'_> {
-    #[inline]
+/// The event stays behind its reference: the interpreter has just
+/// written it field by field, and a by-value `EventKind` would be
+/// reloaded with one wide load those narrow stores cannot forward.
+impl<C: CoreModel> ExecObserver for Lane<'_, C> {
+    #[inline(always)]
     fn on_event(&mut self, ev: &Event<'_>) {
-        self.core.retire(self.mem, self.shared, ev);
+        macro_rules! arm {
+            ($name:ident $(, $arg:expr)*) => {
+                self.core.$name(self.mem, self.shared, ev $(, $arg)*)
+            };
+        }
+        by_kind!(ev, arm)
     }
 }
 
-/// One machine of a row, its core model known by type.
-struct Lane<'a, C> {
-    core: &'a mut C,
-    mem: &'a mut MemSys,
-    shared: &'a mut SharedMem,
+/// Evaluate `$body` with `$lane` bound to `$machine`'s [`Lane`]: the one
+/// match on its [`Core`] a driver makes per run.
+macro_rules! with_lane {
+    ($machine:expr, $lane:ident, $body:expr) => {{
+        let m: &mut Machine = $machine;
+        match (&mut m.core, &mut m.mem, &mut m.shared) {
+            (Core::InOrder(core), mem, shared) => {
+                let mut $lane = Lane { core, mem, shared };
+                $body
+            }
+            (Core::OutOfOrder(core), mem, shared) => {
+                let mut $lane = Lane { core, mem, shared };
+                $body
+            }
+        }
+    }};
 }
 
 /// A row's machines split by core kind: one match on the event's kind,
@@ -103,16 +124,16 @@ impl<'a> Lanes<'a> {
 /// handed on as they arrive, never buffered: copying them out of the
 /// interpreter's hands costs more than the calls it would batch.
 ///
-/// `on_event` stays out of line: the interpreter has some sixty retire
-/// sites, and one shared copy of the machine loops (with the core models
-/// inlined into them) beats sixty copies of them.
+/// `on_event` is inlined into the interpreter's retire sites like a
+/// [`Lane`]'s: with the kind matched first, sixty copies of the machine
+/// loops beat one shared out-of-line copy (DESIGN.md §3).
 struct RowObserver<'a> {
     enc: Option<&'a mut StreamEncoder>,
     lanes: Lanes<'a>,
 }
 
 impl ExecObserver for RowObserver<'_> {
-    #[inline(never)]
+    #[inline(always)]
     fn on_event(&mut self, ev: &Event<'_>) {
         if let Some(enc) = &mut self.enc {
             enc.push(ev);
@@ -137,15 +158,6 @@ impl Machine {
         }
     }
 
-    /// The timing observer over this machine's core and memory system.
-    fn observer(&mut self) -> TimingObserver<'_> {
-        TimingObserver {
-            core: &mut self.core,
-            mem: &mut self.mem,
-            shared: &mut self.shared,
-        }
-    }
-
     /// Run `func` of an already-built [`ExecImage`] on this machine,
     /// using `interp` for architectural state (set up its memory before
     /// calling). After a trap the machine holds the statistics of the
@@ -160,9 +172,13 @@ impl Machine {
         interp: &mut Interp,
         args: &[RtVal],
     ) -> Result<(), Trap> {
-        interp
-            .run_with_image(image, func, args, &mut self.observer())
-            .map(drop)
+        with_lane!(
+            self,
+            lane,
+            interp
+                .run_with_image(image, func, args, &mut lane)
+                .map(drop)
+        )
     }
 
     /// The statistics accumulated so far plus the per-PC profile —
@@ -170,26 +186,32 @@ impl Machine {
     /// `unused_at_end`; it is `None` unless the machine was built with
     /// `perf`.
     pub fn finish(&mut self) -> SimRun {
-        sim_run(&self.core, &mut self.mem, &self.shared)
+        sim_run(
+            self.core.clock_ticks(),
+            self.core.counts(),
+            &mut self.mem,
+            &self.shared,
+        )
     }
 }
 
-/// Assemble one core's [`SimRun`] from the three stat sources (the
-/// multicore interleaver keeps them in its own layout).
-pub(crate) fn sim_run(core: &Core, mem: &mut MemSys, shared: &SharedMem) -> SimRun {
+/// Assemble one core's [`SimRun`] from its clock, its instruction counts
+/// and its memory systems (the multicore interleaver keeps them in its
+/// own layout).
+pub(crate) fn sim_run(ticks: u64, insts: InstCounts, mem: &mut MemSys, sh: &SharedMem) -> SimRun {
     let (l1_hits, l1_misses, l2_hits, l2_misses) = mem.cache_counters();
     let (tlb_hits, tlb_misses) = mem.tlb_counters();
     let stats = SimStats {
-        cycles: core.cycles(),
-        insts: core.counts(),
+        cycles: ticks / TICKS_PER_CYCLE,
+        insts,
         l1_hits,
         l1_misses,
         l2_hits,
         l2_misses,
         tlb_hits,
         tlb_misses,
-        dram_lines_read: shared.dram.lines_read(),
-        dram_lines_written: shared.dram.lines_written(),
+        dram_lines_read: sh.dram.lines_read(),
+        dram_lines_written: sh.dram.lines_written(),
         mem: mem.stats(),
     };
     SimRun {
@@ -212,10 +234,8 @@ fn fresh_row(sim: &Sim<'_>) -> Vec<Machine> {
 /// interleaver's schedule), so this rides the engine's fast
 /// `run_to_done` loop and records no step marks.
 ///
-/// A row of one unrecorded machine drives its [`TimingObserver`]
-/// directly: monomorphised into the interpreter, the in-order models
-/// run about a fifth faster than behind the out-of-line row loop
-/// (`sim_throughput`'s `interp_with_timing`, see CHANGES.md PR 18).
+/// A row of one unrecorded machine hands the interpreter its typed
+/// [`Lane`] ([`Machine::run_image`]), with no loop over lane lists.
 pub(crate) fn interpret_row(
     sim: &Sim<'_>,
     image: &Arc<ExecImage>,
@@ -249,7 +269,7 @@ pub(crate) fn interpret_row(
 /// decode pass (in memory or block-at-a-time from the file, whatever
 /// `src` is), every event fanned out to all timing models. The decode
 /// loop is the only call site, so delivery inlines into it — for a row
-/// of one, with the observer hoisted out of the loop; for a longer row,
+/// of one, one typed [`Lane`] chosen before the loop; for a longer row,
 /// one loop per core kind ([`Lanes`]).
 pub(crate) fn replay_row(
     sim: &Sim<'_>,
@@ -257,10 +277,13 @@ pub(crate) fn replay_row(
 ) -> Result<Vec<SimRun>, SimError> {
     let mut machines = fresh_row(sim);
     if let [one] = machines.as_mut_slice() {
-        let mut obs = one.observer();
-        while let Some((ev, _)) = src.next_event()? {
-            obs.on_event(&ev);
-        }
+        with_lane!(
+            one,
+            lane,
+            while let Some((ev, _)) = src.next_event()? {
+                lane.on_event(&ev);
+            }
+        );
     } else {
         let mut lanes = Lanes::new(&mut machines);
         while let Some((ev, _)) = src.next_event()? {

@@ -340,13 +340,6 @@ impl MemSys {
         self.perf.take().map(|mut p| p.take())
     }
 
-    /// L1 hit latency in ticks (used by core models as the "pipelined,
-    /// no stall" threshold).
-    #[must_use]
-    pub fn l1_latency_ticks(&self) -> u64 {
-        self.l1.latency_ticks
-    }
-
     /// Memory-system statistics.
     #[must_use]
     pub fn stats(&self) -> MemSysStats {

@@ -16,10 +16,11 @@
 //! preserves the direct run's schedule exactly — smallest local clock
 //! first, 64 interpreter steps (`BATCH_STEPS`) per decision — and
 //! shared-resource contention, the whole point of Fig. 9, is reproduced
-//! bit-identically.
+//! bit-identically. The skeleton is generic over the core model, chosen
+//! once per run, so each batch hands its driver a typed [`Lane`].
 
-use crate::cpu::Core;
-use crate::machine::{sim_run, TimingObserver};
+use crate::cpu::{by_model, CoreModel};
+use crate::machine::{sim_run, Lane};
 use crate::memsys::{MemSys, SharedMem};
 use crate::presets::MachineConfig;
 use crate::request::{Setup, Sim, SimError};
@@ -37,9 +38,9 @@ const BATCH_STEPS: u64 = 64;
 
 /// One interleaved core: what feeds it events (an interpreter, or a
 /// trace cursor) and its private timing model.
-struct Slot<D> {
+struct Slot<D, C> {
     driver: D,
-    core: Core,
+    core: C,
     mem: MemSys,
     done: bool,
 }
@@ -53,11 +54,11 @@ struct Slot<D> {
 /// interleaving stays fine-grained enough for bandwidth contention.
 /// `drivers` is pulled lazily, so each core's driver and timing model
 /// are built together.
-fn interleave<D>(
+fn interleave<C: CoreModel, D>(
     config: &MachineConfig,
     perf: bool,
     drivers: impl Iterator<Item = Result<D, SimError>>,
-    mut batch: impl FnMut(usize, &mut D, &mut TimingObserver<'_>) -> Result<bool, SimError>,
+    mut batch: impl FnMut(usize, &mut D, &mut Lane<'_, C>) -> Result<bool, SimError>,
 ) -> Result<Vec<SimRun>, SimError> {
     let mut shared = SharedMem::new(config);
     let mut slots = drivers
@@ -67,7 +68,7 @@ fn interleave<D>(
             mem.set_address_space(i as u64);
             Ok(Slot {
                 driver: driver?,
-                core: Core::new(config),
+                core: C::new(config),
                 mem,
                 done: false,
             })
@@ -82,16 +83,16 @@ fn interleave<D>(
             .map(|(i, _)| i);
         let Some(i) = next else { break };
         let slot = &mut slots[i];
-        let mut obs = TimingObserver {
+        let mut lane = Lane {
             core: &mut slot.core,
             mem: &mut slot.mem,
             shared: &mut shared,
         };
-        slot.done = batch(i, &mut slot.driver, &mut obs)?;
+        slot.done = batch(i, &mut slot.driver, &mut lane)?;
     }
     Ok(slots
         .iter_mut()
-        .map(|s| sim_run(&s.core, &mut s.mem, &shared))
+        .map(|s| sim_run(s.core.clock_ticks(), s.core.counts(), &mut s.mem, &shared))
         .collect())
 }
 
@@ -116,13 +117,17 @@ pub(crate) fn interpret(
         interp.start_with_image(Arc::clone(image), func, &args);
         Ok(interp)
     });
-    interleave(config, sim.perf, interps, |i, interp: &mut Interp, obs| {
-        let step = match &mut record {
-            Some(rec) => interp.run_steps(BATCH_STEPS, &mut Tee(&mut rec[i], obs)),
-            None => interp.run_steps(BATCH_STEPS, obs),
-        }?;
-        Ok(matches!(step, Step::Done(_)))
-    })
+    by_model!(
+        config.core,
+        C,
+        interleave::<C, _>(config, sim.perf, interps, |i, interp: &mut Interp, lane| {
+            let step = match &mut record {
+                Some(rec) => interp.run_steps(BATCH_STEPS, &mut Tee(&mut rec[i], lane)),
+                None => interp.run_steps(BATCH_STEPS, lane),
+            }?;
+            Ok(matches!(step, Step::Done(_)))
+        })
+    )
 }
 
 /// Re-drive `sim.cores` timing models on `config` from a recorded
@@ -135,20 +140,24 @@ pub(crate) fn replay<S: EventSource>(
     cursor: impl Fn(usize) -> Result<S, TraceError>,
 ) -> Result<Vec<SimRun>, SimError> {
     let cursors = (0..sim.cores).map(|i| Ok(cursor(i)?));
-    interleave(config, sim.perf, cursors, |_, cursor, obs| {
-        for _ in 0..BATCH_STEPS {
-            loop {
-                let Some((ev, end_of_step)) = cursor.next_event()? else {
-                    return Ok(true);
-                };
-                obs.on_event(&ev);
-                if end_of_step {
-                    break;
+    by_model!(
+        config.core,
+        C,
+        interleave::<C, _>(config, sim.perf, cursors, |_, cursor: &mut S, lane| {
+            for _ in 0..BATCH_STEPS {
+                loop {
+                    let Some((ev, end_of_step)) = cursor.next_event()? else {
+                        return Ok(true);
+                    };
+                    lane.on_event(&ev);
+                    if end_of_step {
+                        break;
+                    }
                 }
             }
-        }
-        Ok(false)
-    })
+            Ok(false)
+        })
+    )
 }
 
 #[cfg(test)]

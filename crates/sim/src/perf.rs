@@ -104,17 +104,6 @@ impl SiteProfile {
         self.classified() == self.issued
     }
 
-    /// Fraction of issued prefetches that were timely (0 when none
-    /// were issued).
-    #[must_use]
-    pub fn timely_share(&self) -> f64 {
-        if self.issued == 0 {
-            0.0
-        } else {
-            self.timely as f64 / self.issued as f64
-        }
-    }
-
     fn merge(&mut self, other: &SiteProfile) {
         self.issued += other.issued;
         self.timely += other.timely;

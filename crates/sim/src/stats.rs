@@ -105,17 +105,6 @@ impl SimStats {
         }
     }
 
-    /// L1 miss ratio of demand accesses.
-    #[must_use]
-    pub fn l1_miss_ratio(&self) -> f64 {
-        let total = self.l1_hits + self.l1_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.l1_misses as f64 / total as f64
-        }
-    }
-
     /// Every integer counter as `(name, value)` pairs — the flat,
     /// order-stable view machine-readable artifact writers serialise.
     /// Names are the JSON keys of the experiment-result schema
