@@ -219,11 +219,20 @@ fn structural_checks_catch_dead_cells() {
     );
 }
 
-/// The artifact JSON for the whole catalogue at test scale stays
-/// parseable and every experiment's checks pass — the exact gate CI
-/// applies.
-#[test]
-fn all_experiments_pass_their_checks_at_test_scale() {
+/// The checks golden file: one `experiment name verdict detail` line
+/// per check of the whole catalogue at test scale.
+fn checks_golden_path() -> std::path::PathBuf {
+    std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("../../tests/golden/checks_test_scale.txt")
+}
+
+/// Run the whole catalogue at test scale as the driver does and return
+/// one line per check: `experiment name verdict detail`. Along the way,
+/// assert what every run must satisfy: every check passes, each
+/// prefetching cell carries its pass parameters, and the artifact JSON
+/// round-trips.
+fn catalogue_check_lines() -> Vec<String> {
+    let mut lines = Vec::new();
     for (name, build, _) in CATALOGUE {
         let exp = build(Scale::Test);
         let result = run_experiment(&exp, &opts(2));
@@ -232,6 +241,7 @@ fn all_experiments_pass_their_checks_at_test_scale() {
         checks.extend((exp.checks)(&result, &derived));
         for check in &checks {
             assert!(check.passed, "{name}: {} — {}", check.name, check.detail);
+            lines.push(format!("{name} {} ok {}", check.name, check.detail));
         }
         // Every prefetching cell carries its effective pass parameters;
         // cells without prefetch code carry none. Every searched point
@@ -254,6 +264,33 @@ fn all_experiments_pass_their_checks_at_test_scale() {
         let doc = artifact_json(&result, &derived, &checks);
         assert_eq!(Json::parse(&doc.to_pretty_string()).unwrap(), doc);
     }
+    lines
+}
+
+/// The artifact JSON for the whole catalogue at test scale stays
+/// parseable and every experiment's checks pass — the exact gate CI
+/// applies — with the names, verdicts and details of
+/// `tests/golden/checks_test_scale.txt`. After a deliberate change to a
+/// check, regenerate the file with
+/// `cargo test -p swpf-bench --test harness -- --ignored bless_checks_golden`.
+#[test]
+fn all_experiments_pass_their_checks_at_test_scale() {
+    let actual = catalogue_check_lines();
+    let path = checks_golden_path();
+    let golden = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()));
+    let golden: Vec<&str> = golden.lines().collect();
+    for (i, (want, got)) in golden.iter().zip(&actual).enumerate() {
+        assert_eq!(want, got, "line {} of {}", i + 1, path.display());
+    }
+    assert_eq!(golden.len(), actual.len(), "line count");
+}
+
+#[test]
+#[ignore = "rewrites the golden file; run only for a deliberate change to a check"]
+fn bless_checks_golden() {
+    let path = checks_golden_path();
+    std::fs::write(&path, catalogue_check_lines().join("\n") + "\n").unwrap();
 }
 
 /// Compare two runs of the same experiment cell-by-cell: every counter
