@@ -182,7 +182,7 @@ fn fanout(c: &mut Criterion) {
     let row = Sim {
         machines: &cfgs.iter().collect::<Vec<_>>(),
         cores: 1,
-        tier: Tier::from_env(),
+        tier: Tier::default(),
         perf: false,
     };
     let mut group = c.benchmark_group("fanout");
@@ -307,7 +307,7 @@ fn perf_overhead(c: &mut Criterion) {
     let haswell = Sim {
         machines: &[&cfg],
         cores: 1,
-        tier: Tier::from_env(),
+        tier: Tier::default(),
         perf: true,
     };
     let mut group = c.benchmark_group("perf");

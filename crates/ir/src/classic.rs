@@ -18,10 +18,10 @@
 //!    doubt, this file is the specification: it maps one-to-one onto the
 //!    IR.
 //!
-//! It is reached through [`crate::interp::Interp`] under
-//! `SWPF_TIER=classic` (or [`crate::interp::Tier::Classic`]) on every
-//! entry point, image starts included; new code should use that facade,
-//! whose default bytecode tier is substantially faster.
+//! It is reached through [`crate::interp::Interp`] on
+//! [`crate::interp::Tier::Classic`] (the binaries' `SWPF_TIER=classic`)
+//! from every entry point, image starts included; new code should use
+//! that facade, whose default bytecode tier is substantially faster.
 
 use crate::block::BlockId;
 use crate::function::FuncId;

@@ -7,8 +7,9 @@
 //! [`ExecImage::build`] pays the per-module work once: it lowers every
 //! function to the bytecode tier's fixed-width words
 //! ([`crate::bytecode`]) and keeps a copy of the module, so the classic
-//! tier can start from an image too — it runs image starts under
-//! `SWPF_TIER=classic` and modules that exceed the bytecode encoding.
+//! tier can start from an image too — it runs image starts on
+//! [`crate::interp::Tier::Classic`] and modules that exceed the bytecode
+//! encoding.
 //!
 //! Callers normally use the [`crate::interp::Interp`] facade, which owns
 //! the simulated [`Memory`](crate::interp::Memory) and builds images on

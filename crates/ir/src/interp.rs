@@ -315,7 +315,9 @@ pub enum Tier {
 
 impl Tier {
     /// Read the tier from `SWPF_TIER` (`classic` | `bytecode`); unset or
-    /// empty defaults to [`Tier::Bytecode`].
+    /// empty defaults to [`Tier::Bytecode`]. The library itself reads no
+    /// environment: binaries resolve the tier once with this and pass it
+    /// on ([`Interp::with_tier`], `swpf_sim::Sim::tier`).
     ///
     /// # Errors
     /// On an unrecognised value — a misspelled tier silently running a
@@ -329,16 +331,6 @@ impl Tier {
             },
             Err(_) => Ok(Tier::Bytecode),
         }
-    }
-
-    /// [`Tier::try_from_env`] for callers with no error path of their
-    /// own (the library default behind [`Interp::new`]).
-    ///
-    /// # Panics
-    /// On an unrecognised `SWPF_TIER` value.
-    #[must_use]
-    pub fn from_env() -> Tier {
-        Tier::try_from_env().unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Stable lowercase name (artifact metadata, logs).
@@ -376,8 +368,7 @@ enum Cursor {
 }
 
 /// The interpreter facade: simulated memory plus a resumable execution
-/// cursor on one of two [`Tier`]s (default: the bytecode tier, or
-/// `SWPF_TIER` if set).
+/// cursor on one of two [`Tier`]s (default: the bytecode tier).
 ///
 /// [`Interp::start`] lowers the module into an [`ExecImage`]; callers
 /// that run the same module on many interpreters (e.g. multicore
@@ -406,21 +397,21 @@ impl Default for Interp {
 }
 
 impl Interp {
-    /// Create an interpreter with a 1 GiB heap limit on the tier
-    /// selected by `SWPF_TIER` (default: bytecode).
+    /// Create an interpreter with a 1 GiB heap limit on the default
+    /// (bytecode) tier.
     #[must_use]
     pub fn new() -> Self {
         Self::with_heap_limit(1 << 30)
     }
 
-    /// Create an interpreter with an explicit heap limit in bytes.
+    /// Create an interpreter with an explicit heap limit in bytes, on the
+    /// default (bytecode) tier.
     #[must_use]
     pub fn with_heap_limit(limit: u64) -> Self {
-        Self::with_heap_limit_and_tier(limit, Tier::from_env())
+        Self::with_heap_limit_and_tier(limit, Tier::default())
     }
 
-    /// Create an interpreter on an explicit tier (ignoring `SWPF_TIER`)
-    /// with a 1 GiB heap limit.
+    /// Create an interpreter on an explicit tier with a 1 GiB heap limit.
     #[must_use]
     pub fn with_tier(tier: Tier) -> Self {
         Self::with_heap_limit_and_tier(1 << 30, tier)

@@ -24,10 +24,10 @@
 //!
 //! The free functions below are one-expression conveniences over the
 //! request for quick starts and for `benchmark/layers`; they run
-//! unprofiled, resolve the tier from `SWPF_TIER` and treat any
-//! [`SimError`] as a fatal configuration error. The request itself
-//! reads no environment at all — its tier and its profiling are
-//! fields — and never panics on a trap or a damaged trace.
+//! unprofiled on the default tier and treat any [`SimError`] as a fatal
+//! configuration error. Nothing here reads the environment — the
+//! request's tier and its profiling are fields — and the request never
+//! panics on a trap or a damaged trace.
 
 use crate::machine::{interpret_row, replay_row};
 use crate::multicore;
@@ -266,7 +266,7 @@ pub fn run_on_machine(
 ) -> SimStats {
     stats_or_panic(
         Source::module(module, func_name, &mut once(setup))
-            .and_then(|source| one(&config, Tier::from_env()).run(source)),
+            .and_then(|source| one(&config, Tier::default()).run(source)),
     )
 }
 
@@ -280,7 +280,7 @@ pub fn run_on_machine_image(
     func: FuncId,
     setup: impl FnOnce(&mut Interp) -> Vec<RtVal>,
 ) -> SimStats {
-    stats_or_panic(one(&config, Tier::from_env()).run(Source::image(image, func, &mut once(setup))))
+    stats_or_panic(one(&config, Tier::default()).run(Source::image(image, func, &mut once(setup))))
 }
 
 /// Like [`run_on_machine_image`], but records the retire-event stream
@@ -295,7 +295,7 @@ pub fn run_on_machine_traced(
     setup: impl FnOnce(&mut Interp) -> Vec<RtVal>,
     enc: &mut StreamEncoder,
 ) -> SimStats {
-    stats_or_panic(one(&config, Tier::from_env()).run(Source::Image {
+    stats_or_panic(one(&config, Tier::default()).run(Source::Image {
         image: Arc::clone(image),
         func,
         setup: &mut once(setup),
@@ -339,7 +339,7 @@ pub fn run_multicore(
 ) -> Vec<SimStats> {
     Sim {
         cores: n_cores,
-        ..one(&config, Tier::from_env())
+        ..one(&config, Tier::default())
     }
     .run(Source::image(
         &Arc::new(ExecImage::build(module)),
