@@ -50,9 +50,12 @@
 //! Shape checks ([`Check`]) turn the suite into an end-to-end
 //! regression oracle: structural checks (grid complete, non-zero
 //! cycles, finite derived values) run at every scale, and each
-//! experiment adds behavioural checks for the paper's qualitative
-//! claims (e.g. *software prefetching speeds up in-order machines*).
+//! experiment adds behavioural claims for the paper's qualitative
+//! findings (e.g. *software prefetching speeds up in-order machines*).
+//! [`Experiment::verdicts`] is the one place claims become the verdicts
+//! an artifact prints.
 
+use crate::claim::Check;
 use crate::json::Json;
 use crate::{auto_module, geomean, icc_module};
 use std::collections::HashMap;
@@ -521,29 +524,6 @@ pub struct Row {
     pub values: Vec<f64>,
 }
 
-/// A shape-assertion verdict.
-#[derive(Debug, Clone)]
-pub struct Check {
-    /// Stable check name.
-    pub name: String,
-    /// Did the shape hold?
-    pub passed: bool,
-    /// Human-readable evidence (the numbers involved).
-    pub detail: String,
-}
-
-impl Check {
-    /// Build a verdict from a condition and its evidence.
-    #[must_use]
-    pub fn new(name: impl Into<String>, passed: bool, detail: impl Into<String>) -> Check {
-        Check {
-            name: name.into(),
-            passed,
-            detail: detail.into(),
-        }
-    }
-}
-
 /// Derivation hook: turn raw cells into the figure's tables.
 pub type DeriveFn = fn(&ExperimentResult) -> Vec<TableSection>;
 /// Shape-check hook: assert the paper's qualitative claims.
@@ -560,6 +540,22 @@ pub struct Experiment {
     pub derive: DeriveFn,
     /// Shape-check hook (behavioural; structural checks are automatic).
     pub checks: ChecksFn,
+}
+
+impl Experiment {
+    /// The verdicts an artifact prints: the structural checks, then the
+    /// experiment's own claims, each as evaluated at the result's scale
+    /// ([`Check::at_scale`]: paper-only claims are dropped below paper
+    /// scale).
+    #[must_use]
+    pub fn verdicts(&self, result: &ExperimentResult, derived: &[TableSection]) -> Vec<Check> {
+        let claims = (self.checks)(result, derived);
+        structural_checks(result, derived)
+            .into_iter()
+            .chain(claims)
+            .filter_map(|c| c.at_scale(result.scale))
+            .collect()
+    }
 }
 
 /// A search over one [`Space`]: each strategy in turn, per workload ×
@@ -1125,7 +1121,7 @@ pub fn structural_checks(result: &ExperimentResult, derived: &[TableSection]) ->
         .filter(|c| c.cores.iter().any(|s| s.cycles == 0 || s.insts.total == 0))
         .map(|c| format!("{}/{}/{}", c.workload, c.variant, c.machine));
     if !result.cells.is_empty() {
-        checks.push(Check::new(
+        checks.push(Check::holds(
             "all_cells_simulated",
             dead.clone().next().is_none(),
             first_three(dead, "every cell retired work", "retired no work"),
@@ -1143,7 +1139,7 @@ pub fn structural_checks(result: &ExperimentResult, derived: &[TableSection]) ->
                 })
         })
     });
-    checks.push(Check::new(
+    checks.push(Check::holds(
         "derived_values_finite",
         bad.clone().next().is_none(),
         first_three(
@@ -1383,6 +1379,33 @@ pub fn perf_json(p: &PcProfile) -> Json {
     ])
 }
 
+/// One check of an artifact: name, verdict and detail; a comparison
+/// claim adds its value, bound and margin (`null` when the bound is 0),
+/// a paper-only claim its scale.
+fn check_json(c: &Check) -> Json {
+    let number = |v: f64| {
+        if v.is_finite() {
+            Json::F64(v)
+        } else {
+            Json::Null
+        }
+    };
+    let mut members = vec![
+        ("name", Json::Str(c.name.clone())),
+        ("passed", Json::Bool(c.passed)),
+        ("detail", Json::Str(c.detail.clone())),
+    ];
+    if let Some(cmp) = &c.comparison {
+        members.push(("value", number(cmp.value)));
+        members.push(("bound", number(cmp.bound.value)));
+        members.push(("margin", cmp.margin().map_or(Json::Null, Json::F64)));
+    }
+    if c.paper_only {
+        members.push(("scale", Json::Str(Scale::Paper.label().to_string())));
+    }
+    Json::obj(members)
+}
+
 /// The artifact document (schema v1; see DESIGN.md §5).
 #[must_use]
 pub fn artifact_json(
@@ -1470,16 +1493,7 @@ pub fn artifact_json(
             ])
         })
         .collect();
-    let checks = checks
-        .iter()
-        .map(|c| {
-            Json::obj(vec![
-                ("name", Json::Str(c.name.clone())),
-                ("passed", Json::Bool(c.passed)),
-                ("detail", Json::Str(c.detail.clone())),
-            ])
-        })
-        .collect();
+    let checks = checks.iter().map(check_json).collect();
     Json::obj(vec![
         ("schema_version", Json::U64(1)),
         ("experiment", Json::Str(result.name.to_string())),
@@ -1533,8 +1547,7 @@ pub fn run_and_report(
     }
     let profile = pre.map(|p| profile_window_json(&p, &swpf_obs::snapshot().summary()));
     let derived = (exp.derive)(&result);
-    let mut checks = structural_checks(&result, &derived);
-    checks.extend((exp.checks)(&result, &derived));
+    let checks = exp.verdicts(&result, &derived);
 
     println!(
         "\n#### {} — {} [scale={}, {} jobs, {} threads, {:.2}s, trace {}: {} replayed / {} interpreted]",

@@ -35,6 +35,7 @@
 //! other machine cell); `--trace-dir DIR` / `SWPF_TRACE_DIR` persist
 //! traces across runs, `--no-trace` disables replay (DESIGN.md §6).
 
+pub mod claim;
 pub mod experiments;
 pub mod harness;
 pub mod json;

@@ -178,7 +178,7 @@ fn pipeline_search_sessions_simulate_each_text_once() {
             texts += printed.len();
         }
     }
-    assert_eq!(configs, 70, "the Search cost table's interpretations");
+    assert_eq!(configs, 70, "the Search cost table's configurations");
     assert!(texts < configs, "some pipelines print alike");
     let machines = exp.spec.machines.len();
     assert_eq!(runs, Some((machines * texts) as u64));

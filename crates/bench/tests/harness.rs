@@ -82,8 +82,7 @@ fn artifact_snapshot_at_test_scale() {
     let exp = experiments::by_name("fig9", Scale::Test).unwrap();
     let result = run_experiment(&exp, &opts(2));
     let derived = (exp.derive)(&result);
-    let mut checks = structural_checks(&result, &derived);
-    checks.extend((exp.checks)(&result, &derived));
+    let checks = exp.verdicts(&result, &derived);
 
     let dir = std::env::temp_dir().join(format!("swpf_artifact_{}", std::process::id()));
     let path = write_artifact(&dir, &result, &derived, &checks, None).expect("artifact written");
@@ -237,8 +236,7 @@ fn catalogue_check_lines() -> Vec<String> {
         let exp = build(Scale::Test);
         let result = run_experiment(&exp, &opts(2));
         let derived = (exp.derive)(&result);
-        let mut checks = structural_checks(&result, &derived);
-        checks.extend((exp.checks)(&result, &derived));
+        let checks = exp.verdicts(&result, &derived);
         for check in &checks {
             assert!(check.passed, "{name}: {} — {}", check.name, check.detail);
             lines.push(format!("{name} {} ok {}", check.name, check.detail));

@@ -11,10 +11,9 @@
 //! `cargo test -p swpf-bench --test searched_golden -- --ignored bless_searched_golden`.
 
 use std::path::PathBuf;
+use swpf_bench::claim::Check;
 use swpf_bench::experiments;
-use swpf_bench::harness::{
-    run_experiment, structural_checks, Check, ExperimentResult, RunOptions, TableSection,
-};
+use swpf_bench::harness::{run_experiment, ExperimentResult, RunOptions, TableSection};
 use swpf_workloads::Scale;
 
 const EXPERIMENTS: [&str; 3] = ["tune", "pipeline_search", "ablation"];
@@ -29,8 +28,7 @@ fn run(name: &str) -> (ExperimentResult, Vec<TableSection>, Vec<Check>) {
     let exp = experiments::by_name(name, Scale::Test).expect("experiment exists");
     let result = run_experiment(&exp, &RunOptions::default());
     let derived = (exp.derive)(&result);
-    let mut checks = structural_checks(&result, &derived);
-    checks.extend((exp.checks)(&result, &derived));
+    let checks = exp.verdicts(&result, &derived);
     (result, derived, checks)
 }
 

@@ -4,10 +4,10 @@
 //! guarantee, determinism, and the artifact shape (including the
 //! self-describing `params` member).
 
+use swpf_bench::claim::Check;
 use swpf_bench::experiments;
 use swpf_bench::harness::{
-    artifact_json, run_experiment, structural_checks, Check, Experiment, ExperimentResult,
-    RunOptions, TableSection,
+    artifact_json, run_experiment, Experiment, ExperimentResult, RunOptions, TableSection,
 };
 use swpf_bench::json::Json;
 use swpf_core::PassConfig;
@@ -23,8 +23,7 @@ fn tune() -> Experiment {
 fn run(exp: &Experiment) -> (ExperimentResult, Vec<TableSection>, Vec<Check>) {
     let result = run_experiment(exp, &RunOptions::default());
     let derived = (exp.derive)(&result);
-    let mut checks = structural_checks(&result, &derived);
-    checks.extend((exp.checks)(&result, &derived));
+    let checks = exp.verdicts(&result, &derived);
     (result, derived, checks)
 }
 
