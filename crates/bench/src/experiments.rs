@@ -99,6 +99,11 @@ fn row_value(section: &TableSection, row_name: &str, column: &str) -> f64 {
         .unwrap_or(f64::NAN)
 }
 
+/// Column names from one space-separated list.
+fn column_names(names: &str) -> Vec<String> {
+    names.split(' ').map(String::from).collect()
+}
+
 fn find_section<'a>(sections: &'a [TableSection], needle: &str) -> Option<&'a TableSection> {
     sections.iter().find(|s| s.title.contains(needle))
 }
@@ -141,6 +146,18 @@ fn speedup_rows(
     rows
 }
 
+/// One row per machine: its speedup on `workload` under each variant
+/// label.
+fn machine_rows(res: &ExperimentResult, workload: &str, labels: &[String]) -> Vec<Row> {
+    let row = |m: &MachineConfig| Row {
+        name: m.name.to_string(),
+        values: (labels.iter())
+            .map(|l| res.speedup(m.name, workload, l))
+            .collect(),
+    };
+    res.machines.iter().map(row).collect()
+}
+
 fn in_order_names(res: &ExperimentResult) -> Vec<&'static str> {
     res.machines
         .iter()
@@ -166,19 +183,9 @@ fn table1(scale: Scale) -> Experiment {
         },
         search: None,
         derive: |res| {
-            let columns = [
-                "width",
-                "rob",
-                "mshrs",
-                "l1_KiB",
-                "l2_KiB",
-                "l3_KiB",
-                "tlb",
-                "page_bits",
-                "walkers",
-                "dram_lat",
-                "dram_B/c",
-            ];
+            let columns = column_names(
+                "width rob mshrs l1_KiB l2_KiB l3_KiB tlb page_bits walkers dram_lat dram_B/c",
+            );
             let rows = res
                 .machines
                 .iter()
@@ -201,7 +208,7 @@ fn table1(scale: Scale) -> Experiment {
                 .collect();
             vec![TableSection {
                 title: "Table 1 — simulated system models".to_string(),
-                columns: columns.iter().map(ToString::to_string).collect(),
+                columns,
                 rows,
                 notes: vec![
                     "Paper reference (Table 1):".to_string(),
@@ -256,27 +263,18 @@ fn fig2(scale: Scale) -> Experiment {
         },
         search: None,
         derive: |res| {
-            let schemes = [
-                ("intuitive", "fig2_intuitive"),
-                ("too-small", "fig2_too_small"),
-                ("too-big", "fig2_too_big"),
-                ("optimal", "fig2_optimal"),
+            let labels = [
+                "fig2_intuitive",
+                "fig2_too_small",
+                "fig2_too_big",
+                "fig2_optimal",
             ];
-            let rows = res
-                .machines
-                .iter()
-                .map(|m| Row {
-                    name: m.name.to_string(),
-                    values: schemes
-                        .iter()
-                        .map(|(_, label)| res.speedup(m.name, "IS", label))
-                        .collect(),
-                })
-                .collect();
             vec![TableSection::new(
                 "Fig. 2 — IS: prefetching-scheme speedups",
-                schemes.iter().map(|(c, _)| (*c).to_string()).collect(),
-                rows,
+                ["intuitive", "too-small", "too-big", "optimal"]
+                    .map(String::from)
+                    .to_vec(),
+                machine_rows(res, "IS", &labels.map(String::from)),
             )]
         },
         checks: |res, derived| {
@@ -297,14 +295,12 @@ fn fig2(scale: Scale) -> Experiment {
             // Mis-scheduling hurts: a huge offset pollutes the cache and
             // lines are evicted before use (the Phi's big in-order-core
             // prefetch budget shows it most clearly at every scale).
-            let optimal = ("optimal", at("xeon_phi", "optimal"));
-            let too_big = at("xeon_phi", "too-big");
-            checks.push(Check::below(
+            let phi = |column| at("xeon_phi", column);
+            let (name, optimal) = (
                 "too_big_offset_pollutes_on_phi",
-                "too-big",
-                too_big,
-                optimal,
-            ));
+                ("optimal", phi("optimal")),
+            );
+            checks.push(Check::below(name, "too-big", phi("too-big"), optimal));
             checks.extend(in_order.iter().map(|m| {
                 let name = format!("optimal_speeds_up_{m}");
                 Check::above(name, "optimal", at(m, "optimal"), 1.0).paper_only()
@@ -344,27 +340,20 @@ fn fig4(scale: Scale) -> Experiment {
         },
         search: None,
         derive: |res| {
-            res.machines
-                .iter()
-                .map(|m| {
-                    let is_phi = m.name == "xeon_phi";
-                    let variants: &[&str] = if is_phi {
-                        &["icc", "auto", MANUAL]
-                    } else {
-                        &["auto", MANUAL]
-                    };
-                    let columns = if is_phi {
-                        vec!["icc".to_string(), "auto".to_string(), "manual".to_string()]
-                    } else {
-                        vec!["auto".to_string(), "manual".to_string()]
-                    };
-                    TableSection::new(
-                        format!("Fig. 4 ({}) — speedup vs. no prefetching", m.name),
-                        columns,
-                        speedup_rows(res, m.name, &WorkloadId::ALL, variants),
-                    )
-                })
-                .collect()
+            let sections = res.machines.iter().map(|m| {
+                // The ICC column is the Phi's alone (Fig. 4d).
+                let skip = usize::from(m.name != "xeon_phi");
+                let (columns, labels) = (
+                    &["icc", "auto", "manual"][skip..],
+                    &["icc", "auto", MANUAL][skip..],
+                );
+                TableSection::new(
+                    format!("Fig. 4 ({}) — speedup vs. no prefetching", m.name),
+                    columns.iter().map(ToString::to_string).collect(),
+                    speedup_rows(res, m.name, &WorkloadId::ALL, labels),
+                )
+            });
+            sections.collect()
         },
         checks: |res, derived| {
             let geomean = |m: &str, column| {
@@ -441,12 +430,9 @@ fn fig5(scale: Scale) -> Experiment {
             // Adding the staggered stride companion wins overall
             // (paper §6.1) — a geomean claim, so paper scale only.
             let geomean = |column| row_value(&derived[0], "Geomean", column);
-            let ind = ("ind", geomean("ind"));
-            let both = geomean("ind+str");
-            vec![
-                Check::at_least("stride_companion_helps", "ind+str geomean", both, ind)
-                    .paper_only(),
-            ]
+            let (ind, both) = (("ind", geomean("ind")), geomean("ind+str"));
+            let name = "stride_companion_helps";
+            vec![Check::at_least(name, "ind+str geomean", both, ind).paper_only()]
         },
     }
 }
@@ -479,25 +465,15 @@ fn fig6(scale: Scale) -> Experiment {
         },
         search: None,
         derive: |res| {
-            WorkloadId::FIG6
-                .iter()
-                .map(|w| {
-                    TableSection::new(
-                        format!("Fig. 6 — {}: speedup vs. look-ahead distance", w.name()),
-                        FIG6_DISTANCES.iter().map(|c| format!("c={c}")).collect(),
-                        res.machines
-                            .iter()
-                            .map(|m| Row {
-                                name: m.name.to_string(),
-                                values: FIG6_DISTANCES
-                                    .iter()
-                                    .map(|c| res.speedup(m.name, w.name(), &format!("manual_c{c}")))
-                                    .collect(),
-                            })
-                            .collect(),
-                    )
-                })
-                .collect()
+            let labels = FIG6_DISTANCES.map(|c| format!("manual_c{c}"));
+            let sections = WorkloadId::FIG6.iter().map(|w| {
+                TableSection::new(
+                    format!("Fig. 6 — {}: speedup vs. look-ahead distance", w.name()),
+                    FIG6_DISTANCES.iter().map(|c| format!("c={c}")).collect(),
+                    machine_rows(res, w.name(), &labels),
+                )
+            });
+            sections.collect()
         },
         checks: |res, derived| {
             // The paper's shape (§6.2): both mis-scheduling extremes
@@ -559,15 +535,11 @@ fn fig7(scale: Scale) -> Experiment {
             vec![TableSection::new(
                 "Fig. 7 — HJ-8: speedup vs. prefetch stagger depth",
                 (1..=4).map(|d| format!("depth={d}")).collect(),
-                res.machines
-                    .iter()
-                    .map(|m| Row {
-                        name: m.name.to_string(),
-                        values: (1..=4)
-                            .map(|d| res.speedup(m.name, "HJ-8", &format!("manual_c64_d{d}")))
-                            .collect(),
-                    })
-                    .collect(),
+                machine_rows(
+                    res,
+                    "HJ-8",
+                    &[1, 2, 3, 4].map(|d| format!("manual_c64_d{d}")),
+                ),
             )]
         },
         checks: |_res, derived| {
@@ -1071,20 +1043,17 @@ fn ablation(scale: Scale) -> Experiment {
             sections
         },
         checks: |res, derived| {
-            let (bare, full) = (
-                ABLATION_PIPELINES[0].0,
-                ABLATION_PIPELINES[ABLATION_PIPELINES.len() - 1].0,
-            );
+            let [(bare, _), .., (full, _)] = ABLATION_PIPELINES;
             let mut checks = Vec::new();
             let stat = find_section(derived, "(static)").expect("static section");
             // The cleanup passes must strictly win somewhere: on at
             // least one workload, cse+dce removes part of what the
             // prefetch pass cloned. Static, so asserted at every scale.
             let reduced = rows_where(stat, |at| at("eliminated") > 0.0);
-            let what = "workloads where cse+dce eliminated instructions";
+            let name = "cleanup_strictly_reduces_cloned_code";
             checks.push(Check::at_least(
-                "cleanup_strictly_reduces_cloned_code",
-                what,
+                name,
+                "workloads cse+dce shrank",
                 reduced,
                 1.0,
             ));
@@ -1133,7 +1102,7 @@ fn ablation(scale: Scale) -> Experiment {
             let worse = rows_where(srch, |at| {
                 at("searched") > at("full") || at("searched") > at("default")
             });
-            let what = "cells where searched cycles exceed the default or the full pipeline's";
+            let what = "cells where searched cycles exceed default or full";
             checks.push(Check::at_most(
                 "searched_pipeline_never_worse",
                 what,
@@ -1301,21 +1270,20 @@ fn trace_analytics(scale: Scale) -> Experiment {
                     });
                 }
             }
-            let cols = |names: &[&str]| names.iter().map(ToString::to_string).collect();
             vec![
                 TableSection::new(
                     "Trace corpus — reuse distance (64 B lines)",
-                    cols(&["events", "touches", "cold", "p50_lines", "p90_lines"]),
+                    column_names("events touches cold p50_lines p90_lines"),
                     corpus,
                 ),
                 TableSection::new(
                     "Indirection depth (dependent loads per address)",
-                    cols(&["loads", "d0", "d1", "d2", "d3plus", "indirect_pct"]),
+                    column_names("loads d0 d1 d2 d3plus indirect_pct"),
                     depth,
                 ),
                 TableSection::new(
                     "Memory-level parallelism over time",
-                    cols(&["windows", "mean_indep", "dep_pct"]),
+                    column_names("windows mean_indep dep_pct"),
                     mlp,
                 ),
             ]
@@ -1332,36 +1300,19 @@ fn trace_analytics(scale: Scale) -> Experiment {
             // The smallest first column (events, MLP windows) of a
             // section's kernels; NaN when the section is missing.
             let fewest = |s: Option<&TableSection>| {
-                s.map_or(f64::NAN, |s| {
-                    let firsts = s.rows.iter().map(|r| r.values.first().copied());
-                    firsts
-                        .map(|v| v.unwrap_or(0.0))
-                        .fold(f64::INFINITY, f64::min)
-                })
+                let firsts = s.map(|s| s.rows.iter().map(|r| r.values.first().map_or(0.0, |v| *v)));
+                firsts.map_or(f64::NAN, |v| v.fold(f64::INFINITY, f64::min))
             };
             // IS is the paper's motivating a[b[i]] kernel: its baseline
             // must profile as indirect even on tiny inputs.
             let is_pct = depth.map_or(f64::NAN, |s| row_value(s, "IS/baseline", "indirect_pct"));
+            let (events, windows) = (fewest(corpus), fewest(mlp));
+            let (indirect, what) = ("indirect_loads_detected", "IS baseline indirect %");
             vec![
                 Check::holds("profiles_complete", complete, detail),
-                Check::above(
-                    "corpus_nonempty",
-                    "fewest events of a kernel trace",
-                    fewest(corpus),
-                    0.0,
-                ),
-                Check::above(
-                    "indirect_loads_detected",
-                    "IS baseline indirect loads (%)",
-                    is_pct,
-                    0.0,
-                ),
-                Check::at_least(
-                    "mlp_sampled",
-                    "fewest MLP windows of a kernel",
-                    fewest(mlp),
-                    1.0,
-                ),
+                Check::above("corpus_nonempty", "fewest events per trace", events, 0.0),
+                Check::above(indirect, what, is_pct, 0.0),
+                Check::at_least("mlp_sampled", "fewest MLP windows per trace", windows, 1.0),
             ]
         },
     }
@@ -1462,18 +1413,7 @@ fn prefetch_profile(scale: Scale) -> Experiment {
             // mean lead time stretches with the distance.
             sections.push(TableSection::new(
                 "Prefetch outcome shares (%) by look-ahead — whole grid",
-                [
-                    "timely",
-                    "late",
-                    "early_evict",
-                    "redundant",
-                    "dropped",
-                    "unused",
-                    "lead_mean",
-                ]
-                .iter()
-                .map(ToString::to_string)
-                .collect(),
+                column_names("timely late early_evict redundant dropped unused lead_mean"),
                 (0..ncols)
                     .map(|ci| {
                         let label = profile_label(ci);
@@ -1524,13 +1464,8 @@ fn prefetch_profile(scale: Scale) -> Experiment {
             let missing = (res.cells.iter())
                 .filter(|c| c.perf.len() != c.cores.len())
                 .count();
-            let what = "cells lacking per-core profiles";
-            let mut checks = vec![Check::at_most(
-                "perf_profiles_present",
-                what,
-                missing as f64,
-                0.0,
-            )];
+            let (name, what) = ("perf_profiles_present", "cells lacking per-core profiles");
+            let mut checks = vec![Check::at_most(name, what, missing as f64, 0.0)];
             // The outcome partition must conserve issued prefetches and
             // agree with the memory system's unconditional counters, on
             // every core of every cell.
@@ -1559,19 +1494,13 @@ fn prefetch_profile(scale: Scale) -> Experiment {
             // extremes, so the migrations are strict at paper scale only.
             let in_order = in_order_names(res);
             let agg = |variant: &str| {
-                aggregate_profiles(
-                    res.cells
-                        .iter()
-                        .filter(|c| c.variant == variant && in_order.contains(&c.machine)),
-                )
+                let keep = |c: &&CellResult| c.variant == variant && in_order.contains(&c.machine);
+                aggregate_profiles(res.cells.iter().filter(keep))
             };
             let (lo, hi) = (agg("manual_c2"), agg("manual_c256"));
             let (late_lo, late_hi) = (share(lo.late, lo.issued), share(hi.late, hi.issued));
-            let (early_lo, drop_lo) = (
-                share(lo.early_evicted, lo.issued),
-                share(lo.dropped, lo.issued),
-            );
-            let drop_hi = share(hi.dropped, hi.issued);
+            let early_lo = share(lo.early_evicted, lo.issued);
+            let (drop_lo, drop_hi) = (share(lo.dropped, lo.issued), share(hi.dropped, hi.issued));
             let (lead_lo, lead_hi) = (lo.lead_cycles.mean(), hi.lead_cycles.mean());
             let what = "in-order late share (%) at c=2";
             let name = "late_fades_with_distance";
@@ -1607,10 +1536,8 @@ fn prefetch_profile(scale: Scale) -> Experiment {
                 let t = aggregate_profiles(res.cells.iter().filter(|c| c.variant == variant));
                 share(t.timely, t.issued)
             };
-            let ends = Bound::max(
-                ("c=2", grid("manual_c2".into())),
-                ("c=256", grid("manual_c256".into())),
-            );
+            let (t2, t256) = (grid("manual_c2".into()), grid("manual_c256".into()));
+            let ends = Bound::max(("c=2", t2), ("c=256", t256));
             let (peak_c, peak) = PROFILE_DISTANCES[1..PROFILE_DISTANCES.len() - 1]
                 .iter()
                 .map(|c| (*c, grid(format!("manual_c{c}"))))
@@ -1727,17 +1654,9 @@ fn tune(scale: Scale) -> Experiment {
             ],
         }),
         derive: |res| {
-            let columns = [
-                "heuristic",
-                "golden",
-                "hill",
-                "oracle",
-                "heur_%opt",
-                "gold_%opt",
-                "best_c",
-                "pts_gold",
-                "pts_orac",
-            ];
+            let columns = column_names(
+                "heuristic golden hill oracle heur_%opt gold_%opt best_c pts_gold pts_orac",
+            );
             let mut sections: Vec<TableSection> = res
                 .machines
                 .iter()
@@ -1768,7 +1687,7 @@ fn tune(scale: Scale) -> Experiment {
                         .collect();
                     TableSection::new(
                         format!("Tuning ({}) — cycles: heuristic c=64 vs. searched", m.name),
-                        columns.iter().map(ToString::to_string).collect(),
+                        columns.clone(),
                         rows,
                     )
                 })
@@ -1789,15 +1708,10 @@ fn tune(scale: Scale) -> Experiment {
                     // heuristic (by construction: the heuristic is
                     // always a candidate).
                     for r in [golden, hill] {
-                        let what = format!("{} cycles", r.strategy);
+                        let (what, chosen) = (format!("{} cycles", r.strategy), r.chosen_cycles);
                         let heuristic = ("heuristic", r.heuristic_cycles as f64);
                         let name = format!("tuned_beats_heuristic_{}_{cell}", r.strategy);
-                        checks.push(Check::at_most(
-                            name,
-                            &what,
-                            r.chosen_cycles as f64,
-                            heuristic,
-                        ));
+                        checks.push(Check::at_most(name, &what, chosen as f64, heuristic));
                     }
                     // Bracketing must pay: at most half the oracle's points.
                     let golden_points = golden.points.len() as f64;
@@ -1865,16 +1779,8 @@ fn pipeline_search(scale: Scale) -> Experiment {
             ],
         }),
         derive: |res| {
-            let columns = [
-                "default",
-                "full",
-                "searched",
-                "hill",
-                "dflt_%srch",
-                "full_%srch",
-                "pts_orac",
-                "pts_hill",
-            ];
+            let columns =
+                column_names("default full searched hill dflt_%srch full_%srch pts_orac pts_hill");
             let mut sections: Vec<TableSection> = res
                 .machines
                 .iter()
@@ -1914,7 +1820,7 @@ fn pipeline_search(scale: Scale) -> Experiment {
                             "Pipeline search ({}) — cycles: default/full pipelines vs. searched",
                             m.name
                         ),
-                        columns.iter().map(ToString::to_string).collect(),
+                        columns.clone(),
                         rows,
                     );
                     section.notes.push(
@@ -1933,7 +1839,6 @@ fn pipeline_search(scale: Scale) -> Experiment {
         checks: |res, _derived| {
             let mut checks = Vec::new();
             let mut strict_wins = 0usize;
-            let mut cells = 0usize;
             for s in &res.searches {
                 for (mi, m) in res.machines.iter().enumerate() {
                     let [oracle, hill] = &s.reports[mi][..] else {
@@ -1941,22 +1846,14 @@ fn pipeline_search(scale: Scale) -> Experiment {
                     };
                     let dflt = s.default_cycles[mi];
                     let cell = format!("{}_{}", m.name, s.workload);
-                    cells += 1;
-                    if oracle.chosen_cycles < dflt {
-                        strict_wins += 1;
-                    }
+                    strict_wins += usize::from(oracle.chosen_cycles < dflt);
                     // The searched pipeline is never worse than either
                     // reference — both are candidates of the space.
                     let full = ("full", oracle.heuristic_cycles as f64);
-                    let references = Bound::min(full, ("default", dflt as f64));
-                    let (name, searched) =
-                        (format!("searched_never_worse_{cell}"), oracle.chosen_cycles);
-                    checks.push(Check::at_most(
-                        name,
-                        "searched cycles",
-                        searched as f64,
-                        references,
-                    ));
+                    let refs = Bound::min(full, ("default", dflt as f64));
+                    let name = format!("searched_never_worse_{cell}");
+                    let searched = oracle.chosen_cycles as f64;
+                    checks.push(Check::at_most(name, "searched cycles", searched, refs));
                     // The hill-climb seeds at the full pipeline, so it is
                     // never worse than that reference either, on a
                     // fraction of the oracle's budget.
@@ -1976,6 +1873,7 @@ fn pipeline_search(scale: Scale) -> Experiment {
             // The payoff claim: searching pipelines must strictly beat
             // the compiler's default pipeline somewhere, or the whole
             // axis is pointless.
+            let cells = res.searches.len() * res.machines.len();
             let what = format!("cells of {cells} where searched strictly beats bare `swpf`");
             let name = "searched_pipeline_strictly_beats_default";
             checks.push(Check::at_least(name, &what, strict_wins as f64, 1.0));
