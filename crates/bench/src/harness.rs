@@ -1384,11 +1384,9 @@ pub fn perf_json(p: &PcProfile) -> Json {
 /// a paper-only claim its scale.
 fn check_json(c: &Check) -> Json {
     let number = |v: f64| {
-        if v.is_finite() {
-            Json::F64(v)
-        } else {
-            Json::Null
-        }
+        Some(v)
+            .filter(|v| v.is_finite())
+            .map_or(Json::Null, Json::F64)
     };
     let mut members = vec![
         ("name", Json::Str(c.name.clone())),
