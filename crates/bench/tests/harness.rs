@@ -218,20 +218,31 @@ fn structural_checks_catch_dead_cells() {
     );
 }
 
-/// The checks golden file: one `experiment name verdict detail` line
-/// per check of the whole catalogue at test scale.
-fn checks_golden_path() -> std::path::PathBuf {
+/// A golden file under the repository's `tests/golden/`.
+fn golden_path(file: &str) -> std::path::PathBuf {
     std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("../../tests/golden/checks_test_scale.txt")
+        .join("../../tests/golden")
+        .join(file)
 }
 
+/// The checks golden file: one `experiment name verdict detail` line
+/// per check of the whole catalogue at test scale.
+const CHECKS_GOLDEN: &str = "checks_test_scale.txt";
+
+/// The trace analytics golden file: one `section row values…` line per
+/// row of `trace_analytics`' derived sections at test scale.
+const ANALYTICS_GOLDEN: &str = "trace_analytics_test_scale.txt";
+
 /// Run the whole catalogue at test scale as the driver does and return
-/// one line per check: `experiment name verdict detail`. Along the way,
-/// assert what every run must satisfy: every check passes, each
-/// prefetching cell carries its pass parameters, and the artifact JSON
-/// round-trips.
-fn catalogue_check_lines() -> Vec<String> {
+/// one line per check (`experiment name verdict detail`) and one line
+/// per row of `trace_analytics`' derived sections (`section row
+/// values…`, each value in `{:?}` form, so the line is exact). Along
+/// the way, assert what every run must satisfy: every check passes,
+/// each prefetching cell carries its pass parameters, and the artifact
+/// JSON round-trips.
+fn catalogue_check_lines() -> (Vec<String>, Vec<String>) {
     let mut lines = Vec::new();
+    let mut analytics = Vec::new();
     for (name, build, _) in CATALOGUE {
         let exp = build(Scale::Test);
         let result = run_experiment(&exp, &opts(2));
@@ -240,6 +251,14 @@ fn catalogue_check_lines() -> Vec<String> {
         for check in &checks {
             assert!(check.passed, "{name}: {} — {}", check.name, check.detail);
             lines.push(format!("{name} {} ok {}", check.name, check.detail));
+        }
+        if name == "trace_analytics" {
+            for section in &derived {
+                for row in &section.rows {
+                    let values: String = row.values.iter().map(|v| format!(" {v:?}")).collect();
+                    analytics.push(format!("{} {}{values}", section.title, row.name));
+                }
+            }
         }
         // Every prefetching cell carries its effective pass parameters;
         // cells without prefetch code carry none. Every searched point
@@ -262,33 +281,48 @@ fn catalogue_check_lines() -> Vec<String> {
         let doc = artifact_json(&result, &derived, &checks);
         assert_eq!(Json::parse(&doc.to_pretty_string()).unwrap(), doc);
     }
-    lines
+    (lines, analytics)
+}
+
+/// Diff `actual` against the golden file `file`, line by line.
+fn assert_matches_golden(file: &str, actual: &[String]) {
+    let path = golden_path(file);
+    let golden = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()));
+    let golden: Vec<&str> = golden.lines().collect();
+    for (i, (want, got)) in golden.iter().zip(actual).enumerate() {
+        assert_eq!(want, got, "line {} of {}", i + 1, path.display());
+    }
+    assert_eq!(
+        golden.len(),
+        actual.len(),
+        "line count of {}",
+        path.display()
+    );
 }
 
 /// The artifact JSON for the whole catalogue at test scale stays
 /// parseable and every experiment's checks pass — the exact gate CI
 /// applies — with the names, verdicts and details of
-/// `tests/golden/checks_test_scale.txt`. After a deliberate change to a
-/// check, regenerate the file with
+/// `tests/golden/checks_test_scale.txt`, and `trace_analytics` derives
+/// the rows of `tests/golden/trace_analytics_test_scale.txt`. After a
+/// deliberate change to a check or to the analytics, regenerate both
+/// files with
 /// `cargo test -p swpf-bench --test harness -- --ignored bless_checks_golden`.
 #[test]
 fn all_experiments_pass_their_checks_at_test_scale() {
-    let actual = catalogue_check_lines();
-    let path = checks_golden_path();
-    let golden = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()));
-    let golden: Vec<&str> = golden.lines().collect();
-    for (i, (want, got)) in golden.iter().zip(&actual).enumerate() {
-        assert_eq!(want, got, "line {} of {}", i + 1, path.display());
-    }
-    assert_eq!(golden.len(), actual.len(), "line count");
+    let (checks, analytics) = catalogue_check_lines();
+    assert_matches_golden(CHECKS_GOLDEN, &checks);
+    assert_matches_golden(ANALYTICS_GOLDEN, &analytics);
 }
 
 #[test]
-#[ignore = "rewrites the golden file; run only for a deliberate change to a check"]
+#[ignore = "rewrites the golden files; run only for a deliberate change to a check"]
 fn bless_checks_golden() {
-    let path = checks_golden_path();
-    std::fs::write(&path, catalogue_check_lines().join("\n") + "\n").unwrap();
+    let (checks, analytics) = catalogue_check_lines();
+    for (file, lines) in [(CHECKS_GOLDEN, checks), (ANALYTICS_GOLDEN, analytics)] {
+        std::fs::write(golden_path(file), lines.join("\n") + "\n").unwrap();
+    }
 }
 
 /// Compare two runs of the same experiment cell-by-cell: every counter
