@@ -13,7 +13,9 @@
 //! as ns per iteration (`per: "iter"`) or ns per throughput element
 //! (`"element"`, from `rate_per_s`). A name under `probe:` is measured
 //! here instead, by an in-process probe that interleaves its two sides
-//! within each repetition so that host drift cancels.
+//! within each repetition so that host drift cancels; a records file
+//! that already carries both sides of a probe (a synthetic fixture)
+//! is read as it is, and that probe is not timed.
 //!
 //! Absolute ns are not comparable across hosts, so every row is a ratio
 //! of two sides measured in one process seconds apart, and a speedup is
@@ -216,13 +218,15 @@ fn run(args: &[String]) -> Result<bool, String> {
     let mut records =
         parse_records(&read(records_path)?).map_err(|e| format!("{records_path}: {e}"))?;
 
-    // Measure each probe a row names; a name no probe measures stays missing.
+    // Measure each probe a row names, unless the records already carry
+    // both its sides; a name no probe measures stays missing.
     let mut probe = |name: &str, sides: [&str; 2], measure: fn() -> Result<[f64; 2], String>| {
-        let prefix = format!("probe:{name}/");
+        let keys = sides.map(|side| format!("probe:{name}/{side}"));
         let names = || rows.iter().flat_map(|row| row.num.iter().chain(&row.den));
-        if names().any(|n| n.starts_with(&prefix)) {
-            for (side, ns) in sides.iter().zip(measure()?) {
-                records.insert(format!("{prefix}{side}"), [Some(ns), None]);
+        let named = names().any(|n| keys.contains(n));
+        if named && keys.iter().any(|key| !records.contains_key(key)) {
+            for (key, ns) in keys.into_iter().zip(measure()?) {
+                records.insert(key, [Some(ns), None]);
             }
         }
         Ok::<_, String>(())

@@ -3,9 +3,11 @@
 //! fails and is the one leg named on stderr, and a missing record fails.
 //!
 //! Synthetic, because live records are noisy: a leg measured on a busy
-//! host can land on either side of its bound. Each bound below is the
-//! leg's ceiling on mean(numerator) / mean(denominator), written as the
-//! reference ratio times the allowance.
+//! host can land on either side of its bound. So the fixture also
+//! carries both sides of the gate's in-process probes (`probe:pipeline`
+//! and `probe:ir_text`), and the gate times neither. Each bound below
+//! is the leg's ceiling on mean(numerator) / mean(denominator), written
+//! as the reference ratio times the allowance.
 
 use std::path::Path;
 use std::process::{Command, Output};
@@ -13,7 +15,7 @@ use std::process::{Command, Output};
 /// The record legs and their ceilings. The speedup legs are written the
 /// other way up (fast over slow), so the ceiling is the reference
 /// speedup's floor inverted.
-const LEGS: [(&str, f64); 9] = [
+const LEGS: [(&str, f64); 11] = [
     ("bytecode", 46_760.0 / 172_356.0 * 1.3),
     ("timing", 4.066 * 1.3),
     ("timing_inorder", 1.626 * 1.3),
@@ -23,6 +25,8 @@ const LEGS: [(&str, f64); 9] = [
     ("perf", 1.0 * 1.1),
     ("replay", 205_460.0 / 170_101.0 * 1.3),
     ("stream_replay", 300_289.0 / 205_460.0 * 1.3),
+    ("pipeline", 1.775 * 1.25),
+    ("ir_text", 3.3 * 1.3),
 ];
 
 /// The gate's arguments, `RECORDS` standing for the records file and
@@ -83,6 +87,10 @@ fn fixture(past: Option<&str>, omit: Option<&str>) -> String {
         record("trace/replay/IS", replay, None),
         record("trace/stream_replay/IS", at("stream_replay") * replay, None),
         record("perf/disabled/IS", at("perf") * direct, None),
+        record("probe:pipeline/cse_dce", 4.0e6, None),
+        record("probe:pipeline/full", at("pipeline") * 4.0e6, None),
+        record("probe:ir_text/print", 2.0e6, None),
+        record("probe:ir_text/parse", at("ir_text") * 2.0e6, None),
     ];
     for (preset, ns) in presets {
         let name = format!("interp_with_timing/{preset}");
