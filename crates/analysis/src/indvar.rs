@@ -128,11 +128,6 @@ impl IvAnalysis {
         IvAnalysis { ivs, bounds }
     }
 
-    /// All induction variables of loop `l`.
-    pub fn ivs_of(&self, l: LoopId) -> impl Iterator<Item = &InductionVar> + '_ {
-        self.ivs.iter().filter(move |iv| iv.in_loop == l)
-    }
-
     /// The induction variable whose phi is `v`, if `v` is one.
     #[must_use]
     pub fn as_iv(&self, v: ValueId) -> Option<&InductionVar> {

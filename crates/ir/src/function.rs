@@ -217,12 +217,6 @@ impl Function {
         }
     }
 
-    /// Whether `v` is a constant integer equal to `n`.
-    #[must_use]
-    pub fn is_const_int(&self, v: ValueId, n: i64) -> bool {
-        matches!(self.constant(v), Some(Constant::Int(x, _)) if x == n)
-    }
-
     /// Intern a constant: the first value of the arena equal to `c`,
     /// or a new one.
     pub fn add_const(&mut self, c: Constant) -> ValueId {
@@ -342,19 +336,6 @@ impl Function {
             );
             self.blocks[b.index()].insts = insts;
         }
-    }
-
-    /// Insert instruction `inst` at the front of block `b`, after any phis.
-    pub fn insert_at_block_start(&mut self, b: BlockId, inst: ValueId) {
-        let pos = self.blocks[b.index()]
-            .insts
-            .iter()
-            .position(|&v| !matches!(self.inst(v).map(|i| &i.kind), Some(InstKind::Phi { .. })))
-            .unwrap_or(self.blocks[b.index()].insts.len());
-        if let Some(i) = self.values[inst.index()].as_inst_mut() {
-            i.block = b;
-        }
-        self.blocks[b.index()].insts.insert(pos, inst);
     }
 
     /// Successor blocks of `b` (empty if the block lacks a terminator).

@@ -407,16 +407,6 @@ impl Inst {
         )
     }
 
-    /// Whether this instruction reads or writes memory (including
-    /// prefetches, which occupy memory-system resources but cannot fault).
-    #[must_use]
-    pub fn is_memory(&self) -> bool {
-        matches!(
-            self.kind,
-            InstKind::Load { .. } | InstKind::Store { .. } | InstKind::Prefetch { .. }
-        )
-    }
-
     /// Append all value operands to `out`.
     ///
     /// For phis this includes every incoming value; callers doing

@@ -82,18 +82,6 @@ pub fn verify_module_all(m: &Module) -> Vec<VerifyError> {
     errs
 }
 
-/// Verify a single function.
-///
-/// # Errors
-/// Returns the first violation found ([`verify_function_all`] collects
-/// them all).
-pub fn verify_function(m: &Module, fid: FuncId) -> Result<(), VerifyError> {
-    match verify_function_all(m, fid).into_iter().next() {
-        Some(e) => Err(e),
-        None => Ok(()),
-    }
-}
-
 /// Verify a single function, collecting every violation.
 ///
 /// Checks run in dependency order: structural soundness first (blocks

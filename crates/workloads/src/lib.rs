@@ -265,16 +265,6 @@ pub fn replicated_suite(scale: Scale, copies: usize) -> String {
     out
 }
 
-/// The four benchmarks used in the look-ahead sweep of Fig. 6
-/// (IS, CG, RA, HJ-2 — the paper shows "only the simpler benchmarks").
-#[must_use]
-pub fn fig6_suite(scale: Scale) -> Vec<Box<dyn Workload>> {
-    WorkloadId::FIG6
-        .iter()
-        .map(|id| id.instantiate(scale))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
