@@ -16,7 +16,7 @@
 //! `--list` prints the experiment catalogue, the filter syntax, the
 //! machine models, and the workloads, without running anything.
 //!
-//! `--profile <path>` (or `SWPF_PROFILE=<path>`) composes with
+//! `--profile <path>` composes with
 //! `--only`/`--skip`: the whole selected run is profiled through
 //! `swpf-obs` into one chrome-trace JSON, and every experiment's
 //! artifact gains its own windowed `profile` section.

@@ -1,7 +1,7 @@
 //! Render a `swpf-obs` chrome-trace profile artifact (written by
-//! `--profile <path>` / `SWPF_PROFILE`) as the human-readable summary
-//! table: per-phase count / total / self wall time, plus the counter
-//! and histogram catalogues.
+//! `--profile <path>`) as the human-readable summary table: per-phase
+//! count / total / self wall time, plus the counter and histogram
+//! catalogues.
 //!
 //! The artifact stays a plain Chrome trace-event file — loadable in
 //! `chrome://tracing` or Perfetto — and this binary reconstructs a
@@ -10,7 +10,7 @@
 //! table here and the timeline there always describe the same capture.
 //!
 //! ```sh
-//! SWPF_PROFILE=prof.json cargo run --release -p swpf-bench --bin all -- --only fig4
+//! cargo run --release -p swpf-bench --bin all -- --only fig4 --profile prof.json
 //! cargo run --release -p swpf-bench --bin prof_report -- prof.json
 //! ```
 

@@ -21,7 +21,7 @@ use crate::claim::{Bound, Check};
 use crate::geomean;
 use crate::harness::{
     CellResult, Experiment, ExperimentResult, ExperimentSpec, Kernel, Row, Search, TableSection,
-    TracePolicy, Variant,
+    Variant,
 };
 use swpf_core::PassConfig;
 use swpf_sim::{CoreKind, MachineConfig, PcProfile, SiteProfile};
@@ -1131,26 +1131,9 @@ fn ablation(scale: Scale) -> Experiment {
 
 // ---- trace analytics -----------------------------------------------------
 
-/// The two kernel builds profiled per workload: the plain baseline and
-/// the pass-prefetched `auto` build. Their cache files are named by the
-/// kernel's fingerprint, as the harness names them, so the profiles
-/// stream from (and warm) the same disk cache the figure grids use.
-fn analytics_variants() -> [Variant; 2] {
-    [Variant::baseline(), Variant::auto_default()]
-}
-
-/// Stream one kernel's cached trace — or record it functionally (one
-/// interpretation, no timing model in the loop) on a miss — and profile
-/// it. With a cache directory the fresh recording is persisted for the
-/// next consumer.
-fn workload_analytics(
-    id: WorkloadId,
-    kernel: &Kernel,
-    scale: Scale,
-    dir: Option<&std::path::Path>,
-) -> swpf_trace::TraceAnalytics {
-    use crate::harness::{kernel_fingerprint, open_streaming, store_trace, trace_cache_path};
-
+/// Profile one kernel on its live event stream: one interpretation on
+/// the default tier, with the analytics as its only observer.
+fn workload_analytics(id: WorkloadId, kernel: &Kernel, scale: Scale) -> swpf_trace::TraceAnalytics {
     let w = id.instantiate(scale);
     let module = kernel
         .build(w.as_ref())
@@ -1158,32 +1141,15 @@ fn workload_analytics(
     let func = module
         .find_function("kernel")
         .expect("workload kernels are named `kernel`");
-    let text_hash = swpf_trace::fnv64(swpf_ir::printer::print_module(&module).as_bytes());
-    let fingerprint = kernel_fingerprint(w.name(), scale, 1, text_hash);
-    let path = dir.map(|d| trace_cache_path(d, scale, w.name(), fingerprint));
-
-    if let Some(p) = &path {
-        if let Some(replay) = open_streaming(p, fingerprint) {
-            match swpf_trace::analyze(replay.num_cores(), |c| replay.cursor(c)) {
-                Ok(a) => return a,
-                Err(e) => eprintln!("warning: re-recording {}: {e}", p.display()),
-            }
-        }
-    }
-
     let image = std::sync::Arc::new(swpf_ir::exec::ExecImage::build(&module));
     let mut interp = swpf_ir::interp::Interp::new();
     let args = w.setup(&mut interp);
-    let mut recorder = swpf_trace::TraceRecorder::new(1, fingerprint);
+    let mut analytics = swpf_trace::TraceAnalytics::new();
     interp
-        .run_with_image(image, func, &args, recorder.stream(0))
+        .run_with_image(image, func, &args, &mut analytics)
         .unwrap_or_else(|t| panic!("{}/{kernel:?} trapped: {t}", w.name()));
-    let trace = recorder.finish();
-    if let Some(p) = &path {
-        store_trace(p, &trace);
-    }
-    swpf_trace::analyze(trace.num_cores(), |c| trace.cursor(c))
-        .expect("freshly recorded trace is well-formed")
+    analytics.mlp.finish();
+    analytics
 }
 
 /// Reuse-distance percentile over the *warm* touches, reported as the
@@ -1207,11 +1173,10 @@ fn reuse_percentile(a: &swpf_trace::TraceAnalytics, q: f64) -> f64 {
     (1u64 << (swpf_trace::REUSE_BUCKETS - 1)) as f64
 }
 
-/// Trace-derived analytics over the whole single-core kernel corpus:
-/// reuse-distance histograms, indirection-depth profiles, and
-/// MLP-over-time — computed from recorded event streams, never by
-/// re-simulating a timing model. Under `--trace-dir` the traces stream
-/// block-at-a-time from the shared cache in bounded memory.
+/// Event-stream analytics over the baseline and `auto` kernels of every
+/// workload: reuse-distance histograms, indirection-depth profiles, and
+/// MLP-over-time — observed on one live interpretation per kernel,
+/// never by running a timing model.
 fn trace_analytics(scale: Scale) -> Experiment {
     Experiment {
         spec: ExperimentSpec {
@@ -1226,17 +1191,13 @@ fn trace_analytics(scale: Scale) -> Experiment {
         },
         search: None,
         derive: |res| {
-            let dir = match &res.trace {
-                TracePolicy::Dir(dir) => Some(dir.as_path()),
-                TracePolicy::Off | TracePolicy::Memory => None,
-            };
             let mut corpus = Vec::new();
             let mut depth = Vec::new();
             let mut mlp = Vec::new();
             #[allow(clippy::cast_precision_loss)]
             for id in WorkloadId::ALL {
-                for variant in analytics_variants() {
-                    let a = workload_analytics(id, &variant.kernel, res.scale, dir);
+                for variant in [Variant::baseline(), Variant::auto_default()] {
+                    let a = workload_analytics(id, &variant.kernel, res.scale);
                     let name = format!("{}/{}", id.name(), variant.label);
                     corpus.push(Row {
                         name: name.clone(),
@@ -1899,13 +1860,13 @@ pub fn print_catalog() {
     );
     println!(
         "\nprofiling:\n  \
-         --profile <path> (or SWPF_PROFILE=<path>) records the selected run\n  \
-         through swpf-obs into chrome-trace JSON (chrome://tracing, Perfetto,\n  \
-         or `--bin prof_report <path>`); composes with --only/--skip, and each\n  \
-         artifact gains a windowed `profile` section\n  \
-         --perf (or SWPF_PERF=1) enables per-PC prefetch-efficacy profiling for\n  \
-         every cell (the `prefetch_profile` experiment enables it itself); cells\n  \
-         gain an additive `perf` member, rendered per line by `--bin perf_annotate`"
+         --profile <path> records the selected run through swpf-obs into\n  \
+         chrome-trace JSON (chrome://tracing, Perfetto, or `--bin prof_report\n  \
+         <path>`); composes with --only/--skip, and each artifact gains a\n  \
+         windowed `profile` section\n  \
+         --perf enables per-PC prefetch-efficacy profiling for every cell (the\n  \
+         `prefetch_profile` experiment enables it itself); cells gain an\n  \
+         additive `perf` member, rendered per line by `--bin perf_annotate`"
     );
     println!("\nmachines:");
     for m in MachineConfig::all_systems() {

@@ -19,7 +19,7 @@
 //! retire-event stream fans out to every machine's timing model
 //! simultaneously (recording into the `swpf-trace` cache when
 //! persisting); warm
-//! (`--trace-dir` / `SWPF_TRACE_DIR`), the cached file is streamed
+//! (`--trace-dir`), the cached file is streamed
 //! block-at-a-time, decoded once and fanned out the same way with no
 //! interpreter in the loop at all.
 //! Either way each cell's statistics are bit-identical to a dedicated
@@ -57,7 +57,7 @@
 
 use crate::claim::Check;
 use crate::json::Json;
-use crate::{auto_module, geomean, icc_module};
+use crate::{auto_module, icc_module};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -338,9 +338,9 @@ pub struct CellResult {
     /// `tier` member of the cell.
     pub tier: &'static str,
     /// Per-core prefetch-efficacy profiles ([`PcProfile`]), parallel to
-    /// `cores` when the run asked for them (spec `perf`, `--perf`, or
-    /// `SWPF_PERF`); empty otherwise. Serialised as the additive `perf`
-    /// member of the cell.
+    /// `cores` when the run asked for them (spec `perf` or `--perf`);
+    /// empty otherwise. Serialised as the additive `perf` member of the
+    /// cell.
     pub perf: Vec<PcProfile>,
 }
 
@@ -446,7 +446,7 @@ pub enum TracePolicy {
     /// Like [`TracePolicy::Memory`], but record each group's first
     /// interpretation under this directory and reuse
     /// fingerprint-matching traces across runs and experiments
-    /// (`--trace-dir` / `SWPF_TRACE_DIR`).
+    /// (`--trace-dir`).
     Dir(PathBuf),
 }
 
@@ -469,7 +469,7 @@ pub struct RunOptions {
     pub threads: usize,
     /// Trace record/replay policy.
     pub trace: TracePolicy,
-    /// Profile every cell (`--perf` / `SWPF_PERF`) whatever the spec's
+    /// Profile every cell (`--perf`) whatever the spec's
     /// own `perf` flag says; it reaches the simulations as
     /// [`Sim::perf`]. The default path runs profiling-free.
     pub perf: bool,
@@ -879,30 +879,6 @@ impl Session<'_> {
     }
 }
 
-/// Everything the trace fingerprint must cover: the kernel's textual
-/// IR, the workload (whose `setup` fixes the input data), the scale,
-/// and the core count. A cached trace with any of these changed is
-/// re-recorded, never silently replayed. Shared with the
-/// `trace_analytics` experiment, which reads the same cache files.
-#[must_use]
-pub(crate) fn kernel_fingerprint(
-    workload: &str,
-    scale: Scale,
-    cores: usize,
-    text_hash: u64,
-) -> u64 {
-    fnv64(format!("{workload}|{}|{cores}|{text_hash:016x}", scale.label()).as_bytes())
-}
-
-/// The cache file a kernel's trace persists to under a
-/// [`TracePolicy::Dir`] directory, named by its [`kernel_fingerprint`]:
-/// one kernel finds one file, whichever experiment or cell label asks —
-/// one naming scheme shared by the harness and the analytics experiment.
-#[must_use]
-pub(crate) fn trace_cache_path(dir: &Path, scale: Scale, workload: &str, fp: u64) -> PathBuf {
-    dir.join(format!("{}_{workload}_{fp:016x}.trace", scale.label()))
-}
-
 /// Run one trace group: all jobs that run `prepared` on one core count.
 /// Returns `(job index, cell)` pairs.
 fn run_group(
@@ -923,9 +899,17 @@ fn run_group(
     };
     let mut setup = |_: usize, interp: &mut Interp| w.setup(interp);
 
-    let fingerprint = kernel_fingerprint(w.name(), spec.scale, cores, prepared.text_hash);
+    // The fingerprint covers everything the event stream depends on:
+    // the kernel's text, the workload (whose `setup` fixes the input
+    // data), the scale and the core count. A cached trace with any of
+    // them changed is re-recorded, never silently replayed. The cache
+    // file is named by it, so one kernel finds one file whichever
+    // experiment or cell label asks.
+    let (scale, name) = (spec.scale.label(), w.name());
+    let fingerprint =
+        fnv64(format!("{name}|{scale}|{cores}|{:016x}", prepared.text_hash).as_bytes());
     let cache_path = match &opts.trace {
-        TracePolicy::Dir(dir) => Some(trace_cache_path(dir, spec.scale, w.name(), fingerprint)),
+        TracePolicy::Dir(dir) => Some(dir.join(format!("{scale}_{name}_{fingerprint:016x}.trace"))),
         _ => None,
     };
 
@@ -1059,15 +1043,12 @@ fn run_row(
         .collect())
 }
 
-/// Open a cached trace for bounded-memory streaming replay — the one
-/// way any consumer reads the cache — rejecting stale fingerprints. A
-/// file of another format version is treated exactly like a stale
-/// fingerprint: a silent miss, re-recorded and overwritten by the
-/// store; any other undecodable file is a miss with one warning on
-/// stderr. Shared with the `trace_analytics` experiment, so both keep
-/// one cache discipline.
-#[must_use]
-pub(crate) fn open_streaming(path: &Path, fingerprint: u64) -> Option<StreamingReplay> {
+/// Open a cached trace for bounded-memory streaming replay, rejecting
+/// stale fingerprints. A file of another format version is treated
+/// exactly like a stale fingerprint: a silent miss, re-recorded and
+/// overwritten by the store; any other undecodable file is a miss with
+/// one warning on stderr.
+fn open_streaming(path: &Path, fingerprint: u64) -> Option<StreamingReplay> {
     match StreamingReplay::open(path) {
         Ok(replay) if replay.fingerprint() == fingerprint => Some(replay),
         Ok(_) => None,
@@ -1086,7 +1067,7 @@ pub(crate) fn open_streaming(path: &Path, fingerprint: u64) -> Option<StreamingR
 /// another worker, another process on the same directory, the next run
 /// after this one was killed — sees the old file or the new one, never
 /// a torn one.
-pub(crate) fn store_trace(path: &Path, trace: &Trace) {
+fn store_trace(path: &Path, trace: &Trace) {
     static SEQ: AtomicUsize = AtomicUsize::new(0);
     // Unique per writer, and not a `.trace`: cache lookups never see it.
     let tmp = path.with_extension(format!(
@@ -1167,20 +1148,6 @@ fn first_three(mut names: impl Iterator<Item = String>, ok: &str, what: &str) ->
         detail.push_str(" and more");
     }
     format!("{detail}: {what}")
-}
-
-/// Geomean of one column across all named rows of a section.
-#[must_use]
-pub fn column_geomean(section: &TableSection, column: &str) -> f64 {
-    let Some(ci) = section.columns.iter().position(|c| c == column) else {
-        return f64::NAN;
-    };
-    let vals: Vec<f64> = section
-        .rows
-        .iter()
-        .filter_map(|r| r.values.get(ci).copied())
-        .collect();
-    geomean(&vals)
 }
 
 /// Render sections as the paper lays its tables out: the name column
@@ -1573,15 +1540,15 @@ pub fn run_and_report(
 /// Command-line options shared by every experiment binary.
 #[derive(Debug, Clone)]
 pub struct CliOptions {
-    /// Worker threads (`--threads N`, `SWPF_THREADS`; 0 = all cores)
-    /// and trace policy (`--trace-dir DIR`, `SWPF_TRACE_DIR`,
-    /// `--no-trace`; default: in-memory record/replay).
+    /// Worker threads (`--threads N`; 0 = all cores) and trace policy
+    /// (`--trace-dir DIR`, `--no-trace`; default: one fused
+    /// interpretation per kernel, nothing recorded).
     pub run: RunOptions,
     /// Workload scale (`SWPF_SCALE`; see [`crate::scale_from_env`]).
     pub scale: Scale,
     /// Artifact directory (`--out DIR`, default `RESULTS`).
     pub out_dir: PathBuf,
-    /// Chrome-trace profile output (`--profile PATH`, `SWPF_PROFILE`);
+    /// Chrome-trace profile output (`--profile PATH`);
     /// `None` leaves `swpf-obs` disabled.
     pub profile: Option<PathBuf>,
 }
@@ -1625,7 +1592,7 @@ fn usage_line(usage: &str) -> String {
 }
 
 /// The shared options from an explicit argument stream and the
-/// `SWPF_*` environment — for drivers (the `all` binary) that strip
+/// `SWPF_SCALE` / `SWPF_TIER` environment — for drivers (the `all` binary) that strip
 /// their own arguments (`--only`, `--skip`, `--list`) before delegating
 /// the shared ones here.
 ///
@@ -1644,19 +1611,11 @@ pub fn cli_options_from(args: impl Iterator<Item = String>) -> Result<CliOptions
 
     let scale = crate::scale_from_env()?;
     let tier = Tier::try_from_env()?;
-    let mut threads = match std::env::var("SWPF_THREADS") {
-        Ok(v) => integer(&v, "SWPF_THREADS")?,
-        Err(_) => 0,
-    };
-    let mut trace = match std::env::var_os("SWPF_TRACE_DIR") {
-        Some(dir) => TracePolicy::Dir(PathBuf::from(dir)),
-        None => TracePolicy::default(),
-    };
+    let mut threads = 0;
+    let mut trace = TracePolicy::default();
     let mut out_dir = PathBuf::from("RESULTS");
-    let mut profile = std::env::var_os("SWPF_PROFILE").map(PathBuf::from);
-    // `SWPF_PERF=0` explicitly off, any other value on. This is the one
-    // reader of the variable: the simulator takes profiling per request.
-    let mut perf = std::env::var("SWPF_PERF").is_ok_and(|v| v != "0");
+    let mut profile = None;
+    let mut perf = false;
     let mut args = args;
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -1686,8 +1645,8 @@ pub fn cli_options_from(args: impl Iterator<Item = String>) -> Result<CliOptions
     })
 }
 
-/// Enable `swpf-obs` profiling when the run asked for it (`--profile`
-/// / `SWPF_PROFILE`), returning the chrome-trace output path to hand
+/// Enable `swpf-obs` profiling when the run asked for it
+/// (`--profile`), returning the chrome-trace output path to hand
 /// to [`finish_profiling`] once the run completes.
 #[must_use]
 pub fn init_profiling(opts: &CliOptions) -> Option<PathBuf> {

@@ -28,12 +28,13 @@
 //!
 //! Run with `cargo run --release -p swpf-bench --bin all -- --only figN`.
 //! Set `SWPF_SCALE=test` for a fast smoke run with tiny inputs (shapes
-//! are noisier but the harness logic is identical); `--threads N` /
-//! `SWPF_THREADS` bound the worker pool, `--out DIR` moves the
-//! artifact directory. Trace record/replay is on by default (each
-//! distinct kernel is interpreted once per grid and replayed for every
-//! other machine cell); `--trace-dir DIR` / `SWPF_TRACE_DIR` persist
-//! traces across runs, `--no-trace` disables replay (DESIGN.md §6).
+//! are noisier but the harness logic is identical); `--threads N`
+//! bounds the worker pool, `--out DIR` moves the artifact directory.
+//! By default each distinct single-core kernel is interpreted once per
+//! grid, its events fanned out to every machine cell at once, and
+//! nothing is recorded; `--trace-dir DIR` records traces there and
+//! streams them on later runs, and `--no-trace` interprets every cell
+//! on its own (DESIGN.md §6).
 
 pub mod claim;
 pub mod experiments;

@@ -1,9 +1,9 @@
 //! Reconstruct a [`swpf_obs::Profile`] from its chrome-trace export.
 //!
-//! `--profile <path>` / `SWPF_PROFILE` write plain Chrome trace-event
-//! JSON — loadable in `chrome://tracing` or Perfetto — and this module
-//! parses it back, so `prof_report`'s summary table and the timeline
-//! viewer always describe the same capture.
+//! `--profile <path>` writes plain Chrome trace-event JSON — loadable
+//! in `chrome://tracing` or Perfetto — and this module parses it back,
+//! so `prof_report`'s summary table and the timeline viewer always
+//! describe the same capture.
 //!
 //! The chrome format has no histogram event, so the exporter flattens
 //! each non-empty [`swpf_obs::Hist`] into a reserved counter series —

@@ -10,14 +10,13 @@ fn all(args: &[&str], env: &[(&str, &str)]) -> Output {
 }
 
 fn run(exe: &str, args: &[&str], env: &[(&str, &str)]) -> Output {
-    let mut cmd = Command::new(exe);
     // Run away from the repository so a parse that wrongly succeeds
     // cannot drop a RESULTS directory into it.
-    cmd.args(args).current_dir(std::env::temp_dir());
-    for var in ["SWPF_THREADS", "SWPF_TIER"] {
-        cmd.env_remove(var);
-    }
-    cmd.env("SWPF_SCALE", "test")
+    Command::new(exe)
+        .args(args)
+        .current_dir(std::env::temp_dir())
+        .env_remove("SWPF_TIER")
+        .env("SWPF_SCALE", "test")
         .envs(env.iter().copied())
         .output()
         .expect("the binary runs")
@@ -62,7 +61,6 @@ fn malformed_values_are_usage_errors() {
     assert_usage_error(&all(&["--threads", "many"], &[]), "non-numeric --threads");
     assert_usage_error(&all(&["--only"], &[]), "missing experiment name");
     assert_usage_error(&all(&["--only", "fig99"], &[]), "unknown experiment");
-    assert_usage_error(&all(&[], &[("SWPF_THREADS", "many")]), "SWPF_THREADS");
     // Resolved once, before anything runs — not a panic in the middle
     // of a grid.
     assert_usage_error(&all(&[], &[("SWPF_TIER", "bytcode")]), "SWPF_TIER");

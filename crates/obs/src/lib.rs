@@ -20,9 +20,8 @@
 //! profiling gate holds the simulator hot path to this contract.
 //!
 //! Enabling ([`enable`]) is process-global; the experiment drivers flip
-//! it at startup so a whole run is captured, and `SWPF_PROFILE=<path>`
-//! (or `--profile <path>`) additionally writes the chrome-trace file at
-//! exit.
+//! it at startup so a whole run is captured, and `--profile <path>`
+//! additionally writes the chrome-trace file at exit.
 //!
 //! ## Span model
 //!

@@ -40,7 +40,7 @@
 //! Profiling is asked for, per run: `Sim { perf: true, .. }` (or
 //! `Machine::new(config, true)`). This crate reads no switch and no
 //! environment, so concurrent runs never see each other's choice; only
-//! the harness CLI maps `--perf` / `SWPF_PERF` onto the request.
+//! the harness CLI maps `--perf` onto the request.
 
 use std::collections::{HashMap, VecDeque};
 use swpf_obs::Hist;

@@ -1,25 +1,19 @@
-//! Analytics over recorded retire-event streams.
+//! Analytics over retire-event streams.
 //!
-//! The trace corpus records exactly what the timing models consume: the
-//! dynamic retire-event stream of every kernel. From it the module
-//! derives the paper's *memory-shape* metrics without any
-//! re-simulation: [`ReuseHistogram`] (LRU stack distances over cache
-//! lines — how big a cache the kernel wants), [`IndirectionProfile`]
-//! (how many dependent loads feed each load's address — the depth of
-//! `a[b[i]]` chains prefetching must cover), and [`MlpProfile`] (how
-//! many loads per window are address-independent — the memory-level
-//! parallelism a prefetcher can actually extract). All three are
-//! streaming observers drivable from any [`EventSource`], so
-//! [`analyze`] runs them in bounded memory over compressed trace files.
-//!
-//! [`analyze`] takes its events the way `swpf-sim`'s replay does — a
-//! core count and `cursor(core)` — so the in-memory and the file source
-//! are one code path.
+//! The interpreter reports exactly what the timing models consume: the
+//! dynamic retire-event stream of a kernel. From it the module derives
+//! the paper's *memory-shape* metrics without any timing model:
+//! [`ReuseHistogram`] (LRU stack distances over cache lines — how big a
+//! cache the kernel wants), [`IndirectionProfile`] (how many dependent
+//! loads feed each load's address — the depth of `a[b[i]]` chains
+//! prefetching must cover), and [`MlpProfile`] (how many loads per
+//! window are address-independent — the memory-level parallelism a
+//! prefetcher can actually extract). All three are streaming observers
+//! in bounded memory; [`TraceAnalytics`] runs them together as an
+//! [`ExecObserver`] on a live interpretation.
 
-use crate::stream::EventSource;
-use crate::TraceError;
 use std::collections::{HashMap, HashSet};
-use swpf_ir::interp::{Event, EventKind};
+use swpf_ir::interp::{Event, EventKind, ExecObserver};
 
 /// Cache-line shift: analytics bucket memory touches by 64-byte line,
 /// matching every simulated cache level.
@@ -178,15 +172,6 @@ impl ReuseHistogram {
     pub fn touches(&self) -> u64 {
         self.buckets.iter().sum::<u64>() + self.cold
     }
-
-    /// Fold another histogram's counts into this one (address spaces
-    /// are assumed disjoint — per-core histograms merge exactly).
-    pub fn merge(&mut self, other: &ReuseHistogram) {
-        for (b, o) in self.buckets.iter_mut().zip(&other.buckets) {
-            *b += o;
-        }
-        self.cold += other.cold;
-    }
 }
 
 /// Indirection depths saturate here; the paper's kernels top out at
@@ -269,13 +254,6 @@ impl IndirectionProfile {
         } else {
             let indirect: u64 = self.histogram[1..].iter().sum();
             indirect as f64 / total as f64
-        }
-    }
-
-    /// Fold another profile's histogram into this one.
-    pub fn merge(&mut self, other: &IndirectionProfile) {
-        for (b, o) in self.histogram.iter_mut().zip(&other.histogram) {
-            *b += o;
         }
     }
 }
@@ -406,12 +384,6 @@ impl MlpProfile {
         &self.samples
     }
 
-    /// Events represented by each sample.
-    #[must_use]
-    pub fn events_per_sample(&self) -> u64 {
-        self.scale
-    }
-
     /// Primitive 256-event windows observed.
     #[must_use]
     pub fn windows(&self) -> u64 {
@@ -439,29 +411,6 @@ impl MlpProfile {
         }
     }
 
-    /// Append another profile's series (its windows follow this one's
-    /// in time); totals accumulate. Both pending partial groups flush
-    /// as (slightly under-full) samples so the curves concatenate.
-    pub fn merge(&mut self, other: &MlpProfile) {
-        let mut o = other.clone();
-        self.flush_pending();
-        o.flush_pending();
-        // Bring both series to a common scale first.
-        while self.scale < o.scale {
-            self.halve();
-        }
-        while o.scale < self.scale {
-            o.halve();
-        }
-        self.samples.extend_from_slice(&o.samples);
-        self.primitive_windows += o.primitive_windows;
-        self.total_loads += o.total_loads;
-        self.total_dependent += o.total_dependent;
-        while self.samples.len() > MLP_MAX_SAMPLES {
-            self.halve();
-        }
-    }
-
     fn flush_pending(&mut self) {
         if self.pending_count > 0 {
             self.samples
@@ -481,7 +430,9 @@ impl MlpProfile {
     }
 }
 
-/// All three memory-shape observers run in one pass.
+/// All three memory-shape observers run in one pass: attach it to an
+/// interpretation as its [`ExecObserver`], then call `mlp.finish()`
+/// when the run ends.
 #[derive(Debug, Clone, Default)]
 pub struct TraceAnalytics {
     /// LRU stack-distance histogram (see [`ReuseHistogram`]).
@@ -511,64 +462,19 @@ impl TraceAnalytics {
         self.indirection.observe(ev);
         self.mlp.observe(ev);
     }
-
-    /// Drain one core's [`EventSource`] into this accumulator.
-    ///
-    /// # Errors
-    /// Any [`TraceError`] in the stream.
-    pub fn drain(&mut self, src: &mut impl EventSource) -> Result<(), TraceError> {
-        while let Some((ev, _)) = src.next_event()? {
-            self.observe(&ev);
-        }
-        self.mlp.finish();
-        Ok(())
-    }
-
-    /// Fold a second core's analytics into this one. Reuse and
-    /// indirection histograms add (address spaces and frames are
-    /// per-core, so no cross-talk); MLP series concatenate.
-    pub fn merge(&mut self, other: &TraceAnalytics) {
-        self.reuse.merge(&other.reuse);
-        self.indirection.merge(&other.indirection);
-        self.mlp.merge(&other.mlp);
-        self.events += other.events;
-    }
 }
 
-/// One-pass analytics over `cores` per-core streams, `cursor(core)`
-/// opening each; cores are analysed independently and merged.
-///
-/// # Errors
-/// Any [`TraceError`] opening or decoding a stream.
-pub fn analyze<S: EventSource>(
-    cores: usize,
-    cursor: impl Fn(usize) -> Result<S, TraceError>,
-) -> Result<TraceAnalytics, TraceError> {
-    let mut all = TraceAnalytics::new();
-    for core in 0..cores {
-        let mut one = TraceAnalytics::new();
-        one.drain(&mut cursor(core)?)?;
-        all.merge(&one);
+impl ExecObserver for TraceAnalytics {
+    fn on_event(&mut self, ev: &Event<'_>) {
+        self.observe(ev);
     }
-    Ok(all)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{StreamingReplay, TraceRecorder};
     use swpf_ir::interp::EventKind;
     use swpf_ir::ValueId;
-
-    fn ev(pc: u64) -> Event<'static> {
-        Event {
-            pc,
-            frame: 0,
-            result: ValueId(pc as u32),
-            kind: EventKind::Alu,
-            operands: &[],
-        }
-    }
 
     fn load_ev(result: u32, addr: u64, operands: &'static [ValueId]) -> Event<'static> {
         Event {
@@ -693,39 +599,5 @@ mod tests {
         m.finish();
         assert_eq!(m.samples(), &[1.0], "one independent load per window");
         assert!((m.dependent_fraction() - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn streaming_analytics_match_in_memory() {
-        let mut rec = TraceRecorder::new(2, 7);
-        for core in 0..2u32 {
-            for i in 0..3000u64 {
-                let e = if i % 5 == 4 {
-                    ev(40 + i % 4)
-                } else {
-                    load_ev((i % 16) as u32, (i * 37) % (1 << 14), &[])
-                };
-                rec.stream(core as usize).push(&e);
-                rec.stream(core as usize).end_step();
-            }
-        }
-        let trace = rec.finish();
-        let direct = analyze(2, |c| trace.cursor(c)).unwrap();
-        let path = std::env::temp_dir().join(format!("swpf_an_{}.trace", std::process::id()));
-        std::fs::write(&path, trace.to_bytes_with_block_size(512)).unwrap();
-        let streamed = {
-            let replay = StreamingReplay::open(&path).unwrap();
-            analyze(2, |c| replay.cursor(c)).unwrap()
-        };
-        std::fs::remove_file(&path).ok();
-        assert_eq!(direct.events, streamed.events);
-        assert_eq!(direct.reuse.buckets(), streamed.reuse.buckets());
-        assert_eq!(direct.reuse.cold(), streamed.reuse.cold());
-        assert_eq!(
-            direct.indirection.histogram(),
-            streamed.indirection.histogram()
-        );
-        assert_eq!(direct.mlp.samples(), streamed.mlp.samples());
-        assert_eq!(direct.events, 6000);
     }
 }

@@ -27,14 +27,15 @@
 //!
 //! Recording composes with timing: [`StreamEncoder`] is itself an
 //! [`ExecObserver`], and [`Tee`] fans one event out to two observers, so
-//! a simulation can *record while it measures* — the experiment harness
-//! records a group's first cell during its direct simulation and replays
-//! the remaining machines from the trace.
+//! a simulation can *record while it measures* — under `--trace-dir`
+//! the experiment harness records each kernel's stream during the one
+//! interpretation that feeds all its machines, and later runs stream the
+//! file instead of interpreting.
 //!
 //! The replay equivalence contract — replayed `SimStats` are
-//! bit-identical to direct simulation — is enforced by `swpf-sim` unit
-//! tests, `swpf-bench`'s harness tests, and the CI `trace-equivalence`
-//! job (all nine experiments).
+//! bit-identical to direct simulation — is enforced by `swpf-sim`'s
+//! request tests, `swpf-bench`'s harness tests, and the CI
+//! `trace-equivalence` job (every experiment of the default set).
 
 pub mod analytics;
 mod block;
@@ -44,8 +45,7 @@ mod streaming;
 mod wire;
 
 pub use analytics::{
-    analyze, IndirectionProfile, MlpProfile, ReuseHistogram, TraceAnalytics, MAX_INDIRECTION,
-    REUSE_BUCKETS,
+    IndirectionProfile, MlpProfile, ReuseHistogram, TraceAnalytics, MAX_INDIRECTION, REUSE_BUCKETS,
 };
 pub use block::BLOCK_TARGET;
 pub use stream::{EventCursor, EventSource, StreamEncoder, WindowCursor};

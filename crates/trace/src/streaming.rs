@@ -22,11 +22,10 @@
 //! what is streamed is the file that was validated even if the path is
 //! renamed over meanwhile.
 //!
-//! This is the one reader of trace *files*: analytics, the pair miner
-//! and every warm `--trace-dir` hit stream through it. A file of any
-//! other format version is [`TraceError::UnsupportedVersion`], which
-//! cache layers treat exactly like a stale fingerprint — re-record and
-//! overwrite.
+//! This is the one reader of trace *files*: every warm `--trace-dir`
+//! hit streams through it. A file of any other format version is
+//! [`TraceError::UnsupportedVersion`], which cache layers treat exactly
+//! like a stale fingerprint — re-record and overwrite.
 
 use crate::block::{BlockHeader, BLOCK_HEADER_LEN};
 use crate::stream::{Window, WindowCursor};

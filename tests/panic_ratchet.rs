@@ -8,6 +8,10 @@
 //! that merely shares the name (the parser's `cur.expect(b',')`) does
 //! not count. When a count falls, lower its entry in [`BUDGET`] so that
 //! it stays down.
+//!
+//! The same lines hold every `SWPF_*` environment variable the program
+//! reads, another trust boundary: [`ENV_READS`] lists them per crate,
+//! and a new one (or one gone) fails until the list names it.
 
 use std::path::Path;
 
@@ -16,7 +20,7 @@ use std::path::Path;
 const BUDGET: [(&str, usize); 11] = [
     (".", 0),
     ("crates/analysis", 0),
-    ("crates/bench", 31),
+    ("crates/bench", 30),
     ("crates/core", 16),
     ("crates/ir", 53),
     ("crates/obs", 12),
@@ -29,36 +33,66 @@ const BUDGET: [(&str, usize); 11] = [
 
 const SITES: [&str; 4] = ["panic!", "unreachable!", ".unwrap()", ".expect(\""];
 
-/// The panic sites of one source file.
-fn sites_in(text: &str) -> usize {
-    text.lines()
-        .take_while(|line| !line.contains("#[cfg(test)]"))
-        .filter(|line| !line.trim_start().starts_with("//"))
-        .map(|line| SITES.iter().map(|s| line.matches(s).count()).sum::<usize>())
-        .sum()
-}
+/// The `SWPF_*` variables each crate reads through `env::var` or
+/// `env::var_os`, by the directory that holds its `src/`; a crate that
+/// reads none is not listed.
+const ENV_READS: [(&str, &[&str]); 3] = [
+    ("crates/bench", &["SWPF_SCALE"]),
+    ("crates/core", &["SWPF_VERIFY_PASSES"]),
+    ("crates/ir", &["SWPF_TIER"]),
+];
 
-/// The panic sites of every `.rs` file under `dir`.
-fn sites_under(dir: &Path) -> usize {
+/// The non-test, non-comment lines of every `.rs` file under `dir`,
+/// file by file in sorted path order.
+fn code_lines_under(dir: &Path) -> Vec<String> {
     let mut entries: Vec<_> = std::fs::read_dir(dir)
         .unwrap_or_else(|e| panic!("cannot list {}: {e}", dir.display()))
         .map(|entry| entry.expect("a directory entry").path())
         .collect();
     entries.sort();
-    entries
+    let mut lines = Vec::new();
+    for path in entries {
+        if path.is_dir() {
+            lines.extend(code_lines_under(&path));
+        } else if path.extension().is_some_and(|ext| ext == "rs") {
+            let text = std::fs::read_to_string(&path)
+                .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()));
+            let code = text
+                .lines()
+                .take_while(|line| !line.contains("#[cfg(test)]"))
+                .filter(|line| !line.trim_start().starts_with("//"));
+            lines.extend(code.map(str::to_string));
+        }
+    }
+    lines
+}
+
+/// The panic sites of every `.rs` file under `dir`.
+fn sites_under(dir: &Path) -> usize {
+    code_lines_under(dir)
         .iter()
-        .map(|path| {
-            if path.is_dir() {
-                sites_under(path)
-            } else if path.extension().is_some_and(|ext| ext == "rs") {
-                let text = std::fs::read_to_string(path)
-                    .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()));
-                sites_in(&text)
-            } else {
-                0
-            }
-        })
+        .map(|line| SITES.iter().map(|s| line.matches(s).count()).sum::<usize>())
         .sum()
+}
+
+/// The `SWPF_*` names read through `env::var(` or `env::var_os(` on the
+/// code lines under `dir`, sorted and without repeats.
+fn env_reads_under(dir: &Path) -> Vec<String> {
+    let mut names = Vec::new();
+    for line in code_lines_under(dir) {
+        for call in ["env::var(\"", "env::var_os(\""] {
+            for (at, _) in line.match_indices(call) {
+                let rest = &line[at + call.len()..];
+                let name = rest.split('"').next().unwrap_or_default();
+                if name.starts_with("SWPF_") {
+                    names.push(name.to_string());
+                }
+            }
+        }
+    }
+    names.sort();
+    names.dedup();
+    names
 }
 
 #[test]
@@ -90,4 +124,21 @@ fn the_budget_names_every_crate() {
             "{name} has no entry in BUDGET"
         );
     }
+}
+
+#[test]
+fn only_the_listed_swpf_variables_are_read() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut found = Vec::new();
+    for (krate, _) in BUDGET {
+        let names = env_reads_under(&root.join(krate).join("src"));
+        if !names.is_empty() {
+            found.push(format!("{krate}: {}", names.join(", ")));
+        }
+    }
+    let expected: Vec<String> = ENV_READS
+        .iter()
+        .map(|(krate, names)| format!("{krate}: {}", names.join(", ")))
+        .collect();
+    assert_eq!(found, expected, "SWPF_* reads differ from ENV_READS");
 }
