@@ -39,8 +39,8 @@ pub type Entry = (&'static str, fn(Scale) -> Experiment, bool);
 
 /// Every experiment, in `--list` order: the paper's figures/tables in
 /// figure order, the pass-pipeline `ablation` study, the
-/// `trace_analytics` corpus profiler, the `prefetch_profile` sweep, and
-/// the two searched experiments, which run only when named.
+/// `trace_analytics` event-stream profiler, the `prefetch_profile`
+/// sweep, and the two searched experiments, which run only when named.
 pub const CATALOGUE: [Entry; 14] = [
     ("table1", table1, true),
     ("fig2", fig2, true),

@@ -1592,9 +1592,9 @@ fn usage_line(usage: &str) -> String {
 }
 
 /// The shared options from an explicit argument stream and the
-/// `SWPF_SCALE` / `SWPF_TIER` environment — for drivers (the `all` binary) that strip
-/// their own arguments (`--only`, `--skip`, `--list`) before delegating
-/// the shared ones here.
+/// `SWPF_SCALE` / `SWPF_TIER` environment — for drivers (the `all`
+/// binary) that strip their own arguments (`--only`, `--skip`,
+/// `--list`) before delegating the shared ones here.
 ///
 /// # Errors
 /// On an unknown flag, a flag without its value, or a value (argument

@@ -33,7 +33,7 @@ fn experiment_grid_sizes_are_pinned() {
         ("fig9", 6),                      // {1,2,4} cores × {baseline, auto}
         ("fig10", 2 * 3 * 2),             // two page policies
         ("ablation", 4 * 7 * 10),         // baseline + nine pass pipelines
-        ("trace_analytics", 0),           // all work happens in derive, off traces
+        ("trace_analytics", 0),           // all work happens in derive, on live runs
         ("prefetch_profile", 4 * 4 * 10), // baseline + 8 distances + auto
         ("tune", 0),                      // searched: no grid
         ("pipeline_search", 0),

@@ -375,7 +375,12 @@ impl MlpProfile {
         if self.in_window > 0 {
             self.close_window();
         }
-        self.flush_pending();
+        if self.pending_count > 0 {
+            self.samples
+                .push(self.pending_sum / self.pending_count as f64);
+            self.pending_sum = 0.0;
+            self.pending_count = 0;
+        }
     }
 
     /// Independent loads per window over time (decimated).
@@ -408,15 +413,6 @@ impl MlpProfile {
             0.0
         } else {
             self.total_dependent as f64 / self.total_loads as f64
-        }
-    }
-
-    fn flush_pending(&mut self) {
-        if self.pending_count > 0 {
-            self.samples
-                .push(self.pending_sum / self.pending_count as f64);
-            self.pending_sum = 0.0;
-            self.pending_count = 0;
         }
     }
 

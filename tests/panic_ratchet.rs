@@ -76,7 +76,8 @@ fn sites_under(dir: &Path) -> usize {
 }
 
 /// The `SWPF_*` names read through `env::var(` or `env::var_os(` on the
-/// code lines under `dir`, sorted and without repeats.
+/// code lines under `dir`, sorted and without repeats. Only a name
+/// written as a literal right after the call is seen.
 fn env_reads_under(dir: &Path) -> Vec<String> {
     let mut names = Vec::new();
     for line in code_lines_under(dir) {
